@@ -34,29 +34,3 @@ from .critical import (FAMILIES, EvidenceError, FrontierRow, SpeedBracket,
 from .svg import export_svg, save_svg
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "GEOM_TOL", "DiscretizedGraph", "Edge", "GraphPoint",
-    "GraphValidationError", "MetricGraph", "build_graph", "discretize",
-    "double_tree_walk", "graph_from_dict", "graph_to_dict", "load_graph",
-    "save_graph", "walk_covers", "walk_length",
-    "PathBuilder", "PathValidationError", "TimedPath", "VariationProfile",
-    "check_lipschitz", "load_path", "min_clearance", "path_from_dict",
-    "path_pieces", "path_to_dict", "reparameterize_max_speed", "save_path",
-    "total_variation", "transfer_scale", "transfer_shorten", "truncate_path",
-    "variation_profile",
-    "ClearanceState", "StarSchedule", "StrategyError", "build_star_schedule",
-    "comb_strategy", "cycle_loop", "cycle_strategy", "finiteness_strategy",
-    "lambda_root", "secure_vertex", "simulate_clearance", "star_strategy",
-    "sufficient_speed", "sweep_strategy",
-    "AvoidSet", "ParameterError", "ReachStructure", "SizeLimitError",
-    "StateError", "VerifierResult", "brute_force_oracle", "build_reach",
-    "continuous_clearance", "extract_witness", "initial_avoid_set",
-    "min_capture_time", "propagate_step", "result_to_dict", "save_report",
-    "swept_intervals", "verify",
-    "FAMILIES", "EvidenceError", "FrontierRow", "SpeedBracket",
-    "build_family", "frontier_table", "frontier_to_csv", "frontier_to_json",
-    "upper_bound_bisect",
-    "export_svg", "save_svg",
-    "__version__",
-]

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: generate, verify, frontier, export-svg, selftest.  Exit codes:
-0 success (verify: capture), 2 usage or input errors, 3 verified survival,
-4 capture radius below the soundness floor.
+0 success (verify: capture), 1 selftest failure, 2 usage, input or evidence
+errors, 3 verified survival, 4 invalid resolution parameters (non-finite, or
+a capture radius below the soundness floor).
 """
 
 from __future__ import annotations
@@ -11,50 +12,32 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
-from .critical import FAMILIES, build_family, frontier_table, frontier_to_csv, \
-    frontier_to_json
+from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
+    frontier_to_csv, frontier_to_json
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import export_svg
 from .trajectory import PathValidationError, load_path, path_to_dict, save_path
-from .verifier import ParameterError, brute_force_oracle, result_to_dict, \
-    save_report, verify
+from .verifier import ParameterError, brute_force_oracle, save_report, verify
 
 EXIT_OK = 0
+EXIT_SELFTEST_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SURVIVAL = 3
 EXIT_PARAMETER_FLOOR = 4
 
 
-@dataclass
-class CommandConfig:
-    """Parsed invocation: one subcommand plus its files and numeric flags."""
-
-    command: str
-    graph: str | None = None
-    strategy: str | None = None
-    witness: str | None = None
-    report: str | None = None
-    out: str | None = None
-    kind: str | None = None
-    family: str | None = None
-    speeds: tuple[float, ...] = ()
-    speed: float | None = None
-    resolution: float | None = None
-    dt: float | None = None
-    eps: float | None = None
-    delta: float | None = None
-    tol: float | None = None
-    as_json: bool = False
-    seed: int = 0
-    cases: int = 40
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "CommandConfig":
-        fields = {k: v for k, v in vars(ns).items() if k in cls.__dataclass_fields__}
-        return cls(**fields)
+def _speed_list(text: str) -> tuple[float, ...]:
+    """Parse a comma-separated --speeds list."""
+    try:
+        speeds = tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --speeds list {text!r}") from None
+    if not speeds:
+        raise argparse.ArgumentTypeError("--speeds list is empty")
+    return speeds
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -63,8 +46,9 @@ def make_parser() -> argparse.ArgumentParser:
         description="Pursuit on metric graphs: construct pursuer strategies, "
                     "verify them against every unit-speed evader, and "
                     "estimate capture-speed frontiers.",
-        epilog="exit codes: 0 ok/capture, 2 usage or input error, "
-               "3 verified survival, 4 capture radius below floor")
+        epilog="exit codes: 0 ok/capture, 1 selftest failure, 2 usage, "
+               "input or evidence error, 3 verified survival, 4 invalid "
+               "resolution parameters")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_resolution(q):
@@ -97,7 +81,7 @@ def make_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("frontier", help="verdict table over a speed list")
     q.add_argument("--graph", required=True)
     q.add_argument("--family", required=True, choices=list(FAMILIES))
-    q.add_argument("--speeds", required=True,
+    q.add_argument("--speeds", required=True, type=_speed_list,
                    help="comma-separated speed list, e.g. 0.5,1,1.5,2")
     q.add_argument("--delta", type=float, default=None)
     add_resolution(q)
@@ -122,7 +106,7 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_generate(cfg: CommandConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     path = build_family(g, cfg.kind, cfg.speed, cfg.delta)
     doc = path_to_dict(path)
@@ -137,7 +121,7 @@ def cmd_generate(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: CommandConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     res = verify(cop, h=cfg.resolution, dt=cfg.dt, eps=cfg.eps)
@@ -157,7 +141,7 @@ def cmd_verify(cfg: CommandConfig) -> int:
     return EXIT_SURVIVAL
 
 
-def cmd_frontier(cfg: CommandConfig) -> int:
+def cmd_frontier(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     rows = frontier_table(g, cfg.family, cfg.speeds, truncation=cfg.delta,
                           h=cfg.resolution, dt=cfg.dt, eps=cfg.eps)
@@ -171,7 +155,7 @@ def cmd_frontier(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export_svg(cfg: CommandConfig) -> int:
+def cmd_export_svg(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     witness = load_path(g, cfg.witness) if cfg.witness else None
@@ -182,7 +166,7 @@ def cmd_export_svg(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: CommandConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     from .graph import build_graph
     from .randgen import oracle_instance
     from .strategies import cycle_loop, sweep_strategy
@@ -222,22 +206,13 @@ def cmd_selftest(cfg: CommandConfig) -> int:
     print(f"canned: 3 checks, {canned} failures")
     if failures or canned:
         print("selftest FAILED")
-        return 1
+        return EXIT_SELFTEST_FAILED
     print("selftest ok")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    ns = parser.parse_args(argv)
-    if getattr(ns, "speeds", None) is not None and isinstance(ns.speeds, str):
-        try:
-            ns.speeds = tuple(float(x) for x in ns.speeds.split(",") if x.strip())
-        except ValueError:
-            parser.error(f"bad --speeds list {ns.speeds!r}")
-        if not ns.speeds:
-            parser.error("--speeds list is empty")
-    cfg = CommandConfig.from_args(ns)
+    cfg = make_parser().parse_args(argv)
     handlers = {
         "generate": cmd_generate,
         "verify": cmd_verify,
@@ -251,7 +226,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER_FLOOR
     except (StrategyError, GraphValidationError, PathValidationError,
-            OSError, json.JSONDecodeError) as exc:
+            EvidenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,16 @@ from .strategies import (StrategyError, comb_strategy, cycle_strategy,
 from .trajectory import TimedPath
 from .verifier import VerifierResult, verify
 
-FAMILIES = ("star", "comb", "cycle", "finiteness", "sweep")
+# Family name -> constructor(g, s, truncation).  The lambdas look each
+# constructor up at call time, so rebinding a module attribute (for example
+# to trace it) takes effect here too.
+FAMILIES = {
+    "star": lambda g, s, t: star_strategy(g, s, t),
+    "comb": lambda g, s, t: comb_strategy(g, s, t),
+    "cycle": lambda g, s, t: cycle_strategy(g, s),
+    "finiteness": lambda g, s, t: finiteness_strategy(g, s, t),
+    "sweep": lambda g, s, t: sweep_strategy(g, s),
+}
 
 
 class EvidenceError(RuntimeError):
@@ -30,18 +39,10 @@ class EvidenceError(RuntimeError):
 def build_family(g: MetricGraph, family: str, s: float,
                  truncation: float | None = None) -> TimedPath:
     """Construct the named strategy family on g at speed s."""
-    if family == "star":
-        return star_strategy(g, s, truncation)
-    if family == "comb":
-        return comb_strategy(g, s, truncation)
-    if family == "cycle":
-        return cycle_strategy(g, s)
-    if family == "finiteness":
-        return finiteness_strategy(g, s, truncation)
-    if family == "sweep":
-        return sweep_strategy(g, s)
-    raise StrategyError(f"unknown strategy family {family!r}; "
-                        f"choose one of {', '.join(FAMILIES)}")
+    if family not in FAMILIES:
+        raise StrategyError(f"unknown strategy family {family!r}; "
+                            f"choose one of {', '.join(FAMILIES)}")
+    return FAMILIES[family](g, s, truncation)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
                 check = verify(redeclared, h=h, dt=dt, eps=eps,
                                want_witness=False)
                 if not check.captured or check.time_bound > pt + slack:
-                    raise RuntimeError(
+                    raise EvidenceError(
                         f"capture time increased with speed ({pt} at "
                         f"s={rows[pi].s} vs {row.time_bound} at s={row.s}) "
                         f"and the re-declared slow trajectory failed to "

@@ -304,10 +304,14 @@ def build_graph(vertices, edges) -> MetricGraph:
     Disconnected input is rejected: a pursuer confined to one component can
     never meet an evader in another, so no winning strategy exists.
     """
-    vertices = list(vertices)
-    if len(set(vertices)) != len(vertices):
+    try:
+        vertices = list(vertices)
+        vset = set(vertices)
+    except TypeError as exc:
+        raise GraphValidationError(
+            f"vertex ids must be a list of hashable values: {exc}") from None
+    if len(vset) != len(vertices):
         raise GraphValidationError("duplicate vertex ids")
-    vset = set(vertices)
     if not vertices:
         raise GraphValidationError("graph needs at least one vertex")
 
@@ -324,7 +328,11 @@ def build_graph(vertices, edges) -> MetricGraph:
         used_ids.add(eid)
         if u not in vset or v not in vset:
             raise GraphValidationError(f"edge {eid!r} references undeclared vertex")
-        length = float(length)
+        try:
+            length = float(length)
+        except (TypeError, ValueError):
+            raise GraphValidationError(
+                f"edge {eid!r} has non-numeric length {length!r}") from None
         if not (length > 0) or not math.isfinite(length):
             raise GraphValidationError(
                 f"edge {eid!r} has nonpositive length {length}")
@@ -528,15 +536,6 @@ class DiscretizedGraph:
         self.points: tuple[GraphPoint, ...] = tuple(points)
         self.n = len(points)
         self.max_spacing = max(self.spacing.values())
-        self.min_spacing = min(self.spacing.values())
-
-        # adjacency between consecutive samples on each edge
-        self.adjacency: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for eid, idx in self.edge_samples.items():
-            sp = self.spacing[eid]
-            for a, b in zip(idx[:-1], idx[1:]):
-                self.adjacency[int(a)].append((int(b), sp))
-                self.adjacency[int(b)].append((int(a), sp))
 
         ids, vv = graph.vertex_distance_matrix()
         order = [ids.index(v) for v in vertex_ids]
@@ -553,16 +552,6 @@ class DiscretizedGraph:
                 dv = self.vv[vi, self.vertex_index[e.v]]
                 cand = np.minimum(du + offs, dv + (e.length - offs))
                 np.minimum.at(row, idx, cand)
-
-    def point_of(self, i: int) -> GraphPoint:
-        return self.points[i]
-
-    def nearest(self, p: GraphPoint) -> int:
-        p = self.graph.clamp_point(p)
-        offs = self.edge_offsets[p.edge]
-        idx = self.edge_samples[p.edge]
-        k = int(np.argmin(np.abs(offs - p.offset)))
-        return int(idx[k])
 
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""

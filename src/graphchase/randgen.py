@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import DiscretizedGraph, MetricGraph, build_graph, discretize
+from .graph import MetricGraph, build_graph, discretize
 from .trajectory import PathBuilder, TimedPath
 
 
@@ -86,7 +86,3 @@ def oracle_instance(rng: random.Random, max_samples: int = 12,
         eps = max(grid.max_spacing, dt) * rng.uniform(1.05, 2.5)
         return cop, h, dt, eps
     raise RuntimeError("failed to generate an oracle-sized instance")
-
-
-def grid_for(cop: TimedPath, h: float) -> DiscretizedGraph:
-    return discretize(cop.graph, h)

@@ -133,16 +133,13 @@ def ladder_overhang(k: int, lam: float, d0: float) -> float:
     return d0 * math.fsum(lam ** i for i in range(k - 2)) if k >= 3 else 0.0
 
 
-def _arm_runs(g: MetricGraph, hub: str, edge_id: str, depth: float):
-    """Out-and-back runs from the hub along one edge to the given depth."""
-    e = g.edge(edge_id)
-    if e.u == hub:
-        out = (edge_id, 0.0, depth)
-        back = (edge_id, depth, 0.0)
-    else:
-        out = (edge_id, e.length, e.length - depth)
-        back = (edge_id, e.length - depth, e.length)
-    return out, back
+def _out_and_back(pb: PathBuilder, hub: str, edge_id: str, depth: float,
+                  s: float) -> None:
+    """Walk from the hub along one edge to the given depth and back."""
+    e = pb.graph.edge(edge_id)
+    near, far = (0.0, depth) if e.u == hub else (e.length, e.length - depth)
+    pb.move_runs([(edge_id, near, far)], depth / s)
+    pb.move_runs([(edge_id, far, near)], depth / s)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +153,8 @@ class StarSchedule:
     `excursions` lists (arm edge id, absolute start time, duration); probe
     durations grow by `lam` from `d0` while more than one arm stays
     uncleared.  `phase1_end` is when the initial out-and-back on the last arm
-    finishes and the cascade clock starts.
+    finishes and the cascade clock starts.  `last_arm` is the cascade arm
+    still uncleared after the final excursion, or None if none is left.
     """
 
     k: int
@@ -169,6 +167,7 @@ class StarSchedule:
     final_arm: str                 # probed once in phase 1
     phase1_end: float
     excursions: tuple[tuple[str, float, float], ...]
+    last_arm: str | None
 
 
 def _detect_star(g: MetricGraph):
@@ -233,8 +232,9 @@ def build_star_schedule(g: MetricGraph, s: float,
         if target in cleared:
             rotation.remove(target)
         j += 1
+    last_arm = rotation[0] if rotation[0] not in cleared else None
     return StarSchedule(k, s, lam, d0, m_start, center, tuple(cascade_arms),
-                        final_arm, phase1_end, tuple(excursions))
+                        final_arm, phase1_end, tuple(excursions), last_arm)
 
 
 def simulate_clearance(sched: StarSchedule, g: MetricGraph):
@@ -265,31 +265,15 @@ def star_strategy(g: MetricGraph, s: float,
     if truncation is None:
         truncation = g.min_edge_length / 100
     sched = build_star_schedule(g, s, truncation)
-    center = sched.center
-    pb = PathBuilder(g, center, s)
-    out, back = _arm_runs(g, center, sched.final_arm,
-                          g.edge(sched.final_arm).length)
-    half = g.edge(sched.final_arm).length / s
-    pb.move_runs([out], half)
-    pb.move_runs([back], half)
-
-    cleared: set[str] = set()
-    remaining = set(sched.arm_order)
-    extents = {eid: g.edge(eid).length for eid in sched.arm_order}
-    radii = _ladder_init(list(sched.arm_order), sched.lam, sched.d0)
+    pb = PathBuilder(g, sched.center, s)
+    _out_and_back(pb, sched.center, sched.final_arm,
+                  g.edge(sched.final_arm).length, s)
     for target, start, duration in sched.excursions:
-        depth = min(s * duration / 2, extents[target])
         pb.wait_until(start)
-        out, back = _arm_runs(g, center, target, depth)
-        pb.move_runs([out], depth / s)
-        pb.move_runs([back], depth / s)
-        _cascade_update(radii, cleared, extents, target, duration, s)
-        remaining -= cleared
-    if remaining:
-        last = sorted(remaining)[0]
-        e = g.edge(last)
-        leaf = e.v if g.is_leaf(e.v) else e.u
-        pb.move_to(leaf, speed=s)
+        _out_and_back(pb, sched.center, target,
+                      min(s * duration / 2, g.edge(target).length), s)
+    if sched.last_arm is not None:
+        pb.move_to(g.leaf_end(sched.last_arm), speed=s)
     return pb.build({"kind": "star", "lambda": sched.lam,
                      "truncation": truncation, "m_start": sched.m_start})
 
@@ -384,11 +368,9 @@ def comb_strategy(g: MetricGraph, s: float,
                 raise StrategyError("station cascade failed to terminate")
             target = tooth if j % 2 == 0 else spine
             duration = min(d0 * lam ** j, cap)
-            depth = min(s * duration / 2, extents[target])
             pb.wait_until(station_start + elapsed)
-            out, back = _arm_runs(g, v, target, depth)
-            pb.move_runs([out], depth / s)
-            pb.move_runs([back], depth / s)
+            _out_and_back(pb, v, target,
+                          min(s * duration / 2, extents[target]), s)
             _cascade_update(radii, cleared, extents, target, duration, s)
             cleared.discard(spine)   # evader may re-enter from the far end
             elapsed += duration
@@ -538,6 +520,17 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     return plan, eps_v, elapsed
 
 
+def _secure_into(pb: PathBuilder, v: str, s: float, plan) -> None:
+    """Run a securing plan from v, probing each arm at most half its length."""
+    t = pb.now
+    for target, duration in plan:
+        pb.wait_until(t)
+        half = pb.graph.edge(target).length / 2
+        _out_and_back(pb, v, target, min(s * duration / 2, half), s)
+        t += duration
+    pb.wait_until(t)
+
+
 def secure_vertex(g: MetricGraph, v: str, s: float,
                   truncation: float | None = None):
     """Out-and-back cascade over all arms of v, ending back at v.
@@ -549,15 +542,7 @@ def secure_vertex(g: MetricGraph, v: str, s: float,
         truncation = g.min_edge_length / 100
     plan, eps_v, total = _secure_schedule(g, v, s, truncation)
     pb = PathBuilder(g, v, s)
-    t = 0.0
-    for target, duration in plan:
-        depth = min(s * duration / 2, g.edge(target).length / 2)
-        pb.wait_until(t)
-        out, back = _arm_runs(g, v, target, depth)
-        pb.move_runs([out], depth / s)
-        pb.move_runs([back], depth / s)
-        t += duration
-    pb.wait_until(t)
+    _secure_into(pb, v, s, plan)
     return pb.build({"kind": "secure", "vertex": v}), eps_v, total
 
 
@@ -602,28 +587,15 @@ def finiteness_strategy(g: MetricGraph, s: float,
     start = min(g.vertices)
     runs = double_tree_walk(g, start)
     pb = PathBuilder(g, start, s)
-
-    def secure_into(v: str):
-        plan, _, _ = _secure_schedule(g, v, s, trunc)
-        t = pb.now
-        for target, duration in plan:
-            depth = min(s * duration / 2, g.edge(target).length / 2)
-            pb.wait_until(t)
-            out, back = _arm_runs(g, v, target, depth)
-            pb.move_runs([out], depth / s)
-            pb.move_runs([back], depth / s)
-            t += duration
-        pb.wait_until(t)
-
     visited = {start}
-    secure_into(start)
+    _secure_into(pb, start, s, _secure_schedule(g, start, s, trunc)[0])
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)
         e = g.edge(eid)
         w = e.v if x1 > x0 else e.u
         if w not in visited:
             visited.add(w)
-            secure_into(w)
+            _secure_into(pb, w, s, _secure_schedule(g, w, s, trunc)[0])
     pb.move_to(start, speed=s)
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .graph import Edge, GraphPoint, GraphValidationError, MetricGraph
+from .graph import GraphPoint, GraphValidationError, MetricGraph
 
 SPEED_TOL = 1e-9
 

@@ -15,7 +15,7 @@ continuous-time clearance against the cop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,6 @@ class VerifierResult:
     tau: float
     n_steps: int
     n_samples: int
-    notes: dict = field(default_factory=dict)
 
     @property
     def captured(self) -> bool:
@@ -199,6 +198,11 @@ def save_report(r: VerifierResult, path: str) -> None:
 # ----------------------------------------------------------------------
 
 def _resolve_params(g: MetricGraph, grid_or_h, dt, eps):
+    h_given = None if isinstance(grid_or_h, DiscretizedGraph) else grid_or_h
+    for name, x in (("resolution", h_given), ("time step", dt),
+                    ("capture radius", eps)):
+        if x is not None and not math.isfinite(float(x)):
+            raise ParameterError(f"{name} must be finite, got {x}")
     if isinstance(grid_or_h, DiscretizedGraph):
         grid = grid_or_h
         h = grid.h

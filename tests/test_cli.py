@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from graphchase import (load_path, save_graph, save_path, sweep_strategy,
-                        verify)
+from graphchase import (EvidenceError, load_path, save_graph, save_path,
+                        sweep_strategy, verify)
+from graphchase import cli
 from graphchase.cli import main
 
 from common import path_graph, unit_cycle, unit_path
@@ -92,6 +93,16 @@ def test_verify_floor_violation_exits_4(path_file, tmp_path, capsys):
     assert "floor" in capsys.readouterr().err
 
 
+def test_verify_non_finite_eps_exits_4(path_file, tmp_path, capsys):
+    strat = str(tmp_path / "s.json")
+    main(["generate", "--graph", path_file, "--kind", "sweep",
+          "--speed", "1.0", "--out", strat])
+    rc = main(["verify", "--graph", path_file, "--strategy", strat,
+               "--eps", "nan"])
+    assert rc == 4
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     rc = main(["generate", "--graph", str(tmp_path / "nope.json"),
                "--kind", "cycle", "--speed", "2.0"])
@@ -99,6 +110,12 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     rc = main(["generate", "--graph", str(bad), "--kind", "cycle",
+               "--speed", "2.0"])
+    assert rc == 2
+    bad.write_text(json.dumps({"vertices": ["a", "b"], "edges": [
+        {"id": "e0", "from": "a", "to": "b", "length": "abc"}]}),
+        encoding="utf-8")
+    rc = main(["generate", "--graph", str(bad), "--kind", "sweep",
                "--speed", "2.0"])
     assert rc == 2
     capsys.readouterr()
@@ -132,6 +149,17 @@ def test_frontier_bad_speeds_exit_2(cycle_file, capsys):
               "--speeds", ","])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def test_frontier_evidence_error_exits_2(cycle_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise EvidenceError("capture time increased with speed")
+
+    monkeypatch.setattr(cli, "frontier_table", fail)
+    rc = main(["frontier", "--graph", cycle_file, "--family", "cycle",
+               "--speeds", "1.5"])
+    assert rc == 2
+    assert "capture time increased" in capsys.readouterr().err
 
 
 def test_export_svg_deterministic(path_file, tmp_path, capsys):

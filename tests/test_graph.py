@@ -230,6 +230,19 @@ def test_graph_json_malformed(tmp_path):
         graph_from_dict({"vertices": ["a"]})
 
 
+@pytest.mark.parametrize("vertices, length", [
+    (["a", "b"], "abc"),
+    (["a", "b"], None),
+    (5, 1.0),
+    ([["a"]], 1.0),
+])
+def test_graph_document_bad_values(vertices, length):
+    doc = {"vertices": vertices,
+           "edges": [{"id": "e0", "from": "a", "to": "b", "length": length}]}
+    with pytest.raises(GraphValidationError):
+        graph_from_dict(doc)
+
+
 def test_vertex_point_and_clamp():
     g = path_graph(2)
     p = g.vertex_point("v1")

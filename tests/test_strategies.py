@@ -111,6 +111,10 @@ def test_star_schedule_simulation_terminates():
     assert len(trace) == len(sched.excursions)
     assert len(trace[-1].cleared) == 2         # all cascade arms but one
     assert all(len(st.cleared) <= 2 for st in trace)
+    assert set(sched.arm_order) - trace[-1].cleared == {sched.last_arm}
+    p = star_strategy(g, 6.0, 1e-2)
+    assert g.points_equal(p.points[-1],
+                          g.vertex_point(g.leaf_end(sched.last_arm)))
 
 
 def test_star_strategy_shape():

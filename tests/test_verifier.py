@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -38,6 +39,14 @@ def test_capture_radius_floor():
     # just above the floor is accepted
     res = verify(p, h=0.1, dt=0.1, eps=0.11)
     assert res.verdict in ("capture", "survival")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["h", "dt", "eps"])
+def test_non_finite_parameters_rejected(name, value):
+    p = stand(unit_path(), "a", 1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        verify(p, **{name: value})
 
 
 # ----------------------------------------------------------- trivial cases
