@@ -182,16 +182,16 @@ class MetricGraph:
     def vertex_distance(self, u: str, v: str) -> float:
         return self._sssp(u)[0][v]
 
-    def vertex_distance_matrix(self):
-        """(sorted vertex ids, dense distance matrix) - cached."""
+    def vertex_distance_matrix(self) -> np.ndarray:
+        """Dense vertex distance matrix in sorted-id order - cached."""
         if self._vv_cache is None:
-            ids = tuple(sorted(self.vertices))
+            ids = sorted(self.vertices)
             m = np.zeros((len(ids), len(ids)))
             for i, u in enumerate(ids):
                 dist = self._sssp(u)[0]
                 for j, v in enumerate(ids):
                     m[i, j] = dist[v]
-            self._vv_cache = (ids, m)
+            self._vv_cache = m
         return self._vv_cache
 
     def _vertex_runs(self, u: str, v: str) -> list[tuple[str, float, float]]:
@@ -323,11 +323,16 @@ def build_graph(vertices, edges) -> MetricGraph:
             eid = f"e{i}"
         else:
             u, v, length, eid = item
-        if eid in used_ids:
-            raise GraphValidationError(f"duplicate edge id {eid!r}")
-        used_ids.add(eid)
-        if u not in vset or v not in vset:
-            raise GraphValidationError(f"edge {eid!r} references undeclared vertex")
+        try:
+            if eid in used_ids:
+                raise GraphValidationError(f"duplicate edge id {eid!r}")
+            used_ids.add(eid)
+            if u not in vset or v not in vset:
+                raise GraphValidationError(
+                    f"edge {eid!r} references undeclared vertex")
+        except TypeError:
+            raise GraphValidationError(
+                f"edge {eid!r} has an unhashable id or endpoint") from None
         try:
             length = float(length)
         except (TypeError, ValueError):
@@ -379,6 +384,15 @@ def build_graph(vertices, edges) -> MetricGraph:
     if len(seen) != len(out_vertices):
         raise GraphValidationError(
             "disconnected metric graph: no winning strategy exists")
+    # samples, adjacency and start vertices are ordered by id
+    for kind, ids in (("vertex", out_vertices),
+                      ("edge", [e.id for e in out_edges])):
+        try:
+            sorted(ids)
+        except TypeError:
+            raise GraphValidationError(
+                f"{kind} ids must be mutually sortable (loops and parallel "
+                f"edges add string ids)") from None
 
     return MetricGraph(out_vertices, out_edges)
 
@@ -537,9 +551,7 @@ class DiscretizedGraph:
         self.n = len(points)
         self.max_spacing = max(self.spacing.values())
 
-        ids, vv = graph.vertex_distance_matrix()
-        order = [ids.index(v) for v in vertex_ids]
-        self.vv = vv[np.ix_(order, order)]
+        self.vv = graph.vertex_distance_matrix()
 
         # exact distance from every vertex to every sample
         self.vertex_sample_dist = np.full((len(vertex_ids), self.n), np.inf)
@@ -556,14 +568,7 @@ class DiscretizedGraph:
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""
         p = self.graph.clamp_point(p)
-        e = self.graph.edge(p.edge)
-        out = np.minimum(
-            self.vertex_sample_dist[self.vertex_index[e.u]] + p.offset,
-            self.vertex_sample_dist[self.vertex_index[e.v]] + (e.length - p.offset))
-        idx = self.edge_samples[p.edge]
-        offs = self.edge_offsets[p.edge]
-        np.minimum.at(out, idx, np.abs(offs - p.offset))
-        return out
+        return self.distances_to_intervals([(p.edge, p.offset, p.offset)])
 
     def distances_to_intervals(self, intervals) -> np.ndarray:
         """Exact distance from every sample to a union of edge sub-intervals.
@@ -620,6 +625,6 @@ def load_graph(path) -> MetricGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphValidationError(f"invalid JSON in {path}: {exc}") from exc
     return graph_from_dict(data)

@@ -552,7 +552,7 @@ def load_path(g: MetricGraph, path: str) -> TimedPath:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PathValidationError(f"malformed trajectory file: {exc}") from None
     if not isinstance(doc, dict):
         raise PathValidationError("malformed trajectory file: expected an object")

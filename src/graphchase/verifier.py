@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiscretizedGraph, GraphPoint, MetricGraph, discretize
+from .graph import DiscretizedGraph, MetricGraph, discretize
 from .trajectory import TimedPath, min_clearance, path_pieces, path_to_dict
 
 REACH_SLACK = 1e-12
@@ -45,19 +45,17 @@ class StateError(RuntimeError):
 class ReachStructure:
     """All sample pairs within one evader step, in CSR form grouped by target.
 
-    `src[starts[q] : starts_end[q]]` lists the samples from which q is
+    `src[starts[q] : starts[q + 1]]` lists the samples from which q is
     reachable within one step (always including q itself).  The relation is
     symmetric, so the same arrays serve as successor lists.
     """
 
-    radius: float
     src: np.ndarray
     dst: np.ndarray
     starts: np.ndarray
 
     def predecessors(self, q: int) -> np.ndarray:
-        end = self.starts[q + 1] if q + 1 < len(self.starts) else len(self.src)
-        return self.src[self.starts[q]:end]
+        return self.src[self.starts[q]:self.starts[q + 1]]
 
 
 def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
@@ -90,60 +88,35 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     dst = (keys // n).astype(np.int64)
     src = (keys % n).astype(np.int64)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
-    return ReachStructure(radius, src, dst, starts)
+    return ReachStructure(src, dst, starts)
 
 
 # ----------------------------------------------------------------------
-# avoid-set propagation
+# maximin propagation
 # ----------------------------------------------------------------------
 
-@dataclass
-class AvoidSet:
-    """Surviving evader positions at one grid time, with maximin clearances.
+def propagate_step(score: np.ndarray, clearance: np.ndarray,
+                   reach: ReachStructure, want_backpointers: bool = False):
+    """One grid step of the surviving evader positions.
 
-    `score[q]` is the largest clearance an evader reaching q alive can have
-    maintained so far (clearance checked at both endpoints of every step
-    against that step's swept cop region).  A sample survives iff its score
-    exceeds eps.  `backpointers[q]` is the score-maximizing predecessor at
-    the previous grid time (lowest sample index on ties), or -1 before the
-    first step.
+    `score[q]` is the largest clearance an evader reaching sample q alive
+    can have kept so far, checked at both endpoints of every step against
+    that step's swept cop region; q survives iff its score exceeds eps.
+    The start score is the distance to the cop's start point.  The new
+    score of a target is min(arrival clearance, best over predecessors of
+    min(their score, their departure clearance)).
+
+    Returns (new score, backpointers or None).  `backpointers[q]` is the
+    best predecessor of q, the lowest sample index on ties, as int32.
     """
-
-    step: int
-    score: np.ndarray
-    eps: float
-    backpointers: np.ndarray | None = None
-
-    @property
-    def live(self) -> np.ndarray:
-        return self.score > self.eps
-
-    @property
-    def any_live(self) -> bool:
-        return bool(np.any(self.score > self.eps))
-
-
-def initial_avoid_set(grid: DiscretizedGraph, cop_start: GraphPoint,
-                      eps: float) -> AvoidSet:
-    """Evader may start anywhere at distance > eps from the cop's start."""
-    return AvoidSet(0, grid.distances_to_point(cop_start), eps)
-
-
-def propagate_step(a: AvoidSet, clearance: np.ndarray, reach: ReachStructure,
-                   want_backpointers: bool = False) -> AvoidSet:
-    """One grid step: move within reach, killed at either endpoint within eps.
-
-    The new score of a target is min(arrival clearance, best over
-    predecessors of min(their score, their departure clearance)).
-    """
-    val = np.minimum(a.score, clearance)
+    val = np.minimum(score, clearance)
     incoming = val[reach.src]
     best = np.maximum.reduceat(incoming, reach.starts[:-1])
     bp = None
     if want_backpointers:
-        cand = np.where(incoming >= best[reach.dst], reach.src, len(a.score))
+        cand = np.where(incoming >= best[reach.dst], reach.src, len(score))
         bp = np.minimum.reduceat(cand, reach.starts[:-1]).astype(np.int32)
-    return AvoidSet(a.step + 1, np.minimum(best, clearance), a.eps, bp)
+    return np.minimum(best, clearance), bp
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -197,18 +170,13 @@ def save_report(r: VerifierResult, path: str) -> None:
 # the decision procedure
 # ----------------------------------------------------------------------
 
-def _resolve_params(g: MetricGraph, grid_or_h, dt, eps):
-    h_given = None if isinstance(grid_or_h, DiscretizedGraph) else grid_or_h
-    for name, x in (("resolution", h_given), ("time step", dt),
+def _resolve_params(g: MetricGraph, h, dt, eps):
+    for name, x in (("resolution", h), ("time step", dt),
                     ("capture radius", eps)):
         if x is not None and not math.isfinite(float(x)):
             raise ParameterError(f"{name} must be finite, got {x}")
-    if isinstance(grid_or_h, DiscretizedGraph):
-        grid = grid_or_h
-        h = grid.h
-    else:
-        h = g.min_edge_length / 50 if grid_or_h is None else float(grid_or_h)
-        grid = discretize(g, h)
+    h = g.min_edge_length / 50 if h is None else float(h)
+    grid = discretize(g, h)
     sp = grid.max_spacing
     if dt is None:
         dt = sp
@@ -236,47 +204,45 @@ def _step_grid(duration: float, dt: float) -> tuple[int, float]:
 
 
 def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
-           eps: float | None = None, want_witness: bool = True,
-           grid: DiscretizedGraph | None = None) -> VerifierResult:
+           eps: float | None = None,
+           want_witness: bool = True) -> VerifierResult:
     """Decide eps-capture of every speed-1 evader against the cop trajectory.
 
     Capture means: by the reported time bound, every evader trajectory of
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
-    clearance.  Witness extraction reruns the propagation with backpointers
-    only when needed, keeping capture runs light.
+    clearance.  Witness extraction reruns the propagation keeping one
+    backpointer array per step, so capture runs store nothing per step.
     """
     g = cop.graph
-    grid, h, dt, eps = _resolve_params(g, grid if grid is not None else h,
-                                       dt, eps)
+    grid, h, dt, eps = _resolve_params(g, h, dt, eps)
     n_steps, tau = _step_grid(cop.duration, dt)
     reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
 
     def run(with_bp: bool):
-        # history is only accumulated when backpointers are wanted, so the
-        # common capture pass stays at O(samples) memory
-        a = initial_avoid_set(grid, cop.points[0], eps)
-        history = [a]
-        if not a.any_live:
-            return a, history, 0.0
+        score = grid.distances_to_point(cop.points[0])
+        history = []
+        if not np.any(score > eps):
+            return score, history, 0.0
         for j in range(n_steps):
             clr = grid.distances_to_intervals(
                 swept_intervals(cop, j * tau, (j + 1) * tau))
-            a = propagate_step(a, clr, reach, want_backpointers=with_bp)
+            score, bp = propagate_step(score, clr, reach,
+                                       want_backpointers=with_bp)
             if with_bp:
-                history.append(a)
-            if not a.any_live:
-                return a, history, (j + 1) * tau
-        return a, history, None
+                history.append(bp)
+            if not np.any(score > eps):
+                return score, history, (j + 1) * tau
+        return score, history, None
 
-    final, history, caught_at = run(False)
+    _, _, caught_at = run(False)
     if caught_at is not None:
         return VerifierResult("capture", min(caught_at, cop.duration), None,
                               None, h, dt, eps, grid.max_spacing, tau,
                               n_steps, grid.n)
     if want_witness:
-        final, history, _ = run(True)
-        witness = _backtrack_witness(grid, history, tau, cop.duration, eps)
+        score, history, _ = run(True)
+        witness = _backtrack_witness(grid, score, history, tau, cop.duration)
         clearance = min_clearance(cop, witness, 0.0, cop.duration)
     else:
         witness, clearance = None, None
@@ -284,13 +250,13 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
                           grid.max_spacing, tau, n_steps, grid.n)
 
 
-def _backtrack_witness(grid: DiscretizedGraph, history, tau: float,
-                       duration: float, eps: float) -> TimedPath:
-    final = history[-1]
-    order = np.argmax(final.score)
-    idx = [int(order)]
-    for a in reversed(history[1:]):
-        idx.append(int(a.backpointers[idx[-1]]))
+def _backtrack_witness(grid: DiscretizedGraph, score: np.ndarray, history,
+                       tau: float, duration: float) -> TimedPath:
+    """The grid path ending at the best final sample, one step per entry of
+    `history` (each step's backpointer array)."""
+    idx = [int(np.argmax(score))]
+    for bp in reversed(history):
+        idx.append(int(bp[idx[-1]]))
     idx.reverse()
     g = grid.graph
     times = [0.0]
@@ -303,7 +269,7 @@ def _backtrack_witness(grid: DiscretizedGraph, history, tau: float,
         points.append(grid.points[idx[j]])
         routes.append(runs)
     return TimedPath(g, tuple(times), tuple(points), tuple(routes), 1.0,
-                     {"kind": "witness", "grid_clearance": float(final.score[idx[-1]])})
+                     {"kind": "witness", "grid_clearance": float(score[idx[-1]])})
 
 
 def extract_witness(result: VerifierResult) -> TimedPath:

@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 
-from graphchase import critical  # noqa: E402
+from graphchase import critical, strategies, verifier  # noqa: E402
 
 from common import comb, star, unit_cycle, unit_path  # noqa: E402
 
@@ -50,3 +50,19 @@ def test_family_registry_calls_through_traced_constructors(family, graph,
     finally:
         tr.uninstall()
     assert tr.names.count("strategies.build") == 1
+
+
+def test_tracer_sees_both_propagation_passes():
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr)
+        with tr.job("survival"):
+            cop = strategies.cycle_loop(unit_cycle(), 1.0, 2.0)
+            r = verifier.verify(cop, h=0.05)
+    finally:
+        tr.uninstall()
+    assert r.verdict == "survival"
+    names = tr.names
+    assert names.count("verifier.propagate_step") == r.n_steps
+    assert names.count("verifier.propagate_step_bp") == r.n_steps
+    assert names.count("verifier.backtrack_witness") == 1

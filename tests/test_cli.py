@@ -118,7 +118,30 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     rc = main(["generate", "--graph", str(bad), "--kind", "sweep",
                "--speed", "2.0"])
     assert rc == 2
+    bad.write_text(json.dumps({"vertices": ["a", 1], "edges": [
+        {"id": "e0", "from": "a", "to": 1, "length": 1.0}]}),
+        encoding="utf-8")
+    rc = main(["generate", "--graph", str(bad), "--kind", "sweep",
+               "--speed", "2.0"])
+    assert rc == 2
     capsys.readouterr()
+
+
+def test_undecodable_graph_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rc = main(["generate", "--graph", str(bad), "--kind", "cycle",
+               "--speed", "2.0"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_undecodable_strategy_file_exits_2(cycle_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rc = main(["verify", "--graph", cycle_file, "--strategy", str(bad)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_frontier_csv_stdout(cycle_file, capsys):

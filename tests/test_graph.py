@@ -243,6 +243,20 @@ def test_graph_document_bad_values(vertices, length):
         graph_from_dict(doc)
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (["a", "b"], [("a", "b", ["x"])]),
+    (["a", "b"], [(["a"], "b", "e0")]),
+    (["a", 1], [("a", 1, "e0")]),
+    (["a", "b", "c"], [("a", "b", 0), ("b", "c", "e1")]),
+])
+def test_graph_document_bad_ids(vertices, edges):
+    doc = {"vertices": vertices,
+           "edges": [{"id": eid, "from": u, "to": v, "length": 1.0}
+                     for u, v, eid in edges]}
+    with pytest.raises(GraphValidationError):
+        graph_from_dict(doc)
+
+
 def test_vertex_point_and_clamp():
     g = path_graph(2)
     p = g.vertex_point("v1")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from graphchase import (ParameterError, PathBuilder, SizeLimitError,
                         extract_witness, min_capture_time, min_clearance,
                         result_to_dict, sweep_strategy, truncate_path, verify)
 from graphchase.randgen import oracle_instance
-from graphchase.verifier import (build_reach, initial_avoid_set,
-                                 propagate_step, swept_intervals)
+from graphchase.verifier import build_reach, propagate_step, swept_intervals
 
 from common import path_graph, triangle, unit_cycle, unit_path
 
@@ -138,17 +138,42 @@ def test_propagation_is_maximin_over_reach():
     cop = PathBuilder(g, "a", 2.0).move_to("b", speed=2.0).build()
     tau = 0.25
     reach = build_reach(grid, tau + 1e-12)
-    a0 = initial_avoid_set(grid, cop.points[0], eps=0.3)
+    eps = 0.3
+    s0 = grid.distances_to_point(cop.points[0])
     clr = grid.distances_to_intervals(swept_intervals(cop, 0.0, tau))
-    a1 = propagate_step(a0, clr, reach)
-    val = np.minimum(a0.score, clr)
+    s1, no_bp = propagate_step(s0, clr, reach)
+    s1_bp, bp = propagate_step(s0, clr, reach, want_backpointers=True)
+    assert no_bp is None and bp.dtype == np.int32
+    assert np.array_equal(s1_bp, s1)
+    val = np.minimum(s0, clr)
+    tied = 0
     for q in range(grid.n):
-        best = max(val[p] for p in reach.predecessors(q).tolist())
-        assert a1.score[q] == pytest.approx(min(best, clr[q]))
+        preds = reach.predecessors(q).tolist()
+        best = max(val[p] for p in preds)
+        assert s1[q] == pytest.approx(min(best, clr[q]))
+        # the backpointer is the lowest-index predecessor attaining best
+        winners = [p for p in preds if val[p] == best]
+        assert bp[q] == min(winners)
+        tied += len(winners) > 1
+    assert tied  # the tie-break is exercised
     # every survivor must extend some survivor within one evader step
-    for q in np.nonzero(a1.live)[0]:
-        assert clr[q] > a1.eps
-        assert any(val[p] > a1.eps for p in reach.predecessors(int(q)))
+    for q in np.nonzero(s1 > eps)[0]:
+        assert clr[q] > eps
+        assert any(val[p] > eps for p in reach.predecessors(int(q)))
+
+
+def test_witness_pass_keeps_only_backpointers():
+    # one int32 backpointer per sample and step; a score array per step
+    # as well would put the peak near 20 bytes per sample-step
+    cop = cycle_loop(unit_cycle(), 1.0, 4.0)
+    tracemalloc.start()
+    try:
+        r = verify(cop, h=0.004)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.verdict == "survival"
+    assert peak < 14 * r.n_samples * r.n_steps
 
 
 # ----------------------------------------------------- monotonicity sweeps
