@@ -110,7 +110,7 @@ class MetricGraph:
         """Validate a point and snap offsets within GEOM_TOL onto [0, length]."""
         e = self.edge(p.edge)
         x = p.offset
-        if x < -GEOM_TOL or x > e.length + GEOM_TOL:
+        if not -GEOM_TOL <= x <= e.length + GEOM_TOL:   # also rejects nan
             raise GraphValidationError(
                 f"offset {x} outside [0, {e.length}] on edge {e.id!r}")
         return GraphPoint(p.edge, min(max(x, 0.0), e.length))
@@ -335,7 +335,7 @@ def build_graph(vertices, edges) -> MetricGraph:
                 f"edge {eid!r} has an unhashable id or endpoint") from None
         try:
             length = float(length)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise GraphValidationError(
                 f"edge {eid!r} has non-numeric length {length!r}") from None
         if not (length > 0) or not math.isfinite(length):
@@ -514,7 +514,10 @@ class DiscretizedGraph:
     at vertices and exact arc distances between consecutive samples.
 
     Sample order is deterministic: vertex samples first (sorted by vertex id),
-    then interior samples sorted by (edge id, offset).
+    then interior samples sorted by (edge id, offset).  So the interior
+    samples of each edge fill one contiguous index range in offset order,
+    and two of them k spacings apart are k indices apart; the verifier's
+    banded propagation (`build_reach`) relies on this.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -532,7 +535,7 @@ class DiscretizedGraph:
         self.edge_offsets: dict[str, np.ndarray] = {}
         self.spacing: dict[str, float] = {}
         for e in sorted(graph.edges, key=lambda e: e.id):
-            n_int = int(math.ceil(e.length / self.h - 1e-12))
+            n_int = max(1, int(math.ceil(e.length / self.h - 1e-12)))
             sp = e.length / n_int
             self.spacing[e.id] = sp
             idx = [self.vertex_index[e.u]]

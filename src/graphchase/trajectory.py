@@ -52,13 +52,15 @@ class TimedPath:
             raise PathValidationError("breakpoint times and positions differ in count")
         if len(self.routes) != len(self.times) - 1:
             raise PathValidationError("need exactly one route per breakpoint gap")
-        if abs(self.times[0]) > 1e-12:
+        if not abs(self.times[0]) <= 1e-12:
             raise PathValidationError(f"paths start at time 0, got {self.times[0]}")
-        if self.speed_bound < 0:
+        if not self.speed_bound >= 0:
             raise PathValidationError("speed bound must be nonnegative")
         for a, b in zip(self.times[:-1], self.times[1:]):
             if not (b > a):
                 raise PathValidationError(f"times must strictly increase ({a} -> {b})")
+        if not math.isfinite(self.times[-1]):
+            raise PathValidationError(f"paths end at a finite time, got {self.times[-1]}")
         for p in self.points:
             g.clamp_point(p)
         for i, runs in enumerate(self.routes):
@@ -521,8 +523,13 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
         if raw_routes is None:
             raw_routes = [None] * (len(times) - 1)
         metadata = dict(doc.get("metadata") or {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PathValidationError(f"malformed trajectory document: {exc}") from None
+    if not isinstance(raw_routes, list) or \
+            not all(ids is None or isinstance(ids, list) for ids in raw_routes):
+        raise PathValidationError(
+            "malformed trajectory document: routes must be a list of edge-id "
+            "lists or nulls")
     if len(raw_routes) != max(len(times) - 1, 0):
         raise PathValidationError("route count does not match breakpoints")
     try:

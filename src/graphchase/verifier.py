@@ -48,11 +48,22 @@ class ReachStructure:
     `src[starts[q] : starts[q + 1]]` lists the samples from which q is
     reachable within one step (always including q itself).  The relation is
     symmetric, so the same arrays serve as successor lists.
+
+    The CSR defines the relation; `diagonals` and the junction list are the
+    plan `propagate_step` executes.  For each offset d, 1 <= abs(d) <= `width`,
+    `diagonals` holds (target slice, source slice, mask): mask bit i is set
+    iff the target `tgt.start + i` is reachable from the source `d` samples
+    away.  Every other non-self pair is one `(junction_src, junction_dst)`
+    entry; these are the long-range pairs through a vertex.
     """
 
     src: np.ndarray
     dst: np.ndarray
     starts: np.ndarray
+    width: int
+    diagonals: tuple
+    junction_src: np.ndarray
+    junction_dst: np.ndarray
 
     def predecessors(self, q: int) -> np.ndarray:
         return self.src[self.starts[q]:self.starts[q + 1]]
@@ -62,12 +73,18 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     """Pairs of samples at intrinsic distance <= radius.
 
     Same-edge pairs come from offset windows; cross-edge pairs are routed
-    through a vertex, which every cross-edge shortest path must pass.
+    through a vertex, which every cross-edge shortest path must pass.  The
+    diagonal width is the widest window of an edge with interior samples,
+    whose samples are consecutive in offset order; pairs of any other
+    offset go to the junction list.
     """
     n = grid.n
     pair_keys = [np.arange(n, dtype=np.int64) * (n + 1)]  # self loops: dst*n+src
+    width = 0
     for eid, idx in grid.edge_samples.items():
         offs = grid.edge_offsets[eid]
+        if len(idx) > 2:
+            width = max(width, math.floor(radius / grid.spacing[eid]))
         lo = np.searchsorted(offs, offs - radius, side="left")
         hi = np.searchsorted(offs, offs + radius, side="right")
         counts = hi - lo
@@ -88,7 +105,20 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     dst = (keys // n).astype(np.int64)
     src = (keys % n).astype(np.int64)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
-    return ReachStructure(src, dst, starts)
+
+    offset = src - dst
+    diagonals = []
+    for d in range(-width, width + 1):
+        if d == 0:
+            continue
+        lo = max(0, -d)
+        mask = np.zeros(max(0, n - abs(d)), dtype=bool)
+        mask[dst[offset == d] - lo] = True
+        diagonals.append((slice(lo, lo + len(mask)),
+                          slice(lo + d, lo + d + len(mask)), mask))
+    far = np.abs(offset) > width
+    return ReachStructure(src, dst, starts, width, tuple(diagonals),
+                          src[far], dst[far])
 
 
 # ----------------------------------------------------------------------
@@ -108,15 +138,30 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
 
     Returns (new score, backpointers or None).  `backpointers[q]` is the
     best predecessor of q, the lowest sample index on ties, as int32.
+
+    The maximum over predecessors runs as one masked `np.maximum` per
+    offset diagonal plus one `np.maximum.at` over the junction list; max
+    and min are exact, so the result does not depend on the pair order.
     """
     val = np.minimum(score, clearance)
-    incoming = val[reach.src]
-    best = np.maximum.reduceat(incoming, reach.starts[:-1])
+    best = val.copy()
+    for tgt, srcs, mask in reach.diagonals:
+        np.maximum(best[tgt], val[srcs], out=best[tgt], where=mask)
+    jsrc, jdst = reach.junction_src, reach.junction_dst
+    np.maximum.at(best, jdst, val[jsrc])
     bp = None
     if want_backpointers:
-        cand = np.where(incoming >= best[reach.dst], reach.src, len(score))
-        bp = np.minimum.reduceat(cand, reach.starts[:-1]).astype(np.int32)
-    return np.minimum(best, clearance), bp
+        # a miss is candidate n, above every sample index
+        n = len(score)
+        idx = np.arange(n, dtype=np.int32)
+        bp = np.where(val >= best, idx, n)
+        for tgt, srcs, mask in reach.diagonals:
+            hit = val[srcs] >= best[tgt]
+            hit &= mask
+            np.minimum(bp[tgt], np.where(hit, idx[srcs], n), out=bp[tgt])
+        np.minimum.at(bp, jdst, np.where(val[jsrc] >= best[jdst],
+                                         idx[jsrc], n))
+    return np.minimum(best, clearance, out=best), bp
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -222,7 +267,7 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
     def run(with_bp: bool):
         score = grid.distances_to_point(cop.points[0])
         history = []
-        if not np.any(score > eps):
+        if score.max() <= eps:
             return score, history, 0.0
         for j in range(n_steps):
             clr = grid.distances_to_intervals(
@@ -231,7 +276,7 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
                                        want_backpointers=with_bp)
             if with_bp:
                 history.append(bp)
-            if not np.any(score > eps):
+            if score.max() <= eps:
                 return score, history, (j + 1) * tau
         return score, history, None
 
@@ -308,9 +353,11 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
                        eps: float | None = None) -> VerifierResult:
     """Decide the same grid game by per-state recursion over all step plans.
 
-    Independent of the vectorized propagation: liveness of (step, sample) is
-    computed by memoized recursion over explicit predecessor lists.  Refuses
-    instances beyond ORACLE_MAX_SAMPLES samples or ORACLE_MAX_STEPS steps.
+    Independent of the vectorized propagation and of `build_reach`:
+    liveness of (step, sample) is computed by memoized recursion over
+    predecessor lists read from each sample's exact distances to all
+    others.  Refuses instances beyond ORACLE_MAX_SAMPLES samples or
+    ORACLE_MAX_STEPS steps.
     """
     g = cop.graph
     grid, h, dt, eps = _resolve_params(g, h, dt, eps)
@@ -324,7 +371,8 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     init = grid.distances_to_point(cop.points[0])
     clearances = [grid.distances_to_intervals(
         swept_intervals(cop, j * tau, (j + 1) * tau)) for j in range(n_steps)]
-    reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
+    preds = [np.nonzero(grid.distances_to_point(grid.points[q])
+                        <= tau + REACH_SLACK)[0] for q in range(grid.n)]
 
     alive: dict[tuple[int, int], bool] = {}
 
@@ -338,7 +386,7 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
             clr = clearances[j - 1]
             out = False
             if clr[q] > eps:
-                for p in reach.predecessors(q):
+                for p in preds[q]:
                     if clr[p] > eps and is_alive(j - 1, int(p)):
                         out = True
                         break

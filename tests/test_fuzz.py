@@ -1,0 +1,172 @@
+"""Generated input documents and flags end in a result or a typed error.
+
+Graph documents go to `graph_from_dict`, strategy documents to `load_path`
+through a file, and numeric strings to `verify --resolution/--dt/--eps`
+through `cli.main`.  Every case must either succeed or raise the loader's
+typed error (CLI: exit 2 or 4); a traceback from any other exception fails.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from graphchase import (GraphPoint, GraphValidationError, MetricGraph,
+                        PathBuilder, PathValidationError, TimedPath,
+                        graph_from_dict, load_path, path_to_dict, save_graph,
+                        save_path, sweep_strategy, truncate_path)
+from graphchase.cli import main
+
+from common import triangle
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
+                               10 ** 400, -10 ** 400, 1e-320, True])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=3) | ODD_NUMBERS)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _slots(doc):
+    """Every (container, key) location inside a JSON document."""
+    out, stack = [], [doc]
+    while stack:
+        c = stack.pop()
+        for k in (list(c) if isinstance(c, dict) else range(len(c))):
+            out.append((c, k))
+            if isinstance(c[k], (dict, list)):
+                stack.append(c[k])
+    return out
+
+
+@st.composite
+def mutated(draw, base):
+    """`base` with one to three values replaced by junk or deleted."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        c, k = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            c[k] = draw(ODD_NUMBERS | JSON_VALUES)
+        else:
+            del c[k]
+    return doc
+
+
+# ------------------------------------------------------------ graph documents
+
+def _edge(eid, u, v, length):
+    return {"id": eid, "from": u, "to": v, "length": length}
+
+
+GRAPH_DOCS = [
+    {"vertices": ["a", "b", "c"],
+     "edges": [_edge("e0", "a", "b", 1.0), _edge("e1", "b", "c", 0.5),
+               _edge("e2", "c", "a", 2.0)]},
+    {"vertices": ["a", "b"],   # a loop and a parallel pair
+     "edges": [_edge("x", "a", "a", 1.0), _edge("y", "a", "b", 1.0),
+               _edge("z", "b", "a", 0.25)]},
+    {"vertices": [0, 1, 2],
+     "edges": [_edge(0, 0, 1, 1.0), _edge(1, 1, 2, 1.0)]},
+]
+
+
+@FUZZ
+@given(st.sampled_from(GRAPH_DOCS).flatmap(mutated) | JSON_VALUES)
+@example({"vertices": ["a", "b"], "edges": [_edge("e", "a", "b", 10 ** 400)]})
+def test_graph_documents_load_or_raise_typed_error(doc):
+    try:
+        g = graph_from_dict(doc)
+    except GraphValidationError:
+        return
+    assert isinstance(g, MetricGraph)
+    assert all(math.isfinite(e.length) and e.length > 0 for e in g.edges)
+
+
+# --------------------------------------------------------- strategy documents
+
+GRAPH = triangle()      # edges e0 (a-b), e1 (b-c), e2 (c-a), length 1
+
+
+def _stand(t=0.0, offset=0.5, **doc):
+    return {"speed": 1.0, "breakpoints": [{"t": 0.0, "edge": "e0",
+                                           "offset": offset}]
+            + ([{"t": t, "edge": "e0", "offset": offset}] if t else []),
+            **doc}
+
+
+STRATEGY_DOCS = [
+    path_to_dict(truncate_path(sweep_strategy(GRAPH, 1.0), 2.5)),
+    path_to_dict(PathBuilder(GRAPH, GraphPoint("e1", 0.25), 2.0)
+                 .wait(0.5).move_to("a").build({"kind": "hand"})),
+]
+
+
+@FUZZ
+@given(doc=st.sampled_from(STRATEGY_DOCS).flatmap(mutated) | JSON_VALUES)
+@example(doc=_stand(speed=10 ** 400))
+@example(doc=_stand(t=10 ** 400))
+@example(doc=_stand(t=math.inf))
+@example(doc=_stand(offset=math.nan))
+@example(doc=_stand(routes=5))
+@example(doc=_stand(t=1.0, routes=[5]))
+def test_strategy_documents_load_or_raise_typed_error(doc, tmp_path):
+    f = tmp_path / "strategy.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        p = load_path(GRAPH, str(f))
+    except PathValidationError:
+        return
+    assert isinstance(p, TimedPath)
+    assert math.isfinite(p.duration)
+    assert all(math.isfinite(q.offset) for q in p.points)
+
+
+# ----------------------------------------------------------- numeric flags
+
+# Positive values below 0.05 are left out: they are valid requests whose
+# grid (~1/h samples) and step count (~duration/dt) grow without bound,
+# not malformed input.
+FLAG_VALUES = st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "-1e400",
+     "1e-400", "", " ", "abc", "0x10", "1_0", "+0.5", "-0.1", "0.1", "0.25",
+     "1", "3", "1e20", "1e300"]) | st.floats(0.05, 4.0).map(repr)
+
+
+@FUZZ
+@given(flags=st.lists(st.tuples(st.sampled_from(["--resolution", "--dt",
+                                                 "--eps"]), FLAG_VALUES),
+                      max_size=3, unique_by=lambda kv: kv[0]))
+@example(flags=[("--resolution", "1e20")])
+def test_verify_numeric_flags_exit_cleanly(flags, tmp_path):
+    graph_file = tmp_path / "graph.json"
+    strategy_file = tmp_path / "strategy.json"
+    if not strategy_file.exists():
+        save_graph(GRAPH, graph_file)
+        save_path(sweep_strategy(GRAPH, 1.0), str(strategy_file))
+    argv = ["verify", "--graph", str(graph_file), "--strategy",
+            str(strategy_file)]
+    for name, value in flags:
+        argv += [name, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse rejects the string
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    if rc in (2, 4):
+        assert "error:" in err.getvalue()

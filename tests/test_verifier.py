@@ -4,13 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphchase import (ParameterError, PathBuilder, SizeLimitError,
-                        StateError, brute_force_oracle, check_lipschitz,
-                        continuous_clearance, cycle_loop, discretize,
-                        extract_witness, min_capture_time, min_clearance,
-                        result_to_dict, sweep_strategy, truncate_path, verify)
-from graphchase.randgen import oracle_instance
+                        StateError, brute_force_oracle, build_graph,
+                        check_lipschitz, continuous_clearance, cycle_loop,
+                        discretize, extract_witness, min_capture_time,
+                        min_clearance, result_to_dict, sweep_strategy,
+                        truncate_path, verify)
+from graphchase.randgen import oracle_instance, random_graph
 from graphchase.verifier import build_reach, propagate_step, swept_intervals
 
 from common import path_graph, triangle, unit_cycle, unit_path
@@ -160,6 +163,66 @@ def test_propagation_is_maximin_over_reach():
     for q in np.nonzero(s1 > eps)[0]:
         assert clr[q] > eps
         assert any(val[p] > eps for p in reach.predecessors(int(q)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10, a radius of 0.3-3.5 max spacings, and scores and clearances on a
+    few levels so that ties are common."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+    h = draw(st.sampled_from([0.1, 0.2, 0.35]))
+    u, v = draw(st.sampled_from(base.vertices)), \
+        draw(st.sampled_from(base.vertices))
+    tiny = h / 10 * draw(st.floats(0.1, 0.99))
+    g = build_graph(list(base.vertices),
+                    [(e.u, e.v, e.length) for e in base.edges] +
+                    [(u, v, tiny)])
+    grid = discretize(g, h)
+    radius = grid.max_spacing * draw(st.floats(0.3, 3.5))
+    levels = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+    score = np.array(draw(st.lists(levels, min_size=grid.n,
+                                   max_size=grid.n)))
+    clearance = np.array(draw(st.lists(levels, min_size=grid.n,
+                                       max_size=grid.n)))
+    return grid, radius, score, clearance
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_banded_kernel_matches_maximin_reference(case):
+    grid, radius, score, clearance = case
+    reach = build_reach(grid, radius)
+    new, bp = propagate_step(score, clearance, reach, want_backpointers=True)
+    val = np.minimum(score, clearance)
+    for q in range(grid.n):
+        preds = reach.predecessors(q).tolist()
+        best = max(val[p] for p in preds)
+        assert new[q] == min(best, clearance[q])
+        assert bp[q] == min(p for p in preds if val[p] == best)
+    assert np.array_equal(propagate_step(score, clearance, reach)[0], new)
+
+    # the plan covers every CSR pair but the self loops exactly once
+    pairs = set(zip(reach.src.tolist(), reach.dst.tolist()))
+    assert {(q, q) for q in range(grid.n)} <= pairs
+    planned = list(zip(reach.junction_src.tolist(),
+                       reach.junction_dst.tolist()))
+    offsets = []
+    for tgt, srcs, mask in reach.diagonals:
+        offsets.append(srcs.start - tgt.start)
+        hit = np.nonzero(mask)[0]
+        planned += zip((hit + srcs.start).tolist(), (hit + tgt.start).tolist())
+    assert len(planned) == len(set(planned))
+    assert set(planned) == {(p, q) for p, q in pairs if p != q}
+    w = reach.width
+    assert offsets == [d for d in range(-w, w + 1) if d]
+
+    # only edges with interior samples set the width: the tiny edge does not
+    windows = [math.floor(radius / grid.spacing[e.id])
+               for e in grid.graph.edges if e.length > grid.h]
+    assert w == max(windows, default=0)
+    assert any(e.length < grid.h / 10 for e in grid.graph.edges)
 
 
 def test_witness_pass_keeps_only_backpointers():
