@@ -2,8 +2,8 @@
 
 Subcommands: generate, verify, frontier, export-svg, selftest.  Exit codes:
 0 success (verify: capture), 1 selftest failure, 2 usage, input or evidence
-errors, 3 verified survival, 4 invalid resolution parameters (non-finite, or
-a capture radius below the soundness floor).
+errors, 3 verified survival, 4 invalid resolution parameters (non-finite, a
+capture radius below the soundness floor, or a grid above 10^6 samples).
 """
 
 from __future__ import annotations

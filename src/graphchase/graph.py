@@ -509,6 +509,21 @@ def walk_covers(g: MetricGraph, runs) -> bool:
 # spatial discretization
 # ----------------------------------------------------------------------
 
+def _interval_count(length: float, h: float) -> int:
+    """The number of equal pieces an edge is cut into at resolution h."""
+    return max(1, int(math.ceil(length / h - 1e-12)))
+
+
+def sample_count(g: MetricGraph, h: float) -> float:
+    """The number of samples `discretize(g, h)` makes, for h > 0, counted
+    from the edge lengths without making them; inf if a count overflows."""
+    try:
+        return len(g.vertices) + sum(_interval_count(e.length, h) - 1
+                                     for e in g.edges)
+    except OverflowError:       # length / h is infinite
+        return math.inf
+
+
 class DiscretizedGraph:
     """Uniform per-edge samples at spacing <= h, with endpoint samples merged
     at vertices and exact arc distances between consecutive samples.
@@ -535,7 +550,7 @@ class DiscretizedGraph:
         self.edge_offsets: dict[str, np.ndarray] = {}
         self.spacing: dict[str, float] = {}
         for e in sorted(graph.edges, key=lambda e: e.id):
-            n_int = max(1, int(math.ceil(e.length / self.h - 1e-12)))
+            n_int = _interval_count(e.length, self.h)
             sp = e.length / n_int
             self.spacing[e.id] = sp
             idx = [self.vertex_index[e.u]]
@@ -568,6 +583,17 @@ class DiscretizedGraph:
                 cand = np.minimum(du + offs, dv + (e.length - offs))
                 np.minimum.at(row, idx, cand)
 
+        # per edge, in graph.edges order: the distance rows of its two
+        # vertices, its length, and its interior samples' slice and offsets
+        self._edge_terms = []
+        for e in graph.edges:
+            idx = self.edge_samples[e.id]
+            inner = slice(idx[1], idx[-2] + 1) if len(idx) > 2 else None
+            self._edge_terms.append(
+                (self.vertex_sample_dist[self.vertex_index[e.u]],
+                 self.vertex_sample_dist[self.vertex_index[e.v]], e.length,
+                 inner, self.edge_offsets[e.id][1:-1]))
+
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""
         p = self.graph.clamp_point(p)
@@ -589,6 +615,43 @@ class DiscretizedGraph:
             offs = self.edge_offsets[eid]
             direct = np.maximum(0.0, np.maximum(lo - offs, offs - hi))
             np.minimum.at(out, idx, direct)
+        return out
+
+    def distances_to_interval_rows(self, n_rows: int, rows, edges, lo,
+                                   hi) -> np.ndarray:
+        """`distances_to_intervals` for many interval sets at once.
+
+        Row r of the (n_rows, n) result is the distance from every sample to
+        the intervals i with rows[i] == r, where interval i is
+        (graph.edges[edges[i]], lo[i], hi[i]); a row without intervals is
+        +inf.  Equal to `distances_to_intervals` row by row: each term is
+        the same floating-point operation.  A stretch of intervals on one
+        edge in consecutive rows is done in one pass: the two vertex terms
+        over the whole rows, the direct term over the edge's interior
+        slice.  An endpoint sample needs no direct term, since its own
+        vertex term is the same number.
+        """
+        out = np.empty((n_rows, self.n))
+        filled = 0          # rows below this one hold distances
+        first = np.ones(len(rows), dtype=bool)   # starts a new stretch
+        first[1:] = (edges[1:] != edges[:-1]) | (rows[1:] != rows[:-1] + 1)
+        bounds = np.flatnonzero(first).tolist() + [len(rows)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            du, dv, length, inner, offs = self._edge_terms[edges[a]]
+            lo_k, hi_k = lo[a:b, None], hi[a:b, None]
+            r0, r1 = rows[a], rows[a] + b - a
+            fresh = r0 >= filled
+            out[filled:r0 if fresh else r1] = np.inf
+            # rows not written yet take the terms in place
+            near = np.add(du, lo_k, out=out[r0:r1] if fresh else None)
+            np.minimum(near, dv + (length - hi_k), out=near)
+            if inner is not None:
+                direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
+                np.minimum(near[:, inner], direct, out=near[:, inner])
+            if not fresh:
+                np.minimum(out[r0:r1], near, out=out[r0:r1])
+            filled = max(filled, r1)
+        out[filled:] = np.inf
         return out
 
 

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import GraphPoint, GraphValidationError, MetricGraph
 
 SPEED_TOL = 1e-9
@@ -414,6 +416,55 @@ def path_pieces(p: TimedPath, t0: float, t1: float):
             xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
             pieces.append((ca, cb, eid, xa, xb))
     return pieces
+
+
+@dataclass(frozen=True)
+class PieceTable:
+    """Every constant-speed run of a path as arrays, in time order.
+
+    Run k moves from offset x0[k] to x1[k] on edge `graph.edges[edge[k]]`
+    over [run_start[k], run_end[k]], and `path_pieces` clips it to
+    [start[k], stop[k]], its part of the breakpoint segment.  A wait is one
+    run with x0 == x1 spanning its segment.  The times are computed with
+    `path_pieces`' own arithmetic, and runs whose window is empty are left
+    out, so both `start` and `stop` increase with k.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    run_start: np.ndarray
+    run_end: np.ndarray
+    edge: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    duration: float
+
+
+def piece_table(p: TimedPath) -> PieceTable:
+    """The runs `path_pieces` walks, once for the whole path."""
+    index = {e.id: k for k, e in enumerate(p.graph.edges)}
+    rows, edges = [], []
+    for i, runs in enumerate(p.routes):
+        a, b = p.times[i], p.times[i + 1]
+        seg_len = _runs_length(runs)
+        if seg_len == 0:
+            q = p.points[i]
+            rows.append((a, b, a, b, q.offset, q.offset))
+            edges.append(index[q.edge])
+            continue
+        v = seg_len / (b - a)
+        acc = 0.0
+        for eid, x0, x1 in runs:
+            ln = abs(x1 - x0)
+            ra = a + acc / v
+            rb = a + (acc + ln) / v
+            acc += ln
+            if min(rb, b) > max(ra, a):
+                rows.append((max(ra, a), min(rb, b), ra, rb, x0, x1))
+                edges.append(index[eid])
+    cols = np.array(rows, dtype=float).reshape(len(rows), 6).T
+    return PieceTable(*cols[:4], np.array(edges, dtype=np.int64), *cols[4:],
+                      p.duration)
 
 
 def _piece_offset(piece, t):

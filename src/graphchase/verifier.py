@@ -19,14 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiscretizedGraph, MetricGraph, discretize
-from .trajectory import TimedPath, min_clearance, path_pieces, path_to_dict
+from .graph import DiscretizedGraph, MetricGraph, discretize, sample_count
+from .trajectory import (PieceTable, TimedPath, min_clearance, path_pieces,
+                         path_to_dict, piece_table)
 
 REACH_SLACK = 1e-12
+MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
+SWEEP_STEPS = 256       # steps per swept_block call
+CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
-    """Raised when resolution parameters violate the soundness floor."""
+    """Raised when resolution parameters violate the soundness floor or ask
+    for a grid above MAX_SAMPLES samples."""
 
 
 class SizeLimitError(ValueError):
@@ -170,6 +175,56 @@ def swept_intervals(cop: TimedPath, t0: float, t1: float):
             for _, _, eid, xa, xb in path_pieces(cop, t0, t1)]
 
 
+def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
+    """The intervals `swept_intervals` gives for the steps j0 <= j < j1.
+
+    Step j spans [j * tau, min((j + 1) * tau, duration)] and must start
+    before the path ends, as every step of `verify` does.  Returns flat
+    arrays (step, edge index, lo, hi), one entry per piece, ordered by run
+    of the piece table and so by step.  A run covers a range of consecutive
+    steps, found by `searchsorted`, so the cost is linear in the pieces.
+    The clipping and interpolation are `path_pieces`' own operations.
+    """
+    t = np.arange(j0, j1 + 1, dtype=float) * tau
+    t0, t1 = t[:-1], np.minimum(t[1:], table.duration)
+    k0 = np.searchsorted(table.stop, t0[0], side="right")
+    k1 = np.searchsorted(table.start, t1[-1], side="left")
+    start, stop = table.start[k0:k1], table.stop[k0:k1]
+    first = np.searchsorted(t1, start, side="right")
+    count = np.searchsorted(t0, stop, side="left") - first
+    # piece i: run k[i] at block step s[i], counting up from the run's first
+    k = np.repeat(np.arange(k0, k1), count)
+    s = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
+    ca = np.maximum(table.start[k], t0[s])
+    cb = np.minimum(table.stop[k], t1[s])
+    ra, rb = table.run_start[k], table.run_end[k]
+    x0, x1 = table.x0[k], table.x1[k]
+    xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
+    xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
+    return s + j0, table.edge[k], np.minimum(xa, xb), np.maximum(xa, xb)
+
+
+def _clearance_rows(grid: DiscretizedGraph, table: PieceTable, tau: float,
+                    n_steps: int):
+    """Yield each step's clearance row: row j equals
+    `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
+
+    The pieces come from `swept_block` for blocks of about SWEEP_STEPS
+    steps, and the rows are filled in chunks of at most CHUNK_FLOATS values
+    (at least one row) so that a chunk stays in cache.
+    """
+    chunk = max(1, CHUNK_FLOATS // grid.n)
+    block = chunk * max(1, SWEEP_STEPS // chunk)
+    for j0 in range(0, n_steps, block):
+        j1 = min(j0 + block, n_steps)
+        step, edge, lo, hi = swept_block(table, tau, j0, j1)
+        ends = list(range(j0, j1, chunk)) + [j1]
+        cuts = np.searchsorted(step, ends, side="left").tolist()
+        for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
+            yield from grid.distances_to_interval_rows(
+                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b])
+
+
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -221,6 +276,11 @@ def _resolve_params(g: MetricGraph, h, dt, eps):
         if x is not None and not math.isfinite(float(x)):
             raise ParameterError(f"{name} must be finite, got {x}")
     h = g.min_edge_length / 50 if h is None else float(h)
+    samples = sample_count(g, h) if h > 0 else 0   # discretize rejects h <= 0
+    if samples > MAX_SAMPLES:
+        raise ParameterError(
+            f"resolution {h} asks for {samples:.4g} grid samples, above the "
+            f"limit of {MAX_SAMPLES}")
     grid = discretize(g, h)
     sp = grid.max_spacing
     if dt is None:
@@ -263,15 +323,15 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
     grid, h, dt, eps = _resolve_params(g, h, dt, eps)
     n_steps, tau = _step_grid(cop.duration, dt)
     reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
+    table = piece_table(cop)
 
     def run(with_bp: bool):
         score = grid.distances_to_point(cop.points[0])
         history = []
         if score.max() <= eps:
             return score, history, 0.0
-        for j in range(n_steps):
-            clr = grid.distances_to_intervals(
-                swept_intervals(cop, j * tau, (j + 1) * tau))
+        rows = _clearance_rows(grid, table, tau, n_steps)
+        for j, clr in enumerate(rows):
             score, bp = propagate_step(score, clr, reach,
                                        want_backpointers=with_bp)
             if with_bp:
@@ -353,11 +413,12 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
                        eps: float | None = None) -> VerifierResult:
     """Decide the same grid game by per-state recursion over all step plans.
 
-    Independent of the vectorized propagation and of `build_reach`:
-    liveness of (step, sample) is computed by memoized recursion over
-    predecessor lists read from each sample's exact distances to all
-    others.  Refuses instances beyond ORACLE_MAX_SAMPLES samples or
-    ORACLE_MAX_STEPS steps.
+    Independent of the vectorized propagation, of `build_reach` and of the
+    block clearance: liveness of (step, sample) is computed by memoized
+    recursion over predecessor lists read from each sample's exact
+    distances to all others, against clearances computed one step at a
+    time with `swept_intervals` and `distances_to_intervals`.  Refuses
+    instances beyond ORACLE_MAX_SAMPLES samples or ORACLE_MAX_STEPS steps.
     """
     g = cop.graph
     grid, h, dt, eps = _resolve_params(g, h, dt, eps)

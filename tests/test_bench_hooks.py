@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 
-from graphchase import critical, strategies, verifier  # noqa: E402
+from graphchase import critical, graph, strategies, verifier  # noqa: E402
 
 from common import comb, star, unit_cycle, unit_path  # noqa: E402
 
@@ -66,3 +66,25 @@ def test_tracer_sees_both_propagation_passes():
     assert names.count("verifier.propagate_step") == r.n_steps
     assert names.count("verifier.propagate_step_bp") == r.n_steps
     assert names.count("verifier.backtrack_witness") == 1
+
+
+def test_tracer_sees_the_block_clearance_layers():
+    # the blocked clearance is called through module and class attributes,
+    # so a tracer can wrap it; one block of steps per propagation pass here
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr)
+        tr.wrap(verifier, "swept_block", "verifier.swept_block")
+        tr.wrap(graph.DiscretizedGraph, "distances_to_interval_rows",
+                "graph.distances_to_interval_rows")
+        with tr.job("survival"):
+            cop = strategies.cycle_loop(unit_cycle(), 1.0, 2.0)
+            r = verifier.verify(cop, h=0.05)
+    finally:
+        tr.uninstall()
+    assert r.verdict == "survival" and r.n_steps < verifier.SWEEP_STEPS
+    names = tr.names
+    assert names.count("verifier.swept_block") == 2
+    assert names.count("graph.distances_to_interval_rows") == 2
+    assert names.count("verifier.propagate_step") == r.n_steps
+    assert names.count("verifier.propagate_step_bp") == r.n_steps

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,25 @@ def test_verify_non_finite_eps_exits_4(path_file, tmp_path, capsys):
                "--eps", "nan"])
     assert rc == 4
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", ["1e-9", "1e-320"])
+def test_verify_oversized_grid_exits_4_without_allocating(
+        path_file, tmp_path, capsys, resolution):
+    # 1e-9 on a unit path would be 10^9 samples, about 240 GB
+    strat = str(tmp_path / "s.json")
+    main(["generate", "--graph", path_file, "--kind", "sweep",
+          "--speed", "1.0", "--out", strat])
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "--graph", path_file, "--strategy", strat,
+                   "--resolution", resolution])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "above the limit" in capsys.readouterr().err
+    assert peak < 2 ** 20
 
 
 def test_missing_and_malformed_files_exit_2(tmp_path, capsys):

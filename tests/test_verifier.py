@@ -1,22 +1,29 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import (ParameterError, PathBuilder, SizeLimitError,
-                        StateError, brute_force_oracle, build_graph,
-                        check_lipschitz, continuous_clearance, cycle_loop,
-                        discretize, extract_witness, min_capture_time,
-                        min_clearance, result_to_dict, sweep_strategy,
+from graphchase import verifier
+from graphchase import (GraphPoint, ParameterError, PathBuilder,
+                        SizeLimitError, StateError, TimedPath,
+                        brute_force_oracle, build_graph, check_lipschitz,
+                        continuous_clearance, cycle_loop, discretize,
+                        extract_witness, min_capture_time, min_clearance,
+                        result_to_dict, star_strategy, sweep_strategy,
                         truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
-from graphchase.verifier import build_reach, propagate_step, swept_intervals
+from graphchase.trajectory import piece_table
+from graphchase.verifier import (REACH_SLACK, _backtrack_witness,
+                                 _clearance_rows, _resolve_params,
+                                 _step_grid, build_reach, propagate_step,
+                                 swept_block, swept_intervals)
 
-from common import path_graph, triangle, unit_cycle, unit_path
+from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
 
 def stand(g, v, duration, speed=1.0):
@@ -223,6 +230,136 @@ def test_banded_kernel_matches_maximin_reference(case):
                for e in grid.graph.edges if e.length > grid.h]
     assert w == max(windows, default=0)
     assert any(e.length < grid.h / 10 for e in grid.graph.edges)
+
+
+# ------------------------------------------------------- blocked clearance
+
+@st.composite
+def swept_cases(draw):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10, and a cop path that always holds a wait, a multi-run move and a
+    dash over several edges within one step, with the block and chunk
+    sizes to fill the clearance rows with."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+    h = rng.choice([0.1, 0.2, 0.35])
+    u, v = rng.choice(base.vertices), rng.choice(base.vertices)
+    g = build_graph(list(base.vertices),
+                    [(e.u, e.v, e.length) for e in base.edges] +
+                    [(u, v, h / 10 * rng.uniform(0.1, 0.99))])
+    grid = discretize(g, h)
+    dt = grid.max_spacing * rng.uniform(0.3, 1.0)
+
+    def point(avoid=None):
+        e = rng.choice([e for e in g.edges if e.id != avoid])
+        return GraphPoint(e.id, rng.choice([0.0, e.length,
+                                            rng.uniform(0, e.length)]))
+
+    kinds = ["wait", "move", "dash"] + rng.choices(["wait", "move", "dash"],
+                                                   k=rng.randint(0, 4))
+    rng.shuffle(kinds)
+    times, points, routes = [0.0], [point()], []
+    for kind in kinds:
+        here = points[-1]
+        there = here if kind == "wait" else point(avoid=here.edge)
+        length, runs = g.route(here, there)
+        if kind == "dash":
+            dur = dt * rng.uniform(0.05, 0.9)
+        elif kind == "move" and length > 0:
+            dur = length / rng.uniform(0.2, 3.0)
+        else:
+            dur = dt * rng.uniform(0.2, 8.0)
+        times.append(times[-1] + dur)
+        points.append(there)
+        routes.append(runs)
+    cop = TimedPath(g, tuple(times), tuple(points), tuple(routes), 1e6)
+    if rng.random() < 0.5:   # a whole number of steps of exactly dt
+        dt = cop.duration / math.ceil(cop.duration / dt)
+    block_steps = rng.choice([1, 2, 3, 5, 256])
+    chunk_floats = rng.choice([1, grid.n - 1, grid.n + 1, 3 * grid.n, 16384])
+    return cop, grid, dt, block_steps, chunk_floats
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_cases())
+def test_blocked_clearance_matches_per_step_reference(case):
+    cop, grid, dt, block_steps, chunk_floats = case
+    n_steps, tau = _step_grid(cop.duration, dt)
+    with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
+            mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
+        rows = list(_clearance_rows(grid, piece_table(cop), tau, n_steps))
+    assert len(rows) == n_steps
+    widths = []
+    for j, row in enumerate(rows):
+        intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
+        widths.append(len(intervals))
+        assert np.array_equal(row, grid.distances_to_intervals(intervals)), j
+    assert max(widths) >= 2           # a step crossed a vertex
+
+
+def test_step_left_without_pieces_stays_infinite():
+    # Ten runs of 0.1 add up to 1 - 2**-53 one by one but to 1 under fsum,
+    # so the last run window stops one ulp short of the segment end at t=1
+    # and the step [1 - 2**-53, 1] gets no piece: its row is all +inf.
+    g = path_graph(10, 0.1)
+    a, b = g.vertex_point("v0"), g.vertex_point("v10")
+    cop = TimedPath(g, (0.0, 1.0, 1.5), (a, b, b), (g.route(a, b)[1], ()),
+                    1.0)
+    grid = discretize(g, 0.05)
+    tau, j0 = 2.0 ** -53, 2 ** 53 - 4
+    step, edge, lo, hi = swept_block(piece_table(cop), tau, j0, j0 + 4)
+    rows = grid.distances_to_interval_rows(4, step - j0, edge, lo, hi)
+    for j, row in enumerate(rows, j0):
+        intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
+        assert np.array_equal(row, grid.distances_to_intervals(intervals))
+    assert swept_intervals(cop, (j0 + 3) * tau, 1.0) == []
+    assert np.isinf(rows[3]).all() and np.isfinite(rows[:3]).all()
+
+
+def _per_step_verify(cop, h, eps=None):
+    """`verify` as a plain loop: one swept_intervals and
+    distances_to_intervals call per step."""
+    grid, h, dt, eps = _resolve_params(cop.graph, h, None, eps)
+    n_steps, tau = _step_grid(cop.duration, dt)
+    reach = build_reach(grid, tau + REACH_SLACK)
+
+    def run(with_bp):
+        score, history = grid.distances_to_point(cop.points[0]), []
+        if score.max() <= eps:
+            return score, history, 0.0
+        for j in range(n_steps):
+            clr = grid.distances_to_intervals(
+                swept_intervals(cop, j * tau, (j + 1) * tau))
+            score, bp = propagate_step(score, clr, reach, with_bp)
+            history.append(bp)
+            if score.max() <= eps:
+                return score, history, (j + 1) * tau
+        return score, history, None
+
+    _, _, caught_at = run(False)
+    if caught_at is not None:
+        return "capture", min(caught_at, cop.duration), None, None
+    score, history, _ = run(True)
+    witness = _backtrack_witness(grid, score, history, tau, cop.duration)
+    return ("survival", None, witness,
+            min_clearance(cop, witness, 0.0, cop.duration))
+
+
+@pytest.mark.parametrize("cop, h, eps", [
+    (star_strategy(star(4, 0.5), 5.5, 1e-2), 2e-3, 0.02),
+    (sweep_strategy(comb(6), 3.5), 0.01, None),
+    (cycle_loop(unit_cycle(), 1.0, 4.0), 0.01, None),
+], ids=["star-capture", "comb-survival", "cycle-survival"])
+def test_verify_matches_per_step_reference_loop(cop, h, eps):
+    r = verify(cop, h=h, eps=eps)
+    verdict, time_bound, witness, clearance = _per_step_verify(cop, h, eps)
+    assert r.verdict == verdict == ("capture" if eps else "survival")
+    assert r.time_bound == time_bound
+    assert r.min_clearance == clearance
+    if witness is not None:
+        assert r.witness.times == witness.times
+        assert r.witness.points == witness.points
+        assert r.witness.routes == witness.routes
 
 
 def test_witness_pass_keeps_only_backpointers():
