@@ -3,7 +3,8 @@
 Subcommands: generate, verify, frontier, export-svg, selftest.  Exit codes:
 0 success (verify: capture), 1 selftest failure, 2 usage, input or evidence
 errors, 3 verified survival, 4 invalid resolution parameters (non-finite, a
-capture radius below the soundness floor, or a grid above 10^6 samples).
+capture radius below the soundness floor, a grid above 10^6 samples, or a
+step count above 10^6).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "estimate capture-speed frontiers.",
         epilog="exit codes: 0 ok/capture, 1 selftest failure, 2 usage, "
                "input or evidence error, 3 verified survival, 4 invalid "
-               "resolution parameters")
+               "resolution parameters or a grid or step count above 10^6")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_resolution(q):

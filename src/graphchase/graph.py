@@ -54,6 +54,7 @@ class MetricGraph:
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self._edge_by_id = {e.id: e for e in self.edges}
+        self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
         adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             adj[e.u].append(e)
@@ -71,6 +72,11 @@ class MetricGraph:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise GraphValidationError(f"unknown edge id {edge_id!r}") from None
+
+    def edge_index(self, edge_id: str) -> int:
+        """The position of an edge in `edges`."""
+        self.edge(edge_id)          # an unknown id raises here
+        return self._edge_index[edge_id]
 
     def incident_edges(self, vertex: str) -> tuple[Edge, ...]:
         return self._adj[vertex]
@@ -516,12 +522,28 @@ def _interval_count(length: float, h: float) -> int:
 
 def sample_count(g: MetricGraph, h: float) -> float:
     """The number of samples `discretize(g, h)` makes, for h > 0, counted
-    from the edge lengths without making them; inf if a count overflows."""
+    from the edge lengths without making them; inf if the count is not a
+    finite float."""
     try:
-        return len(g.vertices) + sum(_interval_count(e.length, h) - 1
-                                     for e in g.edges)
-    except OverflowError:       # length / h is infinite
+        return float(len(g.vertices) + sum(_interval_count(e.length, h) - 1
+                                           for e in g.edges))
+    except OverflowError:       # length / h or the count is infinite
         return math.inf
+
+
+@dataclass(frozen=True)
+class EdgeSamples:
+    """The samples of one edge in offset order: `index[0]` and `index[-1]`
+    are its `u` and `v` vertex samples, the interior ones fill the index
+    range `inner`, and `offsets` run from 0 to the length, `spacing` apart.
+    `du` and `dv` are the rows of `u` and `v` in `vertex_sample_dist`."""
+
+    index: np.ndarray
+    offsets: np.ndarray
+    spacing: float
+    inner: slice
+    du: np.ndarray
+    dv: np.ndarray
 
 
 class DiscretizedGraph:
@@ -532,7 +554,9 @@ class DiscretizedGraph:
     then interior samples sorted by (edge id, offset).  So the interior
     samples of each edge fill one contiguous index range in offset order,
     and two of them k spacings apart are k indices apart; the verifier's
-    banded propagation (`build_reach`) relies on this.
+    banded propagation (`build_reach`) relies on this.  `edges[k]` holds
+    the samples of `graph.edges[k]`, and `vertex_sample_dist[i]` the exact
+    distance from the i-th vertex in id order to every sample.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -542,57 +566,38 @@ class DiscretizedGraph:
         self.h = float(h)
 
         vertex_ids = sorted(graph.vertices)
-        self.vertex_index = {v: i for i, v in enumerate(vertex_ids)}
+        row = {v: i for i, v in enumerate(vertex_ids)}
         points: list[GraphPoint] = [graph.vertex_point(v) for v in vertex_ids]
-        self.vertex_of: list[str | None] = list(vertex_ids)
-
-        self.edge_samples: dict[str, np.ndarray] = {}
-        self.edge_offsets: dict[str, np.ndarray] = {}
-        self.spacing: dict[str, float] = {}
+        interior = {}       # edge id -> (spacing, first index, offsets)
         for e in sorted(graph.edges, key=lambda e: e.id):
             n_int = _interval_count(e.length, self.h)
             sp = e.length / n_int
-            self.spacing[e.id] = sp
-            idx = [self.vertex_index[e.u]]
-            offs = [0.0]
-            for i in range(1, n_int):
-                idx.append(len(points))
-                offs.append(i * sp)
-                points.append(GraphPoint(e.id, i * sp))
-                self.vertex_of.append(None)
-            idx.append(self.vertex_index[e.v])
-            offs.append(e.length)
-            self.edge_samples[e.id] = np.asarray(idx, dtype=np.int64)
-            self.edge_offsets[e.id] = np.asarray(offs)
-
+            offs = [i * sp for i in range(1, n_int)]
+            interior[e.id] = (sp, len(points), offs)
+            points += [GraphPoint(e.id, x) for x in offs]
         self.points: tuple[GraphPoint, ...] = tuple(points)
         self.n = len(points)
-        self.max_spacing = max(self.spacing.values())
 
-        self.vv = graph.vertex_distance_matrix()
-
-        # exact distance from every vertex to every sample
-        self.vertex_sample_dist = np.full((len(vertex_ids), self.n), np.inf)
-        for vi in range(len(vertex_ids)):
-            row = self.vertex_sample_dist[vi]
-            for e in graph.edges:
-                idx = self.edge_samples[e.id]
-                offs = self.edge_offsets[e.id]
-                du = self.vv[vi, self.vertex_index[e.u]]
-                dv = self.vv[vi, self.vertex_index[e.v]]
-                cand = np.minimum(du + offs, dv + (e.length - offs))
-                np.minimum.at(row, idx, cand)
-
-        # per edge, in graph.edges order: the distance rows of its two
-        # vertices, its length, and its interior samples' slice and offsets
-        self._edge_terms = []
+        vv = graph.vertex_distance_matrix()
+        dist = np.full((len(vertex_ids), self.n), np.inf)
+        edges = []
         for e in graph.edges:
-            idx = self.edge_samples[e.id]
-            inner = slice(idx[1], idx[-2] + 1) if len(idx) > 2 else None
-            self._edge_terms.append(
-                (self.vertex_sample_dist[self.vertex_index[e.u]],
-                 self.vertex_sample_dist[self.vertex_index[e.v]], e.length,
-                 inner, self.edge_offsets[e.id][1:-1]))
+            sp, first, offs = interior[e.id]
+            u, v = row[e.u], row[e.v]
+            idx = np.array([u, *range(first, first + len(offs)), v],
+                           dtype=np.int64)
+            offsets = np.array([0.0, *offs, e.length])
+            # every vertex at once; the indices are distinct (u != v), so
+            # this is a per-sample minimum over the edges through it
+            near = np.minimum(vv[:, [u]] + offsets,
+                              vv[:, [v]] + (e.length - offsets))
+            dist[:, idx] = np.minimum(dist[:, idx], near)
+            edges.append(EdgeSamples(idx, offsets, sp,
+                                     slice(first, first + len(offs)),
+                                     dist[u], dist[v]))
+        self.vertex_sample_dist = dist
+        self.edges: tuple[EdgeSamples, ...] = tuple(edges)
+        self.max_spacing = max(rec.spacing for rec in edges)
 
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""
@@ -606,15 +611,12 @@ class DiscretizedGraph:
         """
         out = np.full(self.n, np.inf)
         for eid, lo, hi in intervals:
-            e = self.graph.edge(eid)
-            np.minimum(out, self.vertex_sample_dist[self.vertex_index[e.u]] + lo,
-                       out=out)
-            np.minimum(out, self.vertex_sample_dist[self.vertex_index[e.v]]
-                       + (e.length - hi), out=out)
-            idx = self.edge_samples[eid]
-            offs = self.edge_offsets[eid]
+            rec = self.edges[self.graph.edge_index(eid)]
+            offs = rec.offsets
+            np.minimum(out, rec.du + lo, out=out)
+            np.minimum(out, rec.dv + (offs[-1] - hi), out=out)
             direct = np.maximum(0.0, np.maximum(lo - offs, offs - hi))
-            np.minimum.at(out, idx, direct)
+            np.minimum.at(out, rec.index, direct)
         return out
 
     def distances_to_interval_rows(self, n_rows: int, rows, edges, lo,
@@ -637,17 +639,18 @@ class DiscretizedGraph:
         first[1:] = (edges[1:] != edges[:-1]) | (rows[1:] != rows[:-1] + 1)
         bounds = np.flatnonzero(first).tolist() + [len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            du, dv, length, inner, offs = self._edge_terms[edges[a]]
+            rec = self.edges[edges[a]]
             lo_k, hi_k = lo[a:b, None], hi[a:b, None]
             r0, r1 = rows[a], rows[a] + b - a
             fresh = r0 >= filled
             out[filled:r0 if fresh else r1] = np.inf
             # rows not written yet take the terms in place
-            near = np.add(du, lo_k, out=out[r0:r1] if fresh else None)
-            np.minimum(near, dv + (length - hi_k), out=near)
-            if inner is not None:
+            near = np.add(rec.du, lo_k, out=out[r0:r1] if fresh else None)
+            np.minimum(near, rec.dv + (rec.offsets[-1] - hi_k), out=near)
+            if len(rec.index) > 2:
+                offs = rec.offsets[1:-1]
                 direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
-                np.minimum(near[:, inner], direct, out=near[:, inner])
+                np.minimum(near[:, rec.inner], direct, out=near[:, rec.inner])
             if not fresh:
                 np.minimum(out[r0:r1], near, out=out[r0:r1])
             filled = max(filled, r1)

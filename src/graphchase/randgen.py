@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 from .graph import MetricGraph, build_graph, discretize
-from .trajectory import PathBuilder, TimedPath
+from .trajectory import PathBuilder, TimedPath, truncate_path
+from .verifier import ORACLE_MAX_SAMPLES, ORACLE_MAX_STEPS
 
 
 def random_graph(rng: random.Random, max_vertices: int = 7,
@@ -37,11 +38,9 @@ def random_graph(rng: random.Random, max_vertices: int = 7,
 
 
 def random_cop_path(g: MetricGraph, rng: random.Random,
-                    speed: float | None = None,
                     moves: int = 4) -> TimedPath:
     """Random vertex-to-vertex walk with occasional pauses."""
-    if speed is None:
-        speed = rng.uniform(0.4, 3.0)
+    speed = rng.uniform(0.4, 3.0)
     start = rng.choice(list(g.vertices))
     pb = PathBuilder(g, start, speed)
     moved = False
@@ -58,27 +57,24 @@ def random_cop_path(g: MetricGraph, rng: random.Random,
     return pb.build({"kind": "random"})
 
 
-def oracle_instance(rng: random.Random, max_samples: int = 12,
-                    max_steps: int = 12):
+def oracle_instance(rng: random.Random):
     """A tiny verification instance within brute-force oracle limits.
 
     Returns (cop path, h, dt, eps) with the derived grid at most
-    `max_samples` samples and the step count at most `max_steps`.
+    ORACLE_MAX_SAMPLES samples and the step count at most ORACLE_MAX_STEPS.
     """
-    from .trajectory import truncate_path
-
     for _ in range(200):
         g = random_graph(rng, max_vertices=4, extra_edges=1,
                          min_len=0.8, max_len=1.6)
         h = max(e.length for e in g.edges) / rng.choice([2, 3])
         grid = discretize(g, h)
-        if grid.n > max_samples:
+        if grid.n > ORACLE_MAX_SAMPLES:
             continue
         dt = grid.max_spacing * rng.uniform(0.3, 1.0)
         cop = random_cop_path(g, rng, moves=rng.randint(1, 3))
         if cop.duration <= 0:
             continue
-        limit = max_steps * dt
+        limit = ORACLE_MAX_STEPS * dt
         if cop.duration > limit:
             cop = truncate_path(cop, limit * rng.uniform(0.6, 1.0))
         if cop.duration <= 0:

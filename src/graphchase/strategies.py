@@ -448,8 +448,7 @@ def cycle_strategy(g: MetricGraph, s: float) -> TimedPath:
     return cycle_loop(g, s, duration, {"kind": "cycle"})
 
 
-def sweep_strategy(g: MetricGraph, s: float, rounds: int = 1,
-                   start: str | None = None) -> TimedPath:
+def sweep_strategy(g: MetricGraph, s: float, rounds: int = 1) -> TimedPath:
     """Walk an edge-covering double-tree route at speed s, `rounds` times.
 
     Consecutive rounds run the route in alternating directions so they
@@ -461,8 +460,7 @@ def sweep_strategy(g: MetricGraph, s: float, rounds: int = 1,
         raise StrategyError(f"sweep needs positive speed, got {s}")
     if rounds < 1:
         raise StrategyError(f"sweep needs at least one round, got {rounds}")
-    if start is None:
-        start = min(g.vertices)
+    start = min(g.vertices)
     runs = double_tree_walk(g, start)
     pb = PathBuilder(g, start, s)
     for r in range(rounds):

@@ -183,22 +183,18 @@ class PathBuilder:
         self.times[-1] = t_start + duration
         return self
 
-    def move_to(self, target, *, speed: float | None = None,
-                duration: float | None = None) -> "PathBuilder":
-        """Move along a shortest path to `target` (vertex id or point)."""
+    def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":
+        """Move along a shortest path to `target` (vertex id or point) at
+        `speed`, by default the speed bound."""
         if isinstance(target, str):
             target = self.graph.vertex_point(target)
         length, runs = self.graph.route(self.position, target)
-        if duration is None:
-            v = self.speed_bound if speed is None else speed
-            if length == 0:
-                return self
-            if v <= 0:
-                raise PathValidationError("need positive speed to move")
-            duration = length / v
         if length == 0:
-            return self.wait(duration)
-        return self.move_runs(runs, duration)
+            return self
+        v = self.speed_bound if speed is None else speed
+        if v <= 0:
+            raise PathValidationError("need positive speed to move")
+        return self.move_runs(runs, length / v)
 
     def build(self, metadata: dict | None = None) -> TimedPath:
         return TimedPath(self.graph, tuple(self.times), tuple(self.points),
@@ -279,15 +275,13 @@ def reparameterize_max_speed(p: TimedPath, s: float) -> TimedPath:
                      dict(p.metadata))
 
 
-def transfer_scale(p: TimedPath, c: float,
-                   target: MetricGraph | None = None) -> TimedPath:
+def transfer_scale(p: TimedPath, c: float) -> TimedPath:
     """The same motion on the graph with all edge lengths multiplied by c.
 
     Positions scale coordinatewise and times scale by c, so the speed bound
     carries over unchanged.
     """
-    if target is None:
-        target = p.graph.scale(c)
+    target = p.graph.scale(c)
     times = tuple(t * c for t in p.times)
     points = tuple(GraphPoint(q.edge, q.offset * c) for q in p.points)
     routes = tuple(tuple((eid, x0 * c, x1 * c) for eid, x0, x1 in runs)
@@ -296,8 +290,8 @@ def transfer_scale(p: TimedPath, c: float,
                      dict(p.metadata))
 
 
-def transfer_shorten(p: TimedPath, edge_id: str, new_length: float,
-                     target: MetricGraph | None = None) -> TimedPath:
+def transfer_shorten(p: TimedPath, edge_id: str,
+                     new_length: float) -> TimedPath:
     """Project the motion onto the graph with one leaf edge shortened.
 
     Positions on the shortened edge beyond the new extent are clamped to the
@@ -309,8 +303,7 @@ def transfer_shorten(p: TimedPath, edge_id: str, new_length: float,
     if leaf is None:
         raise GraphValidationError(
             f"edge {edge_id!r} is not incident to a leaf")
-    if target is None:
-        target = p.graph.shorten_leaf_edge(edge_id, new_length)
+    target = p.graph.shorten_leaf_edge(edge_id, new_length)
     removed = e.length - new_length
 
     def proj(x: float) -> float:
@@ -442,7 +435,6 @@ class PieceTable:
 
 def piece_table(p: TimedPath) -> PieceTable:
     """The runs `path_pieces` walks, once for the whole path."""
-    index = {e.id: k for k, e in enumerate(p.graph.edges)}
     rows, edges = [], []
     for i, runs in enumerate(p.routes):
         a, b = p.times[i], p.times[i + 1]
@@ -450,7 +442,7 @@ def piece_table(p: TimedPath) -> PieceTable:
         if seg_len == 0:
             q = p.points[i]
             rows.append((a, b, a, b, q.offset, q.offset))
-            edges.append(index[q.edge])
+            edges.append(p.graph.edge_index(q.edge))
             continue
         v = seg_len / (b - a)
         acc = 0.0
@@ -461,7 +453,7 @@ def piece_table(p: TimedPath) -> PieceTable:
             acc += ln
             if min(rb, b) > max(ra, a):
                 rows.append((max(ra, a), min(rb, b), ra, rb, x0, x1))
-                edges.append(index[eid])
+                edges.append(p.graph.edge_index(eid))
     cols = np.array(rows, dtype=float).reshape(len(rows), 6).T
     return PieceTable(*cols[:4], np.array(edges, dtype=np.int64), *cols[4:],
                       p.duration)
@@ -475,9 +467,9 @@ def _piece_offset(piece, t):
     return xa + (xb - xa) * min(max(u, 0.0), 1.0)
 
 
-def min_clearance(p: TimedPath, q: TimedPath, t0: float = 0.0,
-                  t1: float | None = None) -> float:
-    """Exact minimum intrinsic distance between two paths over [t0, t1].
+def min_clearance(p: TimedPath, q: TimedPath) -> float:
+    """Exact minimum intrinsic distance between two paths over their common
+    time span [0, min(p.duration, q.duration)].
 
     Both paths must live on the same graph.  Within a common linear piece the
     distance is a minimum of affine candidates plus the same-edge direct
@@ -485,13 +477,11 @@ def min_clearance(p: TimedPath, q: TimedPath, t0: float = 0.0,
     of the same-edge offset difference.
     """
     g = p.graph
-    if t1 is None:
-        t1 = min(p.duration, q.duration)
-    if t1 <= t0:
-        return g.distance(p.evaluate(min(t0, p.duration)),
-                          q.evaluate(min(t0, q.duration)))
-    pp = path_pieces(p, t0, t1)
-    qq = path_pieces(q, t0, t1)
+    t1 = min(p.duration, q.duration)
+    if t1 <= 0:
+        return g.distance(p.evaluate(0.0), q.evaluate(0.0))
+    pp = path_pieces(p, 0.0, t1)
+    qq = path_pieces(q, 0.0, t1)
     cuts = sorted({t for piece in pp for t in piece[:2]}
                   | {t for piece in qq for t in piece[:2]})
     best = math.inf

@@ -25,13 +25,14 @@ from .trajectory import (PieceTable, TimedPath, min_clearance, path_pieces,
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
+MAX_STEPS = 10 ** 6     # step count limit: duration / dt
 SWEEP_STEPS = 256       # steps per swept_block call
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
     """Raised when resolution parameters violate the soundness floor or ask
-    for a grid above MAX_SAMPLES samples."""
+    for a grid above MAX_SAMPLES samples or more than MAX_STEPS steps."""
 
 
 class SizeLimitError(ValueError):
@@ -86,16 +87,14 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     n = grid.n
     pair_keys = [np.arange(n, dtype=np.int64) * (n + 1)]  # self loops: dst*n+src
     width = 0
-    for eid, idx in grid.edge_samples.items():
-        offs = grid.edge_offsets[eid]
+    for rec in grid.edges:
+        idx, offs = rec.index, rec.offsets
         if len(idx) > 2:
-            width = max(width, math.floor(radius / grid.spacing[eid]))
+            width = max(width, math.floor(radius / rec.spacing))
         lo = np.searchsorted(offs, offs - radius, side="left")
         hi = np.searchsorted(offs, offs + radius, side="right")
-        counts = hi - lo
-        dsts = np.repeat(idx, counts)
-        srcs = np.concatenate([idx[a:b] for a, b in zip(lo, hi)]) if len(idx) else \
-            np.empty(0, dtype=np.int64)
+        dsts = np.repeat(idx, hi - lo)
+        srcs = np.concatenate([idx[a:b] for a, b in zip(lo, hi)])
         pair_keys.append(dsts * n + srcs)
     for vi in range(grid.vertex_sample_dist.shape[0]):
         row = grid.vertex_sample_dist[vi]
@@ -302,9 +301,15 @@ def _resolve_params(g: MetricGraph, h, dt, eps):
 
 
 def _step_grid(duration: float, dt: float) -> tuple[int, float]:
+    """The step count and step length of a path of this duration."""
     if duration <= 0:
         return 0, 0.0
-    n = max(1, int(math.floor(duration / dt + 1e-9)))
+    steps = duration / dt       # a float, so an infinite quotient is refused
+    if steps > MAX_STEPS:
+        raise ParameterError(
+            f"time step {dt} asks for {steps:.4g} steps over duration "
+            f"{duration:g}, above the limit of {MAX_STEPS}")
+    n = max(1, int(math.floor(steps + 1e-9)))
     return n, duration / n
 
 
@@ -348,7 +353,7 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
     if want_witness:
         score, history, _ = run(True)
         witness = _backtrack_witness(grid, score, history, tau, cop.duration)
-        clearance = min_clearance(cop, witness, 0.0, cop.duration)
+        clearance = min_clearance(cop, witness)
     else:
         witness, clearance = None, None
     return VerifierResult("survival", None, witness, clearance, h, dt, eps,
@@ -397,7 +402,7 @@ def min_capture_time(cop: TimedPath, h: float | None = None,
 
 def continuous_clearance(cop: TimedPath, evader: TimedPath) -> float:
     """Exact minimum distance between the two trajectories over their overlap."""
-    return min_clearance(cop, evader, 0.0, min(cop.duration, evader.duration))
+    return min_clearance(cop, evader)
 
 
 # ----------------------------------------------------------------------

@@ -138,20 +138,20 @@ def test_strategy_documents_load_or_raise_typed_error(doc, tmp_path):
 # ----------------------------------------------------------- numeric flags
 
 # Positive values from 3e-6 to 0.05 are left out: they are valid requests
-# whose grid (~3/h samples on the triangle) or step count (~duration/dt)
-# is large but allowed.  Resolutions below 3e-6 ask for more than
-# MAX_SAMPLES samples and must be refused before any grid is built.
+# whose grid (~3/h samples on the triangle) or step count (~3/dt over the
+# sweep's duration 3) is large but allowed.  Values below 2e-6 ask for more
+# than MAX_SAMPLES samples as a resolution or more than MAX_STEPS steps as a
+# time step, and must be refused before any grid or step is built.
 FLAG_VALUES = st.sampled_from(
     ["nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "-1e400",
      "1e-400", "", " ", "abc", "0x10", "1_0", "+0.5", "-0.1", "0.1", "0.25",
      "1", "3", "1e20", "1e300"]) | st.floats(0.05, 4.0).map(repr)
-TINY_RESOLUTIONS = st.sampled_from(["5e-324", "1e-320", "1e-9"]) \
+TINY_VALUES = st.sampled_from(["5e-324", "1e-320", "1e-9"]) \
     | st.floats(5e-324, 2e-6).map(repr)
 
 
 def _flag(name):
-    values = FLAG_VALUES | TINY_RESOLUTIONS if name == "--resolution" \
-        else FLAG_VALUES
+    values = FLAG_VALUES if name == "--eps" else FLAG_VALUES | TINY_VALUES
     return st.tuples(st.just(name), values)
 
 
@@ -161,6 +161,9 @@ def _flag(name):
                       max_size=3, unique_by=lambda kv: kv[0]))
 @example(flags=[("--resolution", "1e20")])
 @example(flags=[("--resolution", "1e-9")])
+@example(flags=[("--resolution", "1.1125369292536007e-308")])
+@example(flags=[("--dt", "1e-9")])
+@example(flags=[("--dt", "5e-324"), ("--eps", "0.1")])
 def test_verify_numeric_flags_exit_cleanly(flags, tmp_path):
     graph_file = tmp_path / "graph.json"
     strategy_file = tmp_path / "strategy.json"

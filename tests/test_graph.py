@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphchase import (GraphPoint, GraphValidationError, build_graph,
                         discretize, double_tree_walk, graph_from_dict,
@@ -165,18 +167,47 @@ def test_double_tree_bound_random():
         assert walk_length(runs) <= 2 * g.total_length + 1e-9
 
 
-def test_discretize_geometry():
-    g = triangle(1.0, 0.55, 0.3)
-    grid = discretize(g, 0.1)
-    assert grid.max_spacing <= 0.1 + 1e-12
-    # vertex samples first, sorted
-    assert grid.vertex_of[:3] == ["a", "b", "c"]
-    assert all(v is None for v in grid.vertex_of[3:])
-    for e in g.edges:
-        offs = grid.edge_offsets[e.id]
-        assert offs[0] == 0.0 and abs(offs[-1] - e.length) < 1e-12
-        steps = np.diff(offs)
-        assert np.allclose(steps, grid.spacing[e.id], atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.sampled_from([0.1, 0.2, 0.35]),
+       tiny=st.floats(0.1, 0.99))
+def test_discretize_geometry(seed, h, tiny):
+    """Random graphs with loops, parallel edges and one edge shorter than
+    h/10: the per-edge records, the points and the distance table agree."""
+    rng = random.Random(seed)
+    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+    u, v = rng.choice(base.vertices), rng.choice(base.vertices)
+    g = build_graph(list(base.vertices),
+                    [(e.u, e.v, e.length) for e in base.edges] +
+                    [(u, v, h / 10 * tiny)])
+    grid = discretize(g, h)
+    assert grid.max_spacing <= h + 1e-12
+    # vertex samples first, sorted; then each edge's interior samples in
+    # (edge id, offset) order
+    vertex_ids = sorted(g.vertices)
+    nv = len(vertex_ids)
+    assert grid.points[:nv] == tuple(map(g.vertex_point, vertex_ids))
+    assert len(grid.edges) == len(g.edges)
+    ranges = sorted((e.id, rec.inner.start, rec.inner.stop)
+                    for e, rec in zip(g.edges, grid.edges))
+    assert ranges[0][1] == nv and ranges[-1][2] == grid.n
+    assert all(a[2] == b[1] for a, b in zip(ranges, ranges[1:]))
+    for e, rec in zip(g.edges, grid.edges):
+        idx, offs = rec.index.tolist(), rec.offsets
+        assert idx[0] == vertex_ids.index(e.u)
+        assert idx[-1] == vertex_ids.index(e.v)
+        assert offs[0] == 0.0 and offs[-1] == e.length
+        assert idx[1:-1] == list(range(grid.n))[rec.inner]
+        for q, x in zip(idx[1:-1], offs[1:-1]):
+            assert grid.points[q] == GraphPoint(e.id, x)
+        assert rec.spacing <= h + 1e-12
+        assert np.allclose(np.diff(offs), rec.spacing, rtol=0, atol=1e-12)
+        assert np.array_equal(rec.du, grid.vertex_sample_dist[idx[0]])
+        assert np.array_equal(rec.dv, grid.vertex_sample_dist[idx[-1]])
+    for i, w in enumerate(vertex_ids):
+        p = g.vertex_point(w)
+        exact = [g.distance(p, q) for q in grid.points]
+        assert np.allclose(grid.vertex_sample_dist[i], exact, rtol=0,
+                           atol=1e-12)
 
 
 def test_discretize_rejects_bad_h():

@@ -182,21 +182,21 @@ def test_min_clearance_stationary():
     g = path_graph(2)
     cop = PathBuilder(g, "v0", 1.0).wait(1.0).build()
     rob = PathBuilder(g, "v2", 1.0).wait(1.0).build()
-    assert min_clearance(cop, rob, 0.0, 1.0) == pytest.approx(2.0)
+    assert min_clearance(cop, rob) == pytest.approx(2.0)
 
 
 def test_min_clearance_crossing():
     g = unit_path()
     cop = PathBuilder(g, "a", 1.0).move_to("b", speed=1.0).build()
     rob = PathBuilder(g, "b", 1.0).move_to("a", speed=1.0).build()
-    assert min_clearance(cop, rob, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert min_clearance(cop, rob) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_min_clearance_parallel():
     g = path_graph(2)
     cop = PathBuilder(g, "v0", 1.0).move_to("v1", speed=1.0).build()
     rob = PathBuilder(g, "v1", 1.0).move_to("v2", speed=1.0).build()
-    assert min_clearance(cop, rob, 0.0, 1.0) == pytest.approx(1.0)
+    assert min_clearance(cop, rob) == pytest.approx(1.0)
 
 
 def test_min_clearance_vs_sampling():
@@ -208,7 +208,7 @@ def test_min_clearance_vs_sampling():
         t1 = min(a.duration, b.duration)
         if t1 <= 0:
             continue
-        exact = min_clearance(a, b, 0.0, t1)
+        exact = min_clearance(a, b)
         sampled = min(g.distance(a.evaluate(min(t, a.duration)),
                                  b.evaluate(min(t, b.duration)))
                       for i in range(401)
@@ -258,8 +258,7 @@ def test_serialization_geodesic_routes():
     doc2 = dict(doc)
     doc2["routes"] = None
     q = path_from_dict(g, doc2)
-    assert min_clearance(p, q, 0.0, p.duration) == pytest.approx(0.0,
-                                                                 abs=1e-9)
+    assert min_clearance(p, q) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_serialization_malformed(tmp_path):

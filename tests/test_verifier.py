@@ -59,6 +59,20 @@ def test_non_finite_parameters_rejected(name, value):
         verify(p, **{name: value})
 
 
+@pytest.mark.parametrize("decide", [verify, brute_force_oracle])
+def test_step_count_limit(decide):
+    p = stand(unit_path(), "a", 1.0)
+    # an infinite duration / dt is refused before any reach pair is built
+    with mock.patch.object(verifier, "build_reach",
+                           side_effect=AssertionError("built")), \
+            pytest.raises(ParameterError, match="steps"):
+        decide(p, h=0.5, dt=5e-324, eps=1.0)
+    with mock.patch.object(verifier, "MAX_STEPS", 10):
+        assert decide(p, h=0.5, dt=0.1, eps=1.0).n_steps == 10
+        with pytest.raises(ParameterError, match="steps"):
+            decide(p, h=0.5, dt=0.099, eps=1.0)
+
+
 # ----------------------------------------------------------- trivial cases
 
 def test_huge_radius_captures_instantly():
@@ -113,7 +127,7 @@ def test_witness_is_valid_speed_one_path():
     assert check_lipschitz(w, 1.0 + 1e-9)
     assert w.duration == pytest.approx(cop.duration)
     assert res.min_clearance == pytest.approx(
-        min_clearance(cop, w, 0.0, cop.duration))
+        min_clearance(cop, w))
     assert res.min_clearance > 0
     assert continuous_clearance(cop, w) == res.min_clearance
 
@@ -226,8 +240,9 @@ def test_banded_kernel_matches_maximin_reference(case):
     assert offsets == [d for d in range(-w, w + 1) if d]
 
     # only edges with interior samples set the width: the tiny edge does not
-    windows = [math.floor(radius / grid.spacing[e.id])
-               for e in grid.graph.edges if e.length > grid.h]
+    windows = [math.floor(radius / rec.spacing)
+               for e, rec in zip(grid.graph.edges, grid.edges)
+               if e.length > grid.h]
     assert w == max(windows, default=0)
     assert any(e.length < grid.h / 10 for e in grid.graph.edges)
 
@@ -342,7 +357,7 @@ def _per_step_verify(cop, h, eps=None):
     score, history, _ = run(True)
     witness = _backtrack_witness(grid, score, history, tau, cop.duration)
     return ("survival", None, witness,
-            min_clearance(cop, witness, 0.0, cop.duration))
+            min_clearance(cop, witness))
 
 
 @pytest.mark.parametrize("cop, h, eps", [
