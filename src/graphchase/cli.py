@@ -3,8 +3,8 @@
 Subcommands: generate, verify, frontier, export-svg, selftest.  Exit codes:
 0 success (verify: capture), 1 selftest failure, 2 usage, input or evidence
 errors, 3 verified survival, 4 invalid resolution parameters (non-finite, a
-capture radius below the soundness floor, a grid above 10^6 samples, or a
-step count above 10^6).
+capture radius below the soundness floor, a grid above 10^6 samples, a
+vertex-to-sample table above 10^7 cells, or a step count above 10^6).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "estimate capture-speed frontiers.",
         epilog="exit codes: 0 ok/capture, 1 selftest failure, 2 usage, "
                "input or evidence error, 3 verified survival, 4 invalid "
-               "resolution parameters or a grid or step count above 10^6")
+               "resolution parameters, a grid or step count above 10^6 or "
+               "a vertex-to-sample table above 10^7 cells")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_resolution(q):

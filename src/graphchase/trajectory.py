@@ -459,12 +459,22 @@ def piece_table(p: TimedPath) -> PieceTable:
                       p.duration)
 
 
-def _piece_offset(piece, t):
-    ta, tb, _, xa, xb = piece
-    if tb <= ta:
-        return xa
+def _piece_arrays(g: MetricGraph, pieces):
+    """`path_pieces` output as arrays: (start, end, edge index, start
+    offset, end offset)."""
+    ta, tb, xa, xb = np.array([(pc[0], pc[1], pc[3], pc[4])
+                               for pc in pieces]).T
+    edge = np.array([g.edge_index(pc[2]) for pc in pieces])
+    return ta, tb, edge, xa, xb
+
+
+def _offsets_at(arrays, i, t):
+    """The offset of piece i[k] of `_piece_arrays` output at time t[k]:
+    interpolated and clamped to the piece, never extrapolated.  Every piece
+    of `path_pieces(p, t0, t1)` with t1 > t0 has a positive time span."""
+    ta, tb, _, xa, xb = (col[i] for col in arrays)
     u = (t - ta) / (tb - ta)
-    return xa + (xb - xa) * min(max(u, 0.0), 1.0)
+    return xa + (xb - xa) * np.minimum(np.maximum(u, 0.0), 1.0)
 
 
 def min_clearance(p: TimedPath, q: TimedPath) -> float:
@@ -474,34 +484,43 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     Both paths must live on the same graph.  Within a common linear piece the
     distance is a minimum of affine candidates plus the same-edge direct
     term, so the minimum is attained at piece boundaries or at the one root
-    of the same-edge offset difference.
+    of the same-edge offset difference.  The intervals between the pieces'
+    time bounds are handled as arrays, and each distance takes the same
+    floating-point operations as `MetricGraph.distance`.
     """
     g = p.graph
     t1 = min(p.duration, q.duration)
     if t1 <= 0:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))
-    pp = path_pieces(p, 0.0, t1)
-    qq = path_pieces(q, 0.0, t1)
-    cuts = sorted({t for piece in pp for t in piece[:2]}
-                  | {t for piece in qq for t in piece[:2]})
+    pp = _piece_arrays(g, path_pieces(p, 0.0, t1))
+    qq = _piece_arrays(g, path_pieces(q, 0.0, t1))
+    cuts = np.unique(np.concatenate([pp[0], pp[1], qq[0], qq[1]]))
+    a, b = cuts[:-1], cuts[1:]
+    mid = 0.5 * (a + b)
+    # the piece of each path holding each interval: the first ending after
+    # its midpoint, or the last piece
+    pi = np.minimum(np.searchsorted(pp[1], mid, "right"), len(pp[1]) - 1)
+    qi = np.minimum(np.searchsorted(qq[1], mid, "right"), len(qq[1]) - 1)
+    pe, qe = pp[2][pi], qq[2][qi]
+    same = pe == qe
+    pa, qa = _offsets_at(pp, pi, a), _offsets_at(qq, qi, a)
+    pb, qb = _offsets_at(pp, pi, b), _offsets_at(qq, qi, b)
+    if np.any(same & ((pa - qa) * (pb - qb) < 0)):
+        return 0.0          # same edge: the offset difference has a root
+    ids = {v: k for k, v in enumerate(sorted(g.vertices))}
+    eu = np.array([ids[e.u] for e in g.edges])
+    ev = np.array([ids[e.v] for e in g.edges])
+    length = np.array([e.length for e in g.edges])
+    vv = g.vertex_distance_matrix()
     best = math.inf
-    pi = qi = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        while pi + 1 < len(pp) and pp[pi][1] <= mid:
-            pi += 1
-        while qi + 1 < len(qq) and qq[qi][1] <= mid:
-            qi += 1
-        P, Q = pp[pi], qq[qi]
-        for t in (a, b):
-            best = min(best, g.distance(GraphPoint(P[2], _piece_offset(P, t)),
-                                        GraphPoint(Q[2], _piece_offset(Q, t))))
-        if P[2] == Q[2] and b > a:
-            # same edge: check the root of the offset difference
-            da = _piece_offset(P, a) - _piece_offset(Q, a)
-            db = _piece_offset(P, b) - _piece_offset(Q, b)
-            if da * db < 0:
-                best = 0.0
+    for x, y in ((pa, qa), (pb, qb)):
+        x = np.minimum(np.maximum(x, 0.0), length[pe])      # clamp_point
+        y = np.minimum(np.maximum(y, 0.0), length[qe])
+        d = np.where(same, np.abs(x - y), np.inf)
+        for ua, da in ((eu[pe], x), (ev[pe], length[pe] - x)):
+            for ub, db in ((eu[qe], y), (ev[qe], length[qe] - y)):
+                np.minimum(d, da + vv[ua, ub] + db, out=d)
+        best = min(best, float(d.min()))
     return best
 
 

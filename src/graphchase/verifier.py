@@ -19,20 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiscretizedGraph, MetricGraph, discretize, sample_count
+from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
+                    discretize, sample_count)
 from .trajectory import (PieceTable, TimedPath, min_clearance, path_pieces,
                          path_to_dict, piece_table)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
 MAX_STEPS = 10 ** 6     # step count limit: duration / dt
+MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
+CHECKPOINTS = 16        # score arrays a propagation keeps for the witness
 SWEEP_STEPS = 256       # steps per swept_block call
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
     """Raised when resolution parameters violate the soundness floor or ask
-    for a grid above MAX_SAMPLES samples or more than MAX_STEPS steps."""
+    for a grid above MAX_SAMPLES samples, a vertex-to-sample table above
+    MAX_TABLE_CELLS cells or more than MAX_STEPS steps."""
 
 
 class SizeLimitError(ValueError):
@@ -130,7 +134,7 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 # ----------------------------------------------------------------------
 
 def propagate_step(score: np.ndarray, clearance: np.ndarray,
-                   reach: ReachStructure, want_backpointers: bool = False):
+                   reach: ReachStructure) -> np.ndarray:
     """One grid step of the surviving evader positions.
 
     `score[q]` is the largest clearance an evader reaching sample q alive
@@ -140,9 +144,6 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
     score of a target is min(arrival clearance, best over predecessors of
     min(their score, their departure clearance)).
 
-    Returns (new score, backpointers or None).  `backpointers[q]` is the
-    best predecessor of q, the lowest sample index on ties, as int32.
-
     The maximum over predecessors runs as one masked `np.maximum` per
     offset diagonal plus one `np.maximum.at` over the junction list; max
     and min are exact, so the result does not depend on the pair order.
@@ -151,21 +152,8 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
     best = val.copy()
     for tgt, srcs, mask in reach.diagonals:
         np.maximum(best[tgt], val[srcs], out=best[tgt], where=mask)
-    jsrc, jdst = reach.junction_src, reach.junction_dst
-    np.maximum.at(best, jdst, val[jsrc])
-    bp = None
-    if want_backpointers:
-        # a miss is candidate n, above every sample index
-        n = len(score)
-        idx = np.arange(n, dtype=np.int32)
-        bp = np.where(val >= best, idx, n)
-        for tgt, srcs, mask in reach.diagonals:
-            hit = val[srcs] >= best[tgt]
-            hit &= mask
-            np.minimum(bp[tgt], np.where(hit, idx[srcs], n), out=bp[tgt])
-        np.minimum.at(bp, jdst, np.where(val[jsrc] >= best[jdst],
-                                         idx[jsrc], n))
-    return np.minimum(best, clearance, out=best), bp
+    np.maximum.at(best, reach.junction_dst, val[reach.junction_src])
+    return np.minimum(best, clearance, out=best)
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -204,20 +192,21 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
 
 
 def _clearance_rows(grid: DiscretizedGraph, table: PieceTable, tau: float,
-                    n_steps: int):
-    """Yield each step's clearance row: row j equals
+                    j0: int, j1: int):
+    """Yield the clearance rows of the steps j0 <= j < j1: row j equals
     `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
 
     The pieces come from `swept_block` for blocks of about SWEEP_STEPS
     steps, and the rows are filled in chunks of at most CHUNK_FLOATS values
-    (at least one row) so that a chunk stays in cache.
+    (at least one row) so that a chunk stays in cache.  Every row is
+    computed on its own, so it does not depend on j0 or the block bounds.
     """
     chunk = max(1, CHUNK_FLOATS // grid.n)
     block = chunk * max(1, SWEEP_STEPS // chunk)
-    for j0 in range(0, n_steps, block):
-        j1 = min(j0 + block, n_steps)
-        step, edge, lo, hi = swept_block(table, tau, j0, j1)
-        ends = list(range(j0, j1, chunk)) + [j1]
+    for b0 in range(j0, j1, block):
+        b1 = min(b0 + block, j1)
+        step, edge, lo, hi = swept_block(table, tau, b0, b1)
+        ends = list(range(b0, b1, chunk)) + [b1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
             yield from grid.distances_to_interval_rows(
@@ -269,7 +258,13 @@ def save_report(r: VerifierResult, path: str) -> None:
 # the decision procedure
 # ----------------------------------------------------------------------
 
-def _resolve_params(g: MetricGraph, h, dt, eps):
+def _resolve_params(cop: TimedPath, h, dt, eps):
+    """The grid and the resolved (h, dt, eps) of a verification of cop.
+
+    The sample count, the vertex-to-sample table and an explicit dt's step
+    count are checked before the grid is built.
+    """
+    g = cop.graph
     for name, x in (("resolution", h), ("time step", dt),
                     ("capture radius", eps)):
         if x is not None and not math.isfinite(float(x)):
@@ -280,6 +275,14 @@ def _resolve_params(g: MetricGraph, h, dt, eps):
         raise ParameterError(
             f"resolution {h} asks for {samples:.4g} grid samples, above the "
             f"limit of {MAX_SAMPLES}")
+    cells = len(g.vertices) * samples
+    if cells > MAX_TABLE_CELLS:
+        raise ParameterError(
+            f"resolution {h} asks for a vertex-to-sample table of "
+            f"{len(g.vertices)} x {samples:.4g} cells, above the limit of "
+            f"{MAX_TABLE_CELLS}")
+    if dt is not None and h > 0 and float(dt) > 0:
+        _step_grid(cop.duration, float(dt))     # refuses too many steps
     grid = discretize(g, h)
     sp = grid.max_spacing
     if dt is None:
@@ -321,65 +324,93 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
     Capture means: by the reported time bound, every evader trajectory of
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
-    clearance.  Witness extraction reruns the propagation keeping one
-    backpointer array per step, so capture runs store nothing per step.
+    clearance.
+
+    The propagation keeps the score array of every `every`-th step as a
+    checkpoint, starting with every step; when more than CHECKPOINTS are
+    kept, `every` doubles and every other checkpoint is dropped, so a run
+    holds at most CHECKPOINTS + 1 score arrays and nothing per step.  The
+    witness is backtracked by replaying the steps between checkpoints.
     """
-    g = cop.graph
-    grid, h, dt, eps = _resolve_params(g, h, dt, eps)
+    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
     n_steps, tau = _step_grid(cop.duration, dt)
     reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
     table = piece_table(cop)
 
-    def run(with_bp: bool):
-        score = grid.distances_to_point(cop.points[0])
-        history = []
+    def result(verdict, caught_at=None, witness=None, clearance=None):
+        time_bound = None if caught_at is None else min(caught_at,
+                                                        cop.duration)
+        return VerifierResult(verdict, time_bound, witness, clearance, h, dt,
+                              eps, grid.max_spacing, tau, n_steps, grid.n)
+
+    score = grid.distances_to_point(cop.points[0])
+    if score.max() <= eps:
+        return result("capture", 0.0)
+    checkpoints, every = [], 1      # (step j, score before step j)
+    for j, clr in enumerate(_clearance_rows(grid, table, tau, 0, n_steps)):
+        if j % every == 0:
+            checkpoints.append((j, score))
+            if len(checkpoints) > CHECKPOINTS:
+                checkpoints, every = checkpoints[::2], 2 * every
+        score = propagate_step(score, clr, reach)
         if score.max() <= eps:
-            return score, history, 0.0
-        rows = _clearance_rows(grid, table, tau, n_steps)
-        for j, clr in enumerate(rows):
-            score, bp = propagate_step(score, clr, reach,
-                                       want_backpointers=with_bp)
-            if with_bp:
-                history.append(bp)
-            if score.max() <= eps:
-                return score, history, (j + 1) * tau
-        return score, history, None
-
-    _, _, caught_at = run(False)
-    if caught_at is not None:
-        return VerifierResult("capture", min(caught_at, cop.duration), None,
-                              None, h, dt, eps, grid.max_spacing, tau,
-                              n_steps, grid.n)
-    if want_witness:
-        score, history, _ = run(True)
-        witness = _backtrack_witness(grid, score, history, tau, cop.duration)
-        clearance = min_clearance(cop, witness)
-    else:
-        witness, clearance = None, None
-    return VerifierResult("survival", None, witness, clearance, h, dt, eps,
-                          grid.max_spacing, tau, n_steps, grid.n)
+            return result("capture", (j + 1) * tau)
+    if not want_witness:
+        return result("survival")
+    witness = _backtrack_witness(grid, reach, table, tau, n_steps,
+                                 checkpoints, score)
+    return result("survival", None, witness, min_clearance(cop, witness))
 
 
-def _backtrack_witness(grid: DiscretizedGraph, score: np.ndarray, history,
-                       tau: float, duration: float) -> TimedPath:
-    """The grid path ending at the best final sample, one step per entry of
-    `history` (each step's backpointer array)."""
+def _backtrack_witness(grid: DiscretizedGraph, reach: ReachStructure,
+                       table: PieceTable, tau: float, n_steps: int,
+                       checkpoints, score: np.ndarray) -> TimedPath:
+    """The grid path ending at the best final sample.
+
+    `checkpoints` holds (step j, score before step j) in step order, the
+    first at step 0, and `score` is the score after the last step.  The
+    segments between checkpoints are replayed from the last: each from
+    its checkpoint with `propagate_step`, then stepped back.  Stepping
+    back over step j from sample q picks the first of q's predecessors
+    (ascending in the CSR) that maximizes min(score, clearance) at step
+    j: the lowest-index predecessor attaining q's maximin.
+    """
     idx = [int(np.argmax(score))]
-    for bp in reversed(history):
-        idx.append(int(bp[idx[-1]]))
+    stops = [j for j, _ in checkpoints[1:]] + [n_steps]
+    for (j0, s), j1 in reversed(list(zip(checkpoints, stops))):
+        vals = []
+        for clr in _clearance_rows(grid, table, tau, j0, j1):
+            vals.append(np.minimum(s, clr))
+            if len(vals) < j1 - j0:
+                s = propagate_step(s, clr, reach)
+        for val in reversed(vals):
+            preds = reach.predecessors(idx[-1])
+            idx.append(int(preds[np.argmax(val[preds])]))
     idx.reverse()
     g = grid.graph
-    times = [0.0]
-    points = [grid.points[idx[0]]]
-    routes = []
-    for j in range(1, len(idx)):
-        t = j * tau if j < len(idx) - 1 else duration
-        _, runs = g.route(grid.points[idx[j - 1]], grid.points[idx[j]])
-        times.append(t if duration > 0 else float(j))
-        points.append(grid.points[idx[j]])
-        routes.append(runs)
+    points = [grid.points[i] for i in idx]
+    times = ([j * tau for j in range(n_steps)] + [table.duration]
+             if n_steps else [0.0])
+    routes = [_step_runs(g, a, b) for a, b in zip(points[:-1], points[1:])]
     return TimedPath(g, tuple(times), tuple(points), tuple(routes), 1.0,
                      {"kind": "witness", "grid_clearance": float(score[idx[-1]])})
+
+
+def _step_runs(g: MetricGraph, a: GraphPoint, b: GraphPoint):
+    """The runs of `g.route(a, b)`.  When a and b lie on one edge and the
+    direct run is no longer than each way through the edge's endpoints,
+    route's stable sort picks the direct run, which is built here without
+    a route search; a run of at most GEOM_TOL is dropped, as route does."""
+    if a.edge == b.edge:
+        e = g.edge(a.edge)
+        direct = abs(a.offset - b.offset)
+        legs_a = ((e.u, a.offset), (e.v, e.length - a.offset))
+        legs_b = ((e.u, b.offset), (e.v, e.length - b.offset))
+        if all(direct <= da + g.vertex_distance(va, vb) + db
+               for va, da in legs_a for vb, db in legs_b):
+            run = (a.edge, a.offset, b.offset)
+            return (run,) if direct > GEOM_TOL else ()
+    return g.route(a, b)[1]
 
 
 def extract_witness(result: VerifierResult) -> TimedPath:
@@ -425,8 +456,7 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     time with `swept_intervals` and `distances_to_intervals`.  Refuses
     instances beyond ORACLE_MAX_SAMPLES samples or ORACLE_MAX_STEPS steps.
     """
-    g = cop.graph
-    grid, h, dt, eps = _resolve_params(g, h, dt, eps)
+    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
     if grid.n > ORACLE_MAX_SAMPLES:
         raise SizeLimitError(
             f"{grid.n} samples exceed the oracle limit {ORACLE_MAX_SAMPLES}")

@@ -123,6 +123,30 @@ def test_verify_oversized_grid_exits_4_without_allocating(
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("graph, flags, message", [
+    (unit_path(), ["--resolution", "1e-5", "--dt", "1e-9"], "steps"),
+    # 11 vertices x 950,001 samples: under the sample limit, but an 80 MB
+    # vertex-to-sample table
+    (path_graph(10), ["--resolution", repr(1 / 95000)], "table"),
+], ids=["tiny-dt", "vertex-table"])
+def test_verify_oversized_run_exits_4_before_building_the_grid(
+        graph, flags, message, tmp_path, capsys):
+    gfile, strat = str(tmp_path / "g.json"), str(tmp_path / "s.json")
+    save_graph(graph, gfile)
+    main(["generate", "--graph", gfile, "--kind", "sweep", "--speed", "1.0",
+          "--out", strat])
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "--graph", gfile, "--strategy", strat] + flags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert message in err and "above the limit" in err
+    assert peak < 2 ** 20
+
+
 def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     rc = main(["generate", "--graph", str(tmp_path / "nope.json"),
                "--kind", "cycle", "--speed", "2.0"])

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphchase import (GraphPoint, PathBuilder, PathValidationError,
                         TimedPath, check_lipschitz, load_path, min_clearance,
@@ -217,6 +219,103 @@ def test_min_clearance_vs_sampling():
         # positions drift at most the combined speed between samples
         slack = (a.speed_bound + b.speed_bound) * (t1 / 400) / 2 + 1e-9
         assert exact >= sampled - slack
+
+
+def _scalar_min_clearance(p, q):
+    """The loop `min_clearance` replaced, kept as its reference: two
+    `MetricGraph.distance` calls per interval between piece bounds, and
+    the same-edge root test."""
+    g = p.graph
+    t1 = min(p.duration, q.duration)
+    if t1 <= 0:
+        return g.distance(p.evaluate(0.0), q.evaluate(0.0))
+    pp = path_pieces(p, 0.0, t1)
+    qq = path_pieces(q, 0.0, t1)
+
+    def offset(piece, t):
+        ta, tb, _, xa, xb = piece
+        if tb <= ta:
+            return xa
+        u = (t - ta) / (tb - ta)
+        return xa + (xb - xa) * min(max(u, 0.0), 1.0)
+
+    cuts = sorted({t for piece in pp for t in piece[:2]}
+                  | {t for piece in qq for t in piece[:2]})
+    best = math.inf
+    pi = qi = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        while pi + 1 < len(pp) and pp[pi][1] <= mid:
+            pi += 1
+        while qi + 1 < len(qq) and qq[qi][1] <= mid:
+            qi += 1
+        P, Q = pp[pi], qq[qi]
+        for t in (a, b):
+            best = min(best, g.distance(GraphPoint(P[2], offset(P, t)),
+                                        GraphPoint(Q[2], offset(Q, t))))
+        if P[2] == Q[2] and b > a:
+            da = offset(P, a) - offset(Q, a)
+            db = offset(P, b) - offset(Q, b)
+            if da * db < 0:
+                best = 0.0
+    return best
+
+
+@st.composite
+def clearance_pairs(draw):
+    """Two paths on a random graph with loops and parallel edges: random
+    moves and waits at random speeds, sometimes a single breakpoint, and
+    sometimes opposite runs on one edge that cross."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+
+    def point():
+        e = rng.choice(g.edges)
+        return GraphPoint(e.id, rng.choice([0.0, e.length,
+                                            rng.uniform(0, e.length)]))
+
+    def path():
+        if rng.random() < 0.1:
+            return TimedPath(g, (0.0,), (point(),), (), 1.0)
+        pb = PathBuilder(g, point(), 3.0)
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.3:
+                pb.wait(rng.uniform(0.05, 1.0))
+            else:
+                pb.move_to(point(), speed=rng.uniform(0.2, 3.0))
+        return pb.build()
+
+    if rng.random() < 0.3:
+        e = rng.choice(g.edges)
+        x, y = rng.uniform(0, e.length), rng.uniform(0, e.length)
+        lag, span = rng.choice([0.0, rng.uniform(0, 0.5)]), rng.uniform(
+            abs(y - x) / 2, 2.0)
+        p = PathBuilder(g, GraphPoint(e.id, x), 3.0).wait(1.0) \
+            .move_runs([(e.id, x, y)], span).build()
+        q = PathBuilder(g, GraphPoint(e.id, y), 3.0).wait(1.0 + lag) \
+            .move_runs([(e.id, y, x)], span).build()
+        return p, q, lag == 0.0      # equal windows: they cross mid-run
+    return path(), path(), False
+
+
+def test_min_clearance_matches_scalar_reference():
+    seen = {"roots": 0, "instants": 0, "unequal": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(clearance_pairs())
+    def check(case):
+        p, q, crossing = case
+        for a, b in ((p, q), (q, p)):
+            got, want = min_clearance(a, b), _scalar_min_clearance(a, b)
+            assert got == want and repr(got) == repr(want)
+        # the crossing is between piece bounds: only the root test sees it
+        assert want == 0.0 or not crossing
+        seen["roots"] += crossing
+        seen["instants"] += min(p.duration, q.duration) == 0
+        seen["unequal"] += p.duration != q.duration
+
+    check()
+    assert min(seen.values()) > 0
 
 
 def test_path_pieces_cover():

@@ -18,8 +18,8 @@ from graphchase import (GraphPoint, ParameterError, PathBuilder,
                         truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import piece_table
-from graphchase.verifier import (REACH_SLACK, _backtrack_witness,
-                                 _clearance_rows, _resolve_params,
+from graphchase.verifier import (REACH_SLACK, _clearance_rows,
+                                 _resolve_params, _step_runs,
                                  _step_grid, build_reach, propagate_step,
                                  swept_block, swept_intervals)
 
@@ -71,6 +71,25 @@ def test_step_count_limit(decide):
         assert decide(p, h=0.5, dt=0.1, eps=1.0).n_steps == 10
         with pytest.raises(ParameterError, match="steps"):
             decide(p, h=0.5, dt=0.099, eps=1.0)
+
+
+@pytest.mark.parametrize("decide", [verify, brute_force_oracle])
+def test_size_limits_refuse_before_the_grid_is_built(decide):
+    # an explicit dt's step count needs only the duration
+    with mock.patch.object(verifier, "discretize",
+                           side_effect=AssertionError("built")):
+        with pytest.raises(ParameterError, match="steps"):
+            decide(stand(unit_path(), "a", 1.0), h=1e-5, dt=1e-9)
+        # 401 vertices x 800,001 samples: under MAX_SAMPLES, but the
+        # vertex-to-sample table would take 2.6 GB
+        with pytest.raises(ParameterError, match="vertex-to-sample table"):
+            decide(stand(path_graph(400), "v0", 1.0), h=1 / 2000)
+    g = path_graph(3)
+    cells = len(g.vertices) * verifier.sample_count(g, 0.5)
+    with mock.patch.object(verifier, "MAX_TABLE_CELLS", cells):
+        assert verify(stand(g, "v0", 1.0), h=0.5).n_samples == 7
+        with pytest.raises(ParameterError, match="table"):
+            verify(stand(g, "v0", 1.0), h=0.49)
 
 
 # ----------------------------------------------------------- trivial cases
@@ -165,21 +184,11 @@ def test_propagation_is_maximin_over_reach():
     eps = 0.3
     s0 = grid.distances_to_point(cop.points[0])
     clr = grid.distances_to_intervals(swept_intervals(cop, 0.0, tau))
-    s1, no_bp = propagate_step(s0, clr, reach)
-    s1_bp, bp = propagate_step(s0, clr, reach, want_backpointers=True)
-    assert no_bp is None and bp.dtype == np.int32
-    assert np.array_equal(s1_bp, s1)
+    s1 = propagate_step(s0, clr, reach)
     val = np.minimum(s0, clr)
-    tied = 0
     for q in range(grid.n):
-        preds = reach.predecessors(q).tolist()
-        best = max(val[p] for p in preds)
+        best = max(val[p] for p in reach.predecessors(q))
         assert s1[q] == pytest.approx(min(best, clr[q]))
-        # the backpointer is the lowest-index predecessor attaining best
-        winners = [p for p in preds if val[p] == best]
-        assert bp[q] == min(winners)
-        tied += len(winners) > 1
-    assert tied  # the tie-break is exercised
     # every survivor must extend some survivor within one evader step
     for q in np.nonzero(s1 > eps)[0]:
         assert clr[q] > eps
@@ -215,14 +224,11 @@ def kernel_cases(draw):
 def test_banded_kernel_matches_maximin_reference(case):
     grid, radius, score, clearance = case
     reach = build_reach(grid, radius)
-    new, bp = propagate_step(score, clearance, reach, want_backpointers=True)
+    new = propagate_step(score, clearance, reach)
     val = np.minimum(score, clearance)
     for q in range(grid.n):
-        preds = reach.predecessors(q).tolist()
-        best = max(val[p] for p in preds)
+        best = max(val[p] for p in reach.predecessors(q).tolist())
         assert new[q] == min(best, clearance[q])
-        assert bp[q] == min(p for p in preds if val[p] == best)
-    assert np.array_equal(propagate_step(score, clearance, reach)[0], new)
 
     # the plan covers every CSR pair but the self loops exactly once
     pairs = set(zip(reach.src.tolist(), reach.dst.tolist()))
@@ -249,6 +255,18 @@ def test_banded_kernel_matches_maximin_reference(case):
 
 # ------------------------------------------------------- blocked clearance
 
+def _multigraph(rng, hs):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10, and its grid at an h drawn from hs."""
+    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+    h = rng.choice(hs)
+    u, v = rng.choice(base.vertices), rng.choice(base.vertices)
+    g = build_graph(list(base.vertices),
+                    [(e.u, e.v, e.length) for e in base.edges] +
+                    [(u, v, h / 10 * rng.uniform(0.1, 0.99))])
+    return g, discretize(g, h)
+
+
 @st.composite
 def swept_cases(draw):
     """A random graph with loops, parallel edges and one edge shorter than
@@ -256,13 +274,7 @@ def swept_cases(draw):
     dash over several edges within one step, with the block and chunk
     sizes to fill the clearance rows with."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
-    h = rng.choice([0.1, 0.2, 0.35])
-    u, v = rng.choice(base.vertices), rng.choice(base.vertices)
-    g = build_graph(list(base.vertices),
-                    [(e.u, e.v, e.length) for e in base.edges] +
-                    [(u, v, h / 10 * rng.uniform(0.1, 0.99))])
-    grid = discretize(g, h)
+    g, grid = _multigraph(rng, [0.1, 0.2, 0.35])
     dt = grid.max_spacing * rng.uniform(0.3, 1.0)
 
     def point(avoid=None):
@@ -292,23 +304,28 @@ def swept_cases(draw):
         dt = cop.duration / math.ceil(cop.duration / dt)
     block_steps = rng.choice([1, 2, 3, 5, 256])
     chunk_floats = rng.choice([1, grid.n - 1, grid.n + 1, 3 * grid.n, 16384])
-    return cop, grid, dt, block_steps, chunk_floats
+    start = rng.choice([0.0, rng.random()])   # first step, as a fraction
+    return cop, grid, dt, block_steps, chunk_floats, start
 
 
 @settings(max_examples=60, deadline=None)
 @given(swept_cases())
 def test_blocked_clearance_matches_per_step_reference(case):
-    cop, grid, dt, block_steps, chunk_floats = case
+    cop, grid, dt, block_steps, chunk_floats, start = case
     n_steps, tau = _step_grid(cop.duration, dt)
+    j0 = int(start * n_steps)
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        rows = list(_clearance_rows(grid, piece_table(cop), tau, n_steps))
-    assert len(rows) == n_steps
+        rows = list(_clearance_rows(grid, piece_table(cop), tau, j0,
+                                    n_steps))
+    assert len(rows) == n_steps - j0
     widths = []
-    for j, row in enumerate(rows):
+    for j in range(n_steps):
         intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
         widths.append(len(intervals))
-        assert np.array_equal(row, grid.distances_to_intervals(intervals)), j
+        if j >= j0:
+            assert np.array_equal(rows[j - j0],
+                                  grid.distances_to_intervals(intervals)), j
     assert max(widths) >= 2           # a step crossed a vertex
 
 
@@ -331,33 +348,62 @@ def test_step_left_without_pieces_stays_infinite():
     assert np.isinf(rows[3]).all() and np.isfinite(rows[:3]).all()
 
 
-def _per_step_verify(cop, h, eps=None):
-    """`verify` as a plain loop: one swept_intervals and
-    distances_to_intervals call per step."""
-    grid, h, dt, eps = _resolve_params(cop.graph, h, None, eps)
+def _reference_step(score, clearance, reach):
+    """One step by gather and reduce over the CSR: the new score, each
+    target's backpointer (the lowest-index predecessor attaining its
+    maximin) and the number of predecessors attaining it."""
+    val = np.minimum(score, clearance)
+    heads = reach.starts[:-1]
+    cand = val[reach.src]
+    best = np.maximum.reduceat(cand, heads)
+    hit = cand == best[reach.dst]
+    bp = np.minimum.reduceat(np.where(hit, reach.src, len(score)), heads)
+    return np.minimum(best, clearance), bp, np.add.reduceat(hit, heads)
+
+
+def _per_step_verify(cop, h, dt=None, eps=None):
+    """`verify` as a plain loop: per-step swept_intervals and
+    distances_to_intervals, a backpointer array per step of the witness
+    pass, and `route` for every witness step.  Returns (verdict, time
+    bound, witness, clearance, ties), where ties counts the witness steps
+    whose predecessor was one of several attaining the maximin."""
+    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
     n_steps, tau = _step_grid(cop.duration, dt)
     reach = build_reach(grid, tau + REACH_SLACK)
-
-    def run(with_bp):
-        score, history = grid.distances_to_point(cop.points[0]), []
+    clearances = [grid.distances_to_intervals(
+        swept_intervals(cop, j * tau, (j + 1) * tau)) for j in range(n_steps)]
+    score = grid.distances_to_point(cop.points[0])
+    if score.max() <= eps:
+        return "capture", min(0.0, cop.duration), None, None, 0
+    for j, clr in enumerate(clearances):
+        score = propagate_step(score, clr, reach)
         if score.max() <= eps:
-            return score, history, 0.0
-        for j in range(n_steps):
-            clr = grid.distances_to_intervals(
-                swept_intervals(cop, j * tau, (j + 1) * tau))
-            score, bp = propagate_step(score, clr, reach, with_bp)
-            history.append(bp)
-            if score.max() <= eps:
-                return score, history, (j + 1) * tau
-        return score, history, None
+            return "capture", min((j + 1) * tau, cop.duration), None, None, 0
+    score, history = grid.distances_to_point(cop.points[0]), []
+    for clr in clearances:
+        new, bp, hits = _reference_step(score, clr, reach)
+        assert np.array_equal(new, propagate_step(score, clr, reach))
+        score = new
+        history.append((bp, hits))
+    idx, ties = [int(np.argmax(score))], 0
+    for bp, hits in reversed(history):
+        ties += hits[idx[-1]] > 1
+        idx.append(int(bp[idx[-1]]))
+    idx.reverse()
+    g = grid.graph
+    points = tuple(grid.points[i] for i in idx)
+    times = tuple(j * tau for j in range(n_steps)) + (cop.duration,) \
+        if n_steps else (0.0,)
+    routes = tuple(g.route(a, b)[1] for a, b in zip(points, points[1:]))
+    witness = TimedPath(g, times, points, routes, 1.0,
+                        {"kind": "witness",
+                         "grid_clearance": float(score[idx[-1]])})
+    return "survival", None, witness, min_clearance(cop, witness), ties
 
-    _, _, caught_at = run(False)
-    if caught_at is not None:
-        return "capture", min(caught_at, cop.duration), None, None
-    score, history, _ = run(True)
-    witness = _backtrack_witness(grid, score, history, tau, cop.duration)
-    return ("survival", None, witness,
-            min_clearance(cop, witness))
+
+def _same_witness(a, b):
+    return (a.times, a.points, a.routes, a.metadata) == \
+        (b.times, b.points, b.routes, b.metadata)
 
 
 @pytest.mark.parametrize("cop, h, eps", [
@@ -367,28 +413,97 @@ def _per_step_verify(cop, h, eps=None):
 ], ids=["star-capture", "comb-survival", "cycle-survival"])
 def test_verify_matches_per_step_reference_loop(cop, h, eps):
     r = verify(cop, h=h, eps=eps)
-    verdict, time_bound, witness, clearance = _per_step_verify(cop, h, eps)
+    verdict, time_bound, witness, clearance, _ = _per_step_verify(cop, h,
+                                                                  eps=eps)
     assert r.verdict == verdict == ("capture" if eps else "survival")
     assert r.time_bound == time_bound
     assert r.min_clearance == clearance
     if witness is not None:
-        assert r.witness.times == witness.times
-        assert r.witness.points == witness.points
-        assert r.witness.routes == witness.routes
+        assert _same_witness(r.witness, witness)
 
 
-def test_witness_pass_keeps_only_backpointers():
-    # one int32 backpointer per sample and step; a score array per step
-    # as well would put the peak near 20 bytes per sample-step
+@st.composite
+def witness_cases(draw):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10, and a cop that waits, goes out to the sample farthest from its
+    start or to a random point, comes back and waits again: the evaders
+    it pushes back share their score, so maximin ties are common.  dt is
+    near the spacing, so that evaders move on every edge."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
+    dt = grid.max_spacing * rng.choice([1.0, rng.uniform(0.5, 1.0)])
+    e = rng.choice(g.edges)
+    home = GraphPoint(e.id, rng.choice([0.0, e.length,
+                                        rng.uniform(0, e.length)]))
+    far = grid.points[int(np.argmax(grid.distances_to_point(home)))]
+    away = rng.choice([far, rng.choice(grid.points)])
+    speed = rng.uniform(0.3, 3.0)
+    cop = (PathBuilder(g, home, 3.0).wait(dt * rng.uniform(0.5, 5.0))
+           .move_to(away, speed=speed).move_to(home, speed=speed)
+           .wait(dt * rng.uniform(1.0, 40.0)).build())
+    eps = max(grid.max_spacing, dt) * rng.uniform(1.01, 1.5)
+    return cop, grid.h, dt, eps
+
+
+def test_witness_matches_full_backpointer_reference():
+    # checkpointed replay against a backpointer array per step, with the
+    # checkpoint cap at 1, 2, 3 and 16: the same lowest-index maximin path
+    seen = {"survival": 0, "ties": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_cases(), st.sampled_from([1, 2, 3, 16]))
+    def check(case, cap):
+        cop, h, dt, eps = case
+        with mock.patch.object(verifier, "CHECKPOINTS", cap):
+            r = verify(cop, h=h, dt=dt, eps=eps)
+        verdict, time_bound, witness, clearance, ties = \
+            _per_step_verify(cop, h, dt, eps)
+        assert (r.verdict, r.time_bound) == (verdict, time_bound)
+        assert repr(r.min_clearance) == repr(clearance)
+        if witness is not None:
+            assert _same_witness(r.witness, witness)
+            seen["survival"] += 1
+            seen["ties"] += ties
+
+    check()
+    assert seen["survival"] >= 30
+    assert seen["ties"] > 0      # the lowest-index tie-break is exercised
+
+
+@pytest.mark.parametrize("g, h, detours", [
+    (build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.1),
+                                   ("c", "a", 0.1)]), 0.1, True),
+    (unit_cycle(), 0.1, False),
+    (comb(3), 0.25, False),
+], ids=["shortcut-triangle", "cycle", "comb"])
+def test_step_runs_match_route(g, h, detours):
+    # every pair of samples; on the triangle, a and b both sit on the long
+    # edge a-b but are joined by the 0.2 shortcut through c
+    grid = discretize(g, h)
+    seen = 0
+    for a in grid.points:
+        for b in grid.points:
+            runs = g.route(a, b)[1]
+            assert _step_runs(g, a, b) == runs
+            seen += a.edge == b.edge and len(runs) > 1
+    assert bool(seen) == detours
+
+
+def test_witness_replay_stores_nothing_per_step():
+    # int32 backpointers per step alone would take 4 bytes per sample-step;
+    # the replay keeps at most CHECKPOINTS + 1 score arrays and one segment
+    # of at most 1/8 of the steps.  A warm-up run keeps numpy's lazy imports
+    # out of the measured peak.
     cop = cycle_loop(unit_cycle(), 1.0, 4.0)
+    verify(cop, h=0.05)
     tracemalloc.start()
     try:
-        r = verify(cop, h=0.004)
+        r = verify(cop, h=0.002)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert r.verdict == "survival"
-    assert peak < 14 * r.n_samples * r.n_steps
+    assert peak < 3 * r.n_samples * r.n_steps
 
 
 # ----------------------------------------------------- monotonicity sweeps
