@@ -22,12 +22,12 @@ print("  witness keeps clearance", round(res.min_clearance, 4),
 # at speed 2 one lap takes 1/(2-1) = 1 and captures
 fast = cycle_strategy(circle, 2.0)
 print("s=2 planned duration:", fast.duration)
-res = verify(fast, h=1 / 150, dt=1 / 150, eps=0.01)
+res = verify(fast, h=1 / 150, eps=0.01)
 print("s=2:", res.verdict, "by t =", round(res.time_bound, 4))
 
 # the capture bound is tight: no cop can beat time 1 on the unit circle,
 # and the verified time converges to 1 as the grid refines
 for h in (1 / 30, 1 / 90, 1 / 270):
-    r = verify(cycle_strategy(circle, 2.0), h=h, dt=h, eps=1.5 * h,
+    r = verify(cycle_strategy(circle, 2.0), h=h, eps=1.5 * h,
                want_witness=False)
     print(f"  h=1/{round(1/h)}: capture by {r.time_bound:.4f}")

@@ -1,16 +1,18 @@
 """Command-line front door.
 
-Subcommands: generate, verify, frontier, export-svg, selftest.  Exit codes:
-0 success (verify: capture), 1 selftest failure, 2 usage, input or evidence
-errors, 3 verified survival, 4 invalid resolution parameters (non-finite, a
-capture radius below the soundness floor, a grid above 10^6 samples, a
-vertex-to-sample table above 10^7 cells, or a step count above 10^6).
+Subcommands: generate, verify, frontier, export-svg, selftest.  The time
+step is the grid spacing.  Exit codes: 0 success (verify: capture), 1
+selftest failure, 2 usage, input or evidence errors, 3 verified survival, 4
+invalid resolution parameters (non-finite, a capture radius below the
+soundness floor, a grid above 10^6 samples, a vertex-to-sample table above
+10^7 cells, or a step count, duration / spacing, above 10^6).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -29,13 +31,18 @@ EXIT_SURVIVAL = 3
 EXIT_PARAMETER_FLOOR = 4
 
 
-def _speed_list(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated --speeds list."""
-    try:
-        speeds = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
+def finite_positive(text: str) -> float:
+    """Parse a finite positive float flag (argparse reports a ValueError)."""
+    x = float(text)
+    if not 0 < x < math.inf:
         raise argparse.ArgumentTypeError(
-            f"bad --speeds list {text!r}") from None
+            f"must be finite and positive, got {text!r}")
+    return x
+
+
+def _speed_list(text: str) -> tuple[float, ...]:
+    """Parse a comma-separated --speeds list of finite positive floats."""
+    speeds = tuple(finite_positive(x) for x in text.split(",") if x.strip())
     if not speeds:
         raise argparse.ArgumentTypeError("--speeds list is empty")
     return speeds
@@ -56,17 +63,16 @@ def make_parser() -> argparse.ArgumentParser:
     def add_resolution(q):
         q.add_argument("--resolution", type=float, default=None, metavar="H",
                        help="target sample spacing (default: min edge / 50)")
-        q.add_argument("--dt", type=float, default=None,
-                       help="time step (default: the grid spacing)")
         q.add_argument("--eps", type=float, default=None,
-                       help="capture radius (default: spacing + dt; must "
-                            "exceed max(spacing, dt))")
+                       help="capture radius (default: twice the grid "
+                            "spacing; must exceed the spacing, which is "
+                            "also the time step)")
 
     q = sub.add_parser("generate", help="construct a strategy trajectory")
     q.add_argument("--graph", required=True, help="graph JSON file")
     q.add_argument("--kind", required=True, choices=list(FAMILIES))
     q.add_argument("--speed", type=float, required=True)
-    q.add_argument("--delta", type=float, default=None,
+    q.add_argument("--delta", type=finite_positive, default=None,
                    help="truncation scale for cascade openings "
                         "(default: min edge / 100)")
     q.add_argument("--out", default=None,
@@ -85,7 +91,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", required=True, choices=list(FAMILIES))
     q.add_argument("--speeds", required=True, type=_speed_list,
                    help="comma-separated speed list, e.g. 0.5,1,1.5,2")
-    q.add_argument("--delta", type=float, default=None)
+    q.add_argument("--delta", type=finite_positive, default=None)
     add_resolution(q)
     q.add_argument("--out", default=None, help="CSV output (default: stdout)")
     q.add_argument("--json", dest="as_json", action="store_true",
@@ -96,7 +102,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--strategy", required=True)
     q.add_argument("--witness", default=None,
                    help="overlay this evader trajectory")
-    q.add_argument("--eps", type=float, default=None,
+    q.add_argument("--eps", type=finite_positive, default=None,
                    help="shade a capture-radius tube of this width")
     q.add_argument("--out", required=True)
 
@@ -126,7 +132,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 def cmd_verify(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
-    res = verify(cop, h=cfg.resolution, dt=cfg.dt, eps=cfg.eps)
+    res = verify(cop, h=cfg.resolution, eps=cfg.eps)
     if cfg.report:
         save_report(res, cfg.report)
     if res.captured:
@@ -146,7 +152,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_frontier(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     rows = frontier_table(g, cfg.family, cfg.speeds, truncation=cfg.delta,
-                          h=cfg.resolution, dt=cfg.dt, eps=cfg.eps)
+                          h=cfg.resolution, eps=cfg.eps)
     text = frontier_to_json(rows) if cfg.as_json else frontier_to_csv(rows)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -176,9 +182,9 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
     failures = 0
     rng = random.Random(cfg.seed)
     for i in range(cfg.cases):
-        cop, h, dt, eps = oracle_instance(rng)
-        fast = verify(cop, h=h, dt=dt, eps=eps, want_witness=False)
-        slow = brute_force_oracle(cop, h=h, dt=dt, eps=eps)
+        cop, h, eps = oracle_instance(rng)
+        fast = verify(cop, h=h, eps=eps, want_witness=False)
+        slow = brute_force_oracle(cop, h=h, eps=eps)
         same = (fast.verdict == slow.verdict
                 and (fast.time_bound is None) == (slow.time_bound is None)
                 and (fast.time_bound is None

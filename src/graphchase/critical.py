@@ -38,11 +38,17 @@ class EvidenceError(RuntimeError):
 
 def build_family(g: MetricGraph, family: str, s: float,
                  truncation: float | None = None) -> TimedPath:
-    """Construct the named strategy family on g at speed s."""
+    """Construct the named strategy family on g at speed s; a schedule
+    whose float arithmetic fails at an extreme s or truncation is rejected."""
     if family not in FAMILIES:
         raise StrategyError(f"unknown strategy family {family!r}; "
                             f"choose one of {', '.join(FAMILIES)}")
-    return FAMILIES[family](g, s, truncation)
+    try:
+        return FAMILIES[family](g, s, truncation)
+    except ArithmeticError as exc:
+        raise StrategyError(
+            f"{family} schedule at speed {s} and truncation {truncation} "
+            f"is out of float range: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,19 @@ class SpeedBracket:
     probes: tuple[tuple[float, str], ...] = field(default=())
 
 
-def _probe(g, family, s, truncation, h, dt, eps):
+def _probe(g, family, s, truncation, h, eps):
     """Build + verify at one speed; a constructor rejection is a non-capture."""
     try:
         path = build_family(g, family, s, truncation)
     except StrategyError as exc:
         return "rejected", str(exc)
-    return "verified", verify(path, h=h, dt=dt, eps=eps)
+    return "verified", verify(path, h=h, eps=eps)
 
 
 def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
                        s_high: float, tol: float,
                        truncation: float | None = None,
-                       h: float | None = None, dt: float | None = None,
+                       h: float | None = None,
                        eps: float | None = None) -> SpeedBracket:
     """Shrink [s_low, s_high] to width <= tol around the capture boundary.
 
@@ -90,12 +96,12 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     if tol <= 0:
         raise EvidenceError(f"tolerance must be positive, got {tol}")
 
-    kind, high_ev = _probe(g, family, s_high, truncation, h, dt, eps)
+    kind, high_ev = _probe(g, family, s_high, truncation, h, eps)
     if kind == "rejected" or not high_ev.captured:
         raise EvidenceError(
             f"upper speed {s_high} did not verify as capture for family "
             f"{family!r}; raise the upper endpoint or refine resolution")
-    kind, low_ev = _probe(g, family, s_low, truncation, h, dt, eps)
+    kind, low_ev = _probe(g, family, s_low, truncation, h, eps)
     if kind == "verified" and low_ev.captured:
         raise EvidenceError(
             f"lower speed {s_low} already captures for family {family!r}; "
@@ -107,7 +113,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
         mid = 0.5 * (lower + upper)
         if mid <= lower or mid >= upper:
             break
-        kind, ev = _probe(g, family, mid, truncation, h, dt, eps)
+        kind, ev = _probe(g, family, mid, truncation, h, eps)
         if kind == "verified" and ev.captured:
             upper, high_ev = mid, ev
             probes.append((mid, "capture"))
@@ -138,7 +144,6 @@ class FrontierRow:
 
 def frontier_table(g: MetricGraph, family: str, speeds,
                    truncation: float | None = None, h: float | None = None,
-                   dt: float | None = None,
                    eps: float | None = None) -> list[FrontierRow]:
     """Verify the family at each speed and tabulate verdicts.
 
@@ -150,8 +155,6 @@ def frontier_table(g: MetricGraph, family: str, speeds,
     which restores the guarantee or flags a real inconsistency.
     """
     speeds = sorted(float(s) for s in speeds)
-    if not speeds:
-        return []
     rows: list[FrontierRow] = []
     paths: list[TimedPath | None] = []
     for s in speeds:
@@ -161,7 +164,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
         except StrategyError as exc:
             path = sweep_strategy(g, s)
             note = f"constructor rejected ({exc}); naive sweep substituted"
-        res = verify(path, h=h, dt=dt, eps=eps)
+        res = verify(path, h=h, eps=eps)
         rows.append(FrontierRow(s, res.verdict, res.time_bound,
                                 res.min_clearance, res.h, res.dt, res.eps,
                                 note))
@@ -176,8 +179,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
             slack = 3 * (row.h + row.dt)
             if row.time_bound > pt + slack:
                 redeclared = replace(paths[pi], speed_bound=row.s)
-                check = verify(redeclared, h=h, dt=dt, eps=eps,
-                               want_witness=False)
+                check = verify(redeclared, h=h, eps=eps, want_witness=False)
                 if not check.captured or check.time_bound > pt + slack:
                     raise EvidenceError(
                         f"capture time increased with speed ({pt} at "

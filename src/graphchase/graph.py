@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class MetricGraph:
             adj[e.v].append(e)
         self._adj = {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
         self._sssp_cache: dict[str, tuple[dict, dict]] = {}
-        self._vv_cache = None
 
     # ------------------------------------------------------------------
     # basic structure
@@ -188,17 +188,28 @@ class MetricGraph:
     def vertex_distance(self, u: str, v: str) -> float:
         return self._sssp(u)[0][v]
 
+    @cached_property
+    def vertex_rows(self) -> dict:
+        """Vertex id -> row in the vertex tables, in sorted-id order."""
+        return {v: i for i, v in enumerate(sorted(self.vertices))}
+
+    @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u row, v row, length) arrays of the edges, in `edges` order."""
+        return (np.array([self.vertex_rows[e.u] for e in self.edges]),
+                np.array([self.vertex_rows[e.v] for e in self.edges]),
+                np.array([e.length for e in self.edges]))
+
+    @cached_property
     def vertex_distance_matrix(self) -> np.ndarray:
-        """Dense vertex distance matrix in sorted-id order - cached."""
-        if self._vv_cache is None:
-            ids = sorted(self.vertices)
-            m = np.zeros((len(ids), len(ids)))
-            for i, u in enumerate(ids):
-                dist = self._sssp(u)[0]
-                for j, v in enumerate(ids):
-                    m[i, j] = dist[v]
-            self._vv_cache = m
-        return self._vv_cache
+        """Dense vertex distance matrix in `vertex_rows` order."""
+        rows = self.vertex_rows
+        m = np.zeros((len(rows), len(rows)))
+        for u, i in rows.items():
+            dist = self._sssp(u)[0]
+            for v, j in rows.items():
+                m[i, j] = dist[v]
+        return m
 
     def _vertex_runs(self, u: str, v: str) -> list[tuple[str, float, float]]:
         """Edge runs of the shortest u->v vertex path."""
@@ -531,6 +542,11 @@ def sample_count(g: MetricGraph, h: float) -> float:
         return math.inf
 
 
+def max_spacing(g: MetricGraph, h: float) -> float:
+    """The `max_spacing` of `discretize(g, h)`, from the edge lengths."""
+    return max(e.length / _interval_count(e.length, h) for e in g.edges)
+
+
 @dataclass(frozen=True)
 class EdgeSamples:
     """The samples of one edge in offset order: `index[0]` and `index[-1]`
@@ -555,8 +571,8 @@ class DiscretizedGraph:
     samples of each edge fill one contiguous index range in offset order,
     and two of them k spacings apart are k indices apart; the verifier's
     banded propagation (`build_reach`) relies on this.  `edges[k]` holds
-    the samples of `graph.edges[k]`, and `vertex_sample_dist[i]` the exact
-    distance from the i-th vertex in id order to every sample.
+    the samples of `graph.edges[k]`, and `vertex_sample_dist` the exact
+    distance from every vertex (rows in `graph.vertex_rows`) to every sample.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -565,9 +581,8 @@ class DiscretizedGraph:
         self.graph = graph
         self.h = float(h)
 
-        vertex_ids = sorted(graph.vertices)
-        row = {v: i for i, v in enumerate(vertex_ids)}
-        points: list[GraphPoint] = [graph.vertex_point(v) for v in vertex_ids]
+        row = graph.vertex_rows
+        points: list[GraphPoint] = [graph.vertex_point(v) for v in row]
         interior = {}       # edge id -> (spacing, first index, offsets)
         for e in sorted(graph.edges, key=lambda e: e.id):
             n_int = _interval_count(e.length, self.h)
@@ -578,8 +593,8 @@ class DiscretizedGraph:
         self.points: tuple[GraphPoint, ...] = tuple(points)
         self.n = len(points)
 
-        vv = graph.vertex_distance_matrix()
-        dist = np.full((len(vertex_ids), self.n), np.inf)
+        vv = graph.vertex_distance_matrix
+        dist = np.full((len(row), self.n), np.inf)
         edges = []
         for e in graph.edges:
             sp, first, offs = interior[e.id]

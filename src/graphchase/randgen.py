@@ -43,16 +43,13 @@ def random_cop_path(g: MetricGraph, rng: random.Random,
     speed = rng.uniform(0.4, 3.0)
     start = rng.choice(list(g.vertices))
     pb = PathBuilder(g, start, speed)
-    moved = False
     for _ in range(moves):
         if rng.random() < 0.25:
             pb.wait(rng.uniform(0.1, 0.6))
             continue
         target = rng.choice(list(g.vertices))
-        before = pb.now
         pb.move_to(target, speed=speed * rng.uniform(0.5, 1.0))
-        moved = moved or pb.now > before
-    if not moved and pb.now == 0:
+    if pb.now == 0:     # neither moved nor waited
         pb.wait(rng.uniform(0.2, 1.0))
     return pb.build({"kind": "random"})
 
@@ -60,7 +57,7 @@ def random_cop_path(g: MetricGraph, rng: random.Random,
 def oracle_instance(rng: random.Random):
     """A tiny verification instance within brute-force oracle limits.
 
-    Returns (cop path, h, dt, eps) with the derived grid at most
+    Returns (cop path, h, eps) with the derived grid at most
     ORACLE_MAX_SAMPLES samples and the step count at most ORACLE_MAX_STEPS.
     """
     for _ in range(200):
@@ -70,15 +67,10 @@ def oracle_instance(rng: random.Random):
         grid = discretize(g, h)
         if grid.n > ORACLE_MAX_SAMPLES:
             continue
-        dt = grid.max_spacing * rng.uniform(0.3, 1.0)
         cop = random_cop_path(g, rng, moves=rng.randint(1, 3))
-        if cop.duration <= 0:
-            continue
-        limit = ORACLE_MAX_STEPS * dt
+        limit = ORACLE_MAX_STEPS * grid.max_spacing
         if cop.duration > limit:
             cop = truncate_path(cop, limit * rng.uniform(0.6, 1.0))
-        if cop.duration <= 0:
-            continue
-        eps = max(grid.max_spacing, dt) * rng.uniform(1.05, 2.5)
-        return cop, h, dt, eps
+        eps = grid.max_spacing * rng.uniform(1.05, 2.5)
+        return cop, h, eps
     raise RuntimeError("failed to generate an oracle-sized instance")

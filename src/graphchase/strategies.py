@@ -38,6 +38,8 @@ def lambda_root(k: int, s: float) -> float:
     """
     if k < 3:
         raise StrategyError(f"cascade needs at least 3 arms, got k={k}")
+    if not math.isfinite(s):
+        raise StrategyError(f"cascade growth needs a finite speed, got {s}")
     if not s > 2 * k - 3:
         raise StrategyError(
             f"cascade growth needs speed above {2 * k - 3}, got {s}")
@@ -61,6 +63,15 @@ def lambda_root(k: int, s: float) -> float:
     if abs(poly(root)) > 1e-12:
         raise StrategyError(f"growth factor did not converge for k={k}, s={s}")
     return root
+
+
+def _truncation(truncation: float | None, default: float | None = None):
+    """`truncation`, or `default` when it is None: a finite positive scale."""
+    t = default if truncation is None else truncation
+    if not 0 < t < math.inf:
+        raise StrategyError(f"truncation scale must be finite and positive, "
+                            f"got {t}")
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +206,7 @@ def build_star_schedule(g: MetricGraph, s: float,
     """
     center, arms = _detect_star(g)
     k = len(arms)
-    if truncation <= 0:
-        raise StrategyError(f"truncation scale must be positive, "
-                            f"got {truncation}")
+    _truncation(truncation)
     lam = lambda_root(k, s)
     log_lam = math.log(lam)
     m_start = max(1, math.floor((1 - math.log(truncation) / log_lam)
@@ -262,8 +271,7 @@ def star_strategy(g: MetricGraph, s: float,
     clamped at a leaf, until all arms but one are cleared.  Phase 3 walks to
     the remaining arm's leaf.
     """
-    if truncation is None:
-        truncation = g.min_edge_length / 100
+    truncation = _truncation(truncation, g.min_edge_length / 100)
     sched = build_star_schedule(g, s, truncation)
     pb = PathBuilder(g, sched.center, s)
     _out_and_back(pb, sched.center, sched.final_arm,
@@ -334,11 +342,7 @@ def comb_strategy(g: MetricGraph, s: float,
     base = g.edges[0].length
     if any(abs(l - base) > 1e-9 * max(base, 1.0) for l in lengths.values()):
         raise StrategyError("comb clearing needs all edge lengths equal")
-    if truncation is None:
-        truncation = base / 100
-    if truncation <= 0:
-        raise StrategyError(f"truncation scale must be positive, "
-                            f"got {truncation}")
+    truncation = _truncation(truncation, base / 100)
     lam = lambda_root(3, s)
     cap = 2 * base / (s - 1)
     d0 = min(truncation, cap)
@@ -536,8 +540,7 @@ def secure_vertex(g: MetricGraph, v: str, s: float,
     Returns (trajectory fragment starting and ending at v, guaranteed
     evader-free radius around v, elapsed time).
     """
-    if truncation is None:
-        truncation = g.min_edge_length / 100
+    truncation = _truncation(truncation, g.min_edge_length / 100)
     plan, eps_v, total = _secure_schedule(g, v, s, truncation)
     pb = PathBuilder(g, v, s)
     _secure_into(pb, v, s, plan)
@@ -551,8 +554,7 @@ def sufficient_speed(g: MetricGraph, truncation: float | None = None) -> float:
     the time the evader has to reach a vertex after its securing: two full
     covering walks plus all securing times, with a 10% margin.
     """
-    if truncation is None:
-        truncation = g.min_edge_length / 100
+    truncation = _truncation(truncation, g.min_edge_length / 100)
     lam_total = g.total_length
     s = max(2 * g.degree(v) + 1 for v in g.vertices) + 1.0
     for _ in range(200):
@@ -574,8 +576,7 @@ def finiteness_strategy(g: MetricGraph, s: float,
     around every vertex at its first visit; pass 2 repeats the covering walk,
     reaching every point before the evader can slip past a vertex.
     """
-    if truncation is None:
-        truncation = g.min_edge_length / 100
+    truncation = _truncation(truncation, g.min_edge_length / 100)
     s_needed = sufficient_speed(g, truncation)
     if s < s_needed:
         raise StrategyError(

@@ -507,11 +507,8 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     pb, qb = _offsets_at(pp, pi, b), _offsets_at(qq, qi, b)
     if np.any(same & ((pa - qa) * (pb - qb) < 0)):
         return 0.0          # same edge: the offset difference has a root
-    ids = {v: k for k, v in enumerate(sorted(g.vertices))}
-    eu = np.array([ids[e.u] for e in g.edges])
-    ev = np.array([ids[e.v] for e in g.edges])
-    length = np.array([e.length for e in g.edges])
-    vv = g.vertex_distance_matrix()
+    eu, ev, length = g.edge_table
+    vv = g.vertex_distance_matrix
     best = math.inf
     for x, y in ((pa, qa), (pb, qb)):
         x = np.minimum(np.maximum(x, 0.0), length[pe])      # clamp_point

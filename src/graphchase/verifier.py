@@ -5,7 +5,7 @@ capture radius eps by propagating the evader's surviving positions over a
 space-time grid.  The grid game is exact: evader steps use true intrinsic
 distances between samples, and the cop's swept region per time step is
 computed analytically from the trajectory's runs, so the only discretization
-is the sample spacing h and the step length.
+is the sample spacing, which is also the time step.
 
 On survival the verifier extracts an explicit evader trajectory that
 maximizes its minimum grid clearance, then recomputes that trajectory's true
@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
-                    discretize, sample_count)
+                    discretize, max_spacing, sample_count)
 from .trajectory import (PieceTable, TimedPath, min_clearance, path_pieces,
                          path_to_dict, piece_table)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
-MAX_STEPS = 10 ** 6     # step count limit: duration / dt
+MAX_STEPS = 10 ** 6     # step count limit: duration / spacing
 MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
 CHECKPOINTS = 16        # score arrays a propagation keeps for the witness
 SWEEP_STEPS = 256       # steps per swept_block call
@@ -224,12 +224,16 @@ class VerifierResult:
     witness: TimedPath | None         # survival: explicit evading trajectory
     min_clearance: float | None       # witness's true continuous clearance
     h: float
-    dt: float
     eps: float
     spacing: float
     tau: float
     n_steps: int
     n_samples: int
+
+    @property
+    def dt(self) -> float:
+        """The time step: always the grid spacing."""
+        return self.spacing
 
     @property
     def captured(self) -> bool:
@@ -258,73 +262,59 @@ def save_report(r: VerifierResult, path: str) -> None:
 # the decision procedure
 # ----------------------------------------------------------------------
 
-def _resolve_params(cop: TimedPath, h, dt, eps):
-    """The grid and the resolved (h, dt, eps) of a verification of cop.
-
-    The sample count, the vertex-to-sample table and an explicit dt's step
-    count are checked before the grid is built.
+def _resolve_params(cop: TimedPath, h, eps):
+    """The grid, h, eps, step count and step length of a verification of
+    cop, whose time step is the grid's `max_spacing`.  The sizes are checked
+    from the edge lengths before the grid is built; discretize rejects h <= 0.
     """
     g = cop.graph
-    for name, x in (("resolution", h), ("time step", dt),
-                    ("capture radius", eps)):
+    for name, x in (("resolution", h), ("capture radius", eps)):
         if x is not None and not math.isfinite(float(x)):
             raise ParameterError(f"{name} must be finite, got {x}")
     h = g.min_edge_length / 50 if h is None else float(h)
-    samples = sample_count(g, h) if h > 0 else 0   # discretize rejects h <= 0
-    if samples > MAX_SAMPLES:
-        raise ParameterError(
-            f"resolution {h} asks for {samples:.4g} grid samples, above the "
-            f"limit of {MAX_SAMPLES}")
-    cells = len(g.vertices) * samples
-    if cells > MAX_TABLE_CELLS:
-        raise ParameterError(
-            f"resolution {h} asks for a vertex-to-sample table of "
-            f"{len(g.vertices)} x {samples:.4g} cells, above the limit of "
-            f"{MAX_TABLE_CELLS}")
-    if dt is not None and h > 0 and float(dt) > 0:
-        _step_grid(cop.duration, float(dt))     # refuses too many steps
+    if h > 0:
+        samples = sample_count(g, h)
+        if samples > MAX_SAMPLES:
+            raise ParameterError(
+                f"resolution {h} asks for {samples:.4g} grid samples, above "
+                f"the limit of {MAX_SAMPLES}")
+        if len(g.vertices) * samples > MAX_TABLE_CELLS:
+            raise ParameterError(
+                f"resolution {h} asks for a vertex-to-sample table of "
+                f"{len(g.vertices)} x {samples:.4g} cells, above the limit "
+                f"of {MAX_TABLE_CELLS}")
+        n_steps, tau = _step_grid(cop.duration, max_spacing(g, h))
     grid = discretize(g, h)
     sp = grid.max_spacing
-    if dt is None:
-        dt = sp
-    dt = float(dt)
-    if dt <= 0:
-        raise ParameterError(f"time step must be positive, got {dt}")
-    if dt > h + 1e-12:
-        raise ParameterError(f"time step {dt} exceeds spatial resolution {h}")
-    floor = max(sp, dt)
-    if eps is None:
-        eps = sp + dt
-    eps = float(eps)
-    if eps <= floor:
+    eps = 2 * sp if eps is None else float(eps)
+    if eps <= sp:
         raise ParameterError(
             f"capture radius {eps} is below the soundness floor: it must "
-            f"exceed max(sample spacing, time step) = {floor}")
-    return grid, h, dt, eps
+            f"exceed the sample spacing {sp}")
+    return grid, h, eps, n_steps, tau
 
 
-def _step_grid(duration: float, dt: float) -> tuple[int, float]:
+def _step_grid(duration: float, spacing: float) -> tuple[int, float]:
     """The step count and step length of a path of this duration."""
     if duration <= 0:
         return 0, 0.0
-    steps = duration / dt       # a float, so an infinite quotient is refused
+    steps = duration / spacing  # a float: an infinite quotient is refused
     if steps > MAX_STEPS:
         raise ParameterError(
-            f"time step {dt} asks for {steps:.4g} steps over duration "
-            f"{duration:g}, above the limit of {MAX_STEPS}")
+            f"grid spacing {spacing:.4g} asks for {steps:.4g} steps over "
+            f"duration {duration:g}, above the limit of {MAX_STEPS}")
     n = max(1, int(math.floor(steps + 1e-9)))
     return n, duration / n
 
 
-def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
-           eps: float | None = None,
+def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
            want_witness: bool = True) -> VerifierResult:
     """Decide eps-capture of every speed-1 evader against the cop trajectory.
 
     Capture means: by the reported time bound, every evader trajectory of
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
-    clearance.
+    clearance.  The time step is the grid's sample spacing.
 
     The propagation keeps the score array of every `every`-th step as a
     checkpoint, starting with every step; when more than CHECKPOINTS are
@@ -332,15 +322,14 @@ def verify(cop: TimedPath, h: float | None = None, dt: float | None = None,
     holds at most CHECKPOINTS + 1 score arrays and nothing per step.  The
     witness is backtracked by replaying the steps between checkpoints.
     """
-    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
-    n_steps, tau = _step_grid(cop.duration, dt)
+    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
     table = piece_table(cop)
 
     def result(verdict, caught_at=None, witness=None, clearance=None):
         time_bound = None if caught_at is None else min(caught_at,
                                                         cop.duration)
-        return VerifierResult(verdict, time_bound, witness, clearance, h, dt,
+        return VerifierResult(verdict, time_bound, witness, clearance, h,
                               eps, grid.max_spacing, tau, n_steps, grid.n)
 
     score = grid.distances_to_point(cop.points[0])
@@ -423,9 +412,9 @@ def extract_witness(result: VerifierResult) -> TimedPath:
 
 
 def min_capture_time(cop: TimedPath, h: float | None = None,
-                     dt: float | None = None, eps: float | None = None) -> float:
+                     eps: float | None = None) -> float:
     """Earliest grid time at which no evader position survives."""
-    r = verify(cop, h, dt, eps, want_witness=False)
+    r = verify(cop, h, eps, want_witness=False)
     if not r.captured:
         raise StateError("trajectory does not capture at this resolution")
     return r.time_bound
@@ -445,7 +434,6 @@ ORACLE_MAX_STEPS = 12
 
 
 def brute_force_oracle(cop: TimedPath, h: float | None = None,
-                       dt: float | None = None,
                        eps: float | None = None) -> VerifierResult:
     """Decide the same grid game by per-state recursion over all step plans.
 
@@ -456,11 +444,10 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     time with `swept_intervals` and `distances_to_intervals`.  Refuses
     instances beyond ORACLE_MAX_SAMPLES samples or ORACLE_MAX_STEPS steps.
     """
-    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
+    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     if grid.n > ORACLE_MAX_SAMPLES:
         raise SizeLimitError(
             f"{grid.n} samples exceed the oracle limit {ORACLE_MAX_SAMPLES}")
-    n_steps, tau = _step_grid(cop.duration, dt)
     if n_steps > ORACLE_MAX_STEPS:
         raise SizeLimitError(
             f"{n_steps} steps exceed the oracle limit {ORACLE_MAX_STEPS}")
@@ -495,8 +482,7 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
             time_bound = j * tau
             break
     if time_bound is not None:
-        return VerifierResult("capture", min(time_bound, cop.duration), None,
-                              None, h, dt, eps, grid.max_spacing, tau,
-                              n_steps, grid.n)
-    return VerifierResult("survival", None, None, None, h, dt, eps,
-                          grid.max_spacing, tau, n_steps, grid.n)
+        time_bound = min(time_bound, cop.duration)
+    return VerifierResult("survival" if time_bound is None else "capture",
+                          time_bound, None, None, h, eps, grid.max_spacing,
+                          tau, n_steps, grid.n)

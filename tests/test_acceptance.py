@@ -62,7 +62,7 @@ def test_criterion_01_path_capture_at_any_speed():
     t0 = time.monotonic()
     g = unit_path()
     cop = PathBuilder(g, "a", 0.1).move_to("b", speed=0.1).build()
-    res = verify(cop, h=0.01, dt=0.005, want_witness=False)
+    res = verify(cop, h=0.01, want_witness=False)
     elapsed = time.monotonic() - t0
     ok = res.captured and elapsed < 5.0
     assert report(1, ok,
@@ -91,10 +91,10 @@ def test_criterion_02_cycle_evasion_at_unit_speed():
 
 def test_criterion_03_cycle_capture_time():
     g = unit_cycle()
-    h = dt = 1.0 / 150
+    h = 1.0 / 150
     cop = cycle_strategy(g, 2.0)
-    t = min_capture_time(cop, h=h, dt=dt, eps=1.5 / 150)
-    tol = 3 * (h + dt)
+    t = min_capture_time(cop, h=h, eps=1.5 / 150)
+    tol = 6 * h
     ok = abs(t - 1.0) <= tol
     assert report(3, ok,
                   f"unit cycle, s=2 loop captures at t={t:.4f}, "
@@ -175,13 +175,13 @@ def test_criterion_07_scaling_and_shortening_transfer():
         g, cop, h, res = winning_sweep(rng, speed=6.0, pad=False)
         c = factors[i % 3]
         scaled = transfer_scale(cop, c)
-        r_scale = verify(scaled, h=c * h, dt=c * res.dt, eps=c * res.eps,
+        r_scale = verify(scaled, h=c * h, eps=c * res.eps,
                          want_witness=False)
         leaf_edges = [e.id for e in g.edges if g.leaf_end(e.id) is not None]
         eid = rng.choice(sorted(leaf_edges))
         new_len = rng.uniform(0.3, 0.9) * g.edge(eid).length
         short = transfer_shorten(cop, eid, new_len)
-        r_short = verify(short, h=h, dt=res.dt, eps=res.eps + 3 * res.dt,
+        r_short = verify(short, h=h, eps=res.eps + 3 * res.dt,
                          want_witness=False)
         if (r_scale.captured
                 and abs(r_scale.time_bound - c * res.time_bound) < 1e-9 * c
@@ -222,9 +222,9 @@ def test_criterion_09_oracle_equivalence():
     disagreements = 0
     verdicts = {"capture": 0, "survival": 0}
     for _ in range(200):
-        cop, h, dt, eps = oracle_instance(rng)
-        fast = verify(cop, h=h, dt=dt, eps=eps, want_witness=False)
-        slow = brute_force_oracle(cop, h=h, dt=dt, eps=eps)
+        cop, h, eps = oracle_instance(rng)
+        fast = verify(cop, h=h, eps=eps, want_witness=False)
+        slow = brute_force_oracle(cop, h=h, eps=eps)
         same = (fast.verdict == slow.verdict
                 and (fast.time_bound is None) == (slow.time_bound is None)
                 and (fast.time_bound is None

@@ -89,9 +89,24 @@ def test_verify_floor_violation_exits_4(path_file, tmp_path, capsys):
     main(["generate", "--graph", path_file, "--kind", "sweep",
           "--speed", "1.0", "--out", strat])
     rc = main(["verify", "--graph", path_file, "--strategy", strat,
-               "--resolution", "0.1", "--dt", "0.1", "--eps", "0.05"])
+               "--resolution", "0.1", "--eps", "0.05"])
     assert rc == 4
     assert "floor" in capsys.readouterr().err
+
+
+def test_verify_has_no_time_step_flag(cycle_file, tmp_path, capsys):
+    # a time step below the spacing shrank every evader step to a self
+    # loop and certified a unit-speed cycle loop as a capture
+    strat = str(tmp_path / "s.json")
+    main(["generate", "--graph", cycle_file, "--kind", "cycle",
+          "--speed", "2.0", "--out", strat])
+    for command in (["verify", "--strategy", strat],
+                    ["frontier", "--family", "cycle", "--speeds", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(command + ["--graph", cycle_file, "--resolution", "0.01",
+                            "--dt", "0.006"])
+        assert e.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
 
 def test_verify_non_finite_eps_exits_4(path_file, tmp_path, capsys):
@@ -123,17 +138,18 @@ def test_verify_oversized_grid_exits_4_without_allocating(
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("graph, flags, message", [
-    (unit_path(), ["--resolution", "1e-5", "--dt", "1e-9"], "steps"),
+@pytest.mark.parametrize("graph, speed, flags, message", [
+    # a sweep lasting 10^4: 10^7 steps of the grid spacing 1e-3
+    (unit_path(), "1e-4", ["--resolution", "1e-3"], "steps"),
     # 11 vertices x 950,001 samples: under the sample limit, but an 80 MB
     # vertex-to-sample table
-    (path_graph(10), ["--resolution", repr(1 / 95000)], "table"),
-], ids=["tiny-dt", "vertex-table"])
+    (path_graph(10), "1.0", ["--resolution", repr(1 / 95000)], "table"),
+], ids=["long-path", "vertex-table"])
 def test_verify_oversized_run_exits_4_before_building_the_grid(
-        graph, flags, message, tmp_path, capsys):
+        graph, speed, flags, message, tmp_path, capsys):
     gfile, strat = str(tmp_path / "g.json"), str(tmp_path / "s.json")
     save_graph(graph, gfile)
-    main(["generate", "--graph", gfile, "--kind", "sweep", "--speed", "1.0",
+    main(["generate", "--graph", gfile, "--kind", "sweep", "--speed", speed,
           "--out", strat])
     tracemalloc.start()
     try:
@@ -243,6 +259,20 @@ def test_export_svg_deterministic(path_file, tmp_path, capsys):
     assert outs[0] == outs[1]
     assert outs[0].startswith(b"<svg")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "-0.1", "0"])
+def test_export_svg_eps_must_be_finite_and_positive(path_file, tmp_path,
+                                                    capsys, eps):
+    strat, out = str(tmp_path / "s.json"), tmp_path / "d.svg"
+    main(["generate", "--graph", path_file, "--kind", "sweep",
+          "--speed", "1.0", "--out", strat])
+    with pytest.raises(SystemExit) as e:
+        main(["export-svg", "--graph", path_file, "--strategy", strat,
+              "--eps", eps, "--out", str(out)])
+    assert e.value.code == 2
+    assert "--eps: must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_svg_with_witness(cycle_file, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Generated input documents and flags end in a result or a typed error.
 
 Graph documents go to `graph_from_dict`, strategy documents to `load_path`
-through a file, and numeric strings to `verify --resolution/--dt/--eps`
-through `cli.main`.  Every case must either succeed or raise the loader's
-typed error (CLI: exit 2 or 4); a traceback from any other exception fails.
+through a file, and numeric strings to `verify --resolution/--eps`,
+`generate --speed/--delta` and `frontier --speeds/--delta` through
+`cli.main`.  Every case must either succeed or raise the loader's typed
+error (CLI: exit 2 or 4); a traceback from any other exception fails.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from graphchase import (GraphPoint, GraphValidationError, MetricGraph,
                         save_path, sweep_strategy, truncate_path)
 from graphchase.cli import main
 
-from common import triangle
+from common import comb, star, triangle, unit_cycle
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -138,10 +139,9 @@ def test_strategy_documents_load_or_raise_typed_error(doc, tmp_path):
 # ----------------------------------------------------------- numeric flags
 
 # Positive values from 3e-6 to 0.05 are left out: they are valid requests
-# whose grid (~3/h samples on the triangle) or step count (~3/dt over the
-# sweep's duration 3) is large but allowed.  Values below 2e-6 ask for more
-# than MAX_SAMPLES samples as a resolution or more than MAX_STEPS steps as a
-# time step, and must be refused before any grid or step is built.
+# whose grid (~3/h samples on the triangle) is large but allowed.  Values
+# below 2e-6 ask for more than MAX_SAMPLES samples as a resolution, and
+# must be refused before any grid or step is built.
 FLAG_VALUES = st.sampled_from(
     ["nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "-1e400",
      "1e-400", "", " ", "abc", "0x10", "1_0", "+0.5", "-0.1", "0.1", "0.25",
@@ -155,15 +155,24 @@ def _flag(name):
     return st.tuples(st.just(name), values)
 
 
+def _run(argv):
+    """`cli.main(argv)`'s exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse rejects the string
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 @FUZZ
-@given(flags=st.lists(st.sampled_from(["--resolution", "--dt", "--eps"])
+@given(flags=st.lists(st.sampled_from(["--resolution", "--eps"])
                       .flatmap(_flag),
-                      max_size=3, unique_by=lambda kv: kv[0]))
+                      max_size=2, unique_by=lambda kv: kv[0]))
 @example(flags=[("--resolution", "1e20")])
 @example(flags=[("--resolution", "1e-9")])
 @example(flags=[("--resolution", "1.1125369292536007e-308")])
-@example(flags=[("--dt", "1e-9")])
-@example(flags=[("--dt", "5e-324"), ("--eps", "0.1")])
 def test_verify_numeric_flags_exit_cleanly(flags, tmp_path):
     graph_file = tmp_path / "graph.json"
     strategy_file = tmp_path / "strategy.json"
@@ -174,12 +183,71 @@ def test_verify_numeric_flags_exit_cleanly(flags, tmp_path):
             str(strategy_file)]
     for name, value in flags:
         argv += [name, value]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:       # argparse rejects the string
-            rc = exc.code
+    rc, err = _run(argv)
     assert rc in (0, 2, 3, 4), (argv, rc)
     if rc in (2, 4):
-        assert "error:" in err.getvalue()
+        assert "error:" in err
+
+
+# Speeds are quarters, so none lies just above a family's threshold, where
+# a cascade takes millions of excursions and seconds to build.
+STRATEGY_GRAPHS = {"star": star(3), "comb": comb(3), "cycle": unit_cycle(),
+                   "finiteness": star(3), "sweep": star(3)}
+ODD_FLAGS = ["nan", "inf", "-inf", "0", "-0", "-1", "1e400", "1e-400",
+             "5e-324", "1e-300", "", "abc", "1e300"]
+SPEEDS = st.sampled_from(ODD_FLAGS + ["1e6"]) \
+    | st.integers(1, 240).map(lambda i: repr(i / 4))
+DELTAS = st.none() | st.sampled_from(ODD_FLAGS + ["1e-9", "0.01", "1"])
+
+
+def _rejected_delta(delta):
+    """Whether --delta must be refused: it takes a finite positive float."""
+    try:
+        return delta is not None and not 0 < float(delta) < math.inf
+    except ValueError:
+        return True
+
+
+def _strategy_argv(command, family, tmp_path, delta):
+    graph_file = tmp_path / f"{family}.json"
+    if not graph_file.exists():
+        save_graph(STRATEGY_GRAPHS[family], graph_file)
+    kind = "--kind" if command == "generate" else "--family"
+    argv = [command, "--graph", str(graph_file), kind, family]
+    return argv + ([] if delta is None else ["--delta", delta])
+
+
+@FUZZ
+@given(family=st.sampled_from(sorted(STRATEGY_GRAPHS)), speed=SPEEDS,
+       delta=DELTAS)
+@example(family="star", speed="4", delta="nan")
+@example(family="star", speed="4", delta="inf")
+@example(family="star", speed="inf", delta=None)
+@example(family="finiteness", speed="100", delta="nan")
+@example(family="star", speed="1e300", delta=None)
+@example(family="comb", speed="3.5", delta="5e-324")
+def test_generate_strategy_flags_exit_cleanly(family, speed, delta,
+                                              tmp_path):
+    argv = _strategy_argv("generate", family, tmp_path, delta)
+    rc, err = _run(argv + ["--speed", speed,
+                           "--out", str(tmp_path / "out.json")])
+    assert rc in (0, 2), (argv, speed, rc)
+    assert rc == 2 or not _rejected_delta(delta)
+    if rc == 2:
+        assert "error:" in err
+
+
+@settings(FUZZ, max_examples=40)
+@given(family=st.sampled_from(sorted(STRATEGY_GRAPHS)),
+       speeds=st.lists(SPEEDS, min_size=1, max_size=3).map(",".join),
+       delta=DELTAS)
+@example(family="star", speeds="inf", delta=None)
+@example(family="star", speeds="4", delta="-1")
+def test_frontier_strategy_flags_exit_cleanly(family, speeds, delta,
+                                              tmp_path):
+    argv = _strategy_argv("frontier", family, tmp_path, delta)
+    rc, err = _run(argv + ["--speeds", speeds, "--resolution", "0.1"])
+    assert rc in (0, 2, 4), (argv, speeds, rc)
+    assert rc == 2 or not _rejected_delta(delta)
+    if rc in (2, 4):
+        assert "error:" in err

@@ -11,6 +11,7 @@ from graphchase import (GraphPoint, GraphValidationError, build_graph,
                         discretize, double_tree_walk, graph_from_dict,
                         graph_to_dict, load_graph, save_graph, walk_covers,
                         walk_length)
+from graphchase.graph import max_spacing
 from graphchase.randgen import random_graph
 
 from common import path_graph, star, triangle, unit_cycle, unit_path
@@ -181,9 +182,12 @@ def test_discretize_geometry(seed, h, tiny):
                     [(u, v, h / 10 * tiny)])
     grid = discretize(g, h)
     assert grid.max_spacing <= h + 1e-12
+    assert max_spacing(g, h) == grid.max_spacing
     # vertex samples first, sorted; then each edge's interior samples in
     # (edge id, offset) order
     vertex_ids = sorted(g.vertices)
+    assert list(g.vertex_rows) == vertex_ids
+    eu, ev, length = g.edge_table
     nv = len(vertex_ids)
     assert grid.points[:nv] == tuple(map(g.vertex_point, vertex_ids))
     assert len(grid.edges) == len(g.edges)
@@ -195,6 +199,10 @@ def test_discretize_geometry(seed, h, tiny):
         idx, offs = rec.index.tolist(), rec.offsets
         assert idx[0] == vertex_ids.index(e.u)
         assert idx[-1] == vertex_ids.index(e.v)
+        k = g.edge_index(e.id)
+        assert (eu[k], ev[k], length[k]) == (idx[0], idx[-1], e.length)
+        assert g.vertex_distance_matrix[idx[0], idx[-1]] == \
+            g.vertex_distance(e.u, e.v)
         assert offs[0] == 0.0 and offs[-1] == e.length
         assert idx[1:-1] == list(range(grid.n))[rec.inner]
         for q, x in zip(idx[1:-1], offs[1:-1]):

@@ -44,6 +44,23 @@ def test_lambda_root_rejections():
         lambda_root(3, 3.0)
     with pytest.raises(StrategyError, match="above 5"):
         lambda_root(4, 4.5)
+    for k in (3, 4):
+        for s in (math.inf, math.nan):
+            with pytest.raises(StrategyError, match="finite"):
+                lambda_root(k, s)
+
+
+@pytest.mark.parametrize("truncation", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("build", [
+    lambda t: star_strategy(star(3), 4.0, t),
+    lambda t: comb_strategy(comb(3), 4.0, t),
+    lambda t: secure_vertex(triangle(), "a", 8.0, t),
+    lambda t: sufficient_speed(triangle(), t),
+    lambda t: finiteness_strategy(triangle(), 48.0, t),
+], ids=["star", "comb", "secure", "sufficient", "finiteness"])
+def test_truncation_must_be_finite_and_positive(build, truncation):
+    with pytest.raises(StrategyError, match="finite and positive"):
+        build(truncation)
 
 
 # ------------------------------------------------------------ cascade update

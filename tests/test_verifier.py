@@ -32,27 +32,20 @@ def stand(g, v, duration, speed=1.0):
 
 # ----------------------------------------------------------- parameter floor
 
-def test_time_step_must_fit_spatial_resolution():
-    p = stand(unit_path(), "a", 1.0)
-    with pytest.raises(ParameterError, match="exceeds spatial resolution"):
-        verify(p, h=0.1, dt=0.2)
-    with pytest.raises(ParameterError, match="positive"):
-        verify(p, h=0.1, dt=-0.1)
-
-
 def test_capture_radius_floor():
     p = stand(unit_path(), "a", 1.0)
     with pytest.raises(ParameterError, match="soundness floor"):
-        verify(p, h=0.1, dt=0.1, eps=0.1)
+        verify(p, h=0.1, eps=0.1)
     with pytest.raises(ParameterError, match="soundness floor"):
-        verify(p, h=0.1, dt=0.05, eps=0.09)
+        verify(p, h=0.1, eps=0.09)
     # just above the floor is accepted
-    res = verify(p, h=0.1, dt=0.1, eps=0.11)
+    res = verify(p, h=0.1, eps=0.11)
     assert res.verdict in ("capture", "survival")
+    assert res.dt == res.spacing == 0.1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["h", "dt", "eps"])
+@pytest.mark.parametrize("name", ["h", "eps"])
 def test_non_finite_parameters_rejected(name, value):
     p = stand(unit_path(), "a", 1.0)
     with pytest.raises(ParameterError, match="finite"):
@@ -61,25 +54,26 @@ def test_non_finite_parameters_rejected(name, value):
 
 @pytest.mark.parametrize("decide", [verify, brute_force_oracle])
 def test_step_count_limit(decide):
-    p = stand(unit_path(), "a", 1.0)
-    # an infinite duration / dt is refused before any reach pair is built
+    # a sweep at speed 1e-4 lasts 10^4; at h=1e-3 that is 10^7 steps
+    slow = sweep_strategy(unit_path(), 1e-4)
     with mock.patch.object(verifier, "build_reach",
                            side_effect=AssertionError("built")), \
             pytest.raises(ParameterError, match="steps"):
-        decide(p, h=0.5, dt=5e-324, eps=1.0)
+        decide(slow, h=1e-3)
+    p = stand(unit_path(), "a", 1.0)
     with mock.patch.object(verifier, "MAX_STEPS", 10):
-        assert decide(p, h=0.5, dt=0.1, eps=1.0).n_steps == 10
+        assert decide(p, h=0.1, eps=1.0).n_steps == 10
         with pytest.raises(ParameterError, match="steps"):
-            decide(p, h=0.5, dt=0.099, eps=1.0)
+            decide(p, h=0.099, eps=1.0)     # spacing 1/11: 11 steps
 
 
 @pytest.mark.parametrize("decide", [verify, brute_force_oracle])
 def test_size_limits_refuse_before_the_grid_is_built(decide):
-    # an explicit dt's step count needs only the duration
+    # the step count needs only the duration and the edge lengths
     with mock.patch.object(verifier, "discretize",
                            side_effect=AssertionError("built")):
         with pytest.raises(ParameterError, match="steps"):
-            decide(stand(unit_path(), "a", 1.0), h=1e-5, dt=1e-9)
+            decide(sweep_strategy(unit_path(), 1e-4), h=1e-3)
         # 401 vertices x 800,001 samples: under MAX_SAMPLES, but the
         # vertex-to-sample table would take 2.6 GB
         with pytest.raises(ParameterError, match="vertex-to-sample table"):
@@ -90,6 +84,19 @@ def test_size_limits_refuse_before_the_grid_is_built(decide):
         assert verify(stand(g, "v0", 1.0), h=0.5).n_samples == 7
         with pytest.raises(ParameterError, match="table"):
             verify(stand(g, "v0", 1.0), h=0.49)
+
+
+def test_unit_speed_cycle_loop_survives_at_every_resolution():
+    # a time step below the spacing once shrank every evader step to a
+    # self loop, and this loop "captured" at t=0.972 with h=0.01, dt=0.006
+    cop = cycle_loop(unit_cycle(), 1.0, 10.0)
+    for h in (0.02, 0.01, 0.006, 0.004):
+        r = verify(cop, h=h)
+        assert r.verdict == "survival", h
+        assert r.min_clearance >= 0.4, h
+        assert r.dt == r.spacing
+    with pytest.raises(TypeError):
+        verify(cop, h=0.01, dt=0.006, eps=0.0105)
 
 
 # ----------------------------------------------------------- trivial cases
@@ -361,14 +368,13 @@ def _reference_step(score, clearance, reach):
     return np.minimum(best, clearance), bp, np.add.reduceat(hit, heads)
 
 
-def _per_step_verify(cop, h, dt=None, eps=None):
+def _per_step_verify(cop, h, eps=None):
     """`verify` as a plain loop: per-step swept_intervals and
     distances_to_intervals, a backpointer array per step of the witness
     pass, and `route` for every witness step.  Returns (verdict, time
     bound, witness, clearance, ties), where ties counts the witness steps
     whose predecessor was one of several attaining the maximin."""
-    grid, h, dt, eps = _resolve_params(cop, h, dt, eps)
-    n_steps, tau = _step_grid(cop.duration, dt)
+    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     reach = build_reach(grid, tau + REACH_SLACK)
     clearances = [grid.distances_to_intervals(
         swept_intervals(cop, j * tau, (j + 1) * tau)) for j in range(n_steps)]
@@ -427,22 +433,21 @@ def witness_cases(draw):
     """A random graph with loops, parallel edges and one edge shorter than
     h/10, and a cop that waits, goes out to the sample farthest from its
     start or to a random point, comes back and waits again: the evaders
-    it pushes back share their score, so maximin ties are common.  dt is
-    near the spacing, so that evaders move on every edge."""
+    it pushes back share their score, so maximin ties are common."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
-    dt = grid.max_spacing * rng.choice([1.0, rng.uniform(0.5, 1.0)])
+    sp = grid.max_spacing       # also the time step
     e = rng.choice(g.edges)
     home = GraphPoint(e.id, rng.choice([0.0, e.length,
                                         rng.uniform(0, e.length)]))
     far = grid.points[int(np.argmax(grid.distances_to_point(home)))]
     away = rng.choice([far, rng.choice(grid.points)])
     speed = rng.uniform(0.3, 3.0)
-    cop = (PathBuilder(g, home, 3.0).wait(dt * rng.uniform(0.5, 5.0))
+    cop = (PathBuilder(g, home, 3.0).wait(sp * rng.uniform(0.5, 5.0))
            .move_to(away, speed=speed).move_to(home, speed=speed)
-           .wait(dt * rng.uniform(1.0, 40.0)).build())
-    eps = max(grid.max_spacing, dt) * rng.uniform(1.01, 1.5)
-    return cop, grid.h, dt, eps
+           .wait(sp * rng.uniform(1.0, 40.0)).build())
+    eps = sp * rng.uniform(1.01, 1.5)
+    return cop, grid.h, eps
 
 
 def test_witness_matches_full_backpointer_reference():
@@ -453,11 +458,11 @@ def test_witness_matches_full_backpointer_reference():
     @settings(max_examples=60, deadline=None)
     @given(witness_cases(), st.sampled_from([1, 2, 3, 16]))
     def check(case, cap):
-        cop, h, dt, eps = case
+        cop, h, eps = case
         with mock.patch.object(verifier, "CHECKPOINTS", cap):
-            r = verify(cop, h=h, dt=dt, eps=eps)
+            r = verify(cop, h=h, eps=eps)
         verdict, time_bound, witness, clearance, ties = \
-            _per_step_verify(cop, h, dt, eps)
+            _per_step_verify(cop, h, eps)
         assert (r.verdict, r.time_bound) == (verdict, time_bound)
         assert repr(r.min_clearance) == repr(clearance)
         if witness is not None:
@@ -512,9 +517,9 @@ def test_capture_monotone_in_radius():
     rng = random.Random(21)
     grown = 0
     for _ in range(25):
-        cop, h, dt, eps = oracle_instance(rng)
-        r1 = verify(cop, h=h, dt=dt, eps=eps, want_witness=False)
-        r2 = verify(cop, h=h, dt=dt, eps=eps * 1.5, want_witness=False)
+        cop, h, eps = oracle_instance(rng)
+        r1 = verify(cop, h=h, eps=eps, want_witness=False)
+        r2 = verify(cop, h=h, eps=eps * 1.5, want_witness=False)
         if r1.captured:
             assert r2.captured
             assert r2.time_bound <= r1.time_bound + 1e-9
@@ -524,15 +529,15 @@ def test_capture_monotone_in_radius():
 
 def test_capture_stable_under_extension():
     g = path_graph(2)
-    cop = sweep_strategy(g, 1.0, rounds=2)      # duration 8, multiple of dt
-    full = verify(cop, h=0.1, dt=0.1, eps=0.25, want_witness=False)
+    cop = sweep_strategy(g, 1.0, rounds=2)      # duration 8: 80 steps
+    full = verify(cop, h=0.1, eps=0.25, want_witness=False)
     assert full.captured
     late = truncate_path(cop, 4.0)
-    part = verify(late, h=0.1, dt=0.1, eps=0.25, want_witness=False)
+    part = verify(late, h=0.1, eps=0.25, want_witness=False)
     assert part.captured
     assert part.time_bound == pytest.approx(full.time_bound, abs=1e-9)
     early = truncate_path(cop, 1.0)
-    r = verify(early, h=0.1, dt=0.1, eps=0.25, want_witness=False)
+    r = verify(early, h=0.1, eps=0.25, want_witness=False)
     assert r.verdict == "survival"
 
 
@@ -542,9 +547,9 @@ def test_verify_agrees_with_oracle():
     rng = random.Random(5)
     verdicts = set()
     for _ in range(40):
-        cop, h, dt, eps = oracle_instance(rng)
-        fast = verify(cop, h=h, dt=dt, eps=eps, want_witness=False)
-        slow = brute_force_oracle(cop, h=h, dt=dt, eps=eps)
+        cop, h, eps = oracle_instance(rng)
+        fast = verify(cop, h=h, eps=eps, want_witness=False)
+        slow = brute_force_oracle(cop, h=h, eps=eps)
         assert fast.verdict == slow.verdict
         if fast.captured:
             assert fast.time_bound == pytest.approx(slow.time_bound,
@@ -560,7 +565,7 @@ def test_oracle_refuses_large_instances():
         brute_force_oracle(cop, h=0.01)
     long_cop = stand(g, "a", 10.0)
     with pytest.raises(SizeLimitError, match="steps"):
-        brute_force_oracle(long_cop, h=0.25, dt=0.25)
+        brute_force_oracle(long_cop, h=0.25)
 
 
 # ------------------------------------------------------------------ reports
