@@ -3,9 +3,10 @@
 Subcommands: generate, verify, frontier, export-svg, selftest.  The time
 step is the grid spacing.  Exit codes: 0 success (verify: capture), 1
 selftest failure, 2 usage, input or evidence errors, 3 verified survival, 4
-invalid resolution parameters (non-finite, a capture radius below the
-soundness floor, a grid above 10^6 samples, a vertex-to-sample table above
-10^7 cells, or a step count, duration / spacing, above 10^6).
+invalid resolution parameters (non-finite, a resolution at or below zero, a
+capture radius below the soundness floor, a grid above 10^6 samples, a
+vertex-to-sample table above 10^7 cells, or a step count, duration /
+spacing, above 10^6).
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ class SpeedBracket:
     lower: float
     upper: float
     family: str
-    params: dict
     tol: float
     upper_evidence: VerifierResult
     lower_evidence: VerifierResult | str
@@ -120,9 +119,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
         else:
             lower, low_ev = mid, ev
             probes.append((mid, "non-capture"))
-    params = {"h": high_ev.h, "dt": high_ev.dt, "eps": high_ev.eps,
-              "truncation": truncation}
-    return SpeedBracket(lower, upper, family, params, tol, high_ev, low_ev,
+    return SpeedBracket(lower, upper, family, tol, high_ev, low_ev,
                         tuple(probes))
 
 

@@ -277,6 +277,10 @@ def star_strategy(g: MetricGraph, s: float,
     _out_and_back(pb, sched.center, sched.final_arm,
                   g.edge(sched.final_arm).length, s)
     for target, start, duration in sched.excursions:
+        if start < pb.now - 1e-9:   # near the threshold starts lag the clock
+            raise StrategyError(f"speed {s} is too close to the threshold "
+                                f"{2 * sched.k - 3}: excursion start {start} "
+                                f"is behind the path's clock {pb.now}")
         pb.wait_until(start)
         _out_and_back(pb, sched.center, target,
                       min(s * duration / 2, g.edge(target).length), s)
@@ -499,7 +503,7 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     lam = lambda_root(k + 1, s) if k >= 2 else 2.0
     d0 = min(truncation, d_cap)
     extents = {a: cap for a in arms}
-    radii = _ladder_init(arms, lam, d0) if k >= 2 else {arms[0]: 0.0}
+    radii = _ladder_init(arms, lam, d0)
     for a in radii:
         radii[a] = min(radii[a], cap)
     plan = []

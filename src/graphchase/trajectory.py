@@ -369,58 +369,16 @@ def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
 # piecewise-linear motion pieces (shared by verification and rendering)
 # ----------------------------------------------------------------------
 
-def path_pieces(p: TimedPath, t0: float, t1: float):
-    """Decompose motion over [t0, t1] into single-edge linear pieces.
-
-    Yields (ta, tb, edge id, xa, xb): from time ta to tb the position moves
-    linearly from offset xa to xb on that edge.  Waits yield stationary
-    pieces.  Consecutive pieces abut in time.
-    """
-    t0 = max(t0, 0.0)
-    t1 = min(t1, p.duration)
-    pieces = []
-    if t1 <= t0 or len(p.times) == 1:
-        q = p.evaluate(t0) if len(p.times) > 1 else p.points[0]
-        return [(t0, t1, q.edge, q.offset, q.offset)]
-    i0 = p.segment_index(t0)
-    i1 = p.segment_index(t1)
-    for i in range(i0, i1 + 1):
-        a, b = p.times[i], p.times[i + 1]
-        lo, hi = max(a, t0), min(b, t1)
-        if hi <= lo:
-            continue
-        runs = p.routes[i]
-        seg_len = _runs_length(runs)
-        if seg_len == 0:
-            q = p.points[i]
-            pieces.append((lo, hi, q.edge, q.offset, q.offset))
-            continue
-        v = seg_len / (b - a)
-        acc = 0.0
-        for eid, x0, x1 in runs:
-            ln = abs(x1 - x0)
-            ra = a + acc / v
-            rb = a + (acc + ln) / v
-            acc += ln
-            ca, cb = max(ra, lo), min(rb, hi)
-            if cb <= ca:
-                continue
-            xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
-            xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
-            pieces.append((ca, cb, eid, xa, xb))
-    return pieces
-
-
 @dataclass(frozen=True)
 class PieceTable:
     """Every constant-speed run of a path as arrays, in time order.
 
     Run k moves from offset x0[k] to x1[k] on edge `graph.edges[edge[k]]`
-    over [run_start[k], run_end[k]], and `path_pieces` clips it to
-    [start[k], stop[k]], its part of the breakpoint segment.  A wait is one
-    run with x0 == x1 spanning its segment.  The times are computed with
-    `path_pieces`' own arithmetic, and runs whose window is empty are left
-    out, so both `start` and `stop` increase with k.
+    over [run_start[k], run_end[k]]; its part of the breakpoint segment is
+    [start[k], stop[k]].  A wait is one run with x0 == x1 spanning its
+    segment.  Runs whose part is empty are left out, so both `start` and
+    `stop` increase with k.  The layout is private to this module: other
+    modules clip a table with `clip_pieces`.
     """
 
     start: np.ndarray
@@ -434,7 +392,8 @@ class PieceTable:
 
 
 def piece_table(p: TimedPath) -> PieceTable:
-    """The runs `path_pieces` walks, once for the whole path."""
+    """The runs of p, timed once for the whole path: the only walk over its
+    routes that `path_pieces`, `clip_pieces` and `min_clearance` use."""
     rows, edges = [], []
     for i, runs in enumerate(p.routes):
         a, b = p.times[i], p.times[i + 1]
@@ -459,20 +418,69 @@ def piece_table(p: TimedPath) -> PieceTable:
                       p.duration)
 
 
-def _piece_arrays(g: MetricGraph, pieces):
-    """`path_pieces` output as arrays: (start, end, edge index, start
-    offset, end offset)."""
-    ta, tb, xa, xb = np.array([(pc[0], pc[1], pc[3], pc[4])
-                               for pc in pieces]).T
-    edge = np.array([g.edge_index(pc[2]) for pc in pieces])
-    return ta, tb, edge, xa, xb
+def path_pieces(p: TimedPath, t0: float, t1: float):
+    """Decompose motion over [t0, t1] into single-edge linear pieces.
+
+    Yields (ta, tb, edge id, xa, xb): from time ta to tb the position moves
+    linearly from offset xa to xb on that edge.  Waits yield stationary
+    pieces.  Consecutive pieces abut in time.  The rows of `piece_table(p)`
+    are clipped one at a time with scalar arithmetic, so this is a
+    reference for `clip_pieces` that shares none of its indexing.
+    """
+    t0 = max(t0, 0.0)
+    t1 = min(t1, p.duration)
+    if t1 <= t0 or len(p.times) == 1:
+        q = p.evaluate(t0) if len(p.times) > 1 else p.points[0]
+        return [(t0, t1, q.edge, q.offset, q.offset)]
+    tab = piece_table(p)
+    pieces = []
+    for start, stop, ra, rb, k, x0, x1 in zip(
+            tab.start.tolist(), tab.stop.tolist(), tab.run_start.tolist(),
+            tab.run_end.tolist(), tab.edge.tolist(), tab.x0.tolist(),
+            tab.x1.tolist()):
+        ca, cb = max(start, t0), min(stop, t1)
+        if cb <= ca:
+            continue
+        xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
+        xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
+        pieces.append((ca, cb, p.graph.edges[k].id, xa, xb))
+    return pieces
 
 
-def _offsets_at(arrays, i, t):
-    """The offset of piece i[k] of `_piece_arrays` output at time t[k]:
-    interpolated and clamped to the piece, never extrapolated.  Every piece
-    of `path_pieces(p, t0, t1)` with t1 > t0 has a positive time span."""
-    ta, tb, _, xa, xb = (col[i] for col in arrays)
+def clip_pieces(table: PieceTable, bounds: np.ndarray):
+    """The pieces `path_pieces` gives for each window [bounds[w],
+    min(bounds[w + 1], duration)], all at once.
+
+    The windows abut, and each must start before the path ends.  Returns
+    flat arrays (window w, start, end, edge index, start offset, end
+    offset), one entry per piece, ordered by run of the table and so by
+    window.  A run covers a range of consecutive windows, found by
+    `searchsorted`, so the cost is linear in the pieces.  The clipping and
+    interpolation are `path_pieces`' own floating-point operations.
+    """
+    t0, t1 = bounds[:-1], np.minimum(bounds[1:], table.duration)
+    k0 = np.searchsorted(table.stop, t0[0], side="right")
+    k1 = np.searchsorted(table.start, t1[-1], side="left")
+    start, stop = table.start[k0:k1], table.stop[k0:k1]
+    first = np.searchsorted(t1, start, side="right")
+    count = np.searchsorted(t0, stop, side="left") - first
+    # piece i: run k[i] in window w[i], counting up from the run's first
+    k = np.repeat(np.arange(k0, k1), count)
+    w = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
+    ca = np.maximum(table.start[k], t0[w])
+    cb = np.minimum(table.stop[k], t1[w])
+    ra, rb = table.run_start[k], table.run_end[k]
+    x0, x1 = table.x0[k], table.x1[k]
+    xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
+    xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
+    return w, ca, cb, table.edge[k], xa, xb
+
+
+def _offsets_at(pieces, i, t):
+    """The offset of piece i[k] of `clip_pieces` output (without the
+    window column) at time t[k]: interpolated and clamped to the piece,
+    never extrapolated.  Every clipped piece has a positive time span."""
+    ta, tb, _, xa, xb = (col[i] for col in pieces)
     u = (t - ta) / (tb - ta)
     return xa + (xb - xa) * np.minimum(np.maximum(u, 0.0), 1.0)
 
@@ -492,8 +500,8 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     t1 = min(p.duration, q.duration)
     if t1 <= 0:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))
-    pp = _piece_arrays(g, path_pieces(p, 0.0, t1))
-    qq = _piece_arrays(g, path_pieces(q, 0.0, t1))
+    pp = clip_pieces(piece_table(p), np.array([0.0, t1]))[1:]
+    qq = clip_pieces(piece_table(q), np.array([0.0, t1]))[1:]
     cuts = np.unique(np.concatenate([pp[0], pp[1], qq[0], qq[1]]))
     a, b = cuts[:-1], cuts[1:]
     mid = 0.5 * (a + b)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
                     discretize, max_spacing, sample_count)
-from .trajectory import (PieceTable, TimedPath, min_clearance, path_pieces,
-                         path_to_dict, piece_table)
+from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
+                         path_pieces, path_to_dict, piece_table)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -34,8 +34,9 @@ CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
-    """Raised when resolution parameters violate the soundness floor or ask
-    for a grid above MAX_SAMPLES samples, a vertex-to-sample table above
+    """Raised when resolution parameters are not finite, the resolution is
+    not positive, the capture radius violates the soundness floor, or they
+    ask for a grid above MAX_SAMPLES samples, a vertex-to-sample table above
     MAX_TABLE_CELLS cells or more than MAX_STEPS steps."""
 
 
@@ -167,28 +168,13 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
 
     Step j spans [j * tau, min((j + 1) * tau, duration)] and must start
     before the path ends, as every step of `verify` does.  Returns flat
-    arrays (step, edge index, lo, hi), one entry per piece, ordered by run
-    of the piece table and so by step.  A run covers a range of consecutive
-    steps, found by `searchsorted`, so the cost is linear in the pieces.
-    The clipping and interpolation are `path_pieces`' own operations.
+    arrays (step, edge index, lo, hi), one entry per piece of
+    `clip_pieces` over the step bounds, ordered by run of the piece table
+    and so by step.
     """
-    t = np.arange(j0, j1 + 1, dtype=float) * tau
-    t0, t1 = t[:-1], np.minimum(t[1:], table.duration)
-    k0 = np.searchsorted(table.stop, t0[0], side="right")
-    k1 = np.searchsorted(table.start, t1[-1], side="left")
-    start, stop = table.start[k0:k1], table.stop[k0:k1]
-    first = np.searchsorted(t1, start, side="right")
-    count = np.searchsorted(t0, stop, side="left") - first
-    # piece i: run k[i] at block step s[i], counting up from the run's first
-    k = np.repeat(np.arange(k0, k1), count)
-    s = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
-    ca = np.maximum(table.start[k], t0[s])
-    cb = np.minimum(table.stop[k], t1[s])
-    ra, rb = table.run_start[k], table.run_end[k]
-    x0, x1 = table.x0[k], table.x1[k]
-    xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
-    xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
-    return s + j0, table.edge[k], np.minimum(xa, xb), np.maximum(xa, xb)
+    bounds = np.arange(j0, j1 + 1, dtype=float) * tau
+    step, _, _, edge, xa, xb = clip_pieces(table, bounds)
+    return step + j0, edge, np.minimum(xa, xb), np.maximum(xa, xb)
 
 
 def _clearance_rows(grid: DiscretizedGraph, table: PieceTable, tau: float,
@@ -264,26 +250,28 @@ def save_report(r: VerifierResult, path: str) -> None:
 
 def _resolve_params(cop: TimedPath, h, eps):
     """The grid, h, eps, step count and step length of a verification of
-    cop, whose time step is the grid's `max_spacing`.  The sizes are checked
-    from the edge lengths before the grid is built; discretize rejects h <= 0.
+    cop, whose time step is the grid's `max_spacing`.  The resolution must
+    be positive, and the sizes are checked from the edge lengths before the
+    grid is built.
     """
     g = cop.graph
     for name, x in (("resolution", h), ("capture radius", eps)):
         if x is not None and not math.isfinite(float(x)):
             raise ParameterError(f"{name} must be finite, got {x}")
     h = g.min_edge_length / 50 if h is None else float(h)
-    if h > 0:
-        samples = sample_count(g, h)
-        if samples > MAX_SAMPLES:
-            raise ParameterError(
-                f"resolution {h} asks for {samples:.4g} grid samples, above "
-                f"the limit of {MAX_SAMPLES}")
-        if len(g.vertices) * samples > MAX_TABLE_CELLS:
-            raise ParameterError(
-                f"resolution {h} asks for a vertex-to-sample table of "
-                f"{len(g.vertices)} x {samples:.4g} cells, above the limit "
-                f"of {MAX_TABLE_CELLS}")
-        n_steps, tau = _step_grid(cop.duration, max_spacing(g, h))
+    if h <= 0:
+        raise ParameterError(f"resolution must be positive, got {h}")
+    samples = sample_count(g, h)
+    if samples > MAX_SAMPLES:
+        raise ParameterError(
+            f"resolution {h} asks for {samples:.4g} grid samples, above "
+            f"the limit of {MAX_SAMPLES}")
+    if len(g.vertices) * samples > MAX_TABLE_CELLS:
+        raise ParameterError(
+            f"resolution {h} asks for a vertex-to-sample table of "
+            f"{len(g.vertices)} x {samples:.4g} cells, above the limit "
+            f"of {MAX_TABLE_CELLS}")
+    n_steps, tau = _step_grid(cop.duration, max_spacing(g, h))
     grid = discretize(g, h)
     sp = grid.max_spacing
     eps = 2 * sp if eps is None else float(eps)
@@ -346,14 +334,15 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
             return result("capture", (j + 1) * tau)
     if not want_witness:
         return result("survival")
-    witness = _backtrack_witness(grid, reach, table, tau, n_steps,
+    witness = _backtrack_witness(cop, grid, reach, table, tau, n_steps,
                                  checkpoints, score)
     return result("survival", None, witness, min_clearance(cop, witness))
 
 
-def _backtrack_witness(grid: DiscretizedGraph, reach: ReachStructure,
-                       table: PieceTable, tau: float, n_steps: int,
-                       checkpoints, score: np.ndarray) -> TimedPath:
+def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
+                       reach: ReachStructure, table: PieceTable, tau: float,
+                       n_steps: int, checkpoints,
+                       score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
     `checkpoints` holds (step j, score before step j) in step order, the
@@ -378,7 +367,7 @@ def _backtrack_witness(grid: DiscretizedGraph, reach: ReachStructure,
     idx.reverse()
     g = grid.graph
     points = [grid.points[i] for i in idx]
-    times = ([j * tau for j in range(n_steps)] + [table.duration]
+    times = ([j * tau for j in range(n_steps)] + [cop.duration]
              if n_steps else [0.0])
     routes = [_step_runs(g, a, b) for a, b in zip(points[:-1], points[1:])]
     return TimedPath(g, tuple(times), tuple(points), tuple(routes), 1.0,

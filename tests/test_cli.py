@@ -119,6 +119,18 @@ def test_verify_non_finite_eps_exits_4(path_file, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", ["0", "-0.01"])
+def test_verify_nonpositive_resolution_exits_4(path_file, tmp_path, capsys,
+                                               resolution):
+    strat = str(tmp_path / "s.json")
+    main(["generate", "--graph", path_file, "--kind", "sweep",
+          "--speed", "1.0", "--out", strat])
+    rc = main(["verify", "--graph", path_file, "--strategy", strat,
+               "--resolution", resolution])
+    assert rc == 4
+    assert "resolution must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("resolution", ["1e-9", "1e-320"])
 def test_verify_oversized_grid_exits_4_without_allocating(
         path_file, tmp_path, capsys, resolution):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from graphchase import critical, strategies
 from graphchase import (StrategyError, build_graph, build_star_schedule,
                         check_lipschitz, comb_strategy, cycle_loop,
                         cycle_strategy, finiteness_strategy, lambda_root,
@@ -161,6 +163,32 @@ def test_star_rejections():
         star_strategy(triangle(), 10.0)
     with pytest.raises(StrategyError, match="positive"):
         star_strategy(star(3), 4.0, truncation=0.0)
+
+
+@pytest.mark.parametrize("lag, rejected",
+                         [(1e-6, True), (2e-9, True), (5e-10, False)])
+def test_star_excursion_behind_the_clock(monkeypatch, lag, rejected):
+    # Just above the threshold the closed-form excursion starts fall behind
+    # the builder's clock (star(3) at s = 3.00001, after 8 s of building).
+    # A schedule whose second excursion starts `lag` before the first ends
+    # stands in for that: beyond the builder's 1e-9 tolerance a bracket
+    # must see a rejection, not a crash.
+    real = strategies.build_star_schedule
+
+    def early(g, s, truncation):
+        sched = real(g, s, truncation)
+        (_, s0, d0), (arm, _, d1), *rest = sched.excursions
+        return dataclasses.replace(sched, excursions=(
+            sched.excursions[0], (arm, s0 + d0 - lag, d1), *rest))
+
+    monkeypatch.setattr(strategies, "build_star_schedule", early)
+    if not rejected:
+        assert check_lipschitz(star_strategy(star(3), 4.0), 4.0)
+        return
+    with pytest.raises(StrategyError, match="behind the path's clock"):
+        star_strategy(star(3), 4.0)
+    assert critical._probe(star(3), "star", 4.0, None, None, None)[0] == \
+        "rejected"
 
 
 def test_star_unequal_arms():

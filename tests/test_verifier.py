@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import verifier
-from graphchase import (GraphPoint, ParameterError, PathBuilder,
-                        SizeLimitError, StateError, TimedPath,
+from graphchase import (GraphPoint, GraphValidationError, ParameterError,
+                        PathBuilder, SizeLimitError, StateError, TimedPath,
                         brute_force_oracle, build_graph, check_lipschitz,
                         continuous_clearance, cycle_loop, discretize,
                         extract_witness, min_capture_time, min_clearance,
-                        result_to_dict, star_strategy, sweep_strategy,
-                        truncate_path, verify)
+                        path_pieces, result_to_dict, star_strategy,
+                        sweep_strategy, truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
-from graphchase.trajectory import piece_table
+from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _clearance_rows,
                                  _resolve_params, _step_runs,
                                  _step_grid, build_reach, propagate_step,
@@ -50,6 +50,16 @@ def test_non_finite_parameters_rejected(name, value):
     p = stand(unit_path(), "a", 1.0)
     with pytest.raises(ParameterError, match="finite"):
         verify(p, **{name: value})
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, -0.01])
+@pytest.mark.parametrize("decide", [verify, brute_force_oracle])
+def test_nonpositive_resolution_rejected(decide, h):
+    p = stand(unit_path(), "a", 1.0)
+    with pytest.raises(ParameterError, match="resolution must be positive"):
+        decide(p, h=h)
+    with pytest.raises(GraphValidationError):
+        discretize(unit_path(), h)
 
 
 @pytest.mark.parametrize("decide", [verify, brute_force_oracle])
@@ -353,6 +363,50 @@ def test_step_left_without_pieces_stays_infinite():
         assert np.array_equal(row, grid.distances_to_intervals(intervals))
     assert swept_intervals(cop, (j0 + 3) * tau, 1.0) == []
     assert np.isinf(rows[3]).all() and np.isfinite(rows[:3]).all()
+
+
+def _assert_tiles(pieces, t0, t1):
+    """The pieces cover [t0, t1] in time order without overlap, leaving
+    gaps of at most 1e-9 where rounded run ends fall short."""
+    end = t0
+    for ta, tb, *_ in pieces:
+        assert end <= ta <= end + 1e-9 and ta < tb
+        end = tb
+    assert t1 - 1e-9 <= end <= t1
+
+
+def _assert_follows_evaluate(cop, pieces, rnd):
+    """Each piece is where `evaluate` puts the cop, within 1e-9, at both
+    ends and at two random times in between."""
+    g = cop.graph
+    for ta, tb, eid, xa, xb in pieces:
+        for u in (0.0, 1.0, rnd.random(), rnd.random()):
+            t, x = ta + (tb - ta) * u, xa + (xb - xa) * u
+            assert g.distance(GraphPoint(eid, x), cop.evaluate(t)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_cases(), st.randoms(use_true_random=False))
+def test_pieces_follow_evaluate_and_tile_their_windows(case, rnd):
+    # `evaluate` walks the routes by arc length with code of its own, so it
+    # checks the run timing that `piece_table` feeds to both clips; the
+    # windows start at breakpoints and at random times
+    cop = case[0]
+    g, d = cop.graph, cop.duration
+    cuts = {0.0, *cop.times[:-1], *(rnd.uniform(0, d) for _ in range(6))}
+    bounds = np.array(sorted(t for t in cuts if t < d)
+                      + [d * rnd.choice([1.0, 1.5])])
+    w, ta, tb, edge, xa, xb = clip_pieces(piece_table(cop), bounds)
+    ids = [e.id for e in g.edges]
+    for i, (t0, t1) in enumerate(zip(bounds[:-1].tolist(),
+                                     np.minimum(bounds[1:], d).tolist())):
+        sel = w == i
+        clipped = list(zip(ta[sel].tolist(), tb[sel].tolist(),
+                           [ids[k] for k in edge[sel]], xa[sel].tolist(),
+                           xb[sel].tolist()))
+        for pieces in (path_pieces(cop, t0, t1), clipped):
+            _assert_tiles(pieces, t0, t1)
+            _assert_follows_evaluate(cop, pieces, rnd)
 
 
 def _reference_step(score, clearance, reach):
