@@ -22,7 +22,8 @@ from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import export_svg
-from .trajectory import PathValidationError, load_path, path_to_dict, save_path
+from .trajectory import (PathValidationError, load_path, path_to_dict,
+                         save_path, write_json)
 from .verifier import ParameterError, brute_force_oracle, save_report, verify
 
 EXIT_OK = 0
@@ -118,13 +119,11 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_generate(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     path = build_family(g, cfg.kind, cfg.speed, cfg.delta)
-    doc = path_to_dict(path)
     if cfg.out:
         save_path(path, cfg.out)
         print(f"wrote {cfg.out}")
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+        write_json(path_to_dict(path), sys.stdout)
     print(f"kind {path.metadata.get('kind', cfg.kind)}  "
           f"duration {path.duration:.6g}  breakpoints {len(path.times)}")
     return EXIT_OK

@@ -12,11 +12,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .graph import GraphPoint, GraphValidationError, MetricGraph
+from .graph import GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph
 
 SPEED_TOL = 1e-9
 
@@ -27,6 +29,111 @@ class PathValidationError(ValueError):
 
 def _runs_length(runs) -> float:
     return math.fsum(abs(x1 - x0) for _, x0, x1 in runs)
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """The values as a float array; one that is not a real number raises
+    TypeError, as comparing it would."""
+    a = np.array(values)
+    if a.ndim != 1 or a.dtype.kind not in "biufO" or (
+            a.dtype.kind == "O"
+            and not all(isinstance(v, numbers.Real) for v in values)):
+        raise TypeError(f"{what} must be real numbers")
+    return a.astype(float, copy=False)
+
+
+def _edge_indices(g: MetricGraph, ids) -> np.ndarray:
+    """The position of each edge id in `g.edges`, or -1 for an id that g
+    has no edge for (an unhashable one too)."""
+    index = {e.id: k for k, e in enumerate(g.edges)}
+
+    def look(eid):
+        try:
+            return index.get(eid, -1)
+        except TypeError:
+            return -1
+    try:
+        return np.array([index.get(eid, -1) for eid in ids], dtype=np.int64)
+    except TypeError:
+        return np.array([look(eid) for eid in ids], dtype=np.int64)
+
+
+def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
+    """Check p's points, routes and speed bound in one array pass.
+
+    The order of the failures is a walk over the points (`clamp_point`),
+    then segment by segment over each run (`clamp_point` on both offsets,
+    then continuity from the position before it), the arrival at the next
+    breakpoint and the speed bound; the first failure in that order raises
+    that walk's exception and message.  Positions are compared as
+    `points_equal` does, and each segment's length is `_runs_length`.
+    """
+    g = p.graph
+    eu, ev, length = g.edge_table
+
+    def off_edge(e, x):         # clamp_point's test, which nan fails
+        return (e < 0) | ~((-GEOM_TOL <= x) & (x <= length[e] + GEOM_TOL))
+
+    def vertex(e, x):           # point_vertex as a vertex row, or -1
+        return np.where(x <= GEOM_TOL, eu[e],
+                        np.where(x >= length[e] - GEOM_TOL, ev[e], -1))
+
+    def same_point(ea, xa, eb, xb):
+        va, vb = vertex(ea, xa), vertex(eb, xb)
+        return np.where((va >= 0) | (vb >= 0), va == vb,
+                        (ea == eb) & (np.abs(xa - xb) <= GEOM_TOL))
+
+    pe = _edge_indices(g, [q.edge for q in p.points])
+    px = _reals([q.offset for q in p.points], "offsets")
+    bad = off_edge(pe, px)
+    if bad.any():
+        g.clamp_point(p.points[int(np.argmax(bad))])    # raises
+
+    runs = [(eid, x0, x1) for seg in p.routes for eid, x0, x1 in seg]
+    ids, x0, x1 = zip(*runs) if runs else ((), (), ())
+    re, r0, r1 = (_edge_indices(g, ids), _reals(x0, "offsets"),
+                  _reals(x1, "offsets"))
+    count = np.array([len(seg) for seg in p.routes], dtype=np.int64)
+    end = np.cumsum(count)
+    seg = np.repeat(np.arange(len(count)), count)
+    moved = count > 0
+    # a run starts from its segment's breakpoint or the run before it
+    first = np.zeros(len(runs), dtype=bool)
+    first[end[moved] - count[moved]] = True
+    he = np.where(first, pe[seg], np.roll(re, 1))
+    hx = np.where(first, px[seg], np.roll(r1, 1))
+    run_bad = off_edge(re, r0) | off_edge(re, r1)
+    broken = run_bad | ~same_point(he, hx, re, r0)
+    # a segment ends at its last run's end or stays at its breakpoint
+    ae, ax = pe[:-1].copy(), px[:-1].copy()
+    ae[moved], ax[moved] = re[end[moved] - 1], r1[end[moved] - 1]
+    missed = ~same_point(ae, ax, pe[1:], px[1:])
+    run_len = np.abs(r1 - r0)
+    seg_len = np.zeros(len(count))
+    one = count == 1
+    seg_len[one] = run_len[end[one] - 1]
+    for i in np.flatnonzero(count > 1).tolist():
+        seg_len[i] = math.fsum(run_len[end[i] - count[i]:end[i]].tolist())
+    too_fast = seg_len > p.speed_bound * (t[1:] - t[:-1]) + SPEED_TOL
+
+    k = np.flatnonzero(broken)
+    i = np.flatnonzero(missed | too_fast)
+    if len(k) and (not len(i) or seg[k[0]] <= i[0]):
+        k, i = int(k[0]), int(seg[k[0]])
+        eid, a, b = runs[k]
+        if run_bad[k]:
+            g.clamp_point(GraphPoint(eid, a))
+            g.clamp_point(GraphPoint(eid, b))
+        here = p.points[i] if first[k] else GraphPoint(ids[k - 1], x1[k - 1])
+        raise PathValidationError(
+            f"route of segment {i} breaks continuity at {here}")
+    if len(i):
+        i = int(i[0])
+        if missed[i]:
+            raise PathValidationError(
+                f"route of segment {i} does not reach breakpoint {i + 1}")
+        raise PathValidationError(
+            f"segment {i} is faster than the declared bound {p.speed_bound}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +154,6 @@ class TimedPath:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = self.graph
         if len(self.times) == 0:
             raise PathValidationError("a path needs at least one breakpoint")
         if len(self.points) != len(self.times):
@@ -58,30 +164,16 @@ class TimedPath:
             raise PathValidationError(f"paths start at time 0, got {self.times[0]}")
         if not self.speed_bound >= 0:
             raise PathValidationError("speed bound must be nonnegative")
-        for a, b in zip(self.times[:-1], self.times[1:]):
-            if not (b > a):
-                raise PathValidationError(f"times must strictly increase ({a} -> {b})")
+        t = _reals(self.times, "times")
+        late = ~(t[1:] > t[:-1])
+        if late.any():
+            i = int(np.argmax(late))
+            a, b = self.times[i], self.times[i + 1]
+            raise PathValidationError(f"times must strictly increase ({a} -> {b})")
         if not math.isfinite(self.times[-1]):
             raise PathValidationError(f"paths end at a finite time, got {self.times[-1]}")
-        for p in self.points:
-            g.clamp_point(p)
-        for i, runs in enumerate(self.routes):
-            here = self.points[i]
-            for eid, x0, x1 in runs:
-                g.clamp_point(GraphPoint(eid, x0))
-                g.clamp_point(GraphPoint(eid, x1))
-                if not g.points_equal(here, GraphPoint(eid, x0)):
-                    raise PathValidationError(
-                        f"route of segment {i} breaks continuity at {here}")
-                here = GraphPoint(eid, x1)
-            if not g.points_equal(here, self.points[i + 1]):
-                raise PathValidationError(
-                    f"route of segment {i} does not reach breakpoint {i + 1}")
-            dt = self.times[i + 1] - self.times[i]
-            if _runs_length(runs) > self.speed_bound * dt + SPEED_TOL:
-                raise PathValidationError(
-                    f"segment {i} is faster than the declared bound "
-                    f"{self.speed_bound}")
+        with np.errstate(all="ignore"):     # values after a failure may be nan
+            _check_motion(self, t)
 
     @property
     def duration(self) -> float:
@@ -616,8 +708,93 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
 
 def save_path(p: TimedPath, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(path_to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(path_to_dict(p), fh)
+
+
+JSON_CHUNK = 256        # list elements rendered per write of write_json
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad: str) -> str:
+    """x as `json.dumps(x, indent=2, sort_keys=True)` renders it nested at
+    indentation pad: a str or finite float with json's own scalar
+    encoders, anything else with json.dumps."""
+    if type(x) is str:
+        return _encode_str(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _json_texts(values, pad: str) -> list:
+    """`_json_text` of each value, with one type test for the whole list
+    when every value is a str or every one a finite float."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return [_json_text(v, pad) for v in values]
+
+
+def _str_keyed(x) -> bool:
+    return type(x) is dict and bool(x) and all(type(k) is str for k in x)
+
+
+def _json_chunk(items, pad: str) -> str:
+    """The list elements, each as `_json_text` renders it at indentation
+    pad, joined as json joins them.  Dicts sharing one set of str keys
+    (breakpoints) are rendered a key at a time across all of them, and
+    lists (routes) through `_json_texts`."""
+    inner = pad + "  "
+    sep = ",\n" + pad
+    head = items[0]
+    if _str_keyed(head) and all(type(x) is dict and x.keys() == head.keys()
+                                for x in items):
+        parts = []
+        for j, k in enumerate(sorted(head)):
+            label = ("{\n" if j == 0 else ",\n") + inner + _encode_str(k)
+            parts += [repeat(label + ": "),
+                      _json_texts([x[k] for x in items], inner)]
+        parts.append(repeat(f"\n{pad}}}"))
+        return sep.join(map("".join, zip(*parts)))
+    if all(type(x) is list for x in items):
+        inner_sep = ",\n" + inner
+        return sep.join(
+            f"[\n{inner}{inner_sep.join(_json_texts(x, inner))}\n{pad}]"
+            if x else "[]" for x in items)
+    return sep.join(_json_text(x, pad) for x in items)
+
+
+def _write_json(x, pad: str, write) -> None:
+    inner = pad + "  "
+    if _str_keyed(x):
+        sep = "{\n"
+        for k in sorted(x):
+            write(f"{sep}{inner}{_encode_str(k)}: ")
+            _write_json(x[k], inner, write)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+    elif type(x) is list and x:
+        for a in range(0, len(x), JSON_CHUNK):
+            write(("[\n" if a == 0 else ",\n") + inner
+                  + _json_chunk(x[a:a + JSON_CHUNK], inner))
+        write(f"\n{pad}]")
+    else:
+        write(_json_text(x, pad))
+
+
+def write_json(doc, fh) -> None:
+    """Write doc to fh as `json.dumps(doc, indent=2, sort_keys=True)`
+    followed by a newline, byte for byte.
+
+    Dicts are written key by key and lists JSON_CHUNK elements at a time,
+    so no more than a chunk of the text is held at once, and the values of
+    a chunk are encoded a column at a time by json's own scalar encoders
+    instead of json's Python generator chain over every token.
+    """
+    _write_json(doc, "", fh.write)
+    fh.write("\n")
 
 
 def load_path(g: MetricGraph, path: str) -> TimedPath:

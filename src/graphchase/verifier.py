@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
+from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph,
                     discretize, max_spacing, sample_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
-                         path_pieces, path_to_dict, piece_table)
+                         path_pieces, path_to_dict, piece_table, write_json)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -238,10 +238,8 @@ def result_to_dict(r: VerifierResult) -> dict:
 
 
 def save_report(r: VerifierResult, path: str) -> None:
-    import json
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(r), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(result_to_dict(r), fh)
 
 
 # ----------------------------------------------------------------------
@@ -369,26 +367,39 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     points = [grid.points[i] for i in idx]
     times = ([j * tau for j in range(n_steps)] + [cop.duration]
              if n_steps else [0.0])
-    routes = [_step_runs(g, a, b) for a, b in zip(points[:-1], points[1:])]
-    return TimedPath(g, tuple(times), tuple(points), tuple(routes), 1.0,
+    return TimedPath(g, tuple(times), tuple(points),
+                     tuple(_step_routes(g, points)), 1.0,
                      {"kind": "witness", "grid_clearance": float(score[idx[-1]])})
 
 
-def _step_runs(g: MetricGraph, a: GraphPoint, b: GraphPoint):
-    """The runs of `g.route(a, b)`.  When a and b lie on one edge and the
-    direct run is no longer than each way through the edge's endpoints,
-    route's stable sort picks the direct run, which is built here without
-    a route search; a run of at most GEOM_TOL is dropped, as route does."""
-    if a.edge == b.edge:
-        e = g.edge(a.edge)
-        direct = abs(a.offset - b.offset)
-        legs_a = ((e.u, a.offset), (e.v, e.length - a.offset))
-        legs_b = ((e.u, b.offset), (e.v, e.length - b.offset))
-        if all(direct <= da + g.vertex_distance(va, vb) + db
-               for va, da in legs_a for vb, db in legs_b):
-            run = (a.edge, a.offset, b.offset)
-            return (run,) if direct > GEOM_TOL else ()
-    return g.route(a, b)[1]
+def _step_routes(g: MetricGraph, points) -> list:
+    """The runs of `g.route(a, b)` for each step a -> b of the points.
+
+    A step within one edge whose direct run is no longer than each way
+    through the edge's endpoints, compared as route compares them, gets
+    the direct run that route's stable sort picks (none if it is at most
+    GEOM_TOL long, as route drops it); only the other steps call route.
+    """
+    e = np.array([g.edge_index(q.edge) for q in points], dtype=np.int64)
+    x = np.array([q.offset for q in points])
+    eu, ev, length = g.edge_table
+    vv = g.vertex_distance_matrix
+    ea, eb, xa, xb = e[:-1], e[1:], x[:-1], x[1:]
+    direct = np.abs(xa - xb)
+    short = ea == eb
+    for ua, da in ((eu[ea], xa), (ev[ea], length[ea] - xa)):
+        for ub, db in ((eu[eb], xb), (ev[eb], length[eb] - xb)):
+            short &= direct <= da + vv[ua, ub] + db
+    routes = []
+    for a, b, ok, moves in zip(points[:-1], points[1:], short.tolist(),
+                               (direct > GEOM_TOL).tolist()):
+        if not ok:
+            routes.append(g.route(a, b)[1])
+        elif moves:
+            routes.append(((a.edge, a.offset, b.offset),))
+        else:
+            routes.append(())
+    return routes
 
 
 def extract_witness(result: VerifierResult) -> TimedPath:

@@ -1,6 +1,8 @@
 """Shared fixture graphs for the test suite."""
 
-from graphchase import build_graph
+import math
+
+from graphchase import GraphPoint, TimedPath, build_graph
 
 
 def unit_path():
@@ -33,3 +35,30 @@ def comb(k, length=1.0):
     edges = [(f"v{i}", f"v{i+1}", length) for i in range(1, k)]
     edges += [(f"v{i}", f"u{i}", length) for i in range(1, k + 1)]
     return build_graph(verts, edges)
+
+
+# edge ids that need escaping in JSON: non-ASCII, quotes and backslashes
+ODD_IDS = ('\u00e9"\\e', "snow\u2603\\", '"q"\t')
+ALL_JSON_TYPES = {"str": 'h\u00e9 "\\', "int": 3, "big": 10 ** 20,
+                  "float": 0.1, "neg_zero": -0.0, "tiny": 5e-324,
+                  "inf": math.inf, "nan": math.nan, "true": True,
+                  "false": False, "null": None, "empty": {}, "none": [],
+                  "list": [1, "two", [3.5, {}], []],
+                  "dict": {"z": {"y": []}, "a": [None, -1]}}
+
+
+def odd_graph():
+    """A unit triangle whose edge and vertex ids need escaping in JSON."""
+    return build_graph(["a", "b", "\u00e7"],
+                       [("a", "b", 1.0, ODD_IDS[0]),
+                        ("b", "\u00e7", 1.0, ODD_IDS[1]),
+                        ("\u00e7", "a", 1.0, ODD_IDS[2])])
+
+
+def hand_built_path(g):
+    """A path on odd_graph() with int-valued times, offsets and speed
+    bound, and metadata of every JSON type."""
+    e0, e1, _ = (e.id for e in g.edges)
+    return TimedPath(g, (0, 1, 3),
+                     (GraphPoint(e0, 0), GraphPoint(e0, 1), GraphPoint(e1, 0.5)),
+                     (((e0, 0, 1),), ((e1, 0, 0.5),)), 1, dict(ALL_JSON_TYPES))

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import tracemalloc
 
 import pytest
 
-from graphchase import (EvidenceError, load_path, save_graph, save_path,
-                        sweep_strategy, verify)
+from graphchase import (EvidenceError, build_family, cycle_loop, load_graph,
+                        load_path, path_to_dict, result_to_dict, save_graph,
+                        save_path, save_report, sweep_strategy, verify)
 from graphchase import cli
 from graphchase.cli import main
 
-from common import path_graph, unit_cycle, unit_path
+from common import (hand_built_path, odd_graph, path_graph, unit_cycle,
+                    unit_path)
 
 
 @pytest.fixture
@@ -329,3 +332,47 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_reports_equal_json_dumps_byte_for_byte(tmp_path):
+    g = odd_graph()
+    survival = verify(cycle_loop(g, 1.0, 6.0), h=0.05)
+    capture = verify(cycle_loop(g, 3.0, 6.0), h=0.05)
+    hand = dataclasses.replace(survival, witness=hand_built_path(g))
+    assert survival.witness is not None and capture.witness is None
+    for res in (survival, capture, hand):
+        f = tmp_path / "r.json"
+        save_report(res, f)
+        assert f.read_bytes() == dumps(result_to_dict(res)).encode("utf-8")
+
+
+def test_cli_outputs_equal_json_dumps_byte_for_byte(tmp_path, capsys):
+    graph = str(tmp_path / "g.json")
+    save_graph(odd_graph(), graph)
+    g = load_graph(graph)
+    expected = dumps(path_to_dict(build_family(g, "cycle", 2.0)))
+    assert main(["generate", "--graph", graph, "--kind", "cycle",
+                 "--speed", "2.0"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(expected) and \
+        text[len(expected):].startswith("kind cycle")
+    out = tmp_path / "s.json"
+    assert main(["generate", "--graph", graph, "--kind", "cycle",
+                 "--speed", "2.0", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+    strategy, report, witness = (tmp_path / f"{name}.json"
+                                 for name in ("c", "r", "w"))
+    save_path(cycle_loop(g, 1.0, 6.0), strategy)
+    assert main(["verify", "--graph", graph, "--strategy", str(strategy),
+                 "--resolution", "0.05", "--report", str(report),
+                 "--witness", str(witness)]) == cli.EXIT_SURVIVAL
+    res = verify(load_path(g, str(strategy)), h=0.05)
+    assert report.read_bytes() == dumps(result_to_dict(res)).encode("utf-8")
+    assert witness.read_bytes() == \
+        dumps(path_to_dict(res.witness)).encode("utf-8")
+

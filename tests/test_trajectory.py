@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import (GraphPoint, PathBuilder, PathValidationError,
-                        TimedPath, check_lipschitz, load_path, min_clearance,
-                        path_from_dict, path_pieces, path_to_dict,
+                        TimedPath, check_lipschitz, cycle_loop, load_path,
+                        min_clearance, path_from_dict, path_pieces,
+                        path_to_dict,
                         reparameterize_max_speed, save_path, total_variation,
                         transfer_scale, transfer_shorten, truncate_path,
-                        variation_profile)
+                        variation_profile, verify)
 from graphchase.randgen import random_cop_path, random_graph
+from graphchase.trajectory import JSON_CHUNK, write_json
 
-from common import path_graph, star, triangle, unit_path
+from common import (hand_built_path, odd_graph, path_graph, star, triangle,
+                    unit_path)
 
 
 def test_builder_basics():
@@ -374,3 +378,38 @@ def test_serialization_malformed(tmp_path):
     f.write_text("{", encoding="utf-8")
     with pytest.raises(PathValidationError):
         load_path(g, f)
+
+
+def test_path_files_equal_json_dumps_byte_for_byte(tmp_path):
+    g = odd_graph()
+    witness = verify(cycle_loop(g, 1.0, 6.0), h=0.05).witness
+    for p in (hand_built_path(g), witness, PathBuilder(g, "a", 1.0).build()):
+        f = tmp_path / "p.json"
+        save_path(p, f)
+        expected = json.dumps(path_to_dict(p), indent=2, sort_keys=True)
+        assert f.read_bytes() == (expected + "\n").encode("utf-8")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+ROWS = st.fixed_dictionaries({"edge": st.text(max_size=3),
+                              "offset": st.floats(),
+                              "t": st.floats() | st.integers()}) \
+    | st.lists(st.text(max_size=2), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=JSON_VALUES, rows=st.lists(ROWS, max_size=4),
+       repeat=st.integers(0, JSON_CHUNK // 2))
+def test_write_json_is_json_dumps(doc, rows, repeat):
+    # long lists of breakpoint-like rows, routes and anything else, across
+    # chunk boundaries
+    for d in (doc, {"breakpoints": rows * repeat, "metadata": doc}):
+        buf = io.StringIO()
+        write_json(d, buf)
+        assert buf.getvalue() == json.dumps(d, indent=2, sort_keys=True) + "\n"

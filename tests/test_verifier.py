@@ -19,7 +19,7 @@ from graphchase import (GraphPoint, GraphValidationError, ParameterError,
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _clearance_rows,
-                                 _resolve_params, _step_runs,
+                                 _resolve_params, _step_routes,
                                  _step_grid, build_reach, propagate_step,
                                  swept_block, swept_intervals)
 
@@ -543,9 +543,65 @@ def test_step_runs_match_route(g, h, detours):
     for a in grid.points:
         for b in grid.points:
             runs = g.route(a, b)[1]
-            assert _step_runs(g, a, b) == runs
+            assert _step_routes(g, [a, b]) == [runs]
             seen += a.edge == b.edge and len(runs) > 1
     assert bool(seen) == detours
+
+
+def _assert_runs_are_routes(w):
+    g = w.graph
+    for a, b, runs in zip(w.points, w.points[1:], w.routes):
+        assert runs == g.route(a, b)[1]
+
+
+def test_witness_runs_are_routes_on_oracle_survivals():
+    rng, seen = random.Random(17), 0
+    while seen < 40:
+        cop, h, eps = oracle_instance(rng)
+        r = verify(cop, h=h, eps=eps)
+        if r.verdict == "survival":
+            _assert_runs_are_routes(r.witness)
+            seen += 1
+
+
+def _shortcut_multigraph(rng, h):
+    """A random tree with a loop and, beside its first edge (at most h
+    long, so its samples are its two vertices), a parallel edge shorter
+    than h / 10: stepping between those two vertices along the first edge
+    is longer than the way round through the short one."""
+    n = rng.randint(2, 4)
+    names = [f"v{i}" for i in range(n)]
+    edges = [("v0", "v1", rng.uniform(0.4, 1.0) * h)]
+    edges += [(names[rng.randrange(i)], names[i], rng.uniform(0.1, 0.6))
+              for i in range(2, n)]
+    u = rng.choice(names)
+    edges += [(u, u, rng.uniform(0.1, 0.4)),
+              ("v0", "v1", h / rng.randint(11, 30))]
+    return build_graph(names, edges)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_witness_runs_are_routes_on_multigraphs(seed):
+    rng, h = random.Random(seed), 0.05
+    g = _shortcut_multigraph(rng, h)
+    cop = PathBuilder(g, rng.choice(g.vertices), rng.uniform(0.2, 1.0))
+    for _ in range(3):
+        cop.move_to(rng.choice(g.vertices))
+    cop.wait(0.5)
+    r = verify(cop.build(), h=h)
+    if r.verdict == "survival":
+        _assert_runs_are_routes(r.witness)
+    # a walk of witness-sized steps that takes the detour v0 -> v1
+    grid = discretize(g, h)
+    tau = grid.max_spacing + REACH_SLACK
+    walk = [g.vertex_point("v0"), g.vertex_point("v1")]
+    assert walk[0].edge == walk[1].edge and len(g.route(*walk)[1]) > 1
+    for _ in range(30):
+        near = np.flatnonzero(grid.distances_to_point(walk[-1]) <= tau)
+        walk.append(grid.points[rng.choice(near.tolist())])
+    assert _step_routes(g, walk) == [g.route(a, b)[1]
+                                     for a, b in zip(walk, walk[1:])]
 
 
 def test_witness_replay_stores_nothing_per_step():
