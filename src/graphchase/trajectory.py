@@ -766,9 +766,17 @@ def _json_chunk(items, pad: str) -> str:
     return sep.join(_json_text(x, pad) for x in items)
 
 
+class JSONText(str):
+    """A value already rendered by `write_json`, without its final newline.
+    `write_json` writes it, re-indented, in place of that value as a dict
+    value or as the whole document."""
+
+
 def _write_json(x, pad: str, write) -> None:
     inner = pad + "  "
-    if _str_keyed(x):
+    if type(x) is JSONText:
+        write(x.replace("\n", "\n" + pad))
+    elif _str_keyed(x):
         sep = "{\n"
         for k in sorted(x):
             write(f"{sep}{inner}{_encode_str(k)}: ")

@@ -54,25 +54,37 @@ class StateError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReachStructure:
-    """All sample pairs within one evader step, in CSR form grouped by target.
+    """All sample pairs within one evader step, and the plan that runs them.
 
     `src[starts[q] : starts[q + 1]]` lists the samples from which q is
     reachable within one step (always including q itself).  The relation is
     symmetric, so the same arrays serve as successor lists.
 
-    The CSR defines the relation; `diagonals` and the junction list are the
-    plan `propagate_step` executes.  For each offset d, 1 <= abs(d) <= `width`,
-    `diagonals` holds (target slice, source slice, mask): mask bit i is set
-    iff the target `tgt.start + i` is reachable from the source `d` samples
-    away.  Every other non-self pair is one `(junction_src, junction_dst)`
-    entry; these are the long-range pairs through a vertex.
+    The CSR defines the relation; `propagate_step` runs on scores laid out
+    in `n_slots` slots.  Sample q sits in slot `slot[q]`: the vertex
+    samples come first, then the interior block of each edge, all in sample
+    order, with `width` guard slots after every vertex and every block.  A
+    guard always holds -inf.  `width` is the narrowest same-edge window
+    among edges with interior samples, so any two samples of one block at
+    most `width` slots apart form a CSR pair, and a band of that half-width
+    over the slots realizes exactly those pairs.  Every other non-self pair
+    is one `(junction_src, junction_dst)` entry, in slots.  `copies` holds
+    one (sample slice, slot slice) per vertex list and block, `guards` the
+    guard slots in order, and `window`
+    the 2 * width + 1 shifted views of a scratch row with `width` -inf
+    slots on either side, the middle one the slots themselves; the scratch
+    makes a ReachStructure serve one propagation at a time.
     """
 
     src: np.ndarray
     dst: np.ndarray
     starts: np.ndarray
+    slot: np.ndarray
+    n_slots: int
     width: int
-    diagonals: tuple
+    copies: tuple
+    guards: np.ndarray
+    window: tuple
     junction_src: np.ndarray
     junction_dst: np.ndarray
 
@@ -85,17 +97,15 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
     Same-edge pairs come from offset windows; cross-edge pairs are routed
     through a vertex, which every cross-edge shortest path must pass.  The
-    diagonal width is the widest window of an edge with interior samples,
-    whose samples are consecutive in offset order; pairs of any other
-    offset go to the junction list.
+    band half-width is the largest k up to every interior edge's
+    `floor(radius / spacing)` for which each pair of one block at most k
+    samples apart is a CSR pair; pairs farther apart, between blocks or
+    with a vertex go to the junction list.
     """
     n = grid.n
     pair_keys = [np.arange(n, dtype=np.int64) * (n + 1)]  # self loops: dst*n+src
-    width = 0
     for rec in grid.edges:
         idx, offs = rec.index, rec.offsets
-        if len(idx) > 2:
-            width = max(width, math.floor(radius / rec.spacing))
         lo = np.searchsorted(offs, offs - radius, side="left")
         hi = np.searchsorted(offs, offs + radius, side="right")
         dsts = np.repeat(idx, hi - lo)
@@ -115,19 +125,42 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     src = (keys % n).astype(np.int64)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
 
-    offset = src - dst
-    diagonals = []
-    for d in range(-width, width + 1):
-        if d == 0:
-            continue
-        lo = max(0, -d)
-        mask = np.zeros(max(0, n - abs(d)), dtype=bool)
-        mask[dst[offset == d] - lo] = True
-        diagonals.append((slice(lo, lo + len(mask)),
-                          slice(lo + d, lo + d + len(mask)), mask))
-    far = np.abs(offset) > width
-    return ReachStructure(src, dst, starts, width, tuple(diagonals),
-                          src[far], dst[far])
+    # group of each sample: its own for a vertex, its block's for the rest
+    n_vert = grid.vertex_sample_dist.shape[0]
+    inner = sorted(rec.inner.start for rec in grid.edges
+                   if len(rec.index) > 2)
+    head = np.zeros(n, dtype=np.int64)
+    head[inner] = 1
+    group = np.arange(n)
+    group[n_vert:] = n_vert - 1 + np.cumsum(head[n_vert:])
+    gap = np.abs(src - dst)
+    same = (group[src] == group[dst]) & (src >= n_vert)
+    cap = min((math.floor(radius / rec.spacing) for rec in grid.edges
+               if len(rec.index) > 2), default=0)
+    # a block of m samples holds 2 * (m - k) ordered pairs k apart: the
+    # band may reach k only if the CSR holds all of them, for every block
+    sizes = np.diff(inner + [n])
+    found = np.bincount(gap[same], minlength=cap + 1)[1:cap + 1]
+    whole = [2 * int(np.maximum(sizes - k, 0).sum())
+             for k in range(1, cap + 1)]
+    short = np.flatnonzero(found != whole)
+    width = int(short[0]) if len(short) else cap
+
+    slot = np.arange(n) + width * group
+    n_slots = n + width * (n_vert + len(inner))
+    guards = np.ones(n_slots, dtype=bool)
+    guards[slot] = False
+    copies = [(slice(0, n_vert), slice(0, n_vert * (width + 1), width + 1))]
+    copies += [(slice(a, b), slice(a + width * g, b + width * g))
+               for g, (a, b) in enumerate(zip(inner, inner[1:] + [n]),
+                                          n_vert)]
+    pad = np.full(n_slots + 2 * width, -np.inf)
+    window = tuple(pad[width + d:width + d + n_slots]
+                   for d in range(-width, width + 1))
+    far = (gap > 0) & ~(same & (gap <= width))
+    return ReachStructure(src, dst, starts, slot, n_slots, width,
+                          tuple(copies), np.flatnonzero(guards), window,
+                          slot[src[far]], slot[dst[far]])
 
 
 # ----------------------------------------------------------------------
@@ -136,23 +169,26 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
 def propagate_step(score: np.ndarray, clearance: np.ndarray,
                    reach: ReachStructure) -> np.ndarray:
-    """One grid step of the surviving evader positions.
+    """One grid step of the surviving evader positions, in slots.
 
-    `score[q]` is the largest clearance an evader reaching sample q alive
-    can have kept so far, checked at both endpoints of every step against
-    that step's swept cop region; q survives iff its score exceeds eps.
-    The start score is the distance to the cop's start point.  The new
-    score of a target is min(arrival clearance, best over predecessors of
-    min(their score, their departure clearance)).
+    `score[slot[q]]` is the largest clearance an evader reaching sample q
+    alive can have kept so far, checked at both endpoints of every step
+    against that step's swept cop region; q survives iff its score exceeds
+    eps.  The start score is the distance to the cop's start point.  The
+    new score of a target is min(arrival clearance, best over predecessors
+    of min(their score, their departure clearance)).  Guard slots hold
+    -inf in score and clearance, and so in the result.
 
-    The maximum over predecessors runs as one masked `np.maximum` per
-    offset diagonal plus one `np.maximum.at` over the junction list; max
-    and min are exact, so the result does not depend on the pair order.
+    The maximum over predecessors runs as 2 * width unmasked `np.maximum`
+    calls over shifted views of the whole slot row, the band, plus one
+    `np.maximum.at` over the junction list; max and min are exact, so the
+    result does not depend on the pair order.
     """
-    val = np.minimum(score, clearance)
-    best = val.copy()
-    for tgt, srcs, mask in reach.diagonals:
-        np.maximum(best[tgt], val[srcs], out=best[tgt], where=mask)
+    window = reach.window
+    val = np.minimum(score, clearance, out=window[reach.width])
+    best = np.maximum(window[0], window[-1])
+    for shifted in window[1:-1]:
+        np.maximum(best, shifted, out=best)
     np.maximum.at(best, reach.junction_dst, val[reach.junction_src])
     return np.minimum(best, clearance, out=best)
 
@@ -177,14 +213,26 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
     return step + j0, edge, np.minimum(xa, xb), np.maximum(xa, xb)
 
 
-def _clearance_rows(grid: DiscretizedGraph, table: PieceTable, tau: float,
-                    j0: int, j1: int):
-    """Yield the clearance rows of the steps j0 <= j < j1: row j equals
+def _to_slots(reach: ReachStructure, values: np.ndarray) -> np.ndarray:
+    """values, indexed by sample along the last axis, laid out in slots,
+    with -inf in the guard slots: one slice copy per vertex list and
+    block."""
+    out = np.empty(values.shape[:-1] + (reach.n_slots,))
+    out[..., reach.guards] = -np.inf
+    for samples, slots in reach.copies:
+        out[..., slots] = values[..., samples]
+    return out
+
+
+def _clearance_rows(grid: DiscretizedGraph, reach: ReachStructure,
+                    table: PieceTable, tau: float, j0: int, j1: int):
+    """Yield (first step, rows) chunks of the clearance rows of the steps
+    j0 <= j < j1, in slots: row j laid out by `_to_slots` is
     `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
 
     The pieces come from `swept_block` for blocks of about SWEEP_STEPS
-    steps, and the rows are filled in chunks of at most CHUNK_FLOATS values
-    (at least one row) so that a chunk stays in cache.  Every row is
+    steps, and the rows are filled in chunks of at most CHUNK_FLOATS sample
+    values (at least one row) so that a chunk stays in cache.  Every row is
     computed on its own, so it does not depend on j0 or the block bounds.
     """
     chunk = max(1, CHUNK_FLOATS // grid.n)
@@ -195,8 +243,8 @@ def _clearance_rows(grid: DiscretizedGraph, table: PieceTable, tau: float,
         ends = list(range(b0, b1, chunk)) + [b1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
-            yield from grid.distances_to_interval_rows(
-                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b])
+            yield c0, _to_slots(reach, grid.distances_to_interval_rows(
+                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b]))
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +350,11 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is the grid's sample spacing.
 
+    The capture test runs once per clearance chunk: the largest score
+    never rises from one step to the next, since each new score is a min
+    of a max over old scores, so when the chunk's last score passes, the
+    first capturing step is the first of the chunk's scores that passes.
+
     The propagation keeps the score array of every `every`-th step as a
     checkpoint, starting with every step; when more than CHECKPOINTS are
     kept, `every` doubles and every other checkpoint is dropped, so a run
@@ -309,7 +362,6 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     witness is backtracked by replaying the steps between checkpoints.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
-    reach = build_reach(grid, tau + REACH_SLACK) if n_steps else None
     table = piece_table(cop)
 
     def result(verdict, caught_at=None, witness=None, clearance=None):
@@ -321,15 +373,21 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     score = grid.distances_to_point(cop.points[0])
     if score.max() <= eps:
         return result("capture", 0.0)
+    reach = build_reach(grid, tau + REACH_SLACK)
+    score = _to_slots(reach, score)
     checkpoints, every = [], 1      # (step j, score before step j)
-    for j, clr in enumerate(_clearance_rows(grid, table, tau, 0, n_steps)):
-        if j % every == 0:
-            checkpoints.append((j, score))
-            if len(checkpoints) > CHECKPOINTS:
-                checkpoints, every = checkpoints[::2], 2 * every
-        score = propagate_step(score, clr, reach)
+    for j0, rows in _clearance_rows(grid, reach, table, tau, 0, n_steps):
+        kept = []
+        for j, clr in enumerate(rows, j0):
+            if j % every == 0:
+                checkpoints.append((j, score))
+                if len(checkpoints) > CHECKPOINTS:
+                    checkpoints, every = checkpoints[::2], 2 * every
+            score = propagate_step(score, clr, reach)
+            kept.append(score)
         if score.max() <= eps:
-            return result("capture", (j + 1) * tau)
+            k = next(k for k, s in enumerate(kept) if s.max() <= eps)
+            return result("capture", (j0 + k + 1) * tau)
     if not want_witness:
         return result("survival")
     witness = _backtrack_witness(cop, grid, reach, table, tau, n_steps,
@@ -344,24 +402,27 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     """The grid path ending at the best final sample.
 
     `checkpoints` holds (step j, score before step j) in step order, the
-    first at step 0, and `score` is the score after the last step.  The
-    segments between checkpoints are replayed from the last: each from
-    its checkpoint with `propagate_step`, then stepped back.  Stepping
-    back over step j from sample q picks the first of q's predecessors
-    (ascending in the CSR) that maximizes min(score, clearance) at step
-    j: the lowest-index predecessor attaining q's maximin.
+    first at step 0, and `score` is the score after the last step, all in
+    slots.  The segments between checkpoints are replayed from the last:
+    each from its checkpoint with `propagate_step`, then stepped back.
+    Stepping back over step j from sample q picks the first of q's
+    predecessors (ascending in the CSR) that maximizes min(score,
+    clearance) at step j: the lowest-index predecessor attaining q's
+    maximin.  The best final sample is the first in sample order.
     """
-    idx = [int(np.argmax(score))]
+    final = score[reach.slot]
+    idx = [int(np.argmax(final))]
     stops = [j for j, _ in checkpoints[1:]] + [n_steps]
     for (j0, s), j1 in reversed(list(zip(checkpoints, stops))):
         vals = []
-        for clr in _clearance_rows(grid, table, tau, j0, j1):
-            vals.append(np.minimum(s, clr))
-            if len(vals) < j1 - j0:
-                s = propagate_step(s, clr, reach)
+        for _, rows in _clearance_rows(grid, reach, table, tau, j0, j1):
+            for clr in rows:
+                vals.append(np.minimum(s, clr))
+                if len(vals) < j1 - j0:
+                    s = propagate_step(s, clr, reach)
         for val in reversed(vals):
             preds = reach.predecessors(idx[-1])
-            idx.append(int(preds[np.argmax(val[preds])]))
+            idx.append(int(preds[np.argmax(val[reach.slot[preds]])]))
     idx.reverse()
     g = grid.graph
     points = [grid.points[i] for i in idx]
@@ -369,7 +430,7 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
              if n_steps else [0.0])
     return TimedPath(g, tuple(times), tuple(points),
                      tuple(_step_routes(g, points)), 1.0,
-                     {"kind": "witness", "grid_clearance": float(score[idx[-1]])})
+                     {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
 
 
 def _step_routes(g: MetricGraph, points) -> list:

@@ -7,7 +7,7 @@ import pytest
 from graphchase import (EvidenceError, build_family, cycle_loop, load_graph,
                         load_path, path_to_dict, result_to_dict, save_graph,
                         save_path, save_report, sweep_strategy, verify)
-from graphchase import cli
+from graphchase import cli, verifier
 from graphchase.cli import main
 
 from common import (hand_built_path, odd_graph, path_graph, unit_cycle,
@@ -376,3 +376,40 @@ def test_cli_outputs_equal_json_dumps_byte_for_byte(tmp_path, capsys):
     assert witness.read_bytes() == \
         dumps(path_to_dict(res.witness)).encode("utf-8")
 
+
+
+@pytest.mark.parametrize("speed, flags", [
+    (1.0, ("--report", "--witness")), (1.0, ("--report",)),
+    (1.0, ("--witness",)), (3.0, ("--report", "--witness")),
+], ids=["survival-both", "survival-report", "survival-witness",
+        "capture-both"])
+def test_verify_files_share_one_witness_document(tmp_path, monkeypatch,
+                                                 speed, flags):
+    # the witness document is built once for both files, and each file
+    # equals its own json.dumps render
+    graph, strategy = str(tmp_path / "g.json"), tmp_path / "c.json"
+    save_graph(odd_graph(), graph)
+    g = load_graph(graph)
+    save_path(cycle_loop(g, speed, 6.0), strategy)
+    files = {flag: tmp_path / f"{flag[2:]}.json" for flag in flags}
+    built = []
+    real = verifier.path_to_dict
+    monkeypatch.setattr(verifier, "path_to_dict",
+                        lambda p: built.append(p) or real(p))
+    rc = main(["verify", "--graph", graph, "--strategy", str(strategy),
+               "--resolution", "0.05"]
+              + [x for flag, f in files.items() for x in (flag, str(f))])
+    monkeypatch.undo()
+    res = verify(load_path(g, str(strategy)), h=0.05)
+    assert rc == (cli.EXIT_OK if res.captured else cli.EXIT_SURVIVAL)
+    assert len(built) == (res.witness is not None)
+    if "--report" in files:
+        assert files["--report"].read_bytes() == \
+            json.dumps(result_to_dict(res), indent=2,
+                       sort_keys=True).encode("utf-8") + b"\n"
+    if "--witness" in files:
+        assert files["--witness"].exists() == (res.witness is not None)
+    if res.witness is not None and "--witness" in files:
+        assert files["--witness"].read_bytes() == \
+            json.dumps(path_to_dict(res.witness), indent=2,
+                       sort_keys=True).encode("utf-8") + b"\n"

@@ -15,7 +15,7 @@ from graphchase import (GraphPoint, PathBuilder, PathValidationError,
                         transfer_scale, transfer_shorten, truncate_path,
                         variation_profile, verify)
 from graphchase.randgen import random_cop_path, random_graph
-from graphchase.trajectory import JSON_CHUNK, write_json
+from graphchase.trajectory import JSON_CHUNK, JSONText, write_json
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
@@ -413,3 +413,22 @@ def test_write_json_is_json_dumps(doc, rows, repeat):
         buf = io.StringIO()
         write_json(d, buf)
         assert buf.getvalue() == json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=JSON_VALUES, rows=st.lists(ROWS, max_size=4))
+def test_rendered_text_nests_as_its_value(doc, rows):
+    # a value rendered once and nested as JSONText gives the same bytes as
+    # the value itself, at any depth
+    def render(d):
+        buf = io.StringIO()
+        write_json(d, buf)
+        return buf.getvalue()
+
+    value = {"breakpoints": rows * 3, "metadata": doc}
+    text = JSONText(render(value)[:-1])
+    for outer, nested in (({"w": value, "a": 1}, {"w": text, "a": 1}),
+                          ({"x": {"w": value}}, {"x": {"w": text}}),
+                          (value, text)):
+        assert render(nested) == render(outer) == \
+            json.dumps(outer, indent=2, sort_keys=True) + "\n"

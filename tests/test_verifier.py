@@ -20,8 +20,9 @@ from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _clearance_rows,
                                  _resolve_params, _step_routes,
-                                 _step_grid, build_reach, propagate_step,
-                                 swept_block, swept_intervals)
+                                 _step_grid, _to_slots, build_reach,
+                                 propagate_step, swept_block,
+                                 swept_intervals)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
@@ -201,7 +202,8 @@ def test_propagation_is_maximin_over_reach():
     eps = 0.3
     s0 = grid.distances_to_point(cop.points[0])
     clr = grid.distances_to_intervals(swept_intervals(cop, 0.0, tau))
-    s1 = propagate_step(s0, clr, reach)
+    s1 = propagate_step(_to_slots(reach, s0), _to_slots(reach, clr),
+                        reach)[reach.slot]
     val = np.minimum(s0, clr)
     for q in range(grid.n):
         best = max(val[p] for p in reach.predecessors(q))
@@ -241,33 +243,60 @@ def kernel_cases(draw):
 def test_banded_kernel_matches_maximin_reference(case):
     grid, radius, score, clearance = case
     reach = build_reach(grid, radius)
-    new = propagate_step(score, clearance, reach)
+    new = propagate_step(_to_slots(reach, score), _to_slots(reach, clearance),
+                         reach)
     val = np.minimum(score, clearance)
     for q in range(grid.n):
         best = max(val[p] for p in reach.predecessors(q).tolist())
-        assert new[q] == min(best, clearance[q])
+        assert new[reach.slot[q]] == min(best, clearance[q])
+    # guard slots stay -inf after the step
+    guards = np.ones(reach.n_slots, dtype=bool)
+    guards[reach.slot] = False
+    assert (new[guards] == -np.inf).all()
+    assert reach.guards.tolist() == np.flatnonzero(guards).tolist()
+    assert reach.n_slots == grid.n + guards.sum()
 
-    # the plan covers every CSR pair but the self loops exactly once
+    # the plan covers every CSR pair but the self loops exactly once: the
+    # band pairs of one block at most `width` slots apart, the rest in the
+    # junction list
     pairs = set(zip(reach.src.tolist(), reach.dst.tolist()))
     assert {(q, q) for q in range(grid.n)} <= pairs
-    planned = list(zip(reach.junction_src.tolist(),
-                       reach.junction_dst.tolist()))
-    offsets = []
-    for tgt, srcs, mask in reach.diagonals:
-        offsets.append(srcs.start - tgt.start)
-        hit = np.nonzero(mask)[0]
-        planned += zip((hit + srcs.start).tolist(), (hit + tgt.start).tolist())
+    sample_of = dict(zip(reach.slot.tolist(), range(grid.n)))
+    planned = [(sample_of[p], sample_of[q]) for p, q in
+               zip(reach.junction_src.tolist(), reach.junction_dst.tolist())]
+    w = reach.width
+    blocks = [range(rec.inner.start, rec.inner.stop)
+              for rec in grid.edges if len(rec.index) > 2]
+    for block in blocks:
+        planned += [(p, q) for p in block for q in block
+                    if 0 < abs(p - q) <= w]
+        assert all(reach.slot[q] - reach.slot[q - 1] == 1 for q in block[1:])
+        # a block is fenced off by guards: its band reaches no other sample
+        fence = reach.slot[block.stop - 1] + np.arange(1, w + 1)
+        assert not set(fence.tolist()) & set(sample_of)
+    assert all(reach.slot[q] + w < reach.slot[q + 1]
+               for q in range(grid.vertex_sample_dist.shape[0]))
     assert len(planned) == len(set(planned))
     assert set(planned) == {(p, q) for p, q in pairs if p != q}
-    w = reach.width
-    assert offsets == [d for d in range(-w, w + 1) if d]
 
-    # only edges with interior samples set the width: the tiny edge does not
-    windows = [math.floor(radius / rec.spacing)
-               for e, rec in zip(grid.graph.edges, grid.edges)
+    # the width is the narrowest window of an edge with interior samples,
+    # the tiny edge has none, and wider same-edge pairs are junctions
+    def window(rec):
+        k = math.floor(radius / rec.spacing)
+        inner = range(rec.inner.start, rec.inner.stop)
+        while k and not all((p, q) in pairs for p in inner for q in inner
+                            if abs(p - q) <= k):
+            k -= 1
+        return k
+
+    windows = [window(rec) for e, rec in zip(grid.graph.edges, grid.edges)
                if e.length > grid.h]
-    assert w == max(windows, default=0)
+    assert w == min(windows, default=0)
     assert any(e.length < grid.h / 10 for e in grid.graph.edges)
+    junctions = set(planned[:len(reach.junction_src)])
+    for block in blocks:
+        assert {(p, q) for p in block for q in block
+                if abs(p - q) > w and (p, q) in pairs} <= junctions
 
 
 # ------------------------------------------------------- blocked clearance
@@ -331,18 +360,24 @@ def test_blocked_clearance_matches_per_step_reference(case):
     cop, grid, dt, block_steps, chunk_floats, start = case
     n_steps, tau = _step_grid(cop.duration, dt)
     j0 = int(start * n_steps)
+    reach = build_reach(grid, tau + REACH_SLACK)
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        rows = list(_clearance_rows(grid, piece_table(cop), tau, j0,
-                                    n_steps))
+        chunks = list(_clearance_rows(grid, reach, piece_table(cop), tau, j0,
+                                      n_steps))
+    rows = [row for _, c in chunks for row in c]
     assert len(rows) == n_steps - j0
+    assert [c0 for c0, _ in chunks] == \
+        np.cumsum([j0] + [len(c) for _, c in chunks[:-1]]).tolist()
+    assert all(len(c) <= max(1, chunk_floats // grid.n) for _, c in chunks)
     widths = []
     for j in range(n_steps):
         intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
         widths.append(len(intervals))
         if j >= j0:
             assert np.array_equal(rows[j - j0],
-                                  grid.distances_to_intervals(intervals)), j
+                                  _to_slots(reach, grid.distances_to_intervals(
+                                      intervals))), j
     assert max(widths) >= 2           # a step crossed a vertex
 
 
@@ -424,8 +459,9 @@ def _reference_step(score, clearance, reach):
 
 def _per_step_verify(cop, h, eps=None):
     """`verify` as a plain loop: per-step swept_intervals and
-    distances_to_intervals, a backpointer array per step of the witness
-    pass, and `route` for every witness step.  Returns (verdict, time
+    distances_to_intervals, a gather and reduce over the CSR per step with
+    a capture test after every step, a backpointer array per step of the
+    witness pass, and `route` for every witness step.  Returns (verdict, time
     bound, witness, clearance, ties), where ties counts the witness steps
     whose predecessor was one of several attaining the maximin."""
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
@@ -436,13 +472,15 @@ def _per_step_verify(cop, h, eps=None):
     if score.max() <= eps:
         return "capture", min(0.0, cop.duration), None, None, 0
     for j, clr in enumerate(clearances):
-        score = propagate_step(score, clr, reach)
+        score = _reference_step(score, clr, reach)[0]
         if score.max() <= eps:
             return "capture", min((j + 1) * tau, cop.duration), None, None, 0
     score, history = grid.distances_to_point(cop.points[0]), []
     for clr in clearances:
         new, bp, hits = _reference_step(score, clr, reach)
-        assert np.array_equal(new, propagate_step(score, clr, reach))
+        slots = propagate_step(_to_slots(reach, score),
+                               _to_slots(reach, clr), reach)
+        assert np.array_equal(new, slots[reach.slot])
         score = new
         history.append((bp, hits))
     idx, ties = [int(np.argmax(score))], 0
@@ -527,6 +565,91 @@ def test_witness_matches_full_backpointer_reference():
     check()
     assert seen["survival"] >= 30
     assert seen["ties"] > 0      # the lowest-index tie-break is exercised
+
+
+# ------------------------------------------------- per-chunk capture test
+
+def _chunk_floats(kind, n):
+    """CHUNK_FLOATS for a grid of n samples: 1, n - 1, n + 1, 3n or the
+    default 16384."""
+    return {"1": 1, "n-1": n - 1, "n+1": n + 1, "3n": 3 * n,
+            "16384": 16384}[kind]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10, swept one to three rounds at a speed of 2-8, and a capture
+    radius of 1.01-4 spacings: captures come at any step."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
+    cop = sweep_strategy(g, rng.uniform(2.0, 8.0), rng.randint(1, 3))
+    return cop, grid.h, grid.max_spacing * rng.uniform(1.01, 4.0)
+
+
+def test_chunked_capture_test_matches_per_step_reference():
+    # the capture test runs once per clearance chunk; the step it reports
+    # is the one a test after every step finds
+    seen = {"capture": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_cases(), st.sampled_from(["1", "n-1", "n+1", "3n",
+                                           "16384"]))
+    def check(case, kind):
+        cop, h, eps = case
+        n = _resolve_params(cop, h, eps)[0].n
+        with mock.patch.object(verifier, "CHUNK_FLOATS",
+                               _chunk_floats(kind, n)):
+            r = verify(cop, h=h, eps=eps, want_witness=False)
+        verdict, time_bound = _per_step_verify(cop, h, eps)[:2]
+        assert (r.verdict, r.time_bound) == (verdict, time_bound)
+        seen["capture"] += verdict == "capture"
+
+    check()
+    assert seen["capture"] >= 10
+
+
+@pytest.mark.parametrize("rows, where", [
+    (48, "first"), (24, "first"), (49, "last"), (7, "last"),
+    (None, "final"), (2, "final"),
+], ids=["first-48", "first-24", "last-49", "last-7", "final", "final-2"])
+def test_capture_step_at_chunk_boundaries(rows, where):
+    # the path sweep of the unit path captures at step k = 48 of 50 at
+    # h = 0.02: chunks of `rows` steps put it first or last in its chunk;
+    # cut at the capture time, the sweep captures at its last step
+    h = 0.02
+    cop = sweep_strategy(unit_path(), 1.0)
+    if where == "final":
+        cop = truncate_path(cop, 0.98)
+    grid, _, eps, n_steps, tau = _resolve_params(cop, h, None)
+    verdict, time_bound = _per_step_verify(cop, h)[:2]
+    assert verdict == "capture"
+    k = round(time_bound / tau) - 1
+    assert k == 48
+    if where == "final":
+        assert (k, time_bound) == (n_steps - 1, cop.duration)
+    else:
+        assert k % rows == (0 if where == "first" else rows - 1)
+    chunk_floats = verifier.CHUNK_FLOATS if rows is None else rows * grid.n
+    with mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
+        r = verify(cop, h=h)
+    assert (r.verdict, r.time_bound) == (verdict, time_bound)
+
+
+@pytest.mark.parametrize("eps", [None, 5.0], ids=["survival", "capture"])
+def test_zero_step_cop_matches_per_step_reference(eps):
+    cop = truncate_path(sweep_strategy(unit_path(), 1.0), 0.0)
+    assert cop.duration == 0
+    r = verify(cop, h=0.02, eps=eps)
+    verdict, time_bound, witness, clearance, _ = _per_step_verify(cop, 0.02,
+                                                                  eps)
+    assert r.n_steps == 0
+    assert (r.verdict, r.time_bound) == (verdict, time_bound)
+    assert r.verdict == ("capture" if eps else "survival")
+    assert repr(r.min_clearance) == repr(clearance)
+    if witness is not None:
+        assert _same_witness(r.witness, witness)
+
 
 
 @pytest.mark.parametrize("g, h, detours", [
