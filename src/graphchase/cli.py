@@ -198,17 +198,19 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     for i in range(cfg.cases):
         cop, h, eps = oracle_instance(rng)
-        fast = verify(cop, h=h, eps=eps, want_witness=False)
         slow = brute_force_oracle(cop, h=h, eps=eps)
-        same = (fast.verdict == slow.verdict
-                and (fast.time_bound is None) == (slow.time_bound is None)
-                and (fast.time_bound is None
-                     or abs(fast.time_bound - slow.time_bound) < 1e-9))
-        if not same:
-            failures += 1
-            print(f"case {i}: DISAGREE fast={fast.verdict}/{fast.time_bound} "
-                  f"oracle={slow.verdict}/{slow.time_bound}")
-    print(f"randomized: {cfg.cases} cases, {failures} disagreements")
+        # without a witness the boolean game decides, with one the maximin
+        # game: both must give the oracle's verdict and exact time bound
+        for game, want_witness in (("boolean", False), ("maximin", True)):
+            fast = verify(cop, h=h, eps=eps, want_witness=want_witness)
+            if (fast.verdict, fast.time_bound) != (slow.verdict,
+                                                   slow.time_bound):
+                failures += 1
+                print(f"case {i}: DISAGREE {game} game "
+                      f"fast={fast.verdict}/{fast.time_bound} "
+                      f"oracle={slow.verdict}/{slow.time_bound}")
+    print(f"randomized: {cfg.cases} cases in two games, {failures} "
+          f"disagreements")
 
     canned = 0
     path = build_graph(["a", "b"], [("a", "b", 1.0)])

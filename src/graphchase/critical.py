@@ -70,12 +70,14 @@ class SpeedBracket:
 
 
 def _probe(g, family, s, truncation, h, eps):
-    """Build + verify at one speed; a constructor rejection is a non-capture."""
+    """Build + verify at one speed, without a witness: ("rejected",
+    message, None) or ("verified", result, path).  A constructor rejection
+    is a non-capture."""
     try:
         path = build_family(g, family, s, truncation)
     except StrategyError as exc:
-        return "rejected", str(exc)
-    return "verified", verify(path, h=h, eps=eps)
+        return "rejected", str(exc), None
+    return "verified", verify(path, h=h, eps=eps, want_witness=False), path
 
 
 def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
@@ -88,19 +90,21 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     Every probe is constructed and verified independently; no monotonicity
     across re-constructed schedules is assumed.  The upper endpoint must
     verify as capture up front and after every shrink, so the returned
-    bracket always carries evidence on both sides.
+    bracket always carries evidence on both sides.  Probes need only
+    verdicts and play `verify`'s boolean game; a lower end that survived
+    is verified once more with a witness, its evidence.
     """
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
     if tol <= 0:
         raise EvidenceError(f"tolerance must be positive, got {tol}")
 
-    kind, high_ev = _probe(g, family, s_high, truncation, h, eps)
+    kind, high_ev, _ = _probe(g, family, s_high, truncation, h, eps)
     if kind == "rejected" or not high_ev.captured:
         raise EvidenceError(
             f"upper speed {s_high} did not verify as capture for family "
             f"{family!r}; raise the upper endpoint or refine resolution")
-    kind, low_ev = _probe(g, family, s_low, truncation, h, eps)
+    kind, low_ev, low_path = _probe(g, family, s_low, truncation, h, eps)
     if kind == "verified" and low_ev.captured:
         raise EvidenceError(
             f"lower speed {s_low} already captures for family {family!r}; "
@@ -112,13 +116,15 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
         mid = 0.5 * (lower + upper)
         if mid <= lower or mid >= upper:
             break
-        kind, ev = _probe(g, family, mid, truncation, h, eps)
+        kind, ev, path = _probe(g, family, mid, truncation, h, eps)
         if kind == "verified" and ev.captured:
             upper, high_ev = mid, ev
             probes.append((mid, "capture"))
         else:
-            lower, low_ev = mid, ev
+            lower, low_path, low_ev = mid, path, ev
             probes.append((mid, "non-capture"))
+    if low_path is not None:        # a survival: its evidence is a witness
+        low_ev = verify(low_path, h=h, eps=eps)
     return SpeedBracket(lower, upper, family, tol, high_ev, low_ev,
                         tuple(probes))
 

@@ -672,6 +672,51 @@ class DiscretizedGraph:
         out[filled:] = np.inf
         return out
 
+    def cells_within(self, rows, edges, lo, hi,
+                     eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of `distances_to_interval_rows` at most eps, as the
+        (row, sample) index arrays `np.nonzero` gives for them.
+
+        Only samples near an interval are looked at: its offset window on
+        its own edge and each endpoint's samples within eps of the vertex,
+        both widened by one spacing.  Each is tested with the same
+        floating-point term `distances_to_interval_rows` takes for it.  A
+        vertex term is the vertex distance plus a non-negative length and
+        a direct term a difference of offsets, so, rounding being monotone
+        and far finer than a spacing, every term at most eps belongs to a
+        looked-at sample, and the cells are exact.
+        """
+        n, dist = self.n, self.vertex_sample_dist
+        eu, ev, _ = self.graph.edge_table
+        reach = eps + self.max_spacing
+        keys = [np.empty(0, dtype=np.int64)]     # no intervals, no cells
+        for k in np.flatnonzero(np.bincount(edges)).tolist():
+            sel = np.flatnonzero(edges == k)
+            rec = self.edges[k]
+            r, a, b = rows[sel], lo[sel], hi[sel]
+            for vrow, leg in ((eu[k], a), (ev[k], rec.offsets[-1] - b)):
+                m = np.flatnonzero(leg <= eps)   # a term is at least its leg
+                if len(m):
+                    near = np.flatnonzero(dist[vrow] <= reach)
+                    i, c = np.nonzero(dist[vrow, near] + leg[m, None] <= eps)
+                    keys.append(r[m[i]] * n + near[c])
+            if len(rec.index) > 2:
+                # interior positions 1 .. len - 2 within reach of [a, b]
+                offs = rec.offsets
+                first = np.maximum(np.searchsorted(offs, a - reach), 1)
+                stop = np.minimum(np.searchsorted(offs, b + reach, "right"),
+                                  len(offs) - 1)
+                count = np.maximum(stop - first, 0)
+                i = np.repeat(np.arange(len(sel)), count)
+                pos = np.arange(len(i)) + np.repeat(
+                    first - np.cumsum(count) + count, count)
+                x = offs[pos]
+                ok = np.maximum(0.0, np.maximum(a[i] - x, x - b[i])) <= eps
+                keys.append(r[i[ok]] * n + rec.index[pos[ok]])
+        keys = np.sort(np.concatenate(keys))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys // n, keys % n
+
 
 def discretize(g: MetricGraph, h: float) -> DiscretizedGraph:
     """Sample every edge uniformly at spacing <= h (endpoints included)."""

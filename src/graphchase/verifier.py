@@ -9,7 +9,9 @@ is the sample spacing, which is also the time step.
 
 On survival the verifier extracts an explicit evader trajectory that
 maximizes its minimum grid clearance, then recomputes that trajectory's true
-continuous-time clearance against the cop.
+continuous-time clearance against the cop.  A verdict without a witness is
+decided by a boolean game over which samples are alive, which needs only the
+grid cells within the capture radius of the cop.
 """
 
 from __future__ import annotations
@@ -193,6 +195,81 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
     return np.minimum(best, clearance, out=best)
 
 
+def _alive_rows(reach: ReachStructure):
+    """Two zeroed bool rows of `reach.n_slots` slots with `width` False
+    slots on either side, each as its 2 * width + 1 shifted views like
+    `reach.window`: the middle view is the row itself."""
+    w, n = reach.width, reach.n_slots
+    pads = (np.zeros(n + 2 * w, dtype=bool) for _ in range(2))
+    return [tuple(pad[w + d:w + d + n] for d in range(-w, w + 1))
+            for pad in pads]
+
+
+def _alive_step(src, dst, kill: np.ndarray,
+                reach: ReachStructure) -> np.ndarray:
+    """One grid step of the alive mask, in slots: `propagate_step`'s
+    `score > eps`.
+
+    `src` and `dst` are the views of two rows from `_alive_rows`; the
+    middle of `src` is the alive mask, False in the guard slots.  `kill`
+    lists the step's dead slots, whose clearance is at most eps, and the
+    guard slots.  A target is alive after the step iff it is not dead and
+    some predecessor was alive and not dead: `kill` is cleared in `src`,
+    the band and the junction list are ORed into the middle of `dst`, and
+    `kill` is cleared there (the band sets guards), which is returned.
+    """
+    w = reach.width
+    alive = src[w]
+    alive[kill] = False
+    out = np.logical_or(src[0], src[-1], out=dst[w])
+    for shifted in src[1:-1]:
+        out |= shifted
+    out[reach.junction_dst[alive[reach.junction_src]]] = True
+    out[kill] = False
+    return out
+
+
+def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
+                      table: PieceTable, tau: float, n_steps: int,
+                      eps: float, start: np.ndarray) -> int | None:
+    """The first step after which no sample is alive, or None: the boolean
+    game, which decides what `verify`'s maximin game decides.
+
+    A sample is alive at step 0 iff `start > eps`, and after step j iff
+    its score exceeds eps, which, max and min being monotone, holds iff it
+    is outside step j's dead cells (clearance at most eps, from
+    `cells_within`) and some predecessor was alive and outside them.  The
+    steps run in blocks of SWEEP_STEPS.  An empty mask stays empty, so
+    emptiness is tested once per block, and a block that ends empty is
+    replayed from its first mask to find the step.
+    """
+    rows = _alive_rows(reach)
+    rows[0][reach.width][reach.slot] = start > eps
+    guards = reach.guards
+    for b0 in range(0, n_steps, SWEEP_STEPS):
+        b1 = min(b0 + SWEEP_STEPS, n_steps)
+        step, edge, lo, hi = swept_block(table, tau, b0, b1)
+        row, q = grid.cells_within(step - b0, edge, lo, hi, eps)
+        # each step's dead slots, then the guards
+        ends = np.searchsorted(row, np.arange(1, b1 - b0 + 1))
+        kill = np.insert(reach.slot[q], np.repeat(ends, len(guards)),
+                         np.tile(guards, b1 - b0))
+        cuts = (ends + len(guards) * np.arange(1, b1 - b0 + 1)).tolist()
+        kills = [kill[c0:c1] for c0, c1 in zip([0] + cuts, cuts)]
+        first = rows[0][reach.width].copy()
+        for cells in kills:
+            _alive_step(rows[0], rows[1], cells, reach)
+            rows.reverse()
+        if rows[0][reach.width].any():
+            continue
+        rows[0][reach.width][:] = first
+        for j, cells in enumerate(kills, b0):
+            if not _alive_step(rows[0], rows[1], cells, reach).any():
+                return j
+            rows.reverse()
+    return None
+
+
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
     """The cop's covered (edge, lo, hi) intervals during [t0, t1]."""
     return [(eid, min(xa, xb), max(xa, xb))
@@ -350,6 +427,11 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is the grid's sample spacing.
 
+    Without a witness the boolean game `_first_empty_step` decides: it
+    keeps only which samples are alive, needs clearances only at the cells
+    within eps of the cop, and gives the verdict and time bound of the
+    maximin game below, which runs only when a witness is wanted.
+
     The capture test runs once per clearance chunk: the largest score
     never rises from one step to the next, since each new score is a min
     of a max over old scores, so when the chunk's last score passes, the
@@ -374,6 +456,10 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     if score.max() <= eps:
         return result("capture", 0.0)
     reach = build_reach(grid, tau + REACH_SLACK)
+    if not want_witness:
+        j = _first_empty_step(grid, reach, table, tau, n_steps, eps, score)
+        return (result("survival") if j is None
+                else result("capture", (j + 1) * tau))
     score = _to_slots(reach, score)
     checkpoints, every = [], 1      # (step j, score before step j)
     for j0, rows in _clearance_rows(grid, reach, table, tau, 0, n_steps):
@@ -388,8 +474,6 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
         if score.max() <= eps:
             k = next(k for k, s in enumerate(kept) if s.max() <= eps)
             return result("capture", (j0 + k + 1) * tau)
-    if not want_witness:
-        return result("survival")
     witness = _backtrack_witness(cop, grid, reach, table, tau, n_steps,
                                  checkpoints, score)
     return result("survival", None, witness, min_clearance(cop, witness))

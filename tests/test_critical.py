@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import pytest
 
 from graphchase import (EvidenceError, FrontierRow, SpeedBracket, StrategyError,
-                        build_family, frontier_table, frontier_to_csv,
-                        frontier_to_json, upper_bound_bisect)
+                        build_family, critical, frontier_table,
+                        frontier_to_csv, frontier_to_json, upper_bound_bisect,
+                        verify)
 
 from common import path_graph, star, unit_cycle
 
@@ -108,3 +110,37 @@ def test_star_bracket_straddles_threshold():
     assert br.lower >= 2.5
     assert br.upper <= 3.5
     assert br.upper_evidence.captured
+
+
+@pytest.mark.parametrize("g, family, s_low, s_high, tol, h, eps", [
+    (star(3, 0.5), "sweep", 1.0, 16.0, 0.5, 0.05, None),
+    (star(3, 0.5), "star", 2.0, 4.0, 0.25, 5e-3, 0.02),
+    (unit_cycle(), "cycle", 0.5, 2.0, 0.05, 0.05, None),
+], ids=["sweep-survival", "star-rejection", "cycle-rejection"])
+def test_bracket_equals_bracket_with_witness_probes(g, family, s_low, s_high,
+                                                     tol, h, eps):
+    # probes verify without a witness and a surviving lower end once more
+    # with one: the bracket equals one whose every probe has a witness
+    calls = []
+
+    def spy(path, h=None, eps=None, want_witness=True):
+        calls.append(want_witness)
+        return verify(path, h=h, eps=eps, want_witness=want_witness)
+
+    def with_witness(path, h=None, eps=None, want_witness=True):
+        return verify(path, h=h, eps=eps)
+
+    with mock.patch.object(critical, "verify", spy):
+        br = upper_bound_bisect(g, family, s_low, s_high, tol, h=h, eps=eps)
+    with mock.patch.object(critical, "verify", with_witness):
+        ref = upper_bound_bisect(g, family, s_low, s_high, tol, h=h, eps=eps)
+    assert repr(br) == repr(ref)
+    assert br.probes == ref.probes
+    survived = not isinstance(br.lower_evidence, str)
+    assert survived == (family == "sweep")
+    assert calls == [False] * (len(calls) - survived) + [True] * survived
+    if survived:
+        assert br.lower_evidence.verdict == "survival"
+        assert repr(br.lower_evidence.witness) == \
+            repr(ref.lower_evidence.witness)
+        assert br.lower_evidence.min_clearance > 0

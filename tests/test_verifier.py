@@ -18,10 +18,10 @@ from graphchase import (GraphPoint, GraphValidationError, ParameterError,
                         sweep_strategy, truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
-from graphchase.verifier import (REACH_SLACK, _clearance_rows,
-                                 _resolve_params, _step_routes,
-                                 _step_grid, _to_slots, build_reach,
-                                 propagate_step, swept_block,
+from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
+                                 _clearance_rows, _resolve_params,
+                                 _step_routes, _step_grid, _to_slots,
+                                 build_reach, propagate_step, swept_block,
                                  swept_intervals)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
@@ -598,11 +598,13 @@ def test_chunked_capture_test_matches_per_step_reference():
     def check(case, kind):
         cop, h, eps = case
         n = _resolve_params(cop, h, eps)[0].n
-        with mock.patch.object(verifier, "CHUNK_FLOATS",
-                               _chunk_floats(kind, n)):
-            r = verify(cop, h=h, eps=eps, want_witness=False)
         verdict, time_bound = _per_step_verify(cop, h, eps)[:2]
-        assert (r.verdict, r.time_bound) == (verdict, time_bound)
+        # the maximin game with a witness, the boolean game without
+        for want_witness in (True, False):
+            with mock.patch.object(verifier, "CHUNK_FLOATS",
+                                   _chunk_floats(kind, n)):
+                r = verify(cop, h=h, eps=eps, want_witness=want_witness)
+            assert (r.verdict, r.time_bound) == (verdict, time_bound)
         seen["capture"] += verdict == "capture"
 
     check()
@@ -615,8 +617,9 @@ def test_chunked_capture_test_matches_per_step_reference():
 ], ids=["first-48", "first-24", "last-49", "last-7", "final", "final-2"])
 def test_capture_step_at_chunk_boundaries(rows, where):
     # the path sweep of the unit path captures at step k = 48 of 50 at
-    # h = 0.02: chunks of `rows` steps put it first or last in its chunk;
-    # cut at the capture time, the sweep captures at its last step
+    # h = 0.02: chunks of `rows` steps, and blocks of `rows` steps of the
+    # boolean game, put it first or last in its chunk or block; cut at the
+    # capture time, the sweep captures at its last step
     h = 0.02
     cop = sweep_strategy(unit_path(), 1.0)
     if where == "final":
@@ -634,6 +637,10 @@ def test_capture_step_at_chunk_boundaries(rows, where):
     with mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
         r = verify(cop, h=h)
     assert (r.verdict, r.time_bound) == (verdict, time_bound)
+    block = verifier.SWEEP_STEPS if rows is None else rows
+    with mock.patch.object(verifier, "SWEEP_STEPS", block):
+        r = verify(cop, h=h, want_witness=False)
+    assert (r.verdict, r.time_bound) == (verdict, time_bound)
 
 
 @pytest.mark.parametrize("eps", [None, 5.0], ids=["survival", "capture"])
@@ -646,10 +653,82 @@ def test_zero_step_cop_matches_per_step_reference(eps):
     assert r.n_steps == 0
     assert (r.verdict, r.time_bound) == (verdict, time_bound)
     assert r.verdict == ("capture" if eps else "survival")
+    r_bool = verify(cop, h=0.02, eps=eps, want_witness=False)
+    assert (r_bool.verdict, r_bool.time_bound) == (verdict, time_bound)
     assert repr(r.min_clearance) == repr(clearance)
     if witness is not None:
         assert _same_witness(r.witness, witness)
 
+
+# ------------------------------------------------------- the boolean game
+
+@st.composite
+def alive_cases(draw):
+    """A random graph with loops, parallel edges and one edge shorter than
+    h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
+    cop that sweeps it at a speed of 2-8 (several intervals in a step),
+    stands exactly on a vertex, or has no steps; with where a capture
+    should fall in the boolean game's blocks: first or last, or wherever
+    blocks of a drawn size put it."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
+    sp = grid.max_spacing
+    kind = draw(st.sampled_from(["sweep", "sweep", "sweep", "stand",
+                                 "zero"]))
+    if kind == "stand":
+        cop = stand(g, rng.choice(g.vertices), sp * rng.uniform(0.5, 60.0))
+    else:
+        cop = sweep_strategy(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
+        if kind == "zero":
+            cop = truncate_path(cop, 0.0)
+    place = draw(st.sampled_from(["first", "last", 1, 2, 3, 5, 256]))
+    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), place
+
+
+def test_alive_masks_match_maximin_scores():
+    # at every step the boolean game's alive mask is the maximin game's
+    # score > eps, slot for slot; verify's verdict and time bound agree
+    # with the maximin game's wherever the capture falls in a block
+    seen = {"stand": 0, "zero": 0, "several": 0, "first": 0, "last": 0}
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(alive_cases())
+    def check(case):
+        kind, cop, h, eps, place = case
+        grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+        reach = build_reach(grid, tau + REACH_SLACK)
+        table = piece_table(cop)
+        start = grid.distances_to_point(cop.points[0])
+        score = _to_slots(reach, start)
+        rows = _alive_rows(reach)
+        rows[0][reach.width][reach.slot] = start > eps
+        assert np.array_equal(rows[0][reach.width], score > eps)
+        for j in range(n_steps):
+            step, edge, lo, hi = swept_block(table, tau, j, j + 1)
+            clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi)
+            score = propagate_step(score, _to_slots(reach, clr[0]), reach)
+            _, q = grid.cells_within(step - j, edge, lo, hi, eps)
+            kill = np.concatenate([reach.slot[q], reach.guards])
+            alive = _alive_step(rows[0], rows[1], kill, reach)
+            rows.reverse()
+            assert np.array_equal(alive, score > eps), j
+            seen["several"] += len(step) > 1
+        r = verify(cop, h=h, eps=eps)
+        k = (round(r.time_bound / tau) - 1 if r.captured and r.time_bound
+             else None)     # the capturing step, if not the start
+        block = {"first": max(k or 1, 1), "last": (k or 0) + 1}.get(place,
+                                                                   place)
+        with mock.patch.object(verifier, "SWEEP_STEPS", block):
+            fast = verify(cop, h=h, eps=eps, want_witness=False)
+        assert (fast.verdict, fast.time_bound) == (r.verdict, r.time_bound)
+        if kind != "sweep":
+            seen[kind] += 1
+        if k is not None and place in ("first", "last"):
+            assert k % block == (0 if place == "first" else block - 1)
+            seen[place] += 1
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("g, h, detours", [
@@ -777,16 +856,16 @@ def test_capture_stable_under_extension():
 # ------------------------------------------------------------ oracle accord
 
 def test_verify_agrees_with_oracle():
+    # both games: the boolean one without a witness, the maximin one with
     rng = random.Random(5)
     verdicts = set()
     for _ in range(40):
         cop, h, eps = oracle_instance(rng)
-        fast = verify(cop, h=h, eps=eps, want_witness=False)
         slow = brute_force_oracle(cop, h=h, eps=eps)
-        assert fast.verdict == slow.verdict
-        if fast.captured:
-            assert fast.time_bound == pytest.approx(slow.time_bound,
-                                                    abs=1e-9)
+        for want_witness in (False, True):
+            fast = verify(cop, h=h, eps=eps, want_witness=want_witness)
+            assert (fast.verdict, fast.time_bound) == (slow.verdict,
+                                                       slow.time_bound)
         verdicts.add(fast.verdict)
     assert verdicts == {"capture", "survival"}
 
