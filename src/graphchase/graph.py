@@ -78,6 +78,21 @@ class MetricGraph:
         self.edge(edge_id)          # an unknown id raises here
         return self._edge_index[edge_id]
 
+    def edge_indices(self, ids) -> np.ndarray:
+        """The position of each edge id in `edges`, or -1 for an id that
+        names no edge (an unhashable one too)."""
+        index = self._edge_index
+
+        def look(eid):
+            try:
+                return index.get(eid, -1)
+            except TypeError:
+                return -1
+        try:
+            return np.array([index.get(eid, -1) for eid in ids], dtype=np.int64)
+        except TypeError:
+            return np.array([look(eid) for eid in ids], dtype=np.int64)
+
     def incident_edges(self, vertex: str) -> tuple[Edge, ...]:
         return self._adj[vertex]
 
@@ -231,23 +246,29 @@ class MetricGraph:
         e = self.edge(p.edge)
         return ((e.u, p.offset), (e.v, e.length - p.offset))
 
+    def legs(self, ea, xa, eb, xb) -> np.ndarray:
+        """The shortest way from each point (edge index ea, offset xa) to
+        (eb, xb) through an endpoint of each one's edge: the least of the
+        four `leg + vertex distance + leg` sums, each the floating-point
+        sum `route` forms for it.  Offsets must lie in [0, length]."""
+        eu, ev, length = self.edge_table
+        vv = self.vertex_distance_matrix
+        return np.minimum.reduce([
+            da + vv[ua, ub] + db
+            for ua, da in ((eu[ea], xa), (ev[ea], length[ea] - xa))
+            for ub, db in ((eu[eb], xb), (ev[eb], length[eb] - xb))])
+
     def distance(self, a: GraphPoint, b: GraphPoint) -> float:
         """Intrinsic (shortest-path) distance between two points."""
-        a = self.clamp_point(a)
-        b = self.clamp_point(b)
-        best = math.inf
-        if a.edge == b.edge:
-            best = abs(a.offset - b.offset)
-        for va, da in self._endpoint_legs(a):
-            for vb, db in self._endpoint_legs(b):
-                best = min(best, da + self.vertex_distance(va, vb) + db)
-        return best
+        return self.route(a, b)[0]
 
     def route(self, a: GraphPoint, b: GraphPoint):
         """(length, edge runs) of a shortest path between two points.
 
         The runs are (edge id, start offset, end offset) triples, contiguous
-        and free of zero-length entries; an empty tuple means a == b.
+        and free of zero-length entries; an empty tuple means a == b.  The
+        length is the least of the direct run (on one edge) and the four
+        ways through the edges' endpoints; a tie goes to the first of them.
         """
         a = self.clamp_point(a)
         b = self.clamp_point(b)
@@ -272,6 +293,31 @@ class MetricGraph:
             runs = chosen[1]
         runs = [(eid, x0, x1) for eid, x0, x1 in runs if abs(x1 - x0) > GEOM_TOL]
         return length, tuple(runs)
+
+    def step_runs(self, points) -> list:
+        """The runs of `route(a, b)` for each step a -> b of the points,
+        whose offsets must lie in [0, length].
+
+        A step within one edge whose direct run is no longer than `legs`
+        gets the direct run that route's tie rule picks (none if it is at
+        most GEOM_TOL long, as route drops it); only the other steps, and
+        steps on an unknown edge, call route.
+        """
+        e = self.edge_indices([q.edge for q in points])
+        x = np.array([q.offset for q in points])
+        ea, eb, xa, xb = e[:-1], e[1:], x[:-1], x[1:]
+        direct = np.abs(xa - xb)
+        short = (ea == eb) & (ea >= 0) & (direct <= self.legs(ea, xa, eb, xb))
+        runs = []
+        for a, b, ok, moves in zip(points[:-1], points[1:], short.tolist(),
+                                   (direct > GEOM_TOL).tolist()):
+            if not ok:
+                runs.append(self.route(a, b)[1])
+            elif moves:
+                runs.append(((a.edge, a.offset, b.offset),))
+            else:
+                runs.append(())
+        return runs
 
     # ------------------------------------------------------------------
     # transforms
@@ -684,7 +730,9 @@ class DiscretizedGraph:
         vertex term is the vertex distance plus a non-negative length and
         a direct term a difference of offsets, so, rounding being monotone
         and far finer than a spacing, every term at most eps belongs to a
-        looked-at sample, and the cells are exact.
+        looked-at sample, and the cells are exact.  The cells come sorted
+        by row, then sample.  With one zero-length interval per row at a
+        sample's point, row q is that sample's reach in the verifier.
         """
         n, dist = self.n, self.vertex_sample_dist
         eu, ev, _ = self.graph.edge_table

@@ -203,6 +203,11 @@ def build_star_schedule(g: MetricGraph, s: float,
     lam^(-m(k-1)+1) below the truncation scale; probes then grow by lam,
     rotating over all arms but the last, dropping arms as they clear, until
     one arm remains.
+
+    The clock of `star_strategy`'s PathBuilder is tracked with the
+    builder's own float operations.  Just above the threshold the
+    closed-form starts fall behind it, and the first start more than 1e-9
+    behind raises StrategyError before any path is built.
     """
     center, arms = _detect_star(g)
     k = len(arms)
@@ -219,6 +224,7 @@ def build_star_schedule(g: MetricGraph, s: float,
     cascade_arms = arms[:-1]
     extents = {eid: g.edge(eid).length for eid in cascade_arms}
     phase1_end = 2 * g.edge(final_arm).length / s
+    now = phase1_end        # = L/s + L/s exactly: doubling is exact
 
     radii = _ladder_init(cascade_arms, lam, d0)
     cleared: set[str] = set()
@@ -236,6 +242,14 @@ def build_star_schedule(g: MetricGraph, s: float,
         rotation.rotate(-1)
         duration = d0 * lam ** j
         start = phase1_end + d0 * lam ** j / (lam - 1)
+        if start < now - 1e-9:
+            raise StrategyError(f"speed {s} is too close to the threshold "
+                                f"{2 * k - 3}: excursion start {start} "
+                                f"is behind the path's clock {now}")
+        if start > now + 1e-15:
+            now = now + (start - now)
+        leg = min(s * duration / 2, g.edge(target).length) / s
+        now = now + leg + leg
         excursions.append((target, start, duration))
         _cascade_update(radii, cleared, extents, target, duration, s)
         if target in cleared:

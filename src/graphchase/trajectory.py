@@ -42,22 +42,6 @@ def _reals(values, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _edge_indices(g: MetricGraph, ids) -> np.ndarray:
-    """The position of each edge id in `g.edges`, or -1 for an id that g
-    has no edge for (an unhashable one too)."""
-    index = {e.id: k for k, e in enumerate(g.edges)}
-
-    def look(eid):
-        try:
-            return index.get(eid, -1)
-        except TypeError:
-            return -1
-    try:
-        return np.array([index.get(eid, -1) for eid in ids], dtype=np.int64)
-    except TypeError:
-        return np.array([look(eid) for eid in ids], dtype=np.int64)
-
-
 def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
     """Check p's points, routes and speed bound in one array pass.
 
@@ -83,7 +67,7 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
         return np.where((va >= 0) | (vb >= 0), va == vb,
                         (ea == eb) & (np.abs(xa - xb) <= GEOM_TOL))
 
-    pe = _edge_indices(g, [q.edge for q in p.points])
+    pe = g.edge_indices([q.edge for q in p.points])
     px = _reals([q.offset for q in p.points], "offsets")
     bad = off_edge(pe, px)
     if bad.any():
@@ -91,7 +75,7 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
 
     runs = [(eid, x0, x1) for seg in p.routes for eid, x0, x1 in seg]
     ids, x0, x1 = zip(*runs) if runs else ((), (), ())
-    re, r0, r1 = (_edge_indices(g, ids), _reals(x0, "offsets"),
+    re, r0, r1 = (g.edge_indices(ids), _reals(x0, "offsets"),
                   _reals(x1, "offsets"))
     count = np.array([len(seg) for seg in p.routes], dtype=np.int64)
     end = np.cumsum(count)
@@ -586,7 +570,7 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     term, so the minimum is attained at piece boundaries or at the one root
     of the same-edge offset difference.  The intervals between the pieces'
     time bounds are handled as arrays, and each distance takes the same
-    floating-point operations as `MetricGraph.distance`.
+    floating-point operations as `MetricGraph.route`.
     """
     g = p.graph
     t1 = min(p.duration, q.duration)
@@ -607,16 +591,13 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     pb, qb = _offsets_at(pp, pi, b), _offsets_at(qq, qi, b)
     if np.any(same & ((pa - qa) * (pb - qb) < 0)):
         return 0.0          # same edge: the offset difference has a root
-    eu, ev, length = g.edge_table
-    vv = g.vertex_distance_matrix
+    length = g.edge_table[2]
     best = math.inf
     for x, y in ((pa, qa), (pb, qb)):
         x = np.minimum(np.maximum(x, 0.0), length[pe])      # clamp_point
         y = np.minimum(np.maximum(y, 0.0), length[qe])
-        d = np.where(same, np.abs(x - y), np.inf)
-        for ua, da in ((eu[pe], x), (ev[pe], length[pe] - x)):
-            for ub, db in ((eu[qe], y), (ev[qe], length[qe] - y)):
-                np.minimum(d, da + vv[ua, ub] + db, out=d)
+        d = np.minimum(np.where(same, np.abs(x - y), np.inf),
+                       g.legs(pe, x, qe, y))
         best = min(best, float(d.min()))
     return best
 

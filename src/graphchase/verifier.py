@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph,
-                    discretize, max_spacing, sample_count)
+from .graph import DiscretizedGraph, discretize, max_spacing, sample_count
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_pieces, path_to_dict, piece_table, write_json)
 
@@ -97,34 +96,19 @@ class ReachStructure:
 def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     """Pairs of samples at intrinsic distance <= radius.
 
-    Same-edge pairs come from offset windows; cross-edge pairs are routed
-    through a vertex, which every cross-edge shortest path must pass.  The
-    band half-width is the largest k up to every interior edge's
-    `floor(radius / spacing)` for which each pair of one block at most k
-    samples apart is a CSR pair; pairs farther apart, between blocks or
-    with a vertex go to the junction list.
+    The predecessors of sample q are the samples within radius of its
+    point, `grid.points[q]`, taken as a zero-length interval on its edge:
+    `cells_within` row q, the cells where `grid.distances_to_point` of
+    that point is at most radius.  The band half-width is the largest k
+    up to every interior edge's `floor(radius / spacing)` for which each
+    pair of one block at most k samples apart is a CSR pair; pairs
+    farther apart, between blocks or with a vertex go to the junction
+    list.
     """
     n = grid.n
-    pair_keys = [np.arange(n, dtype=np.int64) * (n + 1)]  # self loops: dst*n+src
-    for rec in grid.edges:
-        idx, offs = rec.index, rec.offsets
-        lo = np.searchsorted(offs, offs - radius, side="left")
-        hi = np.searchsorted(offs, offs + radius, side="right")
-        dsts = np.repeat(idx, hi - lo)
-        srcs = np.concatenate([idx[a:b] for a, b in zip(lo, hi)])
-        pair_keys.append(dsts * n + srcs)
-    for vi in range(grid.vertex_sample_dist.shape[0]):
-        row = grid.vertex_sample_dist[vi]
-        near = np.nonzero(row <= radius)[0]
-        if len(near) == 0:
-            continue
-        d = row[near]
-        ok = d[:, None] + d[None, :] <= radius
-        ii, jj = np.nonzero(ok)
-        pair_keys.append(near[ii] * n + near[jj])
-    keys = np.unique(np.concatenate(pair_keys))
-    dst = (keys // n).astype(np.int64)
-    src = (keys % n).astype(np.int64)
+    x = np.array([p.offset for p in grid.points])
+    edge = grid.graph.edge_indices([p.edge for p in grid.points])
+    dst, src = grid.cells_within(np.arange(n), edge, x, x, radius)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
 
     # group of each sample: its own for a vertex, its block's for the rest
@@ -513,38 +497,8 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     times = ([j * tau for j in range(n_steps)] + [cop.duration]
              if n_steps else [0.0])
     return TimedPath(g, tuple(times), tuple(points),
-                     tuple(_step_routes(g, points)), 1.0,
+                     tuple(g.step_runs(points)), 1.0,
                      {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
-
-
-def _step_routes(g: MetricGraph, points) -> list:
-    """The runs of `g.route(a, b)` for each step a -> b of the points.
-
-    A step within one edge whose direct run is no longer than each way
-    through the edge's endpoints, compared as route compares them, gets
-    the direct run that route's stable sort picks (none if it is at most
-    GEOM_TOL long, as route drops it); only the other steps call route.
-    """
-    e = np.array([g.edge_index(q.edge) for q in points], dtype=np.int64)
-    x = np.array([q.offset for q in points])
-    eu, ev, length = g.edge_table
-    vv = g.vertex_distance_matrix
-    ea, eb, xa, xb = e[:-1], e[1:], x[:-1], x[1:]
-    direct = np.abs(xa - xb)
-    short = ea == eb
-    for ua, da in ((eu[ea], xa), (ev[ea], length[ea] - xa)):
-        for ub, db in ((eu[eb], xb), (ev[eb], length[eb] - xb)):
-            short &= direct <= da + vv[ua, ub] + db
-    routes = []
-    for a, b, ok, moves in zip(points[:-1], points[1:], short.tolist(),
-                               (direct > GEOM_TOL).tolist()):
-        if not ok:
-            routes.append(g.route(a, b)[1])
-        elif moves:
-            routes.append(((a.edge, a.offset, b.offset),))
-        else:
-            routes.append(())
-    return routes
 
 
 def extract_witness(result: VerifierResult) -> TimedPath:

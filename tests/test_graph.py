@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import (GraphPoint, GraphValidationError, build_graph,
-                        discretize, double_tree_walk, graph_from_dict,
-                        graph_to_dict, load_graph, save_graph, walk_covers,
-                        walk_length)
+from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
+                        build_graph, discretize, double_tree_walk,
+                        graph_from_dict, graph_to_dict, load_graph,
+                        min_clearance, save_graph, walk_covers, walk_length)
 from graphchase.graph import max_spacing
 from graphchase.randgen import random_graph
 
@@ -96,6 +96,60 @@ def test_route_length_matches_distance():
         length, runs = g.route(p, q)
         assert abs(length - g.distance(p, q)) < 1e-9
         assert abs(walk_length(runs) - length) < 1e-9
+
+
+def _tie_cycle():
+    # e0 (length 3) against the 1.5 way round, in eighths of each edge:
+    # 0 -> 2.25 on e0 is 2.25 both ways, and so is e0 at 1.5 -> e2 at 0.25
+    return build_graph(["a", "b", "c", "d"],
+                       [("a", "b", 3.0), ("b", "c", 0.5), ("c", "d", 0.5),
+                        ("d", "a", 0.5)])
+
+
+@st.composite
+def graph_points(draw):
+    """A graph with exact leg ties or loops and parallel edges, and a few
+    points on it: dyadic offsets, offsets within GEOM_TOL of a vertex and
+    arbitrary ones, all in [0, length]."""
+    g = draw(st.sampled_from([
+        _tie_cycle(), unit_cycle(), triangle(1.0, 0.1, 0.1), star(3),
+        random_graph(random.Random(3), extra_edges=3, allow_multi=True)]))
+    points = []
+    for _ in range(draw(st.integers(2, 6))):
+        e = draw(st.sampled_from(g.edges))
+        x = draw(st.one_of(
+            st.sampled_from([0.0, 1e-10, 5e-10, e.length - 1e-10,
+                             e.length]),
+            st.integers(0, 8).map(lambda i: e.length * i / 8),
+            st.floats(0.0, e.length)))
+        points.append(GraphPoint(e.id, x))
+    return g, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_points())
+def test_one_leg_formula(case):
+    # route, distance, step_runs and min_clearance agree exactly, ties
+    # included, since all take the through-vertex length from one formula
+    g, points = case
+    pairs = list(zip(points, points[1:]))
+    assert g.step_runs(points) == [g.route(a, b)[1] for a, b in pairs]
+    for a, b in pairs:
+        length = g.route(a, b)[0]
+        assert g.distance(a, b) == length
+        ea, eb = g.edge_indices([a.edge, b.edge]).tolist()
+        legs = float(g.legs(ea, a.offset, eb, b.offset))
+        assert length == (min(legs, abs(a.offset - b.offset))
+                          if a.edge == b.edge else legs)
+        stay_a = PathBuilder(g, a, 1.0).wait(1.0).build()
+        stay_b = PathBuilder(g, b, 1.0).wait(2.0).build()
+        assert min_clearance(stay_a, stay_b) == length
+
+
+def test_edge_indices():
+    g = triangle()
+    assert g.edge_indices(["e2", "e0", "zz", ["x"], None]).tolist() == \
+        [2, 0, -1, -1, -1]
 
 
 def test_scale():

@@ -191,6 +191,19 @@ def test_star_excursion_behind_the_clock(monkeypatch, lag, rejected):
         "rejected"
 
 
+def test_near_threshold_star_refused_before_building(monkeypatch):
+    # the schedule tracks the builder's clock, so no path is started: at
+    # 3.000001 the 39th start is behind it, which the builder alone
+    # noticed only after planning every excursion (about 20 s)
+    def no_builder(*args, **kwargs):
+        raise AssertionError("a path was built")
+    monkeypatch.setattr(strategies, "PathBuilder", no_builder)
+    with pytest.raises(StrategyError, match="behind the path's clock"):
+        star_strategy(star(3), 3.000001, 0.1)
+    with pytest.raises(StrategyError, match="behind the path's clock"):
+        build_star_schedule(star(3), 3.000001, 0.1)
+
+
 def test_star_unequal_arms():
     g = build_graph(["O", "a", "b", "c"],
                     [("O", "a", 0.5), ("O", "b", 1.0), ("O", "c", 2.0)])

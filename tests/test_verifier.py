@@ -20,7 +20,7 @@ from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
                                  _clearance_rows, _resolve_params,
-                                 _step_routes, _step_grid, _to_slots,
+                                 _step_grid, _to_slots,
                                  build_reach, propagate_step, swept_block,
                                  swept_intervals)
 
@@ -108,6 +108,32 @@ def test_unit_speed_cycle_loop_survives_at_every_resolution():
         assert r.dt == r.spacing
     with pytest.raises(TypeError):
         verify(cop, h=0.01, dt=0.006, eps=0.0105)
+
+
+# `capture` certifies the grid game, whose evaders are slower than 1 on
+# edges of spacing below tau: these unit-speed loops are not caught by
+# any unit-speed evader running ahead of the cop, yet the grid game says
+# capture.  They pass once the verifier plays an over-approximating game.
+
+@pytest.mark.xfail(strict=True, reason="capture certifies the grid game "
+                   "only: a cycle of lengths 1 and 1.01 at default h, eps")
+def test_unsound_capture_two_edge_cycle():
+    # an evader lapping 1.005 ahead keeps that clearance; today: capture
+    # at t=390.2399
+    g = build_graph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.01)])
+    r = verify(cycle_loop(g, 1.0, 600.0), want_witness=False)
+    assert r.verdict != "capture", r.time_bound
+
+
+@pytest.mark.xfail(strict=True, reason="capture certifies the grid game "
+                   "only: six 0.15 edges and one 1.0 edge at h=0.1")
+def test_unsound_capture_mixed_spacing_cycle():
+    # the antipodal unit-speed evader keeps 0.95; today: capture at t=9.4
+    vs = [f"v{i}" for i in range(7)]
+    g = build_graph(vs, [(vs[i], vs[(i + 1) % 7], 0.15 if i < 6 else 1.0)
+                         for i in range(7)])
+    r = verify(cycle_loop(g, 1.0, 20.0), h=0.1, eps=0.2, want_witness=False)
+    assert r.verdict != "capture", r.time_bound
 
 
 # ----------------------------------------------------------- trivial cases
@@ -236,6 +262,20 @@ def kernel_cases(draw):
     clearance = np.array(draw(st.lists(levels, min_size=grid.n,
                                        max_size=grid.n)))
     return grid, radius, score, clearance
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_reach_is_the_distance_threshold(case):
+    # row q of the CSR holds exactly the samples p with
+    # distances_to_point(points[q])[p] <= radius, in ascending order
+    grid, radius, _, _ = case
+    reach = build_reach(grid, radius)
+    for q in range(grid.n):
+        near = grid.distances_to_point(grid.points[q]) <= radius
+        assert reach.predecessors(q).tolist() == np.flatnonzero(near).tolist()
+    assert (reach.dst == np.repeat(np.arange(grid.n),
+                                   np.diff(reach.starts))).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -745,7 +785,7 @@ def test_step_runs_match_route(g, h, detours):
     for a in grid.points:
         for b in grid.points:
             runs = g.route(a, b)[1]
-            assert _step_routes(g, [a, b]) == [runs]
+            assert g.step_runs([a, b]) == [runs]
             seen += a.edge == b.edge and len(runs) > 1
     assert bool(seen) == detours
 
@@ -802,8 +842,8 @@ def test_witness_runs_are_routes_on_multigraphs(seed):
     for _ in range(30):
         near = np.flatnonzero(grid.distances_to_point(walk[-1]) <= tau)
         walk.append(grid.points[rng.choice(near.tolist())])
-    assert _step_routes(g, walk) == [g.route(a, b)[1]
-                                     for a, b in zip(walk, walk[1:])]
+    assert g.step_runs(walk) == [g.route(a, b)[1]
+                                 for a, b in zip(walk, walk[1:])]
 
 
 def test_witness_replay_stores_nothing_per_step():
