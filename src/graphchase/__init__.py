@@ -22,11 +22,11 @@ from .strategies import (ClearanceState, StarSchedule, StrategyError,
                          cycle_strategy, finiteness_strategy, lambda_root,
                          secure_vertex, simulate_clearance, star_strategy,
                          sufficient_speed, sweep_strategy)
-from .verifier import (ParameterError, ReachStructure, SizeLimitError,
-                       StateError, VerifierResult, brute_force_oracle,
-                       build_reach, continuous_clearance, extract_witness,
-                       min_capture_time, propagate_step, result_to_dict,
-                       save_report, swept_intervals, verify)
+from .verifier import (GameMismatchError, ParameterError, ReachStructure,
+                       SizeLimitError, StateError, VerifierResult,
+                       brute_force_oracle, build_reach, continuous_clearance,
+                       extract_witness, min_capture_time, propagate_step,
+                       result_to_dict, save_report, swept_intervals, verify)
 from .critical import (FAMILIES, EvidenceError, FrontierRow, SpeedBracket,
                        build_family, frontier_table, frontier_to_csv,
                        frontier_to_json, upper_bound_bisect)

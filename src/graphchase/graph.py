@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -608,6 +609,17 @@ class EdgeSamples:
     dv: np.ndarray
 
 
+class RowLayout(NamedTuple):
+    """Where `distances_to_interval_rows` puts its values: the
+    vertex-to-sample distances in the row's columns, a row without
+    intervals, and the columns of each edge's interior samples (None for
+    an edge without them)."""
+
+    vertex_dist: np.ndarray
+    blank: np.ndarray
+    inner: tuple
+
+
 class DiscretizedGraph:
     """Uniform per-edge samples at spacing <= h, with endpoint samples merged
     at vertices and exact arc distances between consecutive samples.
@@ -619,6 +631,8 @@ class DiscretizedGraph:
     banded propagation (`build_reach`) relies on this.  `edges[k]` holds
     the samples of `graph.edges[k]`, and `vertex_sample_dist` the exact
     distance from every vertex (rows in `graph.vertex_rows`) to every sample.
+    `sample_edge` and `sample_offset` hold each point's edge index and
+    offset, and `sample_layout` lays rows out in sample order.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -659,6 +673,37 @@ class DiscretizedGraph:
         self.vertex_sample_dist = dist
         self.edges: tuple[EdgeSamples, ...] = tuple(edges)
         self.max_spacing = max(rec.spacing for rec in edges)
+        self.sample_edge = np.empty(self.n, dtype=np.int64)
+        self.sample_offset = np.empty(self.n)
+        self.sample_edge[:len(row)] = graph.edge_indices(
+            [p.edge for p in points[:len(row)]])
+        self.sample_offset[:len(row)] = [p.offset for p in points[:len(row)]]
+        for k, rec in enumerate(edges):
+            self.sample_edge[rec.inner] = k
+            self.sample_offset[rec.inner] = rec.offsets[1:-1]
+        # per edge: spacing, interval count and first interior sample
+        self._edge_spacing = np.array([rec.spacing for rec in edges])
+        self._edge_intervals = np.array([len(rec.offsets) - 1
+                                         for rec in edges])
+        self._edge_inner_start = np.array([rec.inner.start for rec in edges])
+        self.sample_layout = RowLayout(
+            dist, np.full(self.n, np.inf),
+            tuple(rec.inner if len(rec.index) > 2 else None for rec in edges))
+
+    def row_layout(self, column: np.ndarray, n_columns: int,
+                   fill: float) -> RowLayout:
+        """Rows of n_columns columns with sample q in column `column[q]`
+        and `fill` in every other column, for `distances_to_interval_rows`.
+        The interior samples of each edge must keep consecutive columns."""
+        dist = np.full((len(self.vertex_sample_dist), n_columns), fill)
+        dist[:, column] = self.vertex_sample_dist
+        blank = np.full(n_columns, fill)
+        blank[column] = np.inf
+        inner = tuple(None if cols is None else
+                      slice(int(column[cols.start]),
+                            int(column[cols.stop - 1]) + 1)
+                      for cols in self.sample_layout.inner)
+        return RowLayout(dist, blank, inner)
 
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""
@@ -680,8 +725,9 @@ class DiscretizedGraph:
             np.minimum.at(out, rec.index, direct)
         return out
 
-    def distances_to_interval_rows(self, n_rows: int, rows, edges, lo,
-                                   hi) -> np.ndarray:
+    def distances_to_interval_rows(self, n_rows: int, rows, edges, lo, hi,
+                                   layout: RowLayout | None = None
+                                   ) -> np.ndarray:
         """`distances_to_intervals` for many interval sets at once.
 
         Row r of the (n_rows, n) result is the distance from every sample to
@@ -692,30 +738,34 @@ class DiscretizedGraph:
         edge in consecutive rows is done in one pass: the two vertex terms
         over the whole rows, the direct term over the edge's interior
         slice.  An endpoint sample needs no direct term, since its own
-        vertex term is the same number.
+        vertex term is the same number.  With a `layout` from `row_layout`
+        the rows come in its columns, its fill value in the others.
         """
-        out = np.empty((n_rows, self.n))
+        dist, blank, inner = self.sample_layout if layout is None else layout
+        eu, ev, length = self.graph.edge_table
+        out = np.empty((n_rows, len(blank)))
         filled = 0          # rows below this one hold distances
         first = np.ones(len(rows), dtype=bool)   # starts a new stretch
         first[1:] = (edges[1:] != edges[:-1]) | (rows[1:] != rows[:-1] + 1)
         bounds = np.flatnonzero(first).tolist() + [len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            rec = self.edges[edges[a]]
+            k = edges[a]
             lo_k, hi_k = lo[a:b, None], hi[a:b, None]
             r0, r1 = rows[a], rows[a] + b - a
             fresh = r0 >= filled
-            out[filled:r0 if fresh else r1] = np.inf
+            out[filled:r0 if fresh else r1] = blank
             # rows not written yet take the terms in place
-            near = np.add(rec.du, lo_k, out=out[r0:r1] if fresh else None)
-            np.minimum(near, rec.dv + (rec.offsets[-1] - hi_k), out=near)
-            if len(rec.index) > 2:
-                offs = rec.offsets[1:-1]
+            near = np.add(dist[eu[k]], lo_k, out=out[r0:r1] if fresh else None)
+            np.minimum(near, dist[ev[k]] + (length[k] - hi_k), out=near)
+            cols = inner[k]
+            if cols is not None:
+                offs = self.edges[k].offsets[1:-1]
                 direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
-                np.minimum(near[:, rec.inner], direct, out=near[:, rec.inner])
+                np.minimum(near[:, cols], direct, out=near[:, cols])
             if not fresh:
                 np.minimum(out[r0:r1], near, out=out[r0:r1])
             filled = max(filled, r1)
-        out[filled:] = np.inf
+        out[filled:] = blank
         return out
 
     def cells_within(self, rows, edges, lo, hi,
@@ -730,40 +780,65 @@ class DiscretizedGraph:
         vertex term is the vertex distance plus a non-negative length and
         a direct term a difference of offsets, so, rounding being monotone
         and far finer than a spacing, every term at most eps belongs to a
-        looked-at sample, and the cells are exact.  The cells come sorted
-        by row, then sample.  With one zero-length interval per row at a
-        sample's point, row q is that sample's reach in the verifier.
+        looked-at sample, and the cells are exact.  All intervals are
+        handled at once, each kind of term as one flat array of candidate
+        cells made by its own method, so that its temporaries are freed
+        before the cells are sorted.  The cells come sorted by row, then
+        sample.  With one zero-length interval per row at a sample's point,
+        row q is that sample's reach in the verifier.
         """
-        n, dist = self.n, self.vertex_sample_dist
-        eu, ev, _ = self.graph.edge_table
+        keys = np.concatenate([self._vertex_cells(rows, edges, lo, hi, eps),
+                               self._edge_cells(rows, edges, lo, hi, eps)])
+        keys.sort()
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        return np.divmod(keys[new], self.n)
+
+    def _vertex_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
+        """`cells_within`'s vertex terms at most eps, as keys row * n +
+        sample: each interval's leg to either end of its edge, which a
+        term is at least, plus the distances from that vertex to its
+        samples within eps and a spacing."""
+        dist = self.vertex_sample_dist
+        eu, ev, length = self.graph.edge_table
+        leg = np.concatenate([lo, length[edges] - hi])
+        t = np.flatnonzero(leg <= eps)
+        leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
+        used = np.flatnonzero(np.bincount(vert, minlength=len(dist)))
+        near = [np.flatnonzero(dist[v] <= eps + self.max_spacing)
+                for v in used.tolist()]
+        ends = np.cumsum([0] + [len(c) for c in near])
+        k = np.searchsorted(used, vert)
+        i, c = _flat_ranges(ends[k], ends[k + 1])
+        c = np.concatenate([np.empty(0, dtype=np.int64)] + near)[c]
+        ok = dist[vert[i], c] + leg[i] <= eps
+        return np.concatenate([rows, rows])[t[i[ok]]] * self.n + c[ok]
+
+    def _edge_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
+        """`cells_within`'s direct terms at most eps, as keys row * n +
+        sample: the interior positions 1 .. intervals - 1 of each
+        interval's edge within eps and a spacing of [lo, hi]."""
         reach = eps + self.max_spacing
-        keys = [np.empty(0, dtype=np.int64)]     # no intervals, no cells
-        for k in np.flatnonzero(np.bincount(edges)).tolist():
-            sel = np.flatnonzero(edges == k)
-            rec = self.edges[k]
-            r, a, b = rows[sel], lo[sel], hi[sel]
-            for vrow, leg in ((eu[k], a), (ev[k], rec.offsets[-1] - b)):
-                m = np.flatnonzero(leg <= eps)   # a term is at least its leg
-                if len(m):
-                    near = np.flatnonzero(dist[vrow] <= reach)
-                    i, c = np.nonzero(dist[vrow, near] + leg[m, None] <= eps)
-                    keys.append(r[m[i]] * n + near[c])
-            if len(rec.index) > 2:
-                # interior positions 1 .. len - 2 within reach of [a, b]
-                offs = rec.offsets
-                first = np.maximum(np.searchsorted(offs, a - reach), 1)
-                stop = np.minimum(np.searchsorted(offs, b + reach, "right"),
-                                  len(offs) - 1)
-                count = np.maximum(stop - first, 0)
-                i = np.repeat(np.arange(len(sel)), count)
-                pos = np.arange(len(i)) + np.repeat(
-                    first - np.cumsum(count) + count, count)
-                x = offs[pos]
-                ok = np.maximum(0.0, np.maximum(a[i] - x, x - b[i])) <= eps
-                keys.append(r[i[ok]] * n + rec.index[pos[ok]])
-        keys = np.sort(np.concatenate(keys))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return keys // n, keys % n
+        sp = self._edge_spacing[edges]
+        first = np.maximum(np.ceil((lo - reach) / sp), 1)
+        stop = np.minimum(np.floor((hi + reach) / sp) + 1,
+                          self._edge_intervals[edges])
+        i, s = _flat_ranges(first.astype(np.int64),
+                            np.maximum(stop, first).astype(np.int64))
+        s += (self._edge_inner_start - 1)[edges][i]    # position to sample
+        x = self.sample_offset[s]
+        ok = np.maximum(0.0, np.maximum(lo[i] - x, x - hi[i])) <= eps
+        return rows[i[ok]] * self.n + s[ok]
+
+
+def _flat_ranges(start: np.ndarray, stop: np.ndarray):
+    """(i, v) over every v in range(start[i], stop[i]), in order of i,
+    then v; stop must not be below start."""
+    count = stop - start
+    i = np.repeat(np.arange(len(count)), count)
+    v = np.repeat(start - np.cumsum(count) + count, count)
+    v += np.arange(len(i))
+    return i, v
 
 
 def discretize(g: MetricGraph, h: float) -> DiscretizedGraph:

@@ -469,29 +469,55 @@ class PieceTable:
 
 def piece_table(p: TimedPath) -> PieceTable:
     """The runs of p, timed once for the whole path: the only walk over its
-    routes that `path_pieces`, `clip_pieces` and `min_clearance` use."""
-    rows, edges = [], []
-    for i, runs in enumerate(p.routes):
-        a, b = p.times[i], p.times[i + 1]
-        seg_len = _runs_length(runs)
-        if seg_len == 0:
-            q = p.points[i]
-            rows.append((a, b, a, b, q.offset, q.offset))
-            edges.append(p.graph.edge_index(q.edge))
-            continue
-        v = seg_len / (b - a)
-        acc = 0.0
-        for eid, x0, x1 in runs:
-            ln = abs(x1 - x0)
-            ra = a + acc / v
-            rb = a + (acc + ln) / v
-            acc += ln
-            if min(rb, b) > max(ra, a):
-                rows.append((max(ra, a), min(rb, b), ra, rb, x0, x1))
-                edges.append(p.graph.edge_index(eid))
-    cols = np.array(rows, dtype=float).reshape(len(rows), 6).T
-    return PieceTable(*cols[:4], np.array(edges, dtype=np.int64), *cols[4:],
-                      p.duration)
+    routes that `path_pieces`, `clip_pieces` and `min_clearance` use.
+
+    A segment whose runs have no length is one stationary row.  Otherwise
+    run k of a segment [a, b] whose runs are `seg_len` long in all
+    (`_runs_length`) spans [a + acc / v, a + (acc + ln) / v], where v is
+    seg_len / (b - a), ln its own length and acc the lengths of the runs
+    before it added one by one; it is kept where that span meets [a, b].
+    The array passes take these floating-point operations in that order:
+    acc is a cumulative sum along the segment, done per run count, and a
+    segment of three or more runs takes its length from `math.fsum`.
+    """
+    g = p.graph
+    t = np.array(p.times, dtype=float)
+    count = np.array([len(runs) for runs in p.routes], dtype=np.int64)
+    ids, x0, x1 = zip(*[run for runs in p.routes for run in runs]) \
+        if count.sum() else ((), (), ())
+    x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
+    ln = np.abs(x1 - x0)
+    seg_len, acc = np.zeros(len(count)), np.zeros(len(ln))
+    head = np.cumsum(count) - count           # each segment's first run
+    sizes = np.flatnonzero(np.bincount(count))     # run counts present
+    for c in sizes[sizes > 0].tolist():
+        segs = np.flatnonzero(count == c)
+        runs = head[segs, None] + np.arange(c)
+        walked = np.cumsum(ln[runs], axis=1)     # one by one along a row
+        acc[runs[:, 1:]] = walked[:, :-1]
+        # math.fsum of one or two lengths is their plain sum
+        seg_len[segs] = (walked[:, -1] if c <= 2 else
+                         [math.fsum(row) for row in ln[runs].tolist()])
+    a, b = t[:-1], t[1:]
+    moving = seg_len > 0
+    # the runs of moving segments, then one row per stationary segment
+    k = np.flatnonzero(np.repeat(moving, count))
+    seg = np.repeat(np.arange(len(count)), count)[k]
+    v = seg_len[seg] / (b[seg] - a[seg])
+    ra = a[seg] + acc[k] / v
+    rb = a[seg] + (acc[k] + ln[k]) / v
+    start, stop = np.maximum(ra, a[seg]), np.minimum(rb, b[seg])
+    kept = stop > start
+    still = np.flatnonzero(~moving)
+    pts = [p.points[i] for i in still.tolist()]
+    xs = np.array([q.offset for q in pts], dtype=float)
+    order = np.argsort(np.concatenate([seg[kept], still]), kind="stable")
+    cols = [np.concatenate(pair)[order] for pair in (
+        (start[kept], a[still]), (stop[kept], b[still]),
+        (ra[kept], a[still]), (rb[kept], b[still]),
+        (g.edge_indices(ids)[k[kept]], g.edge_indices([q.edge for q in pts])),
+        (x0[k[kept]], xs), (x1[k[kept]], xs))]
+    return PieceTable(*cols, p.duration)
 
 
 def path_pieces(p: TimedPath, t0: float, t1: float):

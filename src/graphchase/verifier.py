@@ -7,11 +7,12 @@ distances between samples, and the cop's swept region per time step is
 computed analytically from the trajectory's runs, so the only discretization
 is the sample spacing, which is also the time step.
 
-On survival the verifier extracts an explicit evader trajectory that
-maximizes its minimum grid clearance, then recomputes that trajectory's true
-continuous-time clearance against the cop.  A verdict without a witness is
-decided by a boolean game over which samples are alive, which needs only the
-grid cells within the capture radius of the cop.
+Every verdict is decided by a boolean game over which samples are alive,
+which needs only the grid cells within the capture radius of the cop.  On
+a survival that wants a witness, a maximin game then propagates each
+sample's best clearance so far, and the verifier extracts an explicit
+evader trajectory that maximizes its minimum grid clearance and recomputes
+that trajectory's true continuous-time clearance against the cop.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiscretizedGraph, discretize, max_spacing, sample_count
+from .graph import (DiscretizedGraph, RowLayout, discretize, max_spacing,
+                    sample_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_pieces, path_to_dict, piece_table, write_json)
 
@@ -47,6 +49,12 @@ class SizeLimitError(ValueError):
 
 class StateError(RuntimeError):
     """Raised when an operation needs a different verdict than the one found."""
+
+
+class GameMismatchError(RuntimeError):
+    """Raised when the maximin game captures where the boolean game found a
+    survival.  Both games decide the same grid game, so this is an internal
+    error, never a verdict."""
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +113,8 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     farther apart, between blocks or with a vertex go to the junction
     list.
     """
-    n = grid.n
-    x = np.array([p.offset for p in grid.points])
-    edge = grid.graph.edge_indices([p.edge for p in grid.points])
-    dst, src = grid.cells_within(np.arange(n), edge, x, x, radius)
+    n, x = grid.n, grid.sample_offset
+    dst, src = grid.cells_within(np.arange(n), grid.sample_edge, x, x, radius)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
 
     # group of each sample: its own for a vertex, its block's for the rest
@@ -217,7 +223,8 @@ def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
                       table: PieceTable, tau: float, n_steps: int,
                       eps: float, start: np.ndarray) -> int | None:
     """The first step after which no sample is alive, or None: the boolean
-    game, which decides what `verify`'s maximin game decides.
+    game, which decides every verdict of `verify` as the maximin game
+    would.
 
     A sample is alive at step 0 iff `start > eps`, and after step j iff
     its score exceeds eps, which, max and min being monotone, holds iff it
@@ -228,30 +235,40 @@ def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
     replayed from its first mask to find the step.
     """
     rows = _alive_rows(reach)
-    rows[0][reach.width][reach.slot] = start > eps
-    guards = reach.guards
+    alive = rows[0][reach.width]
+    alive[reach.slot] = start > eps
     for b0 in range(0, n_steps, SWEEP_STEPS):
         b1 = min(b0 + SWEEP_STEPS, n_steps)
-        step, edge, lo, hi = swept_block(table, tau, b0, b1)
-        row, q = grid.cells_within(step - b0, edge, lo, hi, eps)
-        # each step's dead slots, then the guards
-        ends = np.searchsorted(row, np.arange(1, b1 - b0 + 1))
-        kill = np.insert(reach.slot[q], np.repeat(ends, len(guards)),
-                         np.tile(guards, b1 - b0))
-        cuts = (ends + len(guards) * np.arange(1, b1 - b0 + 1)).tolist()
-        kills = [kill[c0:c1] for c0, c1 in zip([0] + cuts, cuts)]
-        first = rows[0][reach.width].copy()
+        first = alive.copy()
+        kills = _dead_slots(grid, reach, table, tau, b0, b1, eps)
         for cells in kills:
             _alive_step(rows[0], rows[1], cells, reach)
             rows.reverse()
-        if rows[0][reach.width].any():
-            continue
-        rows[0][reach.width][:] = first
-        for j, cells in enumerate(kills, b0):
-            if not _alive_step(rows[0], rows[1], cells, reach).any():
-                return j
-            rows.reverse()
+        alive = rows[0][reach.width]
+        if not alive.any():
+            alive[:] = first
+            for j, cells in enumerate(kills, b0):
+                if not _alive_step(rows[0], rows[1], cells, reach).any():
+                    return j
+                rows.reverse()
+        del kills       # before the next block's cells are made
     return None
+
+
+def _dead_slots(grid: DiscretizedGraph, reach: ReachStructure,
+                table: PieceTable, tau: float, b0: int, b1: int,
+                eps: float) -> list:
+    """For each step b0 <= j < b1, the slots `_alive_step` clears: the
+    cells of step j's swept region within eps, then the guards; views
+    into one array."""
+    step, edge, lo, hi = swept_block(table, tau, b0, b1)
+    row, q = grid.cells_within(step - b0, edge, lo, hi, eps)
+    guards = reach.guards
+    ends = np.searchsorted(row, np.arange(1, b1 - b0 + 1))
+    kill = np.insert(reach.slot[q], np.repeat(ends, len(guards)),
+                     np.tile(guards, b1 - b0))
+    cuts = (ends + len(guards) * np.arange(1, b1 - b0 + 1)).tolist()
+    return [kill[c0:c1] for c0, c1 in zip([0] + cuts, cuts)]
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -285,10 +302,11 @@ def _to_slots(reach: ReachStructure, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clearance_rows(grid: DiscretizedGraph, reach: ReachStructure,
+def _clearance_rows(grid: DiscretizedGraph, layout: RowLayout,
                     table: PieceTable, tau: float, j0: int, j1: int):
     """Yield (first step, rows) chunks of the clearance rows of the steps
-    j0 <= j < j1, in slots: row j laid out by `_to_slots` is
+    j0 <= j < j1, in the columns of `layout` (the slots, for the maximin
+    game): row j holds
     `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
 
     The pieces come from `swept_block` for blocks of about SWEEP_STEPS
@@ -304,8 +322,8 @@ def _clearance_rows(grid: DiscretizedGraph, reach: ReachStructure,
         ends = list(range(b0, b1, chunk)) + [b1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
-            yield c0, _to_slots(reach, grid.distances_to_interval_rows(
-                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b]))
+            yield c0, grid.distances_to_interval_rows(
+                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b], layout)
 
 
 # ----------------------------------------------------------------------
@@ -411,21 +429,19 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is the grid's sample spacing.
 
-    Without a witness the boolean game `_first_empty_step` decides: it
-    keeps only which samples are alive, needs clearances only at the cells
-    within eps of the cop, and gives the verdict and time bound of the
-    maximin game below, which runs only when a witness is wanted.
+    The boolean game `_first_empty_step` decides every verdict: it keeps
+    only which samples are alive and needs clearances only at the cells
+    within eps of the cop.  A capture returns from it, whatever
+    `want_witness` says.  Only a survival that wants a witness plays the
+    maximin game, whose scores the witness is backtracked from; if its
+    final scores show a capture after all, the games disagree and
+    GameMismatchError is raised.
 
-    The capture test runs once per clearance chunk: the largest score
-    never rises from one step to the next, since each new score is a min
-    of a max over old scores, so when the chunk's last score passes, the
-    first capturing step is the first of the chunk's scores that passes.
-
-    The propagation keeps the score array of every `every`-th step as a
-    checkpoint, starting with every step; when more than CHECKPOINTS are
-    kept, `every` doubles and every other checkpoint is dropped, so a run
-    holds at most CHECKPOINTS + 1 score arrays and nothing per step.  The
-    witness is backtracked by replaying the steps between checkpoints.
+    The maximin propagation keeps the score array of every `every`-th step
+    as a checkpoint, starting with every step; when more than CHECKPOINTS
+    are kept, `every` doubles and every other checkpoint is dropped, so a
+    run holds at most CHECKPOINTS + 1 score arrays and nothing per step.
+    The witness is backtracked by replaying the steps between checkpoints.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     table = piece_table(cop)
@@ -436,61 +452,73 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
         return VerifierResult(verdict, time_bound, witness, clearance, h,
                               eps, grid.max_spacing, tau, n_steps, grid.n)
 
-    score = grid.distances_to_point(cop.points[0])
-    if score.max() <= eps:
+    start = grid.distances_to_point(cop.points[0])
+    if start.max() <= eps:
         return result("capture", 0.0)
     reach = build_reach(grid, tau + REACH_SLACK)
+    j = _first_empty_step(grid, reach, table, tau, n_steps, eps, start)
+    if j is not None:
+        return result("capture", (j + 1) * tau)
     if not want_witness:
-        j = _first_empty_step(grid, reach, table, tau, n_steps, eps, score)
-        return (result("survival") if j is None
-                else result("capture", (j + 1) * tau))
-    score = _to_slots(reach, score)
+        return result("survival")
+    layout = grid.row_layout(reach.slot, reach.n_slots, -np.inf)   # slots
+    score = _to_slots(reach, start)
     checkpoints, every = [], 1      # (step j, score before step j)
-    for j0, rows in _clearance_rows(grid, reach, table, tau, 0, n_steps):
-        kept = []
+    for j0, rows in _clearance_rows(grid, layout, table, tau, 0, n_steps):
         for j, clr in enumerate(rows, j0):
             if j % every == 0:
                 checkpoints.append((j, score))
                 if len(checkpoints) > CHECKPOINTS:
                     checkpoints, every = checkpoints[::2], 2 * every
             score = propagate_step(score, clr, reach)
-            kept.append(score)
-        if score.max() <= eps:
-            k = next(k for k, s in enumerate(kept) if s.max() <= eps)
-            return result("capture", (j0 + k + 1) * tau)
-    witness = _backtrack_witness(cop, grid, reach, table, tau, n_steps,
-                                 checkpoints, score)
+    if score.max() <= eps:
+        raise GameMismatchError(
+            f"the boolean game leaves evaders alive after {n_steps} steps, "
+            f"but the maximin game's best final score {score.max()!r} is "
+            f"within eps={eps!r}")
+    witness = _backtrack_witness(cop, grid, reach, layout, table, tau,
+                                 n_steps, checkpoints, score)
     return result("survival", None, witness, min_clearance(cop, witness))
 
 
 def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
-                       reach: ReachStructure, table: PieceTable, tau: float,
-                       n_steps: int, checkpoints,
-                       score: np.ndarray) -> TimedPath:
+                       reach: ReachStructure, layout: RowLayout,
+                       table: PieceTable, tau: float, n_steps: int,
+                       checkpoints, score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
     `checkpoints` holds (step j, score before step j) in step order, the
     first at step 0, and `score` is the score after the last step, all in
     slots.  The segments between checkpoints are replayed from the last:
-    each from its checkpoint with `propagate_step`, then stepped back.
+    each from its checkpoint with `propagate_step`, keeping each step's
+    min(score, clearance) as a row of one array, then stepped back.
     Stepping back over step j from sample q picks the first of q's
-    predecessors (ascending in the CSR) that maximizes min(score,
-    clearance) at step j: the lowest-index predecessor attaining q's
-    maximin.  The best final sample is the first in sample order.
+    predecessors (ascending in the CSR) that maximizes that row: the
+    lowest-index predecessor attaining q's maximin.  Those few values are
+    read one by one through a memoryview, with no numpy call per step.
+    The best final sample is the first in sample order.
     """
     final = score[reach.slot]
-    idx = [int(np.argmax(final))]
+    q = int(np.argmax(final))
+    idx = [q]
+    src, starts = memoryview(reach.src), memoryview(reach.starts)
+    src_slot = memoryview(reach.slot[reach.src])
     stops = [j for j, _ in checkpoints[1:]] + [n_steps]
-    for (j0, s), j1 in reversed(list(zip(checkpoints, stops))):
-        vals = []
-        for _, rows in _clearance_rows(grid, reach, table, tau, j0, j1):
-            for clr in rows:
-                vals.append(np.minimum(s, clr))
-                if len(vals) < j1 - j0:
+    segments = list(zip(checkpoints, stops))
+    vals = np.empty((max((j1 - j0 for (j0, _), j1 in segments), default=0),
+                     reach.n_slots))      # one segment's rows at a time
+    view = memoryview(vals)
+    for (j0, s), j1 in reversed(segments):
+        for c0, rows in _clearance_rows(grid, layout, table, tau, j0, j1):
+            for j, clr in enumerate(rows, c0):
+                np.minimum(s, clr, out=vals[j - j0])
+                if j + 1 < j1:
                     s = propagate_step(s, clr, reach)
-        for val in reversed(vals):
-            preds = reach.predecessors(idx[-1])
-            idx.append(int(preds[np.argmax(val[reach.slot[preds]])]))
+        for k in range(j1 - j0 - 1, -1, -1):
+            a = starts[q]
+            val = [view[k, p] for p in src_slot[a:starts[q + 1]]]
+            q = src[a + val.index(max(val))]
+            idx.append(q)
     idx.reverse()
     g = grid.graph
     points = [grid.points[i] for i in idx]

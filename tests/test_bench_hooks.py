@@ -83,8 +83,9 @@ def test_tracer_sees_both_propagation_passes():
 
 def test_tracer_sees_the_block_clearance_layers():
     # the blocked clearance is called through module and class attributes,
-    # so a tracer can wrap it; one block of steps for the propagation and
-    # one per segment of the witness replay here
+    # so a tracer can wrap it; here one block of steps for the boolean
+    # game, which decides the verdict without clearance rows, one for the
+    # propagation and one per segment of the witness replay
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
@@ -99,7 +100,7 @@ def test_tracer_sees_the_block_clearance_layers():
     assert r.verdict == "survival" and r.n_steps < verifier.SWEEP_STEPS
     names = tr.names
     segments = r.n_steps - replayed_steps(r.n_steps)
-    assert names.count("verifier.swept_block") == 1 + segments
+    assert names.count("verifier.swept_block") == 2 + segments
     assert names.count("graph.distances_to_interval_rows") == 1 + segments
     assert names.count("verifier.propagate_step") == \
         r.n_steps + replayed_steps(r.n_steps)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import verifier
-from graphchase import (GraphPoint, GraphValidationError, ParameterError,
-                        PathBuilder, SizeLimitError, StateError, TimedPath,
-                        brute_force_oracle, build_graph, check_lipschitz,
+from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
+                        ParameterError, PathBuilder, SizeLimitError,
+                        StateError, TimedPath, brute_force_oracle,
+                        build_graph, check_lipschitz,
                         continuous_clearance, cycle_loop, discretize,
                         extract_witness, min_capture_time, min_clearance,
                         path_pieces, result_to_dict, star_strategy,
@@ -20,8 +21,8 @@ from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
                                  _clearance_rows, _resolve_params,
-                                 _step_grid, _to_slots,
-                                 build_reach, propagate_step, swept_block,
+                                 _step_grid, _to_slots, build_reach,
+                                 propagate_step, swept_block,
                                  swept_intervals)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
@@ -403,7 +404,8 @@ def test_blocked_clearance_matches_per_step_reference(case):
     reach = build_reach(grid, tau + REACH_SLACK)
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        chunks = list(_clearance_rows(grid, reach, piece_table(cop), tau, j0,
+        slots = grid.row_layout(reach.slot, reach.n_slots, -np.inf)
+        chunks = list(_clearance_rows(grid, slots, piece_table(cop), tau, j0,
                                       n_steps))
     rows = [row for _, c in chunks for row in c]
     assert len(rows) == n_steps - j0
@@ -438,6 +440,13 @@ def test_step_left_without_pieces_stays_infinite():
         assert np.array_equal(row, grid.distances_to_intervals(intervals))
     assert swept_intervals(cop, (j0 + 3) * tau, 1.0) == []
     assert np.isinf(rows[3]).all() and np.isfinite(rows[:3]).all()
+    # in slots the row without pieces keeps -inf in its guard slots
+    reach = build_reach(grid, grid.max_spacing + REACH_SLACK)
+    slots = grid.distances_to_interval_rows(
+        4, step - j0, edge, lo, hi,
+        grid.row_layout(reach.slot, reach.n_slots, -np.inf))
+    assert np.array_equal(slots, _to_slots(reach, rows))
+    assert (slots[3][reach.guards] == -np.inf).all()
 
 
 def _assert_tiles(pieces, t0, t1):
@@ -627,9 +636,10 @@ def sweep_cases(draw):
     return cop, grid.h, grid.max_spacing * rng.uniform(1.01, 4.0)
 
 
-def test_chunked_capture_test_matches_per_step_reference():
-    # the capture test runs once per clearance chunk; the step it reports
-    # is the one a test after every step finds
+def test_verdicts_match_per_step_reference_at_every_chunk_size():
+    # the boolean game decides with and without a witness, and reports the
+    # step a maximin capture test after every step finds; the chunk size
+    # of the survivals' maximin game does not change that
     seen = {"capture": 0}
 
     @settings(max_examples=60, deadline=None)
@@ -657,9 +667,10 @@ def test_chunked_capture_test_matches_per_step_reference():
 ], ids=["first-48", "first-24", "last-49", "last-7", "final", "final-2"])
 def test_capture_step_at_chunk_boundaries(rows, where):
     # the path sweep of the unit path captures at step k = 48 of 50 at
-    # h = 0.02: chunks of `rows` steps, and blocks of `rows` steps of the
-    # boolean game, put it first or last in its chunk or block; cut at the
-    # capture time, the sweep captures at its last step
+    # h = 0.02: blocks of `rows` steps of the boolean game put it first or
+    # last in its block, and so would chunks of `rows` clearance rows,
+    # which a capture no longer reads; cut at the capture time, the sweep
+    # captures at its last step
     h = 0.02
     cop = sweep_strategy(unit_path(), 1.0)
     if where == "final":
@@ -681,6 +692,38 @@ def test_capture_step_at_chunk_boundaries(rows, where):
     with mock.patch.object(verifier, "SWEEP_STEPS", block):
         r = verify(cop, h=h, want_witness=False)
     assert (r.verdict, r.time_bound) == (verdict, time_bound)
+
+
+def _maximin_game_ran(*args, **kwargs):
+    raise AssertionError("the maximin game ran")
+
+
+@pytest.mark.parametrize("cop, h, eps", [
+    (star_strategy(star(4, 0.5), 5.5, 1e-2), 2e-3, 0.02),
+    (sweep_strategy(unit_path(), 1.0), 0.02, None),
+], ids=["star", "path-sweep"])
+def test_capture_with_witness_plays_only_the_boolean_game(cop, h, eps):
+    # a capture returns from the boolean game whatever want_witness says:
+    # no maximin step and no clearance row
+    want = _per_step_verify(cop, h, eps)[:2]
+    with mock.patch.object(verifier, "propagate_step", _maximin_game_ran), \
+            mock.patch.object(verifier, "_clearance_rows", _maximin_game_ran):
+        for want_witness in (True, False):
+            r = verify(cop, h=h, eps=eps, want_witness=want_witness)
+            assert (r.verdict, r.time_bound) == want
+            assert r.verdict == "capture" and r.witness is None
+
+
+def test_boolean_survival_that_the_maximin_game_captures_is_an_error():
+    # the path sweep captures at step 48 of 50: told by the boolean game
+    # that some evader survives, the maximin game's final scores refute it
+    cop = sweep_strategy(unit_path(), 1.0)
+    assert _per_step_verify(cop, 0.02)[0] == "capture"
+    with mock.patch.object(verifier, "_first_empty_step",
+                           lambda *args: None):
+        with pytest.raises(GameMismatchError,
+                           match="boolean game.*maximin game"):
+            verify(cop, h=0.02)
 
 
 @pytest.mark.parametrize("eps", [None, 5.0], ids=["survival", "capture"])
