@@ -82,6 +82,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default: min edge / 100)")
     q.add_argument("--out", default=None,
                    help="trajectory JSON output (default: stdout)")
+    q.set_defaults(handler=cmd_generate)
 
     q = sub.add_parser("verify", help="decide capture vs survival")
     q.add_argument("--graph", required=True)
@@ -90,6 +91,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None, help="write JSON report here")
     q.add_argument("--witness", default=None,
                    help="write the survival witness trajectory here")
+    q.set_defaults(handler=cmd_verify)
 
     q = sub.add_parser("frontier", help="verdict table over a speed list")
     q.add_argument("--graph", required=True)
@@ -101,6 +103,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None, help="CSV output (default: stdout)")
     q.add_argument("--json", dest="as_json", action="store_true",
                    help="emit JSON instead of CSV")
+    q.set_defaults(handler=cmd_frontier)
 
     q = sub.add_parser("export-svg", help="time-space diagram of a strategy")
     q.add_argument("--graph", required=True)
@@ -110,12 +113,14 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", type=finite_positive, default=None,
                    help="shade a capture-radius tube of this width")
     q.add_argument("--out", required=True)
+    q.set_defaults(handler=cmd_export_svg)
 
     q = sub.add_parser("selftest",
                        help="randomized agreement suite against the "
                             "brute-force oracle")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--cases", type=int, default=40)
+    q.set_defaults(handler=cmd_selftest)
     return p
 
 
@@ -240,15 +245,8 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     cfg = make_parser().parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "verify": cmd_verify,
-        "frontier": cmd_frontier,
-        "export-svg": cmd_export_svg,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[cfg.command](cfg)
+        return cfg.handler(cfg)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER_FLOOR

@@ -594,21 +594,6 @@ def max_spacing(g: MetricGraph, h: float) -> float:
     return max(e.length / _interval_count(e.length, h) for e in g.edges)
 
 
-@dataclass(frozen=True)
-class EdgeSamples:
-    """The samples of one edge in offset order: `index[0]` and `index[-1]`
-    are its `u` and `v` vertex samples, the interior ones fill the index
-    range `inner`, and `offsets` run from 0 to the length, `spacing` apart.
-    `du` and `dv` are the rows of `u` and `v` in `vertex_sample_dist`."""
-
-    index: np.ndarray
-    offsets: np.ndarray
-    spacing: float
-    inner: slice
-    du: np.ndarray
-    dv: np.ndarray
-
-
 class RowLayout(NamedTuple):
     """Where `distances_to_interval_rows` puts its values: the
     vertex-to-sample distances in the row's columns, a row without
@@ -628,11 +613,13 @@ class DiscretizedGraph:
     then interior samples sorted by (edge id, offset).  So the interior
     samples of each edge fill one contiguous index range in offset order,
     and two of them k spacings apart are k indices apart; the verifier's
-    banded propagation (`build_reach`) relies on this.  `edges[k]` holds
-    the samples of `graph.edges[k]`, and `vertex_sample_dist` the exact
-    distance from every vertex (rows in `graph.vertex_rows`) to every sample.
-    `sample_edge` and `sample_offset` hold each point's edge index and
-    offset, and `sample_layout` lays rows out in sample order.
+    banded propagation (`build_reach`) relies on this.  Edge k of
+    `graph.edges` is cut into `edge_intervals[k]` pieces `edge_spacing[k]`
+    long, and its interior samples, the i-th at offset i * spacing, start
+    at index `edge_inner_start[k]`; its end samples are the vertex samples
+    of its `u` and `v`.  `vertex_sample_dist` holds the exact distance from
+    every vertex (rows in `graph.vertex_rows`) to every sample, and
+    `sample_edge` and `sample_offset` each point's edge index and offset.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -641,68 +628,59 @@ class DiscretizedGraph:
         self.graph = graph
         self.h = float(h)
 
-        row = graph.vertex_rows
-        points: list[GraphPoint] = [graph.vertex_point(v) for v in row]
-        interior = {}       # edge id -> (spacing, first index, offsets)
-        for e in sorted(graph.edges, key=lambda e: e.id):
-            n_int = _interval_count(e.length, self.h)
-            sp = e.length / n_int
-            offs = [i * sp for i in range(1, n_int)]
-            interior[e.id] = (sp, len(points), offs)
-            points += [GraphPoint(e.id, x) for x in offs]
+        points = [graph.vertex_point(v) for v in graph.vertex_rows]
+        n_vert = len(points)
+        eu, ev, length = graph.edge_table
+        self.edge_intervals = np.array([_interval_count(x, self.h)
+                                        for x in length.tolist()])
+        self.edge_spacing = length / self.edge_intervals
+        self.max_spacing = float(self.edge_spacing.max())
+        # interior samples go in edge id order
+        order = sorted(range(len(length)), key=lambda k: graph.edges[k].id)
+        count = self.edge_intervals[order] - 1
+        self.edge_inner_start = np.empty(len(order), dtype=np.int64)
+        self.edge_inner_start[order] = n_vert + np.cumsum(count) - count
+        offsets = [np.arange(1, self.edge_intervals[k]) * self.edge_spacing[k]
+                   for k in order]
+        self.sample_edge = np.concatenate([
+            graph.edge_indices([p.edge for p in points]),
+            np.repeat(order, count)])
+        self.sample_offset = np.concatenate(
+            [[p.offset for p in points]] + offsets)
+        for k, x in zip(order, offsets):
+            eid = graph.edges[k].id
+            points += [GraphPoint(eid, o) for o in x.tolist()]
         self.points: tuple[GraphPoint, ...] = tuple(points)
         self.n = len(points)
 
         vv = graph.vertex_distance_matrix
-        dist = np.full((len(row), self.n), np.inf)
-        edges = []
-        for e in graph.edges:
-            sp, first, offs = interior[e.id]
-            u, v = row[e.u], row[e.v]
-            idx = np.array([u, *range(first, first + len(offs)), v],
-                           dtype=np.int64)
-            offsets = np.array([0.0, *offs, e.length])
-            # every vertex at once; the indices are distinct (u != v), so
-            # this is a per-sample minimum over the edges through it
-            near = np.minimum(vv[:, [u]] + offsets,
-                              vv[:, [v]] + (e.length - offsets))
-            dist[:, idx] = np.minimum(dist[:, idx], near)
-            edges.append(EdgeSamples(idx, offsets, sp,
-                                     slice(first, first + len(offs)),
-                                     dist[u], dist[v]))
+        dist = np.empty((n_vert, self.n))
+        # a vertex sample ends each edge through it: the vertex itself or
+        # the edge's other end plus its length, whichever is nearer
+        dist[:, :n_vert] = vv
+        np.minimum.at(dist[:, :n_vert].T, np.concatenate([eu, ev]),
+                      (vv[:, np.concatenate([ev, eu])]
+                       + np.concatenate([length, length])).T)
+        # an interior sample: the nearer way through either end of its edge
+        x, k = self.sample_offset[n_vert:], self.sample_edge[n_vert:]
+        inner = np.take(vv, eu[k], axis=1, out=dist[:, n_vert:])
+        inner += x
+        np.minimum(inner, vv[:, ev[k]] + (length[k] - x), out=inner)
         self.vertex_sample_dist = dist
-        self.edges: tuple[EdgeSamples, ...] = tuple(edges)
-        self.max_spacing = max(rec.spacing for rec in edges)
-        self.sample_edge = np.empty(self.n, dtype=np.int64)
-        self.sample_offset = np.empty(self.n)
-        self.sample_edge[:len(row)] = graph.edge_indices(
-            [p.edge for p in points[:len(row)]])
-        self.sample_offset[:len(row)] = [p.offset for p in points[:len(row)]]
-        for k, rec in enumerate(edges):
-            self.sample_edge[rec.inner] = k
-            self.sample_offset[rec.inner] = rec.offsets[1:-1]
-        # per edge: spacing, interval count and first interior sample
-        self._edge_spacing = np.array([rec.spacing for rec in edges])
-        self._edge_intervals = np.array([len(rec.offsets) - 1
-                                         for rec in edges])
-        self._edge_inner_start = np.array([rec.inner.start for rec in edges])
-        self.sample_layout = RowLayout(
-            dist, np.full(self.n, np.inf),
-            tuple(rec.inner if len(rec.index) > 2 else None for rec in edges))
 
-    def row_layout(self, column: np.ndarray, n_columns: int,
-                   fill: float) -> RowLayout:
+    def row_layout(self, column: np.ndarray, n_columns: int) -> RowLayout:
         """Rows of n_columns columns with sample q in column `column[q]`
-        and `fill` in every other column, for `distances_to_interval_rows`.
-        The interior samples of each edge must keep consecutive columns."""
-        dist = np.full((len(self.vertex_sample_dist), n_columns), fill)
+        and -inf, the guard value, in every other column, for
+        `distances_to_interval_rows`.  The interior samples of each edge
+        must keep consecutive columns."""
+        dist = np.full((len(self.vertex_sample_dist), n_columns), -np.inf)
         dist[:, column] = self.vertex_sample_dist
-        blank = np.full(n_columns, fill)
+        blank = np.full(n_columns, -np.inf)
         blank[column] = np.inf
-        inner = tuple(None if cols is None else
-                      slice(int(column[cols.start]),
-                            int(column[cols.stop - 1]) + 1)
-                      for cols in self.sample_layout.inner)
+        inner = tuple(slice(int(column[s]), int(column[s + c - 1]) + 1)
+                      if c else None
+                      for s, c in zip(self.edge_inner_start.tolist(),
+                                      (self.edge_intervals - 1).tolist()))
         return RowLayout(dist, blank, inner)
 
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
@@ -715,33 +693,39 @@ class DiscretizedGraph:
 
         `intervals` holds (edge id, lo, hi) with 0 <= lo <= hi <= length.
         """
+        dist = self.vertex_sample_dist
+        eu, ev, length = self.graph.edge_table
         out = np.full(self.n, np.inf)
         for eid, lo, hi in intervals:
-            rec = self.edges[self.graph.edge_index(eid)]
-            offs = rec.offsets
-            np.minimum(out, rec.du + lo, out=out)
-            np.minimum(out, rec.dv + (offs[-1] - hi), out=out)
+            k = self.graph.edge_index(eid)
+            first = self.edge_inner_start[k]
+            inner = np.arange(first, first + self.edge_intervals[k] - 1)
+            # the edge's samples in offset order, its end vertices included
+            index = np.concatenate([[eu[k]], inner, [ev[k]]])
+            offs = np.concatenate([[0.0], self.sample_offset[inner],
+                                   [length[k]]])
+            np.minimum(out, dist[eu[k]] + lo, out=out)
+            np.minimum(out, dist[ev[k]] + (offs[-1] - hi), out=out)
             direct = np.maximum(0.0, np.maximum(lo - offs, offs - hi))
-            np.minimum.at(out, rec.index, direct)
+            np.minimum.at(out, index, direct)
         return out
 
     def distances_to_interval_rows(self, n_rows: int, rows, edges, lo, hi,
-                                   layout: RowLayout | None = None
-                                   ) -> np.ndarray:
-        """`distances_to_intervals` for many interval sets at once.
+                                   layout: RowLayout) -> np.ndarray:
+        """`distances_to_intervals` for many interval sets at once, in the
+        columns of a `row_layout`, with -inf in its other columns.
 
-        Row r of the (n_rows, n) result is the distance from every sample to
-        the intervals i with rows[i] == r, where interval i is
+        Row r of the result is the distance from every sample to the
+        intervals i with rows[i] == r, where interval i is
         (graph.edges[edges[i]], lo[i], hi[i]); a row without intervals is
         +inf.  Equal to `distances_to_intervals` row by row: each term is
         the same floating-point operation.  A stretch of intervals on one
         edge in consecutive rows is done in one pass: the two vertex terms
         over the whole rows, the direct term over the edge's interior
         slice.  An endpoint sample needs no direct term, since its own
-        vertex term is the same number.  With a `layout` from `row_layout`
-        the rows come in its columns, its fill value in the others.
+        vertex term is the same number.
         """
-        dist, blank, inner = self.sample_layout if layout is None else layout
+        dist, blank, inner = layout
         eu, ev, length = self.graph.edge_table
         out = np.empty((n_rows, len(blank)))
         filled = 0          # rows below this one hold distances
@@ -759,7 +743,8 @@ class DiscretizedGraph:
             np.minimum(near, dist[ev[k]] + (length[k] - hi_k), out=near)
             cols = inner[k]
             if cols is not None:
-                offs = self.edges[k].offsets[1:-1]
+                q = self.edge_inner_start[k]
+                offs = self.sample_offset[q:q + self.edge_intervals[k] - 1]
                 direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
                 np.minimum(near[:, cols], direct, out=near[:, cols])
             if not fresh:
@@ -819,13 +804,13 @@ class DiscretizedGraph:
         sample: the interior positions 1 .. intervals - 1 of each
         interval's edge within eps and a spacing of [lo, hi]."""
         reach = eps + self.max_spacing
-        sp = self._edge_spacing[edges]
+        sp = self.edge_spacing[edges]
         first = np.maximum(np.ceil((lo - reach) / sp), 1)
         stop = np.minimum(np.floor((hi + reach) / sp) + 1,
-                          self._edge_intervals[edges])
+                          self.edge_intervals[edges])
         i, s = _flat_ranges(first.astype(np.int64),
                             np.maximum(stop, first).astype(np.int64))
-        s += (self._edge_inner_start - 1)[edges][i]    # position to sample
+        s += (self.edge_inner_start - 1)[edges][i]    # position to sample
         x = self.sample_offset[s]
         ok = np.maximum(0.0, np.maximum(lo[i] - x, x - hi[i])) <= eps
         return rows[i[ok]] * self.n + s[ok]

@@ -604,7 +604,9 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))
     pp = clip_pieces(piece_table(p), np.array([0.0, t1]))[1:]
     qq = clip_pieces(piece_table(q), np.array([0.0, t1]))[1:]
-    cuts = np.unique(np.concatenate([pp[0], pp[1], qq[0], qq[1]]))
+    cuts = np.concatenate([pp[0], pp[1], qq[0], qq[1]])
+    cuts.sort()
+    cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     a, b = cuts[:-1], cuts[1:]
     mid = 0.5 * (a + b)
     # the piece of each path holding each interval: the first ending after

@@ -77,28 +77,22 @@ class ReachStructure:
     among edges with interior samples, so any two samples of one block at
     most `width` slots apart form a CSR pair, and a band of that half-width
     over the slots realizes exactly those pairs.  Every other non-self pair
-    is one `(junction_src, junction_dst)` entry, in slots.  `copies` holds
-    one (sample slice, slot slice) per vertex list and block, `guards` the
-    guard slots in order, and `window`
-    the 2 * width + 1 shifted views of a scratch row with `width` -inf
-    slots on either side, the middle one the slots themselves; the scratch
-    makes a ReachStructure serve one propagation at a time.
+    is one `(junction_src, junction_dst)` entry, in slots.  `guards` lists
+    the guard slots in order, and `window` holds the 2 * width + 1 shifted
+    views of a scratch row with `width` -inf slots on either side, the
+    middle one the slots themselves; the scratch makes a ReachStructure
+    serve one propagation at a time.
     """
 
     src: np.ndarray
-    dst: np.ndarray
     starts: np.ndarray
     slot: np.ndarray
     n_slots: int
     width: int
-    copies: tuple
     guards: np.ndarray
     window: tuple
     junction_src: np.ndarray
     junction_dst: np.ndarray
-
-    def predecessors(self, q: int) -> np.ndarray:
-        return self.src[self.starts[q]:self.starts[q + 1]]
 
 
 def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
@@ -119,16 +113,16 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
     # group of each sample: its own for a vertex, its block's for the rest
     n_vert = grid.vertex_sample_dist.shape[0]
-    inner = sorted(rec.inner.start for rec in grid.edges
-                   if len(rec.index) > 2)
+    blocks = grid.edge_intervals > 1        # edges with interior samples
+    inner = sorted(grid.edge_inner_start[blocks].tolist())
     head = np.zeros(n, dtype=np.int64)
     head[inner] = 1
     group = np.arange(n)
     group[n_vert:] = n_vert - 1 + np.cumsum(head[n_vert:])
     gap = np.abs(src - dst)
     same = (group[src] == group[dst]) & (src >= n_vert)
-    cap = min((math.floor(radius / rec.spacing) for rec in grid.edges
-               if len(rec.index) > 2), default=0)
+    cap = min((math.floor(radius / sp)
+               for sp in grid.edge_spacing[blocks].tolist()), default=0)
     # a block of m samples holds 2 * (m - k) ordered pairs k apart: the
     # band may reach k only if the CSR holds all of them, for every block
     sizes = np.diff(inner + [n])
@@ -142,16 +136,12 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     n_slots = n + width * (n_vert + len(inner))
     guards = np.ones(n_slots, dtype=bool)
     guards[slot] = False
-    copies = [(slice(0, n_vert), slice(0, n_vert * (width + 1), width + 1))]
-    copies += [(slice(a, b), slice(a + width * g, b + width * g))
-               for g, (a, b) in enumerate(zip(inner, inner[1:] + [n]),
-                                          n_vert)]
     pad = np.full(n_slots + 2 * width, -np.inf)
     window = tuple(pad[width + d:width + d + n_slots]
                    for d in range(-width, width + 1))
     far = (gap > 0) & ~(same & (gap <= width))
-    return ReachStructure(src, dst, starts, slot, n_slots, width,
-                          tuple(copies), np.flatnonzero(guards), window,
+    return ReachStructure(src, starts, slot, n_slots, width,
+                          np.flatnonzero(guards), window,
                           slot[src[far]], slot[dst[far]])
 
 
@@ -291,17 +281,6 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
     return step + j0, edge, np.minimum(xa, xb), np.maximum(xa, xb)
 
 
-def _to_slots(reach: ReachStructure, values: np.ndarray) -> np.ndarray:
-    """values, indexed by sample along the last axis, laid out in slots,
-    with -inf in the guard slots: one slice copy per vertex list and
-    block."""
-    out = np.empty(values.shape[:-1] + (reach.n_slots,))
-    out[..., reach.guards] = -np.inf
-    for samples, slots in reach.copies:
-        out[..., slots] = values[..., samples]
-    return out
-
-
 def _clearance_rows(grid: DiscretizedGraph, layout: RowLayout,
                     table: PieceTable, tau: float, j0: int, j1: int):
     """Yield (first step, rows) chunks of the clearance rows of the steps
@@ -437,11 +416,10 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     final scores show a capture after all, the games disagree and
     GameMismatchError is raised.
 
-    The maximin propagation keeps the score array of every `every`-th step
-    as a checkpoint, starting with every step; when more than CHECKPOINTS
-    are kept, `every` doubles and every other checkpoint is dropped, so a
-    run holds at most CHECKPOINTS + 1 score arrays and nothing per step.
-    The witness is backtracked by replaying the steps between checkpoints.
+    The maximin propagation keeps the score array before every `every`-th
+    step as a checkpoint, `every` being the least power of two that keeps
+    at most CHECKPOINTS of them, and nothing per step.  The witness is
+    backtracked by replaying the steps between checkpoints.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     table = piece_table(cop)
@@ -461,15 +439,17 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
         return result("capture", (j + 1) * tau)
     if not want_witness:
         return result("survival")
-    layout = grid.row_layout(reach.slot, reach.n_slots, -np.inf)   # slots
-    score = _to_slots(reach, start)
-    checkpoints, every = [], 1      # (step j, score before step j)
+    layout = grid.row_layout(reach.slot, reach.n_slots)
+    score = np.full(reach.n_slots, -np.inf)
+    score[reach.slot] = start
+    every = 1
+    while every * CHECKPOINTS < n_steps:
+        every *= 2
+    checkpoints = []        # the score before each step j % every == 0
     for j0, rows in _clearance_rows(grid, layout, table, tau, 0, n_steps):
         for j, clr in enumerate(rows, j0):
             if j % every == 0:
-                checkpoints.append((j, score))
-                if len(checkpoints) > CHECKPOINTS:
-                    checkpoints, every = checkpoints[::2], 2 * every
+                checkpoints.append(score)
             score = propagate_step(score, clr, reach)
     if score.max() <= eps:
         raise GameMismatchError(
@@ -477,20 +457,21 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
             f"but the maximin game's best final score {score.max()!r} is "
             f"within eps={eps!r}")
     witness = _backtrack_witness(cop, grid, reach, layout, table, tau,
-                                 n_steps, checkpoints, score)
+                                 n_steps, checkpoints, every, score)
     return result("survival", None, witness, min_clearance(cop, witness))
 
 
 def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
                        reach: ReachStructure, layout: RowLayout,
                        table: PieceTable, tau: float, n_steps: int,
-                       checkpoints, score: np.ndarray) -> TimedPath:
+                       checkpoints: list, every: int,
+                       score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
-    `checkpoints` holds (step j, score before step j) in step order, the
-    first at step 0, and `score` is the score after the last step, all in
-    slots.  The segments between checkpoints are replayed from the last:
-    each from its checkpoint with `propagate_step`, keeping each step's
+    `checkpoints[i]` is the score before step i * every, and `score` the
+    score after the last step, all in slots.  The segments of `every`
+    steps that start at the checkpoints are replayed from the last: each
+    from its checkpoint with `propagate_step`, keeping each step's
     min(score, clearance) as a row of one array, then stepped back.
     Stepping back over step j from sample q picks the first of q's
     predecessors (ascending in the CSR) that maximizes that row: the
@@ -503,12 +484,10 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     idx = [q]
     src, starts = memoryview(reach.src), memoryview(reach.starts)
     src_slot = memoryview(reach.slot[reach.src])
-    stops = [j for j, _ in checkpoints[1:]] + [n_steps]
-    segments = list(zip(checkpoints, stops))
-    vals = np.empty((max((j1 - j0 for (j0, _), j1 in segments), default=0),
-                     reach.n_slots))      # one segment's rows at a time
+    vals = np.empty((min(every, n_steps), reach.n_slots))   # one segment
     view = memoryview(vals)
-    for (j0, s), j1 in reversed(segments):
+    for i, s in reversed(list(enumerate(checkpoints))):
+        j0, j1 = i * every, min((i + 1) * every, n_steps)
         for c0, rows in _clearance_rows(grid, layout, table, tau, j0, j1):
             for j, clr in enumerate(rows, c0):
                 np.minimum(s, clr, out=vals[j - j0])

@@ -1,8 +1,18 @@
-"""Shared fixture graphs for the test suite."""
+"""Shared fixture graphs and helpers for the test suite."""
 
 import math
 
+import numpy as np
+
 from graphchase import GraphPoint, TimedPath, build_graph
+
+
+def to_slots(reach, values):
+    """values, indexed by sample along the last axis, in the slots of a
+    reach plan, with -inf in the guard slots."""
+    out = np.full(values.shape[:-1] + (reach.n_slots,), -np.inf)
+    out[..., reach.slot] = values
+    return out
 
 
 def unit_path():

@@ -227,7 +227,7 @@ def test_double_tree_bound_random():
        tiny=st.floats(0.1, 0.99))
 def test_discretize_geometry(seed, h, tiny):
     """Random graphs with loops, parallel edges and one edge shorter than
-    h/10: the per-edge records, the points and the distance table agree."""
+    h/10: the per-edge arrays, the points and the distance table agree."""
     rng = random.Random(seed)
     base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
     u, v = rng.choice(base.vertices), rng.choice(base.vertices)
@@ -244,27 +244,31 @@ def test_discretize_geometry(seed, h, tiny):
     eu, ev, length = g.edge_table
     nv = len(vertex_ids)
     assert grid.points[:nv] == tuple(map(g.vertex_point, vertex_ids))
-    assert len(grid.edges) == len(g.edges)
-    ranges = sorted((e.id, rec.inner.start, rec.inner.stop)
-                    for e, rec in zip(g.edges, grid.edges))
+    assert len(grid.edge_spacing) == len(grid.edge_intervals) == \
+        len(grid.edge_inner_start) == len(g.edges)
+    inner = [range(s, s + k - 1) for s, k in
+             zip(grid.edge_inner_start.tolist(), grid.edge_intervals.tolist())]
+    ranges = sorted((e.id, r.start, r.stop) for e, r in zip(g.edges, inner))
     assert ranges[0][1] == nv and ranges[-1][2] == grid.n
     assert all(a[2] == b[1] for a, b in zip(ranges, ranges[1:]))
-    for e, rec in zip(g.edges, grid.edges):
-        idx, offs = rec.index.tolist(), rec.offsets
-        assert idx[0] == vertex_ids.index(e.u)
-        assert idx[-1] == vertex_ids.index(e.v)
-        k = g.edge_index(e.id)
-        assert (eu[k], ev[k], length[k]) == (idx[0], idx[-1], e.length)
-        assert g.vertex_distance_matrix[idx[0], idx[-1]] == \
+    for k, (e, cols) in enumerate(zip(g.edges, inner)):
+        assert g.edge_index(e.id) == k
+        # the end samples are the vertex samples of u and v
+        assert (eu[k], ev[k], length[k]) == \
+            (vertex_ids.index(e.u), vertex_ids.index(e.v), e.length)
+        assert g.points_equal(grid.points[eu[k]], GraphPoint(e.id, 0.0))
+        assert g.points_equal(grid.points[ev[k]], GraphPoint(e.id, e.length))
+        assert g.vertex_distance_matrix[eu[k], ev[k]] == \
             g.vertex_distance(e.u, e.v)
-        assert offs[0] == 0.0 and offs[-1] == e.length
-        assert idx[1:-1] == list(range(grid.n))[rec.inner]
-        for q, x in zip(idx[1:-1], offs[1:-1]):
+        sp = grid.edge_spacing[k]
+        assert sp <= h + 1e-12
+        assert len(cols) == grid.edge_intervals[k] - 1
+        offs = [i * sp for i in range(1, len(cols) + 1)]
+        for q, x in zip(cols, offs):
             assert grid.points[q] == GraphPoint(e.id, x)
-        assert rec.spacing <= h + 1e-12
-        assert np.allclose(np.diff(offs), rec.spacing, rtol=0, atol=1e-12)
-        assert np.array_equal(rec.du, grid.vertex_sample_dist[idx[0]])
-        assert np.array_equal(rec.dv, grid.vertex_sample_dist[idx[-1]])
+            assert (grid.sample_edge[q], grid.sample_offset[q]) == (k, x)
+        offs = np.array([0.0, *offs, e.length])
+        assert np.allclose(np.diff(offs), sp, rtol=0, atol=1e-12)
     for i, w in enumerate(vertex_ids):
         p = g.vertex_point(w)
         exact = [g.distance(p, q) for q in grid.points]
@@ -337,7 +341,8 @@ def test_cells_within_equal_thresholded_rows(seed, where):
     rows = np.array(rows, dtype=np.int64)
     edges = np.array(edges, dtype=np.int64)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    dist = grid.distances_to_interval_rows(n_rows, rows, edges, lo, hi)
+    dist = grid.distances_to_interval_rows(
+        n_rows, rows, edges, lo, hi, grid.row_layout(np.arange(grid.n), grid.n))
     eps = grid.max_spacing * rng.uniform(1.0, 4.0)
     if where != "spacings" and len(rows):
         finite = dist[np.isfinite(dist)]

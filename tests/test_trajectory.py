@@ -1,7 +1,12 @@
 import io
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from graphchase.trajectory import (JSON_CHUNK, JSONText, PieceTable,
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_builder_basics():
@@ -322,6 +329,26 @@ def test_min_clearance_matches_scalar_reference():
 
     check()
     assert min(seen.values()) > 0
+
+
+def test_witness_clearance_does_not_import_numpy_ma():
+    # on numpy 2.4 the first np.unique of a process imports numpy.ma, about
+    # 1.2 MB of RSS; a survival's witness and its exact clearance need none
+    code = textwrap.dedent("""
+        import sys
+        from graphchase import build_graph, cycle_loop, verify
+        g = build_graph(["a"], [("a", "a", 1.0)])
+        r = verify(cycle_loop(g, 1.0, 2.0), h=0.05)
+        assert r.witness is not None and r.min_clearance > 0
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def scalar_piece_table(p):

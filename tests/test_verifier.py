@@ -21,15 +21,39 @@ from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces, piece_table
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
                                  _clearance_rows, _resolve_params,
-                                 _step_grid, _to_slots, build_reach,
+                                 _step_grid, build_reach,
                                  propagate_step, swept_block,
                                  swept_intervals)
 
-from common import comb, path_graph, star, triangle, unit_cycle, unit_path
+from common import (comb, path_graph, star, to_slots, triangle, unit_cycle,
+                    unit_path)
 
 
 def stand(g, v, duration, speed=1.0):
     return PathBuilder(g, v, speed).wait(duration).build()
+
+
+def predecessors(reach, q):
+    """The samples from which q is reachable: row q of the CSR."""
+    return reach.src[reach.starts[q]:reach.starts[q + 1]]
+
+
+def targets(reach):
+    """The target sample of each CSR pair, the q of its row."""
+    return np.repeat(np.arange(len(reach.starts) - 1), np.diff(reach.starts))
+
+
+def sample_layout(grid):
+    """The `row_layout` in sample order: column q holds sample q."""
+    return grid.row_layout(np.arange(grid.n), grid.n)
+
+
+def edge_blocks(grid):
+    """(range of interior samples, spacing) of each edge, in `graph.edges`
+    order."""
+    return [(range(s, s + k - 1), sp) for s, k, sp in
+            zip(grid.edge_inner_start.tolist(), grid.edge_intervals.tolist(),
+                grid.edge_spacing.tolist())]
 
 
 # ----------------------------------------------------------- parameter floor
@@ -217,7 +241,7 @@ def test_reach_matches_exact_distances():
     for q in range(grid.n):
         exact = {p for p in range(grid.n)
                  if grid.distances_to_point(grid.points[q])[p] <= radius + 1e-12}
-        assert set(reach.predecessors(q).tolist()) == exact
+        assert set(predecessors(reach, q).tolist()) == exact
 
 
 def test_propagation_is_maximin_over_reach():
@@ -229,16 +253,16 @@ def test_propagation_is_maximin_over_reach():
     eps = 0.3
     s0 = grid.distances_to_point(cop.points[0])
     clr = grid.distances_to_intervals(swept_intervals(cop, 0.0, tau))
-    s1 = propagate_step(_to_slots(reach, s0), _to_slots(reach, clr),
+    s1 = propagate_step(to_slots(reach, s0), to_slots(reach, clr),
                         reach)[reach.slot]
     val = np.minimum(s0, clr)
     for q in range(grid.n):
-        best = max(val[p] for p in reach.predecessors(q))
+        best = max(val[p] for p in predecessors(reach, q))
         assert s1[q] == pytest.approx(min(best, clr[q]))
     # every survivor must extend some survivor within one evader step
     for q in np.nonzero(s1 > eps)[0]:
         assert clr[q] > eps
-        assert any(val[p] > eps for p in reach.predecessors(int(q)))
+        assert any(val[p] > eps for p in predecessors(reach, int(q)))
 
 
 @st.composite
@@ -274,9 +298,8 @@ def test_reach_is_the_distance_threshold(case):
     reach = build_reach(grid, radius)
     for q in range(grid.n):
         near = grid.distances_to_point(grid.points[q]) <= radius
-        assert reach.predecessors(q).tolist() == np.flatnonzero(near).tolist()
-    assert (reach.dst == np.repeat(np.arange(grid.n),
-                                   np.diff(reach.starts))).all()
+        assert predecessors(reach, q).tolist() == np.flatnonzero(near).tolist()
+    assert reach.starts[0] == 0 and reach.starts[-1] == len(reach.src)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,11 +307,11 @@ def test_reach_is_the_distance_threshold(case):
 def test_banded_kernel_matches_maximin_reference(case):
     grid, radius, score, clearance = case
     reach = build_reach(grid, radius)
-    new = propagate_step(_to_slots(reach, score), _to_slots(reach, clearance),
+    new = propagate_step(to_slots(reach, score), to_slots(reach, clearance),
                          reach)
     val = np.minimum(score, clearance)
     for q in range(grid.n):
-        best = max(val[p] for p in reach.predecessors(q).tolist())
+        best = max(val[p] for p in predecessors(reach, q).tolist())
         assert new[reach.slot[q]] == min(best, clearance[q])
     # guard slots stay -inf after the step
     guards = np.ones(reach.n_slots, dtype=bool)
@@ -300,14 +323,13 @@ def test_banded_kernel_matches_maximin_reference(case):
     # the plan covers every CSR pair but the self loops exactly once: the
     # band pairs of one block at most `width` slots apart, the rest in the
     # junction list
-    pairs = set(zip(reach.src.tolist(), reach.dst.tolist()))
+    pairs = set(zip(reach.src.tolist(), targets(reach).tolist()))
     assert {(q, q) for q in range(grid.n)} <= pairs
     sample_of = dict(zip(reach.slot.tolist(), range(grid.n)))
     planned = [(sample_of[p], sample_of[q]) for p, q in
                zip(reach.junction_src.tolist(), reach.junction_dst.tolist())]
     w = reach.width
-    blocks = [range(rec.inner.start, rec.inner.stop)
-              for rec in grid.edges if len(rec.index) > 2]
+    blocks = [block for block, _ in edge_blocks(grid) if len(block)]
     for block in blocks:
         planned += [(p, q) for p in block for q in block
                     if 0 < abs(p - q) <= w]
@@ -322,15 +344,15 @@ def test_banded_kernel_matches_maximin_reference(case):
 
     # the width is the narrowest window of an edge with interior samples,
     # the tiny edge has none, and wider same-edge pairs are junctions
-    def window(rec):
-        k = math.floor(radius / rec.spacing)
-        inner = range(rec.inner.start, rec.inner.stop)
+    def window(inner, spacing):
+        k = math.floor(radius / spacing)
         while k and not all((p, q) in pairs for p in inner for q in inner
                             if abs(p - q) <= k):
             k -= 1
         return k
 
-    windows = [window(rec) for e, rec in zip(grid.graph.edges, grid.edges)
+    windows = [window(inner, sp) for e, (inner, sp)
+               in zip(grid.graph.edges, edge_blocks(grid))
                if e.length > grid.h]
     assert w == min(windows, default=0)
     assert any(e.length < grid.h / 10 for e in grid.graph.edges)
@@ -404,7 +426,7 @@ def test_blocked_clearance_matches_per_step_reference(case):
     reach = build_reach(grid, tau + REACH_SLACK)
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        slots = grid.row_layout(reach.slot, reach.n_slots, -np.inf)
+        slots = grid.row_layout(reach.slot, reach.n_slots)
         chunks = list(_clearance_rows(grid, slots, piece_table(cop), tau, j0,
                                       n_steps))
     rows = [row for _, c in chunks for row in c]
@@ -418,7 +440,7 @@ def test_blocked_clearance_matches_per_step_reference(case):
         widths.append(len(intervals))
         if j >= j0:
             assert np.array_equal(rows[j - j0],
-                                  _to_slots(reach, grid.distances_to_intervals(
+                                  to_slots(reach, grid.distances_to_intervals(
                                       intervals))), j
     assert max(widths) >= 2           # a step crossed a vertex
 
@@ -434,7 +456,8 @@ def test_step_left_without_pieces_stays_infinite():
     grid = discretize(g, 0.05)
     tau, j0 = 2.0 ** -53, 2 ** 53 - 4
     step, edge, lo, hi = swept_block(piece_table(cop), tau, j0, j0 + 4)
-    rows = grid.distances_to_interval_rows(4, step - j0, edge, lo, hi)
+    rows = grid.distances_to_interval_rows(4, step - j0, edge, lo, hi,
+                                           sample_layout(grid))
     for j, row in enumerate(rows, j0):
         intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
         assert np.array_equal(row, grid.distances_to_intervals(intervals))
@@ -444,8 +467,8 @@ def test_step_left_without_pieces_stays_infinite():
     reach = build_reach(grid, grid.max_spacing + REACH_SLACK)
     slots = grid.distances_to_interval_rows(
         4, step - j0, edge, lo, hi,
-        grid.row_layout(reach.slot, reach.n_slots, -np.inf))
-    assert np.array_equal(slots, _to_slots(reach, rows))
+        grid.row_layout(reach.slot, reach.n_slots))
+    assert np.array_equal(slots, to_slots(reach, rows))
     assert (slots[3][reach.guards] == -np.inf).all()
 
 
@@ -501,7 +524,7 @@ def _reference_step(score, clearance, reach):
     heads = reach.starts[:-1]
     cand = val[reach.src]
     best = np.maximum.reduceat(cand, heads)
-    hit = cand == best[reach.dst]
+    hit = cand == best[targets(reach)]
     bp = np.minimum.reduceat(np.where(hit, reach.src, len(score)), heads)
     return np.minimum(best, clearance), bp, np.add.reduceat(hit, heads)
 
@@ -527,8 +550,8 @@ def _per_step_verify(cop, h, eps=None):
     score, history = grid.distances_to_point(cop.points[0]), []
     for clr in clearances:
         new, bp, hits = _reference_step(score, clr, reach)
-        slots = propagate_step(_to_slots(reach, score),
-                               _to_slots(reach, clr), reach)
+        slots = propagate_step(to_slots(reach, score),
+                               to_slots(reach, clr), reach)
         assert np.array_equal(new, slots[reach.slot])
         score = new
         history.append((bp, hits))
@@ -782,14 +805,15 @@ def test_alive_masks_match_maximin_scores():
         reach = build_reach(grid, tau + REACH_SLACK)
         table = piece_table(cop)
         start = grid.distances_to_point(cop.points[0])
-        score = _to_slots(reach, start)
+        score = to_slots(reach, start)
         rows = _alive_rows(reach)
         rows[0][reach.width][reach.slot] = start > eps
         assert np.array_equal(rows[0][reach.width], score > eps)
         for j in range(n_steps):
             step, edge, lo, hi = swept_block(table, tau, j, j + 1)
-            clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi)
-            score = propagate_step(score, _to_slots(reach, clr[0]), reach)
+            clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi,
+                                                  sample_layout(grid))
+            score = propagate_step(score, to_slots(reach, clr[0]), reach)
             _, q = grid.cells_within(step - j, edge, lo, hi, eps)
             kill = np.concatenate([reach.slot[q], reach.guards])
             alive = _alive_step(rows[0], rows[1], kill, reach)
