@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: generate, verify, frontier, export-svg, selftest.  The time
-step is the grid spacing.  Exit codes: 0 success (verify: capture), 1
-selftest failure, 2 usage, input or evidence errors, 3 verified survival, 4
+step tau is the cop's duration cut into whole steps no shorter than the
+grid spacing.  Exit codes: 0 success (verify: capture), 1 selftest
+failure, 2 usage, input or evidence errors, 3 verified survival, 4
 invalid resolution parameters (non-finite, a resolution at or below zero, a
 capture radius below the soundness floor, a grid above 10^6 samples, a
 vertex-to-sample table above 10^7 cells, or a step count, duration /
@@ -70,8 +71,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="target sample spacing (default: min edge / 50)")
         q.add_argument("--eps", type=float, default=None,
                        help="capture radius (default: twice the grid "
-                            "spacing; must exceed the spacing, which is "
-                            "also the time step)")
+                            "spacing; must exceed the spacing)")
 
     q = sub.add_parser("generate", help="construct a strategy trajectory")
     q.add_argument("--graph", required=True, help="graph JSON file")
@@ -158,11 +158,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     if res.captured:
         print(f"capture: every unit-speed evader within eps={res.eps:.6g} "
               f"by t={res.time_bound:.6g} "
-              f"(h={res.h:.6g} dt={res.dt:.6g} steps={res.n_steps})")
+              f"(h={res.h:.6g} tau={res.tau:.6g} steps={res.n_steps})")
         return EXIT_OK
     print(f"survival: witness evader keeps clearance "
           f"{res.min_clearance:.6g} over the whole horizon "
-          f"(eps={res.eps:.6g} h={res.h:.6g} dt={res.dt:.6g})")
+          f"(eps={res.eps:.6g} h={res.h:.6g} tau={res.tau:.6g})")
     if cfg.witness and res.witness is not None:
         _save_json(doc["witness"], cfg.witness)
         print(f"witness written to {cfg.witness}")

@@ -96,7 +96,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     """
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
-    if tol <= 0:
+    if not tol > 0:
         raise EvidenceError(f"tolerance must be positive, got {tol}")
 
     kind, high_ev, _ = _probe(g, family, s_high, truncation, h, eps)

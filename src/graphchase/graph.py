@@ -619,7 +619,8 @@ class DiscretizedGraph:
     at index `edge_inner_start[k]`; its end samples are the vertex samples
     of its `u` and `v`.  `vertex_sample_dist` holds the exact distance from
     every vertex (rows in `graph.vertex_rows`) to every sample, and
-    `sample_edge` and `sample_offset` each point's edge index and offset.
+    `sample_edge` and `sample_offset` each sample's edge index and offset;
+    `points` and `points_at` make GraphPoints of them only when asked.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -628,8 +629,8 @@ class DiscretizedGraph:
         self.graph = graph
         self.h = float(h)
 
-        points = [graph.vertex_point(v) for v in graph.vertex_rows]
-        n_vert = len(points)
+        ends = [graph.vertex_point(v) for v in graph.vertex_rows]
+        n_vert = len(ends)
         eu, ev, length = graph.edge_table
         self.edge_intervals = np.array([_interval_count(x, self.h)
                                         for x in length.tolist()])
@@ -643,15 +644,11 @@ class DiscretizedGraph:
         offsets = [np.arange(1, self.edge_intervals[k]) * self.edge_spacing[k]
                    for k in order]
         self.sample_edge = np.concatenate([
-            graph.edge_indices([p.edge for p in points]),
+            graph.edge_indices([p.edge for p in ends]),
             np.repeat(order, count)])
         self.sample_offset = np.concatenate(
-            [[p.offset for p in points]] + offsets)
-        for k, x in zip(order, offsets):
-            eid = graph.edges[k].id
-            points += [GraphPoint(eid, o) for o in x.tolist()]
-        self.points: tuple[GraphPoint, ...] = tuple(points)
-        self.n = len(points)
+            [[p.offset for p in ends]] + offsets)
+        self.n = len(self.sample_offset)
 
         vv = graph.vertex_distance_matrix
         dist = np.empty((n_vert, self.n))
@@ -667,6 +664,20 @@ class DiscretizedGraph:
         inner += x
         np.minimum(inner, vv[:, ev[k]] + (length[k] - x), out=inner)
         self.vertex_sample_dist = dist
+
+    def points_at(self, idx: list) -> list[GraphPoint]:
+        """The samples idx as GraphPoints, one object per distinct sample."""
+        ids = [e.id for e in self.graph.edges]
+        seen = list(dict.fromkeys(idx))
+        made = dict(zip(seen, map(
+            GraphPoint, [ids[k] for k in self.sample_edge[seen].tolist()],
+            self.sample_offset[seen].tolist())))
+        return [made[q] for q in idx]
+
+    @cached_property
+    def points(self) -> tuple[GraphPoint, ...]:
+        """Every sample as a GraphPoint, in sample order."""
+        return tuple(self.points_at(list(range(self.n))))
 
     def row_layout(self, column: np.ndarray, n_columns: int) -> RowLayout:
         """Rows of n_columns columns with sample q in column `column[q]`

@@ -427,9 +427,9 @@ def _cycle_runs(g: MetricGraph):
 def cycle_loop(g: MetricGraph, s: float, duration: float,
                metadata: dict | None = None) -> TimedPath:
     """Loop around a cycle in a fixed direction at speed s for the duration."""
-    if s < 0 or duration <= 0:
-        raise StrategyError("cycle loop needs nonnegative speed and positive "
-                            "duration")
+    if not (0 <= s < math.inf and 0 < duration < math.inf):
+        raise StrategyError(f"cycle loop needs a finite nonnegative speed and "
+                            f"a finite positive duration, got {s}, {duration}")
     start, lap = _cycle_runs(g)
     if s == 0:
         pb = PathBuilder(g, start, 0.0)
@@ -478,8 +478,8 @@ def sweep_strategy(g: MetricGraph, s: float, rounds: int = 1) -> TimedPath:
     at speeds far above the cascade thresholds, and serves as honest
     low-speed evidence elsewhere.
     """
-    if s <= 0:
-        raise StrategyError(f"sweep needs positive speed, got {s}")
+    if not 0 < s < math.inf:
+        raise StrategyError(f"sweep needs a finite positive speed, got {s}")
     if rounds < 1:
         raise StrategyError(f"sweep needs at least one round, got {rounds}")
     start = min(g.vertices)

@@ -42,8 +42,32 @@ def _reals(values, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
-    """Check p's points, routes and speed bound in one array pass.
+@dataclass(frozen=True)
+class PieceTable:
+    """Every constant-speed run of a path as arrays, in time order.
+
+    Run k moves from offset x0[k] to x1[k] on edge `graph.edges[edge[k]]`
+    over [run_start[k], run_end[k]]; its part of the breakpoint segment is
+    [start[k], stop[k]].  A wait is one run with x0 == x1 spanning its
+    segment.  Runs whose part is empty are left out, so both `start` and
+    `stop` increase with k.  The layout is private to this module: other
+    modules clip a table with `clip_pieces`.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    run_start: np.ndarray
+    run_end: np.ndarray
+    edge: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    duration: float
+
+
+def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
+    """Check p's points, routes and speed bound, and time its runs, in one
+    array pass: the only walk over a path's routes that `TimedPath`,
+    `path_pieces`, `clip_pieces` and `min_clearance` use.
 
     The order of the failures is a walk over the points (`clamp_point`),
     then segment by segment over each run (`clamp_point` on both offsets,
@@ -51,6 +75,15 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
     breakpoint and the speed bound; the first failure in that order raises
     that walk's exception and message.  Positions are compared as
     `points_equal` does, and each segment's length is `_runs_length`.
+
+    A segment whose runs have no length is one stationary row.  Otherwise
+    run k of a segment [a, b] whose runs are `seg_len` long in all spans
+    [a + acc / v, a + (acc + ln) / v], where v is seg_len / (b - a), ln
+    its own length and acc the lengths of the runs before it added one by
+    one; it is kept where that span meets [a, b].  The array passes take
+    these floating-point operations in that order: acc is a cumulative sum
+    along the segment, done per run count, and a segment of two or more
+    runs takes its length from `math.fsum`.
     """
     g = p.graph
     eu, ev, length = g.edge_table
@@ -79,11 +112,12 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
                   _reals(x1, "offsets"))
     count = np.array([len(seg) for seg in p.routes], dtype=np.int64)
     end = np.cumsum(count)
+    head = end - count                  # each segment's first run
     seg = np.repeat(np.arange(len(count)), count)
     moved = count > 0
     # a run starts from its segment's breakpoint or the run before it
     first = np.zeros(len(runs), dtype=bool)
-    first[end[moved] - count[moved]] = True
+    first[head[moved]] = True
     he = np.where(first, pe[seg], np.roll(re, 1))
     hx = np.where(first, px[seg], np.roll(r1, 1))
     run_bad = off_edge(re, r0) | off_edge(re, r1)
@@ -92,22 +126,29 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
     ae, ax = pe[:-1].copy(), px[:-1].copy()
     ae[moved], ax[moved] = re[end[moved] - 1], r1[end[moved] - 1]
     missed = ~same_point(ae, ax, pe[1:], px[1:])
-    run_len = np.abs(r1 - r0)
-    seg_len = np.zeros(len(count))
-    one = count == 1
-    seg_len[one] = run_len[end[one] - 1]
-    for i in np.flatnonzero(count > 1).tolist():
-        seg_len[i] = math.fsum(run_len[end[i] - count[i]:end[i]].tolist())
-    too_fast = seg_len > p.speed_bound * (t[1:] - t[:-1]) + SPEED_TOL
+    ln = np.abs(r1 - r0)
+    seg_len, acc = np.zeros(len(count)), np.zeros(len(ln))
+    sizes = np.flatnonzero(np.bincount(count))     # run counts present
+    for c in sizes[sizes > 0].tolist():
+        segs = np.flatnonzero(count == c)
+        rows = head[segs, None] + np.arange(c)
+        walked = np.cumsum(ln[rows], axis=1)     # one by one along a row
+        acc[rows[:, 1:]] = walked[:, :-1]
+        # math.fsum of one length is itself; of more it is correctly
+        # rounded, and it raises where their sum overflows
+        seg_len[segs] = (walked[:, -1] if c == 1 else
+                         [math.fsum(row) for row in ln[rows].tolist()])
+    a, b = t[:-1], t[1:]
+    too_fast = seg_len > p.speed_bound * (b - a) + SPEED_TOL
 
     k = np.flatnonzero(broken)
     i = np.flatnonzero(missed | too_fast)
     if len(k) and (not len(i) or seg[k[0]] <= i[0]):
         k, i = int(k[0]), int(seg[k[0]])
-        eid, a, b = runs[k]
+        eid, o0, o1 = runs[k]
         if run_bad[k]:
-            g.clamp_point(GraphPoint(eid, a))
-            g.clamp_point(GraphPoint(eid, b))
+            g.clamp_point(GraphPoint(eid, o0))
+            g.clamp_point(GraphPoint(eid, o1))
         here = p.points[i] if first[k] else GraphPoint(ids[k - 1], x1[k - 1])
         raise PathValidationError(
             f"route of segment {i} breaks continuity at {here}")
@@ -119,6 +160,24 @@ def _check_motion(p: "TimedPath", t: np.ndarray) -> None:
         raise PathValidationError(
             f"segment {i} is faster than the declared bound {p.speed_bound}")
 
+    moving = seg_len > 0
+    # the runs of moving segments, then one row per stationary segment
+    k = np.flatnonzero(np.repeat(moving, count))
+    seg = seg[k]
+    v = seg_len[seg] / (b[seg] - a[seg])
+    ra = a[seg] + acc[k] / v
+    rb = a[seg] + (acc[k] + ln[k]) / v
+    start, stop = np.maximum(ra, a[seg]), np.minimum(rb, b[seg])
+    kept = stop > start
+    k = k[kept]
+    still = np.flatnonzero(~moving)
+    order = np.argsort(np.concatenate([seg[kept], still]), kind="stable")
+    cols = [np.concatenate(pair)[order] for pair in (
+        (start[kept], a[still]), (stop[kept], b[still]),
+        (ra[kept], a[still]), (rb[kept], b[still]),
+        (re[k], pe[still]), (r0[k], px[still]), (r1[k], px[still]))]
+    return PieceTable(*cols, p.duration)
+
 
 @dataclass(frozen=True, eq=False)
 class TimedPath:
@@ -127,7 +186,8 @@ class TimedPath:
     `times` is strictly increasing and starts at 0.  `routes[i]` records the
     sub-path walked between breakpoints i and i+1 as contiguous
     (edge id, start offset, end offset) runs; an empty tuple is a wait.
-    Instances are immutable and safe to evaluate concurrently.
+    Instances are immutable and safe to evaluate concurrently.  `table`
+    holds the runs as the piece table that validation times.
     """
 
     graph: MetricGraph
@@ -136,6 +196,7 @@ class TimedPath:
     routes: tuple[tuple[tuple[str, float, float], ...], ...]
     speed_bound: float
     metadata: dict = field(default_factory=dict)
+    table: PieceTable = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -157,7 +218,7 @@ class TimedPath:
         if not math.isfinite(self.times[-1]):
             raise PathValidationError(f"paths end at a finite time, got {self.times[-1]}")
         with np.errstate(all="ignore"):     # values after a failure may be nan
-            _check_motion(self, t)
+            object.__setattr__(self, "table", _piece_table(self, t))
 
     @property
     def duration(self) -> float:
@@ -445,88 +506,13 @@ def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
 # piecewise-linear motion pieces (shared by verification and rendering)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PieceTable:
-    """Every constant-speed run of a path as arrays, in time order.
-
-    Run k moves from offset x0[k] to x1[k] on edge `graph.edges[edge[k]]`
-    over [run_start[k], run_end[k]]; its part of the breakpoint segment is
-    [start[k], stop[k]].  A wait is one run with x0 == x1 spanning its
-    segment.  Runs whose part is empty are left out, so both `start` and
-    `stop` increase with k.  The layout is private to this module: other
-    modules clip a table with `clip_pieces`.
-    """
-
-    start: np.ndarray
-    stop: np.ndarray
-    run_start: np.ndarray
-    run_end: np.ndarray
-    edge: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
-    duration: float
-
-
-def piece_table(p: TimedPath) -> PieceTable:
-    """The runs of p, timed once for the whole path: the only walk over its
-    routes that `path_pieces`, `clip_pieces` and `min_clearance` use.
-
-    A segment whose runs have no length is one stationary row.  Otherwise
-    run k of a segment [a, b] whose runs are `seg_len` long in all
-    (`_runs_length`) spans [a + acc / v, a + (acc + ln) / v], where v is
-    seg_len / (b - a), ln its own length and acc the lengths of the runs
-    before it added one by one; it is kept where that span meets [a, b].
-    The array passes take these floating-point operations in that order:
-    acc is a cumulative sum along the segment, done per run count, and a
-    segment of three or more runs takes its length from `math.fsum`.
-    """
-    g = p.graph
-    t = np.array(p.times, dtype=float)
-    count = np.array([len(runs) for runs in p.routes], dtype=np.int64)
-    ids, x0, x1 = zip(*[run for runs in p.routes for run in runs]) \
-        if count.sum() else ((), (), ())
-    x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
-    ln = np.abs(x1 - x0)
-    seg_len, acc = np.zeros(len(count)), np.zeros(len(ln))
-    head = np.cumsum(count) - count           # each segment's first run
-    sizes = np.flatnonzero(np.bincount(count))     # run counts present
-    for c in sizes[sizes > 0].tolist():
-        segs = np.flatnonzero(count == c)
-        runs = head[segs, None] + np.arange(c)
-        walked = np.cumsum(ln[runs], axis=1)     # one by one along a row
-        acc[runs[:, 1:]] = walked[:, :-1]
-        # math.fsum of one or two lengths is their plain sum
-        seg_len[segs] = (walked[:, -1] if c <= 2 else
-                         [math.fsum(row) for row in ln[runs].tolist()])
-    a, b = t[:-1], t[1:]
-    moving = seg_len > 0
-    # the runs of moving segments, then one row per stationary segment
-    k = np.flatnonzero(np.repeat(moving, count))
-    seg = np.repeat(np.arange(len(count)), count)[k]
-    v = seg_len[seg] / (b[seg] - a[seg])
-    ra = a[seg] + acc[k] / v
-    rb = a[seg] + (acc[k] + ln[k]) / v
-    start, stop = np.maximum(ra, a[seg]), np.minimum(rb, b[seg])
-    kept = stop > start
-    still = np.flatnonzero(~moving)
-    pts = [p.points[i] for i in still.tolist()]
-    xs = np.array([q.offset for q in pts], dtype=float)
-    order = np.argsort(np.concatenate([seg[kept], still]), kind="stable")
-    cols = [np.concatenate(pair)[order] for pair in (
-        (start[kept], a[still]), (stop[kept], b[still]),
-        (ra[kept], a[still]), (rb[kept], b[still]),
-        (g.edge_indices(ids)[k[kept]], g.edge_indices([q.edge for q in pts])),
-        (x0[k[kept]], xs), (x1[k[kept]], xs))]
-    return PieceTable(*cols, p.duration)
-
-
 def path_pieces(p: TimedPath, t0: float, t1: float):
     """Decompose motion over [t0, t1] into single-edge linear pieces.
 
     Yields (ta, tb, edge id, xa, xb): from time ta to tb the position moves
     linearly from offset xa to xb on that edge.  Waits yield stationary
-    pieces.  Consecutive pieces abut in time.  The rows of `piece_table(p)`
-    are clipped one at a time with scalar arithmetic, so this is a
+    pieces.  Consecutive pieces abut in time.  The rows of `p.table` are
+    clipped one at a time with scalar arithmetic, so this is a
     reference for `clip_pieces` that shares none of its indexing.
     """
     t0 = max(t0, 0.0)
@@ -534,7 +520,7 @@ def path_pieces(p: TimedPath, t0: float, t1: float):
     if t1 <= t0 or len(p.times) == 1:
         q = p.evaluate(t0) if len(p.times) > 1 else p.points[0]
         return [(t0, t1, q.edge, q.offset, q.offset)]
-    tab = piece_table(p)
+    tab = p.table
     pieces = []
     for start, stop, ra, rb, k, x0, x1 in zip(
             tab.start.tolist(), tab.stop.tolist(), tab.run_start.tolist(),
@@ -602,8 +588,8 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     t1 = min(p.duration, q.duration)
     if t1 <= 0:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))
-    pp = clip_pieces(piece_table(p), np.array([0.0, t1]))[1:]
-    qq = clip_pieces(piece_table(q), np.array([0.0, t1]))[1:]
+    pp = clip_pieces(p.table, np.array([0.0, t1]))[1:]
+    qq = clip_pieces(q.table, np.array([0.0, t1]))[1:]
     cuts = np.concatenate([pp[0], pp[1], qq[0], qq[1]])
     cuts.sort()
     cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]

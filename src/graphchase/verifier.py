@@ -4,8 +4,9 @@ Given a cop trajectory, decide whether every speed-1 evader is forced within
 capture radius eps by propagating the evader's surviving positions over a
 space-time grid.  The grid game is exact: evader steps use true intrinsic
 distances between samples, and the cop's swept region per time step is
-computed analytically from the trajectory's runs, so the only discretization
-is the sample spacing, which is also the time step.
+computed analytically from the trajectory's runs, so the only
+discretizations are the sample spacing and the time step `tau`: the cop's
+duration cut into whole steps, each at least the largest spacing long.
 
 Every verdict is decided by a boolean game over which samples are alive,
 which needs only the grid cells within the capture radius of the cop.  On
@@ -25,7 +26,7 @@ import numpy as np
 from .graph import (DiscretizedGraph, RowLayout, discretize, max_spacing,
                     sample_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
-                         path_pieces, path_to_dict, piece_table, write_json)
+                         path_pieces, path_to_dict, write_json)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -324,7 +325,8 @@ class VerifierResult:
 
     @property
     def dt(self) -> float:
-        """The time step: always the grid spacing."""
+        """The largest grid spacing, under the name the report and the
+        frontier CSV give it; the time step is `tau`, at least this."""
         return self.spacing
 
     @property
@@ -353,8 +355,9 @@ def save_report(r: VerifierResult, path: str) -> None:
 # ----------------------------------------------------------------------
 
 def _resolve_params(cop: TimedPath, h, eps):
-    """The grid, h, eps, step count and step length of a verification of
-    cop, whose time step is the grid's `max_spacing`.  The resolution must
+    """The grid, h, eps, step count and step length tau of a verification
+    of cop: its duration cut into the most whole steps no shorter than the
+    grid's `max_spacing` (`_step_grid`).  The resolution must
     be positive, and the sizes are checked from the edge lengths before the
     grid is built.
     """
@@ -406,7 +409,7 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     Capture means: by the reported time bound, every evader trajectory of
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
-    clearance.  The time step is the grid's sample spacing.
+    clearance.  The time step is `tau` (see `_resolve_params`).
 
     The boolean game `_first_empty_step` decides every verdict: it keeps
     only which samples are alive and needs clearances only at the cells
@@ -422,7 +425,6 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     backtracked by replaying the steps between checkpoints.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
-    table = piece_table(cop)
 
     def result(verdict, caught_at=None, witness=None, clearance=None):
         time_bound = None if caught_at is None else min(caught_at,
@@ -434,7 +436,7 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     if start.max() <= eps:
         return result("capture", 0.0)
     reach = build_reach(grid, tau + REACH_SLACK)
-    j = _first_empty_step(grid, reach, table, tau, n_steps, eps, start)
+    j = _first_empty_step(grid, reach, cop.table, tau, n_steps, eps, start)
     if j is not None:
         return result("capture", (j + 1) * tau)
     if not want_witness:
@@ -446,7 +448,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     while every * CHECKPOINTS < n_steps:
         every *= 2
     checkpoints = []        # the score before each step j % every == 0
-    for j0, rows in _clearance_rows(grid, layout, table, tau, 0, n_steps):
+    for j0, rows in _clearance_rows(grid, layout, cop.table, tau, 0,
+                                    n_steps):
         for j, clr in enumerate(rows, j0):
             if j % every == 0:
                 checkpoints.append(score)
@@ -456,15 +459,14 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
             f"the boolean game leaves evaders alive after {n_steps} steps, "
             f"but the maximin game's best final score {score.max()!r} is "
             f"within eps={eps!r}")
-    witness = _backtrack_witness(cop, grid, reach, layout, table, tau,
-                                 n_steps, checkpoints, every, score)
+    witness = _backtrack_witness(cop, grid, reach, layout, tau, n_steps,
+                                 checkpoints, every, score)
     return result("survival", None, witness, min_clearance(cop, witness))
 
 
 def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
-                       reach: ReachStructure, layout: RowLayout,
-                       table: PieceTable, tau: float, n_steps: int,
-                       checkpoints: list, every: int,
+                       reach: ReachStructure, layout: RowLayout, tau: float,
+                       n_steps: int, checkpoints: list, every: int,
                        score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
@@ -488,7 +490,7 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     view = memoryview(vals)
     for i, s in reversed(list(enumerate(checkpoints))):
         j0, j1 = i * every, min((i + 1) * every, n_steps)
-        for c0, rows in _clearance_rows(grid, layout, table, tau, j0, j1):
+        for c0, rows in _clearance_rows(grid, layout, cop.table, tau, j0, j1):
             for j, clr in enumerate(rows, c0):
                 np.minimum(s, clr, out=vals[j - j0])
                 if j + 1 < j1:
@@ -500,7 +502,7 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
             idx.append(q)
     idx.reverse()
     g = grid.graph
-    points = [grid.points[i] for i in idx]
+    points = grid.points_at(idx)
     times = ([j * tau for j in range(n_steps)] + [cop.duration]
              if n_steps else [0.0])
     return TimedPath(g, tuple(times), tuple(points),

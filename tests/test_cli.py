@@ -87,6 +87,17 @@ def test_verify_survival_writes_witness(cycle_file, tmp_path, capsys):
     assert w.speed_bound == 1.0
 
 
+def test_verify_prints_tau_as_the_time_step(path_file, tmp_path, capsys):
+    # spacing 0.25, but the 2/0.7 duration is cut into 5 steps of 0.2857
+    strat = str(tmp_path / "s.json")
+    save_path(sweep_strategy(unit_path(), 0.7), strat)
+    rc = main(["verify", "--graph", path_file, "--strategy", strat,
+               "--resolution", "0.3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "tau=0.285714 steps=5" in out and "dt=" not in out
+
+
 def test_verify_floor_violation_exits_4(path_file, tmp_path, capsys):
     strat = str(tmp_path / "s.json")
     main(["generate", "--graph", path_file, "--kind", "sweep",

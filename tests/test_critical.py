@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -43,6 +44,14 @@ def test_bisect_rejects_bad_endpoints():
         upper_bound_bisect(g, "cycle", 2.0, 2.0, tol=0.1, h=0.05)
     with pytest.raises(EvidenceError, match="tolerance"):
         upper_bound_bisect(g, "cycle", 0.5, 2.0, tol=0.0, h=0.05)
+
+
+def test_bisect_rejects_nan_tolerance():
+    # a nan tolerance passed `tol <= 0` and came back as the unshrunk
+    # bracket [0.5, 2.0]
+    with pytest.raises(EvidenceError, match="tolerance"):
+        upper_bound_bisect(unit_cycle(), "cycle", 0.5, 2.0, tol=math.nan,
+                           h=0.05)
 
 
 def test_constructor_rejection_counts_as_non_capture():

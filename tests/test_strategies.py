@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -15,6 +20,8 @@ from graphchase.strategies import (_cascade_update, _ladder_init,
                                    ladder_overhang)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------- growth root
@@ -279,6 +286,38 @@ def test_cycle_loop_degenerate():
         cycle_loop(g, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("s, duration", [(math.nan, 1.0), (1.0, math.nan),
+                                         (-1.0, 1.0)])
+def test_cycle_loop_rejects_nan_and_negative_inputs(s, duration):
+    with pytest.raises(StrategyError, match="finite"):
+        cycle_loop(unit_cycle(), s, duration)
+
+
+def test_cycle_loop_refuses_infinite_inputs_at_once():
+    # an infinite speed or duration appended laps forever: the child runs
+    # under a timeout and an address-space cap, so a regression fails
+    # this test instead of hanging the suite or filling memory
+    code = textwrap.dedent("""
+        import math, resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+        from graphchase import StrategyError, cycle_loop
+        from graphchase.graph import build_graph
+        g = build_graph(["a"], [("a", "a", 1.0)])
+        for s, duration in ((1.0, math.inf), (math.inf, 1.0)):
+            try:
+                cycle_loop(g, s, duration)
+            except StrategyError as exc:
+                print(exc)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("needs a finite nonnegative speed") == 2
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_sweep_covers_every_edge():
@@ -296,6 +335,9 @@ def test_sweep_rejections():
         sweep_strategy(path_graph(2), 0.0)
     with pytest.raises(StrategyError):
         sweep_strategy(path_graph(2), 1.0, rounds=0)
+    for s in (math.nan, math.inf):
+        with pytest.raises(StrategyError, match="finite positive speed"):
+            sweep_strategy(path_graph(2), s)
 
 
 # --------------------------------------------------------- vertex securing

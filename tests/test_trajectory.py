@@ -22,7 +22,7 @@ from graphchase import (GraphPoint, PathBuilder, PathValidationError,
                         variation_profile, verify)
 from graphchase.randgen import random_cop_path, random_graph
 from graphchase.trajectory import (JSON_CHUNK, JSONText, PieceTable,
-                                   _runs_length, piece_table, write_json)
+                                   _runs_length, write_json)
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
@@ -352,9 +352,9 @@ def test_witness_clearance_does_not_import_numpy_ma():
 
 
 def scalar_piece_table(p):
-    """The loop `piece_table` replaced, kept as its reference: each run of
-    each segment timed with scalar floats, the lengths before it added one
-    by one."""
+    """The loop the piece table's array passes replaced, kept as their
+    reference: each run of each segment timed with scalar floats, the
+    lengths before it added one by one."""
     rows, edges = [], []
     for i, runs in enumerate(p.routes):
         a, b = p.times[i], p.times[i + 1]
@@ -380,7 +380,7 @@ def scalar_piece_table(p):
 
 
 def _assert_same_table(p):
-    got, want = piece_table(p), scalar_piece_table(p)
+    got, want = p.table, scalar_piece_table(p)
     for name in PieceTable.__dataclass_fields__:
         a, b = getattr(got, name), getattr(want, name)
         if name == "duration":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import verifier
+from graphchase import trajectory, verifier
 from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         ParameterError, PathBuilder, SizeLimitError,
                         StateError, TimedPath, brute_force_oracle,
@@ -18,7 +18,7 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         path_pieces, result_to_dict, star_strategy,
                         sweep_strategy, truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
-from graphchase.trajectory import clip_pieces, piece_table
+from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
                                  _clearance_rows, _resolve_params,
                                  _step_grid, build_reach,
@@ -427,7 +427,7 @@ def test_blocked_clearance_matches_per_step_reference(case):
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
         slots = grid.row_layout(reach.slot, reach.n_slots)
-        chunks = list(_clearance_rows(grid, slots, piece_table(cop), tau, j0,
+        chunks = list(_clearance_rows(grid, slots, cop.table, tau, j0,
                                       n_steps))
     rows = [row for _, c in chunks for row in c]
     assert len(rows) == n_steps - j0
@@ -455,7 +455,7 @@ def test_step_left_without_pieces_stays_infinite():
                     1.0)
     grid = discretize(g, 0.05)
     tau, j0 = 2.0 ** -53, 2 ** 53 - 4
-    step, edge, lo, hi = swept_block(piece_table(cop), tau, j0, j0 + 4)
+    step, edge, lo, hi = swept_block(cop.table, tau, j0, j0 + 4)
     rows = grid.distances_to_interval_rows(4, step - j0, edge, lo, hi,
                                            sample_layout(grid))
     for j, row in enumerate(rows, j0):
@@ -496,14 +496,14 @@ def _assert_follows_evaluate(cop, pieces, rnd):
 @given(swept_cases(), st.randoms(use_true_random=False))
 def test_pieces_follow_evaluate_and_tile_their_windows(case, rnd):
     # `evaluate` walks the routes by arc length with code of its own, so it
-    # checks the run timing that `piece_table` feeds to both clips; the
+    # checks the run timing that `cop.table` feeds to both clips; the
     # windows start at breakpoints and at random times
     cop = case[0]
     g, d = cop.graph, cop.duration
     cuts = {0.0, *cop.times[:-1], *(rnd.uniform(0, d) for _ in range(6))}
     bounds = np.array(sorted(t for t in cuts if t < d)
                       + [d * rnd.choice([1.0, 1.5])])
-    w, ta, tb, edge, xa, xb = clip_pieces(piece_table(cop), bounds)
+    w, ta, tb, edge, xa, xb = clip_pieces(cop.table, bounds)
     ids = [e.id for e in g.edges]
     for i, (t0, t1) in enumerate(zip(bounds[:-1].tolist(),
                                      np.minimum(bounds[1:], d).tolist())):
@@ -803,7 +803,7 @@ def test_alive_masks_match_maximin_scores():
         kind, cop, h, eps, place = case
         grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
         reach = build_reach(grid, tau + REACH_SLACK)
-        table = piece_table(cop)
+        table = cop.table
         start = grid.distances_to_point(cop.points[0])
         score = to_slots(reach, start)
         rows = _alive_rows(reach)
@@ -928,6 +928,47 @@ def test_witness_replay_stores_nothing_per_step():
         tracemalloc.stop()
     assert r.verdict == "survival"
     assert peak < 3 * r.n_samples * r.n_steps
+
+
+def test_each_path_is_parsed_once(monkeypatch):
+    # a path's routes are read into arrays and timed when it is built;
+    # verify and min_clearance read `p.table` and walk no route again
+    parsed = []
+    real = trajectory._piece_table
+
+    def counting(p, t):
+        parsed.append(p)
+        return real(p, t)
+
+    monkeypatch.setattr(trajectory, "_piece_table", counting)
+    cop = cycle_loop(unit_cycle(), 1.0, 2.0)
+    r = verify(cop, h=0.05)
+    assert r.verdict == "survival"
+    assert min_clearance(cop, r.witness) == r.min_clearance
+    assert len(parsed) == 2
+    assert parsed[0] is cop and parsed[1] is r.witness
+
+
+@pytest.mark.parametrize("cop, h, verdict", [
+    (sweep_strategy(unit_path(), 0.7), 0.3, "capture"),
+    (cycle_loop(unit_cycle(), 1.0, 2.0), 0.05, "survival"),
+], ids=["capture", "survival"])
+def test_verify_builds_no_grid_points(monkeypatch, cop, h, verdict):
+    # captures never read a sample as a point, and a witness builds the
+    # points of its own samples only
+    grids = []
+    real = verifier.discretize
+
+    def keep(g, h):
+        grids.append(real(g, h))
+        return grids[-1]
+
+    monkeypatch.setattr(verifier, "discretize", keep)
+    r = verify(cop, h=h)
+    assert r.verdict == verdict and len(grids) == 1
+    assert "points" not in vars(grids[0])
+    if r.witness is not None:
+        assert set(r.witness.points) <= set(grids[0].points)
 
 
 # ----------------------------------------------------- monotonicity sweeps
