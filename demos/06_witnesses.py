@@ -3,8 +3,8 @@ Survival witnesses and time-space diagrams
 ==========================================
 
 When a strategy fails, the verifier does not just say "survival": it
-backtracks an explicit evading trajectory through the surviving scores,
-replayed from a few checkpoints of the propagation.
+backtracks an explicit evading trajectory from the bits the propagation
+records of which predecessors attain each step's best score.
 The witness is a valid unit-speed motion whose clearance from the pursuer
 is then re-measured exactly in continuous time, independent of the grid.
 """

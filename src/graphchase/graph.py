@@ -55,6 +55,12 @@ class MetricGraph:
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
+        # every distance is a sum of lengths, so none overflows when the
+        # total does not
+        if not math.isfinite(self.total_length):
+            raise GraphValidationError(
+                f"total edge length {self.total_length} is not a finite "
+                f"float")
         self._edge_by_id = {e.id: e for e in self.edges}
         self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
         adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}

@@ -472,8 +472,9 @@ def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
     """Restrict the path to [0, t_end], interpolating a final breakpoint."""
     if t_end >= p.duration - 1e-12:
         return p
-    if t_end < 0:
-        raise ValueError(f"cannot truncate to negative time {t_end}")
+    if not t_end >= 0:
+        raise ValueError(f"cannot truncate to time {t_end}: it must be a "
+                         f"non-negative number")
     if t_end == 0:
         return TimedPath(p.graph, (0.0,), (p.points[0],), (), p.speed_bound,
                          dict(p.metadata))

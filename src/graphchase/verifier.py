@@ -32,7 +32,6 @@ REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
 MAX_STEPS = 10 ** 6     # step count limit: duration / spacing
 MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
-CHECKPOINTS = 16        # score arrays a propagation keeps for the witness
 SWEEP_STEPS = 256       # steps per swept_block call
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
@@ -151,7 +150,8 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 # ----------------------------------------------------------------------
 
 def propagate_step(score: np.ndarray, clearance: np.ndarray,
-                   reach: ReachStructure) -> np.ndarray:
+                   reach: ReachStructure, *,
+                   attains: np.ndarray | None = None) -> np.ndarray:
     """One grid step of the surviving evader positions, in slots.
 
     `score[slot[q]]` is the largest clearance an evader reaching sample q
@@ -166,13 +166,24 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
     calls over shifted views of the whole slot row, the band, plus one
     `np.maximum.at` over the junction list; max and min are exact, so the
     result does not depend on the pair order.
+
+    `attains`, if given, is a bool row that receives a bit per predecessor
+    pair: whether its min(score, clearance) equals the target's best before
+    the arrival clearance.  Entry `k * n_slots + t` is the pair from slot
+    `t + k - width` to slot t; the junction pairs follow, in list order.
     """
     window = reach.window
     val = np.minimum(score, clearance, out=window[reach.width])
     best = np.maximum(window[0], window[-1])
     for shifted in window[1:-1]:
         np.maximum(best, shifted, out=best)
-    np.maximum.at(best, reach.junction_dst, val[reach.junction_src])
+    jval = val[reach.junction_src]
+    np.maximum.at(best, reach.junction_dst, jval)
+    if attains is not None:
+        n = reach.n_slots
+        for k, shifted in enumerate(window):
+            np.equal(shifted, best, out=attains[k * n:(k + 1) * n])
+        np.equal(jval, best[reach.junction_dst], out=attains[len(window) * n:])
     return np.minimum(best, clearance, out=best)
 
 
@@ -283,26 +294,25 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
 
 
 def _clearance_rows(grid: DiscretizedGraph, layout: RowLayout,
-                    table: PieceTable, tau: float, j0: int, j1: int):
-    """Yield (first step, rows) chunks of the clearance rows of the steps
-    j0 <= j < j1, in the columns of `layout` (the slots, for the maximin
-    game): row j holds
+                    table: PieceTable, tau: float, n_steps: int):
+    """Yield the clearance rows of the steps j < n_steps in chunks, in the
+    columns of `layout` (the slots, for the maximin game): row j holds
     `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
 
     The pieces come from `swept_block` for blocks of about SWEEP_STEPS
     steps, and the rows are filled in chunks of at most CHUNK_FLOATS sample
     values (at least one row) so that a chunk stays in cache.  Every row is
-    computed on its own, so it does not depend on j0 or the block bounds.
+    computed on its own, so it does not depend on the block bounds.
     """
     chunk = max(1, CHUNK_FLOATS // grid.n)
     block = chunk * max(1, SWEEP_STEPS // chunk)
-    for b0 in range(j0, j1, block):
-        b1 = min(b0 + block, j1)
+    for b0 in range(0, n_steps, block):
+        b1 = min(b0 + block, n_steps)
         step, edge, lo, hi = swept_block(table, tau, b0, b1)
         ends = list(range(b0, b1, chunk)) + [b1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
-            yield c0, grid.distances_to_interval_rows(
+            yield grid.distances_to_interval_rows(
                 c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b], layout)
 
 
@@ -415,14 +425,10 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     only which samples are alive and needs clearances only at the cells
     within eps of the cop.  A capture returns from it, whatever
     `want_witness` says.  Only a survival that wants a witness plays the
-    maximin game, whose scores the witness is backtracked from; if its
+    maximin game, once, and backtracks the witness from the bits
+    `propagate_step` writes of which predecessors attain each best; if its
     final scores show a capture after all, the games disagree and
     GameMismatchError is raised.
-
-    The maximin propagation keeps the score array before every `every`-th
-    step as a checkpoint, `every` being the least power of two that keeps
-    at most CHECKPOINTS of them, and nothing per step.  The witness is
-    backtracked by replaying the steps between checkpoints.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
 
@@ -444,61 +450,55 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     layout = grid.row_layout(reach.slot, reach.n_slots)
     score = np.full(reach.n_slots, -np.inf)
     score[reach.slot] = start
-    every = 1
-    while every * CHECKPOINTS < n_steps:
-        every *= 2
-    checkpoints = []        # the score before each step j % every == 0
-    for j0, rows in _clearance_rows(grid, layout, cop.table, tau, 0,
-                                    n_steps):
-        for j, clr in enumerate(rows, j0):
-            if j % every == 0:
-                checkpoints.append(score)
-            score = propagate_step(score, clr, reach)
+    n_bits = len(reach.window) * reach.n_slots + len(reach.junction_src)
+    table = []      # the packed attains rows of each chunk of steps
+    for rows in _clearance_rows(grid, layout, cop.table, tau, n_steps):
+        bits = np.empty((len(rows), n_bits), dtype=bool)
+        for clr, row in zip(rows, bits):
+            score = propagate_step(score, clr, reach, attains=row)
+        table.append(np.packbits(bits, axis=1))
     if score.max() <= eps:
         raise GameMismatchError(
             f"the boolean game leaves evaders alive after {n_steps} steps, "
             f"but the maximin game's best final score {score.max()!r} is "
             f"within eps={eps!r}")
-    witness = _backtrack_witness(cop, grid, reach, layout, tau, n_steps,
-                                 checkpoints, every, score)
+    witness = _backtrack_witness(cop, grid, reach, tau, n_steps, table,
+                                 score)
     return result("survival", None, witness, min_clearance(cop, witness))
 
 
 def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
-                       reach: ReachStructure, layout: RowLayout, tau: float,
-                       n_steps: int, checkpoints: list, every: int,
-                       score: np.ndarray) -> TimedPath:
+                       reach: ReachStructure, tau: float, n_steps: int,
+                       table: list, score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
-    `checkpoints[i]` is the score before step i * every, and `score` the
-    score after the last step, all in slots.  The segments of `every`
-    steps that start at the checkpoints are replayed from the last: each
-    from its checkpoint with `propagate_step`, keeping each step's
-    min(score, clearance) as a row of one array, then stepped back.
+    `table` holds the `attains` rows of `propagate_step`, packed, one array
+    per chunk of steps in step order, and `score` the final score, in
+    slots.  The chunks are popped, so freed, and unpacked from the last.
     Stepping back over step j from sample q picks the first of q's
-    predecessors (ascending in the CSR) that maximizes that row: the
-    lowest-index predecessor attaining q's maximin.  Those few values are
-    read one by one through a memoryview, with no numpy call per step.
-    The best final sample is the first in sample order.
+    predecessors (ascending in the CSR) whose bit in row j is set: the
+    lowest-index predecessor attaining q's maximin.  A CSR pair is a band
+    pair iff its slot offset equals its sample offset (no guard between)
+    and is at most width; the others are the junction list, in CSR order.
+    The bits are read one by one through memoryviews, with no numpy call
+    per step.  The best final sample is the first in sample order.
     """
     final = score[reach.slot]
     q = int(np.argmax(final))
     idx = [q]
-    src, starts = memoryview(reach.src), memoryview(reach.starts)
-    src_slot = memoryview(reach.slot[reach.src])
-    vals = np.empty((min(every, n_steps), reach.n_slots))   # one segment
-    view = memoryview(vals)
-    for i, s in reversed(list(enumerate(checkpoints))):
-        j0, j1 = i * every, min((i + 1) * every, n_steps)
-        for c0, rows in _clearance_rows(grid, layout, cop.table, tau, j0, j1):
-            for j, clr in enumerate(rows, c0):
-                np.minimum(s, clr, out=vals[j - j0])
-                if j + 1 < j1:
-                    s = propagate_step(s, clr, reach)
-        for k in range(j1 - j0 - 1, -1, -1):
-            a = starts[q]
-            val = [view[k, p] for p in src_slot[a:starts[q + 1]]]
-            q = src[a + val.index(max(val))]
+    dst = np.repeat(np.arange(len(reach.starts) - 1), np.diff(reach.starts))
+    off = reach.slot[reach.src] - reach.slot[dst]
+    bit = (off + reach.width) * reach.n_slots + reach.slot[dst]
+    far = (off != reach.src - dst) | (np.abs(off) > reach.width)
+    bit[far] = len(reach.window) * reach.n_slots + np.arange(far.sum())
+    src, starts, bit = map(memoryview, (reach.src, reach.starts, bit))
+    while table:
+        bits = memoryview(np.unpackbits(table.pop(), axis=1))
+        for k in range(len(bits) - 1, -1, -1):
+            i = starts[q]
+            while not bits[k, bit[i]]:
+                i += 1
+            q = src[i]
             idx.append(q)
     idx.reverse()
     g = grid.graph

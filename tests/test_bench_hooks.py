@@ -52,18 +52,9 @@ def test_family_registry_calls_through_traced_constructors(family, graph,
     assert tr.names.count("strategies.build") == 1
 
 
-def replayed_steps(n_steps):
-    """The steps the witness replay propagates: every step but the first
-    of each segment between checkpoints, which are `every` steps apart
-    for the least power of two `every` that keeps at most CHECKPOINTS."""
-    every = 1
-    while -(-n_steps // every) > verifier.CHECKPOINTS:
-        every *= 2
-    return n_steps - -(-n_steps // every)
-
-
 def test_tracer_sees_both_propagation_passes():
-    # the capture pass and the witness replay
+    # the boolean game calls no propagate_step, and the maximin game one
+    # per step: the witness is read from its bits, with no replay
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
@@ -74,9 +65,8 @@ def test_tracer_sees_both_propagation_passes():
         tr.uninstall()
     assert r.verdict == "survival"
     names = tr.names
-    assert r.n_steps > verifier.CHECKPOINTS
-    assert names.count("verifier.propagate_step") == \
-        r.n_steps + replayed_steps(r.n_steps)
+    assert r.n_steps > 1
+    assert names.count("verifier.propagate_step") == r.n_steps
     assert names.count("verifier.propagate_step_bp") == 0
     assert names.count("verifier.backtrack_witness") == 1
 
@@ -84,8 +74,8 @@ def test_tracer_sees_both_propagation_passes():
 def test_tracer_sees_the_block_clearance_layers():
     # the blocked clearance is called through module and class attributes,
     # so a tracer can wrap it; here one block of steps for the boolean
-    # game, which decides the verdict without clearance rows, one for the
-    # propagation and one per segment of the witness replay
+    # game, which decides the verdict without clearance rows, and one for
+    # the maximin game's single pass
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
@@ -99,8 +89,6 @@ def test_tracer_sees_the_block_clearance_layers():
         tr.uninstall()
     assert r.verdict == "survival" and r.n_steps < verifier.SWEEP_STEPS
     names = tr.names
-    segments = r.n_steps - replayed_steps(r.n_steps)
-    assert names.count("verifier.swept_block") == 2 + segments
-    assert names.count("graph.distances_to_interval_rows") == 1 + segments
-    assert names.count("verifier.propagate_step") == \
-        r.n_steps + replayed_steps(r.n_steps)
+    assert names.count("verifier.swept_block") == 2
+    assert names.count("graph.distances_to_interval_rows") == 1
+    assert names.count("verifier.propagate_step") == r.n_steps

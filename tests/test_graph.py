@@ -28,6 +28,13 @@ def test_build_rejects_bad_input():
         build_graph(["a", "a"], [])
 
 
+def test_build_rejects_overflowing_total_length():
+    # each length is finite, but a distance through b would overflow, and
+    # the shortest-path search then never reached c
+    with pytest.raises(GraphValidationError, match="total edge length"):
+        build_graph(["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)])
+
+
 def test_disconnected_rejected():
     with pytest.raises(GraphValidationError, match="disconnected"):
         build_graph(["a", "b", "c", "d"],
@@ -162,6 +169,10 @@ def test_scale():
                - 2 * g.distance(p, q)) < 1e-12
     with pytest.raises(GraphValidationError):
         g.scale(0.0)
+    # an infinite factor, or one whose product with a length overflows
+    for c in (math.inf, 1e308):
+        with pytest.raises(GraphValidationError, match="total edge length"):
+            g.scale(c)
 
 
 def test_shorten_leaf_edge():

@@ -302,11 +302,12 @@ def test_speed_bound_uses_the_exactly_rounded_segment_length():
 
 @pytest.mark.parametrize("speed", [1e308, math.inf])
 def test_segment_length_beyond_float_range_is_decided_alike(speed):
-    # two runs of 1e308 overflow: math.fsum raises where a plain sum would
-    # give inf and pass an infinite speed bound
-    g = build_graph(["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)])
-    runs = [("e0", 0.0, 1e308), ("e1", 0.0, 1e308)]
-    points = [GraphPoint("e0", 0.0), GraphPoint("e1", 1e308)]
+    # two runs of 1e308, out along the edge and back, overflow: math.fsum
+    # raises where a plain sum would give inf and pass an infinite speed
+    # bound (a graph of total length 2e308 is refused)
+    g = build_graph(["a", "b"], [("a", "b", 1e308)])
+    runs = [("e0", 0.0, 1e308), ("e0", 1e308, 0.0)]
+    points = [GraphPoint("e0", 0.0), GraphPoint("e0", 0.0)]
     ref = assert_same_decision(g, [0.0, 1.0], points, [runs], speed)
     assert ref == (OverflowError, "intermediate overflow in fsum")
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import (GraphPoint, PathBuilder, PathValidationError,
+from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
+                        PathValidationError,
                         TimedPath, build_graph, check_lipschitz, cycle_loop,
                         load_path, min_clearance, path_from_dict, path_pieces,
                         path_to_dict,
@@ -158,6 +159,9 @@ def test_truncate():
     assert truncate_path(p, 5.0) is p
     z = truncate_path(p, 0.0)
     assert z.duration == 0.0
+    for t_end in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="cannot truncate"):
+            truncate_path(p, t_end)
 
 
 def test_transfer_scale_geometry():
@@ -168,6 +172,9 @@ def test_transfer_scale_geometry():
     assert q.graph.total_length == pytest.approx(4.0)
     at = q.evaluate(1.0)
     assert at.edge == "e0" and at.offset == pytest.approx(1.0)
+    # the graph refuses the factor before any time is scaled to nan
+    with pytest.raises(GraphValidationError, match="total edge length"):
+        transfer_scale(p, math.inf)
     assert q.speed_bound == p.speed_bound
 
 

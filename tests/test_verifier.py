@@ -413,35 +413,28 @@ def swept_cases(draw):
         dt = cop.duration / math.ceil(cop.duration / dt)
     block_steps = rng.choice([1, 2, 3, 5, 256])
     chunk_floats = rng.choice([1, grid.n - 1, grid.n + 1, 3 * grid.n, 16384])
-    start = rng.choice([0.0, rng.random()])   # first step, as a fraction
-    return cop, grid, dt, block_steps, chunk_floats, start
+    return cop, grid, dt, block_steps, chunk_floats
 
 
 @settings(max_examples=60, deadline=None)
 @given(swept_cases())
 def test_blocked_clearance_matches_per_step_reference(case):
-    cop, grid, dt, block_steps, chunk_floats, start = case
+    cop, grid, dt, block_steps, chunk_floats = case
     n_steps, tau = _step_grid(cop.duration, dt)
-    j0 = int(start * n_steps)
     reach = build_reach(grid, tau + REACH_SLACK)
     with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
             mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
         slots = grid.row_layout(reach.slot, reach.n_slots)
-        chunks = list(_clearance_rows(grid, slots, cop.table, tau, j0,
-                                      n_steps))
-    rows = [row for _, c in chunks for row in c]
-    assert len(rows) == n_steps - j0
-    assert [c0 for c0, _ in chunks] == \
-        np.cumsum([j0] + [len(c) for _, c in chunks[:-1]]).tolist()
-    assert all(len(c) <= max(1, chunk_floats // grid.n) for _, c in chunks)
+        chunks = list(_clearance_rows(grid, slots, cop.table, tau, n_steps))
+    rows = [row for c in chunks for row in c]
+    assert len(rows) == n_steps
+    assert all(len(c) <= max(1, chunk_floats // grid.n) for c in chunks)
     widths = []
     for j in range(n_steps):
         intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
         widths.append(len(intervals))
-        if j >= j0:
-            assert np.array_equal(rows[j - j0],
-                                  to_slots(reach, grid.distances_to_intervals(
-                                      intervals))), j
+        assert np.array_equal(rows[j], to_slots(
+            reach, grid.distances_to_intervals(intervals))), j
     assert max(widths) >= 2           # a step crossed a vertex
 
 
@@ -615,15 +608,20 @@ def witness_cases(draw):
 
 
 def test_witness_matches_full_backpointer_reference():
-    # checkpointed replay against a backpointer array per step, with the
-    # checkpoint cap at 1, 2, 3 and 16: the same lowest-index maximin path
+    # the attains bits, packed and unpacked per chunk of clearance rows,
+    # against a backpointer array per step, at chunk sizes (see
+    # `_chunk_floats`) that put chunk boundaries anywhere: the same
+    # lowest-index maximin path
     seen = {"survival": 0, "ties": 0}
 
     @settings(max_examples=60, deadline=None)
-    @given(witness_cases(), st.sampled_from([1, 2, 3, 16]))
-    def check(case, cap):
+    @given(witness_cases(), st.sampled_from(["1", "n-1", "n+1", "3n",
+                                             "16384"]))
+    def check(case, kind):
         cop, h, eps = case
-        with mock.patch.object(verifier, "CHECKPOINTS", cap):
+        n = _resolve_params(cop, h, eps)[0].n
+        with mock.patch.object(verifier, "CHUNK_FLOATS",
+                               _chunk_floats(kind, n)):
             r = verify(cop, h=h, eps=eps)
         verdict, time_bound, witness, clearance, ties = \
             _per_step_verify(cop, h, eps)
@@ -915,9 +913,9 @@ def test_witness_runs_are_routes_on_multigraphs(seed):
 
 def test_witness_replay_stores_nothing_per_step():
     # int32 backpointers per step alone would take 4 bytes per sample-step;
-    # the replay keeps at most CHECKPOINTS + 1 score arrays and one segment
-    # of at most 1/8 of the steps.  A warm-up run keeps numpy's lazy imports
-    # out of the measured peak.
+    # the witness keeps about 2 * width + 1 bits per sample-step, packed,
+    # and no score or clearance array per step.  A warm-up run keeps
+    # numpy's lazy imports out of the measured peak.
     cop = cycle_loop(unit_cycle(), 1.0, 4.0)
     verify(cop, h=0.05)
     tracemalloc.start()
@@ -927,7 +925,7 @@ def test_witness_replay_stores_nothing_per_step():
     finally:
         tracemalloc.stop()
     assert r.verdict == "survival"
-    assert peak < 3 * r.n_samples * r.n_steps
+    assert peak < 2 * r.n_samples * r.n_steps
 
 
 def test_each_path_is_parsed_once(monkeypatch):
