@@ -152,14 +152,15 @@ def frontier_table(g: MetricGraph, family: str, speeds,
 
     Speeds below a family's construction threshold fall back to the naive
     sweep at the same speed, so every row carries honest evidence.  Across
-    capture rows, capture times are checked to be nonincreasing in s; when a
-    violation appears between independently re-constructed schedules, the
-    slower row's trajectory is re-declared at the faster bound and verified,
-    which restores the guarantee or flags a real inconsistency.
+    capture rows, capture times should not increase with s.  When an
+    independently re-constructed faster schedule captures later than a
+    slower row, the slower row's trajectory, re-declared at the faster
+    bound, is evidence of the earlier capture: a path that keeps to one
+    speed bound keeps to every larger one, and `verify` never reads the
+    bound.  The faster row's note says so.
     """
     speeds = sorted(float(s) for s in speeds)
     rows: list[FrontierRow] = []
-    paths: list[TimedPath | None] = []
     for s in speeds:
         note = ""
         try:
@@ -171,7 +172,6 @@ def frontier_table(g: MetricGraph, family: str, speeds,
         rows.append(FrontierRow(s, res.verdict, res.time_bound,
                                 res.min_clearance, res.h, res.dt, res.eps,
                                 note))
-        paths.append(path)
 
     prev = None   # (index, time_bound) of the previous capture row
     for i, row in enumerate(rows):
@@ -179,20 +179,13 @@ def frontier_table(g: MetricGraph, family: str, speeds,
             continue
         if prev is not None:
             pi, pt = prev
-            slack = 3 * (row.h + row.dt)
-            if row.time_bound > pt + slack:
-                redeclared = replace(paths[pi], speed_bound=row.s)
-                check = verify(redeclared, h=h, eps=eps, want_witness=False)
-                if not check.captured or check.time_bound > pt + slack:
-                    raise EvidenceError(
-                        f"capture time increased with speed ({pt} at "
-                        f"s={rows[pi].s} vs {row.time_bound} at s={row.s}) "
-                        f"and the re-declared slow trajectory failed to "
-                        f"restore it")
+            if row.time_bound > pt + 3 * (row.h + row.dt):
                 rows[i] = replace(row, note=(row.note + "; " if row.note
                                              else "") +
                                   f"capture time above slower row at "
-                                  f"s={rows[pi].s}; re-declared check passed")
+                                  f"s={rows[pi].s}, whose trajectory, "
+                                  f"re-declared at this speed, captures by "
+                                  f"{pt:.6g}")
         if prev is None or row.time_bound < prev[1]:
             prev = (i, row.time_bound)
     return rows

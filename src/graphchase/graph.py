@@ -44,17 +44,23 @@ class GraphPoint:
 
 
 class MetricGraph:
-    """A connected, simple metric graph.
+    """A connected, simple metric graph with string vertex and edge ids.
 
-    Instances are immutable after construction and safe to share across
-    threads; distance queries lazily cache per-source shortest-path trees.
-    Use :func:`build_graph` to construct one from raw (possibly loopy or
-    parallel) edge data.
+    Every edge length must be positive and the total length finite; the
+    constructor refuses anything else with GraphValidationError, so no
+    transform can make a zero-length edge.  Instances are immutable after
+    construction and safe to share across threads; distance queries lazily
+    cache per-source shortest-path trees.  Use :func:`build_graph` to
+    construct one from raw (possibly loopy or parallel) edge data.
     """
 
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
+        for e in self.edges:
+            if not e.length > 0:
+                raise GraphValidationError(
+                    f"edge {e.id!r} has nonpositive length {e.length}")
         # every distance is a sum of lengths, so none overflows when the
         # total does not
         if not math.isfinite(self.total_length):
@@ -331,9 +337,8 @@ class MetricGraph:
     # ------------------------------------------------------------------
 
     def scale(self, c: float) -> "MetricGraph":
-        """Uniformly rescale all edge lengths by c > 0."""
-        if not (c > 0):
-            raise GraphValidationError(f"scale factor must be positive, got {c}")
+        """Uniformly rescale all edge lengths by c; a factor that leaves a
+        length nonpositive or the total infinite is refused."""
         return MetricGraph(self.vertices,
                            [Edge(e.id, e.u, e.v, e.length * c) for e in self.edges])
 
@@ -368,18 +373,19 @@ def _fresh_name(base: str, used: set[str]) -> str:
 def build_graph(vertices, edges) -> MetricGraph:
     """Build and normalize a metric graph.
 
-    `edges` is an iterable of (u, v, length) or (u, v, length, edge_id).
-    Loops become 3-vertex cycles of the same total length and every parallel
-    duplicate is subdivided with one midpoint, so the result is simple.
-    Disconnected input is rejected: a pursuer confined to one component can
-    never meet an evader in another, so no winning strategy exists.
+    `vertices` is a list of distinct string ids, and `edges` an iterable of
+    (u, v, length) or (u, v, length, edge_id) with string endpoints and
+    ids; a missing id is `e<index>`.  Lengths must be positive and finite.
+    Loops become 3-vertex cycles of the same total length and every
+    parallel duplicate is subdivided with one midpoint, so the result is
+    simple.  Disconnected input is rejected: a pursuer confined to one
+    component can never meet an evader in another, so no winning strategy
+    exists.
     """
-    try:
-        vertices = list(vertices)
-        vset = set(vertices)
-    except TypeError as exc:
-        raise GraphValidationError(
-            f"vertex ids must be a list of hashable values: {exc}") from None
+    vertices = list(vertices)
+    if not all(isinstance(v, str) for v in vertices):
+        raise GraphValidationError("vertex ids must be strings")
+    vset = set(vertices)
     if len(vset) != len(vertices):
         raise GraphValidationError("duplicate vertex ids")
     if not vertices:
@@ -393,16 +399,15 @@ def build_graph(vertices, edges) -> MetricGraph:
             eid = f"e{i}"
         else:
             u, v, length, eid = item
-        try:
-            if eid in used_ids:
-                raise GraphValidationError(f"duplicate edge id {eid!r}")
-            used_ids.add(eid)
-            if u not in vset or v not in vset:
-                raise GraphValidationError(
-                    f"edge {eid!r} references undeclared vertex")
-        except TypeError:
+        if not all(isinstance(x, str) for x in (eid, u, v)):
             raise GraphValidationError(
-                f"edge {eid!r} has an unhashable id or endpoint") from None
+                f"edge {eid!r} needs a string id and string endpoints")
+        if eid in used_ids:
+            raise GraphValidationError(f"duplicate edge id {eid!r}")
+        used_ids.add(eid)
+        if u not in vset or v not in vset:
+            raise GraphValidationError(
+                f"edge {eid!r} references undeclared vertex")
         try:
             length = float(length)
         except (TypeError, ValueError, OverflowError):
@@ -416,55 +421,36 @@ def build_graph(vertices, edges) -> MetricGraph:
         raise GraphValidationError("graph needs at least one edge")
 
     used_names = set(vset) | used_ids
+
+    def fresh(suffix):     # a name for a piece of e that nothing has yet
+        return _fresh_name(f"{e.id}~{suffix}", used_names)
+
     out_vertices = list(vertices)
     out_edges: list[Edge] = []
     seen_pairs: set[frozenset] = set()
     for e in raw:
         if e.u == e.v:
-            a = _fresh_name(f"{e.id}~a", used_names)
-            b = _fresh_name(f"{e.id}~b", used_names)
+            a, b = fresh("a"), fresh("b")
             out_vertices += [a, b]
             third = e.length / 3.0
-            out_edges += [Edge(f"{e.id}~0", e.u, a, third),
-                          Edge(f"{e.id}~1", a, b, third),
-                          Edge(f"{e.id}~2", b, e.u, third)]
+            out_edges += [Edge(fresh(0), e.u, a, third),
+                          Edge(fresh(1), a, b, third),
+                          Edge(fresh(2), b, e.u, third)]
         elif frozenset((e.u, e.v)) in seen_pairs:
-            m = _fresh_name(f"{e.id}~m", used_names)
+            m = fresh("m")
             out_vertices.append(m)
             half = e.length / 2.0
-            out_edges += [Edge(f"{e.id}~0", e.u, m, half),
-                          Edge(f"{e.id}~1", m, e.v, half)]
+            out_edges += [Edge(fresh(0), e.u, m, half),
+                          Edge(fresh(1), m, e.v, half)]
         else:
             seen_pairs.add(frozenset((e.u, e.v)))
             out_edges.append(e)
 
-    # connectivity
-    adj: dict[str, list[str]] = {v: [] for v in out_vertices}
-    for e in out_edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    seen = {out_vertices[0]}
-    stack = [out_vertices[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(out_vertices):
+    g = MetricGraph(out_vertices, out_edges)
+    if len(g._sssp(out_vertices[0])[0]) != len(out_vertices):
         raise GraphValidationError(
             "disconnected metric graph: no winning strategy exists")
-    # samples, adjacency and start vertices are ordered by id
-    for kind, ids in (("vertex", out_vertices),
-                      ("edge", [e.id for e in out_edges])):
-        try:
-            sorted(ids)
-        except TypeError:
-            raise GraphValidationError(
-                f"{kind} ids must be mutually sortable (loops and parallel "
-                f"edges add string ids)") from None
-
-    return MetricGraph(out_vertices, out_edges)
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -488,13 +474,16 @@ def double_tree_walk(g: MetricGraph, start):
     if start_vertex is None:
         # split the start edge at the interior point and walk the refined graph
         e = g.edge(start.edge)
-        mid = "~walkstart"
+        used = set(g.vertices) | {x.id for x in g.edges}
+        mid = _fresh_name("~walkstart", used)
+        s0 = _fresh_name(e.id + "~s0", used)
+        s1 = _fresh_name(e.id + "~s1", used)
         verts = list(g.vertices) + [mid]
         edges = []
         for x in g.edges:
             if x.id == e.id:
-                edges.append(Edge(e.id + "~s0", e.u, mid, start.offset))
-                edges.append(Edge(e.id + "~s1", mid, e.v, e.length - start.offset))
+                edges.append(Edge(s0, e.u, mid, start.offset))
+                edges.append(Edge(s1, mid, e.v, e.length - start.offset))
             else:
                 edges.append(x)
         refined = MetricGraph(verts, edges)
@@ -503,9 +492,9 @@ def double_tree_walk(g: MetricGraph, start):
         # pieces jointly cover the original edge exactly when both appear
         back = []
         for eid, x0, x1 in runs:
-            if eid == e.id + "~s0":
+            if eid == s0:
                 back.append((e.id, x0, x1))
-            elif eid == e.id + "~s1":
+            elif eid == s1:
                 back.append((e.id, start.offset + x0, start.offset + x1))
             else:
                 back.append((eid, x0, x1))
@@ -866,6 +855,9 @@ def graph_from_dict(data: dict) -> MetricGraph:
         edges = [(e["from"], e["to"], e["length"], e["id"]) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphValidationError(f"malformed graph document: {exc}") from exc
+    if not isinstance(vertices, list):
+        raise GraphValidationError(
+            "malformed graph document: vertices must be a list")
     return build_graph(vertices, edges)
 
 

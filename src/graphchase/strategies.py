@@ -68,7 +68,7 @@ def lambda_root(k: int, s: float) -> float:
 def _truncation(truncation: float | None, default: float | None = None):
     """`truncation`, or `default` when it is None: a finite positive scale."""
     t = default if truncation is None else truncation
-    if not 0 < t < math.inf:
+    if t is None or not 0 < t < math.inf:
         raise StrategyError(f"truncation scale must be finite and positive, "
                             f"got {t}")
     return t

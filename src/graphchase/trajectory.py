@@ -660,8 +660,6 @@ def _rebuild_runs(g: MetricGraph, start: GraphPoint, end: GraphPoint,
         if abs(there.offset - here.offset) > 0:
             runs.append((eid, here.offset, there.offset))
         pos = there
-    if not g.points_equal(pos, end):
-        raise PathValidationError("route edge sequence does not reach the end")
     return tuple(runs)
 
 

@@ -213,6 +213,20 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["sweep", "finiteness", "star"])
+def test_generate_on_integer_ids_exits_2_with_one_line(kind, tmp_path,
+                                                       capsys):
+    graph = tmp_path / "ints.json"
+    graph.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": [
+        {"id": i, "from": 0, "to": i + 1, "length": 1.0} for i in range(3)]}),
+        encoding="utf-8")
+    rc = main(["generate", "--graph", str(graph), "--kind", kind,
+               "--speed", "100", "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_undecodable_graph_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")

@@ -4,8 +4,8 @@ from unittest import mock
 
 import pytest
 
-from graphchase import (EvidenceError, FrontierRow, SpeedBracket, StrategyError,
-                        build_family, critical, frontier_table,
+from graphchase import (EvidenceError, FrontierRow, PathBuilder, SpeedBracket,
+                        StrategyError, build_family, critical, frontier_table,
                         frontier_to_csv, frontier_to_json, upper_bound_bisect,
                         verify)
 
@@ -77,6 +77,32 @@ def test_frontier_cycle_verdict_pattern():
     # capture time shrinks (or stays within slack) as speed grows
     assert rows[3].time_bound <= rows[2].time_bound + 3 * (rows[3].h +
                                                            rows[3].dt)
+
+
+def test_frontier_slower_capture_at_higher_speed_is_noted(monkeypatch):
+    # the faster schedule waits before it sweeps, so it captures later;
+    # the slower row's sweep, re-declared at the faster bound, is the
+    # evidence, and it needs no second verification
+    def late_when_fast(g, s, t):
+        pb = PathBuilder(g, "v0", s)
+        if s > 1:
+            pb.wait(3.0)
+        return pb.move_to("v1").build({"kind": "fake"})
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setitem(critical.FAMILIES, "fake", late_when_fast)
+    monkeypatch.setattr(critical, "verify", counted)
+    slow, fast = frontier_table(path_graph(1), "fake", [1.0, 2.0], h=0.05)
+    assert slow.verdict == fast.verdict == "capture"
+    assert fast.time_bound > slow.time_bound + 3 * (fast.h + fast.dt)
+    assert slow.note == ""
+    assert "re-declared" in fast.note and "s=1.0" in fast.note
+    assert len(calls) == 2
 
 
 def test_frontier_path_sweep_all_capture():

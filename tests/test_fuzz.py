@@ -251,3 +251,55 @@ def test_frontier_strategy_flags_exit_cleanly(family, speeds, delta,
     assert rc == 2 or not _rejected_delta(delta)
     if rc in (2, 4):
         assert "error:" in err
+
+
+# ------------------------------------------------------ generated graphs
+
+# Names that the normalizations and the interior-start walk also make, so
+# that fresh names have to step around them.
+NAMES = st.sampled_from(["a", "b", "c", "O", "e0", "e0~a", "e1~0", "x",
+                         "x~s0", "x~s1", "~walkstart", "é\""])
+TINY_LENGTHS = st.sampled_from([5e-324, 1e-323])
+
+
+@st.composite
+def graph_docs(draw):
+    """Connected graph documents whose ids are all strings or, one time in
+    four, all integers: a random tree and up to three more edges, with
+    loops, parallel edges, repeated and colliding names, lengths from 1e-3
+    to 10 and, one time in eight, one so small that a loop's thirds or a
+    parallel edge's halves round to 0.0."""
+    names = NAMES if draw(st.integers(0, 3)) else st.integers(0, 4)
+    vertices = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    ends = [(vertices[draw(st.integers(0, i - 1))], v)
+            for i, v in enumerate(vertices) if i]
+    pick = st.sampled_from(vertices)
+    ends += draw(st.lists(st.tuples(pick, pick), min_size=not ends,
+                          max_size=3))
+    return {"vertices": vertices, "edges": [
+        _edge(f"e{i}" if draw(st.integers(0, 3)) else draw(names), u, v,
+              draw(TINY_LENGTHS if not draw(st.integers(0, 7))
+                   else st.floats(1e-3, 10.0)))
+        for i, (u, v) in enumerate(ends)]}
+
+
+# Speeds are quarters, away from every family's threshold (see above).
+@FUZZ
+@given(doc=graph_docs(),
+       speeds=st.lists(st.integers(1, 240).map(lambda i: repr(i / 4)),
+                       min_size=4, max_size=4))
+def test_every_accepted_graph_generates_or_exits_2(doc, speeds, tmp_path):
+    try:
+        graph_from_dict(doc)
+    except GraphValidationError:
+        return
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    for family in sorted(STRATEGY_GRAPHS):
+        for speed in speeds:
+            rc, err = _run(["generate", "--graph", str(graph_file), "--kind",
+                            family, "--speed", speed, "--out",
+                            str(tmp_path / "out.json")])
+            assert rc in (0, 2), (doc, family, speed, rc)
+            if rc == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1

@@ -35,6 +35,15 @@ def test_build_rejects_overflowing_total_length():
         build_graph(["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)])
 
 
+@pytest.mark.parametrize("edges", [
+    [("a", "a", 5e-324)],                       # a loop: three 0.0 arcs
+    [("a", "b", 1.0), ("a", "b", 5e-324)],      # a parallel pair: two halves
+], ids=["loop", "parallel"])
+def test_subdivision_never_makes_a_zero_length_edge(edges):
+    with pytest.raises(GraphValidationError, match="nonpositive length 0.0"):
+        build_graph(["a", "b"], edges)
+
+
 def test_disconnected_rejected():
     with pytest.raises(GraphValidationError, match="disconnected"):
         build_graph(["a", "b", "c", "d"],
@@ -47,6 +56,16 @@ def test_loop_normalization():
     assert all(abs(e.length - 1 / 3) < 1e-12 for e in g.edges)
     assert abs(g.total_length - 1.0) < 1e-12
     assert all(g.degree(v) == 2 for v in g.vertices)
+
+
+def test_subdivision_names_never_repeat_an_id():
+    # a loop "x" and a parallel "y" split into pieces named like taken ids
+    g = build_graph(["a", "b", "x~a"],
+                    [("a", "a", 1.0, "x"), ("a", "b", 1.0, "x~0"),
+                     ("a", "b", 1.0, "y"), ("b", "x~a", 1.0, "y~1")])
+    ids = [e.id for e in g.edges]
+    assert len(set(ids) | set(g.vertices)) == len(ids) + len(g.vertices)
+    assert walk_covers(g, double_tree_walk(g, "a"))
 
 
 def test_parallel_normalization():
@@ -175,6 +194,12 @@ def test_scale():
             g.scale(c)
 
 
+def test_scale_refuses_a_factor_that_underflows_a_length():
+    g = build_graph(["a", "b"], [("a", "b", 0.5)])
+    with pytest.raises(GraphValidationError, match="nonpositive length 0.0"):
+        g.scale(5e-324)
+
+
 def test_shorten_leaf_edge():
     g = path_graph(2)
     h = g.shorten_leaf_edge("e1", 0.25)
@@ -221,6 +246,31 @@ def test_double_tree_interior_start():
     runs = double_tree_walk(g, GraphPoint("e0", 0.4))
     assert walk_covers(g, runs)
     assert walk_length(runs) <= 2 * g.total_length + 1e-9
+
+
+def _assert_walk_from(g, start):
+    """The walk from start begins there, chains end to start and covers
+    every edge."""
+    runs = double_tree_walk(g, start)
+    assert g.points_equal(GraphPoint(runs[0][0], runs[0][1]), start)
+    for (e1, _, x1), (e2, y0, _) in zip(runs, runs[1:]):
+        assert g.points_equal(GraphPoint(e1, x1), GraphPoint(e2, y0))
+    assert walk_covers(g, runs)
+
+
+def test_double_tree_interior_start_keeps_taken_edge_names():
+    # the split's first half-edge name is an edge of the graph
+    g = build_graph(["a", "b", "c"], [("a", "b", 1.0, "x"),
+                                      ("b", "c", 1.0, "x~s0")])
+    _assert_walk_from(g, GraphPoint("x", 0.5))
+
+
+def test_double_tree_interior_start_keeps_taken_vertex_names():
+    # the split vertex's name is a vertex of the graph
+    g = build_graph(["a", "~walkstart", "c"],
+                    [("a", "~walkstart", 1.0), ("~walkstart", "c", 1.0),
+                     ("c", "a", 1.0)])
+    _assert_walk_from(g, GraphPoint("e2", 0.5))
 
 
 def test_double_tree_bound_random():
@@ -392,6 +442,8 @@ def test_graph_json_malformed(tmp_path):
     (["a", "b"], None),
     (5, 1.0),
     ([["a"]], 1.0),
+    ("ab", 1.0),
+    ({"a": 0, "b": 1}, 1.0),
 ])
 def test_graph_document_bad_values(vertices, length):
     doc = {"vertices": vertices,
@@ -405,12 +457,14 @@ def test_graph_document_bad_values(vertices, length):
     (["a", "b"], [(["a"], "b", "e0")]),
     (["a", 1], [("a", 1, "e0")]),
     (["a", "b", "c"], [("a", "b", 0), ("b", "c", "e1")]),
+    ([0, 1], [(0, 1, "e0")]),
+    (["a", "b"], [("a", "b", 0)]),
 ])
 def test_graph_document_bad_ids(vertices, edges):
     doc = {"vertices": vertices,
            "edges": [{"id": eid, "from": u, "to": v, "length": 1.0}
                      for u, v, eid in edges]}
-    with pytest.raises(GraphValidationError):
+    with pytest.raises(GraphValidationError, match="string"):
         graph_from_dict(doc)
 
 

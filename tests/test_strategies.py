@@ -72,6 +72,11 @@ def test_truncation_must_be_finite_and_positive(build, truncation):
         build(truncation)
 
 
+def test_star_schedule_needs_a_truncation():
+    with pytest.raises(StrategyError, match="finite and positive, got None"):
+        build_star_schedule(star(3), 4.0, None)
+
+
 # ------------------------------------------------------------ cascade update
 
 def test_cascade_update_arithmetic():

@@ -85,6 +85,22 @@ def test_time_and_continuity_validation():
         TimedPath(g, (0.0, 1.0), (pa, pa), ((("e0", 0.0, 1.0),),), 5.0, {})
 
 
+@pytest.mark.parametrize("times, n_points, n_routes, speed, message", [
+    ((), 0, 0, 1.0, "at least one breakpoint"),
+    ((0.0, 1.0), 1, 1, 1.0, "differ in count"),
+    ((0.0, 1.0), 2, 0, 1.0, "one route per breakpoint gap"),
+    ((0.0, 1.0), 2, 2, 1.0, "one route per breakpoint gap"),
+    ((0.0,), 1, 0, -1.0, "speed bound must be nonnegative"),
+    ((0.0,), 1, 0, math.nan, "speed bound must be nonnegative"),
+])
+def test_breakpoint_counts_and_speed_bound_checked(times, n_points, n_routes,
+                                                   speed, message):
+    g = unit_path()
+    with pytest.raises(PathValidationError, match=message):
+        TimedPath(g, times, (g.vertex_point("a"),) * n_points,
+                  ((),) * n_routes, speed, {})
+
+
 def test_evaluate_range_and_single_point():
     g = unit_path()
     p = PathBuilder(g, "a", 1.0).wait(1.0).build()
@@ -505,6 +521,21 @@ def test_serialization_geodesic_routes():
     doc2["routes"] = None
     q = path_from_dict(g, doc2)
     assert min_clearance(p, q) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_serialization_multi_edge_routes():
+    g = path_graph(3)
+    runs = (("e0", 0.25, 1.0), ("e1", 0.0, 1.0), ("e2", 0.0, 0.5))
+    p = TimedPath(g, (0.0, 2.25), (GraphPoint("e0", 0.25),
+                                   GraphPoint("e2", 0.5)), (runs,), 1.0, {})
+    doc = path_to_dict(p)
+    assert doc["routes"] == [["e0", "e1", "e2"]]
+    assert path_from_dict(g, doc).routes == (runs,)
+    for ids, message in ((["e0", "e1"], "does not touch the segment end"),
+                         (["e0", "e2"], "do not meet")):
+        doc["routes"] = [ids]
+        with pytest.raises(PathValidationError, match=message):
+            path_from_dict(g, doc)
 
 
 def test_serialization_malformed(tmp_path):

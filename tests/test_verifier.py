@@ -13,10 +13,10 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         ParameterError, PathBuilder, SizeLimitError,
                         StateError, TimedPath, brute_force_oracle,
                         build_graph, check_lipschitz,
-                        continuous_clearance, cycle_loop, discretize,
-                        extract_witness, min_capture_time, min_clearance,
-                        path_pieces, result_to_dict, star_strategy,
-                        sweep_strategy, truncate_path, verify)
+                        continuous_clearance, cycle_loop, cycle_strategy,
+                        discretize, extract_witness, min_capture_time,
+                        min_clearance, path_pieces, result_to_dict,
+                        star_strategy, sweep_strategy, truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
@@ -159,6 +159,57 @@ def test_unsound_capture_mixed_spacing_cycle():
                          for i in range(7)])
     r = verify(cycle_loop(g, 1.0, 20.0), h=0.1, eps=0.2, want_witness=False)
     assert r.verdict != "capture", r.time_bound
+
+
+def lap_follower(cop, ahead, duration):
+    """A unit-speed evader that starts `ahead` along a unit-cycle cop's lap
+    and runs the lap forward for `duration`.  The cop's first three routes
+    are its first lap, one arc each."""
+    lap = [run for runs in cop.routes[:3] for run in runs]
+    runs, skip, left, i = [], ahead, duration, 0
+    while left > 0:
+        eid, x0, x1 = lap[i % len(lap)]
+        i += 1
+        ln = abs(x1 - x0)
+        if skip >= ln:
+            skip -= ln
+            continue
+        step = min(ln - skip, left)
+        a = x0 + math.copysign(skip, x1 - x0)
+        runs.append((eid, a, a + math.copysign(step, x1 - x0)))
+        skip, left = 0.0, left - step
+    pb = PathBuilder(cop.graph, GraphPoint(runs[0][0], runs[0][1]), 1.0)
+    return pb.move_runs(runs, duration).build()
+
+
+def test_lap_follower_outlasts_the_cycle_capture_time_at_eps():
+    # repro C: the grid reports capture at T, but an evader that starts
+    # (1 + 0.5 T)/2 ahead of the cop keeps eps + tau + sp/2 from it over
+    # [0, T]
+    cop = cycle_strategy(unit_cycle(), 1.5)
+    r = verify(cop, h=0.02, want_witness=False)
+    assert r.verdict == "capture"
+    assert r.time_bound == pytest.approx(1.72549, abs=1e-5)
+    assert r.eps == pytest.approx(0.039216, abs=1e-6)
+    evader = lap_follower(cop, (1 + 0.5 * r.time_bound) / 2, r.time_bound)
+    assert evader.duration == r.time_bound
+    clearance = min_clearance(cop, evader)
+    assert clearance == pytest.approx(0.068627, abs=1e-6)
+    assert clearance > r.eps
+
+
+@pytest.mark.xfail(strict=True, reason="capture certifies the grid game "
+                   "only: the unit cycle at h=0.02 captures too early")
+def test_cycle_capture_is_no_earlier_than_the_closed_form():
+    # the lap follower that starts just over eps behind the cop, which
+    # gains s - 1 on it per unit time, stays beyond eps until
+    # (L - 2 eps)/(s - 1): 1.8431, 9.2157 and 92.157; today: capture at
+    # 1.7255, 8.6471 and 86.275
+    for s in (1.5, 1.1, 1.01):
+        r = verify(cycle_strategy(unit_cycle(), s), h=0.02,
+                   want_witness=False)
+        assert not r.captured or \
+            r.time_bound >= (1 - 2 * r.eps) / (s - 1), (s, r.time_bound)
 
 
 # ----------------------------------------------------------- trivial cases
