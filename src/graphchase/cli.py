@@ -23,7 +23,7 @@ from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
     frontier_to_csv, frontier_to_json
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
-from .svg import export_svg
+from .svg import save_svg
 from .trajectory import (JSONText, PathValidationError, load_path,
                          path_to_dict, save_path, write_json)
 # save_report stays importable here: the benchmark's tracer wraps it by name
@@ -44,6 +44,14 @@ def finite_positive(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text!r}")
     return x
+
+
+def _non_negative_int(text: str) -> int:
+    """Parse a non-negative int flag (argparse reports a ValueError)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return n
 
 
 def _speed_list(text: str) -> tuple[float, ...]:
@@ -119,7 +127,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="randomized agreement suite against the "
                             "brute-force oracle")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--cases", type=int, default=40)
+    q.add_argument("--cases", type=_non_negative_int, default=40)
     q.set_defaults(handler=cmd_selftest)
     return p
 
@@ -187,9 +195,7 @@ def cmd_export_svg(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     witness = load_path(g, cfg.witness) if cfg.witness else None
-    text = export_svg(cop, witness=witness, eps=cfg.eps)
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    save_svg(cop, cfg.out, witness=witness, eps=cfg.eps)
     print(f"wrote {cfg.out}")
     return EXIT_OK
 

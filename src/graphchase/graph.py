@@ -46,33 +46,40 @@ class GraphPoint:
 class MetricGraph:
     """A connected, simple metric graph with string vertex and edge ids.
 
-    Every edge length must be positive and the total length finite; the
-    constructor refuses anything else with GraphValidationError, so no
-    transform can make a zero-length edge.  Instances are immutable after
-    construction and safe to share across threads; distance queries lazily
-    cache per-source shortest-path trees.  Use :func:`build_graph` to
-    construct one from raw (possibly loopy or parallel) edge data.
+    Ids must be distinct, edge endpoints declared vertices, every edge
+    length positive and the total length finite; the constructor refuses
+    anything else with GraphValidationError, so no transform can make a
+    zero-length edge.  Instances are immutable after construction and safe
+    to share across threads; distance queries lazily cache per-source
+    shortest-path trees.  Use :func:`build_graph` to construct one from raw
+    (possibly loopy or parallel) edge data.
     """
 
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
+        self._edge_by_id = {e.id: e for e in self.edges}
+        self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
+        adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        if len(adj) != len(self.vertices):
+            raise GraphValidationError("duplicate vertex ids")
+        if len(self._edge_index) != len(self.edges):
+            raise GraphValidationError("duplicate edge ids")
         for e in self.edges:
             if not e.length > 0:
                 raise GraphValidationError(
                     f"edge {e.id!r} has nonpositive length {e.length}")
+            if e.u not in adj or e.v not in adj:
+                raise GraphValidationError(
+                    f"edge {e.id!r} references undeclared vertex")
+            adj[e.u].append(e)
+            adj[e.v].append(e)
         # every distance is a sum of lengths, so none overflows when the
         # total does not
         if not math.isfinite(self.total_length):
             raise GraphValidationError(
                 f"total edge length {self.total_length} is not a finite "
                 f"float")
-        self._edge_by_id = {e.id: e for e in self.edges}
-        self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
-        adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
         self._adj = {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
         self._sssp_cache: dict[str, tuple[dict, dict]] = {}
 
@@ -93,18 +100,10 @@ class MetricGraph:
 
     def edge_indices(self, ids) -> np.ndarray:
         """The position of each edge id in `edges`, or -1 for an id that
-        names no edge (an unhashable one too)."""
+        names no edge; edge ids are strings, so any other value is -1."""
         index = self._edge_index
-
-        def look(eid):
-            try:
-                return index.get(eid, -1)
-            except TypeError:
-                return -1
-        try:
-            return np.array([index.get(eid, -1) for eid in ids], dtype=np.int64)
-        except TypeError:
-            return np.array([look(eid) for eid in ids], dtype=np.int64)
+        return np.array([index.get(eid, -1) if isinstance(eid, str) else -1
+                         for eid in ids], dtype=np.int64)
 
     def incident_edges(self, vertex: str) -> tuple[Edge, ...]:
         return self._adj[vertex]
@@ -362,14 +361,6 @@ class MetricGraph:
 # construction / normalization
 # ----------------------------------------------------------------------
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    name = base
-    while name in used:
-        name += "~"
-    used.add(name)
-    return name
-
-
 def build_graph(vertices, edges) -> MetricGraph:
     """Build and normalize a metric graph.
 
@@ -423,7 +414,11 @@ def build_graph(vertices, edges) -> MetricGraph:
     used_names = set(vset) | used_ids
 
     def fresh(suffix):     # a name for a piece of e that nothing has yet
-        return _fresh_name(f"{e.id}~{suffix}", used_names)
+        name = f"{e.id}~{suffix}"
+        while name in used_names:
+            name += "~"
+        used_names.add(name)
+        return name
 
     out_vertices = list(vertices)
     out_edges: list[Edge] = []
@@ -457,55 +452,24 @@ def build_graph(vertices, edges) -> MetricGraph:
 # edge-covering walks
 # ----------------------------------------------------------------------
 
-def double_tree_walk(g: MetricGraph, start):
-    """An edge-covering walk from `start` of total length at most twice the
-    total edge length.
+def double_tree_walk(g: MetricGraph, start: str):
+    """An edge-covering walk from the vertex `start` of total length at most
+    twice the total edge length.
 
-    `start` is a GraphPoint or a vertex id.  Depth-first traversal of a
-    spanning tree walks each tree edge twice and takes an out-and-back detour
-    over each non-tree edge; the trailing part of the walk that only
-    re-traverses covered edges is dropped.  Returns a tuple of
-    (edge id, start offset, end offset) runs.
+    Depth-first traversal of a spanning tree walks each tree edge twice and
+    takes an out-and-back detour over each non-tree edge; the trailing part
+    of the walk that only re-traverses covered edges is dropped.  Returns a
+    tuple of (edge id, start offset, end offset) runs.  A start that is not
+    a vertex of g raises GraphValidationError.
     """
-    if isinstance(start, str):
-        start = g.vertex_point(start)
-    start = g.clamp_point(start)
-    start_vertex = g.point_vertex(start)
-    if start_vertex is None:
-        # split the start edge at the interior point and walk the refined graph
-        e = g.edge(start.edge)
-        used = set(g.vertices) | {x.id for x in g.edges}
-        mid = _fresh_name("~walkstart", used)
-        s0 = _fresh_name(e.id + "~s0", used)
-        s1 = _fresh_name(e.id + "~s1", used)
-        verts = list(g.vertices) + [mid]
-        edges = []
-        for x in g.edges:
-            if x.id == e.id:
-                edges.append(Edge(s0, e.u, mid, start.offset))
-                edges.append(Edge(s1, mid, e.v, e.length - start.offset))
-            else:
-                edges.append(x)
-        refined = MetricGraph(verts, edges)
-        runs = double_tree_walk(refined, refined.vertex_point(mid))
-        # map split-edge runs back to the original coordinates; the two split
-        # pieces jointly cover the original edge exactly when both appear
-        back = []
-        for eid, x0, x1 in runs:
-            if eid == s0:
-                back.append((e.id, x0, x1))
-            elif eid == s1:
-                back.append((e.id, start.offset + x0, start.offset + x1))
-            else:
-                back.append((eid, x0, x1))
-        return tuple(back)
+    g.vertex_point(start)           # a start that is no vertex raises here
 
     # Iterative depth-first traversal: tree edges are walked down and later
     # back up, non-tree edges become immediate out-and-back detours.
     steps: list[tuple[Edge, str]] = []   # (edge, walked starting from vertex)
     used: set[str] = set()
-    visited = {start_vertex}
-    stack = [(start_vertex, iter(g.incident_edges(start_vertex)), None)]
+    visited = {start}
+    stack = [(start, iter(g.incident_edges(start)), None)]
     while stack:
         u, it, entry_edge = stack[-1]
         for e in it:

@@ -139,11 +139,6 @@ def _ladder_init(arms, lam: float, d0: float) -> dict:
     return radii
 
 
-def ladder_overhang(k: int, lam: float, d0: float) -> float:
-    """Largest assumed initial radius of a (k-1)-arm cascade ladder."""
-    return d0 * math.fsum(lam ** i for i in range(k - 2)) if k >= 3 else 0.0
-
-
 def _out_and_back(pb: PathBuilder, hub: str, edge_id: str, depth: float,
                   s: float) -> None:
     """Walk from the hub along one edge to the given depth and back."""

@@ -356,35 +356,6 @@ def total_variation(p: TimedPath) -> float:
     return math.fsum(p.segment_length(i) for i in range(len(p.routes)))
 
 
-@dataclass(frozen=True)
-class VariationProfile:
-    """Cumulative arc length t -> V(t), piecewise linear between breakpoints."""
-
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return self.values[-1]
-
-    def value(self, t: float) -> float:
-        if t <= self.times[0]:
-            return self.values[0]
-        if t >= self.times[-1]:
-            return self.values[-1]
-        i = bisect.bisect_right(self.times, t) - 1
-        dt = self.times[i + 1] - self.times[i]
-        u = (t - self.times[i]) / dt
-        return self.values[i] + u * (self.values[i + 1] - self.values[i])
-
-
-def variation_profile(p: TimedPath) -> VariationProfile:
-    acc = [0.0]
-    for i in range(len(p.routes)):
-        acc.append(acc[-1] + p.segment_length(i))
-    return VariationProfile(p.times, tuple(acc))
-
-
 # ----------------------------------------------------------------------
 # reparameterization and transfer maps
 # ----------------------------------------------------------------------
@@ -435,12 +406,9 @@ def transfer_shorten(p: TimedPath, edge_id: str,
     new leaf; everything else is untouched.  The projection is
     distance-nonincreasing, so the declared speed bound still holds.
     """
+    target = p.graph.shorten_leaf_edge(edge_id, new_length)  # refuses non-leaf
     e = p.graph.edge(edge_id)
     leaf = p.graph.leaf_end(edge_id)
-    if leaf is None:
-        raise GraphValidationError(
-            f"edge {edge_id!r} is not incident to a leaf")
-    target = p.graph.shorten_leaf_edge(edge_id, new_length)
     removed = e.length - new_length
 
     def proj(x: float) -> float:

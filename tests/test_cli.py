@@ -262,6 +262,18 @@ def test_frontier_json_flag(cycle_file, capsys):
     assert docs[0]["verdict"] == "capture"
 
 
+def test_frontier_out_file(cycle_file, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    rc = main(["frontier", "--graph", cycle_file, "--family", "cycle",
+               "--speeds", "0.5,1.5", "--resolution", "0.05",
+               "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 rows)\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "s,verdict,time_bound,clearance,h,dt,eps"
+    assert len(lines) == 3
+
+
 def test_frontier_bad_speeds_exit_2(cycle_file, capsys):
     with pytest.raises(SystemExit) as e:
         main(["frontier", "--graph", cycle_file, "--family", "cycle",
@@ -336,6 +348,15 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "0 disagreements" in out
     assert "selftest ok" in out
+
+
+def test_selftest_refuses_a_negative_case_count(monkeypatch, capsys):
+    # as the installed console script calls it: argv from sys.argv
+    monkeypatch.setattr("sys.argv", ["graphchase", "selftest", "--cases", "-3"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_file_roundtrip_matches_in_memory(tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
-                        build_graph, discretize, double_tree_walk,
+from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
+                        PathBuilder, build_graph, discretize, double_tree_walk,
                         graph_from_dict, graph_to_dict, load_graph,
                         min_clearance, save_graph, walk_covers, walk_length)
 from graphchase.graph import max_spacing
@@ -26,6 +26,19 @@ def test_build_rejects_bad_input():
         build_graph(["a"], [("a", "zzz", 1.0)])
     with pytest.raises(GraphValidationError):
         build_graph(["a", "a"], [])
+    with pytest.raises(GraphValidationError, match="at least one edge"):
+        build_graph(["a"], [])
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a", "b", "c"], [Edge("x", "a", "b", 1.0), Edge("x", "b", "c", 2.0)],
+     "duplicate edge ids"),
+    (["a", "a", "b"], [Edge("x", "a", "b", 1.0)], "duplicate vertex ids"),
+    (["a"], [Edge("x", "a", "b", 1.0)], "undeclared vertex"),
+], ids=["edge-id", "vertex-id", "endpoint"])
+def test_constructor_refuses(vertices, edges, message):
+    with pytest.raises(GraphValidationError, match=message):
+        MetricGraph(vertices, edges)
 
 
 def test_build_rejects_overflowing_total_length():
@@ -241,36 +254,18 @@ def test_double_tree_triangle():
         assert g.points_equal(p, q)
 
 
-def test_double_tree_interior_start():
+def test_double_tree_refuses_an_interior_start():
     g = triangle()
-    runs = double_tree_walk(g, GraphPoint("e0", 0.4))
-    assert walk_covers(g, runs)
-    assert walk_length(runs) <= 2 * g.total_length + 1e-9
+    for start in (GraphPoint("e0", 0.4), "zz"):
+        with pytest.raises(GraphValidationError, match="unknown or isolated"):
+            double_tree_walk(g, start)
 
 
-def _assert_walk_from(g, start):
-    """The walk from start begins there, chains end to start and covers
-    every edge."""
-    runs = double_tree_walk(g, start)
-    assert g.points_equal(GraphPoint(runs[0][0], runs[0][1]), start)
-    for (e1, _, x1), (e2, y0, _) in zip(runs, runs[1:]):
-        assert g.points_equal(GraphPoint(e1, x1), GraphPoint(e2, y0))
-    assert walk_covers(g, runs)
-
-
-def test_double_tree_interior_start_keeps_taken_edge_names():
-    # the split's first half-edge name is an edge of the graph
-    g = build_graph(["a", "b", "c"], [("a", "b", 1.0, "x"),
-                                      ("b", "c", 1.0, "x~s0")])
-    _assert_walk_from(g, GraphPoint("x", 0.5))
-
-
-def test_double_tree_interior_start_keeps_taken_vertex_names():
-    # the split vertex's name is a vertex of the graph
-    g = build_graph(["a", "~walkstart", "c"],
-                    [("a", "~walkstart", 1.0), ("~walkstart", "c", 1.0),
-                     ("c", "a", 1.0)])
-    _assert_walk_from(g, GraphPoint("e2", 0.5))
+def test_walk_covers_refuses_a_gap_and_a_short_cover():
+    g = unit_path()
+    assert walk_covers(g, [("e0", 0.0, 0.4), ("e0", 0.5, 1.0)]) is False
+    assert walk_covers(g, [("e0", 0.0, 0.9)]) is False
+    assert walk_covers(g, [("e0", 0.0, 0.5), ("e0", 1.0, 0.5)]) is True
 
 
 def test_double_tree_bound_random():

@@ -16,8 +16,7 @@ from graphchase import (StrategyError, build_graph, build_star_schedule,
                         sufficient_speed, sweep_strategy, total_variation,
                         verify)
 from graphchase.graph import walk_covers
-from graphchase.strategies import (_cascade_update, _ladder_init,
-                                   ladder_overhang)
+from graphchase.strategies import _cascade_update, _ladder_init
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
@@ -109,8 +108,6 @@ def test_cascade_update_clearing_and_freezing():
 def test_ladder_init_and_overhang():
     radii = _ladder_init(["a", "b", "c"], 1.5, 0.1)
     assert radii == {"a": 0.0, "b": 0.1, "c": pytest.approx(0.25)}
-    assert ladder_overhang(4, 1.5, 0.1) == pytest.approx(0.25)
-    assert ladder_overhang(3, 1.5, 0.1) == pytest.approx(0.1)
 
 
 # ------------------------------------------------------------------ stars

@@ -42,3 +42,12 @@ def test_svg_deterministic_and_saved(tmp_path):
     f = tmp_path / "out.svg"
     save_svg(cop, f, eps=0.1)
     assert f.read_text(encoding="utf-8") == a
+
+
+def test_svg_of_a_zero_duration_path():
+    g = path_graph(2)
+    cop = PathBuilder(g, "v0", 1.0).build()
+    assert cop.duration == 0.0
+    text = export_svg(cop, eps=0.1)
+    assert ET.fromstring(text).tag.endswith("svg")
+    assert ">t=1</text>" in text      # the time axis falls back to [0, 1]

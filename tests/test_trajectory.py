@@ -20,7 +20,7 @@ from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
                         path_to_dict,
                         reparameterize_max_speed, save_path, total_variation,
                         transfer_scale, transfer_shorten, truncate_path,
-                        variation_profile, verify)
+                        verify)
 from graphchase.randgen import random_cop_path, random_graph
 from graphchase.trajectory import (JSON_CHUNK, JSONText, PieceTable,
                                    _runs_length, write_json)
@@ -83,6 +83,8 @@ def test_time_and_continuity_validation():
     with pytest.raises(PathValidationError):
         # route does not end at the declared breakpoint
         TimedPath(g, (0.0, 1.0), (pa, pa), ((("e0", 0.0, 1.0),),), 5.0, {})
+    with pytest.raises(TypeError, match="times must be real numbers"):
+        TimedPath(g, (0.0, None), (pa, pa), ((),), 1.0, {})
 
 
 @pytest.mark.parametrize("times, n_points, n_routes, speed, message", [
@@ -133,12 +135,6 @@ def test_lipschitz_and_variation():
     assert check_lipschitz(p, 2.0)
     assert not check_lipschitz(p, 1.0)
     assert total_variation(p) == pytest.approx(4.0)
-    prof = variation_profile(p)
-    assert prof.total == pytest.approx(4.0)
-    assert prof.value(0.0) == 0.0
-    assert prof.value(1.0) == pytest.approx(2.0)
-    assert prof.value(1.5) == pytest.approx(2.0)   # flat during the wait
-    assert prof.value(p.duration) == pytest.approx(4.0)
 
 
 def test_reparameterize_full_speed():
@@ -180,6 +176,17 @@ def test_truncate():
             truncate_path(p, t_end)
 
 
+def test_truncate_inside_a_segment_of_several_runs():
+    g = path_graph(3)
+    runs = (("e0", 0.0, 1.0), ("e1", 0.0, 1.0), ("e2", 0.0, 1.0))
+    p = TimedPath(g, (0.0, 3.0), (GraphPoint("e0", 0.0),
+                                  GraphPoint("e2", 1.0)), (runs,), 1.0, {})
+    t = truncate_path(p, 1.5)
+    assert t.times == (0.0, 1.5)
+    assert t.routes == ((("e0", 0.0, 1.0), ("e1", 0.0, 0.5)),)
+    assert t.points[-1] == GraphPoint("e1", 0.5)
+
+
 def test_transfer_scale_geometry():
     g = path_graph(2)
     p = PathBuilder(g, "v0", 1.0).move_to("v2", speed=1.0).build()
@@ -214,6 +221,13 @@ def test_transfer_shorten_u_side_leaf():
     assert q.graph.edge("e0").length == 0.25
     end = q.evaluate(q.duration)
     assert q.graph.points_equal(end, q.graph.vertex_point("v0"))
+
+
+def test_transfer_shorten_refuses_a_non_leaf_edge():
+    g = path_graph(3)
+    p = PathBuilder(g, "v0", 1.0).move_to("v3", speed=1.0).build()
+    with pytest.raises(GraphValidationError, match="not incident to a leaf"):
+        transfer_shorten(p, "e1", 0.5)
 
 
 def test_min_clearance_stationary():
@@ -532,7 +546,8 @@ def test_serialization_multi_edge_routes():
     assert doc["routes"] == [["e0", "e1", "e2"]]
     assert path_from_dict(g, doc).routes == (runs,)
     for ids, message in ((["e0", "e1"], "does not touch the segment end"),
-                         (["e0", "e2"], "do not meet")):
+                         (["e0", "e2"], "do not meet"),
+                         (["e1", "e2"], "does not touch the current position")):
         doc["routes"] = [ids]
         with pytest.raises(PathValidationError, match=message):
             path_from_dict(g, doc)
