@@ -5,9 +5,9 @@ step tau is the cop's duration cut into whole steps no shorter than the
 grid spacing.  Exit codes: 0 success (verify: capture), 1 selftest
 failure, 2 usage, input or evidence errors, 3 verified survival, 4
 invalid resolution parameters (non-finite, a resolution at or below zero, a
-capture radius below the soundness floor, a grid above 10^6 samples, a
-vertex-to-sample table above 10^7 cells, or a step count, duration /
-spacing, above 10^6).
+grid spacing at or below 10^-6, a capture radius below the soundness floor,
+a grid above 10^6 samples, a vertex-to-sample table above 10^7 cells, or a
+step count, duration / spacing, above 10^6).
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def make_parser() -> argparse.ArgumentParser:
                     "estimate capture-speed frontiers.",
         epilog="exit codes: 0 ok/capture, 1 selftest failure, 2 usage, "
                "input or evidence error, 3 verified survival, 4 invalid "
-               "resolution parameters, a grid or step count above 10^6 or "
-               "a vertex-to-sample table above 10^7 cells")
+               "resolution parameters, a grid spacing at or below 10^-6, a "
+               "grid or step count above 10^6 or a vertex-to-sample table "
+               "above 10^7 cells")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_resolution(q):

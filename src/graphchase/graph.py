@@ -1,9 +1,9 @@
 """Compact metric graphs with an intrinsic shortest-path metric.
 
 Every edge carries a positive length and is identified with a real interval
-of that length.  Construction normalizes loops and parallel edges away by
-subdividing them with fresh vertices, rejects disconnected input, and exposes
-exact distance queries between arbitrary points on edges.
+of that length.  `build_graph` subdivides loops and parallel edges with fresh
+vertices, `MetricGraph` refuses any graph that is not connected and simple,
+and exposes exact distance queries between arbitrary points on edges.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ class Edge:
     def other(self, vertex: str) -> str:
         return self.v if vertex == self.u else self.u
 
+    def run_from(self, vertex: str) -> tuple[str, float, float]:
+        """The whole edge as one (id, x0, x1) run leaving from `vertex`."""
+        return (self.id, 0.0, self.length) if vertex == self.u else \
+            (self.id, self.length, 0.0)
+
 
 @dataclass(frozen=True)
 class GraphPoint:
@@ -47,12 +52,13 @@ class MetricGraph:
     """A connected, simple metric graph with string vertex and edge ids.
 
     Ids must be distinct, edge endpoints declared vertices, every edge
-    length positive and the total length finite; the constructor refuses
-    anything else with GraphValidationError, so no transform can make a
-    zero-length edge.  Instances are immutable after construction and safe
-    to share across threads; distance queries lazily cache per-source
-    shortest-path trees.  Use :func:`build_graph` to construct one from raw
-    (possibly loopy or parallel) edge data.
+    length positive, the total length finite, and the edges at least one,
+    free of loops and parallel pairs, and connected; the constructor
+    refuses anything else with GraphValidationError, so no transform can
+    make a zero-length edge.  Instances are immutable after construction
+    and safe to share across threads; distance queries lazily cache
+    per-source shortest-path trees.  Use :func:`build_graph` to normalize
+    raw (possibly loopy or parallel) edge data into one.
     """
 
     def __init__(self, vertices, edges):
@@ -65,6 +71,9 @@ class MetricGraph:
             raise GraphValidationError("duplicate vertex ids")
         if len(self._edge_index) != len(self.edges):
             raise GraphValidationError("duplicate edge ids")
+        if not self.edges:
+            raise GraphValidationError("graph needs at least one edge")
+        pairs: set[frozenset] = set()
         for e in self.edges:
             if not e.length > 0:
                 raise GraphValidationError(
@@ -72,6 +81,12 @@ class MetricGraph:
             if e.u not in adj or e.v not in adj:
                 raise GraphValidationError(
                     f"edge {e.id!r} references undeclared vertex")
+            if e.u == e.v:
+                raise GraphValidationError(f"edge {e.id!r} is a loop")
+            if frozenset((e.u, e.v)) in pairs:
+                raise GraphValidationError(
+                    f"edge {e.id!r} is parallel to another edge")
+            pairs.add(frozenset((e.u, e.v)))
             adj[e.u].append(e)
             adj[e.v].append(e)
         # every distance is a sum of lengths, so none overflows when the
@@ -82,6 +97,11 @@ class MetricGraph:
                 f"float")
         self._adj = {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
         self._sssp_cache: dict[str, tuple[dict, dict]] = {}
+        # a pursuer confined to one component can never meet an evader in
+        # another, so no winning strategy exists
+        if len(self._sssp(self.vertices[0])[0]) != len(self.vertices):
+            raise GraphValidationError(
+                "disconnected metric graph: no winning strategy exists")
 
     # ------------------------------------------------------------------
     # basic structure
@@ -245,12 +265,8 @@ class MetricGraph:
         cur = v
         while cur != u:
             e = pred[cur]
-            prev = e.other(cur)
-            if prev == e.u:
-                runs.append((e.id, 0.0, e.length))
-            else:
-                runs.append((e.id, e.length, 0.0))
-            cur = prev
+            cur = e.other(cur)
+            runs.append(e.run_from(cur))
         runs.reverse()
         return runs
 
@@ -362,25 +378,19 @@ class MetricGraph:
 # ----------------------------------------------------------------------
 
 def build_graph(vertices, edges) -> MetricGraph:
-    """Build and normalize a metric graph.
+    """Normalize raw edge data into a metric graph.
 
     `vertices` is a list of distinct string ids, and `edges` an iterable of
     (u, v, length) or (u, v, length, edge_id) with string endpoints and
-    ids; a missing id is `e<index>`.  Lengths must be positive and finite.
-    Loops become 3-vertex cycles of the same total length and every
-    parallel duplicate is subdivided with one midpoint, so the result is
-    simple.  Disconnected input is rejected: a pursuer confined to one
-    component can never meet an evader in another, so no winning strategy
-    exists.
+    ids, distinct among the raw edges; a missing id is `e<index>`.  Lengths
+    must be numbers.  Loops become 3-vertex cycles of the same total length
+    and every parallel duplicate is subdivided with one midpoint; the
+    `MetricGraph` constructor then refuses what is still not a connected,
+    simple graph with positive lengths and a finite total.
     """
     vertices = list(vertices)
     if not all(isinstance(v, str) for v in vertices):
         raise GraphValidationError("vertex ids must be strings")
-    vset = set(vertices)
-    if len(vset) != len(vertices):
-        raise GraphValidationError("duplicate vertex ids")
-    if not vertices:
-        raise GraphValidationError("graph needs at least one vertex")
 
     raw = []
     used_ids: set[str] = set()
@@ -396,22 +406,14 @@ def build_graph(vertices, edges) -> MetricGraph:
         if eid in used_ids:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
         used_ids.add(eid)
-        if u not in vset or v not in vset:
-            raise GraphValidationError(
-                f"edge {eid!r} references undeclared vertex")
         try:
             length = float(length)
         except (TypeError, ValueError, OverflowError):
             raise GraphValidationError(
                 f"edge {eid!r} has non-numeric length {length!r}") from None
-        if not (length > 0) or not math.isfinite(length):
-            raise GraphValidationError(
-                f"edge {eid!r} has nonpositive length {length}")
         raw.append(Edge(eid, u, v, length))
-    if not raw:
-        raise GraphValidationError("graph needs at least one edge")
 
-    used_names = set(vset) | used_ids
+    used_names = set(vertices) | used_ids
 
     def fresh(suffix):     # a name for a piece of e that nothing has yet
         name = f"{e.id}~{suffix}"
@@ -441,11 +443,7 @@ def build_graph(vertices, edges) -> MetricGraph:
             seen_pairs.add(frozenset((e.u, e.v)))
             out_edges.append(e)
 
-    g = MetricGraph(out_vertices, out_edges)
-    if len(g._sssp(out_vertices[0])[0]) != len(out_vertices):
-        raise GraphValidationError(
-            "disconnected metric graph: no winning strategy exists")
-    return g
+    return MetricGraph(out_vertices, out_edges)
 
 
 # ----------------------------------------------------------------------
@@ -498,13 +496,7 @@ def double_tree_walk(g: MetricGraph, start: str):
             last_new = i
     steps = steps[:last_new + 1]
 
-    runs = []
-    for e, frm in steps:
-        if frm == e.u:
-            runs.append((e.id, 0.0, e.length))
-        else:
-            runs.append((e.id, e.length, 0.0))
-    return tuple(runs)
+    return tuple(e.run_from(frm) for e, frm in steps)
 
 
 def walk_length(runs) -> float:

@@ -139,13 +139,23 @@ def _ladder_init(arms, lam: float, d0: float) -> dict:
     return radii
 
 
-def _out_and_back(pb: PathBuilder, hub: str, edge_id: str, depth: float,
-                  s: float) -> None:
-    """Walk from the hub along one edge to the given depth and back."""
-    e = pb.graph.edge(edge_id)
+def _probe_depth(s: float, duration: float, limit: float) -> float:
+    """How far a probe of `duration` time units at speed s walks out: half
+    the distance it covers, and at most `limit`."""
+    return min(s * duration / 2, limit)
+
+
+def _probe(pb: PathBuilder, hub: str, arm: str, start: float,
+           duration: float, limit: float) -> None:
+    """One excursion of the cascade: wait at the hub until `start`, then
+    walk along the arm to `_probe_depth` and back at the speed bound."""
+    s = pb.speed_bound
+    depth = _probe_depth(s, duration, limit)
+    pb.wait_until(start)
+    e = pb.graph.edge(arm)
     near, far = (0.0, depth) if e.u == hub else (e.length, e.length - depth)
-    pb.move_runs([(edge_id, near, far)], depth / s)
-    pb.move_runs([(edge_id, far, near)], depth / s)
+    pb.move_runs([(arm, near, far)], depth / s)
+    pb.move_runs([(arm, far, near)], depth / s)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +253,7 @@ def build_star_schedule(g: MetricGraph, s: float,
                                 f"is behind the path's clock {now}")
         if start > now + 1e-15:
             now = now + (start - now)
-        leg = min(s * duration / 2, g.edge(target).length) / s
+        leg = _probe_depth(s, duration, g.edge(target).length) / s
         now = now + leg + leg
         excursions.append((target, start, duration))
         _cascade_update(radii, cleared, extents, target, duration, s)
@@ -283,16 +293,11 @@ def star_strategy(g: MetricGraph, s: float,
     truncation = _truncation(truncation, g.min_edge_length / 100)
     sched = build_star_schedule(g, s, truncation)
     pb = PathBuilder(g, sched.center, s)
-    _out_and_back(pb, sched.center, sched.final_arm,
-                  g.edge(sched.final_arm).length, s)
+    _probe(pb, sched.center, sched.final_arm, 0.0, math.inf,
+           g.edge(sched.final_arm).length)     # the whole arm, out and back
     for target, start, duration in sched.excursions:
-        if start < pb.now - 1e-9:   # near the threshold starts lag the clock
-            raise StrategyError(f"speed {s} is too close to the threshold "
-                                f"{2 * sched.k - 3}: excursion start {start} "
-                                f"is behind the path's clock {pb.now}")
-        pb.wait_until(start)
-        _out_and_back(pb, sched.center, target,
-                      min(s * duration / 2, g.edge(target).length), s)
+        _probe(pb, sched.center, target, start, duration,
+               g.edge(target).length)
     if sched.last_arm is not None:
         pb.move_to(g.leaf_end(sched.last_arm), speed=s)
     return pb.build({"kind": "star", "lambda": sched.lam,
@@ -304,38 +309,28 @@ def star_strategy(g: MetricGraph, s: float,
 # ----------------------------------------------------------------------
 
 def _detect_comb(g: MetricGraph):
-    """Backbone vertices in path order plus their teeth; rejects non-combs."""
+    """Backbone vertices in path order plus their teeth; rejects non-combs.
+    A connected backbone of degree at most 2 with two ends is a path, so
+    distance from its lesser end puts it in path order."""
     backbone = [v for v in g.vertices if g.degree(v) >= 2]
     teeth = {}
+    ends = []
     for v in backbone:
         leaf_edges = [e for e in g.incident_edges(v)
                       if g.is_leaf(e.other(v))]
-        spine_edges = [e for e in g.incident_edges(v)
-                       if not g.is_leaf(e.other(v))]
-        if len(leaf_edges) != 1 or not 1 <= len(spine_edges) <= 2:
+        spine_count = g.degree(v) - len(leaf_edges)
+        if len(leaf_edges) != 1 or not 1 <= spine_count <= 2:
             raise StrategyError("graph is not a comb: each backbone vertex "
                                 "needs exactly one tooth")
         teeth[v] = leaf_edges[0]
+        if spine_count == 1:
+            ends.append(v)
     if len(backbone) < 2:
         raise StrategyError("comb clearing needs at least 2 backbone vertices")
-    ends = [v for v in backbone
-            if sum(1 for e in g.incident_edges(v)
-                   if not g.is_leaf(e.other(v))) == 1]
     if len(ends) != 2:
         raise StrategyError("graph is not a comb: backbone is not a path")
-    order = [min(ends)]
-    prev = None
-    while True:
-        v = order[-1]
-        nxt = [e.other(v) for e in g.incident_edges(v)
-               if not g.is_leaf(e.other(v)) and e.other(v) != prev]
-        if not nxt:
-            break
-        prev = v
-        order.append(nxt[0])
-    if len(order) != len(backbone):
-        raise StrategyError("graph is not a comb: backbone is not a path")
-    return order, teeth
+    start = min(ends)
+    return sorted(backbone, key=lambda v: g.vertex_distance(start, v)), teeth
 
 
 def comb_strategy(g: MetricGraph, s: float,
@@ -366,16 +361,11 @@ def comb_strategy(g: MetricGraph, s: float,
     pb.move_to(order[0], speed=s)
     pb.move_to(order[1], speed=s)
 
-    for i in range(1, len(order)):
-        v = order[i]
+    for v, nxt in zip(order[1:-1], order[2:]):
         tooth = teeth[v].id
-        if i == len(order) - 1:
-            pb.move_to(teeth[v].other(v), speed=s)
-            break
-        spine = next(e.id for e in g.incident_edges(v)
-                     if not g.is_leaf(e.other(v)) and e.other(v) == order[i + 1])
+        spine = next(e.id for e in g.incident_edges(v) if e.other(v) == nxt)
         extents = {tooth: lengths[tooth], spine: lengths[spine]}
-        radii = {tooth: 0.0, spine: d0}
+        radii = _ladder_init([tooth, spine], lam, d0)
         cleared: set[str] = set()
         station_start = pb.now
         elapsed = 0.0
@@ -385,15 +375,15 @@ def comb_strategy(g: MetricGraph, s: float,
                 raise StrategyError("station cascade failed to terminate")
             target = tooth if j % 2 == 0 else spine
             duration = min(d0 * lam ** j, cap)
-            pb.wait_until(station_start + elapsed)
-            _out_and_back(pb, v, target,
-                          min(s * duration / 2, extents[target]), s)
+            _probe(pb, v, target, station_start + elapsed, duration,
+                   extents[target])
             _cascade_update(radii, cleared, extents, target, duration, s)
             cleared.discard(spine)   # evader may re-enter from the far end
             elapsed += duration
             j += 1
         pb.wait_until(station_start + elapsed)
-        pb.move_to(order[i + 1], speed=s)
+        pb.move_to(nxt, speed=s)
+    pb.move_to(teeth[order[-1]].other(order[-1]), speed=s)
     return pb.build({"kind": "comb", "lambda": lam, "truncation": truncation})
 
 
@@ -410,8 +400,7 @@ def _cycle_runs(g: MetricGraph):
     v = start
     e = g.incident_edges(v)[0]
     while True:
-        runs.append((e.id, 0.0, e.length) if e.u == v
-                    else (e.id, e.length, 0.0))
+        runs.append(e.run_from(v))
         v = e.other(v)
         if v == start:
             break
@@ -512,9 +501,7 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     lam = lambda_root(k + 1, s) if k >= 2 else 2.0
     d0 = min(truncation, d_cap)
     extents = {a: cap for a in arms}
-    radii = _ladder_init(arms, lam, d0)
-    for a in radii:
-        radii[a] = min(radii[a], cap)
+    radii = {a: min(r, cap) for a, r in _ladder_init(arms, lam, d0).items()}
     plan = []
     elapsed = 0.0
     capped = 0
@@ -535,13 +522,11 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     return plan, eps_v, elapsed
 
 
-def _secure_into(pb: PathBuilder, v: str, s: float, plan) -> None:
+def _secure_into(pb: PathBuilder, v: str, plan) -> None:
     """Run a securing plan from v, probing each arm at most half its length."""
     t = pb.now
     for target, duration in plan:
-        pb.wait_until(t)
-        half = pb.graph.edge(target).length / 2
-        _out_and_back(pb, v, target, min(s * duration / 2, half), s)
+        _probe(pb, v, target, t, duration, pb.graph.edge(target).length / 2)
         t += duration
     pb.wait_until(t)
 
@@ -556,7 +541,7 @@ def secure_vertex(g: MetricGraph, v: str, s: float,
     truncation = _truncation(truncation, g.min_edge_length / 100)
     plan, eps_v, total = _secure_schedule(g, v, s, truncation)
     pb = PathBuilder(g, v, s)
-    _secure_into(pb, v, s, plan)
+    _secure_into(pb, v, plan)
     return pb.build({"kind": "secure", "vertex": v}), eps_v, total
 
 
@@ -600,14 +585,14 @@ def finiteness_strategy(g: MetricGraph, s: float,
     runs = double_tree_walk(g, start)
     pb = PathBuilder(g, start, s)
     visited = {start}
-    _secure_into(pb, start, s, _secure_schedule(g, start, s, trunc)[0])
+    _secure_into(pb, start, _secure_schedule(g, start, s, trunc)[0])
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)
         e = g.edge(eid)
         w = e.v if x1 > x0 else e.u
         if w not in visited:
             visited.add(w)
-            _secure_into(pb, w, s, _secure_schedule(g, w, s, trunc)[0])
+            _secure_into(pb, w, _secure_schedule(g, w, s, trunc)[0])
     pb.move_to(start, speed=s)
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)

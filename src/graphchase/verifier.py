@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (DiscretizedGraph, RowLayout, discretize, max_spacing,
-                    sample_count)
+from .graph import (GEOM_TOL, DiscretizedGraph, RowLayout, discretize,
+                    max_spacing, sample_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_pieces, path_to_dict, write_json)
 
@@ -38,9 +38,11 @@ CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 class ParameterError(ValueError):
     """Raised when resolution parameters are not finite, the resolution is
-    not positive, the capture radius violates the soundness floor, or they
-    ask for a grid above MAX_SAMPLES samples, a vertex-to-sample table above
-    MAX_TABLE_CELLS cells or more than MAX_STEPS steps."""
+    not positive, the grid spacing is not above 1e3 * GEOM_TOL (absolute
+    tolerances would decide finer grids), the capture radius violates the
+    soundness floor, or they ask for a grid above MAX_SAMPLES samples, a
+    vertex-to-sample table above MAX_TABLE_CELLS cells or more than
+    MAX_STEPS steps."""
 
 
 class SizeLimitError(ValueError):
@@ -368,8 +370,8 @@ def _resolve_params(cop: TimedPath, h, eps):
     """The grid, h, eps, step count and step length tau of a verification
     of cop: its duration cut into the most whole steps no shorter than the
     grid's `max_spacing` (`_step_grid`).  The resolution must
-    be positive, and the sizes are checked from the edge lengths before the
-    grid is built.
+    be positive, and the sizes and the spacing floor are checked from the
+    edge lengths before the grid is built.
     """
     g = cop.graph
     for name, x in (("resolution", h), ("capture radius", eps)):
@@ -388,7 +390,11 @@ def _resolve_params(cop: TimedPath, h, eps):
             f"resolution {h} asks for a vertex-to-sample table of "
             f"{len(g.vertices)} x {samples:.4g} cells, above the limit "
             f"of {MAX_TABLE_CELLS}")
-    n_steps, tau = _step_grid(cop.duration, max_spacing(g, h))
+    spacing = max_spacing(g, h)
+    if not spacing > 1e3 * GEOM_TOL:
+        raise ParameterError(f"grid spacing {spacing:.4g} is not above "
+                             f"the floor of {1e3 * GEOM_TOL:g}")
+    n_steps, tau = _step_grid(cop.duration, spacing)
     grid = discretize(g, h)
     sp = grid.max_spacing
     eps = 2 * sp if eps is None else float(eps)

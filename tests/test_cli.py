@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from graphchase import (EvidenceError, build_family, cycle_loop, load_graph,
-                        load_path, path_to_dict, result_to_dict, save_graph,
-                        save_path, save_report, sweep_strategy, verify)
+from graphchase import (EvidenceError, build_family, build_graph,
+                        cycle_loop, load_graph, load_path, path_to_dict,
+                        result_to_dict, save_graph, save_path, save_report,
+                        sweep_strategy, verify)
 from graphchase import cli, verifier
 from graphchase.cli import main
 
@@ -106,6 +107,20 @@ def test_verify_floor_violation_exits_4(path_file, tmp_path, capsys):
                "--resolution", "0.1", "--eps", "0.05"])
     assert rc == 4
     assert "floor" in capsys.readouterr().err
+
+
+def test_verify_below_the_spacing_floor_exits_4(tmp_path, capsys):
+    # an edge of 1e-300 used to end in an OverflowError traceback
+    graph, strat = str(tmp_path / "g.json"), str(tmp_path / "s.json")
+    save_graph(build_graph(["a", "b"], [("a", "b", 1e-300)]), graph)
+    main(["generate", "--graph", graph, "--kind", "sweep", "--speed", "5.5",
+          "--out", strat])
+    capsys.readouterr()
+    rc = main(["verify", "--graph", graph, "--strategy", strat])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "not above the floor" in err
 
 
 def test_verify_has_no_time_step_flag(cycle_file, tmp_path, capsys):

@@ -35,7 +35,16 @@ def test_build_rejects_bad_input():
      "duplicate edge ids"),
     (["a", "a", "b"], [Edge("x", "a", "b", 1.0)], "duplicate vertex ids"),
     (["a"], [Edge("x", "a", "b", 1.0)], "undeclared vertex"),
-], ids=["edge-id", "vertex-id", "endpoint"])
+    # this one used to build, and distance from x to y raised a KeyError
+    (["a", "b", "c", "d"],
+     [Edge("x", "a", "b", 1.0), Edge("y", "c", "d", 1.0)], "disconnected"),
+    (["a", "b"], [Edge("x", "a", "b", 1.0), Edge("l", "a", "a", 2.0)],
+     "'l' is a loop"),
+    (["a", "b"], [Edge("x", "a", "b", 1.0), Edge("y", "b", "a", 2.0)],
+     "'y' is parallel"),
+    (["a"], [], "at least one edge"),
+], ids=["edge-id", "vertex-id", "endpoint", "disconnected", "loop",
+        "parallel", "no-edges"])
 def test_constructor_refuses(vertices, edges, message):
     with pytest.raises(GraphValidationError, match=message):
         MetricGraph(vertices, edges)

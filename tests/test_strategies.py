@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import math
 import os
 import pathlib
@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from graphchase import critical, strategies
+from graphchase import strategies
 from graphchase import (StrategyError, build_graph, build_star_schedule,
                         check_lipschitz, comb_strategy, cycle_loop,
                         cycle_strategy, finiteness_strategy, lambda_root,
@@ -16,7 +16,7 @@ from graphchase import (StrategyError, build_graph, build_star_schedule,
                         sufficient_speed, sweep_strategy, total_variation,
                         verify)
 from graphchase.graph import walk_covers
-from graphchase.strategies import _cascade_update, _ladder_init
+from graphchase.strategies import _cascade_update, _detect_comb, _ladder_init
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
@@ -174,32 +174,6 @@ def test_star_rejections():
         star_strategy(star(3), 4.0, truncation=0.0)
 
 
-@pytest.mark.parametrize("lag, rejected",
-                         [(1e-6, True), (2e-9, True), (5e-10, False)])
-def test_star_excursion_behind_the_clock(monkeypatch, lag, rejected):
-    # Just above the threshold the closed-form excursion starts fall behind
-    # the builder's clock (star(3) at s = 3.00001, after 8 s of building).
-    # A schedule whose second excursion starts `lag` before the first ends
-    # stands in for that: beyond the builder's 1e-9 tolerance a bracket
-    # must see a rejection, not a crash.
-    real = strategies.build_star_schedule
-
-    def early(g, s, truncation):
-        sched = real(g, s, truncation)
-        (_, s0, d0), (arm, _, d1), *rest = sched.excursions
-        return dataclasses.replace(sched, excursions=(
-            sched.excursions[0], (arm, s0 + d0 - lag, d1), *rest))
-
-    monkeypatch.setattr(strategies, "build_star_schedule", early)
-    if not rejected:
-        assert check_lipschitz(star_strategy(star(3), 4.0), 4.0)
-        return
-    with pytest.raises(StrategyError, match="behind the path's clock"):
-        star_strategy(star(3), 4.0)
-    assert critical._probe(star(3), "star", 4.0, None, None, None)[0] == \
-        "rejected"
-
-
 def test_near_threshold_star_refused_before_building(monkeypatch):
     # the schedule tracks the builder's clock, so no path is started: at
     # 3.000001 the 39th start is behind it, which the builder alone
@@ -251,6 +225,25 @@ def test_comb_rejections():
         comb_strategy(star(3), 4.0)
     with pytest.raises(StrategyError, match="positive"):
         comb_strategy(comb(3), 4.0, truncation=-1.0)
+
+
+def test_comb_backbone_in_path_order():
+    # the backbone runs z - a - m - b, not in the declared (sorted) vertex
+    # order; it starts at the lesser end
+    spine = ["z", "a", "m", "b"]
+    g = build_graph(sorted(spine) + [f"t{v}" for v in spine],
+                    [(v, f"t{v}", 1.0) for v in spine]
+                    + [(u, v, 1.0) for u, v in zip(spine, spine[1:])])
+    order, teeth = _detect_comb(g)
+    assert order == spine[::-1]
+    assert {v: e.other(v) for v, e in teeth.items()} == \
+        {v: f"t{v}" for v in spine}
+    ring = build_graph(spine + [f"t{v}" for v in spine],
+                       [(v, f"t{v}", 1.0) for v in spine]
+                       + [(u, v, 1.0) for u, v in zip(spine, spine[1:])]
+                       + [("b", "z", 1.0)])
+    with pytest.raises(StrategyError, match="backbone is not a path"):
+        _detect_comb(ring)
 
 
 # ------------------------------------------------------------------ cycles
@@ -384,3 +377,25 @@ def test_finiteness_strategy_captures():
     assert check_lipschitz(p, s)
     res = verify(p, h=0.02)
     assert res.verdict == "capture"
+
+
+# ------------------------------------------------------------ cascade pins
+
+@pytest.mark.parametrize("build, breakpoints, duration, digest", [
+    (lambda: finiteness_strategy(star(3), sufficient_speed(star(3))), 32,
+     0.30562500000000004,
+     "bf22bb73db0e738fe132250a35981320bca34bf456892b30163fda40a71dfa5d"),
+    (lambda: secure_vertex(star(3), "O", 8.0)[0], 21, 0.6412551229723319,
+     "ef3d7dad81ea8f8198adc74dd2db4f544b048e35d21c13c38a424da8dd4fb47e"),
+    (lambda: comb_strategy(comb(3), 3.5), 49, 5.372304094810756,
+     "56a333c16c6f0dc36aa8bf24e70a6e7812585f5708f3472abffd2a9389a81ce2"),
+    (lambda: star_strategy(star(3), 3.2, 1e-3), 154, 10.653409090909083,
+     "656cd0c2390a949ab398d17d81c96ff13cfdebcee5a6b718a9e4ce05ba910788"),
+], ids=["finiteness", "secure", "comb", "star"])
+def test_cascade_paths_are_pinned(build, breakpoints, duration, digest):
+    # exact breakpoint times and points of cascades the benchmark does not
+    # build (it runs stars at other speeds and jittered combs)
+    p = build()
+    assert len(p.times) == breakpoints and p.duration == duration
+    assert hashlib.sha256(repr((p.times, p.points)).encode()).hexdigest() \
+        == digest

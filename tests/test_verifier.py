@@ -16,7 +16,8 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         continuous_clearance, cycle_loop, cycle_strategy,
                         discretize, extract_witness, min_capture_time,
                         min_clearance, path_pieces, result_to_dict,
-                        star_strategy, sweep_strategy, truncate_path, verify)
+                        star_strategy, sweep_strategy, transfer_scale,
+                        truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
@@ -120,6 +121,50 @@ def test_size_limits_refuse_before_the_grid_is_built(decide):
         assert verify(stand(g, "v0", 1.0), h=0.5).n_samples == 7
         with pytest.raises(ParameterError, match="table"):
             verify(stand(g, "v0", 1.0), h=0.49)
+
+
+def test_spacing_floor_refuses_tiny_grids_before_building_them():
+    # the tolerances are absolute, so at these scales they decide: an edge
+    # of 1e-300 overflowed the reach band cap in numpy, and the sweep
+    # scaled by 2^-40 "survived" with a witness of zero variation
+    cops = [(sweep_strategy(build_graph(["a", "b"], [("a", "b", 1e-300)]),
+                            5.5), None),
+            (transfer_scale(sweep_strategy(unit_path(), 0.5), 2 ** -40),
+             0.02 * 2 ** -40)]
+    tracemalloc.start()
+    try:
+        for cop, h in cops:
+            with pytest.raises(ParameterError, match="not above the floor"):
+                verify(cop, h=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_verdicts_scale_exactly_by_powers_of_two():
+    # transfer_scale by a power of two scales every length, offset and
+    # time exactly, so the grid game is the same game
+    for seed in range(150):
+        cop, h, eps = oracle_instance(random.Random(seed))
+        base = verify(cop, h=h, eps=eps)
+        for k in (-8, -4, -1, 1, 4, 8):
+            c = 2.0 ** k
+            r = verify(transfer_scale(cop, c), h=h * c, eps=eps * c)
+            assert r.verdict == base.verdict, (seed, k)
+            if base.captured:
+                assert r.time_bound == c * base.time_bound, (seed, k)
+            else:
+                assert r.min_clearance == c * base.min_clearance, (seed, k)
+    # a spacing just above the floor (0.02 * 2^-14, about 1.2e-6) is the
+    # unscaled game; just below it (2^-15) is refused
+    cop = sweep_strategy(unit_path(), 0.5)
+    base = verify(cop, h=0.02)
+    r = verify(transfer_scale(cop, 2 ** -14), h=0.02 * 2 ** -14)
+    assert r.verdict == base.verdict == "capture"
+    assert r.time_bound == 2 ** -14 * base.time_bound
+    with pytest.raises(ParameterError, match="not above the floor"):
+        verify(transfer_scale(cop, 2 ** -15), h=0.02 * 2 ** -15)
 
 
 def test_unit_speed_cycle_loop_survives_at_every_resolution():
