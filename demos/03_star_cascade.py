@@ -10,7 +10,7 @@ radius out faster than the other arms' radii decay.
 """
 
 from graphchase import (build_graph, build_star_schedule, lambda_root,
-                        simulate_clearance, star_strategy, verify)
+                        star_strategy, verify)
 
 k = 4
 s = 2 * k - 3 + 0.5
@@ -26,11 +26,11 @@ for arm, start, dur in sched.excursions[:5]:
     print(f"  t={start:.4f}  probe {arm} for {dur:.2e}")
 print(f"  ... {len(sched.excursions)} excursions in total")
 
-# replaying the free-radius arithmetic shows arms clearing one by one
-trace = simulate_clearance(sched, star)
-for st in trace:
-    if len(st.cleared) > len(trace[max(0, st.index - 1)].cleared):
-        print(f"  after excursion {st.index}: cleared={sorted(st.cleared)}")
+# the plan records the excursion after which each arm is cleared
+cleared = []
+for index, arm in sched.clearings:
+    cleared.append(arm)
+    print(f"  after excursion {index}: cleared={sorted(cleared)}")
 
 # the actual trajectory, checked against every unit-speed evader
 cop = star_strategy(star, s, truncation=1e-3)

@@ -16,16 +16,14 @@ from .trajectory import (PathBuilder, PathValidationError, TimedPath,
                          path_from_dict, path_pieces, path_to_dict,
                          reparameterize_max_speed, save_path, total_variation,
                          transfer_scale, transfer_shorten, truncate_path)
-from .strategies import (ClearanceState, StarSchedule, StrategyError,
-                         build_star_schedule, comb_strategy, cycle_loop,
-                         cycle_strategy, finiteness_strategy, lambda_root,
-                         secure_vertex, simulate_clearance, star_strategy,
-                         sufficient_speed, sweep_strategy)
-from .verifier import (GameMismatchError, ParameterError, ReachStructure,
-                       SizeLimitError, StateError, VerifierResult,
-                       brute_force_oracle, build_reach, continuous_clearance,
-                       extract_witness, min_capture_time, propagate_step,
-                       result_to_dict, save_report, swept_intervals, verify)
+from .strategies import (StarSchedule, StrategyError, build_star_schedule,
+                         comb_strategy, cycle_loop, cycle_strategy,
+                         finiteness_strategy, lambda_root, secure_vertex,
+                         star_strategy, sufficient_speed, sweep_strategy)
+from .verifier import (GameMismatchError, ParameterError, SizeLimitError,
+                       VerifierResult, brute_force_oracle,
+                       continuous_clearance, result_to_dict, save_report,
+                       verify)
 from .critical import (FAMILIES, EvidenceError, FrontierRow, SpeedBracket,
                        build_family, frontier_table, frontier_to_csv,
                        frontier_to_json, upper_bound_bisect)

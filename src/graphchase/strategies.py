@@ -78,29 +78,18 @@ def _truncation(truncation: float | None, default: float | None = None):
 # cascade bookkeeping
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClearanceState:
-    """Certified evader-free radii around the hub after one excursion.
-
-    `radii[arm]` is a distance from the hub below which the evader provably
-    cannot sit on that arm (provided it was never captured).  `cleared` holds
-    arms whose radius reached the full arm extent.
-    """
-
-    index: int
-    radii: dict
-    cleared: frozenset
-
-
 def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
-                    duration: float, s: float) -> None:
+                    duration: float, s: float) -> list:
     """One probe of `target` for `duration` time units at speed s.
 
-    Non-probed arms decay by the probe duration (the evader closes in); the
-    probed arm is pushed out to (s-1)/2 times the duration.  A radius
-    reaching the arm extent marks the arm cleared.  Radii of arms already
-    cleared are left alone: while every active radius covers the probe
-    duration, the evader can never slip past the hub.
+    `radii[arm]` is a distance from the hub below which the evader provably
+    cannot sit on that arm (provided it was never captured).  Non-probed
+    arms decay by the probe duration (the evader closes in); the probed arm
+    is pushed out to (s-1)/2 times the duration.  A radius reaching the arm
+    extent marks the arm cleared.  Radii of arms already cleared are left
+    alone: while every active radius covers the probe duration, the evader
+    can never slip past the hub.  Returns the arms this probe cleared, in
+    `radii` order.
     """
     for arm, r in radii.items():
         if arm in cleared:
@@ -110,6 +99,7 @@ def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
                 f"cascade safety violated: arm {arm!r} radius {r} below "
                 f"probe duration {duration}")
     boost = (s - 1) * duration / 2
+    newly = []
     for arm in radii:
         if arm in cleared:
             continue
@@ -119,6 +109,8 @@ def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
         radii[arm] = min(max(r, 0.0), extents[arm])
         if radii[arm] >= extents[arm] - CLEAR_TOL:
             cleared.add(arm)
+            newly.append(arm)
+    return newly
 
 
 def _ladder_init(arms, lam: float, d0: float) -> dict:
@@ -171,6 +163,10 @@ class StarSchedule:
     uncleared.  `phase1_end` is when the initial out-and-back on the last arm
     finishes and the cascade clock starts.  `last_arm` is the cascade arm
     still uncleared after the final excursion, or None if none is left.
+    `clearings` lists (excursion index, arm) for each cleared cascade arm,
+    in the order the arms clear: the index is that of the excursion after
+    which the arm's radius first covers it, which may come before the
+    arm's own turn in the rotation when the opening ladder reaches it.
     """
 
     k: int
@@ -184,6 +180,7 @@ class StarSchedule:
     phase1_end: float
     excursions: tuple[tuple[str, float, float], ...]
     last_arm: str | None
+    clearings: tuple[tuple[int, str], ...]
 
 
 def _detect_star(g: MetricGraph):
@@ -235,6 +232,7 @@ def build_star_schedule(g: MetricGraph, s: float,
     cleared: set[str] = set()
     rotation = deque(cascade_arms)
     excursions = []
+    clearings = []
     max_extent = max(extents.values())
     budget = (k - 1) * (math.ceil(math.log(max(2 * max_extent / ((s - 1) * d0),
                                                1.0)) / log_lam) + k + 2)
@@ -256,29 +254,15 @@ def build_star_schedule(g: MetricGraph, s: float,
         leg = _probe_depth(s, duration, g.edge(target).length) / s
         now = now + leg + leg
         excursions.append((target, start, duration))
-        _cascade_update(radii, cleared, extents, target, duration, s)
+        clearings += [(j, arm) for arm in _cascade_update(
+            radii, cleared, extents, target, duration, s)]
         if target in cleared:
             rotation.remove(target)
         j += 1
     last_arm = rotation[0] if rotation[0] not in cleared else None
     return StarSchedule(k, s, lam, d0, m_start, center, tuple(cascade_arms),
-                        final_arm, phase1_end, tuple(excursions), last_arm)
-
-
-def simulate_clearance(sched: StarSchedule, g: MetricGraph):
-    """Replay the free-radius arithmetic over a schedule's excursions.
-
-    Returns one ClearanceState per excursion.  Used to predict termination
-    and as an independent check of the schedule builder.
-    """
-    extents = {eid: g.edge(eid).length for eid in sched.arm_order}
-    radii = _ladder_init(list(sched.arm_order), sched.lam, sched.d0)
-    cleared: set[str] = set()
-    trace = []
-    for i, (target, _, duration) in enumerate(sched.excursions):
-        _cascade_update(radii, cleared, extents, target, duration, sched.s)
-        trace.append(ClearanceState(i, dict(radii), frozenset(cleared)))
-    return trace
+                        final_arm, phase1_end, tuple(excursions), last_arm,
+                        tuple(clearings))
 
 
 def star_strategy(g: MetricGraph, s: float,
@@ -454,27 +438,19 @@ def cycle_strategy(g: MetricGraph, s: float) -> TimedPath:
     return cycle_loop(g, s, duration, {"kind": "cycle"})
 
 
-def sweep_strategy(g: MetricGraph, s: float, rounds: int = 1) -> TimedPath:
-    """Walk an edge-covering double-tree route at speed s, `rounds` times.
+def sweep_strategy(g: MetricGraph, s: float) -> TimedPath:
+    """Walk an edge-covering double-tree route once at speed s.
 
-    Consecutive rounds run the route in alternating directions so they
-    concatenate without jumps.  This is the naive baseline: it captures only
-    at speeds far above the cascade thresholds, and serves as honest
-    low-speed evidence elsewhere.
+    This is the naive baseline: it captures only at speeds far above the
+    cascade thresholds, and serves as honest low-speed evidence elsewhere.
     """
     if not 0 < s < math.inf:
         raise StrategyError(f"sweep needs a finite positive speed, got {s}")
-    if rounds < 1:
-        raise StrategyError(f"sweep needs at least one round, got {rounds}")
     start = min(g.vertices)
-    runs = double_tree_walk(g, start)
     pb = PathBuilder(g, start, s)
-    for r in range(rounds):
-        ordered = runs if r % 2 == 0 else \
-            tuple((eid, x1, x0) for eid, x0, x1 in reversed(runs))
-        for run in ordered:
-            pb.move_runs([run], abs(run[2] - run[1]) / s)
-    return pb.build({"kind": "sweep", "rounds": rounds})
+    for run in double_tree_walk(g, start):
+        pb.move_runs([run], abs(run[2] - run[1]) / s)
+    return pb.build({"kind": "sweep"})
 
 
 # ----------------------------------------------------------------------

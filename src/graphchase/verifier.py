@@ -49,10 +49,6 @@ class SizeLimitError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
-class StateError(RuntimeError):
-    """Raised when an operation needs a different verdict than the one found."""
-
-
 class GameMismatchError(RuntimeError):
     """Raised when the maximin game captures where the boolean game found a
     survival.  Both games decide the same grid game, so this is an internal
@@ -514,24 +510,6 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     return TimedPath(g, tuple(times), tuple(points),
                      tuple(g.step_runs(points)), 1.0,
                      {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
-
-
-def extract_witness(result: VerifierResult) -> TimedPath:
-    """The survival witness of a verification, or a state error on capture."""
-    if result.verdict != "survival":
-        raise StateError("no witness: the trajectory captures every evader")
-    if result.witness is None:
-        raise StateError("verification was run without witness extraction")
-    return result.witness
-
-
-def min_capture_time(cop: TimedPath, h: float | None = None,
-                     eps: float | None = None) -> float:
-    """Earliest grid time at which no evader position survives."""
-    r = verify(cop, h, eps, want_witness=False)
-    if not r.captured:
-        raise StateError("trajectory does not capture at this resolution")
-    return r.time_bound
 
 
 def continuous_clearance(cop: TimedPath, evader: TimedPath) -> float:

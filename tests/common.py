@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from graphchase import GraphPoint, TimedPath, build_graph
+from graphchase import (GraphPoint, PathBuilder, TimedPath, build_graph,
+                        double_tree_walk)
 
 
 def to_slots(reach, values):
@@ -13,6 +14,19 @@ def to_slots(reach, values):
     out = np.full(values.shape[:-1] + (reach.n_slots,), -np.inf)
     out[..., reach.slot] = values
     return out
+
+
+def sweeps(g, s, rounds):
+    """`sweep_strategy`'s route walked `rounds` times at speed s, every
+    other pass reversed so that consecutive passes join."""
+    start = min(g.vertices)
+    runs = double_tree_walk(g, start)
+    back = [(eid, x1, x0) for eid, x0, x1 in reversed(runs)]
+    pb = PathBuilder(g, start, s)
+    for r in range(rounds):
+        for run in back if r % 2 else runs:
+            pb.move_runs([run], abs(run[2] - run[1]) / s)
+    return pb.build()
 
 
 def unit_path():

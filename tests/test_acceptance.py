@@ -14,10 +14,9 @@ import pytest
 
 from graphchase import (PathBuilder, StrategyError, build_graph,
                         brute_force_oracle, comb_strategy, cycle_loop,
-                        cycle_strategy, lambda_root, min_capture_time,
-                        reparameterize_max_speed, star_strategy,
-                        sweep_strategy, total_variation, transfer_scale,
-                        transfer_shorten, verify)
+                        cycle_strategy, lambda_root, reparameterize_max_speed,
+                        star_strategy, sweep_strategy, total_variation,
+                        transfer_scale, transfer_shorten, verify)
 from graphchase.graph import double_tree_walk, walk_covers
 from graphchase.randgen import oracle_instance, random_graph
 
@@ -93,7 +92,9 @@ def test_criterion_03_cycle_capture_time():
     g = unit_cycle()
     h = 1.0 / 150
     cop = cycle_strategy(g, 2.0)
-    t = min_capture_time(cop, h=h, eps=1.5 / 150)
+    res = verify(cop, h=h, eps=1.5 / 150, want_witness=False)
+    assert res.captured
+    t = res.time_bound
     tol = 6 * h
     ok = abs(t - 1.0) <= tol
     assert report(3, ok,

@@ -1,14 +1,19 @@
 """Every demo script runs to completion from a copy in a scratch directory,
-so the files it writes land there and not next to the originals."""
+so the files it writes land there and not next to the originals, and the
+README's "Library surface" names exactly the package root's exports."""
 
+import inspect
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+
+import graphchase
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
@@ -33,3 +38,13 @@ def test_demo_runs(demo, tmp_path):
     if demo.stem == "06_witnesses":
         root = ET.parse(tmp_path / "witness_diagram.svg").getroot()
         assert root.tag.endswith("svg")
+
+
+def test_readme_library_surface_lists_the_package_root():
+    # every backticked name under the heading, against the root's names
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([^`]+)`", section))
+    public = {name for name, value in vars(graphchase).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert listed == public

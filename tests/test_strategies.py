@@ -12,9 +12,8 @@ from graphchase import strategies
 from graphchase import (StrategyError, build_graph, build_star_schedule,
                         check_lipschitz, comb_strategy, cycle_loop,
                         cycle_strategy, finiteness_strategy, lambda_root,
-                        secure_vertex, simulate_clearance, star_strategy,
-                        sufficient_speed, sweep_strategy, total_variation,
-                        verify)
+                        secure_vertex, star_strategy, sufficient_speed,
+                        sweep_strategy, total_variation, verify)
 from graphchase.graph import walk_covers
 from graphchase.strategies import _cascade_update, _detect_comb, _ladder_init
 
@@ -132,14 +131,59 @@ def test_star_schedule_structure():
     assert sorted(first_round) == sorted(sched.arm_order)
 
 
+def replayed_clearings(sched, g):
+    """The clearings found by replaying the free-radius arithmetic over the
+    schedule's excursions: each arm at the first excursion after which it
+    is in the cleared set, arms of one excursion in rotation order."""
+    extents = {eid: g.edge(eid).length for eid in sched.arm_order}
+    radii = _ladder_init(list(sched.arm_order), sched.lam, sched.d0)
+    cleared = set()
+    found = []
+    for i, (target, _, duration) in enumerate(sched.excursions):
+        before = set(cleared)
+        _cascade_update(radii, cleared, extents, target, duration, sched.s)
+        found += [(i, arm) for arm in sched.arm_order
+                  if arm in cleared - before]
+    return found
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_star_schedule_clearings_match_the_replay(k):
+    early = 0
+    for arm in (1.0, 0.5):
+        g = star(k, arm)
+        for s in (2 * k - 3 + 0.25, 2 * k - 2, 2 * k):
+            for truncation in (1e-3, 1e-2, 0.3, 10.0):
+                sched = build_star_schedule(g, s, truncation)
+                assert list(sched.clearings) == replayed_clearings(sched, g)
+                probed = {}
+                for i, (target, _, _) in enumerate(sched.excursions):
+                    probed.setdefault(target, i)
+                early += sum(i < probed.get(a, math.inf)
+                             for i, a in sched.clearings)
+    # a truncation large next to the arms lets the opening ladder clear
+    # arms before their first probe, and the plan records those at once;
+    # with three arms the one unprobed arm's radius d0 decays to 0 first
+    assert (early > 0) == (k > 3)
+
+
+def test_star_schedule_ladder_clears_an_arm_before_its_probe():
+    # the opening ladder clears e3 and e4 at excursion 0; e3 still takes
+    # its turn in the rotation at excursion 3
+    sched = build_star_schedule(star(6), 9.25, 10.0)
+    assert [e[0] for e in sched.excursions] == ["e0", "e1", "e2", "e3"]
+    assert sched.clearings == ((0, "e0"), (0, "e3"), (0, "e4"), (1, "e1"),
+                               (2, "e2"))
+    assert sched.last_arm is None
+
+
 def test_star_schedule_simulation_terminates():
     g = star(4)
     sched = build_star_schedule(g, 6.0, 1e-2)
-    trace = simulate_clearance(sched, g)
-    assert len(trace) == len(sched.excursions)
-    assert len(trace[-1].cleared) == 2         # all cascade arms but one
-    assert all(len(st.cleared) <= 2 for st in trace)
-    assert set(sched.arm_order) - trace[-1].cleared == {sched.last_arm}
+    arms = [arm for _, arm in sched.clearings]
+    assert len(arms) == 2 == len(set(arms))     # all cascade arms but one
+    assert [i for i, _ in sched.clearings][-1] == len(sched.excursions) - 1
+    assert set(sched.arm_order) - set(arms) == {sched.last_arm}
     p = star_strategy(g, 6.0, 1e-2)
     assert g.points_equal(p.points[-1],
                           g.vertex_point(g.leaf_end(sched.last_arm)))
@@ -317,19 +361,18 @@ def test_cycle_loop_refuses_infinite_inputs_at_once():
 
 def test_sweep_covers_every_edge():
     g = path_graph(2)
-    p = sweep_strategy(g, 2.0, rounds=2)
+    p = sweep_strategy(g, 2.0)
     runs = [run for seg in p.routes for run in seg]
     assert walk_covers(g, runs)
     assert total_variation(p) == pytest.approx(2.0 * p.duration)
-    # even number of rounds returns to the start
-    assert g.points_equal(p.evaluate(p.duration), p.evaluate(0.0))
+    assert p.duration == pytest.approx(1.0)     # the path once, end to end
+    assert g.points_equal(p.evaluate(p.duration), g.vertex_point("v2"))
+    assert p.metadata == {"kind": "sweep"}
 
 
 def test_sweep_rejections():
     with pytest.raises(StrategyError):
         sweep_strategy(path_graph(2), 0.0)
-    with pytest.raises(StrategyError):
-        sweep_strategy(path_graph(2), 1.0, rounds=0)
     for s in (math.nan, math.inf):
         with pytest.raises(StrategyError, match="finite positive speed"):
             sweep_strategy(path_graph(2), s)

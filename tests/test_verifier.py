@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from graphchase import trajectory, verifier
 from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         ParameterError, PathBuilder, SizeLimitError,
-                        StateError, TimedPath, brute_force_oracle,
-                        build_graph, check_lipschitz,
-                        continuous_clearance, cycle_loop, cycle_strategy,
-                        discretize, extract_witness, min_capture_time,
-                        min_clearance, path_pieces, result_to_dict,
-                        star_strategy, sweep_strategy, transfer_scale,
-                        truncate_path, verify)
+                        TimedPath, brute_force_oracle, build_graph,
+                        check_lipschitz, continuous_clearance, cycle_loop,
+                        cycle_strategy, discretize, min_clearance,
+                        path_pieces, result_to_dict, star_strategy,
+                        sweep_strategy, transfer_scale, truncate_path,
+                        verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
@@ -26,8 +25,8 @@ from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
                                  propagate_step, swept_block,
                                  swept_intervals)
 
-from common import (comb, path_graph, star, to_slots, triangle, unit_cycle,
-                    unit_path)
+from common import (comb, path_graph, star, sweeps, to_slots, triangle,
+                    unit_cycle, unit_path)
 
 
 def stand(g, v, duration, speed=1.0):
@@ -271,7 +270,7 @@ def test_standing_cop_loses():
     res = verify(stand(g, "a", 1.0), h=0.1, eps=0.25)
     assert res.verdict == "survival"
     assert res.time_bound is None
-    w = extract_witness(res)
+    w = res.witness
     assert res.min_clearance == pytest.approx(1.0)
     assert g.points_equal(w.evaluate(0.0), g.vertex_point("b"))
 
@@ -282,22 +281,15 @@ def test_path_sweep_captures():
     res = verify(cop, h=0.05)
     assert res.verdict == "capture"
     assert res.time_bound <= cop.duration
-    with pytest.raises(StateError, match="no witness"):
-        extract_witness(res)
+    assert res.witness is None and res.min_clearance is None
 
 
 def test_witness_absent_when_not_requested():
     g = unit_path()
     res = verify(stand(g, "a", 1.0), h=0.1, want_witness=False)
     assert res.verdict == "survival"
-    with pytest.raises(StateError, match="without witness"):
-        extract_witness(res)
-
-
-def test_min_capture_time_errors_on_survival():
-    g = unit_path()
-    with pytest.raises(StateError, match="does not capture"):
-        min_capture_time(stand(g, "a", 1.0), h=0.1)
+    assert res.time_bound is None
+    assert res.witness is None and res.min_clearance is None
 
 
 # ----------------------------------------------------------- witness quality
@@ -307,7 +299,7 @@ def test_witness_is_valid_speed_one_path():
     cop = cycle_loop(g, 1.0, 3.0)        # equal speeds: evader survives
     res = verify(cop, h=0.02)
     assert res.verdict == "survival"
-    w = extract_witness(res)
+    w = res.witness
     assert check_lipschitz(w, 1.0 + 1e-9)
     assert w.duration == pytest.approx(cop.duration)
     assert res.min_clearance == pytest.approx(
@@ -749,7 +741,7 @@ def sweep_cases(draw):
     radius of 1.01-4 spacings: captures come at any step."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
-    cop = sweep_strategy(g, rng.uniform(2.0, 8.0), rng.randint(1, 3))
+    cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 3))
     return cop, grid.h, grid.max_spacing * rng.uniform(1.01, 4.0)
 
 
@@ -878,7 +870,7 @@ def alive_cases(draw):
     if kind == "stand":
         cop = stand(g, rng.choice(g.vertices), sp * rng.uniform(0.5, 60.0))
     else:
-        cop = sweep_strategy(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
+        cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
     place = draw(st.sampled_from(["first", "last", 1, 2, 3, 5, 256]))
@@ -1083,11 +1075,14 @@ def test_capture_monotone_in_radius():
 
 def test_capture_stable_under_extension():
     g = path_graph(2)
-    cop = sweep_strategy(g, 1.0, rounds=2)      # duration 8: 80 steps
+    pb = PathBuilder(g, "v0", 1.0)
+    for v in ("v1", "v2", "v1", "v0"):          # out and back: two sweeps
+        pb.move_to(v, speed=1.0)
+    cop = pb.build()                            # duration 4: 40 steps
     full = verify(cop, h=0.1, eps=0.25, want_witness=False)
     assert full.captured
-    late = truncate_path(cop, 4.0)
-    part = verify(late, h=0.1, eps=0.25, want_witness=False)
+    first = truncate_path(cop, 2.0)             # the outward sweep alone
+    part = verify(first, h=0.1, eps=0.25, want_witness=False)
     assert part.captured
     assert part.time_bound == pytest.approx(full.time_bound, abs=1e-9)
     early = truncate_path(cop, 1.0)
