@@ -64,7 +64,6 @@ class MetricGraph:
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._edge_by_id = {e.id: e for e in self.edges}
         self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
         adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         if len(adj) != len(self.vertices):
@@ -109,7 +108,7 @@ class MetricGraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self._edge_index[edge_id]]
         except KeyError:
             raise GraphValidationError(f"unknown edge id {edge_id!r}") from None
 
@@ -270,10 +269,6 @@ class MetricGraph:
         runs.reverse()
         return runs
 
-    def _endpoint_legs(self, p: GraphPoint):
-        e = self.edge(p.edge)
-        return ((e.u, p.offset), (e.v, e.length - p.offset))
-
     def legs(self, ea, xa, eb, xb) -> np.ndarray:
         """The shortest way from each point (edge index ea, offset xa) to
         (eb, xb) through an endpoint of each one's edge: the least of the
@@ -296,29 +291,27 @@ class MetricGraph:
         The runs are (edge id, start offset, end offset) triples, contiguous
         and free of zero-length entries; an empty tuple means a == b.  The
         length is the least of the direct run (on one edge) and the four
-        ways through the edges' endpoints; a tie goes to the first of them.
+        ways `leg + vertex distance + leg` through the edges' endpoints,
+        taken in that order; a tie goes to the first of them.
         """
         a = self.clamp_point(a)
         b = self.clamp_point(b)
-        candidates = []
-        if a.edge == b.edge:
-            candidates.append((abs(a.offset - b.offset),
-                               [(a.edge, a.offset, b.offset)]))
-        for va, da in self._endpoint_legs(a):
-            for vb, db in self._endpoint_legs(b):
-                length = da + self.vertex_distance(va, vb) + db
-                candidates.append((length, None, va, vb))
-        candidates.sort(key=lambda c: c[0])
-        length = candidates[0][0]
-        chosen = candidates[0]
-        if chosen[1] is None:
-            _, _, va, vb = chosen
-            ea, eb = self.edge(a.edge), self.edge(b.edge)
-            runs = [(a.edge, a.offset, 0.0 if va == ea.u else ea.length)]
-            runs += self._vertex_runs(va, vb)
-            runs.append((b.edge, 0.0 if vb == eb.u else eb.length, b.offset))
+        ea, eb = self.edge(a.edge), self.edge(b.edge)
+        length = abs(a.offset - b.offset) if a.edge == b.edge else math.inf
+        via = None
+        for va, da, xa in ((ea.u, a.offset, 0.0),
+                           (ea.v, ea.length - a.offset, ea.length)):
+            for vb, db, xb in ((eb.u, b.offset, 0.0),
+                               (eb.v, eb.length - b.offset, eb.length)):
+                through = da + self.vertex_distance(va, vb) + db
+                if through < length:
+                    length, via = through, (va, xa, vb, xb)
+        if via is None:
+            runs = [(a.edge, a.offset, b.offset)]
         else:
-            runs = chosen[1]
+            va, xa, vb, xb = via
+            runs = [(a.edge, a.offset, xa), *self._vertex_runs(va, vb),
+                    (b.edge, xb, b.offset)]
         runs = [(eid, x0, x1) for eid, x0, x1 in runs if abs(x1 - x0) > GEOM_TOL]
         return length, tuple(runs)
 

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import GraphPoint, MetricGraph, double_tree_walk
+from .graph import MetricGraph, double_tree_walk
 from .trajectory import PathBuilder, TimedPath
 
 LADDER_TOL = 1e-9
@@ -79,7 +79,7 @@ def _truncation(truncation: float | None, default: float | None = None):
 # ----------------------------------------------------------------------
 
 def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
-                    duration: float, s: float) -> list:
+                    duration: float, s: float) -> None:
     """One probe of `target` for `duration` time units at speed s.
 
     `radii[arm]` is a distance from the hub below which the evader provably
@@ -88,8 +88,7 @@ def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
     is pushed out to (s-1)/2 times the duration.  A radius reaching the arm
     extent marks the arm cleared.  Radii of arms already cleared are left
     alone: while every active radius covers the probe duration, the evader
-    can never slip past the hub.  Returns the arms this probe cleared, in
-    `radii` order.
+    can never slip past the hub.
     """
     for arm, r in radii.items():
         if arm in cleared:
@@ -99,7 +98,6 @@ def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
                 f"cascade safety violated: arm {arm!r} radius {r} below "
                 f"probe duration {duration}")
     boost = (s - 1) * duration / 2
-    newly = []
     for arm in radii:
         if arm in cleared:
             continue
@@ -109,8 +107,6 @@ def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
         radii[arm] = min(max(r, 0.0), extents[arm])
         if radii[arm] >= extents[arm] - CLEAR_TOL:
             cleared.add(arm)
-            newly.append(arm)
-    return newly
 
 
 def _ladder_init(arms, lam: float, d0: float) -> dict:
@@ -118,7 +114,10 @@ def _ladder_init(arms, lam: float, d0: float) -> dict:
 
     The assumption is harmless at verification time whenever the capture
     radius exceeds the largest ladder value: an evader violating it sits
-    within that distance of the hub, where the cop is standing.
+    within that distance of the hub, where the cop is standing.  A path
+    built on it certifies capture only at such radii, and a ladder value
+    that reaches an arm's extent would clear the arm unprobed, which
+    `build_star_schedule` refuses.
     """
     radii = {}
     acc = 0.0
@@ -164,9 +163,8 @@ class StarSchedule:
     finishes and the cascade clock starts.  `last_arm` is the cascade arm
     still uncleared after the final excursion, or None if none is left.
     `clearings` lists (excursion index, arm) for each cleared cascade arm,
-    in the order the arms clear: the index is that of the excursion after
-    which the arm's radius first covers it, which may come before the
-    arm's own turn in the rotation when the opening ladder reaches it.
+    in the order the arms clear: the index is that of the excursion that
+    probed the arm and after which its radius first covers it.
     """
 
     k: int
@@ -204,7 +202,9 @@ def build_star_schedule(g: MetricGraph, s: float,
     The first probe duration is the largest member of the geometric grid
     lam^(-m(k-1)+1) below the truncation scale; probes then grow by lam,
     rotating over all arms but the last, dropping arms as they clear, until
-    one arm remains.
+    one arm remains.  A truncation whose opening ladder would clear an arm
+    in the first excursion, before that arm is probed, raises
+    StrategyError; every arm then clears at a probe of its own.
 
     The clock of `star_strategy`'s PathBuilder is tracked with the
     builder's own float operations.  Just above the threshold the
@@ -229,6 +229,12 @@ def build_star_schedule(g: MetricGraph, s: float,
     now = phase1_end        # = L/s + L/s exactly: doubling is exact
 
     radii = _ladder_init(cascade_arms, lam, d0)
+    for arm in cascade_arms[1:]:
+        if radii[arm] - d0 >= extents[arm] - CLEAR_TOL:
+            raise StrategyError(
+                f"truncation {truncation} is too large for arm {arm!r} of "
+                f"length {extents[arm]}: the opening ladder's radius "
+                f"{radii[arm]} would clear it before any probe")
     cleared: set[str] = set()
     rotation = deque(cascade_arms)
     excursions = []
@@ -254,9 +260,9 @@ def build_star_schedule(g: MetricGraph, s: float,
         leg = _probe_depth(s, duration, g.edge(target).length) / s
         now = now + leg + leg
         excursions.append((target, start, duration))
-        clearings += [(j, arm) for arm in _cascade_update(
-            radii, cleared, extents, target, duration, s)]
+        _cascade_update(radii, cleared, extents, target, duration, s)
         if target in cleared:
+            clearings.append((j, target))
             rotation.remove(target)
         j += 1
     last_arm = rotation[0] if rotation[0] not in cleared else None
@@ -283,7 +289,7 @@ def star_strategy(g: MetricGraph, s: float,
         _probe(pb, sched.center, target, start, duration,
                g.edge(target).length)
     if sched.last_arm is not None:
-        pb.move_to(g.leaf_end(sched.last_arm), speed=s)
+        pb.move_to(g.leaf_end(sched.last_arm))
     return pb.build({"kind": "star", "lambda": sched.lam,
                      "truncation": truncation, "m_start": sched.m_start})
 
@@ -342,8 +348,8 @@ def comb_strategy(g: MetricGraph, s: float,
     first_tooth = teeth[order[0]]
     leaf0 = first_tooth.other(order[0])
     pb = PathBuilder(g, leaf0, s)
-    pb.move_to(order[0], speed=s)
-    pb.move_to(order[1], speed=s)
+    pb.move_to(order[0])
+    pb.move_to(order[1])
 
     for v, nxt in zip(order[1:-1], order[2:]):
         tooth = teeth[v].id
@@ -366,8 +372,8 @@ def comb_strategy(g: MetricGraph, s: float,
             elapsed += duration
             j += 1
         pb.wait_until(station_start + elapsed)
-        pb.move_to(nxt, speed=s)
-    pb.move_to(teeth[order[-1]].other(order[-1]), speed=s)
+        pb.move_to(nxt)
+    pb.move_to(teeth[order[-1]].other(order[-1]))
     return pb.build({"kind": "comb", "lambda": lam, "truncation": truncation})
 
 
@@ -375,53 +381,32 @@ def comb_strategy(g: MetricGraph, s: float,
 # cycles and sweeps
 # ----------------------------------------------------------------------
 
-def _cycle_runs(g: MetricGraph):
+def cycle_loop(g: MetricGraph, s: float, duration: float,
+               metadata: dict | None = None) -> TimedPath:
+    """Loop around a cycle in a fixed direction at speed s for the duration.
+
+    The lap is `double_tree_walk` from the least vertex id, which on a cycle
+    walks every edge once in one direction; the laps are repeated and cut
+    at s * duration, and a loop at speed 0 (or one shorter than 1e-12)
+    waits at that vertex.
+    """
+    if not (0 <= s < math.inf and 0 < duration < math.inf):
+        raise StrategyError(f"cycle loop needs a finite nonnegative speed and "
+                            f"a finite positive duration, got {s}, {duration}")
     if any(g.degree(v) != 2 for v in g.vertices):
         raise StrategyError("graph is not a cycle: every vertex must have "
                             "degree 2")
     start = min(g.vertices)
-    runs = []
-    v = start
-    e = g.incident_edges(v)[0]
-    while True:
-        runs.append(e.run_from(v))
-        v = e.other(v)
-        if v == start:
-            break
-        e = next(x for x in g.incident_edges(v) if x.id != e.id)
-    return start, runs
-
-
-def cycle_loop(g: MetricGraph, s: float, duration: float,
-               metadata: dict | None = None) -> TimedPath:
-    """Loop around a cycle in a fixed direction at speed s for the duration."""
-    if not (0 <= s < math.inf and 0 < duration < math.inf):
-        raise StrategyError(f"cycle loop needs a finite nonnegative speed and "
-                            f"a finite positive duration, got {s}, {duration}")
-    start, lap = _cycle_runs(g)
-    if s == 0:
-        pb = PathBuilder(g, start, 0.0)
-        pb.wait(duration)
-        return pb.build(metadata)
+    lap = double_tree_walk(g, start)
     total = s * duration
-    times = [0.0]
-    points = [g.vertex_point(start)]
-    routes = []
+    runs = []
     walked = 0.0
-    i = 0
     while walked < total - 1e-12:
-        eid, x0, x1 = lap[i % len(lap)]
-        ln = abs(x1 - x0)
-        take = min(ln, total - walked)
-        x1 = x0 + math.copysign(take, x1 - x0)
+        eid, x0, x1 = lap[len(runs) % len(lap)]
+        take = min(abs(x1 - x0), total - walked)
+        runs.append((eid, x0, x0 + math.copysign(take, x1 - x0)))
         walked += take
-        times.append(duration * (walked / total))
-        points.append(GraphPoint(eid, x1))
-        routes.append(((eid, x0, x1),))
-        i += 1
-    times[-1] = duration
-    return TimedPath(g, tuple(times), tuple(points), tuple(routes), s,
-                     dict(metadata or {}))
+    return PathBuilder(g, start, s).move_runs(runs, duration).build(metadata)
 
 
 def cycle_strategy(g: MetricGraph, s: float) -> TimedPath:
@@ -569,7 +554,7 @@ def finiteness_strategy(g: MetricGraph, s: float,
         if w not in visited:
             visited.add(w)
             _secure_into(pb, w, _secure_schedule(g, w, s, trunc)[0])
-    pb.move_to(start, speed=s)
+    pb.move_to(start)
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)
     return pb.build({"kind": "finiteness", "truncation": trunc,

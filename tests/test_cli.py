@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -11,8 +12,8 @@ from graphchase import (EvidenceError, build_family, build_graph,
 from graphchase import cli, verifier
 from graphchase.cli import main
 
-from common import (hand_built_path, odd_graph, path_graph, unit_cycle,
-                    unit_path)
+from common import (hand_built_path, odd_graph, path_graph, star,
+                    unit_cycle, unit_path)
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ def test_generate_writes_trajectory(cycle_file, tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "duration" in text
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["speed"] == 2.0
 
 
@@ -67,7 +68,7 @@ def test_verify_capture_roundtrip(path_file, tmp_path, capsys):
                "--resolution", "0.05", "--report", report])
     assert rc == 0
     assert "capture" in capsys.readouterr().out
-    doc = json.loads(open(report).read())
+    doc = json.loads(pathlib.Path(report).read_text())
     assert doc["verdict"] == "capture"
     assert set(doc["params"]) == {"h", "dt", "eps", "spacing", "tau",
                                   "steps", "samples"}
@@ -242,6 +243,19 @@ def test_generate_on_integer_ids_exits_2_with_one_line(kind, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_generate_star_with_a_ladder_past_an_arm_exits_2(tmp_path, capsys):
+    # the opening ladder at truncation 10 would clear arm e3 of star(5)
+    # before it is ever probed
+    graph = tmp_path / "star5.json"
+    save_graph(star(5), graph)
+    rc = main(["generate", "--graph", str(graph), "--kind", "star",
+               "--speed", "8", "--delta", "10"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "before any probe" in err
+
+
 def test_undecodable_graph_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
@@ -322,7 +336,7 @@ def test_export_svg_deterministic(path_file, tmp_path, capsys):
         rc = main(["export-svg", "--graph", path_file, "--strategy", strat,
                    "--eps", "0.1", "--out", out])
         assert rc == 0
-        outs.append(open(out, "rb").read())
+        outs.append(pathlib.Path(out).read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].startswith(b"<svg")
     capsys.readouterr()
@@ -353,7 +367,7 @@ def test_export_svg_with_witness(cycle_file, tmp_path, capsys):
     rc = main(["export-svg", "--graph", cycle_file, "--strategy", strat,
                "--witness", wit, "--out", out])
     assert rc == 0
-    assert "witness" in open(out).read()
+    assert "witness" in pathlib.Path(out).read_text()
     capsys.readouterr()
 
 

@@ -11,7 +11,7 @@ from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
                         PathBuilder, build_graph, discretize, double_tree_walk,
                         graph_from_dict, graph_to_dict, load_graph,
                         min_clearance, save_graph, walk_covers, walk_length)
-from graphchase.graph import max_spacing
+from graphchase.graph import GEOM_TOL, max_spacing
 from graphchase.randgen import random_graph
 
 from common import path_graph, star, triangle, unit_cycle, unit_path
@@ -155,11 +155,12 @@ def _tie_cycle():
 
 
 @st.composite
-def graph_points(draw):
-    """A graph with exact leg ties or loops and parallel edges, and a few
-    points on it: dyadic offsets, offsets within GEOM_TOL of a vertex and
-    arbitrary ones, all in [0, length]."""
-    g = draw(st.sampled_from([
+def graph_points(draw, graphs=None):
+    """A graph drawn from `graphs`, by default one with exact leg ties or
+    loops and parallel edges, and a few points on it: dyadic offsets,
+    offsets within GEOM_TOL of a vertex and arbitrary ones, all in
+    [0, length]."""
+    g = draw(graphs if graphs is not None else st.sampled_from([
         _tie_cycle(), unit_cycle(), triangle(1.0, 0.1, 0.1), star(3),
         random_graph(random.Random(3), extra_edges=3, allow_multi=True)]))
     points = []
@@ -192,6 +193,56 @@ def test_one_leg_formula(case):
         stay_a = PathBuilder(g, a, 1.0).wait(1.0).build()
         stay_b = PathBuilder(g, b, 1.0).wait(2.0).build()
         assert min_clearance(stay_a, stay_b) == length
+
+
+def sorted_candidate_route(g, a, b):
+    """Reference for `MetricGraph.route`: every candidate (the direct run on
+    a shared edge, then the four ways through the edges' endpoints) in a
+    list, stably sorted by length, the first one taken."""
+    a = g.clamp_point(a)
+    b = g.clamp_point(b)
+
+    def endpoint_legs(p):
+        e = g.edge(p.edge)
+        return ((e.u, p.offset), (e.v, e.length - p.offset))
+
+    candidates = []
+    if a.edge == b.edge:
+        candidates.append((abs(a.offset - b.offset),
+                           [(a.edge, a.offset, b.offset)]))
+    for va, da in endpoint_legs(a):
+        for vb, db in endpoint_legs(b):
+            length = da + g.vertex_distance(va, vb) + db
+            candidates.append((length, None, va, vb))
+    candidates.sort(key=lambda c: c[0])
+    length = candidates[0][0]
+    chosen = candidates[0]
+    if chosen[1] is None:
+        _, _, va, vb = chosen
+        ea, eb = g.edge(a.edge), g.edge(b.edge)
+        runs = [(a.edge, a.offset, 0.0 if va == ea.u else ea.length)]
+        runs += g._vertex_runs(va, vb)
+        runs.append((b.edge, 0.0 if vb == eb.u else eb.length, b.offset))
+    else:
+        runs = chosen[1]
+    runs = [(eid, x0, x1) for eid, x0, x1 in runs if abs(x1 - x0) > GEOM_TOL]
+    return length, tuple(runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_points(st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_graph(random.Random(seed), extra_edges=3,
+                              allow_multi=True))))
+def test_route_matches_the_sorted_candidate_reference(case):
+    # every pair of points, each point with itself, and each point with
+    # its mirror on the same edge
+    g, points = case
+    mirrors = [GraphPoint(q.edge, g.edge(q.edge).length - q.offset)
+               for q in points]
+    pairs = [(a, b) for a in points for b in points] + list(zip(points,
+                                                                mirrors))
+    for a, b in pairs:
+        assert g.route(a, b) == sorted_candidate_route(g, a, b)
 
 
 def test_edge_indices():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -149,32 +150,34 @@ def replayed_clearings(sched, g):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_star_schedule_clearings_match_the_replay(k):
-    early = 0
     for arm in (1.0, 0.5):
         g = star(k, arm)
         for s in (2 * k - 3 + 0.25, 2 * k - 2, 2 * k):
             for truncation in (1e-3, 1e-2, 0.3, 10.0):
+                # a truncation large next to the arms lets the opening
+                # ladder clear arms before their first probe: those 21 of
+                # the 96 cases are refused (none with three arms, where
+                # the one unprobed arm's radius d0 decays to 0 at once)
+                if (truncation == 10.0 and (k > 4 or k == 4 and arm == 0.5)
+                        or truncation == 0.3 and k > 4 and arm == 0.5):
+                    with pytest.raises(StrategyError,
+                                       match="before any probe"):
+                        build_star_schedule(g, s, truncation)
+                    continue
                 sched = build_star_schedule(g, s, truncation)
                 assert list(sched.clearings) == replayed_clearings(sched, g)
-                probed = {}
-                for i, (target, _, _) in enumerate(sched.excursions):
-                    probed.setdefault(target, i)
-                early += sum(i < probed.get(a, math.inf)
-                             for i, a in sched.clearings)
-    # a truncation large next to the arms lets the opening ladder clear
-    # arms before their first probe, and the plan records those at once;
-    # with three arms the one unprobed arm's radius d0 decays to 0 first
-    assert (early > 0) == (k > 3)
+                # every arm clears at a probe of its own
+                assert all(sched.excursions[i][0] == a
+                           for i, a in sched.clearings)
 
 
-def test_star_schedule_ladder_clears_an_arm_before_its_probe():
-    # the opening ladder clears e3 and e4 at excursion 0; e3 still takes
-    # its turn in the rotation at excursion 3
-    sched = build_star_schedule(star(6), 9.25, 10.0)
-    assert [e[0] for e in sched.excursions] == ["e0", "e1", "e2", "e3"]
-    assert sched.clearings == ((0, "e0"), (0, "e3"), (0, "e4"), (1, "e1"),
-                               (2, "e2"))
-    assert sched.last_arm is None
+def test_star_schedule_refuses_a_ladder_that_clears_an_arm_before_its_probe():
+    # the opening ladder's radius would clear e3 at excursion 0: star(5)
+    # would never enter it, and star(6) would probe it after clearing it
+    with pytest.raises(StrategyError, match="'e3'.*before any probe"):
+        star_strategy(star(5), 8.0, 10.0)
+    with pytest.raises(StrategyError, match="'e3'.*before any probe"):
+        build_star_schedule(star(6), 9.25, 10.0)
 
 
 def test_star_schedule_simulation_terminates():
@@ -323,6 +326,44 @@ def test_cycle_loop_degenerate():
     assert total_variation(p) == 0.0
     with pytest.raises(StrategyError):
         cycle_loop(g, 1.0, 0.0)
+    # a loop shorter than 1e-12 is a wait at the start
+    p = cycle_loop(g, 1e-14, 1.0)
+    assert p.times == (0.0, 1.0) and p.routes == ((),)
+    assert p.points[0] == p.points[1] == g.vertex_point(min(g.vertices))
+
+
+def walked_lap(g):
+    """Reference lap of a cycle: from its least vertex along its first
+    incident edge, then on along the other edge at each vertex."""
+    start = min(g.vertices)
+    runs = []
+    v = start
+    e = g.incident_edges(v)[0]
+    while True:
+        runs.append(e.run_from(v))
+        v = e.other(v)
+        if v == start:
+            break
+        e = next(x for x in g.incident_edges(v) if x.id != e.id)
+    return runs
+
+
+def test_cycle_loop_lap_matches_the_reference_walk():
+    # random cycles of one to seven raw edges with shuffled ids: one edge
+    # is a loop and two are parallel, which normalization subdivides
+    rng = random.Random(22)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        names = rng.sample([f"w{i}" for i in range(20)], n)
+        ids = rng.sample([f"f{i}" for i in range(20)], n)
+        g = build_graph(names, [(names[i], names[(i + 1) % n],
+                                 rng.uniform(0.1, 2.0), ids[i])
+                                for i in range(n)])
+        lap = walked_lap(g)
+        # one and a half laps: the first is walked whole
+        p = cycle_loop(g, 1.0, 1.5 * g.total_length)
+        assert p.points[0] == g.vertex_point(min(g.vertices))
+        assert [run for (run,) in p.routes[:len(lap)]] == lap
 
 
 @pytest.mark.parametrize("s, duration", [(math.nan, 1.0), (1.0, math.nan),
@@ -434,10 +475,14 @@ def test_finiteness_strategy_captures():
      "56a333c16c6f0dc36aa8bf24e70a6e7812585f5708f3472abffd2a9389a81ce2"),
     (lambda: star_strategy(star(3), 3.2, 1e-3), 154, 10.653409090909083,
      "656cd0c2390a949ab398d17d81c96ff13cfdebcee5a6b718a9e4ce05ba910788"),
-], ids=["finiteness", "secure", "comb", "star"])
+    (lambda: cycle_strategy(unit_cycle(), 1.5), 10, 2.0,
+     "cafdb463fee883b6795a36de722cd20ab03d671eaed19d6cb9bb9ecceffc6c96"),
+    (lambda: cycle_loop(unit_cycle(), 1.0, 6.0), 19, 6.0,
+     "62cfe09e6b7b6584fa662d8b1522917880b4e391563aa88dd8f45b4b8ce4417b"),
+], ids=["finiteness", "secure", "comb", "star", "cycle", "cycle_loop"])
 def test_cascade_paths_are_pinned(build, breakpoints, duration, digest):
-    # exact breakpoint times and points of cascades the benchmark does not
-    # build (it runs stars at other speeds and jittered combs)
+    # exact breakpoint times and points of paths the benchmark does not
+    # build (it runs stars at other speeds, jittered combs and other loops)
     p = build()
     assert len(p.times) == breakpoints and p.duration == duration
     assert hashlib.sha256(repr((p.times, p.points)).encode()).hexdigest() \
