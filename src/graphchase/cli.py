@@ -13,7 +13,6 @@ step count, duration / spacing, above 10^6).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import random
@@ -24,9 +23,8 @@ from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import save_svg
-from .trajectory import (JSONText, PathValidationError, load_path,
-                         path_to_dict, save_path, write_json)
-# save_report stays importable here: the benchmark's tracer wraps it by name
+from .trajectory import (PathValidationError, load_path, path_to_dict,
+                         save_path, write_json)
 from .verifier import (GameMismatchError, ParameterError, brute_force_oracle,
                        result_to_dict, save_report, verify)
 
@@ -146,24 +144,18 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _save_json(doc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_json(doc, fh)
-
-
 def cmd_verify(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     res = verify(cop, h=cfg.resolution, eps=cfg.eps)
-    # the witness document is built once, and rendered once when it goes
-    # to its own file: the report nests the same text
-    doc = result_to_dict(res)
-    if cfg.witness and doc["witness"] is not None:
-        text = io.StringIO()
-        write_json(doc["witness"], text)
-        doc["witness"] = JSONText(text.getvalue()[:-1])
+    witness = cfg.witness if res.witness is not None else None
     if cfg.report:
-        _save_json(doc, cfg.report)
+        save_report(res, cfg.report, witness)
+    elif witness:
+        # result_to_dict builds the witness document whichever files are
+        # written; it renders as save_path writes it
+        with open(witness, "w", encoding="utf-8") as fh:
+            write_json(result_to_dict(res)["witness"], fh)
     if res.captured:
         print(f"capture: every unit-speed evader within eps={res.eps:.6g} "
               f"by t={res.time_bound:.6g} "
@@ -172,9 +164,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     print(f"survival: witness evader keeps clearance "
           f"{res.min_clearance:.6g} over the whole horizon "
           f"(eps={res.eps:.6g} h={res.h:.6g} tau={res.tau:.6g})")
-    if cfg.witness and res.witness is not None:
-        _save_json(doc["witness"], cfg.witness)
-        print(f"witness written to {cfg.witness}")
+    if witness:
+        print(f"witness written to {witness}")
     return EXIT_SURVIVAL
 
 

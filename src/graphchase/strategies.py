@@ -20,6 +20,7 @@ from .trajectory import PathBuilder, TimedPath
 
 LADDER_TOL = 1e-9
 CLEAR_TOL = 1e-12
+STATION_PROBES = 10000  # probes one comb station may take before a refusal
 
 
 class StrategyError(ValueError):
@@ -161,7 +162,7 @@ class StarSchedule:
     durations grow by `lam` from `d0` while more than one arm stays
     uncleared.  `phase1_end` is when the initial out-and-back on the last arm
     finishes and the cascade clock starts.  `last_arm` is the cascade arm
-    still uncleared after the final excursion, or None if none is left.
+    still uncleared after the final excursion.
     `clearings` lists (excursion index, arm) for each cleared cascade arm,
     in the order the arms clear: the index is that of the excursion that
     probed the arm and after which its radius first covers it.
@@ -177,7 +178,7 @@ class StarSchedule:
     final_arm: str                 # probed once in phase 1
     phase1_end: float
     excursions: tuple[tuple[str, float, float], ...]
-    last_arm: str | None
+    last_arm: str
     clearings: tuple[tuple[int, str], ...]
 
 
@@ -265,9 +266,8 @@ def build_star_schedule(g: MetricGraph, s: float,
             clearings.append((j, target))
             rotation.remove(target)
         j += 1
-    last_arm = rotation[0] if rotation[0] not in cleared else None
     return StarSchedule(k, s, lam, d0, m_start, center, tuple(cascade_arms),
-                        final_arm, phase1_end, tuple(excursions), last_arm,
+                        final_arm, phase1_end, tuple(excursions), rotation[0],
                         tuple(clearings))
 
 
@@ -288,8 +288,7 @@ def star_strategy(g: MetricGraph, s: float,
     for target, start, duration in sched.excursions:
         _probe(pb, sched.center, target, start, duration,
                g.edge(target).length)
-    if sched.last_arm is not None:
-        pb.move_to(g.leaf_end(sched.last_arm))
+    pb.move_to(g.leaf_end(sched.last_arm))
     return pb.build({"kind": "star", "lambda": sched.lam,
                      "truncation": truncation, "m_start": sched.m_start})
 
@@ -325,13 +324,18 @@ def _detect_comb(g: MetricGraph):
 
 def comb_strategy(g: MetricGraph, s: float,
                   truncation: float | None = None) -> TimedPath:
-    """A capturing trajectory on an equal-length comb at any speed s > 3.
+    """A capturing trajectory on an equal-length comb at speed s > 3.
 
     Opens by sweeping the first tooth and the first backbone edge.  At each
     interior backbone vertex the two unknown edges (tooth, next backbone
     edge) are cleared by a 2-arm cascade whose probe durations are capped at
     the clearing threshold; equal edge lengths make the cap compatible with
     the safety ladder.  Ends by sweeping the last tooth.
+
+    A station that is not cleared within STATION_PROBES probes raises
+    StrategyError.  The cascade needs more probes the closer s is to 3, so
+    this refuses speeds just above it: on a comb of 6 unit teeth, 3.001
+    builds and 3.0009 is refused.
     """
     if not s > 3:
         raise StrategyError(f"comb clearing needs speed above 3, got {s}")
@@ -361,8 +365,11 @@ def comb_strategy(g: MetricGraph, s: float,
         elapsed = 0.0
         j = 0
         while tooth not in cleared:
-            if j > 10000:
-                raise StrategyError("station cascade failed to terminate")
+            if j > STATION_PROBES:
+                raise StrategyError(
+                    f"comb clearing at speed {s} is too close to the "
+                    f"threshold 3: the station at {v!r} is not cleared "
+                    f"within the {STATION_PROBES}-probe station limit")
             target = tooth if j % 2 == 0 else spine
             duration = min(d0 * lam ** j, cap)
             _probe(pb, v, target, station_start + elapsed, duration,

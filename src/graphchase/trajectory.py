@@ -728,16 +728,30 @@ def _json_chunk(items, pad: str) -> str:
     return sep.join(_json_text(x, pad) for x in items)
 
 
-class JSONText(str):
-    """A value already rendered by `write_json`, without its final newline.
-    `write_json` writes it, re-indented, in place of that value as a dict
-    value or as the whole document."""
+@dataclass(frozen=True)
+class JSONTee:
+    """A value that `write_json` also writes to a second file handle, fh.
+
+    As a dict value or as the whole document, the value is rendered once,
+    at top level: each piece of text goes to fh as it comes, and the same
+    piece, re-indented, goes where the value sits.  fh then gets the
+    final newline, so it holds the value as `write_json` writes it alone.
+    """
+
+    value: object
+    fh: object
 
 
 def _write_json(x, pad: str, write) -> None:
     inner = pad + "  "
-    if type(x) is JSONText:
-        write(x.replace("\n", "\n" + pad))
+    if type(x) is JSONTee:
+        tee = x.fh.write
+
+        def both(text: str) -> None:
+            tee(text)
+            write(text.replace("\n", "\n" + pad))
+        _write_json(x.value, "", both)
+        tee("\n")
     elif _str_keyed(x):
         sep = "{\n"
         for k in sorted(x):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .graph import (GEOM_TOL, DiscretizedGraph, RowLayout, discretize,
                     max_spacing, sample_count)
-from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
-                         path_pieces, path_to_dict, write_json)
+from .trajectory import (JSONTee, PieceTable, TimedPath, clip_pieces,
+                         min_clearance, path_pieces, path_to_dict, write_json)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -353,9 +353,23 @@ def result_to_dict(r: VerifierResult) -> dict:
     }
 
 
-def save_report(r: VerifierResult, path: str) -> None:
+def save_report(r: VerifierResult, path: str,
+                witness_path: str | None = None) -> None:
+    """Write `result_to_dict(r)` to path as `write_json` renders it.
+
+    With witness_path, a survival's witness also goes to that file, byte
+    for byte as `save_path` writes it.  The witness is rendered once, into
+    both files in the same pass (`JSONTee`).  A capture has no witness and
+    writes no witness file.
+    """
+    doc = result_to_dict(r)
     with open(path, "w", encoding="utf-8") as fh:
-        write_json(result_to_dict(r), fh)
+        if witness_path is None or doc["witness"] is None:
+            write_json(doc, fh)
+            return
+        with open(witness_path, "w", encoding="utf-8") as wfh:
+            doc["witness"] = JSONTee(doc["witness"], wfh)
+            write_json(doc, fh)
 
 
 # ----------------------------------------------------------------------

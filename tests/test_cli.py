@@ -488,3 +488,22 @@ def test_verify_files_share_one_witness_document(tmp_path, monkeypatch,
         assert files["--witness"].read_bytes() == \
             json.dumps(path_to_dict(res.witness), indent=2,
                        sort_keys=True).encode("utf-8") + b"\n"
+
+
+def test_report_and_witness_render_the_witness_once(tmp_path):
+    # one render streamed into both files a chunk at a time peaks at about
+    # 2.2 times the report's size here; rendering the witness to a string
+    # and copying it into both files peaks at about 4.7 times
+    res = verify(cycle_loop(unit_cycle(), 1.0, 10.0), h=1 / 400)
+    assert len(res.witness.times) >= 4000
+    report, witness = tmp_path / "r.json", tmp_path / "w.json"
+    tracemalloc.start()
+    try:
+        save_report(res, report, witness)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * report.stat().st_size
+    assert witness.read_bytes() == \
+        json.dumps(path_to_dict(res.witness), indent=2,
+                   sort_keys=True).encode("utf-8") + b"\n"

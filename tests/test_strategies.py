@@ -16,7 +16,8 @@ from graphchase import (StrategyError, build_graph, build_star_schedule,
                         secure_vertex, star_strategy, sufficient_speed,
                         sweep_strategy, total_variation, verify)
 from graphchase.graph import walk_covers
-from graphchase.strategies import _cascade_update, _detect_comb, _ladder_init
+from graphchase.strategies import (STATION_PROBES, _cascade_update,
+                                   _detect_comb, _ladder_init)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
@@ -272,6 +273,15 @@ def test_comb_rejections():
         comb_strategy(star(3), 4.0)
     with pytest.raises(StrategyError, match="positive"):
         comb_strategy(comb(3), 4.0, truncation=-1.0)
+
+
+def test_comb_station_limit_names_the_speed():
+    # just above 3 a station cascade needs more probes than its limit
+    g = comb(6)
+    with pytest.raises(StrategyError, match=r"speed 3\.0009 .* threshold 3.*"
+                       rf"{STATION_PROBES}-probe station limit"):
+        comb_strategy(g, 3.0009)
+    assert comb_strategy(g, 3.001).metadata["kind"] == "comb"
 
 
 def test_comb_backbone_in_path_order():

@@ -22,7 +22,7 @@ from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
                         transfer_scale, transfer_shorten, truncate_path,
                         verify)
 from graphchase.randgen import random_cop_path, random_graph
-from graphchase.trajectory import (JSON_CHUNK, JSONText, PieceTable,
+from graphchase.trajectory import (JSON_CHUNK, JSONTee, PieceTable,
                                    _runs_length, write_json)
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
@@ -607,17 +607,19 @@ def test_write_json_is_json_dumps(doc, rows, repeat):
 @settings(max_examples=100, deadline=None)
 @given(doc=JSON_VALUES, rows=st.lists(ROWS, max_size=4))
 def test_rendered_text_nests_as_its_value(doc, rows):
-    # a value rendered once and nested as JSONText gives the same bytes as
-    # the value itself, at any depth
+    # a teed value gives the same bytes as the value itself, at any depth,
+    # and its side file holds the value's own render
     def render(d):
         buf = io.StringIO()
         write_json(d, buf)
         return buf.getvalue()
 
     value = {"breakpoints": rows * 3, "metadata": doc}
-    text = JSONText(render(value)[:-1])
-    for outer, nested in (({"w": value, "a": 1}, {"w": text, "a": 1}),
-                          ({"x": {"w": value}}, {"x": {"w": text}}),
-                          (value, text)):
-        assert render(nested) == render(outer) == \
+    alone = render(value)
+    for outer, nest in (({"w": value, "a": 1}, lambda t: {"w": t, "a": 1}),
+                        ({"x": {"w": value}}, lambda t: {"x": {"w": t}}),
+                        (value, lambda t: t)):
+        side = io.StringIO()
+        assert render(nest(JSONTee(value, side))) == render(outer) == \
             json.dumps(outer, indent=2, sort_keys=True) + "\n"
+        assert side.getvalue() == alone
