@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -23,10 +24,9 @@ from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
 from .graph import GraphValidationError, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import save_svg
-from .trajectory import (PathValidationError, load_path, path_to_dict,
-                         save_path, write_json)
+from .trajectory import PathValidationError, load_path, path_chunks, save_path
 from .verifier import (GameMismatchError, ParameterError, brute_force_oracle,
-                       result_to_dict, save_report, verify)
+                       save_report, verify)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -138,13 +138,21 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
         save_path(path, cfg.out)
         print(f"wrote {cfg.out}")
     else:
-        write_json(path_to_dict(path), sys.stdout)
+        sys.stdout.writelines(path_chunks(path))
+        sys.stdout.write("\n")
+    # the summary leaves stdout to the trajectory when that is written there
     print(f"kind {path.metadata.get('kind', cfg.kind)}  "
-          f"duration {path.duration:.6g}  breakpoints {len(path.times)}")
+          f"duration {path.duration:.6g}  breakpoints {len(path.times)}",
+          file=sys.stdout if cfg.out else sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.report and cfg.witness and \
+            os.path.realpath(cfg.report) == os.path.realpath(cfg.witness):
+        print(f"error: --report and --witness name the same file "
+              f"{cfg.witness}", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph(cfg.graph)
     cop = load_path(g, cfg.strategy)
     res = verify(cop, h=cfg.resolution, eps=cfg.eps)
@@ -152,10 +160,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.report:
         save_report(res, cfg.report, witness)
     elif witness:
-        # result_to_dict builds the witness document whichever files are
-        # written; it renders as save_path writes it
-        with open(witness, "w", encoding="utf-8") as fh:
-            write_json(result_to_dict(res)["witness"], fh)
+        save_path(res.witness, witness)
     if res.captured:
         print(f"capture: every unit-speed evader within eps={res.eps:.6g} "
               f"by t={res.time_bound:.6g} "

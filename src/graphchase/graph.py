@@ -493,7 +493,8 @@ def double_tree_walk(g: MetricGraph, start: str):
 
 
 def walk_length(runs) -> float:
-    return sum(abs(x1 - x0) for _, x0, x1 in runs)
+    """The length of (edge id, x0, x1) runs, correctly rounded."""
+    return math.fsum(abs(x1 - x0) for _, x0, x1 in runs)
 
 
 def walk_covers(g: MetricGraph, runs) -> bool:

@@ -14,21 +14,18 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
-from .graph import GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph
+from .graph import (GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph,
+                    walk_length)
 
 SPEED_TOL = 1e-9
 
 
 class PathValidationError(ValueError):
     """Raised when breakpoints, routes, and the speed bound are inconsistent."""
-
-
-def _runs_length(runs) -> float:
-    return math.fsum(abs(x1 - x0) for _, x0, x1 in runs)
 
 
 def _reals(values, what: str) -> np.ndarray:
@@ -74,7 +71,7 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     then continuity from the position before it), the arrival at the next
     breakpoint and the speed bound; the first failure in that order raises
     that walk's exception and message.  Positions are compared as
-    `points_equal` does, and each segment's length is `_runs_length`.
+    `points_equal` does, and each segment's length is `walk_length`.
 
     A segment whose runs have no length is one stationary row.  Otherwise
     run k of a segment [a, b] whose runs are `seg_len` long in all spans
@@ -225,7 +222,7 @@ class TimedPath:
         return self.times[-1]
 
     def segment_length(self, i: int) -> float:
-        return _runs_length(self.routes[i])
+        return walk_length(self.routes[i])
 
     def segment_index(self, t: float) -> int:
         """Index i with times[i] <= t <= times[i+1] (clamped at the ends)."""
@@ -241,7 +238,7 @@ class TimedPath:
             return self.points[0]
         i = self.segment_index(t)
         runs = self.routes[i]
-        seg_len = _runs_length(runs)
+        seg_len = walk_length(runs)
         if seg_len == 0:
             return self.points[i]
         frac = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
@@ -307,7 +304,7 @@ class PathBuilder:
                      if abs(x1 - x0) > 0)
         if duration <= 0:
             raise PathValidationError(f"duration must be positive, got {duration}")
-        total = _runs_length(runs)
+        total = walk_length(runs)
         if total == 0:
             return self.wait(duration)
         t_start = self.now
@@ -669,11 +666,14 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
 
 
 def save_path(p: TimedPath, path: str) -> None:
+    """Write p to path as `json.dumps(path_to_dict(p), indent=2,
+    sort_keys=True)` and a newline would, through `path_chunks`."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_json(path_to_dict(p), fh)
+        fh.writelines(path_chunks(p))
+        fh.write("\n")
 
 
-JSON_CHUNK = 256        # list elements rendered per write of write_json
+JSON_CHUNK = 256        # breakpoints or routes per piece of path_chunks
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -699,86 +699,38 @@ def _json_texts(values, pad: str) -> list:
     return [_json_text(v, pad) for v in values]
 
 
-def _str_keyed(x) -> bool:
-    return type(x) is dict and bool(x) and all(type(k) is str for k in x)
+def path_chunks(p: TimedPath):
+    """The text of `json.dumps(path_to_dict(p), indent=2, sort_keys=True)`
+    in pieces, each of at most JSON_CHUNK breakpoints or routes.
 
-
-def _json_chunk(items, pad: str) -> str:
-    """The list elements, each as `_json_text` renders it at indentation
-    pad, joined as json joins them.  Dicts sharing one set of str keys
-    (breakpoints) are rendered a key at a time across all of them, and
-    lists (routes) through `_json_texts`."""
-    inner = pad + "  "
-    sep = ",\n" + pad
-    head = items[0]
-    if _str_keyed(head) and all(type(x) is dict and x.keys() == head.keys()
-                                for x in items):
-        parts = []
-        for j, k in enumerate(sorted(head)):
-            label = ("{\n" if j == 0 else ",\n") + inner + _encode_str(k)
-            parts += [repeat(label + ": "),
-                      _json_texts([x[k] for x in items], inner)]
-        parts.append(repeat(f"\n{pad}}}"))
-        return sep.join(map("".join, zip(*parts)))
-    if all(type(x) is list for x in items):
-        inner_sep = ",\n" + inner
-        return sep.join(
-            f"[\n{inner}{inner_sep.join(_json_texts(x, inner))}\n{pad}]"
-            if x else "[]" for x in items)
-    return sep.join(_json_text(x, pad) for x in items)
-
-
-@dataclass(frozen=True)
-class JSONTee:
-    """A value that `write_json` also writes to a second file handle, fh.
-
-    As a dict value or as the whole document, the value is rendered once,
-    at top level: each piece of text goes to fh as it comes, and the same
-    piece, re-indented, goes where the value sits.  fh then gets the
-    final newline, so it holds the value as `write_json` writes it alone.
+    The values are read from p's own columns and encoded a column at a
+    time by `_json_texts`, so no document is built and no more than a
+    piece of the text is held at once.  The pieces render the path at top
+    level; with two more spaces after each of their newlines, they render
+    it as a value one level down, as `verifier.save_report` nests it.
     """
-
-    value: object
-    fh: object
-
-
-def _write_json(x, pad: str, write) -> None:
-    inner = pad + "  "
-    if type(x) is JSONTee:
-        tee = x.fh.write
-
-        def both(text: str) -> None:
-            tee(text)
-            write(text.replace("\n", "\n" + pad))
-        _write_json(x.value, "", both)
-        tee("\n")
-    elif _str_keyed(x):
-        sep = "{\n"
-        for k in sorted(x):
-            write(f"{sep}{inner}{_encode_str(k)}: ")
-            _write_json(x[k], inner, write)
-            sep = ",\n"
-        write(f"\n{pad}}}")
-    elif type(x) is list and x:
-        for a in range(0, len(x), JSON_CHUNK):
-            write(("[\n" if a == 0 else ",\n") + inner
-                  + _json_chunk(x[a:a + JSON_CHUNK], inner))
-        write(f"\n{pad}]")
-    else:
-        write(_json_text(x, pad))
-
-
-def write_json(doc, fh) -> None:
-    """Write doc to fh as `json.dumps(doc, indent=2, sort_keys=True)`
-    followed by a newline, byte for byte.
-
-    Dicts are written key by key and lists JSON_CHUNK elements at a time,
-    so no more than a chunk of the text is held at once, and the values of
-    a chunk are encoded a column at a time by json's own scalar encoders
-    instead of json's Python generator chain over every token.
-    """
-    _write_json(doc, "", fh.write)
-    fh.write("\n")
+    sep = ",\n    "
+    row = '{{\n      "edge": {},\n      "offset": {},\n      "t": {}\n    }}'
+    for a in range(0, len(p.times), JSON_CHUNK):
+        points = p.points[a:a + JSON_CHUNK]
+        rows = map(row.format,
+                   _json_texts([q.edge for q in points], "      "),
+                   _json_texts([q.offset for q in points], "      "),
+                   _json_texts(p.times[a:a + JSON_CHUNK], "      "))
+        yield ('{\n  "breakpoints": [\n    ' if a == 0 else sep) + \
+            sep.join(rows)
+    yield "\n  ]"
+    if p.metadata:
+        yield ',\n  "metadata": ' + _json_text(dict(p.metadata), "  ")
+    for a in range(0, len(p.routes), JSON_CHUNK):
+        routes = p.routes[a:a + JSON_CHUNK]
+        ids = iter(_json_texts([eid for runs in routes for eid, _, _ in runs],
+                               "      "))
+        yield (',\n  "routes": [\n    ' if a == 0 else sep) + sep.join(
+            "[\n      " + ",\n      ".join(islice(ids, len(runs))) + "\n    ]"
+            if runs else "[]" for runs in routes)
+    yield "\n  ]" if p.routes else ',\n  "routes": []'
+    yield f',\n  "speed": {_json_text(p.speed_bound, "  ")}\n}}'
 
 
 def load_path(g: MetricGraph, path: str) -> TimedPath:

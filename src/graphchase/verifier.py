@@ -18,15 +18,16 @@ that trajectory's true continuous-time clearance against the cop.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import (GEOM_TOL, DiscretizedGraph, RowLayout, discretize,
                     max_spacing, sample_count)
-from .trajectory import (JSONTee, PieceTable, TimedPath, clip_pieces,
-                         min_clearance, path_pieces, path_to_dict, write_json)
+from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
+                         path_chunks, path_pieces, path_to_dict)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -355,21 +356,34 @@ def result_to_dict(r: VerifierResult) -> dict:
 
 def save_report(r: VerifierResult, path: str,
                 witness_path: str | None = None) -> None:
-    """Write `result_to_dict(r)` to path as `write_json` renders it.
+    """Write `result_to_dict(r)` to path as `json.dumps(doc, indent=2,
+    sort_keys=True)` and a newline would.
 
-    With witness_path, a survival's witness also goes to that file, byte
-    for byte as `save_path` writes it.  The witness is rendered once, into
-    both files in the same pass (`JSONTee`).  A capture has no witness and
-    writes no witness file.
+    json.dumps renders every field but the witness.  A survival's witness,
+    under "witness", the key that sorts last, is streamed from
+    `path_chunks` without building its document.  With witness_path, each
+    piece also goes to that file as is, so it holds the witness byte for
+    byte as `save_path` writes it.  A capture has no witness and writes no
+    witness file.
     """
-    doc = result_to_dict(r)
+    head = json.dumps(result_to_dict(replace(r, witness=None)), indent=2,
+                      sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        if witness_path is None or doc["witness"] is None:
-            write_json(doc, fh)
+        if r.witness is None:
+            fh.write(head + "\n")
             return
-        with open(witness_path, "w", encoding="utf-8") as wfh:
-            doc["witness"] = JSONTee(doc["witness"], wfh)
-            write_json(doc, fh)
+        # "witness", the key that sorts last, ends the head as null
+        fh.write(head[:-len("null\n}")])
+        chunks = path_chunks(r.witness)
+        if witness_path is None:
+            fh.writelines(chunk.replace("\n", "\n  ") for chunk in chunks)
+        else:
+            with open(witness_path, "w", encoding="utf-8") as wfh:
+                for chunk in chunks:
+                    wfh.write(chunk)
+                    fh.write(chunk.replace("\n", "\n  "))
+                wfh.write("\n")
+        fh.write("\n}\n")
 
 
 # ----------------------------------------------------------------------

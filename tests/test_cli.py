@@ -9,7 +9,7 @@ from graphchase import (EvidenceError, build_family, build_graph,
                         cycle_loop, load_graph, load_path, path_to_dict,
                         result_to_dict, save_graph, save_path, save_report,
                         sweep_strategy, verify)
-from graphchase import cli, verifier
+from graphchase import cli, trajectory, verifier
 from graphchase.cli import main
 
 from common import (hand_built_path, odd_graph, path_graph, star,
@@ -45,9 +45,8 @@ def test_generate_stdout_is_loadable(cycle_file, capsys):
     rc = main(["generate", "--graph", cycle_file, "--kind", "cycle",
                "--speed", "2.0"])
     assert rc == 0
-    text = capsys.readouterr().out
-    # strategy JSON object first, then the summary line
-    doc = json.loads(text[:text.rindex("}") + 1])
+    # the whole of stdout is the strategy; the summary goes to stderr
+    doc = json.loads(capsys.readouterr().out)
     assert doc["breakpoints"][0]["t"] == 0.0
 
 
@@ -432,9 +431,9 @@ def test_cli_outputs_equal_json_dumps_byte_for_byte(tmp_path, capsys):
     expected = dumps(path_to_dict(build_family(g, "cycle", 2.0)))
     assert main(["generate", "--graph", graph, "--kind", "cycle",
                  "--speed", "2.0"]) == 0
-    text = capsys.readouterr().out
-    assert text.startswith(expected) and \
-        text[len(expected):].startswith("kind cycle")
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.startswith("kind cycle")
     out = tmp_path / "s.json"
     assert main(["generate", "--graph", graph, "--kind", "cycle",
                  "--speed", "2.0", "--out", str(out)]) == 0
@@ -460,24 +459,26 @@ def test_cli_outputs_equal_json_dumps_byte_for_byte(tmp_path, capsys):
         "capture-both"])
 def test_verify_files_share_one_witness_document(tmp_path, monkeypatch,
                                                  speed, flags):
-    # the witness document is built once for both files, and each file
-    # equals its own json.dumps render
+    # the files are rendered from the witness's own columns, building no
+    # path_to_dict document, and each file equals its own json.dumps render
     graph, strategy = str(tmp_path / "g.json"), tmp_path / "c.json"
     save_graph(odd_graph(), graph)
     g = load_graph(graph)
     save_path(cycle_loop(g, speed, 6.0), strategy)
     files = {flag: tmp_path / f"{flag[2:]}.json" for flag in flags}
     built = []
-    real = verifier.path_to_dict
-    monkeypatch.setattr(verifier, "path_to_dict",
-                        lambda p: built.append(p) or real(p))
+    real = trajectory.path_to_dict
+    for module in (trajectory, verifier, cli):
+        monkeypatch.setattr(module, "path_to_dict",
+                            lambda p: built.append(p) or real(p),
+                            raising=False)
     rc = main(["verify", "--graph", graph, "--strategy", str(strategy),
                "--resolution", "0.05"]
               + [x for flag, f in files.items() for x in (flag, str(f))])
     monkeypatch.undo()
     res = verify(load_path(g, str(strategy)), h=0.05)
     assert rc == (cli.EXIT_OK if res.captured else cli.EXIT_SURVIVAL)
-    assert len(built) == (res.witness is not None)
+    assert built == []
     if "--report" in files:
         assert files["--report"].read_bytes() == \
             json.dumps(result_to_dict(res), indent=2,
@@ -490,10 +491,29 @@ def test_verify_files_share_one_witness_document(tmp_path, monkeypatch,
                        sort_keys=True).encode("utf-8") + b"\n"
 
 
+def test_verify_refuses_one_file_for_report_and_witness(tmp_path, monkeypatch,
+                                                        capsys):
+    # the two documents would interleave in one file; the refusal comes
+    # before the graph is loaded, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_graph",
+                        lambda path: pytest.fail("graph loaded"))
+    out = tmp_path / "out.json"
+    for report, witness in (("out.json", "out.json"),
+                            ("out.json", "./out.json"),
+                            (str(out), "sub/../out.json")):
+        rc = main(["verify", "--graph", "g.json", "--strategy", "c.json",
+                   "--report", report, "--witness", witness])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_report_and_witness_render_the_witness_once(tmp_path):
-    # one render streamed into both files a chunk at a time peaks at about
-    # 2.2 times the report's size here; rendering the witness to a string
-    # and copying it into both files peaks at about 4.7 times
+    # the witness streamed from its own columns into both files a chunk at
+    # a time peaks at about 0.25 times the report's size here; building its
+    # path_to_dict document first peaks at about 2.2 times
     res = verify(cycle_loop(unit_cycle(), 1.0, 10.0), h=1 / 400)
     assert len(res.witness.times) >= 4000
     report, witness = tmp_path / "r.json", tmp_path / "w.json"
@@ -503,7 +523,7 @@ def test_report_and_witness_render_the_witness_once(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * report.stat().st_size
+    assert peak < report.stat().st_size / 2
     assert witness.read_bytes() == \
         json.dumps(path_to_dict(res.witness), indent=2,
                    sort_keys=True).encode("utf-8") + b"\n"

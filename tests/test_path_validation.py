@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from graphchase import (GraphPoint, PathValidationError, TimedPath,
                         build_graph, cycle_loop, star_strategy,
                         sweep_strategy, verify)
-from graphchase.graph import GEOM_TOL
+from graphchase.graph import GEOM_TOL, walk_length
 from graphchase.randgen import random_graph
-from graphchase.trajectory import SPEED_TOL, _runs_length
+from graphchase.trajectory import SPEED_TOL
 
 from common import comb, path_graph, star, unit_cycle
 
@@ -56,7 +56,7 @@ def scalar_validate(g, times, points, routes, speed_bound):
             raise PathValidationError(
                 f"route of segment {i} does not reach breakpoint {i + 1}")
         dt = times[i + 1] - times[i]
-        if _runs_length(runs) > speed_bound * dt + SPEED_TOL:
+        if walk_length(runs) > speed_bound * dt + SPEED_TOL:
             raise PathValidationError(
                 f"segment {i} is faster than the declared bound {speed_bound}")
 
@@ -166,7 +166,7 @@ def corrupt(parts, kind, r):
     routes = [list(runs) for runs in routes]
     flat = [(i, j) for i, runs in enumerate(routes) for j in range(len(runs))]
     moving = [i for i, runs in enumerate(routes)
-              if _runs_length(runs) > 1e-6]
+              if walk_length(runs) > 1e-6]
     edge_len = {e.id: e.length for e in g.edges}
 
     def tol_offsets(eid):   # just inside and one ulp outside each end
@@ -229,7 +229,7 @@ def corrupt(parts, kind, r):
             routes[i][k] = (eid, x0, x1 + jitter)
     elif kind in ("speed-over", "speed-under") and moving and speed > 0:
         i = r.choice(moving)
-        times = _nudge_time(times, i, speed, _runs_length(routes[i]),
+        times = _nudge_time(times, i, speed, walk_length(routes[i]),
                             kind == "speed-over")
     elif kind == "time" and len(times) > 1:
         i = r.randrange(1, len(times))
@@ -274,8 +274,8 @@ def test_speed_bound_one_ulp_each_way_with_one_and_several_runs():
     for parts, several in ((BASES[0], False), (multigraph_path(2), True)):
         g, times, points, routes, speed = parts
         i = next(i for i, runs in enumerate(routes)
-                 if _runs_length(runs) > 1e-6 and (len(runs) > 1) == several)
-        length = _runs_length(routes[i])
+                 if walk_length(runs) > 1e-6 and (len(runs) > 1) == several)
+        length = walk_length(routes[i])
         for over in (True, False):
             t = _nudge_time(times, i, speed, length, over)
             ref = assert_same_decision(g, t, points, routes, speed)
@@ -293,7 +293,7 @@ def test_speed_bound_uses_the_exactly_rounded_segment_length():
     g = build_graph(["a", "b", "c", "d"], [("a", "b", 0.1), ("b", "c", 0.2),
                                            ("c", "d", 0.3)])
     runs = [("e0", 0.0, 0.1), ("e1", 0.0, 0.2), ("e2", 0.0, 0.3)]
-    assert _runs_length(runs) == 0.6 < (0.1 + 0.2) + 0.3
+    assert walk_length(runs) == 0.6 < (0.1 + 0.2) + 0.3
     points = [GraphPoint("e0", 0.0), GraphPoint("e2", 0.3)]
     times = _nudge_time([0.0, 1.0], 0, 1.0, 0.6, over=False)
     assert times[1] + SPEED_TOL == 0.6

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -20,10 +19,9 @@ from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
                         path_to_dict,
                         reparameterize_max_speed, save_path, total_variation,
                         transfer_scale, transfer_shorten, truncate_path,
-                        verify)
+                        verify, walk_length)
 from graphchase.randgen import random_cop_path, random_graph
-from graphchase.trajectory import (JSON_CHUNK, JSONTee, PieceTable,
-                                   _runs_length, write_json)
+from graphchase.trajectory import JSON_CHUNK, PieceTable, path_chunks
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
@@ -395,7 +393,7 @@ def scalar_piece_table(p):
     rows, edges = [], []
     for i, runs in enumerate(p.routes):
         a, b = p.times[i], p.times[i + 1]
-        seg_len = _runs_length(runs)
+        seg_len = walk_length(runs)
         if seg_len == 0:
             q = p.points[i]
             rows.append((a, b, a, b, q.offset, q.offset))
@@ -468,7 +466,7 @@ def test_piece_table_matches_scalar_reference():
     def check(p):
         want = _assert_same_table(p)
         counts = [len(runs) for runs in p.routes]
-        moving = [_runs_length(runs) > 0 for runs in p.routes]
+        moving = [walk_length(runs) > 0 for runs in p.routes]
         seen["stationary"] += not all(moving)
         seen["vertex"] += max(counts, default=0) >= 2
         seen["fsum"] += max(counts, default=0) >= 3
@@ -580,46 +578,89 @@ def test_path_files_equal_json_dumps_byte_for_byte(tmp_path):
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4),
     max_leaves=20)
 
 
-ROWS = st.fixed_dictionaries({"edge": st.text(max_size=3),
-                              "offset": st.floats(),
-                              "t": st.floats() | st.integers()}) \
-    | st.lists(st.text(max_size=2), max_size=3)
+@st.composite
+def written_paths(draw):
+    """A path on a line of three unit edges with int or float times,
+    offsets and speed, whose segments wait or move over one or more runs,
+    with any JSON metadata; sometimes a single breakpoint, and sometimes
+    a pattern of moves repeated past JSON_CHUNK breakpoints."""
+    offset = st.integers(0, 1) | st.floats(0, 1)
+    stops = draw(st.lists(st.tuples(st.integers(0, 2), offset,
+                                    st.integers(1, 3) | st.floats(0.5, 3)),
+                          max_size=4))
+    stops *= draw(st.integers(1, 3) | st.integers(JSON_CHUNK // 2, JSON_CHUNK))
+    k, x = draw(st.integers(0, 2)), draw(offset)
+    times = [draw(st.sampled_from([0, 0.0]))]
+    points, routes = [GraphPoint(f"e{k}", x)], []
+    for k1, x1, dt in stops:
+        step = 1 if k1 >= k else -1
+        out, into = (1, 0) if step == 1 else (0, 1)
+        runs = [(f"e{k}", x, x1 if k1 == k else out)] + \
+            [(f"e{j}", into, out) for j in range(k + step, k1, step)] + \
+            ([(f"e{k1}", into, x1)] if k1 != k else [])
+        times.append(times[-1] + dt)
+        points.append(GraphPoint(f"e{k1}", x1))
+        routes.append(tuple(r for r in runs if r[1] != r[2]))
+        k, x = k1, x1
+    metadata = draw(st.dictionaries(st.text(max_size=3), JSON_VALUES,
+                                    max_size=3))
+    return TimedPath(path_graph(3), tuple(times), tuple(points),
+                     tuple(routes), draw(st.integers(6, 9) | st.floats(6, 99)),
+                     metadata)
 
 
-@settings(max_examples=150, deadline=None)
-@given(doc=JSON_VALUES, rows=st.lists(ROWS, max_size=4),
-       repeat=st.integers(0, JSON_CHUNK // 2))
-def test_write_json_is_json_dumps(doc, rows, repeat):
-    # long lists of breakpoint-like rows, routes and anything else, across
-    # chunk boundaries
-    for d in (doc, {"breakpoints": rows * repeat, "metadata": doc}):
-        buf = io.StringIO()
-        write_json(d, buf)
-        assert buf.getvalue() == json.dumps(d, indent=2, sort_keys=True) + "\n"
+def test_write_json_is_json_dumps():
+    # the path writer gives json.dumps' bytes for path_to_dict, at most
+    # JSON_CHUNK breakpoints or routes a piece
+    seen = {"int": 0, "float": 0, "nested": 0, "nonfinite": 0,
+            "nonascii": 0, "wait": 0, "multi": 0, "single": 0, "long": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(written_paths())
+    def check(p):
+        chunks = list(path_chunks(p))
+        assert "".join(chunks) == \
+            json.dumps(path_to_dict(p), indent=2, sort_keys=True)
+        assert all(c.count("\n    {") + c.count("\n    [") <= JSON_CHUNK
+                   for c in chunks)
+        values = list(p.times) + [q.offset for q in p.points]
+        meta = json.dumps(p.metadata, ensure_ascii=False)
+        seen["int"] += int in map(type, values)
+        seen["float"] += float in map(type, values)
+        seen["nested"] += any(type(v) in (list, dict) and v
+                              for v in p.metadata.values())
+        seen["nonfinite"] += "NaN" in meta or "Infinity" in meta
+        seen["nonascii"] += not meta.isascii()
+        seen["wait"] += () in p.routes
+        seen["multi"] += any(len(runs) > 1 for runs in p.routes)
+        seen["single"] += len(p.times) == 1
+        seen["long"] += len(p.times) > JSON_CHUNK
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
-@settings(max_examples=100, deadline=None)
-@given(doc=JSON_VALUES, rows=st.lists(ROWS, max_size=4))
-def test_rendered_text_nests_as_its_value(doc, rows):
-    # a teed value gives the same bytes as the value itself, at any depth,
-    # and its side file holds the value's own render
-    def render(d):
-        buf = io.StringIO()
-        write_json(d, buf)
-        return buf.getvalue()
+def test_rendered_text_nests_as_its_value():
+    # the path writer's pieces, with two more spaces after each newline,
+    # give json.dumps' bytes for the path nested one level down, as
+    # save_report nests a witness
+    seen = {"single": 0, "long": 0}
 
-    value = {"breakpoints": rows * 3, "metadata": doc}
-    alone = render(value)
-    for outer, nest in (({"w": value, "a": 1}, lambda t: {"w": t, "a": 1}),
-                        ({"x": {"w": value}}, lambda t: {"x": {"w": t}}),
-                        (value, lambda t: t)):
-        side = io.StringIO()
-        assert render(nest(JSONTee(value, side))) == render(outer) == \
-            json.dumps(outer, indent=2, sort_keys=True) + "\n"
-        assert side.getvalue() == alone
+    @settings(max_examples=100, deadline=None)
+    @given(written_paths())
+    def check(p):
+        nested = "".join(c.replace("\n", "\n  ") for c in path_chunks(p))
+        assert '{\n  "w": ' + nested + "\n}" == \
+            json.dumps({"w": path_to_dict(p)}, indent=2, sort_keys=True)
+        seen["single"] += len(p.times) == 1
+        seen["long"] += len(p.times) > JSON_CHUNK
+
+    check()
+    assert min(seen.values()) > 0, seen
