@@ -711,8 +711,18 @@ class DiscretizedGraph:
 
     def cells_within(self, rows, edges, lo, hi,
                      eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of `distances_to_interval_rows` at most eps, as the
-        (row, sample) index arrays `np.nonzero` gives for them.
+        """`cell_keys` as the (row, sample) arrays `np.nonzero` gives: with
+        one zero-length interval per row at a sample's point, row q is that
+        sample's reach in the verifier."""
+        keys = self.cell_keys(rows, edges, lo, hi, eps)
+        keys.sort()
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        return np.divmod(keys[new], self.n)
+
+    def cell_keys(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
+        """The cells of `distances_to_interval_rows` at most eps, as keys
+        row * n + sample in no order, a cell possibly more than once.
 
         Only samples near an interval are looked at: its offset window on
         its own edge and each endpoint's samples within eps of the vertex,
@@ -724,19 +734,13 @@ class DiscretizedGraph:
         looked-at sample, and the cells are exact.  All intervals are
         handled at once, each kind of term as one flat array of candidate
         cells made by its own method, so that its temporaries are freed
-        before the cells are sorted.  The cells come sorted by row, then
-        sample.  With one zero-length interval per row at a sample's point,
-        row q is that sample's reach in the verifier.
+        before the keys are joined.
         """
-        keys = np.concatenate([self._vertex_cells(rows, edges, lo, hi, eps),
+        return np.concatenate([self._vertex_cells(rows, edges, lo, hi, eps),
                                self._edge_cells(rows, edges, lo, hi, eps)])
-        keys.sort()
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        return np.divmod(keys[new], self.n)
 
     def _vertex_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
-        """`cells_within`'s vertex terms at most eps, as keys row * n +
+        """`cell_keys`'s vertex terms at most eps, as keys row * n +
         sample: each interval's leg to either end of its edge, which a
         term is at least, plus the distances from that vertex to its
         samples within eps and a spacing."""
@@ -756,7 +760,7 @@ class DiscretizedGraph:
         return np.concatenate([rows, rows])[t[i[ok]]] * self.n + c[ok]
 
     def _edge_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
-        """`cells_within`'s direct terms at most eps, as keys row * n +
+        """`cell_keys`'s direct terms at most eps, as keys row * n +
         sample: the interior positions 1 .. intervals - 1 of each
         interval's edge within eps and a spacing of [lo, hi]."""
         reach = eps + self.max_spacing

@@ -9,11 +9,13 @@ discretizations are the sample spacing and the time step `tau`: the cop's
 duration cut into whole steps, each at least the largest spacing long.
 
 Every verdict is decided by a boolean game over which samples are alive,
-which needs only the grid cells within the capture radius of the cop.  On
-a survival that wants a witness, a maximin game then propagates each
-sample's best clearance so far, and the verifier extracts an explicit
-evader trajectory that maximizes its minimum grid clearance and recomputes
-that trajectory's true continuous-time clearance against the cop.
+which needs only the grid cells within the capture radius of the cop: its
+alive mask is one Python int with a bit per slot, and a step is a few
+whole-int shifts, ORs and ANDs.  On a survival that wants a witness, a
+maximin game then propagates each sample's best clearance so far, and the
+verifier extracts an explicit evader trajectory that maximizes its minimum
+grid clearance and recomputes that trajectory's true continuous-time
+clearance against the cop.
 """
 
 from __future__ import annotations
@@ -76,11 +78,10 @@ class ReachStructure:
     among edges with interior samples, so any two samples of one block at
     most `width` slots apart form a CSR pair, and a band of that half-width
     over the slots realizes exactly those pairs.  Every other non-self pair
-    is one `(junction_src, junction_dst)` entry, in slots.  `guards` lists
-    the guard slots in order, and `window` holds the 2 * width + 1 shifted
-    views of a scratch row with `width` -inf slots on either side, the
-    middle one the slots themselves; the scratch makes a ReachStructure
-    serve one propagation at a time.
+    is one `(junction_src, junction_dst)` entry, in slots.  `window` holds
+    the 2 * width + 1 shifted views of a scratch row with `width` -inf
+    slots on either side, the middle one the slots themselves; the scratch
+    makes a ReachStructure serve one propagation at a time.
     """
 
     src: np.ndarray
@@ -88,7 +89,6 @@ class ReachStructure:
     slot: np.ndarray
     n_slots: int
     width: int
-    guards: np.ndarray
     window: tuple
     junction_src: np.ndarray
     junction_dst: np.ndarray
@@ -133,14 +133,11 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
     slot = np.arange(n) + width * group
     n_slots = n + width * (n_vert + len(inner))
-    guards = np.ones(n_slots, dtype=bool)
-    guards[slot] = False
     pad = np.full(n_slots + 2 * width, -np.inf)
     window = tuple(pad[width + d:width + d + n_slots]
                    for d in range(-width, width + 1))
     far = (gap > 0) & ~(same & (gap <= width))
-    return ReachStructure(src, starts, slot, n_slots, width,
-                          np.flatnonzero(guards), window,
+    return ReachStructure(src, starts, slot, n_slots, width, window,
                           slot[src[far]], slot[dst[far]])
 
 
@@ -186,38 +183,68 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
     return np.minimum(best, clearance, out=best)
 
 
-def _alive_rows(reach: ReachStructure):
-    """Two zeroed bool rows of `reach.n_slots` slots with `width` False
-    slots on either side, each as its 2 * width + 1 shifted views like
-    `reach.window`: the middle view is the row itself."""
-    w, n = reach.width, reach.n_slots
-    pads = (np.zeros(n + 2 * w, dtype=bool) for _ in range(2))
-    return [tuple(pad[w + d:w + d + n] for d in range(-w, w + 1))
-            for pad in pads]
+def _alive_steps(reach: ReachStructure, alive: int, keeps):
+    """Yield the alive mask, one bit per slot, after each step: from the
+    start mask `alive`, with `keeps` giving each step's slots that are not
+    guards or dead (clearance at most eps).  A target is alive after the
+    step iff it is kept and some predecessor was alive and kept: the mask
+    is cut to the kept slots, ORed with its shifts over the band and with
+    the junction targets of its alive sources, and cut again.  The
+    junction targets are ORed by source, only when the alive sources
+    change."""
+    groups = {}
+    for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
+        groups[1 << s] = groups.get(1 << s, 0) | 1 << t
+    sources = sum(groups)       # the keys are distinct bits
+    seen = jump = 0
+    for keep in keeps:
+        alive &= keep
+        out = alive
+        for d in range(1, reach.width + 1):
+            out |= (alive << d) | (alive >> d)
+        if alive & sources != seen:
+            seen, jump = alive & sources, 0
+            for s, t in groups.items():
+                if seen & s:
+                    jump |= t
+        alive = (out | jump) & keep
+        yield alive
 
 
-def _alive_step(src, dst, kill: np.ndarray,
-                reach: ReachStructure) -> np.ndarray:
-    """One grid step of the alive mask, in slots: `propagate_step`'s
-    `score > eps`.
-
-    `src` and `dst` are the views of two rows from `_alive_rows`; the
-    middle of `src` is the alive mask, False in the guard slots.  `kill`
-    lists the step's dead slots, whose clearance is at most eps, and the
-    guard slots.  A target is alive after the step iff it is not dead and
-    some predecessor was alive and not dead: `kill` is cleared in `src`,
-    the band and the junction list are ORed into the middle of `dst`, and
-    `kill` is cleared there (the band sets guards), which is returned.
+def _keep_rows(grid: DiscretizedGraph, reach: ReachStructure,
+               table: PieceTable, tau: float, n_steps: int, eps: float):
+    """Yield the int of slots `_alive_steps` keeps at each step j <
+    n_steps: no guard, and no cell of step j's swept region within eps
+    (`cell_keys`, for blocks of SWEEP_STEPS steps).  The cells are cleared
+    in a bool block of rows holding the non-guard slots, packed to bits and
+    set again.  The block takes no more bytes than CHUNK_FLOATS floats, so
+    on large grids it takes a block of steps in slices of the sorted cells.
     """
-    w = reach.width
-    alive = src[w]
-    alive[kill] = False
-    out = np.logical_or(src[0], src[-1], out=dst[w])
-    for shifted in src[1:-1]:
-        out |= shifted
-    out[reach.junction_dst[alive[reach.junction_src]]] = True
-    out[kill] = False
-    return out
+    n = reach.n_slots
+    block = np.zeros((max(1, min(SWEEP_STEPS, 8 * CHUNK_FLOATS // n)), n),
+                     dtype=bool)
+    block[:, reach.slot] = True
+    flat = block.ravel()
+    for b0 in range(0, n_steps, SWEEP_STEPS):
+        b1 = min(b0 + SWEEP_STEPS, n_steps)
+        step, edge, lo, hi = swept_block(table, tau, b0, b1)
+        keys = grid.cell_keys(step - b0, edge, lo, hi, eps)
+        cells = keys // grid.n
+        keys -= cells * grid.n              # each cell's sample
+        cells *= n
+        cells += reach.slot[keys]           # its place in the rows from b0
+        cells.sort()
+        for r0 in range(0, b1 - b0, len(block)):
+            rows = block[:min(len(block), b1 - b0 - r0)]
+            c0, c1 = np.searchsorted(cells, [r0 * n, r0 * n + rows.size])
+            dead = cells[c0:c1] - r0 * n
+            flat[dead] = False
+            packed = np.packbits(rows, axis=1, bitorder="little")
+            flat[dead] = True
+            data, size = packed.tobytes(), packed.shape[1]
+            for k in range(0, len(data), size):
+                yield int.from_bytes(data[k:k + size], "little")
+        del keys, cells, dead   # before the next block's cells are made
 
 
 def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
@@ -225,51 +252,19 @@ def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
                       eps: float, start: np.ndarray) -> int | None:
     """The first step after which no sample is alive, or None: the boolean
     game, which decides every verdict of `verify` as the maximin game
-    would.
-
-    A sample is alive at step 0 iff `start > eps`, and after step j iff
-    its score exceeds eps, which, max and min being monotone, holds iff it
-    is outside step j's dead cells (clearance at most eps, from
-    `cells_within`) and some predecessor was alive and outside them.  The
-    steps run in blocks of SWEEP_STEPS.  An empty mask stays empty, so
-    emptiness is tested once per block, and a block that ends empty is
-    replayed from its first mask to find the step.
-    """
-    rows = _alive_rows(reach)
-    alive = rows[0][reach.width]
-    alive[reach.slot] = start > eps
-    for b0 in range(0, n_steps, SWEEP_STEPS):
-        b1 = min(b0 + SWEEP_STEPS, n_steps)
-        first = alive.copy()
-        kills = _dead_slots(grid, reach, table, tau, b0, b1, eps)
-        for cells in kills:
-            _alive_step(rows[0], rows[1], cells, reach)
-            rows.reverse()
-        alive = rows[0][reach.width]
-        if not alive.any():
-            alive[:] = first
-            for j, cells in enumerate(kills, b0):
-                if not _alive_step(rows[0], rows[1], cells, reach).any():
-                    return j
-                rows.reverse()
-        del kills       # before the next block's cells are made
+    would.  A sample is alive at step 0 iff its `start` score, in slots,
+    exceeds eps, and after step j iff its score exceeds eps, which, max and
+    min being monotone, holds iff it is outside step j's dead cells and
+    some predecessor was alive and outside them.  The alive mask is one
+    Python int (`_alive_steps`), so emptiness is tested after every step
+    at no cost."""
+    alive = int.from_bytes(
+        np.packbits(start > eps, bitorder="little").tobytes(), "little")
+    keeps = _keep_rows(grid, reach, table, tau, n_steps, eps)
+    for j, alive in enumerate(_alive_steps(reach, alive, keeps)):
+        if not alive:
+            return j
     return None
-
-
-def _dead_slots(grid: DiscretizedGraph, reach: ReachStructure,
-                table: PieceTable, tau: float, b0: int, b1: int,
-                eps: float) -> list:
-    """For each step b0 <= j < b1, the slots `_alive_step` clears: the
-    cells of step j's swept region within eps, then the guards; views
-    into one array."""
-    step, edge, lo, hi = swept_block(table, tau, b0, b1)
-    row, q = grid.cells_within(step - b0, edge, lo, hi, eps)
-    guards = reach.guards
-    ends = np.searchsorted(row, np.arange(1, b1 - b0 + 1))
-    kill = np.insert(reach.slot[q], np.repeat(ends, len(guards)),
-                     np.tile(guards, b1 - b0))
-    cuts = (ends + len(guards) * np.arange(1, b1 - b0 + 1)).tolist()
-    return [kill[c0:c1] for c0, c1 in zip([0] + cuts, cuts)]
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -451,9 +446,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is `tau` (see `_resolve_params`).
 
-    The boolean game `_first_empty_step` decides every verdict: it keeps
-    only which samples are alive and needs clearances only at the cells
-    within eps of the cop.  A capture returns from it, whatever
+    The boolean game `_first_empty_step` decides every verdict from the
+    cells within eps of the cop, and a capture returns from it, whatever
     `want_witness` says.  Only a survival that wants a witness plays the
     maximin game, once, and backtracks the witness from the bits
     `propagate_step` writes of which predecessors attain each best; if its
@@ -472,14 +466,14 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     if start.max() <= eps:
         return result("capture", 0.0)
     reach = build_reach(grid, tau + REACH_SLACK)
-    j = _first_empty_step(grid, reach, cop.table, tau, n_steps, eps, start)
+    score = np.full(reach.n_slots, -np.inf)
+    score[reach.slot] = start
+    j = _first_empty_step(grid, reach, cop.table, tau, n_steps, eps, score)
     if j is not None:
         return result("capture", (j + 1) * tau)
     if not want_witness:
         return result("survival")
     layout = grid.row_layout(reach.slot, reach.n_slots)
-    score = np.full(reach.n_slots, -np.inf)
-    score[reach.slot] = start
     n_bits = len(reach.window) * reach.n_slots + len(reach.junction_src)
     table = []      # the packed attains rows of each chunk of steps
     for rows in _clearance_rows(grid, layout, cop.table, tau, n_steps):

@@ -19,9 +19,9 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
-from graphchase.verifier import (REACH_SLACK, _alive_rows, _alive_step,
-                                 _clearance_rows, _resolve_params,
-                                 _step_grid, build_reach,
+from graphchase.verifier import (REACH_SLACK, _alive_steps,
+                                 _clearance_rows, _keep_rows,
+                                 _resolve_params, _step_grid, build_reach,
                                  propagate_step, swept_block,
                                  swept_intervals)
 
@@ -405,7 +405,6 @@ def test_banded_kernel_matches_maximin_reference(case):
     guards = np.ones(reach.n_slots, dtype=bool)
     guards[reach.slot] = False
     assert (new[guards] == -np.inf).all()
-    assert reach.guards.tolist() == np.flatnonzero(guards).tolist()
     assert reach.n_slots == grid.n + guards.sum()
 
     # the plan covers every CSR pair but the self loops exactly once: the
@@ -550,7 +549,7 @@ def test_step_left_without_pieces_stays_infinite():
         4, step - j0, edge, lo, hi,
         grid.row_layout(reach.slot, reach.n_slots))
     assert np.array_equal(slots, to_slots(reach, rows))
-    assert (slots[3][reach.guards] == -np.inf).all()
+    assert (np.delete(slots[3], reach.slot) == -np.inf).all()
 
 
 def _assert_tiles(pieces, t0, t1):
@@ -859,53 +858,85 @@ def alive_cases(draw):
     """A random graph with loops, parallel edges and one edge shorter than
     h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
     cop that sweeps it at a speed of 2-8 (several intervals in a step),
-    stands exactly on a vertex, or has no steps; with where a capture
+    stands exactly on a vertex, or has no steps, or sweeps it in steps of
+    2-4 spacings (a band of half-width 2 or more); with where a capture
     should fall in the boolean game's blocks: first or last, or wherever
-    blocks of a drawn size put it."""
+    blocks of a drawn size put it, and how many rows the kill block
+    holds."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
     sp = grid.max_spacing
     kind = draw(st.sampled_from(["sweep", "sweep", "sweep", "stand",
-                                 "zero"]))
+                                 "zero", "wide"]))
     if kind == "stand":
         cop = stand(g, rng.choice(g.vertices), sp * rng.uniform(0.5, 60.0))
     else:
         cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
+    stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
     place = draw(st.sampled_from(["first", "last", 1, 2, 3, 5, 256]))
-    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), place
+    fill = draw(st.sampled_from([1, 2, 3, None]))
+    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, place, fill
+
+
+def from_bits(mask, n):
+    """Bits 0 .. n - 1 of an int as a bool row."""
+    return np.unpackbits(np.frombuffer(mask.to_bytes(n // 8 + 1, "little"),
+                                       dtype=np.uint8),
+                         bitorder="little")[:n].astype(bool)
 
 
 def test_alive_masks_match_maximin_scores():
     # at every step the boolean game's alive mask is the maximin game's
-    # score > eps, slot for slot; verify's verdict and time bound agree
-    # with the maximin game's wherever the capture falls in a block
-    seen = {"stand": 0, "zero": 0, "several": 0, "first": 0, "last": 0}
+    # score > eps, slot for slot; the blocked kept-slot rows are the
+    # per-step ones wherever the block and its fillings cut; verify's
+    # verdict and time bound agree with the maximin game's wherever the
+    # capture falls in a block
+    seen = {"stand": 0, "zero": 0, "several": 0, "first": 0, "last": 0,
+            "wide": 0, "junction": 0}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(alive_cases())
     def check(case):
-        kind, cop, h, eps, place = case
+        kind, cop, h, eps, stretch, place, fill = case
         grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+        if stretch > 1:
+            n_steps, tau = _step_grid(cop.duration, tau * stretch)
         reach = build_reach(grid, tau + REACH_SLACK)
-        table = cop.table
         start = grid.distances_to_point(cop.points[0])
         score = to_slots(reach, start)
-        rows = _alive_rows(reach)
-        rows[0][reach.width][reach.slot] = start > eps
-        assert np.array_equal(rows[0][reach.width], score > eps)
+        keeps = []
         for j in range(n_steps):
-            step, edge, lo, hi = swept_block(table, tau, j, j + 1)
+            step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
+            _, q = grid.cells_within(step - j, edge, lo, hi, eps)
+            keeps.append(sum(1 << s for s in set(reach.slot.tolist())
+                             - set(reach.slot[q].tolist())))
+            seen["several"] += len(step) > 1
+        steps = place if isinstance(place, int) else 5
+        rows = fill or steps
+        with mock.patch.object(verifier, "SWEEP_STEPS", steps), \
+                mock.patch.object(verifier, "CHUNK_FLOATS",
+                                  -(-rows * reach.n_slots // 8)):
+            assert list(_keep_rows(grid, reach, cop.table, tau, n_steps,
+                                   eps)) == keeps
+        sources = sum(1 << s for s in set(reach.junction_src.tolist()))
+        alive = sum(1 << int(s) for s in reach.slot[start > eps])
+        live = []       # the alive junction sources of each step
+        for j, new in enumerate(_alive_steps(reach, alive, keeps)):
+            live.append(alive & keeps[j] & sources)
+            step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
             clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi,
                                                   sample_layout(grid))
             score = propagate_step(score, to_slots(reach, clr[0]), reach)
-            _, q = grid.cells_within(step - j, edge, lo, hi, eps)
-            kill = np.concatenate([reach.slot[q], reach.guards])
-            alive = _alive_step(rows[0], rows[1], kill, reach)
-            rows.reverse()
-            assert np.array_equal(alive, score > eps), j
-            seen["several"] += len(step) > 1
+            assert np.array_equal(from_bits(new, reach.n_slots),
+                                  score > eps), j
+            alive = new
+        seen["wide"] += reach.width >= 2
+        seen["junction"] += any(a and b and a != b
+                                for a, b in zip(live, live[1:]))
+        if stretch > 1:
+            return
         r = verify(cop, h=h, eps=eps)
         k = (round(r.time_bound / tau) - 1 if r.captured and r.time_bound
              else None)     # the capturing step, if not the start
@@ -922,6 +953,22 @@ def test_alive_masks_match_maximin_scores():
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+def test_verdict_on_a_large_grid_holds_a_bounded_kill_block():
+    # a sweep of the unit path at h = 1e-5: 100,001 samples, 2,000 steps.
+    # The traced peak is the reach relation's build, about 31.2 MB; a kill
+    # block of SWEEP_STEPS rows of the 100,004 slots would hold 25.6 MB
+    # more and peak at 44.8 MB
+    cop = sweep_strategy(unit_path(), 50.0)
+    tracemalloc.start()
+    try:
+        r = verify(cop, h=1e-5, want_witness=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.verdict, r.n_samples, r.n_steps) == ("capture", 100001, 2000)
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("g, h, detours", [
