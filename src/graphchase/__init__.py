@@ -17,13 +17,14 @@ from .trajectory import (PathBuilder, PathValidationError, TimedPath,
                          reparameterize_max_speed, save_path, total_variation,
                          transfer_scale, transfer_shorten, truncate_path)
 from .strategies import (StarSchedule, StrategyError, build_star_schedule,
-                         comb_strategy, cycle_loop, cycle_strategy,
-                         finiteness_strategy, lambda_root, secure_vertex,
-                         star_strategy, sufficient_speed, sweep_strategy)
+                         cascade_truncation, comb_strategy, cycle_loop,
+                         cycle_strategy, finiteness_strategy, lambda_root,
+                         secure_vertex, star_strategy, sufficient_speed,
+                         sweep_strategy)
 from .verifier import (GameMismatchError, ParameterError, SizeLimitError,
                        VerifierResult, brute_force_oracle,
-                       continuous_clearance, result_to_dict, save_report,
-                       verify)
+                       continuous_clearance, resolution, result_to_dict,
+                       save_report, verify)
 from .critical import (FAMILIES, EvidenceError, FrontierRow, SpeedBracket,
                        build_family, frontier_table, frontier_to_csv,
                        frontier_to_json, upper_bound_bisect)

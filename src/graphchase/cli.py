@@ -4,10 +4,8 @@ Subcommands: generate, verify, frontier, export-svg, selftest.  The time
 step tau is the cop's duration cut into whole steps no shorter than the
 grid spacing.  Exit codes: 0 success (verify: capture), 1 selftest
 failure, 2 usage, input or evidence errors, 3 verified survival, 4
-invalid resolution parameters (non-finite, a resolution at or below zero, a
-grid spacing at or below 10^-6, a capture radius below the soundness floor,
-a grid above 10^6 samples, a vertex-to-sample table above 10^7 cells, or a
-step count, duration / spacing, above 10^6).
+resolution parameters that `verifier.resolution` refuses, or a step count,
+duration / spacing, above 10^6.
 """
 
 from __future__ import annotations
@@ -84,9 +82,9 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--graph", required=True, help="graph JSON file")
     q.add_argument("--kind", required=True, choices=list(FAMILIES))
     q.add_argument("--speed", type=float, required=True)
-    q.add_argument("--delta", type=finite_positive, default=None,
-                   help="truncation scale for cascade openings "
-                        "(default: min edge / 100)")
+    q.add_argument("--eps", type=finite_positive, default=None,
+                   help="capture radius to build for: cascades truncate at "
+                        "min(min edge / 100, eps / 4)")
     q.add_argument("--out", default=None,
                    help="trajectory JSON output (default: stdout)")
     q.set_defaults(handler=cmd_generate)
@@ -105,7 +103,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", required=True, choices=list(FAMILIES))
     q.add_argument("--speeds", required=True, type=_speed_list,
                    help="comma-separated speed list, e.g. 0.5,1,1.5,2")
-    q.add_argument("--delta", type=finite_positive, default=None)
     add_resolution(q)
     q.add_argument("--out", default=None, help="CSV output (default: stdout)")
     q.add_argument("--json", dest="as_json", action="store_true",
@@ -133,7 +130,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
-    path = build_family(g, cfg.kind, cfg.speed, cfg.delta)
+    path = build_family(g, cfg.kind, cfg.speed, cfg.eps)
     if cfg.out:
         save_path(path, cfg.out)
         print(f"wrote {cfg.out}")
@@ -176,8 +173,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_frontier(cfg: argparse.Namespace) -> int:
     g = load_graph(cfg.graph)
-    rows = frontier_table(g, cfg.family, cfg.speeds, truncation=cfg.delta,
-                          h=cfg.resolution, eps=cfg.eps)
+    rows = frontier_table(g, cfg.family, cfg.speeds, h=cfg.resolution,
+                          eps=cfg.eps)
     text = frontier_to_json(rows) if cfg.as_json else frontier_to_csv(rows)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

@@ -15,10 +15,11 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .graph import MetricGraph
-from .strategies import (StrategyError, comb_strategy, cycle_strategy,
-                         finiteness_strategy, star_strategy, sweep_strategy)
+from .strategies import (StrategyError, cascade_truncation, comb_strategy,
+                         cycle_strategy, finiteness_strategy, star_strategy,
+                         sweep_strategy)
 from .trajectory import TimedPath
-from .verifier import VerifierResult, verify
+from .verifier import VerifierResult, resolution, verify
 
 # Family name -> constructor(g, s, truncation).  The lambdas look each
 # constructor up at call time, so rebinding a module attribute (for example
@@ -37,18 +38,18 @@ class EvidenceError(RuntimeError):
 
 
 def build_family(g: MetricGraph, family: str, s: float,
-                 truncation: float | None = None) -> TimedPath:
-    """Construct the named strategy family on g at speed s; a schedule
-    whose float arithmetic fails at an extreme s or truncation is rejected."""
+                 eps: float | None = None) -> TimedPath:
+    """Construct the named strategy family on g at speed s, for capture
+    radius eps: a cascade truncates at `cascade_truncation(g, eps)`.  A
+    schedule whose float arithmetic fails at an extreme s is rejected."""
     if family not in FAMILIES:
         raise StrategyError(f"unknown strategy family {family!r}; "
                             f"choose one of {', '.join(FAMILIES)}")
     try:
-        return FAMILIES[family](g, s, truncation)
+        return FAMILIES[family](g, s, cascade_truncation(g, eps))
     except ArithmeticError as exc:
-        raise StrategyError(
-            f"{family} schedule at speed {s} and truncation {truncation} "
-            f"is out of float range: {exc}") from None
+        raise StrategyError(f"{family} schedule at speed {s} is out of "
+                            f"float range: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,19 @@ class SpeedBracket:
     probes: tuple[tuple[float, str], ...] = field(default=())
 
 
-def _probe(g, family, s, truncation, h, eps):
+def _probe(g, family, s, h, eps):
     """Build + verify at one speed, without a witness: ("rejected",
     message, None) or ("verified", result, path).  A constructor rejection
     is a non-capture."""
     try:
-        path = build_family(g, family, s, truncation)
+        path = build_family(g, family, s, eps)
     except StrategyError as exc:
         return "rejected", str(exc), None
     return "verified", verify(path, h=h, eps=eps, want_witness=False), path
 
 
 def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
-                       s_high: float, tol: float,
-                       truncation: float | None = None,
-                       h: float | None = None,
+                       s_high: float, tol: float, h: float | None = None,
                        eps: float | None = None) -> SpeedBracket:
     """Shrink [s_low, s_high] to width <= tol around the capture boundary.
 
@@ -92,19 +91,21 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     verify as capture up front and after every shrink, so the returned
     bracket always carries evidence on both sides.  Probes need only
     verdicts and play `verify`'s boolean game; a lower end that survived
-    is verified once more with a witness, its evidence.
+    is verified once more with a witness, its evidence.  Every path is
+    built for the eps that `resolution` gives, which every probe verifies.
     """
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
     if not tol > 0:
         raise EvidenceError(f"tolerance must be positive, got {tol}")
+    h, eps, _ = resolution(g, h, eps)
 
-    kind, high_ev, _ = _probe(g, family, s_high, truncation, h, eps)
+    kind, high_ev, _ = _probe(g, family, s_high, h, eps)
     if kind == "rejected" or not high_ev.captured:
         raise EvidenceError(
             f"upper speed {s_high} did not verify as capture for family "
             f"{family!r}; raise the upper endpoint or refine resolution")
-    kind, low_ev, low_path = _probe(g, family, s_low, truncation, h, eps)
+    kind, low_ev, low_path = _probe(g, family, s_low, h, eps)
     if kind == "verified" and low_ev.captured:
         raise EvidenceError(
             f"lower speed {s_low} already captures for family {family!r}; "
@@ -116,7 +117,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
         mid = 0.5 * (lower + upper)
         if mid <= lower or mid >= upper:
             break
-        kind, ev, path = _probe(g, family, mid, truncation, h, eps)
+        kind, ev, path = _probe(g, family, mid, h, eps)
         if kind == "verified" and ev.captured:
             upper, high_ev = mid, ev
             probes.append((mid, "capture"))
@@ -146,7 +147,7 @@ class FrontierRow:
 
 
 def frontier_table(g: MetricGraph, family: str, speeds,
-                   truncation: float | None = None, h: float | None = None,
+                   h: float | None = None,
                    eps: float | None = None) -> list[FrontierRow]:
     """Verify the family at each speed and tabulate verdicts.
 
@@ -157,14 +158,16 @@ def frontier_table(g: MetricGraph, family: str, speeds,
     slower row, the slower row's trajectory, re-declared at the faster
     bound, is evidence of the earlier capture: a path that keeps to one
     speed bound keeps to every larger one, and `verify` never reads the
-    bound.  The faster row's note says so.
+    bound.  The faster row's note says so.  Every path is built for the
+    eps that `resolution` gives, which every row verifies.
     """
+    h, eps, _ = resolution(g, h, eps)
     speeds = sorted(float(s) for s in speeds)
     rows: list[FrontierRow] = []
     for s in speeds:
         note = ""
         try:
-            path = build_family(g, family, s, truncation)
+            path = build_family(g, family, s, eps)
         except StrategyError as exc:
             path = sweep_strategy(g, s)
             note = f"constructor rejected ({exc}); naive sweep substituted"

@@ -518,25 +518,9 @@ def walk_covers(g: MetricGraph, runs) -> bool:
 # spatial discretization
 # ----------------------------------------------------------------------
 
-def _interval_count(length: float, h: float) -> int:
+def interval_count(length: float, h: float) -> int:
     """The number of equal pieces an edge is cut into at resolution h."""
     return max(1, int(math.ceil(length / h - 1e-12)))
-
-
-def sample_count(g: MetricGraph, h: float) -> float:
-    """The number of samples `discretize(g, h)` makes, for h > 0, counted
-    from the edge lengths without making them; inf if the count is not a
-    finite float."""
-    try:
-        return float(len(g.vertices) + sum(_interval_count(e.length, h) - 1
-                                           for e in g.edges))
-    except OverflowError:       # length / h or the count is infinite
-        return math.inf
-
-
-def max_spacing(g: MetricGraph, h: float) -> float:
-    """The `max_spacing` of `discretize(g, h)`, from the edge lengths."""
-    return max(e.length / _interval_count(e.length, h) for e in g.edges)
 
 
 class RowLayout(NamedTuple):
@@ -577,7 +561,7 @@ class DiscretizedGraph:
         ends = [graph.vertex_point(v) for v in graph.vertex_rows]
         n_vert = len(ends)
         eu, ev, length = graph.edge_table
-        self.edge_intervals = np.array([_interval_count(x, self.h)
+        self.edge_intervals = np.array([interval_count(x, self.h)
                                         for x in length.tolist()])
         self.edge_spacing = length / self.edge_intervals
         self.max_spacing = float(self.edge_spacing.max())

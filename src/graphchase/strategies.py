@@ -66,6 +66,16 @@ def lambda_root(k: int, s: float) -> float:
     return root
 
 
+def cascade_truncation(g: MetricGraph, eps: float | None = None) -> float:
+    """The truncation scale of a cascade on g: the shortest edge / 100,
+    capped at eps / 4 when the path is to capture at radius eps, which
+    must exceed `_ladder_init`'s assumed radii, a few truncations."""
+    if eps is not None and not 0 < eps < math.inf:
+        raise StrategyError(f"capture radius must be finite and positive, "
+                            f"got {eps}")
+    return min(g.min_edge_length / 100, math.inf if eps is None else eps / 4)
+
+
 def _truncation(truncation: float | None, default: float | None = None):
     """`truncation`, or `default` when it is None: a finite positive scale."""
     t = default if truncation is None else truncation
@@ -280,7 +290,7 @@ def star_strategy(g: MetricGraph, s: float,
     clamped at a leaf, until all arms but one are cleared.  Phase 3 walks to
     the remaining arm's leaf.
     """
-    truncation = _truncation(truncation, g.min_edge_length / 100)
+    truncation = _truncation(truncation, cascade_truncation(g))
     sched = build_star_schedule(g, s, truncation)
     pb = PathBuilder(g, sched.center, s)
     _probe(pb, sched.center, sched.final_arm, 0.0, math.inf,
@@ -324,7 +334,8 @@ def _detect_comb(g: MetricGraph):
 
 def comb_strategy(g: MetricGraph, s: float,
                   truncation: float | None = None) -> TimedPath:
-    """A capturing trajectory on an equal-length comb at speed s > 3.
+    """A trajectory on an equal-length comb at speed s > 3, which need not
+    capture: unit comb(3) survives at s = 3.1 and 3.6 (h = 0.005, eps = 0.01).
 
     Opens by sweeping the first tooth and the first backbone edge.  At each
     interior backbone vertex the two unknown edges (tooth, next backbone
@@ -344,7 +355,7 @@ def comb_strategy(g: MetricGraph, s: float,
     base = g.edges[0].length
     if any(abs(l - base) > 1e-9 * max(base, 1.0) for l in lengths.values()):
         raise StrategyError("comb clearing needs all edge lengths equal")
-    truncation = _truncation(truncation, base / 100)
+    truncation = _truncation(truncation, cascade_truncation(g))
     lam = lambda_root(3, s)
     cap = 2 * base / (s - 1)
     d0 = min(truncation, cap)
@@ -506,7 +517,7 @@ def secure_vertex(g: MetricGraph, v: str, s: float,
     Returns (trajectory fragment starting and ending at v, guaranteed
     evader-free radius around v, elapsed time).
     """
-    truncation = _truncation(truncation, g.min_edge_length / 100)
+    truncation = _truncation(truncation, cascade_truncation(g))
     plan, eps_v, total = _secure_schedule(g, v, s, truncation)
     pb = PathBuilder(g, v, s)
     _secure_into(pb, v, plan)
@@ -520,14 +531,12 @@ def sufficient_speed(g: MetricGraph, truncation: float | None = None) -> float:
     the time the evader has to reach a vertex after its securing: two full
     covering walks plus all securing times, with a 10% margin.
     """
-    truncation = _truncation(truncation, g.min_edge_length / 100)
-    lam_total = g.total_length
+    truncation = _truncation(truncation, cascade_truncation(g))
     s = max(2 * g.degree(v) + 1 for v in g.vertices) + 1.0
     for _ in range(200):
-        metrics = [_secure_schedule(g, v, s, min(truncation, lam_total / s))
-                   for v in g.vertices]
+        metrics = [_secure_schedule(g, v, s, truncation) for v in g.vertices]
         eps_min = min(m[1] for m in metrics)
-        t_total = 4 * lam_total / s + sum(m[2] for m in metrics)
+        t_total = 4 * g.total_length / s + sum(m[2] for m in metrics)
         if eps_min > 1.1 * t_total:
             return s
         s *= 2
@@ -542,27 +551,26 @@ def finiteness_strategy(g: MetricGraph, s: float,
     around every vertex at its first visit; pass 2 repeats the covering walk,
     reaching every point before the evader can slip past a vertex.
     """
-    truncation = _truncation(truncation, g.min_edge_length / 100)
+    truncation = _truncation(truncation, cascade_truncation(g))
     s_needed = sufficient_speed(g, truncation)
     if s < s_needed:
         raise StrategyError(
             f"two-pass traversal needs speed at least {s_needed:g} on this "
             f"graph, got {s}")
-    trunc = min(truncation, g.total_length / s)
     start = min(g.vertices)
     runs = double_tree_walk(g, start)
     pb = PathBuilder(g, start, s)
     visited = {start}
-    _secure_into(pb, start, _secure_schedule(g, start, s, trunc)[0])
+    _secure_into(pb, start, _secure_schedule(g, start, s, truncation)[0])
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)
         e = g.edge(eid)
         w = e.v if x1 > x0 else e.u
         if w not in visited:
             visited.add(w)
-            _secure_into(pb, w, _secure_schedule(g, w, s, trunc)[0])
+            _secure_into(pb, w, _secure_schedule(g, w, s, truncation)[0])
     pb.move_to(start)
     for eid, x0, x1 in runs:
         pb.move_runs([(eid, x0, x1)], abs(x1 - x0) / s)
-    return pb.build({"kind": "finiteness", "truncation": trunc,
+    return pb.build({"kind": "finiteness", "truncation": truncation,
                      "sufficient_speed": s_needed})

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, RowLayout, discretize,
-                    max_spacing, sample_count)
+from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, RowLayout,
+                    discretize, interval_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_chunks, path_pieces, path_to_dict)
 
@@ -40,12 +40,8 @@ CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
-    """Raised when resolution parameters are not finite, the resolution is
-    not positive, the grid spacing is not above 1e3 * GEOM_TOL (absolute
-    tolerances would decide finer grids), the capture radius violates the
-    soundness floor, or they ask for a grid above MAX_SAMPLES samples, a
-    vertex-to-sample table above MAX_TABLE_CELLS cells or more than
-    MAX_STEPS steps."""
+    """Raised when `resolution` refuses the resolution parameters, or they
+    ask for more than MAX_STEPS steps."""
 
 
 class SizeLimitError(ValueError):
@@ -385,21 +381,27 @@ def save_report(r: VerifierResult, path: str,
 # the decision procedure
 # ----------------------------------------------------------------------
 
-def _resolve_params(cop: TimedPath, h, eps):
-    """The grid, h, eps, step count and step length tau of a verification
-    of cop: its duration cut into the most whole steps no shorter than the
-    grid's `max_spacing` (`_step_grid`).  The resolution must
-    be positive, and the sizes and the spacing floor are checked from the
-    edge lengths before the grid is built.
+def resolution(g: MetricGraph, h=None, eps=None):
+    """The resolution h, capture radius eps and grid spacing of a
+    verification on g: h defaults to the shortest edge / 50 and eps to
+    twice the spacing.  From the edge lengths, before any grid is built,
+    it refuses a value that is not finite, an h at or below 0, a grid
+    above MAX_SAMPLES samples or a vertex-to-sample table above
+    MAX_TABLE_CELLS cells, a spacing not above 1e3 * GEOM_TOL (absolute
+    tolerances would decide finer grids), and an eps not above the
+    spacing (the soundness floor).
     """
-    g = cop.graph
     for name, x in (("resolution", h), ("capture radius", eps)):
         if x is not None and not math.isfinite(float(x)):
             raise ParameterError(f"{name} must be finite, got {x}")
     h = g.min_edge_length / 50 if h is None else float(h)
     if h <= 0:
         raise ParameterError(f"resolution must be positive, got {h}")
-    samples = sample_count(g, h)
+    try:        # length / h, or the count, may not be a finite float
+        pieces = [interval_count(e.length, h) for e in g.edges]
+        samples = float(len(g.vertices) + sum(pieces) - len(pieces))
+    except OverflowError:
+        samples = math.inf
     if samples > MAX_SAMPLES:
         raise ParameterError(
             f"resolution {h} asks for {samples:.4g} grid samples, above "
@@ -409,19 +411,24 @@ def _resolve_params(cop: TimedPath, h, eps):
             f"resolution {h} asks for a vertex-to-sample table of "
             f"{len(g.vertices)} x {samples:.4g} cells, above the limit "
             f"of {MAX_TABLE_CELLS}")
-    spacing = max_spacing(g, h)
+    spacing = max(e.length / n for e, n in zip(g.edges, pieces))
     if not spacing > 1e3 * GEOM_TOL:
         raise ParameterError(f"grid spacing {spacing:.4g} is not above "
                              f"the floor of {1e3 * GEOM_TOL:g}")
-    n_steps, tau = _step_grid(cop.duration, spacing)
-    grid = discretize(g, h)
-    sp = grid.max_spacing
-    eps = 2 * sp if eps is None else float(eps)
-    if eps <= sp:
+    eps = 2 * spacing if eps is None else float(eps)
+    if eps <= spacing:
         raise ParameterError(
             f"capture radius {eps} is below the soundness floor: it must "
-            f"exceed the sample spacing {sp}")
-    return grid, h, eps, n_steps, tau
+            f"exceed the sample spacing {spacing}")
+    return h, eps, spacing
+
+
+def _resolve_params(cop: TimedPath, h, eps):
+    """The grid, h, eps, step count and step length tau of a verification
+    of cop: `resolution`'s values, and `_step_grid` on its spacing."""
+    h, eps, spacing = resolution(cop.graph, h, eps)
+    n_steps, tau = _step_grid(cop.duration, spacing)
+    return discretize(cop.graph, h), h, eps, n_steps, tau
 
 
 def _step_grid(duration: float, spacing: float) -> tuple[int, float]:

@@ -242,17 +242,22 @@ def test_generate_on_integer_ids_exits_2_with_one_line(kind, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_generate_star_with_a_ladder_past_an_arm_exits_2(tmp_path, capsys):
-    # the opening ladder at truncation 10 would clear arm e3 of star(5)
-    # before it is ever probed
-    graph = tmp_path / "star5.json"
-    save_graph(star(5), graph)
-    rc = main(["generate", "--graph", str(graph), "--kind", "star",
-               "--speed", "8", "--delta", "10"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "before any probe" in err
+def test_generate_eps_builds_a_star_that_captures_at_that_eps(tmp_path,
+                                                              capsys):
+    # at the default truncation (0.005) this star survives at eps = 0.0015
+    # with a witness clearance of 0.0025; built for that eps it captures
+    graph, path = tmp_path / "star4.json", tmp_path / "s.json"
+    save_graph(star(4, 0.5), graph)
+    argv = ["--graph", str(graph), "--eps", "0.0015"]
+    assert main(["generate", "--kind", "star", "--speed", "5.5",
+                 "--out", str(path)] + argv) == 0
+    assert main(["verify", "--strategy", str(path),
+                 "--resolution", "0.0005"] + argv) == 0
+    assert "capture" in capsys.readouterr().out
+    assert main(["generate", "--kind", "star", "--speed", "5.5",
+                 "--out", str(path), "--graph", str(graph)]) == 0
+    assert main(["verify", "--strategy", str(path),
+                 "--resolution", "0.0005"] + argv) == 3
 
 
 def test_undecodable_graph_file_exits_2(tmp_path, capsys):

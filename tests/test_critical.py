@@ -5,11 +5,12 @@ from unittest import mock
 import pytest
 
 from graphchase import (EvidenceError, FrontierRow, PathBuilder, SpeedBracket,
-                        StrategyError, build_family, critical, frontier_table,
-                        frontier_to_csv, frontier_to_json, upper_bound_bisect,
-                        verify)
+                        StrategyError, build_family, comb_strategy, critical,
+                        cycle_strategy, finiteness_strategy, frontier_table,
+                        frontier_to_csv, frontier_to_json, star_strategy,
+                        sweep_strategy, upper_bound_bisect, verify)
 
-from common import path_graph, star, unit_cycle
+from common import comb, path_graph, star, unit_cycle, unit_path
 
 
 def test_build_family_dispatch():
@@ -18,6 +19,28 @@ def test_build_family_dispatch():
     assert p.metadata["kind"] == "cycle"
     with pytest.raises(StrategyError, match="unknown strategy family"):
         build_family(g, "zigzag", 2.0)
+
+
+@pytest.mark.parametrize("family, g, s, default", [
+    ("star", star(3, 0.5), 3.5, star_strategy),
+    ("comb", comb(3), 3.5, comb_strategy),
+    ("cycle", unit_cycle(), 1.5, cycle_strategy),
+    ("finiteness", star(3), 64.0, finiteness_strategy),
+    ("sweep", unit_path(), 1.0, sweep_strategy),
+])
+def test_build_family_at_a_coarse_eps_is_the_default_path(family, g, s,
+                                                          default):
+    # eps / 4 caps the truncation only below the shortest edge / 100
+    want = default(g, s)
+    for eps in (None, g.min_edge_length / 25, 1.0):
+        p = build_family(g, family, s, eps)
+        assert (p.times, p.points) == (want.times, want.points)
+
+
+def test_build_family_refuses_a_radius_that_is_not_finite_and_positive():
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(StrategyError, match="capture radius"):
+            build_family(unit_cycle(), "cycle", 2.0, eps)
 
 
 def test_cycle_bracket_straddles_one():
@@ -58,8 +81,7 @@ def test_constructor_rejection_counts_as_non_capture():
     g = star(3, arm=0.5)
     # s=2.5 is below the 3-arm threshold: construction fails, still a valid
     # lower endpoint
-    br = upper_bound_bisect(g, "star", 2.5, 4.0, tol=0.5, h=0.02,
-                            truncation=5e-3)
+    br = upper_bound_bisect(g, "star", 2.5, 4.0, tol=0.5, h=0.02)
     assert br.upper_evidence.captured
     assert isinstance(br.lower_evidence, str) or \
         not br.lower_evidence.captured
@@ -137,11 +159,28 @@ def test_frontier_json_parses():
                             "h", "dt", "eps"}
 
 
+def test_fine_eps_bracket_of_star3_contains_its_threshold():
+    # at the default truncation (0.005) this bracket was [3.53125, 3.625]:
+    # paths truncated above eps / 4 do not capture at eps
+    br = upper_bound_bisect(star(3, 0.5), "star", 2.5, 4.0, 0.1, h=5e-4,
+                            eps=0.0015)
+    assert br.lower <= 3.0 <= br.upper
+    assert br.upper - br.lower <= 0.1
+
+
+def test_fine_eps_frontier_rows_of_star4_capture():
+    # at the default truncation the rows at 5.2 and 5.5 were survivals
+    # with witness clearances 0.002 and 0.0025
+    rows = frontier_table(star(4, 0.5), "star", [5.2, 5.5, 7.0], h=5e-4,
+                          eps=0.0015)
+    assert [r.verdict for r in rows] == ["capture"] * 3
+    assert all(r.eps == 0.0015 and not r.note for r in rows)
+
+
 def test_star_bracket_straddles_threshold():
     # 3-arm star: construction needs s > 3, capture verified just above
     g = star(3, arm=0.5)
-    br = upper_bound_bisect(g, "star", 2.5, 3.5, tol=0.5, h=5e-3,
-                            truncation=1e-2, eps=0.02)
+    br = upper_bound_bisect(g, "star", 2.5, 3.5, tol=0.5, h=5e-3, eps=0.02)
     assert br.lower >= 2.5
     assert br.upper <= 3.5
     assert br.upper_evidence.captured

@@ -2,7 +2,7 @@
 
 Graph documents go to `graph_from_dict`, strategy documents to `load_path`
 through a file, and numeric strings to `verify --resolution/--eps`,
-`generate --speed/--delta` and `frontier --speeds/--delta` through
+`generate --speed/--eps` and `frontier --speeds/--eps` through
 `cli.main`.  Every case must either succeed or raise the loader's typed
 error (CLI: exit 2 or 4); a traceback from any other exception fails.
 """
@@ -197,42 +197,42 @@ ODD_FLAGS = ["nan", "inf", "-inf", "0", "-0", "-1", "1e400", "1e-400",
              "5e-324", "1e-300", "", "abc", "1e300"]
 SPEEDS = st.sampled_from(ODD_FLAGS + ["1e6"]) \
     | st.integers(1, 240).map(lambda i: repr(i / 4))
-DELTAS = st.none() | st.sampled_from(ODD_FLAGS + ["1e-9", "0.01", "1"])
+EPSES = st.none() | st.sampled_from(ODD_FLAGS + ["1e-9", "0.01", "0.3", "1"])
 
 
-def _rejected_delta(delta):
-    """Whether --delta must be refused: it takes a finite positive float."""
+def _rejected_eps(eps):
+    """Whether --eps must be refused: generate takes a finite positive
+    float, and frontier's must also exceed the grid spacing."""
     try:
-        return delta is not None and not 0 < float(delta) < math.inf
+        return eps is not None and not 0 < float(eps) < math.inf
     except ValueError:
         return True
 
 
-def _strategy_argv(command, family, tmp_path, delta):
+def _strategy_argv(command, family, tmp_path, eps):
     graph_file = tmp_path / f"{family}.json"
     if not graph_file.exists():
         save_graph(STRATEGY_GRAPHS[family], graph_file)
     kind = "--kind" if command == "generate" else "--family"
     argv = [command, "--graph", str(graph_file), kind, family]
-    return argv + ([] if delta is None else ["--delta", delta])
+    return argv + ([] if eps is None else ["--eps", eps])
 
 
 @FUZZ
 @given(family=st.sampled_from(sorted(STRATEGY_GRAPHS)), speed=SPEEDS,
-       delta=DELTAS)
-@example(family="star", speed="4", delta="nan")
-@example(family="star", speed="4", delta="inf")
-@example(family="star", speed="inf", delta=None)
-@example(family="finiteness", speed="100", delta="nan")
-@example(family="star", speed="1e300", delta=None)
-@example(family="comb", speed="3.5", delta="5e-324")
-def test_generate_strategy_flags_exit_cleanly(family, speed, delta,
-                                              tmp_path):
-    argv = _strategy_argv("generate", family, tmp_path, delta)
+       eps=EPSES)
+@example(family="star", speed="4", eps="nan")
+@example(family="star", speed="4", eps="inf")
+@example(family="star", speed="inf", eps=None)
+@example(family="finiteness", speed="100", eps="nan")
+@example(family="star", speed="1e300", eps=None)
+@example(family="comb", speed="3.5", eps="5e-324")
+def test_generate_strategy_flags_exit_cleanly(family, speed, eps, tmp_path):
+    argv = _strategy_argv("generate", family, tmp_path, eps)
     rc, err = _run(argv + ["--speed", speed,
                            "--out", str(tmp_path / "out.json")])
     assert rc in (0, 2), (argv, speed, rc)
-    assert rc == 2 or not _rejected_delta(delta)
+    assert rc == 2 or not _rejected_eps(eps)
     if rc == 2:
         assert "error:" in err
 
@@ -240,15 +240,15 @@ def test_generate_strategy_flags_exit_cleanly(family, speed, delta,
 @settings(FUZZ, max_examples=40)
 @given(family=st.sampled_from(sorted(STRATEGY_GRAPHS)),
        speeds=st.lists(SPEEDS, min_size=1, max_size=3).map(",".join),
-       delta=DELTAS)
-@example(family="star", speeds="inf", delta=None)
-@example(family="star", speeds="4", delta="-1")
-def test_frontier_strategy_flags_exit_cleanly(family, speeds, delta,
-                                              tmp_path):
-    argv = _strategy_argv("frontier", family, tmp_path, delta)
+       eps=EPSES)
+@example(family="star", speeds="inf", eps=None)
+@example(family="star", speeds="4", eps="-1")
+@example(family="star", speeds="4", eps="0.3")
+def test_frontier_strategy_flags_exit_cleanly(family, speeds, eps, tmp_path):
+    argv = _strategy_argv("frontier", family, tmp_path, eps)
     rc, err = _run(argv + ["--speeds", speeds, "--resolution", "0.1"])
     assert rc in (0, 2, 4), (argv, speeds, rc)
-    assert rc == 2 or not _rejected_delta(delta)
+    assert rc != 0 or not _rejected_eps(eps)
     if rc in (2, 4):
         assert "error:" in err
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
                         PathBuilder, build_graph, discretize, double_tree_walk,
                         graph_from_dict, graph_to_dict, load_graph,
-                        min_clearance, save_graph, walk_covers, walk_length)
-from graphchase.graph import GEOM_TOL, max_spacing
+                        min_clearance, resolution, save_graph, walk_covers,
+                        walk_length)
+from graphchase.graph import GEOM_TOL
 from graphchase.randgen import random_graph
 
 from common import path_graph, star, triangle, unit_cycle, unit_path
@@ -352,7 +353,7 @@ def test_discretize_geometry(seed, h, tiny):
                     [(u, v, h / 10 * tiny)])
     grid = discretize(g, h)
     assert grid.max_spacing <= h + 1e-12
-    assert max_spacing(g, h) == grid.max_spacing
+    assert resolution(g, h)[2] == grid.max_spacing
     # vertex samples first, sorted; then each edge's interior samples in
     # (edge id, offset) order
     vertex_ids = sorted(g.vertices)

@@ -11,10 +11,11 @@ import pytest
 
 from graphchase import strategies
 from graphchase import (StrategyError, build_graph, build_star_schedule,
-                        check_lipschitz, comb_strategy, cycle_loop,
-                        cycle_strategy, finiteness_strategy, lambda_root,
-                        secure_vertex, star_strategy, sufficient_speed,
-                        sweep_strategy, total_variation, verify)
+                        cascade_truncation, check_lipschitz, comb_strategy,
+                        cycle_loop, cycle_strategy, finiteness_strategy,
+                        lambda_root, min_clearance, secure_vertex,
+                        star_strategy, sufficient_speed, sweep_strategy,
+                        total_variation, verify)
 from graphchase.graph import walk_covers
 from graphchase.strategies import (STATION_PROBES, _cascade_update,
                                    _detect_comb, _ladder_init)
@@ -70,6 +71,16 @@ def test_lambda_root_rejections():
 def test_truncation_must_be_finite_and_positive(build, truncation):
     with pytest.raises(StrategyError, match="finite and positive"):
         build(truncation)
+
+
+def test_cascade_truncation_is_the_shortest_edge_over_100_capped_at_eps():
+    g = build_graph(["a", "b", "c"], [("a", "b", 0.5), ("b", "c", 2.0)])
+    assert cascade_truncation(g) == 0.005
+    assert cascade_truncation(g, 0.02) == 0.005
+    assert cascade_truncation(g, 0.0015) == 0.0015 / 4
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(StrategyError, match="finite and positive"):
+            cascade_truncation(g, eps)
 
 
 def test_star_schedule_needs_a_truncation():
@@ -259,6 +270,18 @@ def test_comb_two_teeth_captures():
     p = comb_strategy(g, 4.0)
     res = verify(p, h=0.02)
     assert res.verdict == "capture"
+
+
+@pytest.mark.parametrize("s, clearance", [(3.1, 0.12777), (3.6, 0.02143)])
+def test_comb_just_above_its_threshold_is_refuted(s, clearance):
+    # a known defect, pinned before any fix: comb_strategy accepts these
+    # speeds, yet an evader keeps this exact clearance for the whole path
+    cop = comb_strategy(comb(3), s)
+    res = verify(cop, h=0.005, eps=0.01)
+    assert res.verdict == "survival"
+    assert res.min_clearance == pytest.approx(clearance, abs=1e-5)
+    assert res.min_clearance == min_clearance(cop, res.witness)
+    assert check_lipschitz(res.witness, 1 + 1e-9)
 
 
 def test_comb_rejections():

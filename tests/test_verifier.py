@@ -115,7 +115,7 @@ def test_size_limits_refuse_before_the_grid_is_built(decide):
         with pytest.raises(ParameterError, match="vertex-to-sample table"):
             decide(stand(path_graph(400), "v0", 1.0), h=1 / 2000)
     g = path_graph(3)
-    cells = len(g.vertices) * verifier.sample_count(g, 0.5)
+    cells = len(g.vertices) * verify(stand(g, "v0", 1.0), h=0.5).n_samples
     with mock.patch.object(verifier, "MAX_TABLE_CELLS", cells):
         assert verify(stand(g, "v0", 1.0), h=0.5).n_samples == 7
         with pytest.raises(ParameterError, match="table"):
