@@ -2,8 +2,8 @@
 
 Construct pursuer trajectories on special graph families (stars, combs,
 cycles, arbitrary connected graphs at high speed), verify any trajectory
-against every unit-speed evader by discretized avoid-set propagation, and
-estimate capture-speed frontiers.
+against every unit-speed evader by a game on a space-time sample grid,
+and estimate capture-speed frontiers.
 """
 
 from .graph import (GEOM_TOL, DiscretizedGraph, Edge, GraphPoint,

@@ -24,7 +24,7 @@ from .strategies import StrategyError, lambda_root
 from .svg import save_svg
 from .trajectory import PathValidationError, load_path, path_chunks, save_path
 from .verifier import (GameMismatchError, ParameterError, brute_force_oracle,
-                       save_report, verify)
+                       result_to_dict, save_report, verify)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -204,19 +204,20 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
     for i in range(cfg.cases):
         cop, h, eps = oracle_instance(rng)
         slow = brute_force_oracle(cop, h=h, eps=eps)
-        # the boolean game decides the verdict and time bound, which must
-        # be the oracle's exactly; on a survival the maximin game builds
-        # the witness and must find a survivor too
+        # the boolean game decides the verdict and time bound, and on a
+        # survival the maximin game builds the witness: the report, the
+        # exact clearance and the witness included, must be the oracle's
         try:
             fast = verify(cop, h=h, eps=eps)
         except GameMismatchError as exc:
             failures += 1
             print(f"case {i}: DISAGREE {exc}")
             continue
-        if (fast.verdict, fast.time_bound) != (slow.verdict, slow.time_bound):
+        if result_to_dict(fast) != result_to_dict(slow):
             failures += 1
-            print(f"case {i}: DISAGREE fast={fast.verdict}/{fast.time_bound} "
-                  f"oracle={slow.verdict}/{slow.time_bound}")
+            print(f"case {i}: DISAGREE fast={fast.verdict}/{fast.time_bound}"
+                  f"/{fast.min_clearance!r} oracle={slow.verdict}/"
+                  f"{slow.time_bound}/{slow.min_clearance!r}")
     print(f"randomized: {cfg.cases} cases, {failures} disagreements")
 
     canned = 0

@@ -11,7 +11,6 @@ import random
 
 from .graph import MetricGraph, build_graph, discretize
 from .trajectory import PathBuilder, TimedPath, truncate_path
-from .verifier import ORACLE_MAX_SAMPLES, ORACLE_MAX_STEPS
 
 
 def random_graph(rng: random.Random, max_vertices: int = 7,
@@ -55,22 +54,20 @@ def random_cop_path(g: MetricGraph, rng: random.Random,
 
 
 def oracle_instance(rng: random.Random):
-    """A tiny verification instance within brute-force oracle limits.
-
-    Returns (cop path, h, eps) with the derived grid at most
-    ORACLE_MAX_SAMPLES samples and the step count at most ORACLE_MAX_STEPS.
+    """A tiny verification instance, for checks against the brute-force
+    oracle: (cop path, h, eps) with at most 12 samples and 12 steps.
     """
     for _ in range(200):
         g = random_graph(rng, max_vertices=4, extra_edges=1,
                          min_len=0.8, max_len=1.6)
         h = max(e.length for e in g.edges) / rng.choice([2, 3])
         grid = discretize(g, h)
-        if grid.n > ORACLE_MAX_SAMPLES:
+        if grid.n > 12:
             continue
         cop = random_cop_path(g, rng, moves=rng.randint(1, 3))
-        limit = ORACLE_MAX_STEPS * grid.max_spacing
+        limit = 12 * grid.max_spacing
         if cop.duration > limit:
             cop = truncate_path(cop, limit * rng.uniform(0.6, 1.0))
         eps = grid.max_spacing * rng.uniform(1.05, 2.5)
         return cop, h, eps
-    raise RuntimeError("failed to generate an oracle-sized instance")
+    raise RuntimeError("failed to generate a tiny instance")

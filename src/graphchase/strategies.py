@@ -68,8 +68,12 @@ def lambda_root(k: int, s: float) -> float:
 
 def cascade_truncation(g: MetricGraph, eps: float | None = None) -> float:
     """The truncation scale of a cascade on g: the shortest edge / 100,
-    capped at eps / 4 when the path is to capture at radius eps, which
-    must exceed `_ladder_init`'s assumed radii, a few truncations."""
+    capped at eps / 4 when the path is to capture at radius eps.
+
+    A star path certifies only an eps above its opening ladder
+    (`_ladder_init`), whose largest radius the cap bounds only by
+    eps * (s - 1) / (8 lam): below eps on three arms, and on four up to
+    s = 25, but not beyond (1.67 eps on five 0.5 arms at s = 27)."""
     if eps is not None and not 0 < eps < math.inf:
         raise StrategyError(f"capture radius must be finite and positive, "
                             f"got {eps}")

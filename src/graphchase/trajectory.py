@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -304,17 +304,16 @@ class PathBuilder:
                      if abs(x1 - x0) > 0)
         if duration <= 0:
             raise PathValidationError(f"duration must be positive, got {duration}")
-        total = walk_length(runs)
-        if total == 0:
+        if not runs:
             return self.wait(duration)
         t_start = self.now
-        acc = 0.0
-        for eid, x0, x1 in runs:
-            acc += abs(x1 - x0)
-            self.times.append(t_start + duration * (acc / total))
+        # one plain running sum times every run, so the last quotient is
+        # exactly 1 and the last run ends at t_start + duration
+        acc = list(accumulate(abs(x1 - x0) for _, x0, x1 in runs))
+        for (eid, x0, x1), a in zip(runs, acc):
+            self.times.append(t_start + duration * (a / acc[-1]))
             self.points.append(self.graph.clamp_point(GraphPoint(eid, x1)))
             self.routes.append(((eid, x0, x1),))
-        self.times[-1] = t_start + duration
         return self
 
     def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":

@@ -547,63 +547,73 @@ def continuous_clearance(cop: TimedPath, evader: TimedPath) -> float:
 
 
 # ----------------------------------------------------------------------
-# exhaustive oracle for small instances
+# the reference oracle: the same game by a plain loop
 # ----------------------------------------------------------------------
 
-ORACLE_MAX_SAMPLES = 12
-ORACLE_MAX_STEPS = 12
+ORACLE_MAX_CELLS = 10 ** 7     # samples x (samples + steps): about 80 MB
+
+
+def _oracle_step(score: np.ndarray, clearance: np.ndarray, src: np.ndarray,
+                 heads: np.ndarray, dst: np.ndarray):
+    """One step of `brute_force_oracle`: the new scores, and each target's
+    lowest-index predecessor attaining its maximin.  `src[heads[q]:]`
+    lists q's predecessors, ascending, up to the next head; `dst` is the
+    target of each entry."""
+    cand = np.minimum(score, clearance)[src]
+    best = np.maximum.reduceat(cand, heads)
+    back = np.minimum.reduceat(np.where(cand == best[dst], src, len(score)),
+                               heads)
+    return np.minimum(best, clearance), back
 
 
 def brute_force_oracle(cop: TimedPath, h: float | None = None,
                        eps: float | None = None) -> VerifierResult:
-    """Decide the same grid game by per-state recursion over all step plans.
+    """Decide the same grid game, and build the same witness, as `verify`,
+    by a plain loop over the steps.
 
-    Independent of the vectorized propagation, of `build_reach` and of the
-    block clearance: liveness of (step, sample) is computed by memoized
-    recursion over predecessor lists read from each sample's exact
-    distances to all others, against clearances computed one step at a
-    time with `swept_intervals` and `distances_to_intervals`.  Refuses
-    instances beyond ORACLE_MAX_SAMPLES samples or ORACLE_MAX_STEPS steps.
+    Independent of the slot layout, of `build_reach`, of both games and of
+    the block clearance: each sample's predecessors are read from its exact
+    distances to all others, and each step's clearance is computed on its
+    own with `swept_intervals` and `distances_to_intervals`.  A step is one
+    gather and `np.maximum.reduceat` over the predecessor lists
+    (`_oracle_step`), then a capture test.  A survival steps back from the
+    first best final sample to the lowest-index predecessor attaining each
+    maximin, routes every witness step with `MetricGraph.route` and
+    measures the witness with `min_clearance`.  Refuses instances of more
+    than ORACLE_MAX_CELLS samples x (samples + steps).
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
-    if grid.n > ORACLE_MAX_SAMPLES:
+    if grid.n * (grid.n + n_steps) > ORACLE_MAX_CELLS:
         raise SizeLimitError(
-            f"{grid.n} samples exceed the oracle limit {ORACLE_MAX_SAMPLES}")
-    if n_steps > ORACLE_MAX_STEPS:
-        raise SizeLimitError(
-            f"{n_steps} steps exceed the oracle limit {ORACLE_MAX_STEPS}")
-    init = grid.distances_to_point(cop.points[0])
-    clearances = [grid.distances_to_intervals(
-        swept_intervals(cop, j * tau, (j + 1) * tau)) for j in range(n_steps)]
-    preds = [np.nonzero(grid.distances_to_point(grid.points[q])
-                        <= tau + REACH_SLACK)[0] for q in range(grid.n)]
+            f"{grid.n} samples x ({grid.n} samples + {n_steps} steps) "
+            f"exceed the oracle limit of {ORACLE_MAX_CELLS} cells")
+    preds = [np.flatnonzero(grid.distances_to_point(p) <= tau + REACH_SLACK)
+             for p in grid.points]
+    sizes = [len(p) for p in preds]
+    src, dst = np.concatenate(preds), np.repeat(np.arange(grid.n), sizes)
+    heads = np.cumsum([0] + sizes[:-1])
+    score, backs = grid.distances_to_point(cop.points[0]), []
+    while score.max() > eps and len(backs) < n_steps:
+        j = len(backs)
+        clr = grid.distances_to_intervals(
+            swept_intervals(cop, j * tau, (j + 1) * tau))
+        score, back = _oracle_step(score, clr, src, heads, dst)
+        backs.append(back)
 
-    alive: dict[tuple[int, int], bool] = {}
+    def result(verdict, time_bound=None, witness=None):
+        return VerifierResult(
+            verdict, time_bound, witness,
+            None if witness is None else min_clearance(cop, witness), h, eps,
+            grid.max_spacing, tau, n_steps, grid.n)
 
-    def is_alive(j: int, q: int) -> bool:
-        key = (j, q)
-        if key in alive:
-            return alive[key]
-        if j == 0:
-            out = init[q] > eps
-        else:
-            clr = clearances[j - 1]
-            out = False
-            if clr[q] > eps:
-                for p in preds[q]:
-                    if clr[p] > eps and is_alive(j - 1, int(p)):
-                        out = True
-                        break
-        alive[key] = out
-        return out
-
-    time_bound = None
-    for j in range(n_steps + 1):
-        if not any(is_alive(j, q) for q in range(grid.n)):
-            time_bound = j * tau
-            break
-    if time_bound is not None:
-        time_bound = min(time_bound, cop.duration)
-    return VerifierResult("survival" if time_bound is None else "capture",
-                          time_bound, None, None, h, eps, grid.max_spacing,
-                          tau, n_steps, grid.n)
+    if score.max() <= eps:
+        return result("capture", min(len(backs) * tau, cop.duration))
+    idx = [int(np.argmax(score))]
+    for back in reversed(backs):
+        idx.append(int(back[idx[-1]]))
+    g, points = cop.graph, tuple(grid.points[q] for q in reversed(idx))
+    times = tuple(j * tau for j in range(n_steps)) + (cop.duration,)
+    routes = tuple(g.route(a, b)[1] for a, b in zip(points, points[1:]))
+    return result("survival", None, TimedPath(
+        g, times, points, routes, 1.0,
+        {"kind": "witness", "grid_clearance": float(score[idx[0]])}))

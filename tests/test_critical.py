@@ -77,6 +77,18 @@ def test_bisect_rejects_nan_tolerance():
                            h=0.05)
 
 
+def test_bisect_stops_at_float_resolution():
+    # no float lies strictly between two adjacent ones, so a tolerance
+    # below the bracket's ulp ends the bisection when the midpoint rounds
+    # onto an end, with evidence on both sides
+    b = upper_bound_bisect(star(3, 0.5), "sweep", 1.0, 64.0, 5e-324, h=0.05)
+    assert b.upper == math.nextafter(b.lower, math.inf)
+    assert b.upper - b.lower > b.tol
+    assert len(b.probes) == 59
+    assert b.upper_evidence.captured
+    assert b.lower_evidence.verdict == "survival"
+
+
 def test_constructor_rejection_counts_as_non_capture():
     g = star(3, arm=0.5)
     # s=2.5 is below the 3-arm threshold: construction fails, still a valid

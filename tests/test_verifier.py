@@ -596,64 +596,32 @@ def test_pieces_follow_evaluate_and_tile_their_windows(case, rnd):
             _assert_follows_evaluate(cop, pieces, rnd)
 
 
-def _reference_step(score, clearance, reach):
-    """One step by gather and reduce over the CSR: the new score, each
-    target's backpointer (the lowest-index predecessor attaining its
-    maximin) and the number of predecessors attaining it."""
-    val = np.minimum(score, clearance)
-    heads = reach.starts[:-1]
-    cand = val[reach.src]
-    best = np.maximum.reduceat(cand, heads)
-    hit = cand == best[targets(reach)]
-    bp = np.minimum.reduceat(np.where(hit, reach.src, len(score)), heads)
-    return np.minimum(best, clearance), bp, np.add.reduceat(hit, heads)
+def _answers(r):
+    """What `verify` and `brute_force_oracle` must agree on exactly: the
+    verdict, the time bound, the repr of the exact clearance and the
+    witness's columns."""
+    w = r.witness
+    return (r.verdict, r.time_bound, repr(r.min_clearance),
+            w and (w.times, w.points, w.routes, w.metadata))
 
 
-def _per_step_verify(cop, h, eps=None):
-    """`verify` as a plain loop: per-step swept_intervals and
-    distances_to_intervals, a gather and reduce over the CSR per step with
-    a capture test after every step, a backpointer array per step of the
-    witness pass, and `route` for every witness step.  Returns (verdict, time
-    bound, witness, clearance, ties), where ties counts the witness steps
-    whose predecessor was one of several attaining the maximin."""
-    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
-    reach = build_reach(grid, tau + REACH_SLACK)
-    clearances = [grid.distances_to_intervals(
-        swept_intervals(cop, j * tau, (j + 1) * tau)) for j in range(n_steps)]
-    score = grid.distances_to_point(cop.points[0])
-    if score.max() <= eps:
-        return "capture", min(0.0, cop.duration), None, None, 0
-    for j, clr in enumerate(clearances):
-        score = _reference_step(score, clr, reach)[0]
-        if score.max() <= eps:
-            return "capture", min((j + 1) * tau, cop.duration), None, None, 0
-    score, history = grid.distances_to_point(cop.points[0]), []
-    for clr in clearances:
-        new, bp, hits = _reference_step(score, clr, reach)
-        slots = propagate_step(to_slots(reach, score),
-                               to_slots(reach, clr), reach)
-        assert np.array_equal(new, slots[reach.slot])
-        score = new
-        history.append((bp, hits))
-    idx, ties = [int(np.argmax(score))], 0
-    for bp, hits in reversed(history):
-        ties += hits[idx[-1]] > 1
-        idx.append(int(bp[idx[-1]]))
-    idx.reverse()
-    g = grid.graph
-    points = tuple(grid.points[i] for i in idx)
-    times = tuple(j * tau for j in range(n_steps)) + (cop.duration,) \
-        if n_steps else (0.0,)
-    routes = tuple(g.route(a, b)[1] for a, b in zip(points, points[1:]))
-    witness = TimedPath(g, times, points, routes, 1.0,
-                        {"kind": "witness",
-                         "grid_clearance": float(score[idx[-1]])})
-    return "survival", None, witness, min_clearance(cop, witness), ties
+def _oracle_ties(cop, h, eps):
+    """`brute_force_oracle`'s result, and how many of its witness steps had
+    several predecessors attaining the maximin: the oracle's step is
+    wrapped to count, per target, the predecessors attaining its best."""
+    hits, step = [], verifier._oracle_step
 
+    def counting(score, clearance, src, heads, dst):
+        cand = np.minimum(score, clearance)[src]
+        best = np.maximum.reduceat(cand, heads)
+        hits.append(np.add.reduceat(cand == best[dst], heads))
+        return step(score, clearance, src, heads, dst)
 
-def _same_witness(a, b):
-    return (a.times, a.points, a.routes, a.metadata) == \
-        (b.times, b.points, b.routes, b.metadata)
+    with mock.patch.object(verifier, "_oracle_step", counting):
+        r = brute_force_oracle(cop, h=h, eps=eps)
+    samples = discretize(cop.graph, r.h).points
+    return r, sum(int(row[samples.index(p)] > 1) for row, p in
+                  zip(hits, r.witness.points[1:] if r.witness else ()))
 
 
 @pytest.mark.parametrize("cop, h, eps", [
@@ -663,13 +631,16 @@ def _same_witness(a, b):
 ], ids=["star-capture", "comb-survival", "cycle-survival"])
 def test_verify_matches_per_step_reference_loop(cop, h, eps):
     r = verify(cop, h=h, eps=eps)
-    verdict, time_bound, witness, clearance, _ = _per_step_verify(cop, h,
-                                                                  eps=eps)
-    assert r.verdict == verdict == ("capture" if eps else "survival")
-    assert r.time_bound == time_bound
-    assert r.min_clearance == clearance
-    if witness is not None:
-        assert _same_witness(r.witness, witness)
+    assert r.verdict == ("capture" if eps else "survival")
+    # the oracle runs none of verify's grid code
+    shared = dict.fromkeys(["build_reach", "propagate_step", "swept_block",
+                            "_first_empty_step", "_clearance_rows"],
+                           mock.DEFAULT)
+    with mock.patch.multiple(verifier, **shared) as fakes, \
+            mock.patch.object(type(cop.graph), "step_runs") as runs:
+        want = brute_force_oracle(cop, h=h, eps=eps)
+    assert not any(f.called for f in [runs, *fakes.values()])
+    assert _answers(r) == _answers(want)
 
 
 @st.composite
@@ -696,9 +667,9 @@ def witness_cases(draw):
 
 def test_witness_matches_full_backpointer_reference():
     # the attains bits, packed and unpacked per chunk of clearance rows,
-    # against a backpointer array per step, at chunk sizes (see
+    # against the oracle's backpointer array per step, at chunk sizes (see
     # `_chunk_floats`) that put chunk boundaries anywhere: the same
-    # lowest-index maximin path
+    # lowest-index maximin path, through tied predecessors too
     seen = {"survival": 0, "ties": 0}
 
     @settings(max_examples=60, deadline=None)
@@ -710,14 +681,10 @@ def test_witness_matches_full_backpointer_reference():
         with mock.patch.object(verifier, "CHUNK_FLOATS",
                                _chunk_floats(kind, n)):
             r = verify(cop, h=h, eps=eps)
-        verdict, time_bound, witness, clearance, ties = \
-            _per_step_verify(cop, h, eps)
-        assert (r.verdict, r.time_bound) == (verdict, time_bound)
-        assert repr(r.min_clearance) == repr(clearance)
-        if witness is not None:
-            assert _same_witness(r.witness, witness)
-            seen["survival"] += 1
-            seen["ties"] += ties
+        want, ties = _oracle_ties(cop, h, eps)
+        assert _answers(r) == _answers(want)
+        seen["survival"] += r.verdict == "survival"
+        seen["ties"] += ties
 
     check()
     assert seen["survival"] >= 30
@@ -756,14 +723,14 @@ def test_verdicts_match_per_step_reference_at_every_chunk_size():
     def check(case, kind):
         cop, h, eps = case
         n = _resolve_params(cop, h, eps)[0].n
-        verdict, time_bound = _per_step_verify(cop, h, eps)[:2]
+        want = brute_force_oracle(cop, h=h, eps=eps)
         # the maximin game with a witness, the boolean game without
-        for want_witness in (True, False):
-            with mock.patch.object(verifier, "CHUNK_FLOATS",
-                                   _chunk_floats(kind, n)):
-                r = verify(cop, h=h, eps=eps, want_witness=want_witness)
-            assert (r.verdict, r.time_bound) == (verdict, time_bound)
-        seen["capture"] += verdict == "capture"
+        with mock.patch.object(verifier, "CHUNK_FLOATS",
+                               _chunk_floats(kind, n)):
+            assert _answers(verify(cop, h=h, eps=eps)) == _answers(want)
+            r = verify(cop, h=h, eps=eps, want_witness=False)
+        assert (r.verdict, r.time_bound) == (want.verdict, want.time_bound)
+        seen["capture"] += r.captured
 
     check()
     assert seen["capture"] >= 10
@@ -784,22 +751,21 @@ def test_capture_step_at_chunk_boundaries(rows, where):
     if where == "final":
         cop = truncate_path(cop, 0.98)
     grid, _, eps, n_steps, tau = _resolve_params(cop, h, None)
-    verdict, time_bound = _per_step_verify(cop, h)[:2]
-    assert verdict == "capture"
-    k = round(time_bound / tau) - 1
+    want = brute_force_oracle(cop, h=h)
+    assert want.verdict == "capture"
+    k = round(want.time_bound / tau) - 1
     assert k == 48
     if where == "final":
-        assert (k, time_bound) == (n_steps - 1, cop.duration)
+        assert (k, want.time_bound) == (n_steps - 1, cop.duration)
     else:
         assert k % rows == (0 if where == "first" else rows - 1)
     chunk_floats = verifier.CHUNK_FLOATS if rows is None else rows * grid.n
     with mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        r = verify(cop, h=h)
-    assert (r.verdict, r.time_bound) == (verdict, time_bound)
+        assert _answers(verify(cop, h=h)) == _answers(want)
     block = verifier.SWEEP_STEPS if rows is None else rows
     with mock.patch.object(verifier, "SWEEP_STEPS", block):
         r = verify(cop, h=h, want_witness=False)
-    assert (r.verdict, r.time_bound) == (verdict, time_bound)
+    assert (r.verdict, r.time_bound) == (want.verdict, want.time_bound)
 
 
 def _maximin_game_ran(*args, **kwargs):
@@ -813,20 +779,22 @@ def _maximin_game_ran(*args, **kwargs):
 def test_capture_with_witness_plays_only_the_boolean_game(cop, h, eps):
     # a capture returns from the boolean game whatever want_witness says:
     # no maximin step and no clearance row
-    want = _per_step_verify(cop, h, eps)[:2]
+    want = brute_force_oracle(cop, h=h, eps=eps)
     with mock.patch.object(verifier, "propagate_step", _maximin_game_ran), \
             mock.patch.object(verifier, "_clearance_rows", _maximin_game_ran):
         for want_witness in (True, False):
             r = verify(cop, h=h, eps=eps, want_witness=want_witness)
-            assert (r.verdict, r.time_bound) == want
-            assert r.verdict == "capture" and r.witness is None
+            assert _answers(r) == _answers(want)
+            assert r.verdict == "capture"
 
 
 def test_boolean_survival_that_the_maximin_game_captures_is_an_error():
     # the path sweep captures at step 48 of 50: told by the boolean game
     # that some evader survives, the maximin game's final scores refute it
     cop = sweep_strategy(unit_path(), 1.0)
-    assert _per_step_verify(cop, 0.02)[0] == "capture"
+    r = verify(cop, h=0.02)
+    assert r.verdict == "capture"
+    assert _answers(r) == _answers(brute_force_oracle(cop, h=0.02))
     with mock.patch.object(verifier, "_first_empty_step",
                            lambda *args: None):
         with pytest.raises(GameMismatchError,
@@ -839,16 +807,11 @@ def test_zero_step_cop_matches_per_step_reference(eps):
     cop = truncate_path(sweep_strategy(unit_path(), 1.0), 0.0)
     assert cop.duration == 0
     r = verify(cop, h=0.02, eps=eps)
-    verdict, time_bound, witness, clearance, _ = _per_step_verify(cop, 0.02,
-                                                                  eps)
     assert r.n_steps == 0
-    assert (r.verdict, r.time_bound) == (verdict, time_bound)
     assert r.verdict == ("capture" if eps else "survival")
+    assert _answers(r) == _answers(brute_force_oracle(cop, h=0.02, eps=eps))
     r_bool = verify(cop, h=0.02, eps=eps, want_witness=False)
-    assert (r_bool.verdict, r_bool.time_bound) == (verdict, time_bound)
-    assert repr(r.min_clearance) == repr(clearance)
-    if witness is not None:
-        assert _same_witness(r.witness, witness)
+    assert (r_bool.verdict, r_bool.time_bound) == (r.verdict, r.time_bound)
 
 
 # ------------------------------------------------------- the boolean game
@@ -990,22 +953,6 @@ def test_step_runs_match_route(g, h, detours):
     assert bool(seen) == detours
 
 
-def _assert_runs_are_routes(w):
-    g = w.graph
-    for a, b, runs in zip(w.points, w.points[1:], w.routes):
-        assert runs == g.route(a, b)[1]
-
-
-def test_witness_runs_are_routes_on_oracle_survivals():
-    rng, seen = random.Random(17), 0
-    while seen < 40:
-        cop, h, eps = oracle_instance(rng)
-        r = verify(cop, h=h, eps=eps)
-        if r.verdict == "survival":
-            _assert_runs_are_routes(r.witness)
-            seen += 1
-
-
 def _shortcut_multigraph(rng, h):
     """A random tree with a loop and, beside its first edge (at most h
     long, so its samples are its two vertices), a parallel edge shorter
@@ -1030,10 +977,8 @@ def test_witness_runs_are_routes_on_multigraphs(seed):
     cop = PathBuilder(g, rng.choice(g.vertices), rng.uniform(0.2, 1.0))
     for _ in range(3):
         cop.move_to(rng.choice(g.vertices))
-    cop.wait(0.5)
-    r = verify(cop.build(), h=h)
-    if r.verdict == "survival":
-        _assert_runs_are_routes(r.witness)
+    cop = cop.wait(0.5).build()     # a witness's runs are the oracle's
+    assert _answers(verify(cop, h=h)) == _answers(brute_force_oracle(cop, h=h))
     # a walk of witness-sized steps that takes the detour v0 -> v1
     grid = discretize(g, h)
     tau = grid.max_spacing + REACH_SLACK
@@ -1140,28 +1085,29 @@ def test_capture_stable_under_extension():
 # ------------------------------------------------------------ oracle accord
 
 def test_verify_agrees_with_oracle():
-    # both games: the boolean one without a witness, the maximin one with
+    # with a witness, whose runs must be the oracle's, `route`'s; criterion
+    # 09 compares the verdicts of the boolean game alone
     rng = random.Random(5)
-    verdicts = set()
-    for _ in range(40):
+    verdicts = []
+    while verdicts.count("survival") < 40:
         cop, h, eps = oracle_instance(rng)
         slow = brute_force_oracle(cop, h=h, eps=eps)
-        for want_witness in (False, True):
-            fast = verify(cop, h=h, eps=eps, want_witness=want_witness)
-            assert (fast.verdict, fast.time_bound) == (slow.verdict,
-                                                       slow.time_bound)
-        verdicts.add(fast.verdict)
-    assert verdicts == {"capture", "survival"}
+        assert _answers(verify(cop, h=h, eps=eps)) == _answers(slow)
+        verdicts.append(slow.verdict)
+    assert "capture" in verdicts
 
 
 def test_oracle_refuses_large_instances():
-    g = unit_path()
-    cop = stand(g, "a", 1.0)
-    with pytest.raises(SizeLimitError, match="samples"):
-        brute_force_oracle(cop, h=0.01)
-    long_cop = stand(g, "a", 10.0)
-    with pytest.raises(SizeLimitError, match="steps"):
-        brute_force_oracle(long_cop, h=0.25)
+    # one limit: samples x (samples + steps), 101 x (101 + 100) at h=0.01
+    cop = stand(unit_path(), "a", 1.0)
+    with mock.patch.object(verifier, "ORACLE_MAX_CELLS", 101 * 201):
+        assert brute_force_oracle(cop, h=0.01).n_samples == 101
+        with pytest.raises(SizeLimitError, match="samples.*steps"):
+            brute_force_oracle(stand(unit_path(), "a", 1.01), h=0.01)
+        with pytest.raises(SizeLimitError, match="samples.*steps"):
+            brute_force_oracle(cop, h=0.0099)
+    with pytest.raises(SizeLimitError, match="oracle limit"):
+        brute_force_oracle(cop, h=1e-4)     # 10,001 samples alone
 
 
 # ------------------------------------------------------------------ reports
