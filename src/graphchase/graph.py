@@ -695,69 +695,78 @@ class DiscretizedGraph:
 
     def cells_within(self, rows, edges, lo, hi,
                      eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """`cell_keys` as the (row, sample) arrays `np.nonzero` gives: with
-        one zero-length interval per row at a sample's point, row q is that
-        sample's reach in the verifier."""
-        keys = self.cell_keys(rows, edges, lo, hi, eps)
-        keys.sort()
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        return np.divmod(keys[new], self.n)
+        """`runs_within` as the (row, sample) arrays `np.nonzero` gives; with
+        a zero-length interval at sample q in row q, row q is q's reach."""
+        row, first, count = self.runs_within(rows, edges, lo, hi, eps)
+        i, q = _flat_ranges(first, first + count)
+        keys = np.sort(row[i] * self.n + q)
+        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n)
 
-    def cell_keys(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
-        """The cells of `distances_to_interval_rows` at most eps, as keys
-        row * n + sample in no order, a cell possibly more than once.
-
-        Only samples near an interval are looked at: its offset window on
-        its own edge and each endpoint's samples within eps of the vertex,
-        both widened by one spacing.  Each is tested with the same
-        floating-point term `distances_to_interval_rows` takes for it.  A
-        vertex term is the vertex distance plus a non-negative length and
-        a direct term a difference of offsets, so, rounding being monotone
-        and far finer than a spacing, every term at most eps belongs to a
-        looked-at sample, and the cells are exact.  All intervals are
-        handled at once, each kind of term as one flat array of candidate
-        cells made by its own method, so that its temporaries are freed
-        before the keys are joined.
-        """
-        return np.concatenate([self._vertex_cells(rows, edges, lo, hi, eps),
-                               self._edge_cells(rows, edges, lo, hi, eps)])
-
-    def _vertex_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
-        """`cell_keys`'s vertex terms at most eps, as keys row * n +
-        sample: each interval's leg to either end of its edge, which a
-        term is at least, plus the distances from that vertex to its
-        samples within eps and a spacing."""
-        dist = self.vertex_sample_dist
+    def runs_within(self, rows, edges, lo, hi, eps: float):
+        """The cells of `distances_to_interval_rows` at most eps as runs of
+        consecutive samples, arrays (row, first sample, count) in no order:
+        each run non-empty, one vertex sample or inside one edge's interior
+        block, runs possibly overlapping.  An interval's direct term is at
+        most eps on one run of its edge; its term through an end vertex w,
+        at a leg of lo or length - hi, on vertex samples and, w's distance
+        being the smaller of a term rising from an edge's u end and one
+        falling to its v end, on a prefix and a suffix of each edge whose
+        end is within eps of w.  `_run_ends` finds each run's end with the
+        floating-point terms themselves, so the runs are exact."""
+        dist, vv = self.vertex_sample_dist, self.graph.vertex_distance_matrix
+        n_vert, n = len(dist), len(edges)
         eu, ev, length = self.graph.edge_table
+        top = self.edge_intervals - 1
+        inner = np.flatnonzero(top)
+        # interval ends within eps of a vertex w, and w's candidates: c <
+        # n_vert a vertex sample, then the u ends, then the v ends of inner
         leg = np.concatenate([lo, length[edges] - hi])
         t = np.flatnonzero(leg <= eps)
         leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
-        used = np.flatnonzero(np.bincount(vert, minlength=len(dist)))
-        near = [np.flatnonzero(dist[v] <= eps + self.max_spacing)
-                for v in used.tolist()]
-        ends = np.cumsum([0] + [len(c) for c in near])
+        used = np.flatnonzero(np.bincount(vert, minlength=n_vert)).tolist()
+        near = [np.concatenate([dist[w, :n_vert], vv[w, eu[inner]],
+                                vv[w, ev[inner]]]) for w in used]
+        cand = [np.flatnonzero(d <= eps) for d in near]
+        sizes = np.cumsum([0] + [len(c) for c in cand])
         k = np.searchsorted(used, vert)
-        i, c = _flat_ranges(ends[k], ends[k + 1])
-        c = np.concatenate([np.empty(0, dtype=np.int64)] + near)[c]
-        ok = dist[vert[i], c] + leg[i] <= eps
-        return np.concatenate([rows, rows])[t[i[ok]]] * self.n + c[ok]
+        i, c = _flat_ranges(sizes[k], sizes[k + 1])
+        base = np.concatenate([np.empty(0), *map(np.take, near, cand)])[c]
+        c = np.concatenate([np.empty(0, dtype=np.int64), *cand])[c]
+        on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
+        # walk half runs: each interval's direct term to its last end and
+        # from its first (rev), a prefix from a u end, a suffix to a v end
+        e = np.concatenate([edges, edges, np.tile(inner, 2)[c[on] - n_vert]])
+        rev = np.concatenate([np.arange(2 * n) >= n,
+                              c[on] >= n_vert + len(inner)])
+        end = _run_ends(eps, top[e], self.edge_spacing[e], rev,
+                        np.concatenate([-hi, np.zeros(n), base[on]]),
+                        np.concatenate([lo, lo, length[e[2 * n:]]]),
+                        np.concatenate([np.zeros(2 * n), leg[i[on]]]))
+        first = self.edge_inner_start[e] + np.where(rev, end, 0)
+        last = self.edge_inner_start[e] - 1 + np.where(rev, top[e], end)
+        ok = ~on & (base + leg[i] <= eps)
+        row = np.concatenate([rows, vrow[on], vrow[ok]])
+        first = np.concatenate([first[n:], c[ok]])
+        count = np.concatenate([last[:n], last[2 * n:], c[ok]]) - first + 1
+        keep = (count > 0) & (eps >= 0)     # no term is below 0
+        return row[keep], first[keep], count[keep]
 
-    def _edge_cells(self, rows, edges, lo, hi, eps: float) -> np.ndarray:
-        """`cell_keys`'s direct terms at most eps, as keys row * n +
-        sample: the interior positions 1 .. intervals - 1 of each
-        interval's edge within eps and a spacing of [lo, hi]."""
-        reach = eps + self.max_spacing
-        sp = self.edge_spacing[edges]
-        first = np.maximum(np.ceil((lo - reach) / sp), 1)
-        stop = np.minimum(np.floor((hi + reach) / sp) + 1,
-                          self.edge_intervals[edges])
-        i, s = _flat_ranges(first.astype(np.int64),
-                            np.maximum(stop, first).astype(np.int64))
-        s += (self.edge_inner_start - 1)[edges][i]    # position to sample
-        x = self.sample_offset[s]
-        ok = np.maximum(0.0, np.maximum(lo[i] - x, x - hi[i])) <= eps
-        return rows[i[ok]] * self.n + s[ok]
+
+def _run_ends(eps, top, sp, rev, base, start, leg):
+    """Each entry's largest p in 0 .. top with (base + along) + leg at most
+    eps (above it where rev) at positions 1 .. p, along being p * sp (start
+    - p * sp where rev).  The term is monotone in p, as rounding is, so an
+    estimate from the offsets is moved one position at a time to p."""
+    room = eps - leg - base
+    p = np.floor(np.where(rev, start - room, room) / sp)
+    p = np.minimum(np.maximum(p, 0), top)   # the estimate, within 0 .. top
+    while True:
+        x = (p + [[0], [1]]) * sp           # positions p and p + 1
+        here, ahead = (base + np.where(rev, start - x, x) + leg <= eps) != rev
+        up, down = (p < top) & ahead, (p > 0) & ~here
+        if not (up.any() or down.any()):
+            return p.astype(np.int64)
+        p = p + up - down
 
 
 def _flat_ranges(start: np.ndarray, stop: np.ndarray):

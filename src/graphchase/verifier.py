@@ -9,13 +9,13 @@ discretizations are the sample spacing and the time step `tau`: the cop's
 duration cut into whole steps, each at least the largest spacing long.
 
 Every verdict is decided by a boolean game over which samples are alive,
-which needs only the grid cells within the capture radius of the cop: its
-alive mask is one Python int with a bit per slot, and a step is a few
-whole-int shifts, ORs and ANDs.  On a survival that wants a witness, a
-maximin game then propagates each sample's best clearance so far, and the
-verifier extracts an explicit evader trajectory that maximizes its minimum
-grid clearance and recomputes that trajectory's true continuous-time
-clearance against the cop.
+which needs only the runs of grid cells within eps of the cop: its alive
+mask and each step's dead cells are Python ints with a bit per slot, and a
+step is a few whole-int shifts, ORs and ANDs.  On a survival that wants a
+witness, a maximin game then propagates each sample's best clearance so
+far, and the verifier extracts an explicit evader trajectory that maximizes
+its minimum grid clearance and recomputes that trajectory's true
+continuous-time clearance against the cop.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -35,7 +36,7 @@ REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
 MAX_STEPS = 10 ** 6     # step count limit: duration / spacing
 MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
-SWEEP_STEPS = 256       # steps per swept_block call
+SWEEP_STEPS = 256       # steps per swept_block call (boolean game: 64-1024)
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
@@ -180,14 +181,12 @@ def propagate_step(score: np.ndarray, clearance: np.ndarray,
 
 
 def _alive_steps(reach: ReachStructure, alive: int, keeps):
-    """Yield the alive mask, one bit per slot, after each step: from the
-    start mask `alive`, with `keeps` giving each step's slots that are not
-    guards or dead (clearance at most eps).  A target is alive after the
-    step iff it is kept and some predecessor was alive and kept: the mask
-    is cut to the kept slots, ORed with its shifts over the band and with
-    the junction targets of its alive sources, and cut again.  The
-    junction targets are ORed by source, only when the alive sources
-    change."""
+    """Yield the alive mask, one bit per slot, after each step, from the
+    start mask `alive` and each step's slots `keeps`, neither guards nor
+    dead (clearance at most eps): a target is alive iff it is kept and a
+    predecessor was alive and kept.  The mask is cut to the kept slots,
+    ORed with its shifts over the band and with the junction targets of
+    its alive sources (ORed by source when those change), and cut again."""
     groups = {}
     for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
         groups[1 << s] = groups.get(1 << s, 0) | 1 << t
@@ -207,40 +206,37 @@ def _alive_steps(reach: ReachStructure, alive: int, keeps):
         yield alive
 
 
-def _keep_rows(grid: DiscretizedGraph, reach: ReachStructure,
-               table: PieceTable, tau: float, n_steps: int, eps: float):
-    """Yield the int of slots `_alive_steps` keeps at each step j <
-    n_steps: no guard, and no cell of step j's swept region within eps
-    (`cell_keys`, for blocks of SWEEP_STEPS steps).  The cells are cleared
-    in a bool block of rows holding the non-guard slots, packed to bits and
-    set again.  The block takes no more bytes than CHUNK_FLOATS floats, so
-    on large grids it takes a block of steps in slices of the sorted cells.
-    """
-    n = reach.n_slots
-    block = np.zeros((max(1, min(SWEEP_STEPS, 8 * CHUNK_FLOATS // n)), n),
-                     dtype=bool)
-    block[:, reach.slot] = True
-    flat = block.ravel()
-    for b0 in range(0, n_steps, SWEEP_STEPS):
-        b1 = min(b0 + SWEEP_STEPS, n_steps)
-        step, edge, lo, hi = swept_block(table, tau, b0, b1)
-        keys = grid.cell_keys(step - b0, edge, lo, hi, eps)
-        cells = keys // grid.n
-        keys -= cells * grid.n              # each cell's sample
-        cells *= n
-        cells += reach.slot[keys]           # its place in the rows from b0
-        cells.sort()
-        for r0 in range(0, b1 - b0, len(block)):
-            rows = block[:min(len(block), b1 - b0 - r0)]
-            c0, c1 = np.searchsorted(cells, [r0 * n, r0 * n + rows.size])
-            dead = cells[c0:c1] - r0 * n
-            flat[dead] = False
-            packed = np.packbits(rows, axis=1, bitorder="little")
-            flat[dead] = True
-            data, size = packed.tobytes(), packed.shape[1]
-            for k in range(0, len(data), size):
-                yield int.from_bytes(data[k:k + size], "little")
-        del keys, cells, dead   # before the next block's cells are made
+def _runs_mask(runs) -> int:
+    """The int with bits s to s + c - 1 set for each run (s, c)."""
+    mask = 0
+    for s, c in runs:
+        mask |= ((1 << c) - 1) << s
+    return mask
+
+
+def _bits(row: np.ndarray) -> int:
+    """A bool row as an int with bit i set iff row[i] is."""
+    ends = np.flatnonzero(np.diff(row, prepend=False, append=False))
+    return _runs_mask(zip(ends[::2].tolist(), np.diff(ends)[::2].tolist()))
+
+
+def _keep_masks(grid: DiscretizedGraph, reach: ReachStructure,
+                table: PieceTable, tau: float, n_steps: int, eps: float,
+                full: int):
+    """Yield the slots `_alive_steps` keeps at each step j < n_steps as an
+    int, when due: `full`, the non-guard slots, without step j's dead runs
+    (`runs_within`), found for blocks of steps, the first a quarter of
+    SWEEP_STEPS long and each next twice as long, up to 4 * SWEEP_STEPS."""
+    j0, size = 0, max(1, SWEEP_STEPS // 4)
+    while j0 < n_steps:
+        j1 = min(j0 + size, n_steps)
+        step, edge, lo, hi = swept_block(table, tau, j0, j1)
+        row, first, count = grid.runs_within(step - j0, edge, lo, hi, eps)
+        order = np.argsort(row, kind="stable")
+        runs = zip(reach.slot[first[order]].tolist(), count[order].tolist())
+        for k in np.bincount(row, minlength=j1 - j0).tolist():
+            yield full ^ _runs_mask(islice(runs, k))
+        j0, size = j1, min(2 * size, 4 * SWEEP_STEPS)
 
 
 def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
@@ -249,18 +245,13 @@ def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
     """The first step after which no sample is alive, or None: the boolean
     game, which decides every verdict of `verify` as the maximin game
     would.  A sample is alive at step 0 iff its `start` score, in slots,
-    exceeds eps, and after step j iff its score exceeds eps, which, max and
-    min being monotone, holds iff it is outside step j's dead cells and
-    some predecessor was alive and outside them.  The alive mask is one
-    Python int (`_alive_steps`), so emptiness is tested after every step
-    at no cost."""
-    alive = int.from_bytes(
-        np.packbits(start > eps, bitorder="little").tobytes(), "little")
-    keeps = _keep_rows(grid, reach, table, tau, n_steps, eps)
-    for j, alive in enumerate(_alive_steps(reach, alive, keeps)):
-        if not alive:
-            return j
-    return None
+    exceeds eps, and after step j iff its score does, which, max and min
+    being monotone, holds iff it is outside step j's dead cells and some
+    predecessor was alive and outside them (`_alive_steps`)."""
+    full = _bits(start > -np.inf)       # the guards hold -inf
+    keeps = _keep_masks(grid, reach, table, tau, n_steps, eps, full)
+    alive = _alive_steps(reach, _bits(start > eps), keeps)
+    return next((j for j, mask in enumerate(alive) if not mask), None)
 
 
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
@@ -454,12 +445,12 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     clearance.  The time step is `tau` (see `_resolve_params`).
 
     The boolean game `_first_empty_step` decides every verdict from the
-    cells within eps of the cop, and a capture returns from it, whatever
-    `want_witness` says.  Only a survival that wants a witness plays the
-    maximin game, once, and backtracks the witness from the bits
-    `propagate_step` writes of which predecessors attain each best; if its
-    final scores show a capture after all, the games disagree and
-    GameMismatchError is raised.
+    runs of cells within eps of the cop (`DiscretizedGraph.runs_within`),
+    and a capture returns from it, whatever `want_witness` says.  Only a
+    survival that wants a witness plays the maximin game, once, and
+    backtracks the witness from the bits `propagate_step` writes of which
+    predecessors attain each best; if its final scores show a capture
+    after all, the games disagree and GameMismatchError is raised.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
 

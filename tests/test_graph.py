@@ -473,6 +473,74 @@ def test_cells_within_equal_thresholded_rows(seed, where):
         assert len(got[0]) > 0
 
 
+def _interval(rng, grid, k):
+    """A random (lo, hi) on edge k of the grid's graph: a point at a
+    vertex or at one of the edge's samples, an interval touching one end,
+    the whole edge or any interval."""
+    length = grid.graph.edges[k].length
+    kind = rng.choice(["vertex", "sample", "touch", "whole", "any"])
+    if kind == "vertex":
+        return (rng.choice([0.0, length]),) * 2
+    if kind == "sample":
+        offs = grid.sample_offset[grid.sample_edge == k].tolist()
+        return (rng.choice(offs + [0.0, length]),) * 2
+    x = rng.uniform(0, length)
+    if kind == "touch":
+        return rng.choice([(0.0, x), (x, length)])
+    if kind == "whole":
+        return 0.0, length
+    return tuple(sorted([x, rng.uniform(0, length)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from(["spacing", "spacings", "total", "attained"]))
+def test_runs_within_are_the_thresholded_rows(seed, where):
+    """Random graphs with loops and parallel edges of 0.01 to 2, so with
+    mixed spacings and some edges without interior samples, and rows of
+    zero-length intervals at vertices and at samples, intervals touching
+    an edge's end, whole edges and any intervals.  eps is one ulp above
+    the largest spacing, up to 40 spacings, beyond the total length, or a
+    distance some cell attains.  Expanded, the runs are the cells at most
+    eps, cell for cell; each is non-empty and one vertex sample or inside
+    one edge's interior block."""
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=6, extra_edges=3, min_len=0.01,
+                     allow_multi=True)
+    grid = discretize(g, rng.choice([0.05, 0.1, 0.2]))
+    rows, edges, ends = [], [], []
+    for r in range(rng.randint(1, 30)):
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            k = rng.randrange(len(g.edges))
+            rows.append(r)
+            edges.append(k)
+            ends.append(_interval(rng, grid, k))
+    rows = np.array(rows, dtype=np.int64)
+    edges = np.array(edges, dtype=np.int64)
+    lo, hi = (np.array(x, dtype=float).reshape(-1)
+              for x in zip(*ends or [((), ())]))
+    dist = grid.distances_to_interval_rows(
+        r + 1, rows, edges, lo, hi,
+        grid.row_layout(np.arange(grid.n), grid.n))
+    sp = grid.max_spacing
+    eps = {"spacing": np.nextafter(sp, np.inf),
+           "spacings": sp * rng.uniform(1.0, 40.0),
+           "total": g.total_length * rng.uniform(1.0, 2.0),
+           "attained": rng.choice(dist[np.isfinite(dist)].tolist() or [sp])
+           }[where]
+    row, first, count = grid.runs_within(rows, edges, lo, hi, eps)
+    assert (count > 0).all()
+    n_vert = len(grid.vertex_sample_dist)
+    last = first + count - 1
+    one_edge = (first >= n_vert) & (grid.sample_edge[first]
+                                    == grid.sample_edge[last])
+    assert (one_edge | ((first < n_vert) & (count == 1))).all()
+    cells = sorted({(r, q) for r, f, c in zip(row.tolist(), first.tolist(),
+                                              count.tolist())
+                    for q in range(f, f + c)})
+    assert cells == list(zip(*(a.tolist() for a in np.nonzero(dist <= eps))))
+
+
 def test_graph_json_roundtrip(tmp_path):
     g = triangle(1.0, 2.0, 3.0)
     doc = graph_to_dict(g)

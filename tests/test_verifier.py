@@ -20,7 +20,7 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_steps,
-                                 _clearance_rows, _keep_rows,
+                                 _clearance_rows, _keep_masks,
                                  _resolve_params, _step_grid, build_reach,
                                  propagate_step, swept_block,
                                  swept_intervals)
@@ -742,10 +742,10 @@ def test_verdicts_match_per_step_reference_at_every_chunk_size():
 ], ids=["first-48", "first-24", "last-49", "last-7", "final", "final-2"])
 def test_capture_step_at_chunk_boundaries(rows, where):
     # the path sweep of the unit path captures at step k = 48 of 50 at
-    # h = 0.02: blocks of `rows` steps of the boolean game put it first or
-    # last in its block, and so would chunks of `rows` clearance rows,
-    # which a capture no longer reads; cut at the capture time, the sweep
-    # captures at its last step
+    # h = 0.02: chunks of `rows` clearance rows, which a capture no longer
+    # reads, put it first or last in its chunk, and a SWEEP_STEPS that
+    # `_cap_putting` picks puts it first or last in a block of the boolean
+    # game; cut at the capture time, the sweep captures at its last step
     h = 0.02
     cop = sweep_strategy(unit_path(), 1.0)
     if where == "final":
@@ -762,10 +762,14 @@ def test_capture_step_at_chunk_boundaries(rows, where):
     chunk_floats = verifier.CHUNK_FLOATS if rows is None else rows * grid.n
     with mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
         assert _answers(verify(cop, h=h)) == _answers(want)
-    block = verifier.SWEEP_STEPS if rows is None else rows
-    with mock.patch.object(verifier, "SWEEP_STEPS", block):
-        r = verify(cop, h=h, want_witness=False)
+    cap = (verifier.SWEEP_STEPS if rows is None else rows) \
+        if where == "final" else _cap_putting(k, n_steps, where)
+    r, calls = _game_blocks_called(cop, h, None, cap)
     assert (r.verdict, r.time_bound) == (want.verdict, want.time_bound)
+    assert calls == _game_blocks(n_steps, cap)[:len(calls)]
+    if where != "final":
+        assert calls[-1][where == "last"] == k + (where == "last")
+        assert calls[-1][1] - calls[-1][0] >= 2
 
 
 def _maximin_game_ran(*args, **kwargs):
@@ -824,8 +828,7 @@ def alive_cases(draw):
     stands exactly on a vertex, or has no steps, or sweeps it in steps of
     2-4 spacings (a band of half-width 2 or more); with where a capture
     should fall in the boolean game's blocks: first or last, or wherever
-    blocks of a drawn size put it, and how many rows the kill block
-    holds."""
+    the blocks for a drawn SWEEP_STEPS put it."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
     sp = grid.max_spacing
@@ -838,9 +841,9 @@ def alive_cases(draw):
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
     stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
-    place = draw(st.sampled_from(["first", "last", 1, 2, 3, 5, 256]))
-    fill = draw(st.sampled_from([1, 2, 3, None]))
-    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, place, fill
+    place = draw(st.sampled_from(["first", "last"] * 3 + [1, 2, 3, 5, 10,
+                                                          256]))
+    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, place
 
 
 def from_bits(mask, n):
@@ -850,19 +853,56 @@ def from_bits(mask, n):
                          bitorder="little")[:n].astype(bool)
 
 
+def _game_blocks(n_steps, sweep):
+    """The (j0, j1) blocks of steps of the boolean game when SWEEP_STEPS
+    is sweep: the first sweep // 4 steps long, or one, each next one
+    twice as long up to 4 * sweep."""
+    blocks, j0, size = [], 0, max(1, sweep // 4)
+    while j0 < n_steps:
+        blocks.append((j0, min(j0 + size, n_steps)))
+        j0, size = j0 + size, min(2 * size, 4 * sweep)
+    return blocks
+
+
+def _cap_putting(k, n_steps, where):
+    """The largest SWEEP_STEPS up to 256 whose boolean-game blocks have
+    step k as the first or last step of a block at least two steps long,
+    or else 1."""
+    for sweep in range(256, 1, -1):
+        for j0, j1 in _game_blocks(n_steps, sweep):
+            if j1 - j0 >= 2 and (j0 if where == "first" else j1 - 1) == k:
+                return sweep
+    return 1
+
+
+def _game_blocks_called(cop, h, eps, sweep):
+    """`verify` without a witness with SWEEP_STEPS = sweep, and the (j0,
+    j1) of every `swept_block` call it made: the boolean game's blocks."""
+    calls = []
+
+    def recording(table, tau, j0, j1):
+        calls.append((j0, j1))
+        return swept_block(table, tau, j0, j1)
+
+    with mock.patch.object(verifier, "SWEEP_STEPS", sweep), \
+            mock.patch.object(verifier, "swept_block", recording):
+        r = verify(cop, h=h, eps=eps, want_witness=False)
+    return r, calls
+
+
 def test_alive_masks_match_maximin_scores():
     # at every step the boolean game's alive mask is the maximin game's
-    # score > eps, slot for slot; the blocked kept-slot rows are the
-    # per-step ones wherever the block and its fillings cut; verify's
-    # verdict and time bound agree with the maximin game's wherever the
-    # capture falls in a block
+    # score > eps, slot for slot; the kept-slot masks made from blocks of
+    # runs are the per-step ones wherever the blocks cut; verify's verdict
+    # and time bound agree with the maximin game's wherever the capture
+    # falls in a block
     seen = {"stand": 0, "zero": 0, "several": 0, "first": 0, "last": 0,
             "wide": 0, "junction": 0}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(alive_cases())
     def check(case):
-        kind, cop, h, eps, stretch, place, fill = case
+        kind, cop, h, eps, stretch, place = case
         grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
         if stretch > 1:
             n_steps, tau = _step_grid(cop.duration, tau * stretch)
@@ -876,13 +916,11 @@ def test_alive_masks_match_maximin_scores():
             keeps.append(sum(1 << s for s in set(reach.slot.tolist())
                              - set(reach.slot[q].tolist())))
             seen["several"] += len(step) > 1
+        full = sum(1 << s for s in reach.slot.tolist())
         steps = place if isinstance(place, int) else 5
-        rows = fill or steps
-        with mock.patch.object(verifier, "SWEEP_STEPS", steps), \
-                mock.patch.object(verifier, "CHUNK_FLOATS",
-                                  -(-rows * reach.n_slots // 8)):
-            assert list(_keep_rows(grid, reach, cop.table, tau, n_steps,
-                                   eps)) == keeps
+        with mock.patch.object(verifier, "SWEEP_STEPS", steps):
+            assert list(_keep_masks(grid, reach, cop.table, tau, n_steps,
+                                    eps, full)) == keeps
         sources = sum(1 << s for s in set(reach.junction_src.tolist()))
         alive = sum(1 << int(s) for s in reach.slot[start > eps])
         live = []       # the alive junction sources of each step
@@ -903,15 +941,16 @@ def test_alive_masks_match_maximin_scores():
         r = verify(cop, h=h, eps=eps)
         k = (round(r.time_bound / tau) - 1 if r.captured and r.time_bound
              else None)     # the capturing step, if not the start
-        block = {"first": max(k or 1, 1), "last": (k or 0) + 1}.get(place,
-                                                                   place)
-        with mock.patch.object(verifier, "SWEEP_STEPS", block):
-            fast = verify(cop, h=h, eps=eps, want_witness=False)
+        cap = (_cap_putting(k or 0, n_steps, place)
+               if place in ("first", "last") else place)
+        fast, calls = _game_blocks_called(cop, h, eps, cap)
         assert (fast.verdict, fast.time_bound) == (r.verdict, r.time_bound)
+        assert calls == _game_blocks(n_steps, cap)[:len(calls)]
         if kind != "sweep":
             seen[kind] += 1
-        if k is not None and place in ("first", "last"):
-            assert k % block == (0 if place == "first" else block - 1)
+        if k is not None and place in ("first", "last") and cap > 1:
+            # the capture is the first or last step of the last block
+            assert calls[-1][place == "last"] == k + (place == "last")
             seen[place] += 1
 
     check()
@@ -920,9 +959,10 @@ def test_alive_masks_match_maximin_scores():
 
 def test_verdict_on_a_large_grid_holds_a_bounded_kill_block():
     # a sweep of the unit path at h = 1e-5: 100,001 samples, 2,000 steps.
-    # The traced peak is the reach relation's build, about 31.2 MB; a kill
-    # block of SWEEP_STEPS rows of the 100,004 slots would hold 25.6 MB
-    # more and peak at 44.8 MB
+    # The traced peak is the reach relation's build, about 25 MB; the
+    # boolean game makes each step's dead mask when it is due, and holding
+    # the masks of a block of 4 * SWEEP_STEPS steps, up to 12.5 KB each
+    # for the 100,004 slots, would take up to 12.8 MB more
     cop = sweep_strategy(unit_path(), 50.0)
     tracemalloc.start()
     try:
@@ -932,6 +972,17 @@ def test_verdict_on_a_large_grid_holds_a_bounded_kill_block():
         tracemalloc.stop()
     assert (r.verdict, r.n_samples, r.n_steps) == ("capture", 100001, 2000)
     assert peak < 32 * 2 ** 20
+
+
+def test_capture_on_a_fine_star_grid_is_pinned():
+    # star4 at h = 5e-5: 40,001 samples and 69,615 steps, beyond the
+    # oracle's size limit, so this pin is the identity check at this size;
+    # the time bound is the one the game gave when it still tested every
+    # dead-cell candidate and packed each step's kept slots from a bool row
+    cop = star_strategy(star(4, 0.5), 5.5, 1e-2)
+    r = verify(cop, h=5e-5, eps=0.02, want_witness=False)
+    assert (r.verdict, r.n_samples, r.n_steps) == ("capture", 40001, 69615)
+    assert r.time_bound == 2.858187743686004
 
 
 @pytest.mark.parametrize("g, h, detours", [
