@@ -18,7 +18,7 @@ from .graph import MetricGraph
 from .strategies import (StrategyError, cascade_truncation, comb_strategy,
                          cycle_strategy, finiteness_strategy, star_strategy,
                          sweep_strategy)
-from .trajectory import TimedPath
+from .trajectory import PathValidationError, TimedPath
 from .verifier import VerifierResult, resolution, verify
 
 # Family name -> constructor(g, s, truncation).  The lambdas look each
@@ -41,7 +41,7 @@ def build_family(g: MetricGraph, family: str, s: float,
                  eps: float | None = None) -> TimedPath:
     """Construct the named strategy family on g at speed s, for capture
     radius eps: a cascade truncates at `cascade_truncation(g, eps)`.  A
-    schedule whose float arithmetic fails at an extreme s is rejected."""
+    schedule out of float range or an invalid path is a StrategyError."""
     if family not in FAMILIES:
         raise StrategyError(f"unknown strategy family {family!r}; "
                             f"choose one of {', '.join(FAMILIES)}")
@@ -50,6 +50,9 @@ def build_family(g: MetricGraph, family: str, s: float,
     except ArithmeticError as exc:
         raise StrategyError(f"{family} schedule at speed {s} is out of "
                             f"float range: {exc}") from None
+    except PathValidationError as exc:
+        raise StrategyError(f"{family} path at speed {s} is invalid: "
+                            f"{exc}") from None
 
 
 @dataclass(frozen=True)

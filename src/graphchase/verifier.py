@@ -13,9 +13,9 @@ which needs only the runs of grid cells within eps of the cop: its alive
 mask and each step's dead cells are Python ints with a bit per slot, and a
 step is a few whole-int shifts, ORs and ANDs.  On a survival that wants a
 witness, a maximin game then propagates each sample's best clearance so
-far, and the verifier extracts an explicit evader trajectory that maximizes
-its minimum grid clearance and recomputes that trajectory's true
-continuous-time clearance against the cop.
+far a chunk of steps at a time, and the verifier extracts an explicit
+evader trajectory that maximizes its minimum grid clearance and recomputes
+that trajectory's true continuous-time clearance against the cop.
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ class ReachStructure:
     among edges with interior samples, so any two samples of one block at
     most `width` slots apart form a CSR pair, and a band of that half-width
     over the slots realizes exactly those pairs.  Every other non-self pair
-    is one `(junction_src, junction_dst)` entry, in slots.  `window` holds
-    the 2 * width + 1 shifted views of a scratch row with `width` -inf
-    slots on either side, the middle one the slots themselves; the scratch
-    makes a ReachStructure serve one propagation at a time.
+    is one `(junction_src, junction_dst)` entry, in slots.  It holds no
+    scratch, so any number of propagations may use it at once.
     """
 
     src: np.ndarray
@@ -86,7 +84,6 @@ class ReachStructure:
     slot: np.ndarray
     n_slots: int
     width: int
-    window: tuple
     junction_src: np.ndarray
     junction_dst: np.ndarray
 
@@ -130,11 +127,8 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
     slot = np.arange(n) + width * group
     n_slots = n + width * (n_vert + len(inner))
-    pad = np.full(n_slots + 2 * width, -np.inf)
-    window = tuple(pad[width + d:width + d + n_slots]
-                   for d in range(-width, width + 1))
     far = (gap > 0) & ~(same & (gap <= width))
-    return ReachStructure(src, starts, slot, n_slots, width, window,
+    return ReachStructure(src, starts, slot, n_slots, width,
                           slot[src[far]], slot[dst[far]])
 
 
@@ -142,42 +136,24 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 # maximin propagation
 # ----------------------------------------------------------------------
 
-def propagate_step(score: np.ndarray, clearance: np.ndarray,
-                   reach: ReachStructure, *,
-                   attains: np.ndarray | None = None) -> np.ndarray:
-    """One grid step of the surviving evader positions, in slots.
+def propagate_step(row: tuple, best: np.ndarray,
+                   reach: ReachStructure) -> None:
+    """Write into `best` each slot's best over its predecessors for one step.
 
-    `score[slot[q]]` is the largest clearance an evader reaching sample q
-    alive can have kept so far, checked at both endpoints of every step
-    against that step's swept cop region; q survives iff its score exceeds
-    eps.  The start score is the distance to the cop's start point.  The
-    new score of a target is min(arrival clearance, best over predecessors
-    of min(their score, their departure clearance)).  Guard slots hold
-    -inf in score and clearance, and so in the result.
-
-    The maximum over predecessors runs as 2 * width unmasked `np.maximum`
-    calls over shifted views of the whole slot row, the band, plus one
-    `np.maximum.at` over the junction list; max and min are exact, so the
-    result does not depend on the pair order.
-
-    `attains`, if given, is a bool row that receives a bit per predecessor
-    pair: whether its min(score, clearance) equals the target's best before
-    the arrival clearance.  Entry `k * n_slots + t` is the pair from slot
-    `t + k - width` to slot t; the junction pairs follow, in list order.
+    A sample's value in a step is min(score, clearance): its score, the
+    largest clearance an evader reaching it alive can have kept so far,
+    cut to the step's clearance.  `row` holds the 2 * width + 1 shifted
+    views of one value row padded with `width` -inf slots on either side:
+    view k holds at t the value of slot t + k - width.  A guard slot's
+    best is left to the clearance, -inf there, to cut.  The band is 2 *
+    width unmasked `np.maximum` calls over the views, the junction list
+    one `np.maximum.at`; max is exact, so the pair order does not matter.
     """
-    window = reach.window
-    val = np.minimum(score, clearance, out=window[reach.width])
-    best = np.maximum(window[0], window[-1])
-    for shifted in window[1:-1]:
+    np.maximum(row[0], row[-1], out=best)
+    for shifted in row[1:-1]:
         np.maximum(best, shifted, out=best)
-    jval = val[reach.junction_src]
+    jval = row[reach.width][reach.junction_src]
     np.maximum.at(best, reach.junction_dst, jval)
-    if attains is not None:
-        n = reach.n_slots
-        for k, shifted in enumerate(window):
-            np.equal(shifted, best, out=attains[k * n:(k + 1) * n])
-        np.equal(jval, best[reach.junction_dst], out=attains[len(window) * n:])
-    return np.minimum(best, clearance, out=best)
 
 
 def _alive_steps(reach: ReachStructure, alive: int, keeps):
@@ -447,9 +423,14 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     The boolean game `_first_empty_step` decides every verdict from the
     runs of cells within eps of the cop (`DiscretizedGraph.runs_within`),
     and a capture returns from it, whatever `want_witness` says.  Only a
-    survival that wants a witness plays the maximin game, once, and
-    backtracks the witness from the bits `propagate_step` writes of which
-    predecessors attain each best; if its final scores show a capture
+    survival that wants a witness plays the maximin game, once, a chunk of
+    clearance rows (`_clearance_rows`) at a time: the steps' values,
+    min(score, clearance), fill a block padded with `width` -inf slots,
+    whose shifted row views `propagate_step` reads, and each step's best
+    overwrites its clearance row once that is used.  After each chunk, one
+    `np.equal` per shift and one over the junction list give the bits of
+    which predecessors attain each best, packed with `np.packbits`.  The
+    witness is backtracked from them; if the final scores show a capture
     after all, the games disagree and GameMismatchError is raised.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
@@ -472,12 +453,26 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     if not want_witness:
         return result("survival")
     layout = grid.row_layout(reach.slot, reach.n_slots)
-    n_bits = len(reach.window) * reach.n_slots + len(reach.junction_src)
-    table = []      # the packed attains rows of each chunk of steps
-    for rows in _clearance_rows(grid, layout, cop.table, tau, n_steps):
-        bits = np.empty((len(rows), n_bits), dtype=bool)
-        for clr, row in zip(rows, bits):
-            score = propagate_step(score, clr, reach, attains=row)
+    n, w = reach.n_slots, reach.width
+    band, jsrc = (2 * w + 1) * n, w + reach.junction_src
+    rows, table = [], []    # the views of the value rows; the packed bits
+    for clr in _clearance_rows(grid, layout, cop.table, tau, n_steps):
+        m = len(clr)
+        if len(rows) != m + 1:
+            pad = np.full((m + 1, n + 2 * w), -np.inf)
+            rows = [tuple(r[k:k + n] for k in range(2 * w + 1)) for r in pad]
+            bits = np.empty((m, band + len(jsrc)), dtype=bool)
+        vals = pad[:, w:w + n]
+        np.minimum(score, clr[0], out=vals[0])  # first: score may be vals[m]
+        np.minimum(clr[:-1], clr[1:], out=vals[1:m])
+        vals[m] = clr[-1]
+        for i, c in enumerate(clr):
+            propagate_step(rows[i], c, reach)
+            np.minimum(rows[i + 1][w], c, out=rows[i + 1][w])
+        score = vals[m]
+        for k in range(2 * w + 1):
+            np.equal(pad[:m, k:k + n], clr, out=bits[:, k * n:(k + 1) * n])
+        np.equal(pad[:m, jsrc], clr[:, reach.junction_dst], out=bits[:, band:])
         table.append(np.packbits(bits, axis=1))
     if score.max() <= eps:
         raise GameMismatchError(
@@ -494,8 +489,10 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
                        table: list, score: np.ndarray) -> TimedPath:
     """The grid path ending at the best final sample.
 
-    `table` holds the `attains` rows of `propagate_step`, packed, one array
-    per chunk of steps in step order, and `score` the final score, in
+    `table` holds the bits `verify` packs, one array per chunk of steps in
+    step order, a row per step: bit `k * n_slots + t` says whether the
+    pair from slot `t + k - width` to slot t attains t's best, and the
+    junction pairs follow, in list order.  `score` is the final score, in
     slots.  The chunks are popped, so freed, and unpacked from the last.
     Stepping back over step j from sample q picks the first of q's
     predecessors (ascending in the CSR) whose bit in row j is set: the
@@ -512,7 +509,7 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     off = reach.slot[reach.src] - reach.slot[dst]
     bit = (off + reach.width) * reach.n_slots + reach.slot[dst]
     far = (off != reach.src - dst) | (np.abs(off) > reach.width)
-    bit[far] = len(reach.window) * reach.n_slots + np.arange(far.sum())
+    bit[far] = (2 * reach.width + 1) * reach.n_slots + np.arange(far.sum())
     src, starts, bit = map(memoryview, (reach.src, reach.starts, bit))
     while table:
         bits = memoryview(np.unpackbits(table.pop(), axis=1))

@@ -4,8 +4,8 @@ from unittest import mock
 
 import pytest
 
-from graphchase import (EvidenceError, FrontierRow, PathBuilder, SpeedBracket,
-                        StrategyError, build_family, comb_strategy, critical,
+from graphchase import (EvidenceError, FrontierRow, PathBuilder,
+                        PathValidationError, SpeedBracket, StrategyError, build_family, comb_strategy, critical,
                         cycle_strategy, finiteness_strategy, frontier_table,
                         frontier_to_csv, frontier_to_json, star_strategy,
                         sweep_strategy, upper_bound_bisect, verify)
@@ -137,6 +137,31 @@ def test_frontier_slower_capture_at_higher_speed_is_noted(monkeypatch):
     assert slow.note == ""
     assert "re-declared" in fast.note and "s=1.0" in fast.note
     assert len(calls) == 2
+
+
+def test_invalid_constructor_path_is_a_rejected_probe(monkeypatch):
+    # a constructor whose path fails validation below s = 1.5 is rejected
+    # there like any other: the bracket records non-capture, and the
+    # frontier substitutes the sweep and says why
+    def invalid_when_slow(g, s, t):
+        if s < 1.5:
+            raise PathValidationError(f"bad path at {s}")
+        return cycle_strategy(g, s)
+
+    monkeypatch.setitem(critical.FAMILIES, "fake", invalid_when_slow)
+    g = unit_cycle()
+    with pytest.raises(StrategyError,
+                       match="fake path at speed 1.0 is invalid: bad path"):
+        build_family(g, "fake", 1.0)
+    b = upper_bound_bisect(g, "fake", 1.0, 2.0, 0.1, h=0.05)
+    assert b.lower < 1.5 <= b.upper
+    assert all(outcome == "non-capture" for s, outcome in b.probes
+               if s < 1.5)
+    assert "is invalid: bad path" in b.lower_evidence
+    slow, fast = frontier_table(g, "fake", [1.0, 2.0], h=0.05)
+    assert slow.verdict == "survival" and fast.verdict == "capture"
+    assert slow.note == ("constructor rejected (fake path at speed 1.0 is "
+                         "invalid: bad path at 1.0); naive sweep substituted")
 
 
 def test_frontier_path_sweep_all_capture():

@@ -43,6 +43,24 @@ def targets(reach):
     return np.repeat(np.arange(len(reach.starts) - 1), np.diff(reach.starts))
 
 
+def maximin_best(reach, value):
+    """`propagate_step` on one value row in slots: each slot's best over
+    its predecessors, read from the row padded with `width` -inf slots."""
+    w, n = reach.width, reach.n_slots
+    pad = np.full(n + 2 * w, -np.inf)
+    pad[w:w + n] = value
+    best = np.empty(n)
+    propagate_step(tuple(pad[k:k + n] for k in range(2 * w + 1)), best,
+                   reach)
+    return best
+
+
+def maximin_step(reach, score, clearance):
+    """The scores after one step of the maximin game, in slots."""
+    best = maximin_best(reach, np.minimum(score, clearance))
+    return np.minimum(best, clearance)
+
+
 def sample_layout(grid):
     """The `row_layout` in sample order: column q holds sample q."""
     return grid.row_layout(np.arange(grid.n), grid.n)
@@ -341,8 +359,8 @@ def test_propagation_is_maximin_over_reach():
     eps = 0.3
     s0 = grid.distances_to_point(cop.points[0])
     clr = grid.distances_to_intervals(swept_intervals(cop, 0.0, tau))
-    s1 = propagate_step(to_slots(reach, s0), to_slots(reach, clr),
-                        reach)[reach.slot]
+    s1 = maximin_step(reach, to_slots(reach, s0),
+                      to_slots(reach, clr))[reach.slot]
     val = np.minimum(s0, clr)
     for q in range(grid.n):
         best = max(val[p] for p in predecessors(reach, q))
@@ -395,15 +413,18 @@ def test_reach_is_the_distance_threshold(case):
 def test_banded_kernel_matches_maximin_reference(case):
     grid, radius, score, clearance = case
     reach = build_reach(grid, radius)
-    new = propagate_step(to_slots(reach, score), to_slots(reach, clearance),
-                         reach)
+    # two value rows share one reach plan: it holds no scratch
     val = np.minimum(score, clearance)
-    for q in range(grid.n):
-        best = max(val[p] for p in predecessors(reach, q).tolist())
-        assert new[reach.slot[q]] == min(best, clearance[q])
-    # guard slots stay -inf after the step
+    best = maximin_best(reach, to_slots(reach, val))
+    other = maximin_best(reach, to_slots(reach, score))
     guards = np.ones(reach.n_slots, dtype=bool)
     guards[reach.slot] = False
+    for row, got in ((val, best), (score, other)):
+        for q in range(grid.n):
+            want = max(row[p] for p in predecessors(reach, q).tolist())
+            assert got[reach.slot[q]] == want
+    # the step's new scores are -inf in the guard slots
+    new = np.minimum(best, to_slots(reach, clearance))
     assert (new[guards] == -np.inf).all()
     assert reach.n_slots == grid.n + guards.sum()
 
@@ -665,33 +686,8 @@ def witness_cases(draw):
     return cop, grid.h, eps
 
 
-def test_witness_matches_full_backpointer_reference():
-    # the attains bits, packed and unpacked per chunk of clearance rows,
-    # against the oracle's backpointer array per step, at chunk sizes (see
-    # `_chunk_floats`) that put chunk boundaries anywhere: the same
-    # lowest-index maximin path, through tied predecessors too
-    seen = {"survival": 0, "ties": 0}
+CHUNK_KINDS = ["1", "n-1", "n+1", "3n", "16384"]
 
-    @settings(max_examples=60, deadline=None)
-    @given(witness_cases(), st.sampled_from(["1", "n-1", "n+1", "3n",
-                                             "16384"]))
-    def check(case, kind):
-        cop, h, eps = case
-        n = _resolve_params(cop, h, eps)[0].n
-        with mock.patch.object(verifier, "CHUNK_FLOATS",
-                               _chunk_floats(kind, n)):
-            r = verify(cop, h=h, eps=eps)
-        want, ties = _oracle_ties(cop, h, eps)
-        assert _answers(r) == _answers(want)
-        seen["survival"] += r.verdict == "survival"
-        seen["ties"] += ties
-
-    check()
-    assert seen["survival"] >= 30
-    assert seen["ties"] > 0      # the lowest-index tie-break is exercised
-
-
-# ------------------------------------------------- per-chunk capture test
 
 def _chunk_floats(kind, n):
     """CHUNK_FLOATS for a grid of n samples: 1, n - 1, n + 1, 3n or the
@@ -699,6 +695,56 @@ def _chunk_floats(kind, n):
     return {"1": 1, "n-1": n - 1, "n+1": n + 1, "3n": 3 * n,
             "16384": 16384}[kind]
 
+
+def _witness_at_chunk_size(cop, h, eps, kind):
+    """`verify`'s result at the `_chunk_floats` kind, and the oracle's
+    result and tie count; the two results agree exactly."""
+    n = _resolve_params(cop, h, eps)[0].n
+    with mock.patch.object(verifier, "CHUNK_FLOATS", _chunk_floats(kind, n)):
+        r = verify(cop, h=h, eps=eps)
+    want, ties = _oracle_ties(cop, h, eps)
+    assert _answers(r) == _answers(want)
+    return r, ties
+
+
+def test_witness_matches_full_backpointer_reference():
+    # the witness bits, compared and packed per chunk of clearance rows,
+    # against the oracle's backpointer array per step, at chunk sizes (see
+    # `_chunk_floats`) that put chunk boundaries anywhere: the same
+    # lowest-index maximin path, through tied predecessors too
+    seen = {"survival": 0, "ties": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_cases(), st.sampled_from(CHUNK_KINDS))
+    def check(case, kind):
+        r, ties = _witness_at_chunk_size(*case, kind)
+        seen["survival"] += r.verdict == "survival"
+        seen["ties"] += ties
+
+    check()
+    assert seen["survival"] >= 30
+    assert seen["ties"] > 0      # the lowest-index tie-break is exercised
+
+    # wide bands, by construction: at h = 1 the unit edge v0-v1 is one
+    # interval, the longest spacing, and the ring v1 ... v9 v1 of 1.02
+    # edges has spacing 0.51, so the steps of 1.45 and 1.16 give a band of
+    # half-width 2; halfway round the ring an evader keeps 4.59 from the
+    # cop, which waits at v1
+    ring = [(f"v{i}", f"v{i % 9 + 1}", 1.02) for i in range(1, 10)]
+    g = build_graph([f"v{i}" for i in range(10)], [("v0", "v1", 1.0)] + ring)
+    for duration in (2.9, 5.8):
+        pb = PathBuilder(g, "v0", 1.0).move_to("v1")
+        cop = pb.wait(duration - 1.0).build()
+        grid, h, eps, n_steps, tau = _resolve_params(cop, 1.0, 1.05)
+        reach = build_reach(grid, tau + REACH_SLACK)
+        assert (reach.width, len(reach.junction_src)) == (2, 74)
+        for kind in CHUNK_KINDS:
+            r, _ = _witness_at_chunk_size(cop, h, eps, kind)
+            assert r.verdict == "survival"
+            assert r.min_clearance == pytest.approx(4.59)
+
+
+# ------------------------------------------------- per-chunk capture test
 
 @st.composite
 def sweep_cases(draw):
@@ -718,8 +764,7 @@ def test_verdicts_match_per_step_reference_at_every_chunk_size():
     seen = {"capture": 0}
 
     @settings(max_examples=60, deadline=None)
-    @given(sweep_cases(), st.sampled_from(["1", "n-1", "n+1", "3n",
-                                           "16384"]))
+    @given(sweep_cases(), st.sampled_from(CHUNK_KINDS))
     def check(case, kind):
         cop, h, eps = case
         n = _resolve_params(cop, h, eps)[0].n
@@ -826,9 +871,8 @@ def alive_cases(draw):
     h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
     cop that sweeps it at a speed of 2-8 (several intervals in a step),
     stands exactly on a vertex, or has no steps, or sweeps it in steps of
-    2-4 spacings (a band of half-width 2 or more); with where a capture
-    should fall in the boolean game's blocks: first or last, or wherever
-    the blocks for a drawn SWEEP_STEPS put it."""
+    2-4 spacings (a band of half-width 2 or more); with the SWEEP_STEPS
+    that cuts the boolean game's blocks."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
     sp = grid.max_spacing
@@ -841,9 +885,8 @@ def alive_cases(draw):
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
     stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
-    place = draw(st.sampled_from(["first", "last"] * 3 + [1, 2, 3, 5, 10,
-                                                          256]))
-    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, place
+    sweep = draw(st.sampled_from([1, 2, 3, 5, 10, 256]))
+    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, sweep
 
 
 def from_bits(mask, n):
@@ -890,71 +933,93 @@ def _game_blocks_called(cop, h, eps, sweep):
     return r, calls
 
 
+def _check_alive_game(cop, h, eps, stretch, sweep):
+    """Check the boolean game against the maximin game on cop, with steps
+    `stretch` times the grid's: the kept-slot masks made from blocks of
+    runs, at SWEEP_STEPS = sweep, are the per-step ones, and at every step
+    the alive mask is the maximin game's score > eps, slot for slot.
+    Returns the reach plan, the alive junction sources of each step and
+    the number of steps that swept several intervals."""
+    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+    if stretch > 1:
+        n_steps, tau = _step_grid(cop.duration, tau * stretch)
+    reach = build_reach(grid, tau + REACH_SLACK)
+    start = grid.distances_to_point(cop.points[0])
+    score = to_slots(reach, start)
+    keeps, several = [], 0
+    for j in range(n_steps):
+        step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
+        _, q = grid.cells_within(step - j, edge, lo, hi, eps)
+        keeps.append(sum(1 << s for s in set(reach.slot.tolist())
+                         - set(reach.slot[q].tolist())))
+        several += len(step) > 1
+    full = sum(1 << s for s in reach.slot.tolist())
+    with mock.patch.object(verifier, "SWEEP_STEPS", sweep):
+        assert list(_keep_masks(grid, reach, cop.table, tau, n_steps,
+                                eps, full)) == keeps
+    sources = sum(1 << s for s in set(reach.junction_src.tolist()))
+    alive = sum(1 << int(s) for s in reach.slot[start > eps])
+    live = []       # the alive junction sources of each step
+    for j, new in enumerate(_alive_steps(reach, alive, keeps)):
+        live.append(alive & keeps[j] & sources)
+        step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
+        clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi,
+                                              sample_layout(grid))
+        score = maximin_step(reach, score, to_slots(reach, clr[0]))
+        assert np.array_equal(from_bits(new, reach.n_slots),
+                              score > eps), j
+        alive = new
+    return reach, live, several
+
+
 def test_alive_masks_match_maximin_scores():
     # at every step the boolean game's alive mask is the maximin game's
     # score > eps, slot for slot; the kept-slot masks made from blocks of
     # runs are the per-step ones wherever the blocks cut; verify's verdict
-    # and time bound agree with the maximin game's wherever the capture
-    # falls in a block
-    seen = {"stand": 0, "zero": 0, "several": 0, "first": 0, "last": 0,
-            "wide": 0, "junction": 0}
+    # and time bound do not depend on the blocks
+    seen = {"stand": 0, "zero": 0, "several": 0, "wide": 0, "junction": 0}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(alive_cases())
     def check(case):
-        kind, cop, h, eps, stretch, place = case
-        grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
-        if stretch > 1:
-            n_steps, tau = _step_grid(cop.duration, tau * stretch)
-        reach = build_reach(grid, tau + REACH_SLACK)
-        start = grid.distances_to_point(cop.points[0])
-        score = to_slots(reach, start)
-        keeps = []
-        for j in range(n_steps):
-            step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
-            _, q = grid.cells_within(step - j, edge, lo, hi, eps)
-            keeps.append(sum(1 << s for s in set(reach.slot.tolist())
-                             - set(reach.slot[q].tolist())))
-            seen["several"] += len(step) > 1
-        full = sum(1 << s for s in reach.slot.tolist())
-        steps = place if isinstance(place, int) else 5
-        with mock.patch.object(verifier, "SWEEP_STEPS", steps):
-            assert list(_keep_masks(grid, reach, cop.table, tau, n_steps,
-                                    eps, full)) == keeps
-        sources = sum(1 << s for s in set(reach.junction_src.tolist()))
-        alive = sum(1 << int(s) for s in reach.slot[start > eps])
-        live = []       # the alive junction sources of each step
-        for j, new in enumerate(_alive_steps(reach, alive, keeps)):
-            live.append(alive & keeps[j] & sources)
-            step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
-            clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi,
-                                                  sample_layout(grid))
-            score = propagate_step(score, to_slots(reach, clr[0]), reach)
-            assert np.array_equal(from_bits(new, reach.n_slots),
-                                  score > eps), j
-            alive = new
+        kind, cop, h, eps, stretch, sweep = case
+        reach, live, several = _check_alive_game(cop, h, eps, stretch, sweep)
+        seen["several"] += several
         seen["wide"] += reach.width >= 2
         seen["junction"] += any(a and b and a != b
                                 for a, b in zip(live, live[1:]))
         if stretch > 1:
             return
         r = verify(cop, h=h, eps=eps)
-        k = (round(r.time_bound / tau) - 1 if r.captured and r.time_bound
-             else None)     # the capturing step, if not the start
-        cap = (_cap_putting(k or 0, n_steps, place)
-               if place in ("first", "last") else place)
-        fast, calls = _game_blocks_called(cop, h, eps, cap)
+        fast, calls = _game_blocks_called(cop, h, eps, sweep)
         assert (fast.verdict, fast.time_bound) == (r.verdict, r.time_bound)
-        assert calls == _game_blocks(n_steps, cap)[:len(calls)]
+        assert calls == _game_blocks(r.n_steps, sweep)[:len(calls)]
         if kind != "sweep":
             seen[kind] += 1
-        if k is not None and place in ("first", "last") and cap > 1:
-            # the capture is the first or last step of the last block
-            assert calls[-1][place == "last"] == k + (place == "last")
-            seen[place] += 1
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("cop, h, k", [
+    (sweep_strategy(unit_path(), 1.0), 0.02, 48),
+    (sweeps(unit_cycle(), 3.0, 2), 0.05, 6),
+], ids=["path-sweep", "cycle-sweeps"])
+def test_alive_masks_match_maximin_scores_at_block_ends(cop, h, k, where):
+    # the capture at step k, placed by `_cap_putting` first or last in a
+    # boolean-game block of two or more steps: the alive masks are the
+    # maximin scores > eps up to the end, and the capture is found there
+    r = verify(cop, h=h)
+    assert r.captured and round(r.time_bound / r.tau) - 1 == k
+    cap = _cap_putting(k, r.n_steps, where)
+    assert cap > 1
+    _check_alive_game(cop, h, None, 1.0, cap)
+    fast, calls = _game_blocks_called(cop, h, None, cap)
+    assert (fast.verdict, fast.time_bound) == (r.verdict, r.time_bound)
+    assert calls == _game_blocks(r.n_steps, cap)[:len(calls)]
+    assert calls[-1][where == "last"] == k + (where == "last")
+    assert calls[-1][1] - calls[-1][0] >= 2
 
 
 def test_verdict_on_a_large_grid_holds_a_bounded_kill_block():
