@@ -693,15 +693,6 @@ class DiscretizedGraph:
         out[filled:] = blank
         return out
 
-    def cells_within(self, rows, edges, lo, hi,
-                     eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """`runs_within` as the (row, sample) arrays `np.nonzero` gives; with
-        a zero-length interval at sample q in row q, row q is q's reach."""
-        row, first, count = self.runs_within(rows, edges, lo, hi, eps)
-        i, q = _flat_ranges(first, first + count)
-        keys = np.sort(row[i] * self.n + q)
-        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n)
-
     def runs_within(self, rows, edges, lo, hi, eps: float):
         """The cells of `distances_to_interval_rows` at most eps as runs of
         consecutive samples, arrays (row, first sample, count) in no order:

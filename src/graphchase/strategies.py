@@ -21,6 +21,7 @@ from .trajectory import PathBuilder, TimedPath
 LADDER_TOL = 1e-9
 CLEAR_TOL = 1e-12
 STATION_PROBES = 10000  # probes one comb station may take before a refusal
+CYCLE_RUNS = 10 ** 6    # runs one cycle loop may take before a refusal
 
 
 class StrategyError(ValueError):
@@ -410,7 +411,7 @@ def cycle_loop(g: MetricGraph, s: float, duration: float,
     The lap is `double_tree_walk` from the least vertex id, which on a cycle
     walks every edge once in one direction; the laps are repeated and cut
     at s * duration, and a loop at speed 0 (or one shorter than 1e-12)
-    waits at that vertex.
+    waits at that vertex.  A loop of more than CYCLE_RUNS runs is refused.
     """
     if not (0 <= s < math.inf and 0 < duration < math.inf):
         raise StrategyError(f"cycle loop needs a finite nonnegative speed and "
@@ -421,6 +422,10 @@ def cycle_loop(g: MetricGraph, s: float, duration: float,
     start = min(g.vertices)
     lap = double_tree_walk(g, start)
     total = s * duration
+    count = len(lap) * total / g.total_length   # laps x runs per lap
+    if count > CYCLE_RUNS:
+        raise StrategyError(f"cycle loop asks for {count:.6g} runs, above "
+                            f"the limit of {CYCLE_RUNS}")
     runs = []
     walked = 0.0
     while walked < total - 1e-12:
@@ -474,10 +479,10 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     grow to the depth cap and hold for one full round.
     """
     k = g.degree(v)
-    if not s > 2 * k + 1:
+    if not 2 * k + 1 < s < math.inf:
         raise StrategyError(
-            f"securing a degree-{k} vertex needs speed above {2 * k + 1}, "
-            f"got {s}")
+            f"securing a degree-{k} vertex needs a finite speed above "
+            f"{2 * k + 1}, got {s}")
     arms = [e.id for e in g.incident_edges(v)]
     cap = min(g.edge(a).length for a in arms) / 2
     d_cap = 2 * cap / s

@@ -231,7 +231,7 @@ class TimedPath:
 
     def evaluate(self, t: float) -> GraphPoint:
         """Position at time t, constant-speed along the recorded runs."""
-        if t < -1e-9 or t > self.duration + 1e-9:
+        if not -1e-9 <= t <= self.duration + 1e-9:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
         t = min(max(t, 0.0), self.duration)
         if len(self.times) == 1:

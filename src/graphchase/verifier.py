@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, RowLayout,
-                    discretize, interval_count)
+                    _flat_ranges, discretize, interval_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_chunks, path_pieces, path_to_dict)
 
@@ -36,7 +36,7 @@ REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
 MAX_STEPS = 10 ** 6     # step count limit: duration / spacing
 MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
-SWEEP_STEPS = 256       # steps per swept_block call (boolean game: 64-1024)
+SWEEP_STEPS = 256       # swept_block steps: 64 at first, doubling to 1024
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
@@ -93,7 +93,7 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
 
     The predecessors of sample q are the samples within radius of its
     point, `grid.points[q]`, taken as a zero-length interval on its edge:
-    `cells_within` row q, the cells where `grid.distances_to_point` of
+    the cells of `runs_within` row q, where `grid.distances_to_point` of
     that point is at most radius.  The band half-width is the largest k
     up to every interior edge's `floor(radius / spacing)` for which each
     pair of one block at most k samples apart is a CSR pair; pairs
@@ -101,7 +101,11 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     list.
     """
     n, x = grid.n, grid.sample_offset
-    dst, src = grid.cells_within(np.arange(n), grid.sample_edge, x, x, radius)
+    row, first, count = grid.runs_within(np.arange(n), grid.sample_edge, x,
+                                         x, radius)
+    i, q = _flat_ranges(first, first + count)
+    keys = np.sort(row[i] * n + q)
+    dst, src = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     starts = np.searchsorted(dst, np.arange(n + 1), side="left")
 
     # group of each sample: its own for a vertex, its block's for the rest
@@ -156,80 +160,6 @@ def propagate_step(row: tuple, best: np.ndarray,
     np.maximum.at(best, reach.junction_dst, jval)
 
 
-def _alive_steps(reach: ReachStructure, alive: int, keeps):
-    """Yield the alive mask, one bit per slot, after each step, from the
-    start mask `alive` and each step's slots `keeps`, neither guards nor
-    dead (clearance at most eps): a target is alive iff it is kept and a
-    predecessor was alive and kept.  The mask is cut to the kept slots,
-    ORed with its shifts over the band and with the junction targets of
-    its alive sources (ORed by source when those change), and cut again."""
-    groups = {}
-    for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
-        groups[1 << s] = groups.get(1 << s, 0) | 1 << t
-    sources = sum(groups)       # the keys are distinct bits
-    seen = jump = 0
-    for keep in keeps:
-        alive &= keep
-        out = alive
-        for d in range(1, reach.width + 1):
-            out |= (alive << d) | (alive >> d)
-        if alive & sources != seen:
-            seen, jump = alive & sources, 0
-            for s, t in groups.items():
-                if seen & s:
-                    jump |= t
-        alive = (out | jump) & keep
-        yield alive
-
-
-def _runs_mask(runs) -> int:
-    """The int with bits s to s + c - 1 set for each run (s, c)."""
-    mask = 0
-    for s, c in runs:
-        mask |= ((1 << c) - 1) << s
-    return mask
-
-
-def _bits(row: np.ndarray) -> int:
-    """A bool row as an int with bit i set iff row[i] is."""
-    ends = np.flatnonzero(np.diff(row, prepend=False, append=False))
-    return _runs_mask(zip(ends[::2].tolist(), np.diff(ends)[::2].tolist()))
-
-
-def _keep_masks(grid: DiscretizedGraph, reach: ReachStructure,
-                table: PieceTable, tau: float, n_steps: int, eps: float,
-                full: int):
-    """Yield the slots `_alive_steps` keeps at each step j < n_steps as an
-    int, when due: `full`, the non-guard slots, without step j's dead runs
-    (`runs_within`), found for blocks of steps, the first a quarter of
-    SWEEP_STEPS long and each next twice as long, up to 4 * SWEEP_STEPS."""
-    j0, size = 0, max(1, SWEEP_STEPS // 4)
-    while j0 < n_steps:
-        j1 = min(j0 + size, n_steps)
-        step, edge, lo, hi = swept_block(table, tau, j0, j1)
-        row, first, count = grid.runs_within(step - j0, edge, lo, hi, eps)
-        order = np.argsort(row, kind="stable")
-        runs = zip(reach.slot[first[order]].tolist(), count[order].tolist())
-        for k in np.bincount(row, minlength=j1 - j0).tolist():
-            yield full ^ _runs_mask(islice(runs, k))
-        j0, size = j1, min(2 * size, 4 * SWEEP_STEPS)
-
-
-def _first_empty_step(grid: DiscretizedGraph, reach: ReachStructure,
-                      table: PieceTable, tau: float, n_steps: int,
-                      eps: float, start: np.ndarray) -> int | None:
-    """The first step after which no sample is alive, or None: the boolean
-    game, which decides every verdict of `verify` as the maximin game
-    would.  A sample is alive at step 0 iff its `start` score, in slots,
-    exceeds eps, and after step j iff its score does, which, max and min
-    being monotone, holds iff it is outside step j's dead cells and some
-    predecessor was alive and outside them (`_alive_steps`)."""
-    full = _bits(start > -np.inf)       # the guards hold -inf
-    keeps = _keep_masks(grid, reach, table, tau, n_steps, eps, full)
-    alive = _alive_steps(reach, _bits(start > eps), keeps)
-    return next((j for j, mask in enumerate(alive) if not mask), None)
-
-
 def swept_intervals(cop: TimedPath, t0: float, t1: float):
     """The cop's covered (edge, lo, hi) intervals during [t0, t1]."""
     return [(eid, min(xa, xb), max(xa, xb))
@@ -250,23 +180,77 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
     return step + j0, edge, np.minimum(xa, xb), np.maximum(xa, xb)
 
 
+def _swept_blocks(table: PieceTable, tau: float, n_steps: int):
+    """Yield (j0, j1, `swept_block(table, tau, j0, j1)`) for blocks of the
+    steps j < n_steps, the first a quarter of SWEEP_STEPS long and each
+    next twice as long, up to 4 * SWEEP_STEPS: both games read the cop's
+    pieces block by block."""
+    j0, size = 0, max(1, SWEEP_STEPS // 4)
+    while j0 < n_steps:
+        j1 = min(j0 + size, n_steps)
+        yield j0, j1, swept_block(table, tau, j0, j1)
+        j0, size = j1, min(2 * size, 4 * SWEEP_STEPS)
+
+
+def _bits(row: np.ndarray) -> int:
+    """A bool row as an int with bit i set iff row[i] is."""
+    return int.from_bytes(np.packbits(row, bitorder="little"), "little")
+
+
+def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
+                 table: PieceTable, tau: float, n_steps: int, eps: float,
+                 start: np.ndarray):
+    """Yield the alive mask, one bit per slot, after each step j < n_steps:
+    the boolean game, which decides every verdict as the maximin game
+    would.  A slot is alive at step 0 iff its `start` score, in slots,
+    exceeds eps, and after step j iff its score does, which, max and min
+    being monotone, holds iff it is kept, neither a guard nor in step j's
+    dead runs (`runs_within`), and some predecessor was alive and kept.
+    The mask is cut to the kept slots, ORed with its shifts over the band
+    and with the junction targets of its alive sources (ORed by source
+    when those change), and cut again."""
+    groups = {}
+    for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
+        groups[1 << s] = groups.get(1 << s, 0) | 1 << t
+    sources = sum(groups)       # the keys are distinct bits
+    full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
+    seen = jump = 0
+    for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
+        row, first, count = grid.runs_within(step - j0, edge, lo, hi, eps)
+        order = np.argsort(row, kind="stable")
+        runs = zip(reach.slot[first[order]].tolist(), count[order].tolist())
+        for k in np.bincount(row, minlength=j1 - j0).tolist():
+            dead = 0
+            for s, c in islice(runs, k):
+                dead |= ((1 << c) - 1) << s
+            keep = full ^ dead
+            alive &= keep
+            out = alive
+            for d in range(1, reach.width + 1):
+                out |= (alive << d) | (alive >> d)
+            if alive & sources != seen:
+                seen, jump = alive & sources, 0
+                for bit, targets in groups.items():
+                    if seen & bit:
+                        jump |= targets
+            alive = (out | jump) & keep
+            yield alive
+
+
 def _clearance_rows(grid: DiscretizedGraph, layout: RowLayout,
                     table: PieceTable, tau: float, n_steps: int):
     """Yield the clearance rows of the steps j < n_steps in chunks, in the
     columns of `layout` (the slots, for the maximin game): row j holds
     `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
 
-    The pieces come from `swept_block` for blocks of about SWEEP_STEPS
-    steps, and the rows are filled in chunks of at most CHUNK_FLOATS sample
-    values (at least one row) so that a chunk stays in cache.  Every row is
-    computed on its own, so it does not depend on the block bounds.
+    The pieces come from `_swept_blocks`, and each block's rows are filled
+    in chunks of at most CHUNK_FLOATS sample values (at least one row) so
+    that a chunk stays in cache.  Every row is computed on its own, so it
+    does not depend on the block or chunk bounds.
     """
     chunk = max(1, CHUNK_FLOATS // grid.n)
-    block = chunk * max(1, SWEEP_STEPS // chunk)
-    for b0 in range(0, n_steps, block):
-        b1 = min(b0 + block, n_steps)
-        step, edge, lo, hi = swept_block(table, tau, b0, b1)
-        ends = list(range(b0, b1, chunk)) + [b1]
+    for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
+        ends = list(range(j0, j1, chunk)) + [j1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
             yield grid.distances_to_interval_rows(
@@ -420,11 +404,10 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is `tau` (see `_resolve_params`).
 
-    The boolean game `_first_empty_step` decides every verdict from the
-    runs of cells within eps of the cop (`DiscretizedGraph.runs_within`),
-    and a capture returns from it, whatever `want_witness` says.  Only a
-    survival that wants a witness plays the maximin game, once, a chunk of
-    clearance rows (`_clearance_rows`) at a time: the steps' values,
+    The boolean game `_alive_masks` decides every verdict: its first empty
+    alive mask is a capture, returned whatever `want_witness` says.  Only
+    a survival that wants a witness plays the maximin game, once, a chunk
+    of clearance rows (`_clearance_rows`) at a time: the steps' values,
     min(score, clearance), fill a block padded with `width` -inf slots,
     whose shifted row views `propagate_step` reads, and each step's best
     overwrites its clearance row once that is used.  After each chunk, one
@@ -447,7 +430,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     reach = build_reach(grid, tau + REACH_SLACK)
     score = np.full(reach.n_slots, -np.inf)
     score[reach.slot] = start
-    j = _first_empty_step(grid, reach, cop.table, tau, n_steps, eps, score)
+    alive = _alive_masks(grid, reach, cop.table, tau, n_steps, eps, score)
+    j = next((j for j, mask in enumerate(alive) if not mask), None)
     if j is not None:
         return result("capture", (j + 1) * tau)
     if not want_witness:
@@ -458,12 +442,12 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     rows, table = [], []    # the views of the value rows; the packed bits
     for clr in _clearance_rows(grid, layout, cop.table, tau, n_steps):
         m = len(clr)
-        if len(rows) != m + 1:
+        if len(rows) <= m:      # grown to the largest chunk so far
             pad = np.full((m + 1, n + 2 * w), -np.inf)
             rows = [tuple(r[k:k + n] for k in range(2 * w + 1)) for r in pad]
             bits = np.empty((m, band + len(jsrc)), dtype=bool)
-        vals = pad[:, w:w + n]
-        np.minimum(score, clr[0], out=vals[0])  # first: score may be vals[m]
+        vals, out = pad[:m + 1, w:w + n], bits[:m]
+        np.minimum(score, clr[0], out=vals[0])  # first: score may be a row
         np.minimum(clr[:-1], clr[1:], out=vals[1:m])
         vals[m] = clr[-1]
         for i, c in enumerate(clr):
@@ -471,9 +455,9 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
             np.minimum(rows[i + 1][w], c, out=rows[i + 1][w])
         score = vals[m]
         for k in range(2 * w + 1):
-            np.equal(pad[:m, k:k + n], clr, out=bits[:, k * n:(k + 1) * n])
-        np.equal(pad[:m, jsrc], clr[:, reach.junction_dst], out=bits[:, band:])
-        table.append(np.packbits(bits, axis=1))
+            np.equal(pad[:m, k:k + n], clr, out=out[:, k * n:(k + 1) * n])
+        np.equal(pad[:m, jsrc], clr[:, reach.junction_dst], out=out[:, band:])
+        table.append(np.packbits(out, axis=1))
     if score.max() <= eps:
         raise GameMismatchError(
             f"the boolean game leaves evaders alive after {n_steps} steps, "

@@ -424,55 +424,6 @@ def test_distances_to_intervals_exact():
         assert vec[i] >= brute - 2e-3
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       where=st.sampled_from(["spacings", "attained", "below", "above"]))
-def test_cells_within_equal_thresholded_rows(seed, where):
-    """Random graphs with loops, parallel edges and one edge shorter than
-    h/10, and random rows of intervals: points, whole edges, intervals at
-    the ends, rows without intervals, several intervals in one row and
-    stretches of rows on one edge.  eps is 1-4 spacings, or a distance
-    some cell attains, or one ulp below or above it."""
-    rng = random.Random(seed)
-    h = rng.choice([0.05, 0.1, 0.2])
-    base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
-    u, v = rng.choice(base.vertices), rng.choice(base.vertices)
-    g = build_graph(list(base.vertices),
-                    [(e.u, e.v, e.length) for e in base.edges] +
-                    [(u, v, h / 10 * rng.uniform(0.1, 0.99))])
-    grid = discretize(g, h)
-    rows, edges, lo, hi = [], [], [], []
-    k = rng.randrange(len(g.edges))
-    for r in range(rng.randint(1, 40)):
-        for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
-            k = k if rng.random() < 0.5 else rng.randrange(len(g.edges))
-            length = g.edges[k].length
-            a, b = sorted(rng.choice([0.0, length, rng.uniform(0, length)])
-                          for _ in range(2))
-            b = a if rng.random() < 0.2 else b
-            rows.append(r)
-            edges.append(k)
-            lo.append(a)
-            hi.append(b)
-    n_rows = r + 1
-    rows = np.array(rows, dtype=np.int64)
-    edges = np.array(edges, dtype=np.int64)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    dist = grid.distances_to_interval_rows(
-        n_rows, rows, edges, lo, hi, grid.row_layout(np.arange(grid.n), grid.n))
-    eps = grid.max_spacing * rng.uniform(1.0, 4.0)
-    if where != "spacings" and len(rows):
-        finite = dist[np.isfinite(dist)]
-        eps = float(rng.choice(finite.tolist()))
-        eps = {"attained": eps, "below": np.nextafter(eps, -np.inf),
-               "above": np.nextafter(eps, np.inf)}[where]
-    got = grid.cells_within(rows, edges, lo, hi, eps)
-    want = np.nonzero(dist <= eps)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    if where == "attained" and len(rows):
-        assert len(got[0]) > 0
-
-
 def _interval(rng, grid, k):
     """A random (lo, hi) on edge k of the grid's graph: a point at a
     vertex or at one of the edge's samples, an interval touching one end,
@@ -494,16 +445,17 @@ def _interval(rng, grid, k):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       where=st.sampled_from(["spacing", "spacings", "total", "attained"]))
+       where=st.sampled_from(["spacing", "spacings", "total", "attained",
+                              "below", "above"]))
 def test_runs_within_are_the_thresholded_rows(seed, where):
     """Random graphs with loops and parallel edges of 0.01 to 2, so with
     mixed spacings and some edges without interior samples, and rows of
     zero-length intervals at vertices and at samples, intervals touching
     an edge's end, whole edges and any intervals.  eps is one ulp above
-    the largest spacing, up to 40 spacings, beyond the total length, or a
-    distance some cell attains.  Expanded, the runs are the cells at most
-    eps, cell for cell; each is non-empty and one vertex sample or inside
-    one edge's interior block."""
+    the largest spacing, up to 40 spacings, beyond the total length, a
+    distance some cell attains, or one ulp below or above it.  Expanded,
+    the runs are the cells at most eps, cell for cell; each is non-empty
+    and one vertex sample or inside one edge's interior block."""
     rng = random.Random(seed)
     g = random_graph(rng, max_vertices=6, extra_edges=3, min_len=0.01,
                      allow_multi=True)
@@ -523,11 +475,13 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
         r + 1, rows, edges, lo, hi,
         grid.row_layout(np.arange(grid.n), grid.n))
     sp = grid.max_spacing
+    attained = rng.choice(dist[np.isfinite(dist)].tolist() or [sp])
     eps = {"spacing": np.nextafter(sp, np.inf),
            "spacings": sp * rng.uniform(1.0, 40.0),
            "total": g.total_length * rng.uniform(1.0, 2.0),
-           "attained": rng.choice(dist[np.isfinite(dist)].tolist() or [sp])
-           }[where]
+           "attained": attained,
+           "below": np.nextafter(attained, -np.inf),
+           "above": np.nextafter(attained, np.inf)}[where]
     row, first, count = grid.runs_within(rows, edges, lo, hi, eps)
     assert (count > 0).all()
     n_vert = len(grid.vertex_sample_dist)

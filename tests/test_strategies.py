@@ -449,13 +449,15 @@ def test_cycle_loop_rejects_nan_and_negative_inputs(s, duration):
 
 
 def test_cycle_loop_refuses_infinite_inputs_at_once():
-    # an infinite speed or duration appended laps forever: the child runs
-    # under a timeout and an address-space cap, so a regression fails
-    # this test instead of hanging the suite or filling memory
+    # an infinite speed or duration appended laps forever, and a cycle
+    # strategy on the unit triangle at 1 + 2**-52 asked for about 3 * 2**52
+    # runs: the child runs under a timeout and an address-space cap, so a
+    # regression fails this test instead of hanging the suite or filling
+    # memory
     code = textwrap.dedent("""
         import math, resource
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
-        from graphchase import StrategyError, cycle_loop
+        from graphchase import StrategyError, cycle_loop, cycle_strategy
         from graphchase.graph import build_graph
         g = build_graph(["a"], [("a", "a", 1.0)])
         for s, duration in ((1.0, math.inf), (math.inf, 1.0)):
@@ -463,6 +465,12 @@ def test_cycle_loop_refuses_infinite_inputs_at_once():
                 cycle_loop(g, s, duration)
             except StrategyError as exc:
                 print(exc)
+        triangle = build_graph(["a", "b", "c"], [("a", "b", 1.0),
+                               ("b", "c", 1.0), ("c", "a", 1.0)])
+        try:
+            cycle_strategy(triangle, 1 + 2 ** -52)
+        except StrategyError as exc:
+            print(exc)
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -471,6 +479,7 @@ def test_cycle_loop_refuses_infinite_inputs_at_once():
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("needs a finite nonnegative speed") == 2
+    assert "above the limit of 1000000" in done.stdout
 
 
 # ------------------------------------------------------------------ sweeps
@@ -516,6 +525,16 @@ def test_secure_vertex_leaf():
 def test_secure_vertex_rejects_slow():
     with pytest.raises(StrategyError, match="above 5"):
         secure_vertex(triangle(), "a", 5.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: secure_vertex(g, "a", math.inf),
+    lambda g: finiteness_strategy(g, math.inf),
+], ids=["secure", "finiteness"])
+def test_securing_refuses_an_infinite_speed(build):
+    g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
+    with pytest.raises(StrategyError, match="finite speed"):
+        build(g)
 
 
 def test_sufficient_speed_triangle():

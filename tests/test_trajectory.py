@@ -108,6 +108,8 @@ def test_evaluate_range_and_single_point():
         p.evaluate(2.0)
     with pytest.raises(ValueError):
         p.evaluate(-0.5)
+    with pytest.raises(ValueError):
+        p.evaluate(math.nan)
     single = TimedPath(g, (0.0,), (g.vertex_point("a"),), (), 1.0, {})
     assert single.duration == 0.0
     assert g.points_equal(single.evaluate(0.0), g.vertex_point("a"))

@@ -19,11 +19,10 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
-from graphchase.verifier import (REACH_SLACK, _alive_steps,
-                                 _clearance_rows, _keep_masks,
-                                 _resolve_params, _step_grid, build_reach,
-                                 propagate_step, swept_block,
-                                 swept_intervals)
+from graphchase.verifier import (REACH_SLACK, _alive_masks,
+                                 _clearance_rows, _resolve_params,
+                                 _step_grid, build_reach, propagate_step,
+                                 swept_block, swept_intervals)
 
 from common import (comb, path_graph, star, sweeps, to_slots, triangle,
                     unit_cycle, unit_path)
@@ -530,10 +529,11 @@ def test_blocked_clearance_matches_per_step_reference(case):
     cop, grid, dt, block_steps, chunk_floats = case
     n_steps, tau = _step_grid(cop.duration, dt)
     reach = build_reach(grid, tau + REACH_SLACK)
-    with mock.patch.object(verifier, "SWEEP_STEPS", block_steps), \
-            mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
+    patch, calls = _recording_blocks(block_steps)
+    with patch, mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
         slots = grid.row_layout(reach.slot, reach.n_slots)
         chunks = list(_clearance_rows(grid, slots, cop.table, tau, n_steps))
+    assert calls == _game_blocks(n_steps, block_steps)    # one schedule
     rows = [row for c in chunks for row in c]
     assert len(rows) == n_steps
     assert all(len(c) <= max(1, chunk_floats // grid.n) for c in chunks)
@@ -655,7 +655,7 @@ def test_verify_matches_per_step_reference_loop(cop, h, eps):
     assert r.verdict == ("capture" if eps else "survival")
     # the oracle runs none of verify's grid code
     shared = dict.fromkeys(["build_reach", "propagate_step", "swept_block",
-                            "_first_empty_step", "_clearance_rows"],
+                            "_alive_masks", "_clearance_rows"],
                            mock.DEFAULT)
     with mock.patch.multiple(verifier, **shared) as fakes, \
             mock.patch.object(type(cop.graph), "step_runs") as runs:
@@ -844,8 +844,8 @@ def test_boolean_survival_that_the_maximin_game_captures_is_an_error():
     r = verify(cop, h=0.02)
     assert r.verdict == "capture"
     assert _answers(r) == _answers(brute_force_oracle(cop, h=0.02))
-    with mock.patch.object(verifier, "_first_empty_step",
-                           lambda *args: None):
+    with mock.patch.object(verifier, "_alive_masks",
+                           lambda *args: iter(())):
         with pytest.raises(GameMismatchError,
                            match="boolean game.*maximin game"):
             verify(cop, h=0.02)
@@ -918,54 +918,60 @@ def _cap_putting(k, n_steps, where):
     return 1
 
 
-def _game_blocks_called(cop, h, eps, sweep):
-    """`verify` without a witness with SWEEP_STEPS = sweep, and the (j0,
-    j1) of every `swept_block` call it made: the boolean game's blocks."""
+def _recording_blocks(sweep):
+    """A patch of SWEEP_STEPS to sweep and of `swept_block` by a wrapper
+    that records the (j0, j1) of each call, and the list it records to."""
     calls = []
 
     def recording(table, tau, j0, j1):
         calls.append((j0, j1))
         return swept_block(table, tau, j0, j1)
 
-    with mock.patch.object(verifier, "SWEEP_STEPS", sweep), \
-            mock.patch.object(verifier, "swept_block", recording):
+    return mock.patch.multiple(verifier, SWEEP_STEPS=sweep,
+                               swept_block=recording), calls
+
+
+def _game_blocks_called(cop, h, eps, sweep):
+    """`verify` without a witness with SWEEP_STEPS = sweep, and the (j0,
+    j1) of every `swept_block` call it made: the boolean game's blocks."""
+    patch, calls = _recording_blocks(sweep)
+    with patch:
         r = verify(cop, h=h, eps=eps, want_witness=False)
     return r, calls
 
 
 def _check_alive_game(cop, h, eps, stretch, sweep):
     """Check the boolean game against the maximin game on cop, with steps
-    `stretch` times the grid's: the kept-slot masks made from blocks of
-    runs, at SWEEP_STEPS = sweep, are the per-step ones, and at every step
-    the alive mask is the maximin game's score > eps, slot for slot.
+    `stretch` times the grid's: at SWEEP_STEPS = sweep, `_alive_masks`
+    reads the cop in the blocks `_game_blocks` gives, and at every step
+    its alive mask is the maximin game's score > eps, slot for slot.
     Returns the reach plan, the alive junction sources of each step and
     the number of steps that swept several intervals."""
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     if stretch > 1:
         n_steps, tau = _step_grid(cop.duration, tau * stretch)
     reach = build_reach(grid, tau + REACH_SLACK)
-    start = grid.distances_to_point(cop.points[0])
-    score = to_slots(reach, start)
-    keeps, several = [], 0
-    for j in range(n_steps):
-        step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
-        _, q = grid.cells_within(step - j, edge, lo, hi, eps)
-        keeps.append(sum(1 << s for s in set(reach.slot.tolist())
-                         - set(reach.slot[q].tolist())))
-        several += len(step) > 1
-    full = sum(1 << s for s in reach.slot.tolist())
-    with mock.patch.object(verifier, "SWEEP_STEPS", sweep):
-        assert list(_keep_masks(grid, reach, cop.table, tau, n_steps,
-                                eps, full)) == keeps
+    start = to_slots(reach, grid.distances_to_point(cop.points[0]))
+    patch, calls = _recording_blocks(sweep)
+    with patch:
+        masks = list(_alive_masks(grid, reach, cop.table, tau, n_steps, eps,
+                                  start))
+    assert calls == _game_blocks(n_steps, sweep)
+    assert len(masks) == n_steps
+
+    def bits(row):
+        return sum(1 << int(s) for s in np.flatnonzero(row))
+
     sources = sum(1 << s for s in set(reach.junction_src.tolist()))
-    alive = sum(1 << int(s) for s in reach.slot[start > eps])
-    live = []       # the alive junction sources of each step
-    for j, new in enumerate(_alive_steps(reach, alive, keeps)):
-        live.append(alive & keeps[j] & sources)
+    score, alive = start, bits(start > eps)
+    live, several = [], 0       # the alive junction sources of each step
+    for j, new in enumerate(masks):
         step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
-        clr = grid.distances_to_interval_rows(1, step - j, edge, lo, hi,
-                                              sample_layout(grid))
-        score = maximin_step(reach, score, to_slots(reach, clr[0]))
+        several += len(step) > 1
+        clr = to_slots(reach, grid.distances_to_interval_rows(
+            1, step - j, edge, lo, hi, sample_layout(grid))[0])
+        live.append(alive & bits(clr > eps) & sources)
+        score = maximin_step(reach, score, clr)
         assert np.array_equal(from_bits(new, reach.n_slots),
                               score > eps), j
         alive = new
@@ -974,9 +980,8 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
 
 def test_alive_masks_match_maximin_scores():
     # at every step the boolean game's alive mask is the maximin game's
-    # score > eps, slot for slot; the kept-slot masks made from blocks of
-    # runs are the per-step ones wherever the blocks cut; verify's verdict
-    # and time bound do not depend on the blocks
+    # score > eps, slot for slot, wherever the blocks of dead runs cut;
+    # verify's verdict and time bound do not depend on the blocks
     seen = {"stand": 0, "zero": 0, "several": 0, "wide": 0, "junction": 0}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
