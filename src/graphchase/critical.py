@@ -37,16 +37,21 @@ class EvidenceError(RuntimeError):
     """A bracket endpoint failed to produce the required verifier evidence."""
 
 
+def _constructor(family: str):
+    """FAMILIES[family], or a StrategyError for an unknown family."""
+    if family not in FAMILIES:
+        raise StrategyError(f"unknown strategy family {family!r}; "
+                            f"choose one of {', '.join(FAMILIES)}")
+    return FAMILIES[family]
+
+
 def build_family(g: MetricGraph, family: str, s: float,
                  eps: float | None = None) -> TimedPath:
     """Construct the named strategy family on g at speed s, for capture
     radius eps: a cascade truncates at `cascade_truncation(g, eps)`.  A
     schedule out of float range or an invalid path is a StrategyError."""
-    if family not in FAMILIES:
-        raise StrategyError(f"unknown strategy family {family!r}; "
-                            f"choose one of {', '.join(FAMILIES)}")
     try:
-        return FAMILIES[family](g, s, cascade_truncation(g, eps))
+        return _constructor(family)(g, s, cascade_truncation(g, eps))
     except ArithmeticError as exc:
         raise StrategyError(f"{family} schedule at speed {s} is out of "
                             f"float range: {exc}") from None
@@ -97,6 +102,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     is verified once more with a witness, its evidence.  Every path is
     built for the eps that `resolution` gives, which every probe verifies.
     """
+    _constructor(family)
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
     if not tol > 0:
@@ -164,6 +170,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
     bound.  The faster row's note says so.  Every path is built for the
     eps that `resolution` gives, which every row verifies.
     """
+    _constructor(family)
     h, eps, _ = resolution(g, h, eps)
     speeds = sorted(float(s) for s in speeds)
     rows: list[FrontierRow] = []

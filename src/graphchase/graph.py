@@ -709,20 +709,18 @@ class DiscretizedGraph:
         eu, ev, length = self.graph.edge_table
         top = self.edge_intervals - 1
         inner = np.flatnonzero(top)
-        # interval ends within eps of a vertex w, and w's candidates: c <
-        # n_vert a vertex sample, then the u ends, then the v ends of inner
+        # interval ends within eps of a vertex w; a row per used w of its
+        # candidates c: vertex samples (c < n_vert), u ends, v ends of inner
         leg = np.concatenate([lo, length[edges] - hi])
         t = np.flatnonzero(leg <= eps)
         leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
-        used = np.flatnonzero(np.bincount(vert, minlength=n_vert)).tolist()
-        near = [np.concatenate([dist[w, :n_vert], vv[w, eu[inner]],
-                                vv[w, ev[inner]]]) for w in used]
-        cand = [np.flatnonzero(d <= eps) for d in near]
-        sizes = np.cumsum([0] + [len(c) for c in cand])
-        k = np.searchsorted(used, vert)
-        i, c = _flat_ranges(sizes[k], sizes[k + 1])
-        base = np.concatenate([np.empty(0), *map(np.take, near, cand)])[c]
-        c = np.concatenate([np.empty(0, dtype=np.int64), *cand])[c]
+        used = np.flatnonzero(np.bincount(vert, minlength=n_vert))
+        near = np.hstack([dist[used, :n_vert], vv[used][:, eu[inner]],
+                          vv[used][:, ev[inner]]])
+        w, cand = np.nonzero(near <= eps)
+        heads = np.searchsorted(w, np.arange(len(used) + 1))
+        i, j = _flat_ranges(*heads[np.searchsorted(used, vert) + [[0], [1]]])
+        base, c = near[w[j], cand[j]], cand[j]
         on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
         # walk half runs: each interval's direct term to its last end and
         # from its first (rev), a prefix from a u end, a suffix to a v end

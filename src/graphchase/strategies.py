@@ -478,6 +478,7 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
     the shortest incident edge so no neighboring vertex is reached; durations
     grow to the depth cap and hold for one full round.
     """
+    g.vertex_point(v)               # a v that is no vertex raises here
     k = g.degree(v)
     if not 2 * k + 1 < s < math.inf:
         raise StrategyError(

@@ -8,14 +8,14 @@ computed analytically from the trajectory's runs, so the only
 discretizations are the sample spacing and the time step `tau`: the cop's
 duration cut into whole steps, each at least the largest spacing long.
 
-Every verdict is decided by a boolean game over which samples are alive,
-which needs only the runs of grid cells within eps of the cop: its alive
-mask and each step's dead cells are Python ints with a bit per slot, and a
-step is a few whole-int shifts, ORs and ANDs.  On a survival that wants a
-witness, a maximin game then propagates each sample's best clearance so
-far a chunk of steps at a time, and the verifier extracts an explicit
-evader trajectory that maximizes its minimum grid clearance and recomputes
-that trajectory's true continuous-time clearance against the cop.
+Every verdict, a capture at time 0 included, is decided by a boolean game over
+which samples are alive from the start on.  It needs only the runs of grid
+cells within eps of the cop: its alive mask and each step's dead cells are
+Python ints with a bit per slot, and a step is a few whole-int shifts, ORs and
+ANDs.  On a survival that wants a witness, a maximin game then propagates each
+sample's best clearance so far a chunk of steps at a time, and the verifier
+extracts an explicit evader trajectory that maximizes its minimum grid
+clearance and recomputes its true continuous-time clearance against the cop.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
 MAX_STEPS = 10 ** 6     # step count limit: duration / spacing
 MAX_TABLE_CELLS = 10 ** 7   # vertex-to-sample table limit: 80 MB
-SWEEP_STEPS = 256       # swept_block steps: 64 at first, doubling to 1024
+SWEEP_STEPS = 1024      # steps per swept block
 CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
@@ -181,15 +181,12 @@ def swept_block(table: PieceTable, tau: float, j0: int, j1: int):
 
 
 def _swept_blocks(table: PieceTable, tau: float, n_steps: int):
-    """Yield (j0, j1, `swept_block(table, tau, j0, j1)`) for blocks of the
-    steps j < n_steps, the first a quarter of SWEEP_STEPS long and each
-    next twice as long, up to 4 * SWEEP_STEPS: both games read the cop's
-    pieces block by block."""
-    j0, size = 0, max(1, SWEEP_STEPS // 4)
-    while j0 < n_steps:
-        j1 = min(j0 + size, n_steps)
+    """Yield (j0, j1, `swept_block(table, tau, j0, j1)`) for blocks of
+    SWEEP_STEPS steps j < n_steps, the last possibly shorter: both games
+    read the cop's pieces block by block."""
+    for j0 in range(0, n_steps, SWEEP_STEPS):
+        j1 = min(j0 + SWEEP_STEPS, n_steps)
         yield j0, j1, swept_block(table, tau, j0, j1)
-        j0, size = j1, min(2 * size, 4 * SWEEP_STEPS)
 
 
 def _bits(row: np.ndarray) -> int:
@@ -200,12 +197,12 @@ def _bits(row: np.ndarray) -> int:
 def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
                  table: PieceTable, tau: float, n_steps: int, eps: float,
                  start: np.ndarray):
-    """Yield the alive mask, one bit per slot, after each step j < n_steps:
-    the boolean game, which decides every verdict as the maximin game
-    would.  A slot is alive at step 0 iff its `start` score, in slots,
-    exceeds eps, and after step j iff its score does, which, max and min
-    being monotone, holds iff it is kept, neither a guard nor in step j's
-    dead runs (`runs_within`), and some predecessor was alive and kept.
+    """Yield the alive mask, one bit per slot, after i = 0 .. n_steps
+    steps: the boolean game, which decides every verdict as the maximin
+    game would.  A slot is alive at the start iff its `start` score, in
+    slots, exceeds eps, and after step j iff its score does, which, max and
+    min being monotone, holds iff it is kept, neither a guard nor in step
+    j's dead runs (`runs_within`), and some predecessor was alive and kept.
     The mask is cut to the kept slots, ORed with its shifts over the band
     and with the junction targets of its alive sources (ORed by source
     when those change), and cut again."""
@@ -215,6 +212,7 @@ def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
     sources = sum(groups)       # the keys are distinct bits
     full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
     seen = jump = 0
+    yield alive
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
         row, first, count = grid.runs_within(step - j0, edge, lo, hi, eps)
         order = np.argsort(row, kind="stable")
@@ -405,35 +403,31 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     clearance.  The time step is `tau` (see `_resolve_params`).
 
     The boolean game `_alive_masks` decides every verdict: its first empty
-    alive mask is a capture, returned whatever `want_witness` says.  Only
-    a survival that wants a witness plays the maximin game, once, a chunk
-    of clearance rows (`_clearance_rows`) at a time: the steps' values,
-    min(score, clearance), fill a block padded with `width` -inf slots,
-    whose shifted row views `propagate_step` reads, and each step's best
-    overwrites its clearance row once that is used.  After each chunk, one
-    `np.equal` per shift and one over the junction list give the bits of
-    which predecessors attain each best, packed with `np.packbits`.  The
-    witness is backtracked from them; if the final scores show a capture
-    after all, the games disagree and GameMismatchError is raised.
+    alive mask, after i steps, is a capture at i * tau, returned whatever
+    `want_witness` says.  Only a survival that wants a witness plays the
+    maximin game, once, a chunk of clearance rows (`_clearance_rows`) at a
+    time: the steps' values, min(score, clearance), fill a block padded
+    with `width` -inf slots, whose shifted row views `propagate_step`
+    reads, and each step's best overwrites its clearance row once that is
+    used.  After each chunk, one `np.equal` per shift and one over the
+    junction list give the bits of which predecessors attain each best,
+    packed with `np.packbits`.  The witness is backtracked from them; if the
+    final scores show a capture after all, the games disagree and
+    GameMismatchError is raised.
     """
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
 
-    def result(verdict, caught_at=None, witness=None, clearance=None):
-        time_bound = None if caught_at is None else min(caught_at,
-                                                        cop.duration)
+    def result(verdict, time_bound=None, witness=None, clearance=None):
         return VerifierResult(verdict, time_bound, witness, clearance, h,
                               eps, grid.max_spacing, tau, n_steps, grid.n)
 
-    start = grid.distances_to_point(cop.points[0])
-    if start.max() <= eps:
-        return result("capture", 0.0)
     reach = build_reach(grid, tau + REACH_SLACK)
     score = np.full(reach.n_slots, -np.inf)
-    score[reach.slot] = start
+    score[reach.slot] = grid.distances_to_point(cop.points[0])
     alive = _alive_masks(grid, reach, cop.table, tau, n_steps, eps, score)
     j = next((j for j, mask in enumerate(alive) if not mask), None)
     if j is not None:
-        return result("capture", (j + 1) * tau)
+        return result("capture", min(j * tau, cop.duration))
     if not want_witness:
         return result("survival")
     layout = grid.row_layout(reach.slot, reach.n_slots)
@@ -506,9 +500,8 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     idx.reverse()
     g = grid.graph
     points = grid.points_at(idx)
-    times = ([j * tau for j in range(n_steps)] + [cop.duration]
-             if n_steps else [0.0])
-    return TimedPath(g, tuple(times), tuple(points),
+    times = tuple(j * tau for j in range(n_steps)) + (cop.duration,)
+    return TimedPath(g, times, tuple(points),
                      tuple(g.step_runs(points)), 1.0,
                      {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
 

@@ -75,7 +75,7 @@ def test_tracer_sees_the_block_clearance_layers():
     # the blocked clearance is called through module and class attributes,
     # so a tracer can wrap it; here one block of steps for the boolean
     # game, which decides the verdict without clearance rows, since its
-    # first block, a quarter of SWEEP_STEPS, holds every step, and one for
+    # first block, SWEEP_STEPS long, holds every step, and one for
     # the maximin game's single pass
     tr = tracing.Tracer()
     try:
@@ -89,7 +89,7 @@ def test_tracer_sees_the_block_clearance_layers():
     finally:
         tr.uninstall()
     assert r.verdict == "survival"
-    assert r.n_steps <= verifier.SWEEP_STEPS // 4
+    assert r.n_steps <= verifier.SWEEP_STEPS
     names = tr.names
     assert names.count("verifier.swept_block") == 2
     assert names.count("graph.distances_to_interval_rows") == 1

@@ -10,7 +10,7 @@ from graphchase import (EvidenceError, FrontierRow, PathBuilder,
                         frontier_to_csv, frontier_to_json, star_strategy,
                         sweep_strategy, upper_bound_bisect, verify)
 
-from common import comb, path_graph, star, unit_cycle, unit_path
+from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
 
 def test_build_family_dispatch():
@@ -19,6 +19,20 @@ def test_build_family_dispatch():
     assert p.metadata["kind"] == "cycle"
     with pytest.raises(StrategyError, match="unknown strategy family"):
         build_family(g, "zigzag", 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: frontier_table(g, "cycel", [2.0, 4.0], h=0.05),
+    lambda g: upper_bound_bisect(g, "cycel", 1.5, 4.0, 0.5, h=0.05),
+], ids=["frontier", "bisect"])
+def test_unknown_family_is_refused_before_any_probe(call):
+    # a misspelt family is no rejected probe: no table of sweeps, and no
+    # "upper speed did not verify"
+    with mock.patch.object(critical, "verify") as probe, \
+            pytest.raises(StrategyError,
+                          match="unknown strategy family 'cycel'"):
+        call(triangle())
+    assert not probe.called
 
 
 @pytest.mark.parametrize("family, g, s, default", [

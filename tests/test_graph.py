@@ -482,6 +482,13 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
            "attained": attained,
            "below": np.nextafter(attained, -np.inf),
            "above": np.nextafter(attained, np.inf)}[where]
+    _check_runs(grid, rows, edges, lo, hi, eps, dist)
+
+
+def _check_runs(grid, rows, edges, lo, hi, eps, dist):
+    """`runs_within`'s runs, expanded, are the cells of dist, the
+    thresholded rows, at most eps; each is non-empty and one vertex sample
+    or inside one edge's interior block.  Returns the cells."""
     row, first, count = grid.runs_within(rows, edges, lo, hi, eps)
     assert (count > 0).all()
     n_vert = len(grid.vertex_sample_dist)
@@ -493,6 +500,27 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
                                               count.tolist())
                     for q in range(f, f + c)})
     assert cells == list(zip(*(a.tolist() for a in np.nonzero(dist <= eps))))
+    return cells
+
+
+@pytest.mark.parametrize("g, h, lo, hi, eps, want", [
+    (unit_path(), 0.1, 0.4, 0.6, 0.15, [4, 5, 6, 7, 8]),
+    (triangle(), 2.0, 0.0, 0.5, 0.6, [0, 1]),
+], ids=["no-end-near-a-vertex", "no-interior-samples"])
+def test_runs_within_without_vertex_candidates(g, h, lo, hi, eps, want):
+    # one interval on the first edge: the table of candidates near its
+    # ends has no rows when neither end is within eps of a vertex, and no
+    # edge-end columns when no edge has interior samples; each case lacks
+    # just one of the two
+    grid = discretize(g, h)
+    near = min(lo, g.edges[0].length - hi) <= eps
+    assert near != (grid.edge_intervals > 1).any()
+    rows, edges = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    lo, hi = np.array([lo]), np.array([hi])
+    dist = grid.distances_to_interval_rows(
+        1, rows, edges, lo, hi, grid.row_layout(np.arange(grid.n), grid.n))
+    cells = _check_runs(grid, rows, edges, lo, hi, eps, dist)
+    assert cells == [(0, q) for q in want]
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -10,12 +10,13 @@ import textwrap
 import pytest
 
 from graphchase import strategies
-from graphchase import (StrategyError, build_graph, build_star_schedule,
-                        cascade_truncation, check_lipschitz, comb_strategy,
-                        cycle_loop, cycle_strategy, finiteness_strategy,
-                        lambda_root, min_clearance, secure_vertex,
-                        star_strategy, sufficient_speed, sweep_strategy,
-                        total_variation, verify)
+from graphchase import (GraphValidationError, StrategyError, build_graph,
+                        build_star_schedule, cascade_truncation,
+                        check_lipschitz, comb_strategy, cycle_loop,
+                        cycle_strategy, finiteness_strategy, lambda_root,
+                        min_clearance, secure_vertex, star_strategy,
+                        sufficient_speed, sweep_strategy, total_variation,
+                        verify)
 from graphchase.graph import walk_covers
 from graphchase.strategies import (STATION_PROBES, _cascade_update,
                                    _detect_comb, _ladder_init)
@@ -525,6 +526,11 @@ def test_secure_vertex_leaf():
 def test_secure_vertex_rejects_slow():
     with pytest.raises(StrategyError, match="above 5"):
         secure_vertex(triangle(), "a", 5.0)
+
+
+def test_secure_vertex_rejects_an_unknown_vertex():
+    with pytest.raises(GraphValidationError, match="unknown .*'zz'"):
+        secure_vertex(triangle(), "zz", 8.0)
 
 
 @pytest.mark.parametrize("build", [

@@ -265,7 +265,7 @@ def test_cycle_capture_is_no_earlier_than_the_closed_form():
     # the lap follower that starts just over eps behind the cop, which
     # gains s - 1 on it per unit time, stays beyond eps until
     # (L - 2 eps)/(s - 1): 1.8431, 9.2157 and 92.157; today: capture at
-    # 1.7255, 8.6471 and 86.275
+    # 1.7255, 8.6471 and 86.294
     for s in (1.5, 1.1, 1.01):
         r = verify(cycle_strategy(unit_cycle(), s), h=0.02,
                    want_witness=False)
@@ -871,14 +871,15 @@ def alive_cases(draw):
     h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
     cop that sweeps it at a speed of 2-8 (several intervals in a step),
     stands exactly on a vertex, or has no steps, or sweeps it in steps of
-    2-4 spacings (a band of half-width 2 or more); with the SWEEP_STEPS
-    that cuts the boolean game's blocks."""
+    2-4 spacings (a band of half-width 2 or more), or stands with a
+    radius of the total length, so it captures at the start; with the
+    SWEEP_STEPS that cuts the boolean game's blocks."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     g, grid = _multigraph(rng, [0.05, 0.1, 0.2])
     sp = grid.max_spacing
     kind = draw(st.sampled_from(["sweep", "sweep", "sweep", "stand",
-                                 "zero", "wide"]))
-    if kind == "stand":
+                                 "zero", "wide", "caught"]))
+    if kind in ("stand", "caught"):
         cop = stand(g, rng.choice(g.vertices), sp * rng.uniform(0.5, 60.0))
     else:
         cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
@@ -886,7 +887,8 @@ def alive_cases(draw):
             cop = truncate_path(cop, 0.0)
     stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
     sweep = draw(st.sampled_from([1, 2, 3, 5, 10, 256]))
-    return kind, cop, grid.h, sp * rng.uniform(1.01, 4.0), stretch, sweep
+    eps = g.total_length if kind == "caught" else sp * rng.uniform(1.01, 4.0)
+    return kind, cop, grid.h, eps, stretch, sweep
 
 
 def from_bits(mask, n):
@@ -898,13 +900,8 @@ def from_bits(mask, n):
 
 def _game_blocks(n_steps, sweep):
     """The (j0, j1) blocks of steps of the boolean game when SWEEP_STEPS
-    is sweep: the first sweep // 4 steps long, or one, each next one
-    twice as long up to 4 * sweep."""
-    blocks, j0, size = [], 0, max(1, sweep // 4)
-    while j0 < n_steps:
-        blocks.append((j0, min(j0 + size, n_steps)))
-        j0, size = j0 + size, min(2 * size, 4 * sweep)
-    return blocks
+    is sweep: sweep steps each, the last possibly shorter."""
+    return [(j0, min(j0 + sweep, n_steps)) for j0 in range(0, n_steps, sweep)]
 
 
 def _cap_putting(k, n_steps, where):
@@ -943,8 +940,9 @@ def _game_blocks_called(cop, h, eps, sweep):
 def _check_alive_game(cop, h, eps, stretch, sweep):
     """Check the boolean game against the maximin game on cop, with steps
     `stretch` times the grid's: at SWEEP_STEPS = sweep, `_alive_masks`
-    reads the cop in the blocks `_game_blocks` gives, and at every step
-    its alive mask is the maximin game's score > eps, slot for slot.
+    reads the cop in the blocks `_game_blocks` gives, its first mask is
+    the start's score > eps, and after every step its alive mask is the
+    maximin game's score > eps, slot for slot.
     Returns the reach plan, the alive junction sources of each step and
     the number of steps that swept several intervals."""
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
@@ -957,15 +955,16 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
         masks = list(_alive_masks(grid, reach, cop.table, tau, n_steps, eps,
                                   start))
     assert calls == _game_blocks(n_steps, sweep)
-    assert len(masks) == n_steps
+    assert len(masks) == n_steps + 1
 
     def bits(row):
         return sum(1 << int(s) for s in np.flatnonzero(row))
 
     sources = sum(1 << s for s in set(reach.junction_src.tolist()))
     score, alive = start, bits(start > eps)
+    assert masks[0] == alive
     live, several = [], 0       # the alive junction sources of each step
-    for j, new in enumerate(masks):
+    for j, new in enumerate(masks[1:]):
         step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
         several += len(step) > 1
         clr = to_slots(reach, grid.distances_to_interval_rows(
@@ -982,7 +981,8 @@ def test_alive_masks_match_maximin_scores():
     # at every step the boolean game's alive mask is the maximin game's
     # score > eps, slot for slot, wherever the blocks of dead runs cut;
     # verify's verdict and time bound do not depend on the blocks
-    seen = {"stand": 0, "zero": 0, "several": 0, "wide": 0, "junction": 0}
+    seen = {"stand": 0, "zero": 0, "caught": 0, "several": 0, "wide": 0,
+            "junction": 0}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(alive_cases())
@@ -999,6 +999,8 @@ def test_alive_masks_match_maximin_scores():
         fast, calls = _game_blocks_called(cop, h, eps, sweep)
         assert (fast.verdict, fast.time_bound) == (r.verdict, r.time_bound)
         assert calls == _game_blocks(r.n_steps, sweep)[:len(calls)]
+        if kind == "caught":    # the start mask is empty: no block is read
+            assert (fast.time_bound, calls) == (0.0, [])
         if kind != "sweep":
             seen[kind] += 1
 
@@ -1031,7 +1033,7 @@ def test_verdict_on_a_large_grid_holds_a_bounded_kill_block():
     # a sweep of the unit path at h = 1e-5: 100,001 samples, 2,000 steps.
     # The traced peak is the reach relation's build, about 25 MB; the
     # boolean game makes each step's dead mask when it is due, and holding
-    # the masks of a block of 4 * SWEEP_STEPS steps, up to 12.5 KB each
+    # the masks of a block of SWEEP_STEPS steps, up to 12.5 KB each
     # for the 100,004 slots, would take up to 12.8 MB more
     cop = sweep_strategy(unit_path(), 50.0)
     tracemalloc.start()
