@@ -2,10 +2,10 @@
 
 Subcommands: generate, verify, frontier, export-svg, selftest.  The time
 step tau is the cop's duration cut into whole steps no shorter than the
-grid spacing.  Exit codes: 0 success (verify: capture), 1 selftest
-failure, 2 usage, input or evidence errors, 3 verified survival, 4
-resolution parameters that `verifier.resolution` refuses, or a step count,
-duration / spacing, above 10^6.
+grid spacing, or one step when the cop is shorter.  Exit codes: 0 success
+(verify: capture), 1 selftest failure, 2 usage, input or evidence errors,
+3 verified survival, 4 resolution parameters that `verifier.resolution`
+refuses, or a step count, duration / spacing, above 10^6.
 """
 
 from __future__ import annotations

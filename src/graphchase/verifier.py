@@ -6,7 +6,8 @@ space-time grid.  The grid game is exact: evader steps use true intrinsic
 distances between samples, and the cop's swept region per time step is
 computed analytically from the trajectory's runs, so the only
 discretizations are the sample spacing and the time step `tau`: the cop's
-duration cut into whole steps, each at least the largest spacing long.
+duration cut into whole steps, each at least the largest spacing long, or
+one step when the duration is shorter.
 
 Every verdict, a capture at time 0 included, is decided by a boolean game over
 which samples are alive from the start on.  It needs only the runs of grid
@@ -275,7 +276,8 @@ class VerifierResult:
     @property
     def dt(self) -> float:
         """The largest grid spacing, under the name the report and the
-        frontier CSV give it; the time step is `tau`, at least this."""
+        frontier CSV give it; the time step is `tau`, at least this but
+        for a cop shorter than it, which is one step."""
         return self.spacing
 
     @property

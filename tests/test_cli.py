@@ -260,6 +260,18 @@ def test_generate_eps_builds_a_star_that_captures_at_that_eps(tmp_path,
                  "--resolution", "0.0005"] + argv) == 3
 
 
+def test_finiteness_at_a_large_speed_builds_and_captures(tmp_path, capsys):
+    graph, path = tmp_path / "star.json", tmp_path / "s.json"
+    save_graph(build_graph(["O", "a", "b", "c", "d"],
+                           [("O", "a", 1.0), ("O", "b", 1.0), ("O", "c", 1.0),
+                            ("O", "d", 0.001)]), graph)
+    assert main(["generate", "--graph", str(graph), "--kind", "finiteness",
+                 "--speed", "100000", "--out", str(path)]) == 0
+    assert main(["verify", "--graph", str(graph),
+                 "--strategy", str(path)]) == 0
+    assert "capture" in capsys.readouterr().out
+
+
 def test_undecodable_graph_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")

@@ -61,6 +61,30 @@ def test_lambda_root_rejections():
                 lambda_root(k, s)
 
 
+def test_lambda_root_accepts_large_speeds():
+    # poly's values grow like lam^(k-2), so a fixed residual bound once
+    # refused this root; the bisection ends on the two floats around it
+    lam = lambda_root(5, 7700)
+
+    def poly(x):
+        return math.fsum(x ** i for i in range(1, 4)) - 7699 / 2
+
+    assert poly(math.nextafter(lam, 0)) <= 0 <= poly(math.nextafter(lam,
+                                                                   math.inf))
+
+
+def test_star_at_a_large_speed_builds_and_captures():
+    p = star_strategy(star(5, 0.5), 1e4)
+    assert verify(p, h=0.005, eps=0.02).captured
+
+
+def test_sufficient_speed_on_a_star_with_a_short_arm():
+    g = build_graph(["O", "a", "b", "c", "d"],
+                    [("O", "a", 1.0), ("O", "b", 1.0), ("O", "c", 1.0),
+                     ("O", "d", 0.001)])
+    assert sufficient_speed(g) == 81920.0
+
+
 @pytest.mark.parametrize("truncation", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("build", [
     lambda t: star_strategy(star(3), 4.0, t),

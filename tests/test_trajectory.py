@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
                         PathValidationError,
                         TimedPath, build_graph, check_lipschitz, cycle_loop,
-                        load_path, min_clearance, path_from_dict, path_pieces,
-                        path_to_dict,
-                        reparameterize_max_speed, save_path, total_variation,
-                        transfer_scale, transfer_shorten, truncate_path,
-                        verify, walk_length)
+                        load_graph, load_path, min_clearance, path_from_dict,
+                        path_pieces, path_to_dict,
+                        reparameterize_max_speed, save_graph, save_path,
+                        sweep_strategy, total_variation, transfer_scale,
+                        transfer_shorten, truncate_path, verify, walk_length)
 from graphchase.randgen import random_cop_path, random_graph
-from graphchase.trajectory import JSON_CHUNK, PieceTable, path_chunks
+from graphchase.trajectory import (JSON_CHUNK, SPEED_TOL, PieceTable,
+                                   clip_pieces, path_chunks)
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
@@ -59,6 +60,26 @@ def test_builder_wait_and_wait_until():
     p = pb.build()
     assert p.evaluate(0.25).offset == 0.0
     assert g.points_equal(p.evaluate(1.2), g.vertex_point("b"))
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda pb: pb.wait(math.nan), "nan"),
+    (lambda pb: pb.wait(math.inf), "inf"),
+    (lambda pb: pb.wait_until(math.inf), "inf"),
+    (lambda pb: pb.move_runs([("e0", 0.0, 1.0)], math.nan), "nan"),
+    (lambda pb: pb.move_runs([("e0", 0.0, 1.0)], math.inf), "inf"),
+    (lambda pb: pb.move_to("b", speed=math.nan), "nan"),
+    (lambda pb: pb.move_to("b", speed=math.inf), "inf"),
+], ids=["wait-nan", "wait-inf", "wait_until-inf", "move_runs-nan",
+        "move_runs-inf", "move_to-nan", "move_to-inf"])
+def test_non_finite_times_and_speeds_are_refused_at_the_call(call, value):
+    pb = PathBuilder(unit_path(), "a", 1.0)
+    with pytest.raises(PathValidationError, match=f"finite.*got {value}$"):
+        call(pb)
+    assert pb.times == [0.0]        # nothing was appended
+    p = pb.move_to("b").build()
+    with pytest.raises(PathValidationError, match=f"finite.*got {value}$"):
+        reparameterize_max_speed(p, float(value))
 
 
 def test_speed_validation():
@@ -135,6 +156,8 @@ def test_lipschitz_and_variation():
     assert check_lipschitz(p, 2.0)
     assert not check_lipschitz(p, 1.0)
     assert total_variation(p) == pytest.approx(4.0)
+    # no segment is at most nan times its duration long
+    assert not check_lipschitz(p, math.nan)
 
 
 def test_reparameterize_full_speed():
@@ -249,6 +272,25 @@ def test_min_clearance_parallel():
     cop = PathBuilder(g, "v0", 1.0).move_to("v1", speed=1.0).build()
     rob = PathBuilder(g, "v1", 1.0).move_to("v2", speed=1.0).build()
     assert min_clearance(cop, rob) == pytest.approx(1.0)
+
+
+def test_min_clearance_refuses_paths_on_two_graphs(tmp_path):
+    cop = sweep_strategy(unit_path(), 1.0)
+    five = build_graph(["a", "b"], [("a", "b", 5.0)])
+    rob = PathBuilder(five, "b", 1.0).wait(1.0).build()
+    with pytest.raises(PathValidationError, match="different graphs"):
+        min_clearance(cop, rob)
+    with pytest.raises(PathValidationError, match="different graphs"):
+        min_clearance(rob, cop)
+    # equal graphs built or loaded apart are one graph
+    save_graph(unit_path(), tmp_path / "g.json")
+    rob = PathBuilder(load_graph(tmp_path / "g.json"), "b", 1.0).wait(1.0) \
+        .build()
+    assert min_clearance(cop, rob) == 0.0
+    rob = PathBuilder(unit_path(), GraphPoint("e0", 0.75), 1.0).wait(3.0) \
+        .build()
+    assert min_clearance(cop, rob) == 0.0
+    assert min_clearance(truncate_path(cop, 0.5), rob) == 0.25
 
 
 def test_min_clearance_vs_sampling():
@@ -391,11 +433,12 @@ def test_witness_clearance_does_not_import_numpy_ma():
 def scalar_piece_table(p):
     """The loop the piece table's array passes replaced, kept as their
     reference: each run of each segment timed with scalar floats, the
-    lengths before it added one by one."""
+    lengths before it added one by one, and each segment's length its
+    `walk_length`."""
     rows, edges = [], []
-    for i, runs in enumerate(p.routes):
+    lengths = [walk_length(runs) for runs in p.routes]
+    for i, (runs, seg_len) in enumerate(zip(p.routes, lengths)):
         a, b = p.times[i], p.times[i + 1]
-        seg_len = walk_length(runs)
         if seg_len == 0:
             q = p.points[i]
             rows.append((a, b, a, b, q.offset, q.offset))
@@ -413,7 +456,7 @@ def scalar_piece_table(p):
                 edges.append(p.graph.edge_index(eid))
     cols = np.array(rows, dtype=float).reshape(len(rows), 6).T
     return PieceTable(*cols[:4], np.array(edges, dtype=np.int64), *cols[4:],
-                      p.duration)
+                      p.duration, np.array(lengths, dtype=float))
 
 
 def _assert_same_table(p):
@@ -493,6 +536,64 @@ def test_piece_table_matches_scalar_reference():
     p = TimedPath(g, (0.0, 1.0), (GraphPoint("e0", 0.0),
                                   GraphPoint("e3", 1e-17)), (runs,), 1.0)
     assert len(_assert_same_table(p).start) == 3
+
+
+def test_evaluate_truncate_and_lengths_read_the_table():
+    # evaluate(t) is the end of clip_pieces' last piece over [0, t] (its
+    # start at t = 0), bit for bit; truncate_path keeps the runs before t
+    # and ends at evaluate(t); the lengths are walk_length's
+    seen = {"bound": 0, "inner": 0, "cut": 0, "wait": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_paths(), st.lists(st.floats(0, 1), max_size=6))
+    def check(p, fractions):
+        g, tab = p.graph, p.table
+        lengths = [walk_length(runs) for runs in p.routes]
+        assert total_variation(p) == math.fsum(lengths)
+        dt = [b - a for a, b in zip(p.times, p.times[1:])]
+        for s in {0.0, 1.0} | {ln / d for ln, d in zip(lengths, dt)}:
+            for s in (s, s - 2 * SPEED_TOL):
+                assert check_lipschitz(p, s) == all(
+                    ln <= s * d + SPEED_TOL for ln, d in zip(lengths, dt))
+        assert not check_lipschitz(p, math.nan)
+        if p.duration == 0:
+            return
+        bounds = np.concatenate([tab.start, tab.stop, [0.0, p.duration]])
+        times = [p.duration * f for f in fractions] + list(p.times) + \
+            bounds.tolist()
+        for t in times:
+            got = p.evaluate(t)
+            _, ca, cb, edge, xa, xb = clip_pieces(
+                tab, np.array([0.0, t if t > 0 else p.duration]))
+            at = -1 if t > 0 else 0
+            want = GraphPoint(g.edges[edge[at]].id,
+                              float((xb if t > 0 else xa)[at]))
+            assert got == want and repr(got) == repr(want)
+            if not 0 < t < p.duration - 1e-12:
+                continue
+            q = truncate_path(p, t)
+            i = len(q.times) - 1            # p's breakpoints before t
+            assert q.times == p.times[:i] + (t,)
+            assert q.points == p.points[:i] + (got,)
+            assert q.routes[:-1] == p.routes[:i - 1]
+            # the runs of the cut segment that walk, the last one cut at
+            # t, or dropped where the cut walks nothing
+            runs = [r for r in p.routes[i - 1] if r[1] != r[2]]
+            cut = q.routes[-1]
+            assert all(c == r for c, r in zip(cut[:-1], runs))
+            if cut and cut[-1] != runs[len(cut) - 1]:
+                assert cut[-1][:2] == runs[len(cut) - 1][:2]
+                assert cut[-1][2] == got.offset
+            for u in times:
+                if u < p.times[i - 1]:
+                    assert q.evaluate(u) == p.evaluate(u)
+            seen["bound"] += t in p.times
+            seen["inner"] += t not in bounds
+            seen["cut"] += len(cut) > 1
+            seen["wait"] += lengths[i - 1] == 0
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 def test_path_pieces_cover():

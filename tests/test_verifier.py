@@ -596,8 +596,9 @@ def _assert_follows_evaluate(cop, pieces, rnd):
 @settings(max_examples=60, deadline=None)
 @given(swept_cases(), st.randoms(use_true_random=False))
 def test_pieces_follow_evaluate_and_tile_their_windows(case, rnd):
-    # `evaluate` walks the routes by arc length with code of its own, so it
-    # checks the run timing that `cop.table` feeds to both clips; the
+    # `evaluate` interpolates the row of `cop.table` holding a time with
+    # scalar code, so it checks how both clips index and cut the rows (the
+    # rows' timing has its own reference, `scalar_piece_table`); the
     # windows start at breakpoints and at random times
     cop = case[0]
     g, d = cop.graph, cop.duration
