@@ -150,7 +150,7 @@ class FrontierRow:
     time_bound: float | None     # capture rows
     clearance: float | None      # survival rows: witness clearance
     h: float
-    dt: float
+    dt: float                    # the largest grid spacing
     eps: float
     note: str = ""
 
@@ -183,7 +183,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
             note = f"constructor rejected ({exc}); naive sweep substituted"
         res = verify(path, h=h, eps=eps)
         rows.append(FrontierRow(s, res.verdict, res.time_bound,
-                                res.min_clearance, res.h, res.dt, res.eps,
+                                res.min_clearance, res.h, res.spacing, res.eps,
                                 note))
 
     prev = None   # (index, time_bound) of the previous capture row

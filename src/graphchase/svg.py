@@ -8,7 +8,7 @@ of the inputs: fixed iteration order, fixed float formatting, no timestamps.
 
 from __future__ import annotations
 
-from .trajectory import TimedPath, path_pieces
+from .trajectory import TimedPath, check_same_graph, path_pieces
 
 PLOT_W = 720.0
 MARGIN_L = 86.0
@@ -41,6 +41,7 @@ def export_svg(cop: TimedPath, witness: TimedPath | None = None,
     g = cop.graph
     horizon = cop.duration
     if witness is not None:
+        check_same_graph(cop, witness)
         horizon = max(horizon, witness.duration)
     if horizon <= 0:
         horizon = 1.0

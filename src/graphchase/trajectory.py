@@ -255,6 +255,9 @@ class PathBuilder:
             start = graph.vertex_point(start)
         self.graph = graph
         self.speed_bound = float(speed_bound)
+        if not self.speed_bound >= 0:
+            raise PathValidationError(
+                f"speed bound must be nonnegative, got {speed_bound}")
         self.times = [0.0]
         self.points = [graph.clamp_point(start)]
         self.routes: list[tuple] = []
@@ -366,19 +369,27 @@ def reparameterize_max_speed(p: TimedPath, s: float) -> TimedPath:
                      dict(p.metadata))
 
 
+def _transfer(p: TimedPath, target: MetricGraph, times, move) -> TimedPath:
+    """p's motion on target at the given times: `move(edge id, offset)`
+    moves every point and run offset, and runs that stop moving go."""
+    points = tuple(GraphPoint(q.edge, move(q.edge, q.offset))
+                   for q in p.points)
+    routes = tuple(tuple(run for run in ((eid, move(eid, x0), move(eid, x1))
+                                         for eid, x0, x1 in runs)
+                         if run[1] != run[2])
+                   for runs in p.routes)
+    return TimedPath(target, tuple(times), points, routes, p.speed_bound,
+                     dict(p.metadata))
+
+
 def transfer_scale(p: TimedPath, c: float) -> TimedPath:
     """The same motion on the graph with all edge lengths multiplied by c.
 
     Positions scale coordinatewise and times scale by c, so the speed bound
     carries over unchanged.
     """
-    target = p.graph.scale(c)
-    times = tuple(t * c for t in p.times)
-    points = tuple(GraphPoint(q.edge, q.offset * c) for q in p.points)
-    routes = tuple(tuple((eid, x0 * c, x1 * c) for eid, x0, x1 in runs)
-                   for runs in p.routes)
-    return TimedPath(target, times, points, routes, p.speed_bound,
-                     dict(p.metadata))
+    return _transfer(p, p.graph.scale(c), (t * c for t in p.times),
+                     lambda eid, x: x * c)
 
 
 def transfer_shorten(p: TimedPath, edge_id: str,
@@ -391,32 +402,15 @@ def transfer_shorten(p: TimedPath, edge_id: str,
     """
     target = p.graph.shorten_leaf_edge(edge_id, new_length)  # refuses non-leaf
     e = p.graph.edge(edge_id)
-    leaf = p.graph.leaf_end(edge_id)
-    removed = e.length - new_length
+    leaf_v, removed = p.graph.leaf_end(edge_id) == e.v, e.length - new_length
 
-    def proj(x: float) -> float:
-        # keep distances from the anchor (non-leaf) endpoint, clamp at the leaf
-        if leaf == e.v:
-            return min(x, new_length)
-        return max(0.0, x - removed)
+    def move(eid: str, x: float) -> float:
+        # keep distances from the anchor (non-leaf) end, clamp at the leaf
+        if eid != edge_id:
+            return x
+        return min(x, new_length) if leaf_v else max(0.0, x - removed)
 
-    def proj_point(q: GraphPoint) -> GraphPoint:
-        if q.edge != edge_id:
-            return q
-        return GraphPoint(edge_id, proj(q.offset))
-
-    points = tuple(proj_point(q) for q in p.points)
-    routes = []
-    for runs in p.routes:
-        out = []
-        for eid, x0, x1 in runs:
-            if eid == edge_id:
-                x0, x1 = proj(x0), proj(x1)
-            if abs(x1 - x0) > 0:
-                out.append((eid, x0, x1))
-        routes.append(tuple(out))
-    return TimedPath(target, p.times, points, tuple(routes), p.speed_bound,
-                     dict(p.metadata))
+    return _transfer(p, target, p.times, move)
 
 
 def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
@@ -513,21 +507,27 @@ def _offsets_at(pieces, i, t):
     return xa + (xb - xa) * np.minimum(np.maximum(u, 0.0), 1.0)
 
 
+def check_same_graph(p: TimedPath, q: TimedPath) -> None:
+    """Refuse, with PathValidationError, two paths whose graphs differ in
+    vertices or edges, or in their order; equal graphs built apart pass."""
+    if (p.graph.vertices, p.graph.edges) != (q.graph.vertices, q.graph.edges):
+        raise PathValidationError("the two paths live on different graphs")
+
+
 def min_clearance(p: TimedPath, q: TimedPath) -> float:
     """Exact minimum intrinsic distance between two paths over their common
     time span [0, min(p.duration, q.duration)].
 
-    Both paths must live on one graph: the same vertices and edges, in the
-    same order, or PathValidationError.  Within a common linear piece the
-    distance is a minimum of affine candidates plus the same-edge direct
-    term, so the minimum is attained at piece boundaries or at the one root
-    of the same-edge offset difference.  The intervals between the pieces'
-    time bounds are handled as arrays, and each distance takes the same
-    floating-point operations as `MetricGraph.route`.
+    Both paths must live on one graph (`check_same_graph`).  Within a
+    common linear piece the distance is a minimum of affine candidates plus
+    the same-edge direct term, so the minimum is attained at piece
+    boundaries or at the one root of the same-edge offset difference.  The
+    intervals between the pieces' time bounds are handled as arrays, and
+    each distance takes the same floating-point operations as
+    `MetricGraph.route`.
     """
+    check_same_graph(p, q)
     g = p.graph
-    if (g.vertices, g.edges) != (q.graph.vertices, q.graph.edges):
-        raise PathValidationError("the two paths live on different graphs")
     t1 = min(p.duration, q.duration)
     if t1 <= 0:
         return g.distance(p.evaluate(0.0), q.evaluate(0.0))

@@ -76,8 +76,11 @@ class ReachStructure:
     among edges with interior samples, so any two samples of one block at
     most `width` slots apart form a CSR pair, and a band of that half-width
     over the slots realizes exactly those pairs.  Every other non-self pair
-    is one `(junction_src, junction_dst)` entry, in slots.  It holds no
-    scratch, so any number of propagations may use it at once.
+    is one `(junction_src, junction_dst)` entry, in slots, in CSR order.
+    `bit[i]` is CSR pair i's column in a step's packed witness row:
+    `(slot[src] - slot[dst] + width) * n_slots + slot[dst]` for a band
+    pair, `(2 * width + 1) * n_slots + j` for junction entry j.  It holds
+    no scratch, so any number of propagations may use it at once.
     """
 
     src: np.ndarray
@@ -87,6 +90,7 @@ class ReachStructure:
     width: int
     junction_src: np.ndarray
     junction_dst: np.ndarray
+    bit: np.ndarray
 
 
 def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
@@ -133,8 +137,10 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     slot = np.arange(n) + width * group
     n_slots = n + width * (n_vert + len(inner))
     far = (gap > 0) & ~(same & (gap <= width))
+    bit = (slot[src] - slot[dst] + width) * n_slots + slot[dst]
+    bit[far] = (2 * width + 1) * n_slots + np.arange(np.count_nonzero(far))
     return ReachStructure(src, starts, slot, n_slots, width,
-                          slot[src[far]], slot[dst[far]])
+                          slot[src[far]], slot[dst[far]], bit)
 
 
 # ----------------------------------------------------------------------
@@ -274,13 +280,6 @@ class VerifierResult:
     n_samples: int
 
     @property
-    def dt(self) -> float:
-        """The largest grid spacing, under the name the report and the
-        frontier CSV give it; the time step is `tau`, at least this but
-        for a cop shorter than it, which is one step."""
-        return self.spacing
-
-    @property
     def captured(self) -> bool:
         return self.verdict == "capture"
 
@@ -289,7 +288,7 @@ def result_to_dict(r: VerifierResult) -> dict:
     return {
         "verdict": r.verdict,
         "time_bound": r.time_bound,
-        "params": {"h": r.h, "dt": r.dt, "eps": r.eps, "spacing": r.spacing,
+        "params": {"h": r.h, "eps": r.eps, "spacing": r.spacing,
                    "tau": r.tau, "steps": r.n_steps, "samples": r.n_samples},
         "witness": None if r.witness is None else path_to_dict(r.witness),
         "min_clearance": r.min_clearance,
@@ -470,27 +469,19 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     """The grid path ending at the best final sample.
 
     `table` holds the bits `verify` packs, one array per chunk of steps in
-    step order, a row per step: bit `k * n_slots + t` says whether the
-    pair from slot `t + k - width` to slot t attains t's best, and the
-    junction pairs follow, in list order.  `score` is the final score, in
-    slots.  The chunks are popped, so freed, and unpacked from the last.
-    Stepping back over step j from sample q picks the first of q's
-    predecessors (ascending in the CSR) whose bit in row j is set: the
-    lowest-index predecessor attaining q's maximin.  A CSR pair is a band
-    pair iff its slot offset equals its sample offset (no guard between)
-    and is at most width; the others are the junction list, in CSR order.
-    The bits are read one by one through memoryviews, with no numpy call
-    per step.  The best final sample is the first in sample order.
+    step order, a row per step: bit `reach.bit[i]` says whether CSR pair i
+    attains its target's best.  `score` is the final score, in slots.  The
+    chunks are popped, so freed, and unpacked from the last.  Stepping back
+    over step j from sample q picks the first of q's predecessors
+    (ascending in the CSR) whose bit in row j is set: the lowest-index
+    predecessor attaining q's maximin.  The bits are read one by one
+    through memoryviews, with no numpy call per step.  The best final
+    sample is the first in sample order.
     """
     final = score[reach.slot]
     q = int(np.argmax(final))
     idx = [q]
-    dst = np.repeat(np.arange(len(reach.starts) - 1), np.diff(reach.starts))
-    off = reach.slot[reach.src] - reach.slot[dst]
-    bit = (off + reach.width) * reach.n_slots + reach.slot[dst]
-    far = (off != reach.src - dst) | (np.abs(off) > reach.width)
-    bit[far] = (2 * reach.width + 1) * reach.n_slots + np.arange(far.sum())
-    src, starts, bit = map(memoryview, (reach.src, reach.starts, bit))
+    src, starts, bit = map(memoryview, (reach.src, reach.starts, reach.bit))
     while table:
         bits = memoryview(np.unpackbits(table.pop(), axis=1))
         for k in range(len(bits) - 1, -1, -1):

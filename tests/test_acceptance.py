@@ -182,7 +182,7 @@ def test_criterion_07_scaling_and_shortening_transfer():
         eid = rng.choice(sorted(leaf_edges))
         new_len = rng.uniform(0.3, 0.9) * g.edge(eid).length
         short = transfer_shorten(cop, eid, new_len)
-        r_short = verify(short, h=h, eps=res.eps + 3 * res.dt,
+        r_short = verify(short, h=h, eps=res.eps + 3 * res.spacing,
                          want_witness=False)
         if (r_scale.captured
                 and abs(r_scale.time_bound - c * res.time_bound) < 1e-9 * c

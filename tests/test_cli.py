@@ -69,8 +69,8 @@ def test_verify_capture_roundtrip(path_file, tmp_path, capsys):
     assert "capture" in capsys.readouterr().out
     doc = json.loads(pathlib.Path(report).read_text())
     assert doc["verdict"] == "capture"
-    assert set(doc["params"]) == {"h", "dt", "eps", "spacing", "tau",
-                                  "steps", "samples"}
+    assert set(doc["params"]) == {"h", "eps", "spacing", "tau", "steps",
+                                  "samples"}
 
 
 def test_verify_survival_writes_witness(cycle_file, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import xml.etree.ElementTree as ET
 
-from graphchase import PathBuilder, export_svg, save_svg, sweep_strategy, verify
+import pytest
 
-from common import path_graph, unit_cycle
+from graphchase import (PathBuilder, PathValidationError, build_graph,
+                        export_svg, save_svg, sweep_strategy, verify)
+
+from common import path_graph, unit_cycle, unit_path
 
 
 def test_svg_is_wellformed_xml():
@@ -31,6 +34,18 @@ def test_svg_witness_overlay():
     res = verify(cop, h=0.05)
     text = export_svg(cop, witness=res.witness)
     assert "#2066a8" in text
+
+
+@pytest.mark.parametrize("edge", [("a", "b", 1.0, "x"), ("a", "b", 5.0)],
+                         ids=["other-id", "other-length"])
+def test_svg_refuses_a_witness_from_another_graph(edge):
+    # as min_clearance does: an unknown edge id, or a 5.0 edge that the
+    # cop's 1.0 band would draw without complaint
+    cop = sweep_strategy(unit_path(), 1.0)
+    other = build_graph(["a", "b"], [edge])
+    witness = PathBuilder(other, "b", 1.0).wait(1.0).build()
+    with pytest.raises(PathValidationError, match="different graphs"):
+        export_svg(cop, witness=witness)
 
 
 def test_svg_deterministic_and_saved(tmp_path):

@@ -82,6 +82,16 @@ def test_non_finite_times_and_speeds_are_refused_at_the_call(call, value):
         reparameterize_max_speed(p, float(value))
 
 
+@pytest.mark.parametrize("bound", [math.nan, -1.0])
+def test_builder_refuses_a_bad_speed_bound_at_the_call(bound):
+    with pytest.raises(PathValidationError,
+                       match=f"speed bound must be nonnegative, got {bound}$"):
+        PathBuilder(unit_path(), "a", bound)
+    # an infinite bound is a valid declaration, as in TimedPath
+    assert PathBuilder(unit_path(), "a", math.inf).wait(1.0).build() \
+        .speed_bound == math.inf
+
+
 def test_speed_validation():
     g = unit_path()
     with pytest.raises(PathValidationError):
@@ -235,6 +245,24 @@ def test_transfer_shorten_projection():
     end = q.evaluate(2.0)
     assert end.edge == "e1" and end.offset == pytest.approx(0.5)
     assert check_lipschitz(q, 1.0)
+
+
+def test_transfers_move_every_offset_and_drop_runs_that_stop_moving():
+    g = path_graph(2)
+    p = PathBuilder(g, "v0", 1.0).move_to("v2", speed=1.0) \
+        .move_runs([("e1", 1.0, 0.75)], 0.25).build()
+    q = transfer_scale(p, 3.0)
+    assert q.times == tuple(t * 3.0 for t in p.times)
+    assert q.points == tuple(GraphPoint(x.edge, x.offset * 3.0)
+                             for x in p.points)
+    assert q.routes == tuple(tuple((e, x0 * 3.0, x1 * 3.0)
+                                   for e, x0, x1 in runs)
+                             for runs in p.routes)
+    # beyond the new leaf the last run clamps to a wait
+    q = transfer_shorten(p, "e1", 0.5)
+    assert q.times == p.times
+    assert q.points[2:] == (GraphPoint("e1", 0.5),) * 2
+    assert q.routes == ((("e0", 0.0, 1.0),), (("e1", 0.0, 0.5),), ())
 
 
 def test_transfer_shorten_u_side_leaf():

@@ -14,9 +14,9 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         TimedPath, brute_force_oracle, build_graph,
                         check_lipschitz, continuous_clearance, cycle_loop,
                         cycle_strategy, discretize, min_clearance,
-                        path_pieces, result_to_dict, star_strategy,
-                        sweep_strategy, transfer_scale, truncate_path,
-                        verify)
+                        path_from_dict, path_pieces, result_to_dict,
+                        star_strategy, sweep_strategy, transfer_scale,
+                        truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_masks,
@@ -84,7 +84,8 @@ def test_capture_radius_floor():
     # just above the floor is accepted
     res = verify(p, h=0.1, eps=0.11)
     assert res.verdict in ("capture", "survival")
-    assert res.dt == res.spacing == 0.1
+    assert res.spacing == 0.1
+    assert not hasattr(res, "dt")     # the spacing has one name
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -191,7 +192,7 @@ def test_unit_speed_cycle_loop_survives_at_every_resolution():
         r = verify(cop, h=h)
         assert r.verdict == "survival", h
         assert r.min_clearance >= 0.4, h
-        assert r.dt == r.spacing
+        assert r.spacing <= r.tau
     with pytest.raises(TypeError):
         verify(cop, h=0.01, dt=0.006, eps=0.0105)
 
@@ -220,6 +221,37 @@ def test_unsound_capture_mixed_spacing_cycle():
                          for i in range(7)])
     r = verify(cycle_loop(g, 1.0, 20.0), h=0.1, eps=0.2, want_witness=False)
     assert r.verdict != "capture", r.time_bound
+
+
+@pytest.mark.xfail(strict=True, reason="capture certifies the grid game "
+                   "only: a four-edge tree at h = its shortest edge / 10")
+def test_unsound_capture_tree():
+    # repro D, not a cycle: at h the grid says capture at t=1.1606, but
+    # the witness of the grid at h/4, a unit-speed evader, keeps 0.1398 >
+    # eps from the cop over the whole path
+    g = build_graph([f"v{i}" for i in range(5)],
+                    [("v0", "v1", 0.4659813882071583),
+                     ("v0", "v2", 0.5568344836939831),
+                     ("v2", "v3", 0.9375188414356748),
+                     ("v0", "v4", 0.31094934773328153)])
+    bps = [(0.0, "e0", 0.4659813882071583), (0.20047673470213934, "e0", 0.0),
+           (0.3342548457360829, "e3", 0.31094934773328153),
+           (0.491855549580682, "e3", 0.0),
+           (0.7740799928697226, "e1", 0.5568344836939831),
+           (1.2104738417201266, "e2", 0.9375188414356748),
+           (1.8313065211392479, "e2", 0.0), (2.2000468911730997, "e1", 0.0),
+           (2.4438506279561807, "e1", 0.5568344836939831),
+           (2.854332743449906, "e2", 0.9375188414356748)]
+    cop = path_from_dict(g, {
+        "speed": 2.4289588742885844,
+        "breakpoints": [{"t": t, "edge": e, "offset": x} for t, e, x in bps],
+        "routes": [[e] for e in "e0 e3 e3 e1 e2 e2 e1 e1 e2".split()]})
+    h, eps = 0.031094934773328153, 0.13572587085726837
+    r = verify(cop, h=h, eps=eps, want_witness=False)
+    w = verify(cop, h=h / 4, eps=eps).witness
+    assert check_lipschitz(w, 1 + 1e-9)
+    assert not r.captured or min_clearance(
+        cop, truncate_path(w, r.time_bound)) <= eps, r.time_bound
 
 
 def lap_follower(cop, ahead, duration):
@@ -467,6 +499,47 @@ def test_banded_kernel_matches_maximin_reference(case):
     for block in blocks:
         assert {(p, q) for p in block for q in block
                 if abs(p - q) > w and (p, q) in pairs} <= junctions
+
+
+def slot_bits(reach):
+    """Each CSR pair's column in a packed witness row, derived from the
+    slots alone: a band pair is one whose slot offset equals its sample
+    offset (no guard between) and is at most width; the others are the
+    junction list, taken in CSR order."""
+    dst = targets(reach)
+    off = reach.slot[reach.src] - reach.slot[dst]
+    bit = (off + reach.width) * reach.n_slots + reach.slot[dst]
+    far = (off != reach.src - dst) | (np.abs(off) > reach.width)
+    bit[far] = (2 * reach.width + 1) * reach.n_slots + np.arange(far.sum())
+    return bit, far
+
+
+# a unit edge v0-v1 and a ring v1 ... v9 v1 of 1.02 edges: at h = 1 and a
+# step of 1.45 the band has half-width 2 (see the wide-band witness test)
+RING = build_graph([f"v{i}" for i in range(10)], [("v0", "v1", 1.0)] + [
+    (f"v{i}", f"v{i % 9 + 1}", 1.02) for i in range(1, 10)])
+
+
+@pytest.mark.parametrize("g, h, radius, width, junctions", [
+    (unit_path(), 1.0, 1.0, 0, 2),      # no interior samples
+    (build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.5)]),
+     0.15, 0.13, 0, 8),                 # a spacing above the radius
+    (star(3), 0.25, 0.26, 1, 12),
+    (triangle(1.0, 1.3, 0.7), 0.1, 0.2, 1, 56),
+    (comb(3), 0.2, 0.45, 2, 50),
+    (RING, 1.0, 1.45 + REACH_SLACK, 2, 74),
+], ids=["unit-path", "mixed-spacing", "star3", "triangle", "comb3", "ring"])
+def test_reach_bits_match_the_slot_derivation(g, h, radius, width,
+                                              junctions):
+    reach = build_reach(discretize(g, h), radius)
+    assert (reach.width, len(reach.junction_src)) == (width, junctions)
+    bit, far = slot_bits(reach)
+    assert reach.bit.tolist() == bit.tolist()
+    # the junction list holds the far pairs in CSR order, in slots
+    assert reach.junction_src.tolist() == \
+        reach.slot[reach.src[far]].tolist()
+    assert reach.junction_dst.tolist() == \
+        reach.slot[targets(reach)[far]].tolist()
 
 
 # ------------------------------------------------------- blocked clearance
@@ -731,10 +804,8 @@ def test_witness_matches_full_backpointer_reference():
     # edges has spacing 0.51, so the steps of 1.45 and 1.16 give a band of
     # half-width 2; halfway round the ring an evader keeps 4.59 from the
     # cop, which waits at v1
-    ring = [(f"v{i}", f"v{i % 9 + 1}", 1.02) for i in range(1, 10)]
-    g = build_graph([f"v{i}" for i in range(10)], [("v0", "v1", 1.0)] + ring)
     for duration in (2.9, 5.8):
-        pb = PathBuilder(g, "v0", 1.0).move_to("v1")
+        pb = PathBuilder(RING, "v0", 1.0).move_to("v1")
         cop = pb.wait(duration - 1.0).build()
         grid, h, eps, n_steps, tau = _resolve_params(cop, 1.0, 1.05)
         reach = build_reach(grid, tau + REACH_SLACK)
@@ -1242,7 +1313,7 @@ def test_report_schema():
     doc = result_to_dict(res)
     assert set(doc) == {"verdict", "time_bound", "params", "witness",
                         "min_clearance"}
-    assert set(doc["params"]) == {"h", "dt", "eps", "spacing", "tau",
-                                  "steps", "samples"}
+    assert set(doc["params"]) == {"h", "eps", "spacing", "tau", "steps",
+                                  "samples"}
     assert doc["verdict"] == "survival"
     assert doc["witness"]["speed"] == 1.0
