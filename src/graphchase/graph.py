@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -315,31 +315,6 @@ class MetricGraph:
         runs = [(eid, x0, x1) for eid, x0, x1 in runs if abs(x1 - x0) > GEOM_TOL]
         return length, tuple(runs)
 
-    def step_runs(self, points) -> list:
-        """The runs of `route(a, b)` for each step a -> b of the points,
-        whose offsets must lie in [0, length].
-
-        A step within one edge whose direct run is no longer than `legs`
-        gets the direct run that route's tie rule picks (none if it is at
-        most GEOM_TOL long, as route drops it); only the other steps, and
-        steps on an unknown edge, call route.
-        """
-        e = self.edge_indices([q.edge for q in points])
-        x = np.array([q.offset for q in points])
-        ea, eb, xa, xb = e[:-1], e[1:], x[:-1], x[1:]
-        direct = np.abs(xa - xb)
-        short = (ea == eb) & (ea >= 0) & (direct <= self.legs(ea, xa, eb, xb))
-        runs = []
-        for a, b, ok, moves in zip(points[:-1], points[1:], short.tolist(),
-                                   (direct > GEOM_TOL).tolist()):
-            if not ok:
-                runs.append(self.route(a, b)[1])
-            elif moves:
-                runs.append(((a.edge, a.offset, b.offset),))
-            else:
-                runs.append(())
-        return runs
-
     # ------------------------------------------------------------------
     # transforms
     # ------------------------------------------------------------------
@@ -370,6 +345,14 @@ class MetricGraph:
 # construction / normalization
 # ----------------------------------------------------------------------
 
+def as_number(x) -> float:
+    """x as a float if it is a real number, numpy ones included, but no
+    bool or str; TypeError otherwise (OverflowError for a huge int)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def build_graph(vertices, edges) -> MetricGraph:
     """Normalize raw edge data into a metric graph.
 
@@ -388,11 +371,10 @@ def build_graph(vertices, edges) -> MetricGraph:
     raw = []
     used_ids: set[str] = set()
     for i, item in enumerate(edges):
-        if len(item) == 3:
-            u, v, length = item
-            eid = f"e{i}"
-        else:
-            u, v, length, eid = item
+        if len(item) not in (3, 4):
+            raise GraphValidationError(
+                f"edge {i} has {len(item)} entries, not 3 or 4")
+        u, v, length, eid = (*item, f"e{i}")[:4]
         if not all(isinstance(x, str) for x in (eid, u, v)):
             raise GraphValidationError(
                 f"edge {eid!r} needs a string id and string endpoints")
@@ -400,8 +382,8 @@ def build_graph(vertices, edges) -> MetricGraph:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
         used_ids.add(eid)
         try:
-            length = float(length)
-        except (TypeError, ValueError, OverflowError):
+            length = as_number(length)
+        except (TypeError, OverflowError):
             raise GraphValidationError(
                 f"edge {eid!r} has non-numeric length {length!r}") from None
         raw.append(Edge(eid, u, v, length))
@@ -523,17 +505,6 @@ def interval_count(length: float, h: float) -> int:
     return max(1, int(math.ceil(length / h - 1e-12)))
 
 
-class RowLayout(NamedTuple):
-    """Where `distances_to_interval_rows` puts its values: the
-    vertex-to-sample distances in the row's columns, a row without
-    intervals, and the columns of each edge's interior samples (None for
-    an edge without them)."""
-
-    vertex_dist: np.ndarray
-    blank: np.ndarray
-    inner: tuple
-
-
 class DiscretizedGraph:
     """Uniform per-edge samples at spacing <= h, with endpoint samples merged
     at vertices and exact arc distances between consecutive samples.
@@ -608,21 +579,6 @@ class DiscretizedGraph:
         """Every sample as a GraphPoint, in sample order."""
         return tuple(self.points_at(list(range(self.n))))
 
-    def row_layout(self, column: np.ndarray, n_columns: int) -> RowLayout:
-        """Rows of n_columns columns with sample q in column `column[q]`
-        and -inf, the guard value, in every other column, for
-        `distances_to_interval_rows`.  The interior samples of each edge
-        must keep consecutive columns."""
-        dist = np.full((len(self.vertex_sample_dist), n_columns), -np.inf)
-        dist[:, column] = self.vertex_sample_dist
-        blank = np.full(n_columns, -np.inf)
-        blank[column] = np.inf
-        inner = tuple(slice(int(column[s]), int(column[s + c - 1]) + 1)
-                      if c else None
-                      for s, c in zip(self.edge_inner_start.tolist(),
-                                      (self.edge_intervals - 1).tolist()))
-        return RowLayout(dist, blank, inner)
-
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""
         p = self.graph.clamp_point(p)
@@ -649,123 +605,6 @@ class DiscretizedGraph:
             direct = np.maximum(0.0, np.maximum(lo - offs, offs - hi))
             np.minimum.at(out, index, direct)
         return out
-
-    def distances_to_interval_rows(self, n_rows: int, rows, edges, lo, hi,
-                                   layout: RowLayout) -> np.ndarray:
-        """`distances_to_intervals` for many interval sets at once, in the
-        columns of a `row_layout`, with -inf in its other columns.
-
-        Row r of the result is the distance from every sample to the
-        intervals i with rows[i] == r, where interval i is
-        (graph.edges[edges[i]], lo[i], hi[i]); a row without intervals is
-        +inf.  Equal to `distances_to_intervals` row by row: each term is
-        the same floating-point operation.  A stretch of intervals on one
-        edge in consecutive rows is done in one pass: the two vertex terms
-        over the whole rows, the direct term over the edge's interior
-        slice.  An endpoint sample needs no direct term, since its own
-        vertex term is the same number.
-        """
-        dist, blank, inner = layout
-        eu, ev, length = self.graph.edge_table
-        out = np.empty((n_rows, len(blank)))
-        filled = 0          # rows below this one hold distances
-        first = np.ones(len(rows), dtype=bool)   # starts a new stretch
-        first[1:] = (edges[1:] != edges[:-1]) | (rows[1:] != rows[:-1] + 1)
-        bounds = np.flatnonzero(first).tolist() + [len(rows)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            k = edges[a]
-            lo_k, hi_k = lo[a:b, None], hi[a:b, None]
-            r0, r1 = rows[a], rows[a] + b - a
-            fresh = r0 >= filled
-            out[filled:r0 if fresh else r1] = blank
-            # rows not written yet take the terms in place
-            near = np.add(dist[eu[k]], lo_k, out=out[r0:r1] if fresh else None)
-            np.minimum(near, dist[ev[k]] + (length[k] - hi_k), out=near)
-            cols = inner[k]
-            if cols is not None:
-                q = self.edge_inner_start[k]
-                offs = self.sample_offset[q:q + self.edge_intervals[k] - 1]
-                direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
-                np.minimum(near[:, cols], direct, out=near[:, cols])
-            if not fresh:
-                np.minimum(out[r0:r1], near, out=out[r0:r1])
-            filled = max(filled, r1)
-        out[filled:] = blank
-        return out
-
-    def runs_within(self, rows, edges, lo, hi, eps: float):
-        """The cells of `distances_to_interval_rows` at most eps as runs of
-        consecutive samples, arrays (row, first sample, count) in no order:
-        each run non-empty, one vertex sample or inside one edge's interior
-        block, runs possibly overlapping.  An interval's direct term is at
-        most eps on one run of its edge; its term through an end vertex w,
-        at a leg of lo or length - hi, on vertex samples and, w's distance
-        being the smaller of a term rising from an edge's u end and one
-        falling to its v end, on a prefix and a suffix of each edge whose
-        end is within eps of w.  `_run_ends` finds each run's end with the
-        floating-point terms themselves, so the runs are exact."""
-        dist, vv = self.vertex_sample_dist, self.graph.vertex_distance_matrix
-        n_vert, n = len(dist), len(edges)
-        eu, ev, length = self.graph.edge_table
-        top = self.edge_intervals - 1
-        inner = np.flatnonzero(top)
-        # interval ends within eps of a vertex w; a row per used w of its
-        # candidates c: vertex samples (c < n_vert), u ends, v ends of inner
-        leg = np.concatenate([lo, length[edges] - hi])
-        t = np.flatnonzero(leg <= eps)
-        leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
-        used = np.flatnonzero(np.bincount(vert, minlength=n_vert))
-        near = np.hstack([dist[used, :n_vert], vv[used][:, eu[inner]],
-                          vv[used][:, ev[inner]]])
-        w, cand = np.nonzero(near <= eps)
-        heads = np.searchsorted(w, np.arange(len(used) + 1))
-        i, j = _flat_ranges(*heads[np.searchsorted(used, vert) + [[0], [1]]])
-        base, c = near[w[j], cand[j]], cand[j]
-        on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
-        # walk half runs: each interval's direct term to its last end and
-        # from its first (rev), a prefix from a u end, a suffix to a v end
-        e = np.concatenate([edges, edges, np.tile(inner, 2)[c[on] - n_vert]])
-        rev = np.concatenate([np.arange(2 * n) >= n,
-                              c[on] >= n_vert + len(inner)])
-        end = _run_ends(eps, top[e], self.edge_spacing[e], rev,
-                        np.concatenate([-hi, np.zeros(n), base[on]]),
-                        np.concatenate([lo, lo, length[e[2 * n:]]]),
-                        np.concatenate([np.zeros(2 * n), leg[i[on]]]))
-        first = self.edge_inner_start[e] + np.where(rev, end, 0)
-        last = self.edge_inner_start[e] - 1 + np.where(rev, top[e], end)
-        ok = ~on & (base + leg[i] <= eps)
-        row = np.concatenate([rows, vrow[on], vrow[ok]])
-        first = np.concatenate([first[n:], c[ok]])
-        count = np.concatenate([last[:n], last[2 * n:], c[ok]]) - first + 1
-        keep = (count > 0) & (eps >= 0)     # no term is below 0
-        return row[keep], first[keep], count[keep]
-
-
-def _run_ends(eps, top, sp, rev, base, start, leg):
-    """Each entry's largest p in 0 .. top with (base + along) + leg at most
-    eps (above it where rev) at positions 1 .. p, along being p * sp (start
-    - p * sp where rev).  The term is monotone in p, as rounding is, so an
-    estimate from the offsets is moved one position at a time to p."""
-    room = eps - leg - base
-    p = np.floor(np.where(rev, start - room, room) / sp)
-    p = np.minimum(np.maximum(p, 0), top)   # the estimate, within 0 .. top
-    while True:
-        x = (p + [[0], [1]]) * sp           # positions p and p + 1
-        here, ahead = (base + np.where(rev, start - x, x) + leg <= eps) != rev
-        up, down = (p < top) & ahead, (p > 0) & ~here
-        if not (up.any() or down.any()):
-            return p.astype(np.int64)
-        p = p + up - down
-
-
-def _flat_ranges(start: np.ndarray, stop: np.ndarray):
-    """(i, v) over every v in range(start[i], stop[i]), in order of i,
-    then v; stop must not be below start."""
-    count = stop - start
-    i = np.repeat(np.arange(len(count)), count)
-    v = np.repeat(start - np.cumsum(count) + count, count)
-    v += np.arange(len(i))
-    return i, v
 
 
 def discretize(g: MetricGraph, h: float) -> DiscretizedGraph:

@@ -18,7 +18,8 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .graph import GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph
+from .graph import (GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph,
+                    as_number)
 
 SPEED_TOL = 1e-9
 
@@ -607,10 +608,10 @@ def _rebuild_runs(g: MetricGraph, start: GraphPoint, end: GraphPoint,
 
 def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
     try:
-        speed = float(doc["speed"])
+        speed = as_number(doc["speed"])
         bps = doc["breakpoints"]
-        times = tuple(float(b["t"]) for b in bps)
-        points = tuple(GraphPoint(str(b["edge"]), float(b["offset"]))
+        times = tuple(as_number(b["t"]) for b in bps)
+        points = tuple(GraphPoint(str(b["edge"]), as_number(b["offset"]))
                        for b in bps)
         raw_routes = doc.get("routes")
         if raw_routes is None:

@@ -28,8 +28,8 @@ from itertools import islice
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, RowLayout,
-                    _flat_ranges, discretize, interval_count)
+from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, discretize,
+                    interval_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_chunks, path_pieces, path_to_dict)
 
@@ -59,6 +59,81 @@ class GameMismatchError(RuntimeError):
 # ----------------------------------------------------------------------
 # evader step structure
 # ----------------------------------------------------------------------
+
+def runs_within(grid: DiscretizedGraph, rows, edges, lo, hi, eps: float):
+    """The cells at most eps of the rows `distances_to_interval_rows`
+    fills, in sample order, as runs of consecutive samples: arrays (row,
+    first sample, count) in no order, each run non-empty, one vertex
+    sample or inside one edge's interior block, runs possibly overlapping.
+    An interval's direct term is at most eps on one run of its edge; its
+    term through an end vertex w, at a leg of lo or length - hi, on vertex
+    samples and, w's distance being the smaller of a term rising from an
+    edge's u end and one falling to its v end, on a prefix and a suffix of
+    each edge whose end is within eps of w.  `_run_ends` finds each run's
+    end with the floating-point terms themselves, so the runs are exact."""
+    dist, vv = grid.vertex_sample_dist, grid.graph.vertex_distance_matrix
+    n_vert, n = len(dist), len(edges)
+    eu, ev, length = grid.graph.edge_table
+    top = grid.edge_intervals - 1
+    inner = np.flatnonzero(top)
+    # interval ends within eps of a vertex w; a row per used w of its
+    # candidates c: vertex samples (c < n_vert), u ends, v ends of inner
+    leg = np.concatenate([lo, length[edges] - hi])
+    t = np.flatnonzero(leg <= eps)
+    leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
+    used = np.flatnonzero(np.bincount(vert, minlength=n_vert))
+    near = np.hstack([dist[used, :n_vert], vv[used][:, eu[inner]],
+                      vv[used][:, ev[inner]]])
+    w, cand = np.nonzero(near <= eps)
+    heads = np.searchsorted(w, np.arange(len(used) + 1))
+    i, j = _flat_ranges(*heads[np.searchsorted(used, vert) + [[0], [1]]])
+    base, c = near[w[j], cand[j]], cand[j]
+    on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
+    # walk half runs: each interval's direct term to its last end and
+    # from its first (rev), a prefix from a u end, a suffix to a v end
+    e = np.concatenate([edges, edges, np.tile(inner, 2)[c[on] - n_vert]])
+    rev = np.concatenate([np.arange(2 * n) >= n,
+                          c[on] >= n_vert + len(inner)])
+    end = _run_ends(eps, top[e], grid.edge_spacing[e], rev,
+                    np.concatenate([-hi, np.zeros(n), base[on]]),
+                    np.concatenate([lo, lo, length[e[2 * n:]]]),
+                    np.concatenate([np.zeros(2 * n), leg[i[on]]]))
+    first = grid.edge_inner_start[e] + np.where(rev, end, 0)
+    last = grid.edge_inner_start[e] - 1 + np.where(rev, top[e], end)
+    ok = ~on & (base + leg[i] <= eps)
+    row = np.concatenate([rows, vrow[on], vrow[ok]])
+    first = np.concatenate([first[n:], c[ok]])
+    count = np.concatenate([last[:n], last[2 * n:], c[ok]]) - first + 1
+    keep = (count > 0) & (eps >= 0)     # no term is below 0
+    return row[keep], first[keep], count[keep]
+
+
+def _run_ends(eps, top, sp, rev, base, start, leg):
+    """Each entry's largest p in 0 .. top with (base + along) + leg at most
+    eps (above it where rev) at positions 1 .. p, along being p * sp (start
+    - p * sp where rev).  The term is monotone in p, as rounding is, so an
+    estimate from the offsets is moved one position at a time to p."""
+    room = eps - leg - base
+    p = np.floor(np.where(rev, start - room, room) / sp)
+    p = np.minimum(np.maximum(p, 0), top)   # the estimate, within 0 .. top
+    while True:
+        x = (p + [[0], [1]]) * sp           # positions p and p + 1
+        here, ahead = (base + np.where(rev, start - x, x) + leg <= eps) != rev
+        up, down = (p < top) & ahead, (p > 0) & ~here
+        if not (up.any() or down.any()):
+            return p.astype(np.int64)
+        p = p + up - down
+
+
+def _flat_ranges(start: np.ndarray, stop: np.ndarray):
+    """(i, v) over every v in range(start[i], stop[i]), in order of i,
+    then v; stop must not be below start."""
+    count = stop - start
+    i = np.repeat(np.arange(len(count)), count)
+    v = np.repeat(start - np.cumsum(count) + count, count)
+    v += np.arange(len(i))
+    return i, v
+
 
 @dataclass(frozen=True)
 class ReachStructure:
@@ -106,8 +181,8 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     list.
     """
     n, x = grid.n, grid.sample_offset
-    row, first, count = grid.runs_within(np.arange(n), grid.sample_edge, x,
-                                         x, radius)
+    row, first, count = runs_within(grid, np.arange(n), grid.sample_edge, x,
+                                    x, radius)
     i, q = _flat_ranges(first, first + count)
     keys = np.sort(row[i] * n + q)
     dst, src = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
@@ -221,7 +296,7 @@ def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
     seen = jump = 0
     yield alive
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
-        row, first, count = grid.runs_within(step - j0, edge, lo, hi, eps)
+        row, first, count = runs_within(grid, step - j0, edge, lo, hi, eps)
         order = np.argsort(row, kind="stable")
         runs = zip(reach.slot[first[order]].tolist(), count[order].tolist())
         for k in np.bincount(row, minlength=j1 - j0).tolist():
@@ -242,24 +317,77 @@ def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
             yield alive
 
 
-def _clearance_rows(grid: DiscretizedGraph, layout: RowLayout,
+def distances_to_interval_rows(grid: DiscretizedGraph, slots, n_rows: int,
+                               rows, edges, lo, hi) -> np.ndarray:
+    """`grid.distances_to_intervals` for many interval sets at once, in
+    the `slots` of `_clearance_rows`, -inf in the guards: row r for the
+    intervals i with rows[i] == r, interval i being (graph.edges[edges[i]],
+    lo[i], hi[i]); a row without intervals is +inf.  Each term is the
+    floating-point operation `distances_to_intervals` takes.  A stretch of
+    intervals on one edge in consecutive rows is done in one pass: the two
+    vertex terms over the whole rows, the direct term over the edge's
+    interior slice.  An endpoint sample needs no direct term, since its
+    own vertex term is the same number."""
+    dist, blank, inner = slots
+    eu, ev, length = grid.graph.edge_table
+    out = np.empty((n_rows, len(blank)))
+    filled = 0          # rows below this one hold distances
+    first = np.ones(len(rows), dtype=bool)   # starts a new stretch
+    first[1:] = (edges[1:] != edges[:-1]) | (rows[1:] != rows[:-1] + 1)
+    bounds = np.flatnonzero(first).tolist() + [len(rows)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        k = edges[a]
+        lo_k, hi_k = lo[a:b, None], hi[a:b, None]
+        r0, r1 = rows[a], rows[a] + b - a
+        fresh = r0 >= filled
+        out[filled:r0 if fresh else r1] = blank
+        # rows not written yet take the terms in place
+        near = np.add(dist[eu[k]], lo_k, out=out[r0:r1] if fresh else None)
+        np.minimum(near, dist[ev[k]] + (length[k] - hi_k), out=near)
+        cols = inner[k]
+        if cols is not None:
+            q = grid.edge_inner_start[k]
+            offs = grid.sample_offset[q:q + grid.edge_intervals[k] - 1]
+            direct = np.maximum(0.0, np.maximum(lo_k - offs, offs - hi_k))
+            np.minimum(near[:, cols], direct, out=near[:, cols])
+        if not fresh:
+            np.minimum(out[r0:r1], near, out=out[r0:r1])
+        filled = max(filled, r1)
+    out[filled:] = blank
+    return out
+
+
+def _clearance_rows(grid: DiscretizedGraph, reach: ReachStructure,
                     table: PieceTable, tau: float, n_steps: int):
     """Yield the clearance rows of the steps j < n_steps in chunks, in the
-    columns of `layout` (the slots, for the maximin game): row j holds
-    `grid.distances_to_intervals(swept_intervals(cop, j*tau, (j+1)*tau))`.
+    slots of reach: row j holds `grid.distances_to_intervals(
+    swept_intervals(cop, j*tau, (j+1)*tau))`, -inf in the guards.
 
     The pieces come from `_swept_blocks`, and each block's rows are filled
-    in chunks of at most CHUNK_FLOATS sample values (at least one row) so
-    that a chunk stays in cache.  Every row is computed on its own, so it
-    does not depend on the block or chunk bounds.
+    by `distances_to_interval_rows` in chunks of at most CHUNK_FLOATS
+    sample values (at least one row) so that a chunk stays in cache, from
+    `slots`, laid out once: the vertex-to-sample distances, a row without
+    intervals (+inf) and each edge's interior block (None if it has none).
+    Every row is computed on its own, so it does not depend on the block
+    or chunk bounds.
     """
+    slot = reach.slot
+    dist = np.full((len(grid.vertex_sample_dist), reach.n_slots), -np.inf)
+    dist[:, slot] = grid.vertex_sample_dist
+    blank = np.full(reach.n_slots, -np.inf)
+    blank[slot] = np.inf
+    slots = dist, blank, tuple(
+        slice(int(slot[s]), int(slot[s]) + c) if c else None
+        for s, c in zip(grid.edge_inner_start.tolist(),
+                        (grid.edge_intervals - 1).tolist()))
     chunk = max(1, CHUNK_FLOATS // grid.n)
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
         ends = list(range(j0, j1, chunk)) + [j1]
         cuts = np.searchsorted(step, ends, side="left").tolist()
         for c0, c1, a, b in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:]):
-            yield grid.distances_to_interval_rows(
-                c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b], hi[a:b], layout)
+            yield distances_to_interval_rows(
+                grid, slots, c1 - c0, step[a:b] - c0, edge[a:b], lo[a:b],
+                hi[a:b])
 
 
 # ----------------------------------------------------------------------
@@ -431,11 +559,10 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
         return result("capture", min(j * tau, cop.duration))
     if not want_witness:
         return result("survival")
-    layout = grid.row_layout(reach.slot, reach.n_slots)
     n, w = reach.n_slots, reach.width
     band, jsrc = (2 * w + 1) * n, w + reach.junction_src
     rows, table = [], []    # the views of the value rows; the packed bits
-    for clr in _clearance_rows(grid, layout, cop.table, tau, n_steps):
+    for clr in _clearance_rows(grid, reach, cop.table, tau, n_steps):
         m = len(clr)
         if len(rows) <= m:      # grown to the largest chunk so far
             pad = np.full((m + 1, n + 2 * w), -np.inf)
@@ -491,12 +618,28 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
             q = src[i]
             idx.append(q)
     idx.reverse()
-    g = grid.graph
     points = grid.points_at(idx)
     times = tuple(j * tau for j in range(n_steps)) + (cop.duration,)
-    return TimedPath(g, times, tuple(points),
-                     tuple(g.step_runs(points)), 1.0,
+    return TimedPath(grid.graph, times, tuple(points),
+                     _witness_runs(grid, idx, points), 1.0,
                      {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
+
+
+def _witness_runs(grid: DiscretizedGraph, idx: list, points: list) -> tuple:
+    """The runs of `route(a, b)` for each step a -> b of the samples idx,
+    whose GraphPoints are points.  A step within one edge whose direct run
+    is no longer than `legs` gets the direct run that route's tie rule
+    picks (none if it is at most GEOM_TOL long, as route drops it); only
+    the other steps call route."""
+    e, x = grid.sample_edge[idx], grid.sample_offset[idx]
+    direct = np.abs(x[:-1] - x[1:])
+    short = (e[:-1] == e[1:]) & (
+        direct <= grid.graph.legs(e[:-1], x[:-1], e[1:], x[1:]))
+    return tuple(
+        grid.graph.route(a, b)[1] if not ok
+        else ((a.edge, a.offset, b.offset),) if moves else ()
+        for a, b, ok, moves in zip(points, points[1:], short.tolist(),
+                                   (direct > GEOM_TOL).tolist()))
 
 
 def continuous_clearance(cop: TimedPath, evader: TimedPath) -> float:

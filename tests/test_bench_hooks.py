@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 
-from graphchase import critical, graph, strategies, verifier  # noqa: E402
+from graphchase import critical, strategies, verifier  # noqa: E402
 
 from common import comb, star, unit_cycle, unit_path  # noqa: E402
 
@@ -72,17 +72,17 @@ def test_tracer_sees_both_propagation_passes():
 
 
 def test_tracer_sees_the_block_clearance_layers():
-    # the blocked clearance is called through module and class attributes,
-    # so a tracer can wrap it; here one block of steps for the boolean
-    # game, which decides the verdict without clearance rows, since its
-    # first block, SWEEP_STEPS long, holds every step, and one for
-    # the maximin game's single pass
+    # the blocked clearance is called through module attributes, so a
+    # tracer can wrap it; here one block of steps for the boolean game,
+    # which decides the verdict without clearance rows, since its first
+    # block, SWEEP_STEPS long, holds every step, and one for the maximin
+    # game's single pass
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
         tr.wrap(verifier, "swept_block", "verifier.swept_block")
-        tr.wrap(graph.DiscretizedGraph, "distances_to_interval_rows",
-                "graph.distances_to_interval_rows")
+        tr.wrap(verifier, "distances_to_interval_rows",
+                "verifier.distances_to_interval_rows")
         with tr.job("survival"):
             cop = strategies.cycle_loop(unit_cycle(), 1.0, 2.0)
             r = verifier.verify(cop, h=0.05)
@@ -92,5 +92,5 @@ def test_tracer_sees_the_block_clearance_layers():
     assert r.n_steps <= verifier.SWEEP_STEPS
     names = tr.names
     assert names.count("verifier.swept_block") == 2
-    assert names.count("graph.distances_to_interval_rows") == 1
+    assert names.count("verifier.distances_to_interval_rows") == 1
     assert names.count("verifier.propagate_step") == r.n_steps

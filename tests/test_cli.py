@@ -228,6 +228,26 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lengths_and_times_that_are_no_numbers_exit_2(path_file, tmp_path,
+                                                      capsys):
+    # a boolean length and a string time used to be read as numbers
+    graph = tmp_path / "bool.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [
+        {"id": "e0", "from": "a", "to": "b", "length": True}]}),
+        encoding="utf-8")
+    assert main(["generate", "--graph", str(graph), "--kind", "sweep",
+                 "--speed", "2.0"]) == 2
+    strat = tmp_path / "s.json"
+    assert main(["generate", "--graph", path_file, "--kind", "sweep",
+                 "--speed", "2.0", "--out", str(strat)]) == 0
+    doc = json.loads(strat.read_text(encoding="utf-8"))
+    doc["breakpoints"][-1]["t"] = str(doc["breakpoints"][-1]["t"])
+    strat.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--graph", path_file, "--strategy",
+                 str(strat)]) == 2
+    assert "is not a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["sweep", "finiteness", "star"])
 def test_generate_on_integer_ids_exits_2_with_one_line(kind, tmp_path,
                                                        capsys):

@@ -14,6 +14,7 @@ from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
                         walk_length)
 from graphchase.graph import GEOM_TOL
 from graphchase.randgen import random_graph
+from graphchase.verifier import runs_within
 
 from common import path_graph, star, triangle, unit_cycle, unit_path
 
@@ -49,6 +50,30 @@ def test_build_rejects_bad_input():
 def test_constructor_refuses(vertices, edges, message):
     with pytest.raises(GraphValidationError, match=message):
         MetricGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("length", [True, False, "1.5", " 2 ",
+                                    np.bool_(True)])
+def test_build_refuses_lengths_that_are_no_numbers(length):
+    # float() would read a bool as 1.0 or 0.0 and a numeric string as
+    # its number
+    with pytest.raises(GraphValidationError, match="'x' has non-numeric"):
+        build_graph(["a", "b"], [("a", "b", length, "x")])
+
+
+@pytest.mark.parametrize("length", [2, 2.0, np.float64(2.0), np.int64(2),
+                                    np.float32(2.0)])
+def test_build_takes_int_and_float_lengths(length):
+    g = build_graph(["a", "b"], [("a", "b", length)])
+    assert g.edges[0].length == 2.0 and type(g.edges[0].length) is float
+
+
+@pytest.mark.parametrize("item", [("a", "b"), ("a", "b", 1.0, "x", "y")],
+                         ids=["two", "five"])
+def test_build_refuses_edge_items_of_the_wrong_length(item):
+    with pytest.raises(GraphValidationError,
+                       match=f"edge 0 has {len(item)} entries"):
+        build_graph(["a", "b"], [item])
 
 
 def test_build_rejects_overflowing_total_length():
@@ -179,11 +204,10 @@ def graph_points(draw, graphs=None):
 @settings(max_examples=150, deadline=None)
 @given(graph_points())
 def test_one_leg_formula(case):
-    # route, distance, step_runs and min_clearance agree exactly, ties
-    # included, since all take the through-vertex length from one formula
+    # route, distance and min_clearance agree exactly, ties included,
+    # since all take the through-vertex length from one formula
     g, points = case
     pairs = list(zip(points, points[1:]))
-    assert g.step_runs(points) == [g.route(a, b)[1] for a, b in pairs]
     for a, b in pairs:
         length = g.route(a, b)[0]
         assert g.distance(a, b) == length
@@ -471,9 +495,7 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
     edges = np.array(edges, dtype=np.int64)
     lo, hi = (np.array(x, dtype=float).reshape(-1)
               for x in zip(*ends or [((), ())]))
-    dist = grid.distances_to_interval_rows(
-        r + 1, rows, edges, lo, hi,
-        grid.row_layout(np.arange(grid.n), grid.n))
+    dist = _reference_rows(grid, r + 1, rows, edges, lo, hi)
     sp = grid.max_spacing
     attained = rng.choice(dist[np.isfinite(dist)].tolist() or [sp])
     eps = {"spacing": np.nextafter(sp, np.inf),
@@ -485,11 +507,21 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
     _check_runs(grid, rows, edges, lo, hi, eps, dist)
 
 
+def _reference_rows(grid, n_rows, rows, edges, lo, hi):
+    """Row r: `distances_to_intervals` of the intervals i with rows[i] ==
+    r, interval i being (graph.edges[edges[i]], lo[i], hi[i])."""
+    ids = [e.id for e in grid.graph.edges]
+    intervals = list(zip(rows.tolist(), [ids[k] for k in edges.tolist()],
+                         lo.tolist(), hi.tolist()))
+    return np.array([grid.distances_to_intervals(
+        [iv for r, *iv in intervals if r == row]) for row in range(n_rows)])
+
+
 def _check_runs(grid, rows, edges, lo, hi, eps, dist):
     """`runs_within`'s runs, expanded, are the cells of dist, the
     thresholded rows, at most eps; each is non-empty and one vertex sample
     or inside one edge's interior block.  Returns the cells."""
-    row, first, count = grid.runs_within(rows, edges, lo, hi, eps)
+    row, first, count = runs_within(grid, rows, edges, lo, hi, eps)
     assert (count > 0).all()
     n_vert = len(grid.vertex_sample_dist)
     last = first + count - 1
@@ -517,8 +549,7 @@ def test_runs_within_without_vertex_candidates(g, h, lo, hi, eps, want):
     assert near != (grid.edge_intervals > 1).any()
     rows, edges = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     lo, hi = np.array([lo]), np.array([hi])
-    dist = grid.distances_to_interval_rows(
-        1, rows, edges, lo, hi, grid.row_layout(np.arange(grid.n), grid.n))
+    dist = _reference_rows(grid, 1, rows, edges, lo, hi)
     cells = _check_runs(grid, rows, edges, lo, hi, eps, dist)
     assert cells == [(0, q) for q in want]
 

@@ -698,6 +698,25 @@ def test_serialization_malformed(tmp_path):
         load_path(g, f)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("speed", True), ("speed", False), ("speed", "1"), ("t", "1"),
+    ("t", True), ("offset", True), ("offset", " 0.5 ")])
+def test_path_file_numbers_are_numbers(field, value):
+    # the graph loader's rule: float() would read a bool as 1.0 or 0.0 and
+    # a numeric string as its number, and every value here builds then
+    g = unit_path()
+    doc = {"speed": 1, "routes": None, "breakpoints": [
+        {"t": 0, "edge": "e0", "offset": 0}, {"t": 1, "edge": "e0",
+                                              "offset": 1.0}]}
+    assert path_from_dict(g, doc).times == (0.0, 1.0)    # ints are numbers
+    if field == "speed":
+        doc["speed"] = value
+    else:
+        doc["breakpoints"][1][field] = value
+    with pytest.raises(PathValidationError, match="is not a number"):
+        path_from_dict(g, doc)
+
+
 def test_path_files_equal_json_dumps_byte_for_byte(tmp_path):
     g = odd_graph()
     witness = verify(cycle_loop(g, 1.0, 6.0), h=0.05).witness

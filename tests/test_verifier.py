@@ -21,8 +21,9 @@ from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _alive_masks,
                                  _clearance_rows, _resolve_params,
-                                 _step_grid, build_reach, propagate_step,
-                                 swept_block, swept_intervals)
+                                 _step_grid, _witness_runs, build_reach,
+                                 propagate_step, swept_block,
+                                 swept_intervals)
 
 from common import (comb, path_graph, star, sweeps, to_slots, triangle,
                     unit_cycle, unit_path)
@@ -58,11 +59,6 @@ def maximin_step(reach, score, clearance):
     """The scores after one step of the maximin game, in slots."""
     best = maximin_best(reach, np.minimum(score, clearance))
     return np.minimum(best, clearance)
-
-
-def sample_layout(grid):
-    """The `row_layout` in sample order: column q holds sample q."""
-    return grid.row_layout(np.arange(grid.n), grid.n)
 
 
 def edge_blocks(grid):
@@ -604,8 +600,7 @@ def test_blocked_clearance_matches_per_step_reference(case):
     reach = build_reach(grid, tau + REACH_SLACK)
     patch, calls = _recording_blocks(block_steps)
     with patch, mock.patch.object(verifier, "CHUNK_FLOATS", chunk_floats):
-        slots = grid.row_layout(reach.slot, reach.n_slots)
-        chunks = list(_clearance_rows(grid, slots, cop.table, tau, n_steps))
+        chunks = list(_clearance_rows(grid, reach, cop.table, tau, n_steps))
     assert calls == _game_blocks(n_steps, block_steps)    # one schedule
     rows = [row for c in chunks for row in c]
     assert len(rows) == n_steps
@@ -628,22 +623,20 @@ def test_step_left_without_pieces_stays_infinite():
     cop = TimedPath(g, (0.0, 1.0, 1.5), (a, b, b), (g.route(a, b)[1], ()),
                     1.0)
     grid = discretize(g, 0.05)
+    reach = build_reach(grid, grid.max_spacing + REACH_SLACK)
     tau, j0 = 2.0 ** -53, 2 ** 53 - 4
-    step, edge, lo, hi = swept_block(cop.table, tau, j0, j0 + 4)
-    rows = grid.distances_to_interval_rows(4, step - j0, edge, lo, hi,
-                                           sample_layout(grid))
+    block = (j0, j0 + 4, swept_block(cop.table, tau, j0, j0 + 4))
+    with mock.patch.object(verifier, "_swept_blocks", return_value=[block]):
+        rows, = _clearance_rows(grid, reach, cop.table, tau, j0 + 4)
     for j, row in enumerate(rows, j0):
         intervals = swept_intervals(cop, j * tau, (j + 1) * tau)
-        assert np.array_equal(row, grid.distances_to_intervals(intervals))
+        assert np.array_equal(row, to_slots(
+            reach, grid.distances_to_intervals(intervals)))
     assert swept_intervals(cop, (j0 + 3) * tau, 1.0) == []
-    assert np.isinf(rows[3]).all() and np.isfinite(rows[:3]).all()
-    # in slots the row without pieces keeps -inf in its guard slots
-    reach = build_reach(grid, grid.max_spacing + REACH_SLACK)
-    slots = grid.distances_to_interval_rows(
-        4, step - j0, edge, lo, hi,
-        grid.row_layout(reach.slot, reach.n_slots))
-    assert np.array_equal(slots, to_slots(reach, rows))
-    assert (np.delete(slots[3], reach.slot) == -np.inf).all()
+    samples = rows[:, reach.slot]
+    assert np.isinf(samples[3]).all() and np.isfinite(samples[:3]).all()
+    # the row without pieces keeps -inf in its guard slots
+    assert (np.delete(rows[3], reach.slot) == -np.inf).all()
 
 
 def _assert_tiles(pieces, t0, t1):
@@ -728,13 +721,14 @@ def test_verify_matches_per_step_reference_loop(cop, h, eps):
     r = verify(cop, h=h, eps=eps)
     assert r.verdict == ("capture" if eps else "survival")
     # the oracle runs none of verify's grid code
-    shared = dict.fromkeys(["build_reach", "propagate_step", "swept_block",
-                            "_alive_masks", "_clearance_rows"],
+    shared = dict.fromkeys(["build_reach", "runs_within", "_run_ends",
+                            "_flat_ranges", "propagate_step", "swept_block",
+                            "_alive_masks", "_clearance_rows",
+                            "distances_to_interval_rows", "_witness_runs"],
                            mock.DEFAULT)
-    with mock.patch.multiple(verifier, **shared) as fakes, \
-            mock.patch.object(type(cop.graph), "step_runs") as runs:
+    with mock.patch.multiple(verifier, **shared) as fakes:
         want = brute_force_oracle(cop, h=h, eps=eps)
-    assert not any(f.called for f in [runs, *fakes.values()])
+    assert not any(f.called for f in fakes.values())
     assert _answers(r) == _answers(want)
 
 
@@ -1036,11 +1030,12 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
     score, alive = start, bits(start > eps)
     assert masks[0] == alive
     live, several = [], 0       # the alive junction sources of each step
+    ids = [e.id for e in cop.graph.edges]
     for j, new in enumerate(masks[1:]):
         step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
         several += len(step) > 1
-        clr = to_slots(reach, grid.distances_to_interval_rows(
-            1, step - j, edge, lo, hi, sample_layout(grid))[0])
+        clr = to_slots(reach, grid.distances_to_intervals(
+            zip([ids[k] for k in edge.tolist()], lo.tolist(), hi.tolist())))
         live.append(alive & bits(clr > eps) & sources)
         score = maximin_step(reach, score, clr)
         assert np.array_equal(from_bits(new, reach.n_slots),
@@ -1136,14 +1131,15 @@ def test_capture_on_a_fine_star_grid_is_pinned():
     (comb(3), 0.25, False),
 ], ids=["shortcut-triangle", "cycle", "comb"])
 def test_step_runs_match_route(g, h, detours):
-    # every pair of samples; on the triangle, a and b both sit on the long
-    # edge a-b but are joined by the 0.2 shortcut through c
+    # the witness runs of every pair of samples; on the triangle, a and b
+    # both sit on the long edge a-b but are joined by the 0.2 shortcut
+    # through c
     grid = discretize(g, h)
     seen = 0
-    for a in grid.points:
-        for b in grid.points:
+    for i, a in enumerate(grid.points):
+        for j, b in enumerate(grid.points):
             runs = g.route(a, b)[1]
-            assert g.step_runs([a, b]) == [runs]
+            assert _witness_runs(grid, [i, j], [a, b]) == (runs,)
             seen += a.edge == b.edge and len(runs) > 1
     assert bool(seen) == detours
 
@@ -1177,13 +1173,16 @@ def test_witness_runs_are_routes_on_multigraphs(seed):
     # a walk of witness-sized steps that takes the detour v0 -> v1
     grid = discretize(g, h)
     tau = grid.max_spacing + REACH_SLACK
-    walk = [g.vertex_point("v0"), g.vertex_point("v1")]
+    idx = [g.vertex_rows["v0"], g.vertex_rows["v1"]]    # vertex samples
+    walk = grid.points_at(idx)
+    assert walk == [g.vertex_point("v0"), g.vertex_point("v1")]
     assert walk[0].edge == walk[1].edge and len(g.route(*walk)[1]) > 1
     for _ in range(30):
         near = np.flatnonzero(grid.distances_to_point(walk[-1]) <= tau)
-        walk.append(grid.points[rng.choice(near.tolist())])
-    assert g.step_runs(walk) == [g.route(a, b)[1]
-                                 for a, b in zip(walk, walk[1:])]
+        idx.append(rng.choice(near.tolist()))
+        walk.append(grid.points[idx[-1]])
+    assert _witness_runs(grid, idx, walk) == tuple(
+        g.route(a, b)[1] for a, b in zip(walk, walk[1:]))
 
 
 def test_witness_replay_stores_nothing_per_step():
