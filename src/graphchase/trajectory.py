@@ -29,14 +29,12 @@ class PathValidationError(ValueError):
 
 
 def _reals(values, what: str) -> np.ndarray:
-    """The values as a float array; one that is not a real number raises
-    TypeError, as comparing it would."""
-    a = np.array(values)
-    if a.ndim != 1 or a.dtype.kind not in "biufO" or (
-            a.dtype.kind == "O"
-            and not all(isinstance(v, numbers.Real) for v in values)):
-        raise TypeError(f"{what} must be real numbers")
-    return a.astype(float, copy=False)
+    """The values as a float array; one that is not a real number, or is
+    a bool, raises TypeError, as `as_number` does."""
+    if not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+               for t in set(map(type, values))):
+        raise TypeError(f"{what} must be real numbers, not bools")
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ class TimedPath:
             raise PathValidationError("need exactly one route per breakpoint gap")
         if not abs(self.times[0]) <= 1e-12:
             raise PathValidationError(f"paths start at time 0, got {self.times[0]}")
-        if not self.speed_bound >= 0:
+        if not as_number(self.speed_bound) >= 0:
             raise PathValidationError("speed bound must be nonnegative")
         t = _reals(self.times, "times")
         late = ~(t[1:] > t[:-1])
@@ -255,7 +253,7 @@ class PathBuilder:
         if isinstance(start, str):
             start = graph.vertex_point(start)
         self.graph = graph
-        self.speed_bound = float(speed_bound)
+        self.speed_bound = as_number(speed_bound)
         if not self.speed_bound >= 0:
             raise PathValidationError(
                 f"speed bound must be nonnegative, got {speed_bound}")
@@ -611,19 +609,22 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
         speed = as_number(doc["speed"])
         bps = doc["breakpoints"]
         times = tuple(as_number(b["t"]) for b in bps)
-        points = tuple(GraphPoint(str(b["edge"]), as_number(b["offset"]))
+        points = tuple(GraphPoint(b["edge"], as_number(b["offset"]))
                        for b in bps)
+        if not all(isinstance(q.edge, str) for q in points):
+            raise TypeError("edge ids must be strings")
         raw_routes = doc.get("routes")
         if raw_routes is None:
             raw_routes = [None] * (len(times) - 1)
         metadata = dict(doc.get("metadata") or {})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PathValidationError(f"malformed trajectory document: {exc}") from None
-    if not isinstance(raw_routes, list) or \
-            not all(ids is None or isinstance(ids, list) for ids in raw_routes):
+    if not isinstance(raw_routes, list) or not all(
+            ids is None or isinstance(ids, list)
+            and all(isinstance(x, str) for x in ids) for ids in raw_routes):
         raise PathValidationError(
             "malformed trajectory document: routes must be a list of edge-id "
-            "lists or nulls")
+            "lists or nulls, and edge ids must be strings")
     if len(raw_routes) != max(len(times) - 1, 0):
         raise PathValidationError("route count does not match breakpoints")
     try:
@@ -634,8 +635,7 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
             elif len(ids) == 0:
                 runs = ()
             else:
-                runs = _rebuild_runs(g, points[i], points[i + 1],
-                                     [str(x) for x in ids])
+                runs = _rebuild_runs(g, points[i], points[i + 1], ids)
             routes.append(runs)
         return TimedPath(g, times, points, tuple(routes), speed, metadata)
     except GraphValidationError as exc:

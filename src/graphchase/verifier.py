@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -276,45 +275,55 @@ def _bits(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little"), "little")
 
 
-def _alive_masks(grid: DiscretizedGraph, reach: ReachStructure,
-                 table: PieceTable, tau: float, n_steps: int, eps: float,
-                 start: np.ndarray):
-    """Yield the alive mask, one bit per slot, after i = 0 .. n_steps
-    steps: the boolean game, which decides every verdict as the maximin
-    game would.  A slot is alive at the start iff its `start` score, in
-    slots, exceeds eps, and after step j iff its score does, which, max and
-    min being monotone, holds iff it is kept, neither a guard nor in step
-    j's dead runs (`runs_within`), and some predecessor was alive and kept.
+def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
+          tau: float, n_steps: int, eps: float, start: np.ndarray):
+    """The boolean game, which decides every verdict as the maximin game
+    would, played from the start until its alive mask, one bit per slot,
+    is empty or n_steps steps are played: (j, mask) after the j steps
+    played.  A slot is alive at the start iff its `start` score, in slots,
+    exceeds eps, and after step j iff its score does, which, max and min
+    being monotone, holds iff it is kept, neither a guard nor in step j's
+    dead runs (`runs_within`), and some predecessor was alive and kept.
     The mask is cut to the kept slots, ORed with its shifts over the band
-    and with the junction targets of its alive sources (ORed by source
-    when those change), and cut again."""
+    (doubling shifts that add up to `width`) and with the junction targets
+    of its alive sources (ORed by source when those change), and cut
+    again.  A block is read as one stream in step order: each step's
+    (slot, count) runs, then (j + 1, 0), which plays step j."""
     groups = {}
     for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
         groups[1 << s] = groups.get(1 << s, 0) | 1 << t
     sources = sum(groups)       # the keys are distinct bits
+    shifts, r = (), 0   # radius r covered; a shift d <= r + 1 makes it r + d
+    while r < reach.width:
+        shifts += (min(r + 1, reach.width - r),)
+        r += shifts[-1]
     full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
-    seen = jump = 0
-    yield alive
+    seen = jump = dead = 0
+    if not alive:
+        return 0, alive
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
         row, first, count = runs_within(grid, step - j0, edge, lo, hi, eps)
-        order = np.argsort(row, kind="stable")
-        runs = zip(reach.slot[first[order]].tolist(), count[order].tolist())
-        for k in np.bincount(row, minlength=j1 - j0).tolist():
-            dead = 0
-            for s, c in islice(runs, k):
+        at = np.argsort(np.append(row, np.arange(j1 - j0)), kind="stable")
+        slots = np.append(reach.slot[first], np.arange(j0 + 1, j1 + 1))
+        counts = np.append(count, np.zeros(j1 - j0, np.int64))
+        for s, c in zip(slots[at].tolist(), counts[at].tolist()):
+            if c:
                 dead |= ((1 << c) - 1) << s
-            keep = full ^ dead
+                continue
+            keep, dead = full ^ dead, 0
             alive &= keep
             out = alive
-            for d in range(1, reach.width + 1):
-                out |= (alive << d) | (alive >> d)
+            for d in shifts:
+                out |= (out << d) | (out >> d)
             if alive & sources != seen:
                 seen, jump = alive & sources, 0
                 for bit, targets in groups.items():
                     if seen & bit:
                         jump |= targets
             alive = (out | jump) & keep
-            yield alive
+            if not alive:
+                return s, alive
+    return n_steps, alive
 
 
 def distances_to_interval_rows(grid: DiscretizedGraph, slots, n_rows: int,
@@ -531,8 +540,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     returns a witness trajectory together with its recomputed continuous
     clearance.  The time step is `tau` (see `_resolve_params`).
 
-    The boolean game `_alive_masks` decides every verdict: its first empty
-    alive mask, after i steps, is a capture at i * tau, returned whatever
+    The boolean game `_play` decides every verdict: an alive mask that
+    empties after j steps is a capture at j * tau, returned whatever
     `want_witness` says.  Only a survival that wants a witness plays the
     maximin game, once, a chunk of clearance rows (`_clearance_rows`) at a
     time: the steps' values, min(score, clearance), fill a block padded
@@ -553,9 +562,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     reach = build_reach(grid, tau + REACH_SLACK)
     score = np.full(reach.n_slots, -np.inf)
     score[reach.slot] = grid.distances_to_point(cop.points[0])
-    alive = _alive_masks(grid, reach, cop.table, tau, n_steps, eps, score)
-    j = next((j for j, mask in enumerate(alive) if not mask), None)
-    if j is not None:
+    j, alive = _play(grid, reach, cop.table, tau, n_steps, eps, score)
+    if not alive:
         return result("capture", min(j * tau, cop.duration))
     if not want_witness:
         return result("survival")

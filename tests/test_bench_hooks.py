@@ -72,17 +72,18 @@ def test_tracer_sees_both_propagation_passes():
 
 
 def test_tracer_sees_the_block_clearance_layers():
-    # the blocked clearance is called through module attributes, so a
-    # tracer can wrap it; here one block of steps for the boolean game,
-    # which decides the verdict without clearance rows, since its first
-    # block, SWEEP_STEPS long, holds every step, and one for the maximin
-    # game's single pass
+    # the blocked clearance and the boolean game are called through
+    # module attributes, so a tracer can wrap them; here one call of the
+    # boolean game, with one block of steps, which decides the verdict
+    # without clearance rows, since its first block, SWEEP_STEPS long,
+    # holds every step, and one block for the maximin game's single pass
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
         tr.wrap(verifier, "swept_block", "verifier.swept_block")
         tr.wrap(verifier, "distances_to_interval_rows",
                 "verifier.distances_to_interval_rows")
+        tr.wrap(verifier, "_play", "verifier.play")
         with tr.job("survival"):
             cop = strategies.cycle_loop(unit_cycle(), 1.0, 2.0)
             r = verifier.verify(cop, h=0.05)
@@ -91,6 +92,7 @@ def test_tracer_sees_the_block_clearance_layers():
     assert r.verdict == "survival"
     assert r.n_steps <= verifier.SWEEP_STEPS
     names = tr.names
+    assert names.count("verifier.play") == 1
     assert names.count("verifier.swept_block") == 2
     assert names.count("verifier.distances_to_interval_rows") == 1
     assert names.count("verifier.propagate_step") == r.n_steps

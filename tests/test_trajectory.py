@@ -717,6 +717,49 @@ def test_path_file_numbers_are_numbers(field, value):
         path_from_dict(g, doc)
 
 
+@pytest.mark.parametrize("where", ["edge", "routes"])
+def test_path_file_edge_ids_are_strings(where):
+    # the graph loader's rule: str() would read the number 0 as the edge
+    # named "0", and the path would build
+    g = build_graph(["a", "b"], [("a", "b", 1.0, "0")])
+    doc = {"speed": 1, "routes": [["0"]], "breakpoints": [
+        {"t": 0, "edge": "0", "offset": 0}, {"t": 1, "edge": "0",
+                                             "offset": 1}]}
+    assert path_from_dict(g, doc).routes == ((("0", 0.0, 1.0),),)
+    if where == "edge":
+        doc["breakpoints"][1]["edge"] = 0
+    else:
+        doc["routes"] = [[0]]
+    with pytest.raises(PathValidationError, match="must be strings"):
+        path_from_dict(g, doc)
+
+
+@pytest.mark.parametrize("field", ["time", "offset", "run offset", "speed"])
+@pytest.mark.parametrize("value", [True, np.bool_(False)],
+                         ids=["bool", "numpy-bool"])
+def test_path_numbers_in_python_are_no_bools(field, value):
+    # the file loaders' rule: a bool is no number, though numpy reads
+    # (0.0, True) as (0.0, 1.0) and float(True) is 1.0
+    g = unit_path()
+    a, b = g.vertex_point("a"), g.vertex_point("b")
+    args = {"times": (0.0, 1.0), "points": (a, b),
+            "routes": ((("e0", 0.0, 1.0),),), "speed_bound": 1.0}
+    TimedPath(g, **args)
+    PathBuilder(g, "a", 1.0)
+    if field == "time":
+        args["times"] = (0.0, value)
+    elif field == "offset":
+        args["points"] = (GraphPoint("e0", value), b)
+    elif field == "run offset":
+        args["routes"] = ((("e0", value, 1.0),),)
+    else:
+        args["speed_bound"] = value
+        with pytest.raises(TypeError, match="is not a number"):
+            PathBuilder(g, "a", value)
+    with pytest.raises(TypeError):
+        TimedPath(g, **args)
+
+
 def test_path_files_equal_json_dumps_byte_for_byte(tmp_path):
     g = odd_graph()
     witness = verify(cycle_loop(g, 1.0, 6.0), h=0.05).witness

@@ -19,10 +19,9 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         truncate_path, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
-from graphchase.verifier import (REACH_SLACK, _alive_masks,
-                                 _clearance_rows, _resolve_params,
-                                 _step_grid, _witness_runs, build_reach,
-                                 propagate_step, swept_block,
+from graphchase.verifier import (REACH_SLACK, _clearance_rows, _play,
+                                 _resolve_params, _step_grid, _witness_runs,
+                                 build_reach, propagate_step, swept_block,
                                  swept_intervals)
 
 from common import (comb, path_graph, star, sweeps, to_slots, triangle,
@@ -723,7 +722,7 @@ def test_verify_matches_per_step_reference_loop(cop, h, eps):
     # the oracle runs none of verify's grid code
     shared = dict.fromkeys(["build_reach", "runs_within", "_run_ends",
                             "_flat_ranges", "propagate_step", "swept_block",
-                            "_alive_masks", "_clearance_rows",
+                            "_play", "_clearance_rows",
                             "distances_to_interval_rows", "_witness_runs"],
                            mock.DEFAULT)
     with mock.patch.multiple(verifier, **shared) as fakes:
@@ -910,8 +909,8 @@ def test_boolean_survival_that_the_maximin_game_captures_is_an_error():
     r = verify(cop, h=0.02)
     assert r.verdict == "capture"
     assert _answers(r) == _answers(brute_force_oracle(cop, h=0.02))
-    with mock.patch.object(verifier, "_alive_masks",
-                           lambda *args: iter(())):
+    with mock.patch.object(verifier, "_play",
+                           lambda *args: (args[4], 1)):
         with pytest.raises(GameMismatchError,
                            match="boolean game.*maximin game"):
             verify(cop, h=0.02)
@@ -937,7 +936,7 @@ def alive_cases(draw):
     h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
     cop that sweeps it at a speed of 2-8 (several intervals in a step),
     stands exactly on a vertex, or has no steps, or sweeps it in steps of
-    2-4 spacings (a band of half-width 2 or more), or stands with a
+    2-9 spacings (a band of half-width 2 or more), or stands with a
     radius of the total length, so it captures at the start; with the
     SWEEP_STEPS that cuts the boolean game's blocks."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -951,7 +950,7 @@ def alive_cases(draw):
         cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
-    stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
+    stretch = rng.uniform(2.0, 9.0) if kind == "wide" else 1.0
     sweep = draw(st.sampled_from([1, 2, 3, 5, 10, 256]))
     eps = g.total_length if kind == "caught" else sp * rng.uniform(1.01, 4.0)
     return kind, cop, grid.h, eps, stretch, sweep
@@ -1005,34 +1004,40 @@ def _game_blocks_called(cop, h, eps, sweep):
 
 def _check_alive_game(cop, h, eps, stretch, sweep):
     """Check the boolean game against the maximin game on cop, with steps
-    `stretch` times the grid's: at SWEEP_STEPS = sweep, `_alive_masks`
-    reads the cop in the blocks `_game_blocks` gives, its first mask is
-    the start's score > eps, and after every step its alive mask is the
-    maximin game's score > eps, slot for slot.
-    Returns the reach plan, the alive junction sources of each step and
-    the number of steps that swept several intervals."""
+    `stretch` times the grid's: played over j steps, for every j up to
+    n_steps, `_play` returns the maximin game's score > eps after j steps,
+    slot for slot, and j, or else the first step at which that mask is
+    empty and the empty mask; so each step is checked as the last one
+    played.  Played over all steps at SWEEP_STEPS = sweep, it reads the cop
+    in the blocks `_game_blocks` gives up to that step and returns what
+    the play over n_steps in one block does.  Returns the reach plan, the
+    alive junction sources of each step and the number of steps that swept
+    several intervals."""
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     if stretch > 1:
         n_steps, tau = _step_grid(cop.duration, tau * stretch)
     reach = build_reach(grid, tau + REACH_SLACK)
     start = to_slots(reach, grid.distances_to_point(cop.points[0]))
+    played = [_play(grid, reach, cop.table, tau, j, eps, start)
+              for j in range(n_steps + 1)]
     patch, calls = _recording_blocks(sweep)
     with patch:
-        masks = list(_alive_masks(grid, reach, cop.table, tau, n_steps, eps,
-                                  start))
-    assert calls == _game_blocks(n_steps, sweep)
-    assert len(masks) == n_steps + 1
+        end, mask = _play(grid, reach, cop.table, tau, n_steps, eps, start)
+    assert calls == [b for b in _game_blocks(n_steps, sweep) if b[0] < end]
+    assert (end, mask) == played[-1]
+    assert end == next((j for j, (_, m) in enumerate(played) if not m),
+                       n_steps)
 
     def bits(row):
         return sum(1 << int(s) for s in np.flatnonzero(row))
 
     sources = sum(1 << s for s in set(reach.junction_src.tolist()))
     score, alive = start, bits(start > eps)
-    assert masks[0] == alive
+    assert played[0] == (0, alive)
     live, several = [], 0       # the alive junction sources of each step
     ids = [e.id for e in cop.graph.edges]
-    for j, new in enumerate(masks[1:]):
-        step, edge, lo, hi = swept_block(cop.table, tau, j, j + 1)
+    for j, (i, new) in enumerate(played[1:], 1):
+        step, edge, lo, hi = swept_block(cop.table, tau, j - 1, j)
         several += len(step) > 1
         clr = to_slots(reach, grid.distances_to_intervals(
             zip([ids[k] for k in edge.tolist()], lo.tolist(), hi.tolist())))
@@ -1040,6 +1045,7 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
         score = maximin_step(reach, score, clr)
         assert np.array_equal(from_bits(new, reach.n_slots),
                               score > eps), j
+        assert i == min(j, end), j
         alive = new
     return reach, live, several
 
