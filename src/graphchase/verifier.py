@@ -285,18 +285,15 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
     being monotone, holds iff it is kept, neither a guard nor in step j's
     dead runs (`runs_within`), and some predecessor was alive and kept.
     The mask is cut to the kept slots, ORed with its shifts over the band
-    (doubling shifts that add up to `width`) and with the junction targets
-    of its alive sources (ORed by source when those change), and cut
-    again.  A block is read as one stream in step order: each step's
-    (slot, count) runs, then (j + 1, 0), which plays step j."""
+    and with the junction targets of its alive sources (ORed by source
+    when those change), and cut again.  A block is read as one stream in
+    step order: each step's (slot, count) runs, then (j + 1, 0), which
+    plays step j."""
     groups = {}
     for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
         groups[1 << s] = groups.get(1 << s, 0) | 1 << t
     sources = sum(groups)       # the keys are distinct bits
-    shifts, r = (), 0   # radius r covered; a shift d <= r + 1 makes it r + d
-    while r < reach.width:
-        shifts += (min(r + 1, reach.width - r),)
-        r += shifts[-1]
+    shifts = tuple(range(1, reach.width + 1))
     full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
     seen = jump = dead = 0
     if not alive:
@@ -314,7 +311,7 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
             alive &= keep
             out = alive
             for d in shifts:
-                out |= (out << d) | (out >> d)
+                out |= (alive << d) | (alive >> d)
             if alive & sources != seen:
                 seen, jump = alive & sources, 0
                 for bit, targets in groups.items():

@@ -936,7 +936,7 @@ def alive_cases(draw):
     h/10 (so shorter than eps), a capture radius of 1.01-4 spacings, and a
     cop that sweeps it at a speed of 2-8 (several intervals in a step),
     stands exactly on a vertex, or has no steps, or sweeps it in steps of
-    2-9 spacings (a band of half-width 2 or more), or stands with a
+    2-4 spacings (a band of half-width 2 or more), or stands with a
     radius of the total length, so it captures at the start; with the
     SWEEP_STEPS that cuts the boolean game's blocks."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -950,7 +950,7 @@ def alive_cases(draw):
         cop = sweeps(g, rng.uniform(2.0, 8.0), rng.randint(1, 2))
         if kind == "zero":
             cop = truncate_path(cop, 0.0)
-    stretch = rng.uniform(2.0, 9.0) if kind == "wide" else 1.0
+    stretch = rng.uniform(2.0, 4.0) if kind == "wide" else 1.0
     sweep = draw(st.sampled_from([1, 2, 3, 5, 10, 256]))
     eps = g.total_length if kind == "caught" else sp * rng.uniform(1.01, 4.0)
     return kind, cop, grid.h, eps, stretch, sweep
@@ -1010,9 +1010,10 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
     empty and the empty mask; so each step is checked as the last one
     played.  Played over all steps at SWEEP_STEPS = sweep, it reads the cop
     in the blocks `_game_blocks` gives up to that step and returns what
-    the play over n_steps in one block does.  Returns the reach plan, the
-    alive junction sources of each step and the number of steps that swept
-    several intervals."""
+    the play over n_steps in one block does, and so does each play that
+    ends at, or one step next to, an end of its first two or last two
+    blocks.  Returns the reach plan, the alive junction sources of each
+    step and the number of steps that swept several intervals."""
     grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
     if stretch > 1:
         n_steps, tau = _step_grid(cop.duration, tau * stretch)
@@ -1023,7 +1024,12 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
     patch, calls = _recording_blocks(sweep)
     with patch:
         end, mask = _play(grid, reach, cop.table, tau, n_steps, eps, start)
-    assert calls == [b for b in _game_blocks(n_steps, sweep) if b[0] < end]
+        blocks = [b for b in _game_blocks(n_steps, sweep) if b[0] < end]
+        assert calls == blocks
+        for j0, j1 in blocks[:2] + blocks[2:][-2:]:
+            for j in (j0 + 1, j1 - 1, j1):
+                assert _play(grid, reach, cop.table, tau, j, eps,
+                             start) == played[j], j
     assert (end, mask) == played[-1]
     assert end == next((j for j, (_, m) in enumerate(played) if not m),
                        n_steps)
