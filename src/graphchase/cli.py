@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
 
 from .critical import FAMILIES, EvidenceError, build_family, frontier_table, \
     frontier_to_csv, frontier_to_json
-from .graph import GraphValidationError, load_graph
+from .graph import GraphValidationError, as_positive, load_graph
 from .strategies import StrategyError, lambda_root
 from .svg import save_svg
 from .trajectory import PathValidationError, load_path, path_chunks, save_path
@@ -35,11 +34,7 @@ EXIT_PARAMETER_FLOOR = 4
 
 def finite_positive(text: str) -> float:
     """Parse a finite positive float flag (argparse reports a ValueError)."""
-    x = float(text)
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {text!r}")
-    return x
+    return as_positive(float(text), "value", argparse.ArgumentTypeError)
 
 
 def _non_negative_int(text: str) -> int:

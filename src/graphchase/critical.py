@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .graph import MetricGraph
+from .graph import MetricGraph, as_positive
 from .strategies import (StrategyError, cascade_truncation, comb_strategy,
                          cycle_strategy, finiteness_strategy, star_strategy,
                          sweep_strategy)
@@ -172,7 +172,7 @@ def frontier_table(g: MetricGraph, family: str, speeds,
     """
     _constructor(family)
     h, eps, _ = resolution(g, h, eps)
-    speeds = sorted(float(s) for s in speeds)
+    speeds = sorted(as_positive(s, "speed", StrategyError) for s in speeds)
     rows: list[FrontierRow] = []
     for s in speeds:
         note = ""

@@ -348,9 +348,22 @@ class MetricGraph:
 def as_number(x) -> float:
     """x as a float if it is a real number, numpy ones included, but no
     bool or str; TypeError otherwise (OverflowError for a huge int)."""
+    if type(x) is float:        # the common case, without the ABC check
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise TypeError(f"{x!r} is not a number")
     return float(x)
+
+
+def as_positive(x, what: str, error: type[Exception]) -> float:
+    """`as_number(x)` if it is in (0, inf), else an `error` naming x."""
+    try:
+        v = as_number(x)
+    except (TypeError, OverflowError):
+        v = math.nan
+    if not 0 < v < math.inf:
+        raise error(f"{what} must be finite and positive, got {x!r}")
+    return v
 
 
 def build_graph(vertices, edges) -> MetricGraph:
@@ -524,10 +537,8 @@ class DiscretizedGraph:
     """
 
     def __init__(self, graph: MetricGraph, h: float):
-        if not (h > 0):
-            raise GraphValidationError(f"resolution h must be positive, got {h}")
         self.graph = graph
-        self.h = float(h)
+        self.h = as_positive(h, "resolution h", GraphValidationError)
 
         ends = [graph.vertex_point(v) for v in graph.vertex_rows]
         n_vert = len(ends)

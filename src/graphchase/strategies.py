@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import MetricGraph, double_tree_walk
+from .graph import MetricGraph, as_positive, double_tree_walk
 from .trajectory import PathBuilder, TimedPath
 
 LADDER_TOL = 1e-9
@@ -74,19 +74,15 @@ def cascade_truncation(g: MetricGraph, eps: float | None = None) -> float:
     (`_ladder_init`), whose largest radius the cap bounds only by
     eps * (s - 1) / (8 lam): below eps on three arms, and on four up to
     s = 25, but not beyond (1.67 eps on five 0.5 arms at s = 27)."""
-    if eps is not None and not 0 < eps < math.inf:
-        raise StrategyError(f"capture radius must be finite and positive, "
-                            f"got {eps}")
-    return min(g.min_edge_length / 100, math.inf if eps is None else eps / 4)
+    cap = (math.inf if eps is None
+           else as_positive(eps, "capture radius", StrategyError) / 4)
+    return min(g.min_edge_length / 100, cap)
 
 
 def _truncation(truncation: float | None, default: float | None = None):
     """`truncation`, or `default` when it is None: a finite positive scale."""
-    t = default if truncation is None else truncation
-    if t is None or not 0 < t < math.inf:
-        raise StrategyError(f"truncation scale must be finite and positive, "
-                            f"got {t}")
-    return t
+    return as_positive(default if truncation is None else truncation,
+                       "truncation scale", StrategyError)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +224,7 @@ def build_star_schedule(g: MetricGraph, s: float,
     """
     center, arms = _detect_star(g)
     k = len(arms)
-    _truncation(truncation)
+    truncation = _truncation(truncation)
     lam = lambda_root(k, s)
     log_lam = math.log(lam)
     m_start = max(1, math.floor((1 - math.log(truncation) / log_lam)
@@ -455,8 +451,7 @@ def sweep_strategy(g: MetricGraph, s: float) -> TimedPath:
     This is the naive baseline: it captures only at speeds far above the
     cascade thresholds, and serves as honest low-speed evidence elsewhere.
     """
-    if not 0 < s < math.inf:
-        raise StrategyError(f"sweep needs a finite positive speed, got {s}")
+    s = as_positive(s, "sweep speed", StrategyError)
     start = min(g.vertices)
     pb = PathBuilder(g, start, s)
     for run in double_tree_walk(g, start):

@@ -19,7 +19,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .graph import (GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph,
-                    as_number)
+                    as_number, as_positive)
 
 SPEED_TOL = 1e-9
 
@@ -270,9 +270,7 @@ class PathBuilder:
         return self.points[-1]
 
     def wait(self, duration: float) -> "PathBuilder":
-        if not 0 < duration < math.inf:
-            raise PathValidationError(
-                f"wait duration must be positive and finite, got {duration}")
+        duration = as_positive(duration, "wait duration", PathValidationError)
         self.times.append(self.now + duration)
         self.points.append(self.position)
         self.routes.append(())
@@ -293,9 +291,7 @@ class PathBuilder:
         """
         runs = tuple((eid, float(x0), float(x1)) for eid, x0, x1 in runs
                      if abs(x1 - x0) > 0)
-        if not 0 < duration < math.inf:
-            raise PathValidationError(
-                f"duration must be positive and finite, got {duration}")
+        duration = as_positive(duration, "duration", PathValidationError)
         if not runs:
             return self.wait(duration)
         t_start = self.now
@@ -311,10 +307,8 @@ class PathBuilder:
     def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":
         """Move along a shortest path to `target` (vertex id or point) at
         `speed`, by default the speed bound."""
-        v = self.speed_bound if speed is None else speed
-        if not 0 < v < math.inf:
-            raise PathValidationError(
-                f"need a positive finite speed to move, got {v}")
+        v = as_positive(self.speed_bound if speed is None else speed,
+                        "speed", PathValidationError)
         if isinstance(target, str):
             target = self.graph.vertex_point(target)
         length, runs = self.graph.route(self.position, target)
@@ -352,9 +346,7 @@ def reparameterize_max_speed(p: TimedPath, s: float) -> TimedPath:
     the same positions in the same order, and is exactly s-Lipschitz.  Zero
     total variation yields the single-instant path at the start position.
     """
-    if not 0 < s < math.inf:
-        raise PathValidationError(
-            f"target speed must be positive and finite, got {s}")
+    s = as_positive(s, "target speed", PathValidationError)
     times = [0.0]
     points = [p.points[0]]
     routes = []

@@ -1,13 +1,15 @@
 """Resolution-bounded verification of pursuit trajectories.
 
-Given a cop trajectory, decide whether every speed-1 evader is forced within
-capture radius eps by propagating the evader's surviving positions over a
-space-time grid.  The grid game is exact: evader steps use true intrinsic
-distances between samples, and the cop's swept region per time step is
-computed analytically from the trajectory's runs, so the only
-discretizations are the sample spacing and the time step `tau`: the cop's
-duration cut into whole steps, each at least the largest spacing long, or
-one step when the duration is shorter.
+Given a cop trajectory, decide whether every grid evader is forced within
+capture radius eps by propagating the surviving positions over a space-time
+grid.  A grid evader sits on a sample at each step time, moves at most tau
+of true intrinsic distance to a sample in a step (`tau` cuts the cop's
+duration into whole steps at least the largest spacing long), and dies when
+the cop's region swept in that step, computed exactly from its runs, comes
+within eps of either end of the move.  A capture covers these evaders only:
+a continuous unit-speed evader may sit between samples and outrun them
+where the spacing is below tau, and the evaders of the four strict xfails
+in tests/test_verifier.py are such misses (ROADMAP item 1).
 
 Every verdict, a capture at time 0 included, is decided by a boolean game over
 which samples are alive from the start on.  It needs only the runs of grid
@@ -27,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, discretize,
-                    interval_count)
+from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, as_positive,
+                    discretize, interval_count)
 from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
                          path_chunks, path_pieces, path_to_dict)
 
@@ -469,18 +471,14 @@ def resolution(g: MetricGraph, h=None, eps=None):
     """The resolution h, capture radius eps and grid spacing of a
     verification on g: h defaults to the shortest edge / 50 and eps to
     twice the spacing.  From the edge lengths, before any grid is built,
-    it refuses a value that is not finite, an h at or below 0, a grid
-    above MAX_SAMPLES samples or a vertex-to-sample table above
-    MAX_TABLE_CELLS cells, a spacing not above 1e3 * GEOM_TOL (absolute
-    tolerances would decide finer grids), and an eps not above the
-    spacing (the soundness floor).
+    it refuses an h or eps that `as_positive` refuses, a grid above
+    MAX_SAMPLES samples or a vertex-to-sample table above MAX_TABLE_CELLS
+    cells, a spacing not above 1e3 * GEOM_TOL (absolute tolerances would
+    decide finer grids), and an eps not above the spacing (the spacing
+    floor; the module docstring says what a capture covers).
     """
-    for name, x in (("resolution", h), ("capture radius", eps)):
-        if x is not None and not math.isfinite(float(x)):
-            raise ParameterError(f"{name} must be finite, got {x}")
-    h = g.min_edge_length / 50 if h is None else float(h)
-    if h <= 0:
-        raise ParameterError(f"resolution must be positive, got {h}")
+    h = (g.min_edge_length / 50 if h is None
+         else as_positive(h, "resolution", ParameterError))
     try:        # length / h, or the count, may not be a finite float
         pieces = [interval_count(e.length, h) for e in g.edges]
         samples = float(len(g.vertices) + sum(pieces) - len(pieces))
@@ -499,10 +497,11 @@ def resolution(g: MetricGraph, h=None, eps=None):
     if not spacing > 1e3 * GEOM_TOL:
         raise ParameterError(f"grid spacing {spacing:.4g} is not above "
                              f"the floor of {1e3 * GEOM_TOL:g}")
-    eps = 2 * spacing if eps is None else float(eps)
+    eps = (2 * spacing if eps is None
+           else as_positive(eps, "capture radius", ParameterError))
     if eps <= spacing:
         raise ParameterError(
-            f"capture radius {eps} is below the soundness floor: it must "
+            f"capture radius {eps} is below the spacing floor: it must "
             f"exceed the sample spacing {spacing}")
     return h, eps, spacing
 

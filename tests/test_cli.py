@@ -157,7 +157,7 @@ def test_verify_nonpositive_resolution_exits_4(path_file, tmp_path, capsys,
     rc = main(["verify", "--graph", path_file, "--strategy", strat,
                "--resolution", resolution])
     assert rc == 4
-    assert "resolution must be positive" in capsys.readouterr().err
+    assert "resolution must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("resolution", ["1e-9", "1e-320"])
@@ -378,7 +378,7 @@ def test_export_svg_deterministic(path_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("eps", ["inf", "nan", "-0.1", "0"])
+@pytest.mark.parametrize("eps", ["inf", "nan", "-0.1", "0", "-0.0", "1e999"])
 def test_export_svg_eps_must_be_finite_and_positive(path_file, tmp_path,
                                                     capsys, eps):
     strat, out = str(tmp_path / "s.json"), tmp_path / "d.svg"
@@ -388,7 +388,8 @@ def test_export_svg_eps_must_be_finite_and_positive(path_file, tmp_path,
         main(["export-svg", "--graph", path_file, "--strategy", strat,
               "--eps", eps, "--out", str(out)])
     assert e.value.code == 2
-    assert "--eps: must be finite and positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--eps: value must be finite and positive" in err
     assert not out.exists()
 
 

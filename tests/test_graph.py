@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
-                        PathBuilder, build_graph, discretize, double_tree_walk,
-                        graph_from_dict, graph_to_dict, load_graph,
-                        min_clearance, resolution, save_graph, walk_covers,
-                        walk_length)
-from graphchase.graph import GEOM_TOL
+                        ParameterError, PathBuilder, PathValidationError,
+                        StrategyError, build_graph, cascade_truncation,
+                        discretize, double_tree_walk, frontier_table,
+                        frontier_to_json, graph_from_dict, graph_to_dict,
+                        load_graph, min_clearance, path_to_dict,
+                        reparameterize_max_speed, resolution, result_to_dict,
+                        save_graph, sufficient_speed, sweep_strategy, verify,
+                        walk_covers, walk_length)
+from graphchase.graph import GEOM_TOL, as_positive
 from graphchase.randgen import random_graph
 from graphchase.verifier import runs_within
 
@@ -615,3 +619,68 @@ def test_vertex_point_and_clamp():
         g.clamp_point(GraphPoint("e0", 1.5))
     with pytest.raises(GraphValidationError):
         g.clamp_point(GraphPoint("nope", 0.5))
+
+
+# ------------------------------------------------------------ the number rule
+
+G2 = path_graph(2)
+
+
+def _builder():
+    return PathBuilder(G2, "v0", 4.0)
+
+
+# every entry point that takes a finite positive number: its error type, a
+# call of it on x, and an int x it takes
+POSITIVE_SITES = {
+    "cascade_truncation": (StrategyError, 1,
+                           lambda x: cascade_truncation(G2, x)),
+    "truncation": (StrategyError, 1, lambda x: sufficient_speed(G2, x)),
+    "sweep_strategy": (StrategyError, 2,
+                       lambda x: path_to_dict(sweep_strategy(G2, x))),
+    "frontier_table": (StrategyError, 2,
+                       lambda x: frontier_to_json(
+                           frontier_table(G2, "sweep", [x], h=0.25))),
+    "wait": (PathValidationError, 2, lambda x: _builder().wait(x).times),
+    "move_runs": (PathValidationError, 2,
+                  lambda x: _builder().move_runs([("e0", 0, 1)], x).times),
+    "move_to": (PathValidationError, 2,
+                lambda x: _builder().move_to("v2", speed=x).times),
+    "reparameterize_max_speed": (
+        PathValidationError, 2, lambda x: path_to_dict(
+            reparameterize_max_speed(sweep_strategy(G2, 1.0), x))),
+    "verify_h": (ParameterError, 1, lambda x: result_to_dict(
+        verify(sweep_strategy(G2, 1.0), h=x))),
+    "verify_eps": (ParameterError, 1, lambda x: result_to_dict(
+        verify(sweep_strategy(G2, 1.0), h=0.25, eps=x))),
+    "discretize": (GraphValidationError, 1, lambda x: discretize(G2, x).h),
+}
+
+
+@pytest.mark.parametrize("x", [True, np.True_, "0.5", math.nan, math.inf,
+                               0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_positive_number_sites_refuse_bools_strings_and_non_positives(site,
+                                                                      x):
+    error, _, call = POSITIVE_SITES[site]
+    with pytest.raises(error) as exc:
+        call(x)
+    assert type(exc.value) is error
+    assert f"must be finite and positive, got {x!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_positive_number_sites_take_ints_and_numpy_floats_as_floats(site):
+    _, n, call = POSITIVE_SITES[site]
+    want = call(float(n))
+    assert call(n) == want and call(np.float64(n)) == want
+    assert json.dumps(call(n)) == json.dumps(want)
+
+
+def test_as_positive_returns_a_python_float():
+    for x in (2, np.float64(2.0), np.int64(2), 2.0):
+        v = as_positive(x, "x", GraphValidationError)
+        assert type(v) is float and v == 2.0
+    with pytest.raises(GraphValidationError, match="x must be finite"):
+        as_positive(10 ** 400, "x", GraphValidationError)
+

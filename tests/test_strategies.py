@@ -524,7 +524,8 @@ def test_sweep_rejections():
     with pytest.raises(StrategyError):
         sweep_strategy(path_graph(2), 0.0)
     for s in (math.nan, math.inf):
-        with pytest.raises(StrategyError, match="finite positive speed"):
+        with pytest.raises(StrategyError,
+                           match="speed must be finite and positive"):
             sweep_strategy(path_graph(2), s)
 
 

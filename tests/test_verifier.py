@@ -72,9 +72,9 @@ def edge_blocks(grid):
 
 def test_capture_radius_floor():
     p = stand(unit_path(), "a", 1.0)
-    with pytest.raises(ParameterError, match="soundness floor"):
+    with pytest.raises(ParameterError, match="spacing floor"):
         verify(p, h=0.1, eps=0.1)
-    with pytest.raises(ParameterError, match="soundness floor"):
+    with pytest.raises(ParameterError, match="spacing floor"):
         verify(p, h=0.1, eps=0.09)
     # just above the floor is accepted
     res = verify(p, h=0.1, eps=0.11)
@@ -95,7 +95,8 @@ def test_non_finite_parameters_rejected(name, value):
 @pytest.mark.parametrize("decide", [verify, brute_force_oracle])
 def test_nonpositive_resolution_rejected(decide, h):
     p = stand(unit_path(), "a", 1.0)
-    with pytest.raises(ParameterError, match="resolution must be positive"):
+    with pytest.raises(ParameterError,
+                       match="resolution must be finite and positive"):
         decide(p, h=h)
     with pytest.raises(GraphValidationError):
         discretize(unit_path(), h)
