@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .graph import MetricGraph, as_positive
+from .graph import MetricGraph, as_number, as_positive
 from .strategies import (StrategyError, cascade_truncation, comb_strategy,
                          cycle_strategy, finiteness_strategy, star_strategy,
                          sweep_strategy)
@@ -49,7 +49,9 @@ def build_family(g: MetricGraph, family: str, s: float,
                  eps: float | None = None) -> TimedPath:
     """Construct the named strategy family on g at speed s, for capture
     radius eps: a cascade truncates at `cascade_truncation(g, eps)`.  A
-    schedule out of float range or an invalid path is a StrategyError."""
+    speed that is not finite and positive, a schedule out of float range
+    or an invalid path is a StrategyError."""
+    s = as_positive(s, "speed", StrategyError)
     try:
         return _constructor(family)(g, s, cascade_truncation(g, eps))
     except ArithmeticError as exc:
@@ -101,12 +103,16 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     verdicts and play `verify`'s boolean game; a lower end that survived
     is verified once more with a witness, its evidence.  Every path is
     built for the eps that `resolution` gives, which every probe verifies.
+    Ends must be numbers, and tol finite and positive (else EvidenceError).
     """
     _constructor(family)
+    try:
+        s_low, s_high = as_number(s_low), as_number(s_high)
+    except (TypeError, OverflowError) as exc:
+        raise EvidenceError(f"bracket ends must be numbers: {exc}") from None
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
-    if not tol > 0:
-        raise EvidenceError(f"tolerance must be positive, got {tol}")
+    tol = as_positive(tol, "tolerance", EvidenceError)
     h, eps, _ = resolution(g, h, eps)
 
     kind, high_ev, _ = _probe(g, family, s_high, h, eps)

@@ -89,35 +89,30 @@ def _truncation(truncation: float | None, default: float | None = None):
 # cascade bookkeeping
 # ----------------------------------------------------------------------
 
-def _cascade_update(radii: dict, cleared: set, extents: dict, target: str,
-                    duration: float, s: float) -> None:
-    """One probe of `target` for `duration` time units at speed s.
+def _cascade_update(radii: dict, extents: dict, target: str,
+                    duration: float, s: float) -> bool:
+    """One probe of `target` for `duration` time units at speed s; True
+    when the target's radius reaches its extent (within CLEAR_TOL).
 
     `radii[arm]` is a distance from the hub below which the evader provably
     cannot sit on that arm (provided it was never captured).  Non-probed
     arms decay by the probe duration (the evader closes in); the probed arm
-    is pushed out to (s-1)/2 times the duration.  A radius reaching the arm
-    extent marks the arm cleared.  Radii of arms already cleared are left
-    alone: while every active radius covers the probe duration, the evader
-    can never slip past the hub.
+    is pushed out to (s-1)/2 times the duration.  Radii are clamped to the
+    arm extents, which only the target's can reach.  While every other
+    radius covers the probe duration, the evader cannot slip past the hub.
     """
     for arm, r in radii.items():
-        if arm in cleared:
-            continue
         if arm != target and r < duration - LADDER_TOL:
             raise StrategyError(
                 f"cascade safety violated: arm {arm!r} radius {r} below "
                 f"probe duration {duration}")
     boost = (s - 1) * duration / 2
-    for arm in radii:
-        if arm in cleared:
-            continue
-        r = radii[arm] - duration
+    for arm, r in radii.items():
+        r -= duration
         if arm == target:
             r = max(r, boost)
         radii[arm] = min(max(r, 0.0), extents[arm])
-        if radii[arm] >= extents[arm] - CLEAR_TOL:
-            cleared.add(arm)
+    return radii[target] >= extents[target] - CLEAR_TOL
 
 
 def _ladder_init(arms, lam: float, d0: float) -> dict:
@@ -132,12 +127,8 @@ def _ladder_init(arms, lam: float, d0: float) -> dict:
     """
     radii = {}
     acc = 0.0
-    for i, arm in enumerate(arms):
-        if i == 0:
-            radii[arm] = 0.0
-        else:
-            acc = acc * lam + d0 if i > 1 else d0
-            radii[arm] = acc
+    for arm in arms:
+        radii[arm], acc = acc, acc * lam + d0
     return radii
 
 
@@ -246,7 +237,6 @@ def build_star_schedule(g: MetricGraph, s: float,
                 f"truncation {truncation} is too large for arm {arm!r} of "
                 f"length {extents[arm]}: the opening ladder's radius "
                 f"{radii[arm]} would clear it before any probe")
-    cleared: set[str] = set()
     rotation = deque(cascade_arms)
     excursions = []
     clearings = []
@@ -271,10 +261,10 @@ def build_star_schedule(g: MetricGraph, s: float,
         leg = _probe_depth(s, duration, g.edge(target).length) / s
         now = now + leg + leg
         excursions.append((target, start, duration))
-        _cascade_update(radii, cleared, extents, target, duration, s)
-        if target in cleared:
-            clearings.append((j, target))
+        if _cascade_update(radii, extents, target, duration, s):
+            clearings.append((j, target))   # a leaf-ended arm stays clear
             rotation.remove(target)
+            del radii[target]
         j += 1
     return StarSchedule(k, s, lam, d0, m_start, center, tuple(cascade_arms),
                         final_arm, phase1_end, tuple(excursions), rotation[0],
@@ -371,11 +361,11 @@ def comb_strategy(g: MetricGraph, s: float,
         spine = next(e.id for e in g.incident_edges(v) if e.other(v) == nxt)
         extents = {tooth: lengths[tooth], spine: lengths[spine]}
         radii = _ladder_init([tooth, spine], lam, d0)
-        cleared: set[str] = set()
         station_start = pb.now
         elapsed = 0.0
         j = 0
-        while tooth not in cleared:
+        cleared = False
+        while not cleared:
             if j > STATION_PROBES:
                 raise StrategyError(
                     f"comb clearing at speed {s} is too close to the "
@@ -385,8 +375,8 @@ def comb_strategy(g: MetricGraph, s: float,
             duration = min(d0 * lam ** j, cap)
             _probe(pb, v, target, station_start + elapsed, duration,
                    extents[target])
-            _cascade_update(radii, cleared, extents, target, duration, s)
-            cleared.discard(spine)   # evader may re-enter from the far end
+            cleared = (_cascade_update(radii, extents, target, duration, s)
+                       and target == tooth)  # a spine's far end stays open
             elapsed += duration
             j += 1
         pb.wait_until(station_start + elapsed)
@@ -495,8 +485,7 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
             capped += 1
         target = arms[j % k]
         plan.append((target, duration))
-        cleared: set[str] = set()
-        _cascade_update(radii, cleared, extents, target, duration, s)
+        _cascade_update(radii, extents, target, duration, s)
         elapsed += duration
         j += 1
         if j > 100000:

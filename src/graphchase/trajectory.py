@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
@@ -29,11 +28,15 @@ class PathValidationError(ValueError):
 
 
 def _reals(values, what: str) -> np.ndarray:
-    """The values as a float array; one that is not a real number, or is
-    a bool, raises TypeError, as `as_number` does."""
-    if not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
-               for t in set(map(type, values))):
-        raise TypeError(f"{what} must be real numbers, not bools")
+    """The values as a float array; the first that is no number by
+    `as_number`'s rule raises PathValidationError naming it."""
+    if any(not issubclass(t, float) for t in set(map(type, values))):
+        for x in values:
+            try:
+                as_number(x)
+            except (TypeError, OverflowError):
+                raise PathValidationError(
+                    f"{what}: {x!r} is not a number") from None
     return np.array(values, dtype=float)
 
 
@@ -202,11 +205,11 @@ class TimedPath:
             raise PathValidationError("breakpoint times and positions differ in count")
         if len(self.routes) != len(self.times) - 1:
             raise PathValidationError("need exactly one route per breakpoint gap")
+        t = _reals(self.times, "times")
         if not abs(self.times[0]) <= 1e-12:
             raise PathValidationError(f"paths start at time 0, got {self.times[0]}")
-        if not as_number(self.speed_bound) >= 0:
+        if not _reals([self.speed_bound], "speed bound")[0] >= 0:
             raise PathValidationError("speed bound must be nonnegative")
-        t = _reals(self.times, "times")
         late = ~(t[1:] > t[:-1])
         if late.any():
             i = int(np.argmax(late))
@@ -247,13 +250,14 @@ class TimedPath:
 # ----------------------------------------------------------------------
 
 class PathBuilder:
-    """Incrementally assemble a TimedPath starting at time 0."""
+    """Incrementally assemble a TimedPath starting at time 0.  The speed
+    bound may be inf, a bound that every motion meets."""
 
     def __init__(self, graph: MetricGraph, start, speed_bound: float):
         if isinstance(start, str):
             start = graph.vertex_point(start)
         self.graph = graph
-        self.speed_bound = as_number(speed_bound)
+        self.speed_bound = float(_reals([speed_bound], "speed bound")[0])
         if not self.speed_bound >= 0:
             raise PathValidationError(
                 f"speed bound must be nonnegative, got {speed_bound}")

@@ -57,6 +57,16 @@ def test_build_family_refuses_a_radius_that_is_not_finite_and_positive():
             build_family(unit_cycle(), "cycle", 2.0, eps)
 
 
+@pytest.mark.parametrize("s", ["2", True, 0.0, -2.0, math.nan, math.inf])
+def test_build_family_refuses_a_speed_that_is_not_finite_and_positive(s):
+    # "2" raised a bare TypeError from a comparison inside the constructor
+    for family in critical.FAMILIES:
+        with pytest.raises(StrategyError,
+                           match=f"speed must be finite and positive, "
+                                 f"got {s!r}$"):
+            build_family(unit_cycle(), family, s)
+
+
 def test_cycle_bracket_straddles_one():
     g = unit_cycle()
     br = upper_bound_bisect(g, "cycle", 0.5, 2.0, tol=0.25, h=0.05)
@@ -81,6 +91,27 @@ def test_bisect_rejects_bad_endpoints():
         upper_bound_bisect(g, "cycle", 2.0, 2.0, tol=0.1, h=0.05)
     with pytest.raises(EvidenceError, match="tolerance"):
         upper_bound_bisect(g, "cycle", 0.5, 2.0, tol=0.0, h=0.05)
+
+
+def test_bisect_refuses_bools_and_strings_as_numbers():
+    # tol=True and a bool low end gave a bracket with lower True and tol
+    # True; a string end raised a bare TypeError
+    g = path_graph(2)
+    with pytest.raises(EvidenceError,
+                       match="tolerance must be finite and positive, got "
+                             "True"):
+        upper_bound_bisect(g, "sweep", 1.0, 8.0, tol=True, h=0.25)
+    for low, high in ((True, 8.0), ("1", 8.0), (1.0, "8")):
+        bad = low if not isinstance(low, float) else high
+        with pytest.raises(EvidenceError,
+                           match=f"bracket ends must be numbers: {bad!r} "
+                                 f"is not a number"):
+            upper_bound_bisect(g, "sweep", low, high, tol=1.0, h=0.25)
+    # an end need not be positive, and an int end is read as its float
+    br = upper_bound_bisect(g, "sweep", -1, 8, tol=4, h=0.25)
+    assert (br.lower, br.upper, br.tol) == (-1.0, 1.25, 4.0)
+    assert all(type(s) is float for s, _ in br.probes)
+    assert type(br.lower) is float and type(br.tol) is float
 
 
 def test_bisect_rejects_nan_tolerance():

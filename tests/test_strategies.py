@@ -149,28 +149,30 @@ def test_star_schedule_needs_a_truncation():
 def test_cascade_update_arithmetic():
     radii = {"a": 0.0, "b": 0.5}
     extents = {"a": 2.0, "b": 2.0}
-    cleared = set()
-    _cascade_update(radii, cleared, extents, "a", 0.5, 5.0)
+    assert not _cascade_update(radii, extents, "a", 0.5, 5.0)
     assert radii["a"] == pytest.approx(1.0)    # (s-1)/2 * duration
     assert radii["b"] == pytest.approx(0.0)
-    assert not cleared
 
 
 def test_cascade_update_safety_guard():
     radii = {"a": 0.0, "b": 0.1}
     with pytest.raises(StrategyError, match="safety"):
-        _cascade_update(radii, set(), {"a": 1.0, "b": 1.0}, "a", 0.5, 5.0)
+        _cascade_update(radii, {"a": 1.0, "b": 1.0}, "a", 0.5, 5.0)
 
 
 def test_cascade_update_clearing_and_freezing():
     radii = {"a": 0.0, "b": 3.0}
-    extents = {"a": 1.0, "b": 3.0}
-    cleared = {"b"}
-    _cascade_update(radii, cleared, extents, "a", 0.5, 5.0)
-    assert radii["b"] == 3.0                   # cleared arms frozen
-    assert radii["a"] == pytest.approx(1.0)
-    _cascade_update(radii, cleared, extents, "a", 0.6, 5.0)
-    assert "a" in cleared                      # clamped at its extent
+    extents = {"a": 1.5, "b": 3.0}
+    assert not _cascade_update(radii, extents, "a", 0.5, 5.0)
+    assert radii == {"a": 1.0, "b": 2.5}      # b decays from its extent
+    assert _cascade_update(radii, extents, "a", 0.8, 5.0)
+    assert radii["a"] == 1.5                   # clamped at its extent
+    # only the target clears: "b" at its extent is no clearing of "a"
+    assert not _cascade_update({"a": 0.0, "b": 3.0}, extents, "a", 0.1, 5.0)
+    # an arm left out of the radii is frozen and never checked
+    radii = {"a": 0.0}
+    assert _cascade_update(radii, extents, "a", 0.8, 5.0)
+    assert radii == {"a": 1.5}
 
 
 def test_ladder_init_and_overhang():
@@ -202,17 +204,15 @@ def test_star_schedule_structure():
 
 def replayed_clearings(sched, g):
     """The clearings found by replaying the free-radius arithmetic over the
-    schedule's excursions: each arm at the first excursion after which it
-    is in the cleared set, arms of one excursion in rotation order."""
+    schedule's excursions: an arm at the excursion whose update reports it
+    cleared, after which its radius leaves the replay."""
     extents = {eid: g.edge(eid).length for eid in sched.arm_order}
     radii = _ladder_init(list(sched.arm_order), sched.lam, sched.d0)
-    cleared = set()
     found = []
     for i, (target, _, duration) in enumerate(sched.excursions):
-        before = set(cleared)
-        _cascade_update(radii, cleared, extents, target, duration, sched.s)
-        found += [(i, arm) for arm in sched.arm_order
-                  if arm in cleared - before]
+        if _cascade_update(radii, extents, target, duration, sched.s):
+            found.append((i, target))
+            del radii[target]
     return found
 
 
@@ -598,13 +598,17 @@ def test_finiteness_strategy_captures():
      "ef3d7dad81ea8f8198adc74dd2db4f544b048e35d21c13c38a424da8dd4fb47e"),
     (lambda: comb_strategy(comb(3), 3.5), 49, 5.372304094810756,
      "56a333c16c6f0dc36aa8bf24e70a6e7812585f5708f3472abffd2a9389a81ce2"),
+    # its station's spine reaches its extent before the tooth clears
+    (lambda: comb_strategy(comb(3), 4.0), 34, 4.043284505208334,
+     "5c9905cd1c3e8f5b34e351a9e941febac177be591825fa2d48073202eadb8ab1"),
     (lambda: star_strategy(star(3), 3.2, 1e-3), 154, 10.653409090909083,
      "656cd0c2390a949ab398d17d81c96ff13cfdebcee5a6b718a9e4ce05ba910788"),
     (lambda: cycle_strategy(unit_cycle(), 1.5), 10, 2.0,
      "cafdb463fee883b6795a36de722cd20ab03d671eaed19d6cb9bb9ecceffc6c96"),
     (lambda: cycle_loop(unit_cycle(), 1.0, 6.0), 19, 6.0,
      "237db169d12a0d230586e9635a66a1ead12b542976a534f981ca0dca1e90c9d2"),
-], ids=["finiteness", "secure", "comb", "star", "cycle", "cycle_loop"])
+], ids=["finiteness", "secure", "comb", "comb-spine-at-extent", "star",
+        "cycle", "cycle_loop"])
 def test_cascade_paths_are_pinned(build, breakpoints, duration, digest):
     # exact breakpoint times and points of paths the benchmark does not
     # build (it runs stars at other speeds, jittered combs and other loops)

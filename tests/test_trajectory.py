@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -112,8 +113,10 @@ def test_time_and_continuity_validation():
     with pytest.raises(PathValidationError):
         # route does not end at the declared breakpoint
         TimedPath(g, (0.0, 1.0), (pa, pa), ((("e0", 0.0, 1.0),),), 5.0, {})
-    with pytest.raises(TypeError, match="times must be real numbers"):
+    with pytest.raises(PathValidationError, match="times: None is not a number"):
         TimedPath(g, (0.0, None), (pa, pa), ((),), 1.0, {})
+    with pytest.raises(PathValidationError, match="times: '0' is not a number"):
+        TimedPath(g, ("0", 1.0), (pa, pa), ((),), 1.0, {})
 
 
 @pytest.mark.parametrize("times, n_points, n_routes, speed, message", [
@@ -735,17 +738,18 @@ def test_path_file_edge_ids_are_strings(where):
 
 
 @pytest.mark.parametrize("field", ["time", "offset", "run offset", "speed"])
-@pytest.mark.parametrize("value", [True, np.bool_(False)],
-                         ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1"],
+                         ids=["bool", "numpy-bool", "string"])
 def test_path_numbers_in_python_are_no_bools(field, value):
-    # the file loaders' rule: a bool is no number, though numpy reads
-    # (0.0, True) as (0.0, 1.0) and float(True) is 1.0
+    # the file loaders' rule: a bool or a string is no number, though
+    # numpy reads (0.0, True) as (0.0, 1.0) and float(True) is 1.0
     g = unit_path()
     a, b = g.vertex_point("a"), g.vertex_point("b")
     args = {"times": (0.0, 1.0), "points": (a, b),
             "routes": ((("e0", 0.0, 1.0),),), "speed_bound": 1.0}
     TimedPath(g, **args)
     PathBuilder(g, "a", 1.0)
+    named = re.escape(f"{value!r} is not a number")
     if field == "time":
         args["times"] = (0.0, value)
     elif field == "offset":
@@ -754,9 +758,9 @@ def test_path_numbers_in_python_are_no_bools(field, value):
         args["routes"] = ((("e0", value, 1.0),),)
     else:
         args["speed_bound"] = value
-        with pytest.raises(TypeError, match="is not a number"):
+        with pytest.raises(PathValidationError, match=named):
             PathBuilder(g, "a", value)
-    with pytest.raises(TypeError):
+    with pytest.raises(PathValidationError, match=named):
         TimedPath(g, **args)
 
 
