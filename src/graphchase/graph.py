@@ -64,7 +64,8 @@ class MetricGraph:
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._edge_index = {e.id: k for k, e in enumerate(self.edges)}
+        self.edge_ids: tuple[str, ...] = tuple(e.id for e in self.edges)
+        self._edge_index = {eid: k for k, eid in enumerate(self.edge_ids)}
         adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         if len(adj) != len(self.vertices):
             raise GraphValidationError("duplicate vertex ids")
@@ -533,7 +534,7 @@ class DiscretizedGraph:
     of its `u` and `v`.  `vertex_sample_dist` holds the exact distance from
     every vertex (rows in `graph.vertex_rows`) to every sample, and
     `sample_edge` and `sample_offset` each sample's edge index and offset;
-    `points` and `points_at` make GraphPoints of them only when asked.
+    `points` makes GraphPoints of them only when asked.
     """
 
     def __init__(self, graph: MetricGraph, h: float):
@@ -576,19 +577,13 @@ class DiscretizedGraph:
         np.minimum(inner, vv[:, ev[k]] + (length[k] - x), out=inner)
         self.vertex_sample_dist = dist
 
-    def points_at(self, idx: list) -> list[GraphPoint]:
-        """The samples idx as GraphPoints, one object per distinct sample."""
-        ids = [e.id for e in self.graph.edges]
-        seen = list(dict.fromkeys(idx))
-        made = dict(zip(seen, map(
-            GraphPoint, [ids[k] for k in self.sample_edge[seen].tolist()],
-            self.sample_offset[seen].tolist())))
-        return [made[q] for q in idx]
-
     @cached_property
     def points(self) -> tuple[GraphPoint, ...]:
         """Every sample as a GraphPoint, in sample order."""
-        return tuple(self.points_at(list(range(self.n))))
+        ids = self.graph.edge_ids
+        return tuple(map(GraphPoint,
+                         [ids[k] for k in self.sample_edge.tolist()],
+                         self.sample_offset.tolist()))
 
     def distances_to_point(self, p: GraphPoint) -> np.ndarray:
         """Exact intrinsic distance from every sample to the point."""

@@ -14,14 +14,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .graph import MetricGraph, as_positive, double_tree_walk
-from .trajectory import PathBuilder, TimedPath
+from .trajectory import PathBuilder, PathValidationError, TimedPath
 
 LADDER_TOL = 1e-9
 CLEAR_TOL = 1e-12
 STATION_PROBES = 10000  # probes one comb station may take before a refusal
 CYCLE_RUNS = 10 ** 6    # runs one cycle loop may take before a refusal
+STAR_EXCURSIONS = 10 ** 6   # excursion budget a star may plan before one
 
 
 class StrategyError(ValueError):
@@ -108,10 +112,14 @@ def _cascade_update(radii: dict, extents: dict, target: str,
                 f"probe duration {duration}")
     boost = (s - 1) * duration / 2
     for arm, r in radii.items():
+        # min(max(r - duration, ...), extent) as the builtins pick, which
+        # the star schedule runs once per excursion
         r -= duration
-        if arm == target:
-            r = max(r, boost)
-        radii[arm] = min(max(r, 0.0), extents[arm])
+        if arm == target and boost > r:
+            r = boost
+        if 0.0 > r:
+            r = 0.0
+        radii[arm] = extents[arm] if extents[arm] < r else r
     return radii[target] >= extents[target] - CLEAR_TOL
 
 
@@ -138,17 +146,52 @@ def _probe_depth(s: float, duration: float, limit: float) -> float:
     return min(s * duration / 2, limit)
 
 
-def _probe(pb: PathBuilder, hub: str, arm: str, start: float,
-           duration: float, limit: float) -> None:
-    """One excursion of the cascade: wait at the hub until `start`, then
-    walk along the arm to `_probe_depth` and back at the speed bound."""
-    s = pb.speed_bound
-    depth = _probe_depth(s, duration, limit)
-    pb.wait_until(start)
-    e = pb.graph.edge(arm)
-    near, far = (0.0, depth) if e.u == hub else (e.length, e.length - depth)
-    pb.move_runs([(arm, near, far)], depth / s)
-    pb.move_runs([(arm, far, near)], depth / s)
+def _probes(pb: PathBuilder, hub: str, arms, starts, durations,
+            limits) -> None:
+    """The excursions of a cascade from the hub, appended as columns: for
+    each arm, start, duration and limit, wait at the hub until the start,
+    then walk along the arm to `_probe_depth` and back at the speed bound.
+    The times are those of one `wait_until` and two `move_runs` each, and
+    a probe too short to leave the hub's offset is a wait, as `move_runs`
+    makes it."""
+    g, s, now = pb.graph, pb.speed_bound, pb.now
+    depart = []         # the builder's clock, one probe after the other
+    for start, duration, limit in zip(starts, durations, limits):
+        if start > now + 1e-15:
+            now = now + (start - now)
+        elif start < now - 1e-9:
+            raise PathValidationError(f"cannot wait until past time {start}")
+        depart.append(now)
+        leg = _probe_depth(s, duration, limit) / s
+        now = now + leg + leg
+    if not depart:
+        return
+    index = {a: g.edge_index(a) for a in set(arms)}
+    arm = np.fromiter(map(index.get, arms), np.int64, len(depart))
+    depth = np.minimum(s * np.array(durations) / 2, limits)
+    ln, depart = g.edge_table[2][arm], np.array(depart)
+    out = g.edge_table[0][arm] == g.vertex_rows[hub]    # the arm leaves at u
+    near, far = np.where(out, 0.0, ln), np.where(out, depth, ln - depth)
+    turn = depart + depth / s
+    back = turn + depth / s
+    moves, here = far != near, pb.position
+
+    def rows(*cols, dtype=float):   # each probe's rows, one after the other
+        out = np.empty((len(depart), len(cols)), dtype)
+        for i, col in enumerate(cols):
+            out[:, i] = col
+        return out.ravel()
+    waits = rows(depart > np.concatenate(([pb.now], back[:-1])), True, True,
+                 dtype=bool)
+    runs = rows(moves, moves, dtype=bool)
+    pb.extend(*(col[waits] for col in (
+        rows(depart, turn, back),
+        rows(np.concatenate(([g.edge_index(here.edge)], arm[:-1])), arm, arm,
+             dtype=np.int64),
+        rows(np.concatenate(([here.offset], near[:-1])), far, near),
+        rows(0, moves, moves, dtype=np.int64))), *(col[runs] for col in (
+            rows(arm, arm, dtype=np.int64), rows(near, far),
+            rows(far, near))))
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +251,12 @@ def build_star_schedule(g: MetricGraph, s: float,
     in the first excursion, before that arm is probed, raises
     StrategyError; every arm then clears at a probe of its own.
 
-    The clock of `star_strategy`'s PathBuilder is tracked with the
-    builder's own float operations.  Just above the threshold the
-    closed-form starts fall behind it, and the first start more than 1e-9
-    behind raises StrategyError before any path is built.
+    Just above the threshold the excursions grow slowly.  A plan whose
+    excursion budget, known before planning, is above STAR_EXCURSIONS
+    raises StrategyError at once.  The clock of `star_strategy`'s
+    PathBuilder is tracked with the builder's own float operations, and
+    the first closed-form start more than 1e-9 behind it raises
+    StrategyError before any path is built.
     """
     center, arms = _detect_star(g)
     k = len(arms)
@@ -237,12 +282,16 @@ def build_star_schedule(g: MetricGraph, s: float,
                 f"truncation {truncation} is too large for arm {arm!r} of "
                 f"length {extents[arm]}: the opening ladder's radius "
                 f"{radii[arm]} would clear it before any probe")
-    rotation = deque(cascade_arms)
-    excursions = []
-    clearings = []
     max_extent = max(extents.values())
     budget = (k - 1) * (math.ceil(math.log(max(2 * max_extent / ((s - 1) * d0),
                                                1.0)) / log_lam) + k + 2)
+    if budget > STAR_EXCURSIONS:
+        raise StrategyError(f"speed {s} is too close to the threshold "
+                            f"{2 * k - 3}: the cascade's budget of {budget} "
+                            f"excursions is above the limit of "
+                            f"{STAR_EXCURSIONS}")
+    rotation = deque(cascade_arms)
+    excursions, clearings = [], []
     j = 0
     while len(rotation) > 1:
         if j > budget:
@@ -251,14 +300,14 @@ def build_star_schedule(g: MetricGraph, s: float,
         target = rotation[0]
         rotation.rotate(-1)
         duration = d0 * lam ** j
-        start = phase1_end + d0 * lam ** j / (lam - 1)
+        start = phase1_end + duration / (lam - 1)
         if start < now - 1e-9:
             raise StrategyError(f"speed {s} is too close to the threshold "
                                 f"{2 * k - 3}: excursion start {start} "
                                 f"is behind the path's clock {now}")
         if start > now + 1e-15:
             now = now + (start - now)
-        leg = _probe_depth(s, duration, g.edge(target).length) / s
+        leg = _probe_depth(s, duration, extents[target]) / s
         now = now + leg + leg
         excursions.append((target, start, duration))
         if _cascade_update(radii, extents, target, duration, s):
@@ -283,11 +332,12 @@ def star_strategy(g: MetricGraph, s: float,
     truncation = _truncation(truncation, cascade_truncation(g))
     sched = build_star_schedule(g, s, truncation)
     pb = PathBuilder(g, sched.center, s)
-    _probe(pb, sched.center, sched.final_arm, 0.0, math.inf,
-           g.edge(sched.final_arm).length)     # the whole arm, out and back
-    for target, start, duration in sched.excursions:
-        _probe(pb, sched.center, target, start, duration,
-               g.edge(target).length)
+    # phase 1 walks the whole last arm out and back, then the cascade runs
+    arms, starts, durations = zip((sched.final_arm, 0.0, math.inf),
+                                  *sched.excursions)
+    lengths = dict(zip(g.edge_ids, g.edge_table[2].tolist()))
+    _probes(pb, sched.center, arms, starts, durations,
+            list(map(lengths.get, arms)))
     pb.move_to(g.leaf_end(sched.last_arm))
     return pb.build({"kind": "star", "lambda": sched.lam,
                      "truncation": truncation, "m_start": sched.m_start})
@@ -365,6 +415,7 @@ def comb_strategy(g: MetricGraph, s: float,
         elapsed = 0.0
         j = 0
         cleared = False
+        plan = []           # (arm, start, duration, limit) of each probe
         while not cleared:
             if j > STATION_PROBES:
                 raise StrategyError(
@@ -373,12 +424,13 @@ def comb_strategy(g: MetricGraph, s: float,
                     f"within the {STATION_PROBES}-probe station limit")
             target = tooth if j % 2 == 0 else spine
             duration = min(d0 * lam ** j, cap)
-            _probe(pb, v, target, station_start + elapsed, duration,
-                   extents[target])
+            plan.append((target, station_start + elapsed, duration,
+                         extents[target]))
             cleared = (_cascade_update(radii, extents, target, duration, s)
                        and target == tooth)  # a spine's far end stays open
             elapsed += duration
             j += 1
+        _probes(pb, v, *zip(*plan))
         pb.wait_until(station_start + elapsed)
         pb.move_to(nxt)
     pb.move_to(teeth[order[-1]].other(order[-1]))
@@ -411,14 +463,36 @@ def cycle_loop(g: MetricGraph, s: float, duration: float,
     if count > CYCLE_RUNS:
         raise StrategyError(f"cycle loop asks for {count:.6g} runs, above "
                             f"the limit of {CYCLE_RUNS}")
-    runs = []
-    walked = 0.0
+    pb = PathBuilder(g, start, s)
+    # the laps as columns, more than the loop walks: the runs before the
+    # first one it cuts or leaves out are whole, and it walks the rest
+    e, x0, x1 = (np.tile(col, int(total / g.total_length) + 2)
+                 for col in _run_columns(g, lap))
+    ln = np.abs(x1 - x0)
+    walked = np.concatenate([[0.0], np.cumsum(ln)])     # added one by one
+    whole = (walked[:-1] < total - 1e-12) & (ln <= total - walked[:-1])
+    m = int(np.argmin(np.append(whole, False)))
+    runs, walked = [], float(walked[m])
     while walked < total - 1e-12:
-        eid, x0, x1 = lap[len(runs) % len(lap)]
-        take = min(abs(x1 - x0), total - walked)
-        runs.append((eid, x0, x0 + math.copysign(take, x1 - x0)))
+        eid, a, b = lap[(m + len(runs)) % len(lap)]
+        take = min(abs(b - a), total - walked)
+        runs.append((eid, a, a + math.copysign(take, b - a)))
         walked += take
-    return PathBuilder(g, start, s).move_runs(runs, duration).build(metadata)
+    cut = _run_columns(g, runs)
+    e, x0, x1 = (np.concatenate([col[:m], rest]) for col, rest in zip(
+        (e, x0, x0 + np.copysign(ln, x1 - x0)), cut))
+    if not len(e):
+        return pb.wait(duration).build(metadata)
+    # move_runs' running sum, one by one, times every run from 0
+    acc = np.cumsum(np.abs(x1 - x0))
+    return pb.extend(duration * (acc / acc[-1]), e, x1, np.ones_like(e), e,
+                     x0, x1).build(metadata)
+
+
+def _run_columns(g: MetricGraph, runs):
+    """(edge id, x0, x1) runs as three arrays, edges by index."""
+    ids, x0, x1 = zip(*runs) if runs else ((), (), ())
+    return g.edge_indices(ids), np.array(x0, float), np.array(x1, float)
 
 
 def cycle_strategy(g: MetricGraph, s: float) -> TimedPath:
@@ -496,11 +570,11 @@ def _secure_schedule(g: MetricGraph, v: str, s: float, truncation: float):
 
 def _secure_into(pb: PathBuilder, v: str, plan) -> None:
     """Run a securing plan from v, probing each arm at most half its length."""
-    t = pb.now
-    for target, duration in plan:
-        _probe(pb, v, target, t, duration, pb.graph.edge(target).length / 2)
-        t += duration
-    pb.wait_until(t)
+    arms, durations = zip(*plan)
+    starts = list(accumulate(durations, initial=pb.now))
+    _probes(pb, v, arms, starts[:-1], durations,
+            [pb.graph.edge(a).length / 2 for a in arms])
+    pb.wait_until(starts[-1])
 
 
 def secure_vertex(g: MetricGraph, v: str, s: float,

@@ -12,8 +12,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,21 +28,49 @@ class PathValidationError(ValueError):
     """Raised when breakpoints, routes, and the speed bound are inconsistent."""
 
 
+def _real(x, what: str) -> float:
+    """x as a float by `as_number`'s rule, or PathValidationError naming it."""
+    try:
+        return as_number(x)
+    except (TypeError, OverflowError):
+        raise PathValidationError(f"{what}: {x!r} is not a number") from None
+
+
 def _reals(values, what: str) -> np.ndarray:
     """The values as a float array; the first that is no number by
     `as_number`'s rule raises PathValidationError naming it."""
     if any(not issubclass(t, float) for t in set(map(type, values))):
         for x in values:
-            try:
-                as_number(x)
-            except (TypeError, OverflowError):
-                raise PathValidationError(
-                    f"{what}: {x!r} is not a number") from None
+            _real(x, what)
     return np.array(values, dtype=float)
 
 
-@dataclass(frozen=True)
-class PieceTable:
+def _off_edge(g: MetricGraph, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Where offset x on edge index e fails clamp_point's test, which nan
+    and a negative index fail."""
+    length = g.edge_table[2]
+    return (e < 0) | ~((-GEOM_TOL <= x) & (x <= length[e] + GEOM_TOL))
+
+
+class PathColumns(NamedTuple):
+    """A path's breakpoints and runs as arrays, the primary form of a path.
+
+    Breakpoint i is at time t[i], at offset[i] on edge
+    `graph.edges[edge[i]]`.  Segment i, from breakpoint i to i + 1, walks
+    count[i] runs; the runs of all segments follow one another, run k
+    moving from x0[k] to x1[k] on edge run_edge[k].
+    """
+
+    t: np.ndarray
+    edge: np.ndarray
+    offset: np.ndarray
+    count: np.ndarray
+    run_edge: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+
+
+class PieceTable(NamedTuple):
     """Every constant-speed run of a path as arrays, in time order.
 
     Run k moves from offset x0[k] to x1[k] on edge `graph.edges[edge[k]]`
@@ -64,10 +93,13 @@ class PieceTable:
     seg_len: np.ndarray
 
 
-def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
-    """Check p's points, routes and speed bound, and time its runs, in one
-    array pass: the only walk over a path's routes that evaluation,
-    truncation, the length checks, the pieces and `min_clearance` use.
+def _piece_table(p: "TimedPath", given) -> PieceTable:
+    """Check p's columns against its graph and speed bound, and time its
+    runs, in one array pass: the only walk over a path's routes that
+    evaluation, truncation, the length checks, the pieces and
+    `min_clearance` use.  `given` holds the breakpoints and the runs, all
+    segments' in one list, as a caller passed them, or is None for
+    columns built in place; a refusal names a point or run as given.
 
     The order of the failures is a walk over the points (`clamp_point`),
     then segment by segment over each run (`clamp_point` on both offsets,
@@ -85,11 +117,8 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     along the segment, done per run count, and a segment of two or more
     runs takes its length from `math.fsum`.
     """
-    g = p.graph
+    g, c = p.graph, p.columns
     eu, ev, length = g.edge_table
-
-    def off_edge(e, x):         # clamp_point's test, which nan fails
-        return (e < 0) | ~((-GEOM_TOL <= x) & (x <= length[e] + GEOM_TOL))
 
     def vertex(e, x):           # point_vertex as a vertex row, or -1
         return np.where(x <= GEOM_TOL, eu[e],
@@ -100,27 +129,24 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
         return np.where((va >= 0) | (vb >= 0), va == vb,
                         (ea == eb) & (np.abs(xa - xb) <= GEOM_TOL))
 
-    pe = g.edge_indices([q.edge for q in p.points])
-    px = _reals([q.offset for q in p.points], "offsets")
-    bad = off_edge(pe, px)
-    if bad.any():
-        g.clamp_point(p.points[int(np.argmax(bad))])    # raises
+    def as_given():     # the points and the runs of all segments
+        return given or (p.points, [run for seg in p.routes for run in seg])
 
-    runs = [(eid, x0, x1) for seg in p.routes for eid, x0, x1 in seg]
-    ids, x0, x1 = zip(*runs) if runs else ((), (), ())
-    re, r0, r1 = (g.edge_indices(ids), _reals(x0, "offsets"),
-                  _reals(x1, "offsets"))
-    count = np.array([len(seg) for seg in p.routes], dtype=np.int64)
+    pe, px, t, count = c.edge, c.offset, c.t, c.count
+    bad = _off_edge(g, pe, px)
+    if bad.any():
+        g.clamp_point(as_given()[0][int(np.argmax(bad))])    # raises
+    re, r0, r1 = c.run_edge, c.x0, c.x1
     end = np.cumsum(count)
     head = end - count                  # each segment's first run
     seg = np.repeat(np.arange(len(count)), count)
     moved = count > 0
     # a run starts from its segment's breakpoint or the run before it
-    first = np.zeros(len(runs), dtype=bool)
+    first = np.zeros(len(re), dtype=bool)
     first[head[moved]] = True
     he = np.where(first, pe[seg], np.roll(re, 1))
     hx = np.where(first, px[seg], np.roll(r1, 1))
-    run_bad = off_edge(re, r0) | off_edge(re, r1)
+    run_bad = _off_edge(g, re, r0) | _off_edge(g, re, r1)
     broken = run_bad | ~same_point(he, hx, re, r0)
     # a segment ends at its last run's end or stays at its breakpoint
     ae, ax = pe[:-1].copy(), px[:-1].copy()
@@ -129,14 +155,14 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     ln = np.abs(r1 - r0)
     seg_len, acc = np.zeros(len(count)), np.zeros(len(ln))
     sizes = np.flatnonzero(np.bincount(count))     # run counts present
-    for c in sizes[sizes > 0].tolist():
-        segs = np.flatnonzero(count == c)
-        rows = head[segs, None] + np.arange(c)
+    for n in sizes[sizes > 0].tolist():
+        segs = np.flatnonzero(count == n)
+        rows = head[segs, None] + np.arange(n)
         walked = np.cumsum(ln[rows], axis=1)     # one by one along a row
         acc[rows[:, 1:]] = walked[:, :-1]
         # math.fsum of one length is itself; of more it is correctly
         # rounded, and it raises where their sum overflows
-        seg_len[segs] = (walked[:, -1] if c == 1 else
+        seg_len[segs] = (walked[:, -1] if n == 1 else
                          [math.fsum(row) for row in ln[rows].tolist()])
     a, b = t[:-1], t[1:]
     too_fast = seg_len > p.speed_bound * (b - a) + SPEED_TOL
@@ -145,11 +171,12 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     i = np.flatnonzero(missed | too_fast)
     if len(k) and (not len(i) or seg[k[0]] <= i[0]):
         k, i = int(k[0]), int(seg[k[0]])
+        points, runs = as_given()
         eid, o0, o1 = runs[k]
         if run_bad[k]:
             g.clamp_point(GraphPoint(eid, o0))
             g.clamp_point(GraphPoint(eid, o1))
-        here = p.points[i] if first[k] else GraphPoint(ids[k - 1], x1[k - 1])
+        here = points[i] if first[k] else GraphPoint(*runs[k - 1][::2])
         raise PathValidationError(
             f"route of segment {i} breaks continuity at {here}")
     if len(i):
@@ -179,50 +206,101 @@ def _piece_table(p: "TimedPath", t: np.ndarray) -> PieceTable:
     return PieceTable(*cols, p.duration, seg_len)
 
 
-@dataclass(frozen=True, eq=False)
 class TimedPath:
     """An s-Lipschitz trajectory given by timed breakpoints and edge runs.
 
     `times` is strictly increasing and starts at 0.  `routes[i]` records the
     sub-path walked between breakpoints i and i+1 as contiguous
     (edge id, start offset, end offset) runs; an empty tuple is a wait.
-    Instances are immutable and safe to evaluate concurrently.  `table`
-    holds the runs as the piece table that validation times.
+    A path is kept as `columns`; `times`, `points` and `routes` are tuple
+    views of them built on first use.  `table` holds the runs as the piece
+    table that validation times.  Instances are not to be changed, and are
+    safe to evaluate concurrently.
     """
 
-    graph: MetricGraph
-    times: tuple[float, ...]
-    points: tuple[GraphPoint, ...]
-    routes: tuple[tuple[tuple[str, float, float], ...], ...]
-    speed_bound: float
-    metadata: dict = field(default_factory=dict)
-    table: PieceTable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.times) == 0:
+    def __init__(self, graph: MetricGraph, times, points, routes,
+                 speed_bound: float, metadata: dict | None = None):
+        """A path of tuples of times, GraphPoints and runs, read into
+        columns once and validated as `from_columns` validates them."""
+        if len(times) == 0:
             raise PathValidationError("a path needs at least one breakpoint")
-        if len(self.points) != len(self.times):
+        if len(points) != len(times):
             raise PathValidationError("breakpoint times and positions differ in count")
-        if len(self.routes) != len(self.times) - 1:
+        if len(routes) != len(times) - 1:
             raise PathValidationError("need exactly one route per breakpoint gap")
-        t = _reals(self.times, "times")
-        if not abs(self.times[0]) <= 1e-12:
-            raise PathValidationError(f"paths start at time 0, got {self.times[0]}")
-        if not _reals([self.speed_bound], "speed bound")[0] >= 0:
+        runs = [(eid, x0, x1) for seg in routes for eid, x0, x1 in seg]
+        ids, x0, x1 = zip(*runs) if runs else ((), (), ())
+        columns = PathColumns(
+            _reals(times, "times"),
+            graph.edge_indices([q.edge for q in points]),
+            _reals([q.offset for q in points], "offsets"),
+            np.array([len(seg) for seg in routes], dtype=np.int64),
+            graph.edge_indices(ids), _reals(x0, "offsets"),
+            _reals(x1, "offsets"))
+        self._init(graph, columns, speed_bound, metadata, (points, runs))
+
+    @classmethod
+    def from_columns(cls, graph: MetricGraph, columns: PathColumns,
+                     speed_bound: float,
+                     metadata: dict | None = None) -> "TimedPath":
+        """A path of columns whose edge indices all name edges of graph."""
+        p = cls.__new__(cls)
+        p._init(graph, columns, speed_bound, metadata, None)
+        return p
+
+    def _init(self, graph, columns, speed_bound, metadata, given):
+        """Check the times and the speed bound, then keep the columns
+        and time them into `table`, which checks the rest."""
+        t = columns.t
+        if not abs(t[0]) <= 1e-12:
+            raise PathValidationError(
+                f"paths start at time 0, got {float(t[0])}")
+        if not _reals([speed_bound], "speed bound")[0] >= 0:
             raise PathValidationError("speed bound must be nonnegative")
         late = ~(t[1:] > t[:-1])
         if late.any():
             i = int(np.argmax(late))
-            a, b = self.times[i], self.times[i + 1]
-            raise PathValidationError(f"times must strictly increase ({a} -> {b})")
-        if not math.isfinite(self.times[-1]):
-            raise PathValidationError(f"paths end at a finite time, got {self.times[-1]}")
+            raise PathValidationError(f"times must strictly increase "
+                                      f"({float(t[i])} -> {float(t[i + 1])})")
+        if not math.isfinite(t[-1]):
+            raise PathValidationError(
+                f"paths end at a finite time, got {float(t[-1])}")
+        self.graph, self.columns = graph, columns
+        self.speed_bound = speed_bound
+        self.metadata = {} if metadata is None else metadata
+        self.duration = float(columns.t[-1])
         with np.errstate(all="ignore"):     # values after a failure may be nan
-            object.__setattr__(self, "table", _piece_table(self, t))
+            self.table = _piece_table(self, given)
 
-    @property
-    def duration(self) -> float:
-        return self.times[-1]
+    @cached_property
+    def times(self) -> tuple[float, ...]:
+        return tuple(self.columns.t.tolist())
+
+    @cached_property
+    def points(self) -> tuple[GraphPoint, ...]:
+        ids = self.graph.edge_ids
+        return tuple(map(GraphPoint,
+                         [ids[k] for k in self.columns.edge.tolist()],
+                         self.columns.offset.tolist()))
+
+    @cached_property
+    def routes(self) -> tuple[tuple[tuple[str, float, float], ...], ...]:
+        c, ids = self.columns, self.graph.edge_ids
+        runs = list(zip([ids[k] for k in c.run_edge.tolist()], c.x0.tolist(),
+                        c.x1.tolist()))
+        ends = np.cumsum(c.count).tolist()
+        return tuple(tuple(runs[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+    def __repr__(self):
+        return (f"TimedPath(graph={self.graph!r}, times={self.times!r}, "
+                f"points={self.points!r}, routes={self.routes!r}, "
+                f"speed_bound={self.speed_bound!r}, "
+                f"metadata={self.metadata!r})")
+
+    def point(self, i: int) -> GraphPoint:
+        """Breakpoint i as a GraphPoint, read from the columns."""
+        c = self.columns
+        return GraphPoint(self.graph.edge_ids[c.edge[i]], float(c.offset[i]))
 
     def _row(self, t: float) -> int:
         """The row of `table` that holds time t: the last one starting
@@ -235,13 +313,13 @@ class TimedPath:
         row's span."""
         if not -1e-9 <= t <= self.duration + 1e-9:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
-        if len(self.times) == 1:
-            return self.points[0]
+        if len(self.columns.t) == 1:
+            return self.point(0)
         tab, k = self.table, self._row(t)
         t = min(max(t, tab.start[k]), tab.stop[k])
         ra, rb, x0, x1 = (tab.run_start[k], tab.run_end[k], tab.x0[k],
                           tab.x1[k])
-        return GraphPoint(self.graph.edges[tab.edge[k]].id,
+        return GraphPoint(self.graph.edge_ids[tab.edge[k]],
                           float(x0 + (x1 - x0) * (t - ra) / (rb - ra)))
 
 
@@ -251,7 +329,16 @@ class TimedPath:
 
 class PathBuilder:
     """Incrementally assemble a TimedPath starting at time 0.  The speed
-    bound may be inf, a bound that every motion meets."""
+    bound may be inf, a bound that every motion meets.
+
+    The path grows as plain columns: the list `times`, and the other
+    columns of `PathColumns` as lists that single moves append to and
+    arrays that `extend` adds whole.  An edge id that names no edge, or an
+    offset that is no number by `as_number`'s rule, is refused where it is
+    passed in.  `build` snaps every breakpoint within GEOM_TOL of its edge
+    onto it, as `clamp_point` does, and leaves the rest for TimedPath to
+    refuse.
+    """
 
     def __init__(self, graph: MetricGraph, start, speed_bound: float):
         if isinstance(start, str):
@@ -262,8 +349,11 @@ class PathBuilder:
             raise PathValidationError(
                 f"speed bound must be nonnegative, got {speed_bound}")
         self.times = [0.0]
-        self.points = [graph.clamp_point(start)]
-        self.routes: list[tuple] = []
+        self._here = (graph.edge_index(start.edge),
+                      _real(start.offset, "offsets"))
+        # the columns after `times`: lists of single moves, then arrays
+        self._rows = ([self._here[0]], [self._here[1]], [], [], [], [])
+        self._chunks = []
 
     @property
     def now(self) -> float:
@@ -271,13 +361,15 @@ class PathBuilder:
 
     @property
     def position(self) -> GraphPoint:
-        return self.points[-1]
+        """The last breakpoint, snapped onto its edge as `build` snaps it."""
+        e = self.graph.edges[self._here[0]]
+        return GraphPoint(e.id, min(max(self._here[1], 0.0), e.length))
 
     def wait(self, duration: float) -> "PathBuilder":
         duration = as_positive(duration, "wait duration", PathValidationError)
         self.times.append(self.now + duration)
-        self.points.append(self.position)
-        self.routes.append(())
+        for column, value in zip(self._rows, (*self._here, 0)):
+            column.append(value)
         return self
 
     def wait_until(self, t: float) -> "PathBuilder":
@@ -291,10 +383,13 @@ class PathBuilder:
         """Walk explicit (edge id, x0, x1) runs over the given duration.
 
         The motion is constant-speed; each run becomes its own breakpoint
-        segment so that serialized routes stay unambiguous.
+        segment so that serialized routes stay unambiguous.  Runs of no
+        length are left out.
         """
-        runs = tuple((eid, float(x0), float(x1)) for eid, x0, x1 in runs
-                     if abs(x1 - x0) > 0)
+        index = self.graph.edge_index
+        runs = [(index(eid), _real(x0, "offsets"), _real(x1, "offsets"))
+                for eid, x0, x1 in runs]
+        runs = [run for run in runs if abs(run[2] - run[1]) > 0]
         duration = as_positive(duration, "duration", PathValidationError)
         if not runs:
             return self.wait(duration)
@@ -302,11 +397,28 @@ class PathBuilder:
         # one plain running sum times every run, so the last quotient is
         # exactly 1 and the last run ends at t_start + duration
         acc = list(accumulate(abs(x1 - x0) for _, x0, x1 in runs))
-        for (eid, x0, x1), a in zip(runs, acc):
-            self.times.append(t_start + duration * (a / acc[-1]))
-            self.points.append(self.graph.clamp_point(GraphPoint(eid, x1)))
-            self.routes.append(((eid, x0, x1),))
+        self.times += [t_start + duration * (a / acc[-1]) for a in acc]
+        e, x0, x1 = zip(*runs)
+        for column, values in zip(self._rows, (e, x1, [1] * len(e), e, x0,
+                                               x1)):
+            column.extend(values)
+        self._here = (e[-1], x1[-1])
         return self
+
+    def extend(self, times, *columns) -> "PathBuilder":
+        """Append breakpoints, each with the segment that reaches it, as
+        arrays: times, then the other columns of `PathColumns`."""
+        if len(times):
+            self.times += times.tolist()
+            self._chunks += self._arrays(), columns
+            self._here = (int(columns[0][-1]), float(columns[1][-1]))
+        return self
+
+    def _arrays(self) -> tuple:
+        """The single moves not yet in `_chunks`, as arrays."""
+        rows, self._rows = self._rows, ([], [], [], [], [], [])
+        return tuple(np.array(r, dtype=np.int64 if i in (0, 2, 3) else float)
+                     for i, r in enumerate(rows))
 
     def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":
         """Move along a shortest path to `target` (vertex id or point) at
@@ -319,9 +431,16 @@ class PathBuilder:
         return self if length == 0 else self.move_runs(runs, length / v)
 
     def build(self, metadata: dict | None = None) -> TimedPath:
-        return TimedPath(self.graph, tuple(self.times), tuple(self.points),
-                         tuple(self.routes), self.speed_bound,
-                         dict(metadata or {}))
+        g = self.graph
+        edge, x, *runs = map(np.concatenate,
+                             zip(*self._chunks, self._arrays()))
+        self._chunks = [(edge, x, *runs)]
+        # clamp_point's snap, where its test passes
+        x = np.where(_off_edge(g, edge, x), x,
+                     np.minimum(np.maximum(x, 0.0), g.edge_table[2][edge]))
+        return TimedPath.from_columns(
+            g, PathColumns(np.array(self.times), edge, x, *runs),
+            self.speed_bound, dict(metadata or {}))
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +451,7 @@ def check_lipschitz(p: TimedPath, s: float) -> bool:
     """True iff every segment's length is at most s times its duration
     plus SPEED_TOL; never for s = nan."""
     return not math.isnan(s) and bool(
-        np.all(p.table.seg_len <= s * np.diff(p.times) + SPEED_TOL))
+        np.all(p.table.seg_len <= s * np.diff(p.columns.t) + SPEED_TOL))
 
 
 def total_variation(p: TimedPath) -> float:
@@ -446,8 +565,8 @@ def path_pieces(p: TimedPath, t0: float, t1: float):
     """
     t0 = max(t0, 0.0)
     t1 = min(t1, p.duration)
-    if t1 <= t0 or len(p.times) == 1:
-        q = p.evaluate(t0) if len(p.times) > 1 else p.points[0]
+    if t1 <= t0 or len(p.columns.t) == 1:
+        q = p.evaluate(t0) if len(p.columns.t) > 1 else p.point(0)
         return [(t0, t1, q.edge, q.offset, q.offset)]
     tab = p.table
     pieces = []
@@ -460,7 +579,7 @@ def path_pieces(p: TimedPath, t0: float, t1: float):
             continue
         xa = x0 + (x1 - x0) * (ca - ra) / (rb - ra)
         xb = x0 + (x1 - x0) * (cb - ra) / (rb - ra)
-        pieces.append((ca, cb, p.graph.edges[k].id, xa, xb))
+        pieces.append((ca, cb, p.graph.edge_ids[k], xa, xb))
     return pieces
 
 
@@ -677,33 +796,36 @@ def path_chunks(p: TimedPath):
     """The text of `json.dumps(path_to_dict(p), indent=2, sort_keys=True)`
     in pieces, each of at most JSON_CHUNK breakpoints or routes.
 
-    The values are read from p's own columns and encoded a column at a
-    time by `_json_texts`, so no document is built and no more than a
-    piece of the text is held at once.  The pieces render the path at top
-    level; with two more spaces after each of their newlines, they render
-    it as a value one level down, as `verifier.save_report` nests it.
+    The values are read from p's columns and encoded a column at a time
+    by `_json_texts`, so no document is built and no more than a piece of
+    the text is held at once.  The pieces render the path at top level;
+    with two more spaces after each of their newlines, they render it as
+    a value one level down, as `verifier.save_report` nests it.
     """
+    c, ids, pad = p.columns, p.graph.edge_ids, "      "
     sep = ",\n    "
     row = '{{\n      "edge": {},\n      "offset": {},\n      "t": {}\n    }}'
-    for a in range(0, len(p.times), JSON_CHUNK):
-        points = p.points[a:a + JSON_CHUNK]
+    for a in range(0, len(c.t), JSON_CHUNK):
+        b = a + JSON_CHUNK
         rows = map(row.format,
-                   _json_texts([q.edge for q in points], "      "),
-                   _json_texts([q.offset for q in points], "      "),
-                   _json_texts(p.times[a:a + JSON_CHUNK], "      "))
+                   _json_texts([ids[k] for k in c.edge[a:b].tolist()], pad),
+                   _json_texts(c.offset[a:b].tolist(), pad),
+                   _json_texts(c.t[a:b].tolist(), pad))
         yield ('{\n  "breakpoints": [\n    ' if a == 0 else sep) + \
             sep.join(rows)
     yield "\n  ]"
     if p.metadata:
         yield ',\n  "metadata": ' + _json_text(dict(p.metadata), "  ")
-    for a in range(0, len(p.routes), JSON_CHUNK):
-        routes = p.routes[a:a + JSON_CHUNK]
-        ids = iter(_json_texts([eid for runs in routes for eid, _, _ in runs],
-                               "      "))
+    counts = c.count.tolist()
+    ends = np.cumsum([0] + counts).tolist()
+    for a in range(0, len(counts), JSON_CHUNK):
+        b = min(a + JSON_CHUNK, len(counts))
+        names = iter(_json_texts(
+            [ids[k] for k in c.run_edge[ends[a]:ends[b]].tolist()], pad))
         yield (',\n  "routes": [\n    ' if a == 0 else sep) + sep.join(
-            "[\n      " + ",\n      ".join(islice(ids, len(runs))) + "\n    ]"
-            if runs else "[]" for runs in routes)
-    yield "\n  ]" if p.routes else ',\n  "routes": []'
+            "[\n      " + ",\n      ".join(islice(names, n)) + "\n    ]"
+            if n else "[]" for n in counts[a:b])
+    yield "\n  ]" if counts else ',\n  "routes": []'
     yield f',\n  "speed": {_json_text(p.speed_bound, "  ")}\n}}'
 
 

@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (GEOM_TOL, DiscretizedGraph, MetricGraph, as_positive,
-                    discretize, interval_count)
-from .trajectory import (PieceTable, TimedPath, clip_pieces, min_clearance,
-                         path_chunks, path_pieces, path_to_dict)
+from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
+                    as_positive, discretize, interval_count)
+from .trajectory import (PathColumns, PieceTable, TimedPath, clip_pieces,
+                         min_clearance, path_chunks, path_pieces,
+                         path_to_dict)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -288,9 +289,9 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
     dead runs (`runs_within`), and some predecessor was alive and kept.
     The mask is cut to the kept slots, ORed with its shifts over the band
     and with the junction targets of its alive sources (ORed by source
-    when those change), and cut again.  A block is read as one stream in
-    step order: each step's (slot, count) runs, then (j + 1, 0), which
-    plays step j."""
+    once for each set of them, of which the last SWEEP_STEPS or fewer are
+    kept), and cut again.  A block is read as one stream in step order:
+    each step's (slot, count) runs, then (j + 1, 0), which plays step j."""
     groups = {}
     for s, t in zip(reach.junction_src.tolist(), reach.junction_dst.tolist()):
         groups[1 << s] = groups.get(1 << s, 0) | 1 << t
@@ -298,6 +299,7 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
     shifts = tuple(range(1, reach.width + 1))
     full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
     seen = jump = dead = 0
+    jumps = {}          # the junction targets of each alive source set
     if not alive:
         return 0, alive
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
@@ -315,10 +317,16 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
             for d in shifts:
                 out |= (alive << d) | (alive >> d)
             if alive & sources != seen:
-                seen, jump = alive & sources, 0
-                for bit, targets in groups.items():
-                    if seen & bit:
-                        jump |= targets
+                seen = alive & sources
+                jump = jumps.get(seen)
+                if jump is None:
+                    if len(jumps) > SWEEP_STEPS:    # a bound on its memory
+                        jumps.clear()
+                    jump = 0
+                    for bit, targets in groups.items():
+                        if seen & bit:
+                            jump |= targets
+                    jumps[seen] = jump
             alive = (out | jump) & keep
             if not alive:
                 return s, alive
@@ -557,7 +565,7 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
 
     reach = build_reach(grid, tau + REACH_SLACK)
     score = np.full(reach.n_slots, -np.inf)
-    score[reach.slot] = grid.distances_to_point(cop.points[0])
+    score[reach.slot] = grid.distances_to_point(cop.point(0))
     j, alive = _play(grid, reach, cop.table, tau, n_steps, eps, score)
     if not alive:
         return result("capture", min(j * tau, cop.duration))
@@ -622,28 +630,40 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
             q = src[i]
             idx.append(q)
     idx.reverse()
-    points = grid.points_at(idx)
-    times = tuple(j * tau for j in range(n_steps)) + (cop.duration,)
-    return TimedPath(grid.graph, times, tuple(points),
-                     _witness_runs(grid, idx, points), 1.0,
-                     {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
+    times = np.append(np.arange(n_steps) * tau, cop.duration)
+    return TimedPath.from_columns(grid.graph, PathColumns(
+        times, grid.sample_edge[idx], grid.sample_offset[idx],
+        *_witness_runs(grid, idx)), 1.0,
+        {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
 
 
-def _witness_runs(grid: DiscretizedGraph, idx: list, points: list) -> tuple:
+def _witness_runs(grid: DiscretizedGraph, idx: list):
     """The runs of `route(a, b)` for each step a -> b of the samples idx,
-    whose GraphPoints are points.  A step within one edge whose direct run
-    is no longer than `legs` gets the direct run that route's tie rule
-    picks (none if it is at most GEOM_TOL long, as route drops it); only
-    the other steps call route."""
+    as the columns (count, run_edge, x0, x1) of `PathColumns`.  A step
+    within one edge whose direct run is no longer than `legs` gets the
+    direct run that route's tie rule picks (none if it is at most
+    GEOM_TOL long, as route drops it); only the other steps call route."""
+    g = grid.graph
     e, x = grid.sample_edge[idx], grid.sample_offset[idx]
     direct = np.abs(x[:-1] - x[1:])
-    short = (e[:-1] == e[1:]) & (
-        direct <= grid.graph.legs(e[:-1], x[:-1], e[1:], x[1:]))
-    return tuple(
-        grid.graph.route(a, b)[1] if not ok
-        else ((a.edge, a.offset, b.offset),) if moves else ()
-        for a, b, ok, moves in zip(points, points[1:], short.tolist(),
-                                   (direct > GEOM_TOL).tolist()))
+    short = (e[:-1] == e[1:]) & (direct <= g.legs(e[:-1], x[:-1], e[1:],
+                                                   x[1:]))
+    count = (short & (direct > GEOM_TOL)).astype(np.int64)
+    routed = np.flatnonzero(~short).tolist()
+    el, xl, ids = e.tolist(), x.tolist(), g.edge_ids
+    runs = [g.route(GraphPoint(ids[el[i]], xl[i]),
+                    GraphPoint(ids[el[i + 1]], xl[i + 1]))[1] for i in routed]
+    count[routed] = [len(r) for r in runs]
+    # a step's run is the step itself, or its routed runs written over it
+    run_edge, x0, x1 = (np.repeat(col, count)
+                        for col in (e[:-1], x[:-1], x[1:]))
+    flat = [run for r in runs for run in r]
+    if flat:
+        head = np.cumsum(count)[routed] - count[routed]
+        _, at = _flat_ranges(head, head + count[routed])
+        names, a, b = zip(*flat)
+        run_edge[at], x0[at], x1[at] = g.edge_indices(names), a, b
+    return count, run_edge, x0, x1
 
 
 def continuous_clearance(cop: TimedPath, evader: TimedPath) -> float:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -290,15 +291,23 @@ def test_star_rejections():
 
 
 def test_near_threshold_star_refused_before_building(monkeypatch):
-    # the schedule tracks the builder's clock, so no path is started: at
-    # 3.000001 the 39th start is behind it, which the builder alone
-    # noticed only after planning every excursion (about 20 s)
+    # the excursion budget is known before planning: star(3, 0.5) asks for
+    # 1,842,084 excursions at 3.00001 and 18,420,698 at 3.000001, above
+    # STAR_EXCURSIONS, and is refused at once (planning 3.00001 took 1.8 s)
     def no_builder(*args, **kwargs):
         raise AssertionError("a path was built")
     monkeypatch.setattr(strategies, "PathBuilder", no_builder)
+    for s, budget in ((3.00001, 1842084), (3.000001, 18420698)):
+        began = time.perf_counter()
+        with pytest.raises(StrategyError, match=f"too close to the threshold "
+                           f"3: the cascade's budget of {budget} excursions"):
+            star_strategy(star(3, 0.5), s)
+        assert time.perf_counter() - began < 0.01
+    # within the budget, the schedule tracks the builder's clock, so a
+    # start behind it is refused before any path is started
     with pytest.raises(StrategyError, match="behind the path's clock"):
-        star_strategy(star(3), 3.000001, 0.1)
-    with pytest.raises(StrategyError, match="behind the path's clock"):
+        build_star_schedule(star(3), 3.00002, 0.1)
+    with pytest.raises(StrategyError, match="budget of 921035"):
         build_star_schedule(star(3), 3.000001, 0.1)
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -91,6 +92,166 @@ def test_builder_refuses_a_bad_speed_bound_at_the_call(bound):
     # an infinite bound is a valid declaration, as in TimedPath
     assert PathBuilder(unit_path(), "a", math.inf).wait(1.0).build() \
         .speed_bound == math.inf
+
+
+@pytest.mark.parametrize("run, value", [
+    (("e0", False, True), False), (("e0", 0.0, "1"), "1")],
+    ids=["bool", "string"])
+def test_move_runs_reads_offsets_by_the_number_rule(run, value):
+    # float() once read (False, True) as a run from 0.0 to 1.0, and a
+    # string as a bare TypeError
+    pb = PathBuilder(unit_path(), "a", 1.0)
+    with pytest.raises(PathValidationError,
+                       match=re.escape(f"offsets: {value!r} is not a number")):
+        pb.move_runs([run], 1.0)
+    assert pb.times == [0.0]        # nothing was appended
+
+
+def test_builder_refuses_a_bool_start_offset_at_the_call():
+    with pytest.raises(PathValidationError,
+                       match="offsets: True is not a number"):
+        PathBuilder(unit_path(), GraphPoint("e0", True), 1.0)
+
+
+def _snap(g, eid, x):
+    """clamp_point's snap of offset x onto edge eid, or x where it fails."""
+    try:
+        return g.clamp_point(GraphPoint(eid, x)).offset
+    except (GraphValidationError, TypeError):
+        return x
+
+
+@st.composite
+def builder_programs(draw):
+    """A random graph with loops and parallel edges, and a PathBuilder
+    program on it (waits, waits until a time, moves along one to three
+    runs and moves to a point), with the tuples `build` must equal: the
+    builder's moves taken one by one as scalars.  The last step may hold
+    one bad input: an edge id that names no edge, an offset off its edge
+    by more than GEOM_TOL, or a bool or string offset."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
+
+    def point():
+        e = rng.choice(g.edges)
+        return GraphPoint(e.id, rng.choice([0.0, e.length, -0.5e-9,
+                                            e.length + 0.5e-9,
+                                            rng.uniform(0, e.length)]))
+
+    start, speed = point(), rng.uniform(0.5, 4.0)
+    times, points, routes, steps = [0.0], [g.clamp_point(start)], [], []
+
+    def move(runs, duration):
+        runs = [r for r in runs if abs(r[2] - r[1]) > 0]
+        if not runs:
+            wait(duration)
+            return
+        t0 = times[-1]
+        acc = list(accumulate(abs(x1 - x0) for _, x0, x1 in runs))
+        for (eid, x0, x1), a in zip(runs, acc):
+            times.append(t0 + duration * (a / acc[-1]))
+            points.append(GraphPoint(eid, _snap(g, eid, x1)))
+            routes.append(((eid, x0, x1),))
+
+    def wait(duration):
+        times.append(times[-1] + duration)
+        points.append(points[-1])
+        routes.append(())
+
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice(["wait", "wait_until", "runs", "to"])
+        t0 = times[-1]
+        here = g.clamp_point(points[-1])
+        if kind == "wait":
+            d = rng.uniform(0.01, 2.0)
+            steps.append(("wait", (d,)))
+            wait(d)
+        elif kind == "wait_until":
+            t = t0 + rng.choice([0.0, 1e-16, rng.uniform(0.01, 2.0)])
+            steps.append(("wait_until", (t,)))
+            if t > t0 + 1e-15:
+                wait(t - t0)
+        elif kind == "to":
+            q, v = point(), rng.uniform(0.1, speed)
+            steps.append(("move_to", (q,), {"speed": v}))
+            length, runs = g.route(here, q)
+            if length:
+                move(runs, length / v)
+        else:
+            # one to three runs along a route, sometimes padded with a run
+            # of no length, at any duration the bound allows
+            q = point()
+            runs = list(g.route(here, q)[1])[:3] or [
+                (here.edge, here.offset, here.offset)]
+            if len(runs) < 3 and rng.random() < 0.3:
+                runs.append((runs[-1][0], runs[-1][2], runs[-1][2]))
+            d = sum(abs(x1 - x0) for _, x0, x1 in runs) / speed + \
+                rng.choice([0.0, rng.uniform(0.01, 1.0)]) + 1e-3
+            steps.append(("move_runs", (runs, d)))
+            move(runs, d)
+    if rng.random() < 0.4:
+        e = rng.choice(g.edges)
+        x, fault = rng.uniform(0, e.length), rng.choice(
+            ["edge", "far", "near", "bool", "string"])
+        bad = {"edge": ("nope", 0.0, x),
+               "far": (e.id, x, e.length + rng.choice([2e-9, 0.5])),
+               "near": (e.id, -rng.choice([2e-9, 0.5]), x),
+               "bool": (e.id, rng.choice([True, False]), x),
+               "string": (e.id, x, "0.5")}[fault]
+        steps.append(("move_runs", ([bad], 1.0)))
+        times.append(times[-1] + 1.0)
+        points.append(GraphPoint(bad[0], bad[2] if fault in ("string", "edge")
+                                 else _snap(g, bad[0], bad[2])))
+        routes.append((bad,))
+    return g, start, speed, steps, (times, points, routes)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except Exception as exc:        # noqa: BLE001 - any type must match
+        return type(exc), str(exc)
+
+
+def test_builder_matches_paths_built_from_tuples():
+    # a built path's times, points, routes, piece table and file text are
+    # those of TimedPath on the tuples the scalar moves give, and a bad
+    # input is refused alike on both routes
+    seen = {"ok": 0, "refused": 0, "wait": 0, "multi": 0}
+
+    def run(g, start, speed, steps):
+        pb = PathBuilder(g, start, speed)
+        for name, args, *kwargs in steps:
+            getattr(pb, name)(*args, **(kwargs[0] if kwargs else {}))
+        return pb.build({"kind": "program"})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(builder_programs())
+    def check(case):
+        g, start, speed, steps, (times, points, routes) = case
+        got = _outcome(lambda: run(g, start, speed, steps))
+        want = _outcome(lambda: TimedPath(g, tuple(times), tuple(points),
+                                          tuple(routes), float(speed),
+                                          {"kind": "program"}))
+        if isinstance(want, tuple):
+            assert got == want
+            seen["refused"] += 1
+            return
+        assert (got.times, got.points, got.routes) == \
+            (want.times, want.points, want.routes)
+        assert repr((got.times, got.points, got.routes)) == \
+            repr((want.times, want.points, want.routes))
+        for name in PieceTable._fields:
+            a, b = getattr(got.table, name), getattr(want.table, name)
+            assert repr(a) == repr(b) if name == "duration" else \
+                a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert "".join(path_chunks(got)) == "".join(path_chunks(want))
+        seen["ok"] += 1
+        seen["wait"] += () in got.routes
+        seen["multi"] += len(got.times) > 3
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 def test_speed_validation():
@@ -492,7 +653,7 @@ def scalar_piece_table(p):
 
 def _assert_same_table(p):
     got, want = p.table, scalar_piece_table(p)
-    for name in PieceTable.__dataclass_fields__:
+    for name in PieceTable._fields:
         a, b = getattr(got, name), getattr(want, name)
         if name == "duration":
             assert repr(a) == repr(b)
@@ -816,7 +977,7 @@ def written_paths(draw):
 def test_write_json_is_json_dumps():
     # the path writer gives json.dumps' bytes for path_to_dict, at most
     # JSON_CHUNK breakpoints or routes a piece
-    seen = {"int": 0, "float": 0, "nested": 0, "nonfinite": 0,
+    seen = {"float": 0, "nested": 0, "nonfinite": 0,
             "nonascii": 0, "wait": 0, "multi": 0, "single": 0, "long": 0}
 
     @settings(max_examples=150, deadline=None)
@@ -829,7 +990,8 @@ def test_write_json_is_json_dumps():
                    for c in chunks)
         values = list(p.times) + [q.offset for q in p.points]
         meta = json.dumps(p.metadata, ensure_ascii=False)
-        seen["int"] += int in map(type, values)
+        # a path's columns are floats: int times and offsets read as floats
+        assert set(map(type, values)) == {float}
         seen["float"] += float in map(type, values)
         seen["nested"] += any(type(v) in (list, dict) and v
                               for v in p.metadata.values())
