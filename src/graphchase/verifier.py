@@ -11,6 +11,12 @@ a continuous unit-speed evader may sit between samples and outrun them
 where the spacing is below tau, and the evaders of the four strict xfails
 in tests/test_verifier.py are such misses (ROADMAP item 1).
 
+The step relation is the runs of samples within one evader step of each
+sample (`build_reach`), and the games play it as a plan read off those
+runs: a band of fixed half-width over the slots and a short junction list.
+Only a witness backtrack reads the relation as a list of pairs, which is
+derived from the runs when first read.
+
 Every verdict, a capture at time 0 included, is decided by a boolean game over
 which samples are alive from the start on.  It needs only the runs of grid
 cells within eps of the cop: its alive mask and each step's dead cells are
@@ -26,6 +32,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +70,37 @@ class GameMismatchError(RuntimeError):
 # evader step structure
 # ----------------------------------------------------------------------
 
-def runs_within(grid: DiscretizedGraph, rows, edges, lo, hi, eps: float):
-    """The cells at most eps of the rows `distances_to_interval_rows`
+class VertexCells(NamedTuple):
+    """What `runs_within` needs of a grid at threshold eps, built once per
+    game: for each vertex w, the candidates c within eps of w,
+    `cand[heads[w]:heads[w + 1]]` in ascending c, and each one's distance
+    from w, `base`.  A candidate is a vertex sample (c < n_vert) or, at
+    c - n_vert in `ends`, the u end and then the v end of each edge with
+    interior samples, at the vertex distance of that end."""
+
+    grid: DiscretizedGraph
+    eps: float
+    heads: np.ndarray
+    cand: np.ndarray
+    base: np.ndarray
+    ends: np.ndarray
+
+
+def vertex_cells(grid: DiscretizedGraph, eps: float) -> VertexCells:
+    """The `VertexCells` of grid at eps."""
+    dist, vv = grid.vertex_sample_dist, grid.graph.vertex_distance_matrix
+    eu, ev, _ = grid.graph.edge_table
+    inner = np.flatnonzero(grid.edge_intervals - 1)
+    near = np.hstack([dist[:, :len(dist)], vv[:, eu[inner]],
+                      vv[:, ev[inner]]])
+    w, cand = np.nonzero(near <= eps)
+    heads = np.searchsorted(w, np.arange(len(dist) + 1))
+    return VertexCells(grid, eps, heads, cand, near[w, cand],
+                       np.tile(inner, 2))
+
+
+def runs_within(cells: VertexCells, rows, edges, lo, hi):
+    """The cells at most `cells.eps` of the rows `distances_to_interval_rows`
     fills, in sample order, as runs of consecutive samples: arrays (row,
     first sample, count) in no order, each run non-empty, one vertex
     sample or inside one edge's interior block, runs possibly overlapping.
@@ -71,31 +108,26 @@ def runs_within(grid: DiscretizedGraph, rows, edges, lo, hi, eps: float):
     term through an end vertex w, at a leg of lo or length - hi, on vertex
     samples and, w's distance being the smaller of a term rising from an
     edge's u end and one falling to its v end, on a prefix and a suffix of
-    each edge whose end is within eps of w.  `_run_ends` finds each run's
-    end with the floating-point terms themselves, so the runs are exact."""
-    dist, vv = grid.vertex_sample_dist, grid.graph.vertex_distance_matrix
-    n_vert, n = len(dist), len(edges)
+    each edge whose end is within eps of w: w's candidates in `cells`,
+    which `vertex_cells` builds once per game and threshold.  `_run_ends`
+    finds each run's end with the floating-point terms themselves, so the
+    runs are exact."""
+    grid, eps, n = cells.grid, cells.eps, len(edges)
+    n_vert = len(cells.heads) - 1
     eu, ev, length = grid.graph.edge_table
     top = grid.edge_intervals - 1
-    inner = np.flatnonzero(top)
-    # interval ends within eps of a vertex w; a row per used w of its
-    # candidates c: vertex samples (c < n_vert), u ends, v ends of inner
+    # interval ends within eps of a vertex, and each one's candidates
     leg = np.concatenate([lo, length[edges] - hi])
     t = np.flatnonzero(leg <= eps)
     leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
-    used = np.flatnonzero(np.bincount(vert, minlength=n_vert))
-    near = np.hstack([dist[used, :n_vert], vv[used][:, eu[inner]],
-                      vv[used][:, ev[inner]]])
-    w, cand = np.nonzero(near <= eps)
-    heads = np.searchsorted(w, np.arange(len(used) + 1))
-    i, j = _flat_ranges(*heads[np.searchsorted(used, vert) + [[0], [1]]])
-    base, c = near[w[j], cand[j]], cand[j]
+    i, j = _flat_ranges(cells.heads[vert], cells.heads[vert + 1])
+    base, c = cells.base[j], cells.cand[j]
     on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
     # walk half runs: each interval's direct term to its last end and
     # from its first (rev), a prefix from a u end, a suffix to a v end
-    e = np.concatenate([edges, edges, np.tile(inner, 2)[c[on] - n_vert]])
+    e = np.concatenate([edges, edges, cells.ends[c[on] - n_vert]])
     rev = np.concatenate([np.arange(2 * n) >= n,
-                          c[on] >= n_vert + len(inner)])
+                          c[on] >= n_vert + len(cells.ends) // 2])
     end = _run_ends(eps, top[e], grid.edge_spacing[e], rev,
                     np.concatenate([-hi, np.zeros(n), base[on]]),
                     np.concatenate([lo, lo, length[e[2 * n:]]]),
@@ -137,87 +169,136 @@ def _flat_ranges(start: np.ndarray, stop: np.ndarray):
     return i, v
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReachStructure:
     """All sample pairs within one evader step, and the plan that runs them.
 
-    `src[starts[q] : starts[q + 1]]` lists the samples from which q is
-    reachable within one step (always including q itself).  The relation is
-    symmetric, so the same arrays serve as successor lists.
+    The runs define the relation: `runs = (row, first, count)`, the cells
+    of `runs_within` row q, are the samples from which q is reachable
+    within one step (always including q itself).  `propagate_step` and
+    `_play` run on scores laid out in `n_slots` slots.  Sample q sits in
+    slot `slot[q]`: the vertex samples come first, then the interior
+    block of each edge, all in sample order, with `width` guard slots
+    after every vertex and every block.  A guard always holds -inf.
+    `width` is how far every interior sample's cells cover its own block
+    on both sides, at most every interior edge's `floor(radius /
+    spacing)`, so any two samples of one block at most `width` slots
+    apart are a pair, and a band of that half-width over the slots
+    realizes exactly those pairs.  Every other non-self pair is one
+    `(junction_src, junction_dst)` entry, in slots, in the order (target,
+    source).
 
-    The CSR defines the relation; `propagate_step` runs on scores laid out
-    in `n_slots` slots.  Sample q sits in slot `slot[q]`: the vertex
-    samples come first, then the interior block of each edge, all in sample
-    order, with `width` guard slots after every vertex and every block.  A
-    guard always holds -inf.  `width` is the narrowest same-edge window
-    among edges with interior samples, so any two samples of one block at
-    most `width` slots apart form a CSR pair, and a band of that half-width
-    over the slots realizes exactly those pairs.  Every other non-self pair
-    is one `(junction_src, junction_dst)` entry, in slots, in CSR order.
-    `bit[i]` is CSR pair i's column in a step's packed witness row:
-    `(slot[src] - slot[dst] + width) * n_slots + slot[dst]` for a band
-    pair, `(2 * width + 1) * n_slots + j` for junction entry j.  It holds
-    no scratch, so any number of propagations may use it at once.
+    The CSR and the witness bit columns are derived from the runs only
+    when first read, as the witness backtrack does (`_reach_pairs`):
+    `src[starts[q] : starts[q + 1]]` lists q's predecessors in ascending
+    order, and the relation is symmetric, so the same arrays serve as
+    successor lists.  `bit[i]` is CSR pair i's column in a step's packed
+    witness row: `(slot[src] - slot[dst] + width) * n_slots + slot[dst]`
+    for a band pair, `(2 * width + 1) * n_slots + j` for junction entry
+    j.  The plan holds no scratch, so any number of propagations may use
+    it at once.
     """
 
-    src: np.ndarray
-    starts: np.ndarray
+    runs: tuple
     slot: np.ndarray
     n_slots: int
     width: int
     junction_src: np.ndarray
     junction_dst: np.ndarray
-    bit: np.ndarray
+
+    @cached_property
+    def _csr(self):
+        return _reach_pairs(self)
+
+    src = property(lambda self: self._csr[0])
+    starts = property(lambda self: self._csr[1])
+    bit = property(lambda self: self._csr[2])
+
+
+def _reach_pairs(reach: ReachStructure):
+    """(src, starts, bit) of reach: its runs expanded into sorted unique
+    (target, source) cells, and each pair's witness bit column, a band
+    pair being one whose slot offset is its sample offset, at most width
+    (no guard between)."""
+    row, first, count = reach.runs
+    slot, w, n_slots = reach.slot, reach.width, reach.n_slots
+    n = len(slot)
+    dst, src = _cells(row, first, first + count, n)
+    starts = np.searchsorted(dst, np.arange(n + 1), side="left")
+    off = slot[src] - slot[dst]
+    far = (off != src - dst) | (np.abs(off) > w)
+    bit = (off + w) * n_slots + slot[dst]
+    bit[far] = (2 * w + 1) * n_slots + np.arange(np.count_nonzero(far))
+    return src, starts, bit
+
+
+def _cells(row, start, stop, n: int):
+    """(row, sample) arrays of the cells of the runs, sample start[i] to
+    stop[i] - 1 in row[i], sorted and without repeats."""
+    i, q = _flat_ranges(start, stop)
+    keys = np.sort(row[i] * n + q)
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
 
 
 def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
-    """Pairs of samples at intrinsic distance <= radius.
+    """Pairs of samples at intrinsic distance <= radius, and their plan.
 
     The predecessors of sample q are the samples within radius of its
     point, `grid.points[q]`, taken as a zero-length interval on its edge:
     the cells of `runs_within` row q, where `grid.distances_to_point` of
-    that point is at most radius.  The band half-width is the largest k
-    up to every interior edge's `floor(radius / spacing)` for which each
-    pair of one block at most k samples apart is a CSR pair; pairs
-    farther apart, between blocks or with a vertex go to the junction
-    list.
+    that point is at most radius.  The plan is read off those runs.  Each
+    interior sample's cells in its own block, the union of its row's runs
+    there, form one stretch around it; the band half-width is the least
+    distance from a sample to a stretch end short of its block's end, at
+    most every interior edge's `floor(radius / spacing)`.  The cells of a
+    run outside its row's band, between blocks, with a vertex or farther
+    along a block, are the junction list.
     """
     n, x = grid.n, grid.sample_offset
-    row, first, count = runs_within(grid, np.arange(n), grid.sample_edge, x,
-                                    x, radius)
-    i, q = _flat_ranges(first, first + count)
-    keys = np.sort(row[i] * n + q)
-    dst, src = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    starts = np.searchsorted(dst, np.arange(n + 1), side="left")
+    row, first, count = runs_within(vertex_cells(grid, radius),
+                                    np.arange(n), grid.sample_edge, x, x)
+    last = first + count - 1
 
-    # group of each sample: its own for a vertex, its block's for the rest
+    # group of each sample: its own for a vertex, its block's for the
+    # rest, and one past the last sample, a group of its own
     n_vert = grid.vertex_sample_dist.shape[0]
     blocks = grid.edge_intervals > 1        # edges with interior samples
-    inner = sorted(grid.edge_inner_start[blocks].tolist())
-    head = np.zeros(n, dtype=np.int64)
-    head[inner] = 1
-    group = np.arange(n)
+    head = np.zeros(n + 1, dtype=np.int64)
+    head[grid.edge_inner_start[blocks]] = head[n] = 1
+    group = np.arange(n + 1)
     group[n_vert:] = n_vert - 1 + np.cumsum(head[n_vert:])
-    gap = np.abs(src - dst)
-    same = (group[src] == group[dst]) & (src >= n_vert)
+    same = group[first] == group[row]       # a vertex's own run, or a block's
     cap = min((math.floor(radius / sp)
                for sp in grid.edge_spacing[blocks].tolist()), default=0)
-    # a block of m samples holds 2 * (m - k) ordered pairs k apart: the
-    # band may reach k only if the CSR holds all of them, for every block
-    sizes = np.diff(inner + [n])
-    found = np.bincount(gap[same], minlength=cap + 1)[1:cap + 1]
-    whole = [2 * int(np.maximum(sizes - k, 0).sum())
-             for k in range(1, cap + 1)]
-    short = np.flatnonzero(found != whole)
-    width = int(short[0]) if len(short) else cap
+    # merge each interior row's runs in its block into stretches: the one
+    # holding the row's own sample ends the band where it stops short of
+    # the block's ends
+    own = np.flatnonzero(same & (first >= n_vert))
+    key = row[own] * (n + 1)
+    at = np.argsort(key + first[own])
+    own, key = own[at], key[at]
+    # a stretch starts past the last cell of the runs before it in its row
+    reached = np.maximum.accumulate(np.append(-2, key + last[own]))[:-1]
+    heads = np.flatnonzero(key + first[own] > reached + 1)
+    r, start = row[own[heads]], first[own[heads]]
+    stop = np.maximum.reduceat(last[own], heads)
+    hold, g = (start <= r) & (r <= stop), group[r]
+    short = np.minimum(
+        np.where(hold & (group[start - 1] == g), r - start, cap),
+        np.where(hold & (group[stop + 1] == g), stop - r, cap))
+    width = int(short.min(initial=cap))
 
-    slot = np.arange(n) + width * group
-    n_slots = n + width * (n_vert + len(inner))
-    far = (gap > 0) & ~(same & (gap <= width))
-    bit = (slot[src] - slot[dst] + width) * n_slots + slot[dst]
-    bit[far] = (2 * width + 1) * n_slots + np.arange(np.count_nonzero(far))
-    return ReachStructure(src, starts, slot, n_slots, width,
-                          slot[src[far]], slot[dst[far]], bit)
+    slot = np.arange(n) + width * group[:n]
+    n_slots = n + width * int(group[n])
+    # each run's cells outside its row's band: before it and after it
+    lo = np.concatenate([first, np.where(
+        same, np.maximum(first, row + width + 1), last + 1)])
+    hi = np.concatenate([np.where(
+        same, np.minimum(last, row - width - 1), last), last]) + 1
+    k = np.flatnonzero(hi > lo)
+    dst, src = _cells(np.concatenate([row, row])[k], lo[k], hi[k], n)
+    return ReachStructure((row, first, count), slot, n_slots, width,
+                          slot[src], slot[dst])
 
 
 # ----------------------------------------------------------------------
@@ -302,8 +383,9 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
     jumps = {}          # the junction targets of each alive source set
     if not alive:
         return 0, alive
+    cells = vertex_cells(grid, eps)
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
-        row, first, count = runs_within(grid, step - j0, edge, lo, hi, eps)
+        row, first, count = runs_within(cells, step - j0, edge, lo, hi)
         at = np.argsort(np.append(row, np.arange(j1 - j0)), kind="stable")
         slots = np.append(reach.slot[first], np.arange(j0 + 1, j1 + 1))
         counts = np.append(count, np.zeros(j1 - j0, np.int64))
@@ -610,10 +692,10 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     `table` holds the bits `verify` packs, one array per chunk of steps in
     step order, a row per step: bit `reach.bit[i]` says whether CSR pair i
     attains its target's best.  `score` is the final score, in slots.  The
-    chunks are popped, so freed, and unpacked from the last.  Stepping back
-    over step j from sample q picks the first of q's predecessors
-    (ascending in the CSR) whose bit in row j is set: the lowest-index
-    predecessor attaining q's maximin.  The bits are read one by one
+    chunks are popped, so freed, from the last.  Stepping back over step j
+    from sample q picks the first of q's predecessors (ascending in the
+    CSR) whose bit in row j is set: the lowest-index predecessor attaining
+    q's maximin.  The bits are read one by one in their packed bytes,
     through memoryviews, with no numpy call per step.  The best final
     sample is the first in sample order.
     """
@@ -622,10 +704,10 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
     idx = [q]
     src, starts, bit = map(memoryview, (reach.src, reach.starts, reach.bit))
     while table:
-        bits = memoryview(np.unpackbits(table.pop(), axis=1))
-        for k in range(len(bits) - 1, -1, -1):
+        packed = memoryview(table.pop())
+        for k in range(len(packed) - 1, -1, -1):
             i = starts[q]
-            while not bits[k, bit[i]]:
+            while not packed[k, bit[i] >> 3] & 128 >> (bit[i] & 7):
                 i += 1
             q = src[i]
             idx.append(q)

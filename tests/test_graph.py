@@ -18,7 +18,7 @@ from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
                         walk_covers, walk_length)
 from graphchase.graph import GEOM_TOL, as_positive
 from graphchase.randgen import random_graph
-from graphchase.verifier import runs_within
+from graphchase.verifier import runs_within, vertex_cells
 
 from common import path_graph, star, triangle, unit_cycle, unit_path
 
@@ -471,25 +471,13 @@ def _interval(rng, grid, k):
     return tuple(sorted([x, rng.uniform(0, length)]))
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       where=st.sampled_from(["spacing", "spacings", "total", "attained",
-                              "below", "above"]))
-def test_runs_within_are_the_thresholded_rows(seed, where):
-    """Random graphs with loops and parallel edges of 0.01 to 2, so with
-    mixed spacings and some edges without interior samples, and rows of
-    zero-length intervals at vertices and at samples, intervals touching
-    an edge's end, whole edges and any intervals.  eps is one ulp above
-    the largest spacing, up to 40 spacings, beyond the total length, a
-    distance some cell attains, or one ulp below or above it.  Expanded,
-    the runs are the cells at most eps, cell for cell; each is non-empty
-    and one vertex sample or inside one edge's interior block."""
-    rng = random.Random(seed)
-    g = random_graph(rng, max_vertices=6, extra_edges=3, min_len=0.01,
-                     allow_multi=True)
-    grid = discretize(g, rng.choice([0.05, 0.1, 0.2]))
+def _row_set(rng, grid):
+    """Random rows of intervals on the grid's graph: (n_rows, rows,
+    edges, lo, hi), a row holding zero to three intervals."""
+    g = grid.graph
     rows, edges, ends = [], [], []
-    for r in range(rng.randint(1, 30)):
+    n_rows = rng.randint(1, 30)
+    for r in range(n_rows):
         for _ in range(rng.choice([0, 1, 1, 2, 3])):
             k = rng.randrange(len(g.edges))
             rows.append(r)
@@ -499,16 +487,42 @@ def test_runs_within_are_the_thresholded_rows(seed, where):
     edges = np.array(edges, dtype=np.int64)
     lo, hi = (np.array(x, dtype=float).reshape(-1)
               for x in zip(*ends or [((), ())]))
-    dist = _reference_rows(grid, r + 1, rows, edges, lo, hi)
+    return n_rows, rows, edges, lo, hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from(["spacing", "spacings", "total", "attained",
+                              "below", "above"]))
+def test_runs_within_are_the_thresholded_rows(seed, where):
+    """Random graphs with loops and parallel edges of 0.01 to 2, so with
+    mixed spacings and some edges without interior samples, and three
+    sets of rows of zero-length intervals at vertices and at samples,
+    intervals touching an edge's end, whole edges and any intervals.  eps
+    is one ulp above the largest spacing, up to 40 spacings, beyond the
+    total length, a distance some cell attains, or one ulp below or above
+    it.  One `vertex_cells` table of the grid at eps serves every row
+    set.  Expanded, the runs are the cells at most eps, cell for cell;
+    each is non-empty and one vertex sample or inside one edge's interior
+    block."""
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=6, extra_edges=3, min_len=0.01,
+                     allow_multi=True)
+    grid = discretize(g, rng.choice([0.05, 0.1, 0.2]))
+    sets = [_row_set(rng, grid) for _ in range(3)]
+    dists = [_reference_rows(grid, *rows) for rows in sets]
     sp = grid.max_spacing
-    attained = rng.choice(dist[np.isfinite(dist)].tolist() or [sp])
+    finite = np.concatenate([d[np.isfinite(d)] for d in dists]).tolist()
+    attained = rng.choice(finite or [sp])
     eps = {"spacing": np.nextafter(sp, np.inf),
            "spacings": sp * rng.uniform(1.0, 40.0),
            "total": g.total_length * rng.uniform(1.0, 2.0),
            "attained": attained,
            "below": np.nextafter(attained, -np.inf),
            "above": np.nextafter(attained, np.inf)}[where]
-    _check_runs(grid, rows, edges, lo, hi, eps, dist)
+    table = vertex_cells(grid, eps)
+    for (_, *rows), dist in zip(sets, dists):
+        _check_runs(table, *rows, dist)
 
 
 def _reference_rows(grid, n_rows, rows, edges, lo, hi):
@@ -521,11 +535,13 @@ def _reference_rows(grid, n_rows, rows, edges, lo, hi):
         [iv for r, *iv in intervals if r == row]) for row in range(n_rows)])
 
 
-def _check_runs(grid, rows, edges, lo, hi, eps, dist):
+def _check_runs(table, rows, edges, lo, hi, dist):
     """`runs_within`'s runs, expanded, are the cells of dist, the
-    thresholded rows, at most eps; each is non-empty and one vertex sample
-    or inside one edge's interior block.  Returns the cells."""
-    row, first, count = runs_within(grid, rows, edges, lo, hi, eps)
+    thresholded rows, at most `table.eps`; each is non-empty and one
+    vertex sample or inside one edge's interior block.  Returns the
+    cells."""
+    grid = table.grid
+    row, first, count = runs_within(table, rows, edges, lo, hi)
     assert (count > 0).all()
     n_vert = len(grid.vertex_sample_dist)
     last = first + count - 1
@@ -535,7 +551,8 @@ def _check_runs(grid, rows, edges, lo, hi, eps, dist):
     cells = sorted({(r, q) for r, f, c in zip(row.tolist(), first.tolist(),
                                               count.tolist())
                     for q in range(f, f + c)})
-    assert cells == list(zip(*(a.tolist() for a in np.nonzero(dist <= eps))))
+    assert cells == list(zip(*(a.tolist()
+                               for a in np.nonzero(dist <= table.eps))))
     return cells
 
 
@@ -544,17 +561,18 @@ def _check_runs(grid, rows, edges, lo, hi, eps, dist):
     (triangle(), 2.0, 0.0, 0.5, 0.6, [0, 1]),
 ], ids=["no-end-near-a-vertex", "no-interior-samples"])
 def test_runs_within_without_vertex_candidates(g, h, lo, hi, eps, want):
-    # one interval on the first edge: the table of candidates near its
-    # ends has no rows when neither end is within eps of a vertex, and no
-    # edge-end columns when no edge has interior samples; each case lacks
-    # just one of the two
+    # one interval on the first edge: it takes no vertex's candidates
+    # when neither end is within eps of a vertex, and the table has no
+    # edge-end candidates when no edge has interior samples; each case
+    # lacks just one of the two
     grid = discretize(g, h)
     near = min(lo, g.edges[0].length - hi) <= eps
     assert near != (grid.edge_intervals > 1).any()
     rows, edges = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     lo, hi = np.array([lo]), np.array([hi])
     dist = _reference_rows(grid, 1, rows, edges, lo, hi)
-    cells = _check_runs(grid, rows, edges, lo, hi, eps, dist)
+    cells = _check_runs(vertex_cells(grid, eps), rows, edges, lo, hi,
+                        dist)
     assert cells == [(0, q) for q in want]
 
 

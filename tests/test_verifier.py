@@ -16,7 +16,7 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         cycle_strategy, discretize, min_clearance,
                         path_from_dict, path_pieces, result_to_dict,
                         star_strategy, sweep_strategy, transfer_scale,
-                        truncate_path, verify)
+                        truncate_path, upper_bound_bisect, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
 from graphchase.verifier import (REACH_SLACK, _clearance_rows, _play,
@@ -401,8 +401,8 @@ def test_propagation_is_maximin_over_reach():
 @st.composite
 def kernel_cases(draw):
     """A random graph with loops, parallel edges and one edge shorter than
-    h/10, a radius of 0.3-3.5 max spacings, and scores and clearances on a
-    few levels so that ties are common."""
+    h/10, a radius of 0.3-9.5 max spacings, so bands up to 9 slots wide,
+    and scores and clearances on a few levels so that ties are common."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     base = random_graph(rng, max_vertices=5, extra_edges=3, allow_multi=True)
     h = draw(st.sampled_from([0.1, 0.2, 0.35]))
@@ -413,7 +413,7 @@ def kernel_cases(draw):
                     [(e.u, e.v, e.length) for e in base.edges] +
                     [(u, v, tiny)])
     grid = discretize(g, h)
-    radius = grid.max_spacing * draw(st.floats(0.3, 3.5))
+    radius = grid.max_spacing * draw(st.floats(0.3, 9.5))
     levels = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
     score = np.array(draw(st.lists(levels, min_size=grid.n,
                                    max_size=grid.n)))
@@ -524,7 +524,9 @@ RING = build_graph([f"v{i}" for i in range(10)], [("v0", "v1", 1.0)] + [
     (triangle(1.0, 1.3, 0.7), 0.1, 0.2, 1, 56),
     (comb(3), 0.2, 0.45, 2, 50),
     (RING, 1.0, 1.45 + REACH_SLACK, 2, 74),
-], ids=["unit-path", "mixed-spacing", "star3", "triangle", "comb3", "ring"])
+    (star(4), 0.1, 8.5 * 0.1, 8, 464),  # 8.5 spacings: a wide band
+], ids=["unit-path", "mixed-spacing", "star3", "triangle", "comb3", "ring",
+        "star4-wide"])
 def test_reach_bits_match_the_slot_derivation(g, h, radius, width,
                                               junctions):
     reach = build_reach(discretize(g, h), radius)
@@ -536,6 +538,23 @@ def test_reach_bits_match_the_slot_derivation(g, h, radius, width,
         reach.slot[reach.src[far]].tolist()
     assert reach.junction_dst.tolist() == \
         reach.slot[targets(reach)[far]].tolist()
+
+
+def test_only_a_witness_builds_the_csr():
+    # the plan's CSR and bit columns are derived from its runs when first
+    # read: a capture, a survival without a witness and a bracket whose
+    # probes are captures or constructor rejections never read them
+    built = AssertionError("the CSR was built")
+    with mock.patch.object(verifier, "_reach_pairs", side_effect=built):
+        assert verify(star_strategy(star(3), 4.0), h=0.02).captured
+        r = verify(sweep_strategy(comb(3), 2.0), h=0.05, want_witness=False)
+        assert r.verdict == "survival" and r.witness is None
+        br = upper_bound_bisect(star(3), "star", 2.0, 4.0, tol=0.25, h=0.02)
+        assert br.upper_evidence.captured
+    with mock.patch.object(verifier, "_reach_pairs",
+                           wraps=verifier._reach_pairs) as pairs:
+        r = verify(sweep_strategy(comb(3), 2.0), h=0.05)
+    assert r.witness is not None and pairs.call_count == 1
 
 
 # ------------------------------------------------------- blocked clearance
@@ -724,8 +743,9 @@ def test_verify_matches_per_step_reference_loop(cop, h, eps):
     r = verify(cop, h=h, eps=eps)
     assert r.verdict == ("capture" if eps else "survival")
     # the oracle runs none of verify's grid code
-    shared = dict.fromkeys(["build_reach", "runs_within", "_run_ends",
-                            "_flat_ranges", "propagate_step", "swept_block",
+    shared = dict.fromkeys(["build_reach", "vertex_cells", "runs_within",
+                            "_run_ends", "_flat_ranges", "_cells",
+                            "_reach_pairs", "propagate_step", "swept_block",
                             "_play", "_clearance_rows",
                             "distances_to_interval_rows", "_witness_runs"],
                            mock.DEFAULT)
