@@ -21,8 +21,8 @@ from .strategies import (StarSchedule, StrategyError, build_star_schedule,
                          cycle_strategy, finiteness_strategy, lambda_root,
                          secure_vertex, star_strategy, sufficient_speed,
                          sweep_strategy)
-from .verifier import (GameMismatchError, ParameterError, SizeLimitError,
-                       VerifierResult, brute_force_oracle,
+from .verifier import (Board, GameMismatchError, ParameterError,
+                       SizeLimitError, VerifierResult, brute_force_oracle,
                        continuous_clearance, resolution, result_to_dict,
                        save_report, verify)
 from .critical import (FAMILIES, EvidenceError, FrontierRow, SpeedBracket,

@@ -19,7 +19,7 @@ from .strategies import (StrategyError, cascade_truncation, comb_strategy,
                          cycle_strategy, finiteness_strategy, star_strategy,
                          sweep_strategy)
 from .trajectory import PathValidationError, TimedPath
-from .verifier import VerifierResult, resolution, verify
+from .verifier import Board, VerifierResult, verify
 
 # Family name -> constructor(g, s, truncation).  The lambdas look each
 # constructor up at call time, so rebinding a module attribute (for example
@@ -80,15 +80,15 @@ class SpeedBracket:
     probes: tuple[tuple[float, str], ...] = field(default=())
 
 
-def _probe(g, family, s, h, eps):
-    """Build + verify at one speed, without a witness: ("rejected",
-    message, None) or ("verified", result, path).  A constructor rejection
-    is a non-capture."""
+def _probe(g, family, s, board):
+    """Build + verify at one speed on board, without a witness:
+    ("rejected", message, None) or ("verified", result, path).  A
+    constructor rejection is a non-capture."""
     try:
-        path = build_family(g, family, s, eps)
+        path = build_family(g, family, s, board.eps)
     except StrategyError as exc:
         return "rejected", str(exc), None
-    return "verified", verify(path, h=h, eps=eps, want_witness=False), path
+    return "verified", verify(path, want_witness=False, board=board), path
 
 
 def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
@@ -103,7 +103,9 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     verdicts and play `verify`'s boolean game; a lower end that survived
     is verified once more with a witness, its evidence.  Every path is
     built for the eps that `resolution` gives, which every probe verifies.
-    Ends must be numbers, and tol finite and positive (else EvidenceError).
+    All verifications share one `Board`: one grid, one kill table, and
+    one reach plan while the probes' radii stay in its interval.  Ends
+    must be numbers, and tol finite and positive (else EvidenceError).
     """
     _constructor(family)
     try:
@@ -113,14 +115,14 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
     if not (s_low < s_high):
         raise EvidenceError(f"need s_low < s_high, got [{s_low}, {s_high}]")
     tol = as_positive(tol, "tolerance", EvidenceError)
-    h, eps, _ = resolution(g, h, eps)
+    board = Board(g, h, eps)
 
-    kind, high_ev, _ = _probe(g, family, s_high, h, eps)
+    kind, high_ev, _ = _probe(g, family, s_high, board)
     if kind == "rejected" or not high_ev.captured:
         raise EvidenceError(
             f"upper speed {s_high} did not verify as capture for family "
             f"{family!r}; raise the upper endpoint or refine resolution")
-    kind, low_ev, low_path = _probe(g, family, s_low, h, eps)
+    kind, low_ev, low_path = _probe(g, family, s_low, board)
     if kind == "verified" and low_ev.captured:
         raise EvidenceError(
             f"lower speed {s_low} already captures for family {family!r}; "
@@ -132,7 +134,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
         mid = 0.5 * (lower + upper)
         if mid <= lower or mid >= upper:
             break
-        kind, ev, path = _probe(g, family, mid, h, eps)
+        kind, ev, path = _probe(g, family, mid, board)
         if kind == "verified" and ev.captured:
             upper, high_ev = mid, ev
             probes.append((mid, "capture"))
@@ -140,7 +142,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
             lower, low_path, low_ev = mid, path, ev
             probes.append((mid, "non-capture"))
     if low_path is not None:        # a survival: its evidence is a witness
-        low_ev = verify(low_path, h=h, eps=eps)
+        low_ev = verify(low_path, board=board)
     return SpeedBracket(lower, upper, family, tol, high_ev, low_ev,
                         tuple(probes))
 
@@ -174,20 +176,21 @@ def frontier_table(g: MetricGraph, family: str, speeds,
     bound, is evidence of the earlier capture: a path that keeps to one
     speed bound keeps to every larger one, and `verify` never reads the
     bound.  The faster row's note says so.  Every path is built for the
-    eps that `resolution` gives, which every row verifies.
+    eps that `resolution` gives, which every row verifies, on one `Board`
+    as `upper_bound_bisect`'s probes are.
     """
     _constructor(family)
-    h, eps, _ = resolution(g, h, eps)
+    board = Board(g, h, eps)
     speeds = sorted(as_positive(s, "speed", StrategyError) for s in speeds)
     rows: list[FrontierRow] = []
     for s in speeds:
         note = ""
         try:
-            path = build_family(g, family, s, eps)
+            path = build_family(g, family, s, board.eps)
         except StrategyError as exc:
             path = sweep_strategy(g, s)
             note = f"constructor rejected ({exc}); naive sweep substituted"
-        res = verify(path, h=h, eps=eps)
+        res = verify(path, board=board)
         rows.append(FrontierRow(s, res.verdict, res.time_bound,
                                 res.min_clearance, res.h, res.spacing, res.eps,
                                 note))

@@ -593,7 +593,9 @@ class DiscretizedGraph:
     def distances_to_intervals(self, intervals) -> np.ndarray:
         """Exact distance from every sample to a union of edge sub-intervals.
 
-        `intervals` holds (edge id, lo, hi) with 0 <= lo <= hi <= length.
+        `intervals` holds (edge id, lo, hi) with lo <= hi, each within one
+        ulp of the edge length of [0, length]: the piece ends of
+        `path_pieces` and `clip_pieces` may fall that far outside.
         """
         dist = self.vertex_sample_dist
         eu, ev, length = self.graph.edge_table

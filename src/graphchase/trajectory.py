@@ -561,7 +561,9 @@ def path_pieces(p: TimedPath, t0: float, t1: float):
     linearly from offset xa to xb on that edge.  Waits yield stationary
     pieces.  Consecutive pieces abut in time.  The rows of `p.table` are
     clipped one at a time with scalar arithmetic, so this is a
-    reference for `clip_pieces` that shares none of its indexing.
+    reference for `clip_pieces` that shares none of its indexing.  An
+    offset interpolated inside a run may, rounded, fall up to one ulp of
+    the edge length outside [0, length].
     """
     t0 = max(t0, 0.0)
     t1 = min(t1, p.duration)
@@ -592,7 +594,8 @@ def clip_pieces(table: PieceTable, bounds: np.ndarray):
     offset), one entry per piece, ordered by run of the table and so by
     window.  A run covers a range of consecutive windows, found by
     `searchsorted`, so the cost is linear in the pieces.  The clipping and
-    interpolation are `path_pieces`' own floating-point operations.
+    interpolation are `path_pieces`' own floating-point operations, so an
+    offset may fall one ulp of the edge length outside the edge, as there.
     """
     t0, t1 = bounds[:-1], np.minimum(bounds[1:], table.duration)
     k0 = np.searchsorted(table.stop, t0[0], side="right")

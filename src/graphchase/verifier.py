@@ -52,8 +52,8 @@ CHUNK_FLOATS = 16384    # clearance values filled per chunk: 128 KB
 
 
 class ParameterError(ValueError):
-    """Raised when `resolution` refuses the resolution parameters, or they
-    ask for more than MAX_STEPS steps."""
+    """Raised when `resolution` refuses the resolution parameters, they ask
+    for more than MAX_STEPS steps, or `verify` mixes a board with them."""
 
 
 class SizeLimitError(ValueError):
@@ -72,11 +72,12 @@ class GameMismatchError(RuntimeError):
 
 class VertexCells(NamedTuple):
     """What `runs_within` needs of a grid at threshold eps, built once per
-    game: for each vertex w, the candidates c within eps of w,
+    board: for each vertex w, the candidates c within eps of w,
     `cand[heads[w]:heads[w + 1]]` in ascending c, and each one's distance
     from w, `base`.  A candidate is a vertex sample (c < n_vert) or, at
     c - n_vert in `ends`, the u end and then the v end of each edge with
-    interior samples, at the vertex distance of that end."""
+    interior samples, at the vertex distance of that end.  Every test
+    against eps, here and in `runs_within`, narrows `bounds` if set."""
 
     grid: DiscretizedGraph
     eps: float
@@ -84,19 +85,31 @@ class VertexCells(NamedTuple):
     cand: np.ndarray
     base: np.ndarray
     ends: np.ndarray
+    bounds: list | None = None
 
 
-def vertex_cells(grid: DiscretizedGraph, eps: float) -> VertexCells:
-    """The `VertexCells` of grid at eps."""
+def vertex_cells(grid: DiscretizedGraph, eps: float,
+                 bounds: list | None = None) -> VertexCells:
+    """The `VertexCells` of grid at eps, narrowing bounds if given."""
     dist, vv = grid.vertex_sample_dist, grid.graph.vertex_distance_matrix
     eu, ev, _ = grid.graph.edge_table
     inner = np.flatnonzero(grid.edge_intervals - 1)
     near = np.hstack([dist[:, :len(dist)], vv[:, eu[inner]],
                       vv[:, ev[inner]]])
-    w, cand = np.nonzero(near <= eps)
+    kept = near <= eps
+    if bounds is not None:
+        _narrow(bounds, near, kept)
+    w, cand = np.nonzero(kept)
     heads = np.searchsorted(w, np.arange(len(dist) + 1))
     return VertexCells(grid, eps, heads, cand, near[w, cand],
-                       np.tile(inner, 2))
+                       np.tile(inner, 2), bounds)
+
+
+def _narrow(bounds: list, terms: np.ndarray, kept: np.ndarray) -> None:
+    """Narrow bounds, [radius_in, radius_out), to the largest of the terms
+    that a test against a radius kept and the smallest it dropped."""
+    bounds[0] = max(bounds[0], float(terms[kept].max(initial=-math.inf)))
+    bounds[1] = min(bounds[1], float(terms[~kept].min(initial=math.inf)))
 
 
 def runs_within(cells: VertexCells, rows, edges, lo, hi):
@@ -109,17 +122,17 @@ def runs_within(cells: VertexCells, rows, edges, lo, hi):
     samples and, w's distance being the smaller of a term rising from an
     edge's u end and one falling to its v end, on a prefix and a suffix of
     each edge whose end is within eps of w: w's candidates in `cells`,
-    which `vertex_cells` builds once per game and threshold.  `_run_ends`
+    which `vertex_cells` builds once per board and threshold.  `_run_ends`
     finds each run's end with the floating-point terms themselves, so the
-    runs are exact."""
+    runs are exact.  With `cells.bounds`, each test's terms narrow it."""
     grid, eps, n = cells.grid, cells.eps, len(edges)
     n_vert = len(cells.heads) - 1
     eu, ev, length = grid.graph.edge_table
     top = grid.edge_intervals - 1
     # interval ends within eps of a vertex, and each one's candidates
-    leg = np.concatenate([lo, length[edges] - hi])
-    t = np.flatnonzero(leg <= eps)
-    leg, vert = leg[t], np.concatenate([eu[edges], ev[edges]])[t]
+    legs = np.concatenate([lo, length[edges] - hi])
+    t = np.flatnonzero(legs <= eps)
+    leg, vert = legs[t], np.concatenate([eu[edges], ev[edges]])[t]
     i, j = _flat_ranges(cells.heads[vert], cells.heads[vert + 1])
     base, c = cells.base[j], cells.cand[j]
     on, vrow = c >= n_vert, np.concatenate([rows, rows])[t[i]]
@@ -131,10 +144,15 @@ def runs_within(cells: VertexCells, rows, edges, lo, hi):
     end = _run_ends(eps, top[e], grid.edge_spacing[e], rev,
                     np.concatenate([-hi, np.zeros(n), base[on]]),
                     np.concatenate([lo, lo, length[e[2 * n:]]]),
-                    np.concatenate([np.zeros(2 * n), leg[i[on]]]))
+                    np.concatenate([np.zeros(2 * n), leg[i[on]]]),
+                    cells.bounds)
     first = grid.edge_inner_start[e] + np.where(rev, end, 0)
     last = grid.edge_inner_start[e] - 1 + np.where(rev, top[e], end)
-    ok = ~on & (base + leg[i] <= eps)
+    near = base + leg[i]
+    ok = ~on & (near <= eps)
+    if cells.bounds is not None:    # the leg and vertex-sample tests
+        _narrow(cells.bounds, np.concatenate([legs, near[~on]]),
+                np.concatenate([legs <= eps, ok[~on]]))
     row = np.concatenate([rows, vrow[on], vrow[ok]])
     first = np.concatenate([first[n:], c[ok]])
     count = np.concatenate([last[:n], last[2 * n:], c[ok]]) - first + 1
@@ -142,19 +160,24 @@ def runs_within(cells: VertexCells, rows, edges, lo, hi):
     return row[keep], first[keep], count[keep]
 
 
-def _run_ends(eps, top, sp, rev, base, start, leg):
+def _run_ends(eps, top, sp, rev, base, start, leg, bounds=None):
     """Each entry's largest p in 0 .. top with (base + along) + leg at most
     eps (above it where rev) at positions 1 .. p, along being p * sp (start
     - p * sp where rev).  The term is monotone in p, as rounding is, so an
-    estimate from the offsets is moved one position at a time to p."""
+    estimate from the offsets is moved one position at a time to p.  The
+    terms at p (if p > 0) and p + 1 (if p < top) fix p, and narrow bounds."""
     room = eps - leg - base
     p = np.floor(np.where(rev, start - room, room) / sp)
     p = np.minimum(np.maximum(p, 0), top)   # the estimate, within 0 .. top
     while True:
         x = (p + [[0], [1]]) * sp           # positions p and p + 1
-        here, ahead = (base + np.where(rev, start - x, x) + leg <= eps) != rev
+        term = base + np.where(rev, start - x, x) + leg
+        here, ahead = (term <= eps) != rev
         up, down = (p < top) & ahead, (p > 0) & ~here
         if not (up.any() or down.any()):
+            if bounds is not None:
+                fixed = np.stack([p > 0, p < top])
+                _narrow(bounds, term[fixed], (term <= eps)[fixed])
             return p.astype(np.int64)
         p = p + up - down
 
@@ -196,7 +219,8 @@ class ReachStructure:
     witness row: `(slot[src] - slot[dst] + width) * n_slots + slot[dst]`
     for a band pair, `(2 * width + 1) * n_slots + j` for junction entry
     j.  The plan holds no scratch, so any number of propagations may use
-    it at once.
+    it at once, and a `Board` hands it to every verification whose radius
+    lies in the interval `build_reach` noted for it.
     """
 
     runs: tuple
@@ -240,7 +264,8 @@ def _cells(row, start, stop, n: int):
     return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
 
 
-def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
+def build_reach(grid: DiscretizedGraph, radius: float,
+                bounds: list | None = None) -> ReachStructure:
     """Pairs of samples at intrinsic distance <= radius, and their plan.
 
     The predecessors of sample q are the samples within radius of its
@@ -253,9 +278,13 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     most every interior edge's `floor(radius / spacing)`.  The cells of a
     run outside its row's band, between blocks, with a vertex or farther
     along a block, are the junction list.
+
+    Every comparison with radius narrows bounds, if given as [-inf, inf],
+    to [radius_in, radius_out): any radius there with the same `_band_cap`
+    makes every comparison, and so the plan, the same.
     """
     n, x = grid.n, grid.sample_offset
-    row, first, count = runs_within(vertex_cells(grid, radius),
+    row, first, count = runs_within(vertex_cells(grid, radius, bounds),
                                     np.arange(n), grid.sample_edge, x, x)
     last = first + count - 1
 
@@ -268,8 +297,7 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     group = np.arange(n + 1)
     group[n_vert:] = n_vert - 1 + np.cumsum(head[n_vert:])
     same = group[first] == group[row]       # a vertex's own run, or a block's
-    cap = min((math.floor(radius / sp)
-               for sp in grid.edge_spacing[blocks].tolist()), default=0)
+    cap = _band_cap(grid, radius)
     # merge each interior row's runs in its block into stretches: the one
     # holding the row's own sample ends the band where it stops short of
     # the block's ends
@@ -299,6 +327,12 @@ def build_reach(grid: DiscretizedGraph, radius: float) -> ReachStructure:
     dst, src = _cells(np.concatenate([row, row])[k], lo[k], hi[k], n)
     return ReachStructure((row, first, count), slot, n_slots, width,
                           slot[src], slot[dst])
+
+
+def _band_cap(grid: DiscretizedGraph, radius: float) -> int:
+    """The least `floor(radius / spacing)` of the edges with a block."""
+    return min((math.floor(radius / sp) for sp in
+                grid.edge_spacing[grid.edge_intervals > 1].tolist()), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -359,15 +393,16 @@ def _bits(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little"), "little")
 
 
-def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
-          tau: float, n_steps: int, eps: float, start: np.ndarray):
+def _play(cells: VertexCells, reach: ReachStructure, table: PieceTable,
+          tau: float, n_steps: int, start: np.ndarray):
     """The boolean game, which decides every verdict as the maximin game
     would, played from the start until its alive mask, one bit per slot,
     is empty or n_steps steps are played: (j, mask) after the j steps
     played.  A slot is alive at the start iff its `start` score, in slots,
-    exceeds eps, and after step j iff its score does, which, max and min
-    being monotone, holds iff it is kept, neither a guard nor in step j's
-    dead runs (`runs_within`), and some predecessor was alive and kept.
+    exceeds eps = `cells.eps`, and after step j iff its score does, which,
+    max and min being monotone, holds iff it is kept, neither a guard nor
+    in step j's dead runs (`runs_within` over the kill table `cells`), and
+    some predecessor was alive and kept.
     The mask is cut to the kept slots, ORed with its shifts over the band
     and with the junction targets of its alive sources (ORed by source
     once for each set of them, of which the last SWEEP_STEPS or fewer are
@@ -378,12 +413,11 @@ def _play(grid: DiscretizedGraph, reach: ReachStructure, table: PieceTable,
         groups[1 << s] = groups.get(1 << s, 0) | 1 << t
     sources = sum(groups)       # the keys are distinct bits
     shifts = tuple(range(1, reach.width + 1))
-    full, alive = _bits(start > -np.inf), _bits(start > eps)   # guards: -inf
-    seen = jump = dead = 0
+    full, alive = _bits(start > -np.inf), _bits(start > cells.eps)
+    seen = jump = dead = 0      # guards: -inf, never alive
     jumps = {}          # the junction targets of each alive source set
     if not alive:
         return 0, alive
-    cells = vertex_cells(grid, eps)
     for j0, j1, (step, edge, lo, hi) in _swept_blocks(table, tau, n_steps):
         row, first, count = runs_within(cells, step - j0, edge, lo, hi)
         at = np.argsort(np.append(row, np.arange(j1 - j0)), kind="stable")
@@ -596,14 +630,6 @@ def resolution(g: MetricGraph, h=None, eps=None):
     return h, eps, spacing
 
 
-def _resolve_params(cop: TimedPath, h, eps):
-    """The grid, h, eps, step count and step length tau of a verification
-    of cop: `resolution`'s values, and `_step_grid` on its spacing."""
-    h, eps, spacing = resolution(cop.graph, h, eps)
-    n_steps, tau = _step_grid(cop.duration, spacing)
-    return discretize(cop.graph, h), h, eps, n_steps, tau
-
-
 def _step_grid(duration: float, spacing: float) -> tuple[int, float]:
     """The step count and step length of a path of this duration."""
     if duration <= 0:
@@ -617,14 +643,59 @@ def _step_grid(duration: float, spacing: float) -> tuple[int, float]:
     return n, duration / n
 
 
+class Board:
+    """What the verifications of paths on one graph at one (h, eps) share:
+    `resolution`'s values, found at construction so that every size
+    refusal comes before any grid, the grid and its eps kill table, built
+    on first use, and the last reach plan with the interval of radii that
+    `build_reach` noted for it.  A radius in that interval, with the same
+    `_band_cap`, gets that plan; any other builds and keeps a new one.
+    """
+
+    def __init__(self, g: MetricGraph, h=None, eps=None):
+        self.graph = g
+        self._last = None   # (plan, radius_in, radius_out, band cap)
+        self.h, self.eps, self.spacing = resolution(g, h, eps)
+
+    @cached_property
+    def grid(self) -> DiscretizedGraph:
+        return discretize(self.graph, self.h)
+
+    @cached_property
+    def cells(self) -> VertexCells:
+        return vertex_cells(self.grid, self.eps)
+
+    def reach(self, radius: float) -> ReachStructure:
+        """The plan of `build_reach(self.grid, radius)`."""
+        cap, last = _band_cap(self.grid, radius), self._last
+        if last and last[1] <= radius < last[2] and cap == last[3]:
+            return last[0]
+        bounds = [-math.inf, math.inf]
+        plan = build_reach(self.grid, radius, bounds)
+        self._last = plan, *bounds, cap
+        return plan
+
+
+class _OneUse(Board):
+    """A plain `verify`'s board: its one plan needs no interval, which
+    costs 1-2% of a star-ladder verification."""
+
+    def reach(self, radius: float) -> ReachStructure:
+        return build_reach(self.grid, radius)
+
+
 def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
-           want_witness: bool = True) -> VerifierResult:
+           want_witness: bool = True, *,
+           board: Board | None = None) -> VerifierResult:
     """Decide eps-capture of every speed-1 evader against the cop trajectory.
 
     Capture means: by the reported time bound, every evader trajectory of
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
-    clearance.  The time step is `tau` (see `_resolve_params`).
+    clearance.  A `board` of the cop's graph, given without h or eps,
+    supplies them, the grid, the kill table and the plan (a plain call
+    makes a one-use board); `_step_grid` of the duration and its spacing
+    gives the step tau, refused before any grid is built.
 
     The boolean game `_play` decides every verdict: an alive mask that
     empties after j steps is a capture at j * tau, returned whatever
@@ -639,16 +710,23 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     final scores show a capture after all, the games disagree and
     GameMismatchError is raised.
     """
-    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+    if board is None:
+        board = _OneUse(cop.graph, h, eps)
+    elif h is not None or eps is not None:
+        raise ParameterError("a board fixes h and eps: pass neither with it")
+    elif cop.graph is not board.graph:
+        raise ParameterError("the cop's graph is not the board's graph")
+    n_steps, tau = _step_grid(cop.duration, board.spacing)
+    grid, h, eps = board.grid, board.h, board.eps
 
     def result(verdict, time_bound=None, witness=None, clearance=None):
         return VerifierResult(verdict, time_bound, witness, clearance, h,
                               eps, grid.max_spacing, tau, n_steps, grid.n)
 
-    reach = build_reach(grid, tau + REACH_SLACK)
+    reach = board.reach(tau + REACH_SLACK)
     score = np.full(reach.n_slots, -np.inf)
     score[reach.slot] = grid.distances_to_point(cop.point(0))
-    j, alive = _play(grid, reach, cop.table, tau, n_steps, eps, score)
+    j, alive = _play(board.cells, reach, cop.table, tau, n_steps, score)
     if not alive:
         return result("capture", min(j * tau, cop.duration))
     if not want_witness:
@@ -789,7 +867,9 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     measures the witness with `min_clearance`.  Refuses instances of more
     than ORACLE_MAX_CELLS samples x (samples + steps).
     """
-    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+    h, eps, spacing = resolution(cop.graph, h, eps)
+    n_steps, tau = _step_grid(cop.duration, spacing)
+    grid = discretize(cop.graph, h)
     if grid.n * (grid.n + n_steps) > ORACLE_MAX_CELLS:
         raise SizeLimitError(
             f"{grid.n} samples x ({grid.n} samples + {n_steps} steps) "

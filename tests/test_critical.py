@@ -1,16 +1,24 @@
 import json
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from graphchase import (EvidenceError, FrontierRow, PathBuilder,
-                        PathValidationError, SpeedBracket, StrategyError, build_family, comb_strategy, critical,
+                        PathValidationError, SpeedBracket, StrategyError,
+                        build_family, build_graph, comb_strategy, critical,
                         cycle_strategy, finiteness_strategy, frontier_table,
                         frontier_to_csv, frontier_to_json, star_strategy,
-                        sweep_strategy, upper_bound_bisect, verify)
+                        sweep_strategy, upper_bound_bisect, verifier,
+                        verify)
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_build_family_dispatch():
@@ -279,12 +287,14 @@ def test_bracket_equals_bracket_with_witness_probes(g, family, s_low, s_high,
     # with one: the bracket equals one whose every probe has a witness
     calls = []
 
-    def spy(path, h=None, eps=None, want_witness=True):
+    def spy(path, h=None, eps=None, want_witness=True, *, board=None):
         calls.append(want_witness)
-        return verify(path, h=h, eps=eps, want_witness=want_witness)
+        return verify(path, h=h, eps=eps, want_witness=want_witness,
+                      board=board)
 
-    def with_witness(path, h=None, eps=None, want_witness=True):
-        return verify(path, h=h, eps=eps)
+    def with_witness(path, h=None, eps=None, want_witness=True, *,
+                     board=None):
+        return verify(path, h=h, eps=eps, board=board)
 
     with mock.patch.object(critical, "verify", spy):
         br = upper_bound_bisect(g, family, s_low, s_high, tol, h=h, eps=eps)
@@ -300,3 +310,56 @@ def test_bracket_equals_bracket_with_witness_probes(g, family, s_low, s_high,
         assert repr(br.lower_evidence.witness) == \
             repr(ref.lower_evidence.witness)
         assert br.lower_evidence.min_clearance > 0
+
+
+def _frontier_bisect_jobs(tmp_path):
+    """The library jobs of the frontier-bisect benchmark on seed 0, and a
+    star with one 0.051 arm, whose 2 * spacing, 0.051, lies between the
+    reach radii of its probes, so that its bracket and its frontier each
+    need two reach plans."""
+    inputs = workloads.make_inputs("frontier-bisect", 0, str(tmp_path))
+    short = build_graph(["O", "a", "b", "c", "d"],
+                        [("O", "a", 0.5), ("O", "b", 0.5), ("O", "c", 0.5),
+                         ("O", "d", 0.051)])
+    return {
+        "bisect-star3": (1, lambda: upper_bound_bisect(
+            inputs["star3"], "star", 2.0, 4.0, 0.05, h=2e-3, eps=0.02)),
+        "bisect-cycle": (1, lambda: upper_bound_bisect(
+            inputs["cycle"], "cycle", 0.5, 2.0, 0.01, h=0.02)),
+        "frontier-comb6": (1, lambda: frontier_table(
+            inputs["comb6"], "comb", workloads.FRONTIER_SPEEDS, h=0.02,
+            eps=0.06)),
+        "bisect-short-arm": (2, lambda: upper_bound_bisect(
+            short, "star", 4.0, 8.0, 0.25, h=0.05, eps=0.12)),
+        "frontier-short-arm": (2, lambda: frontier_table(
+            short, "sweep", [0.5, 1, 2, 3, 5, 8], h=0.05)),
+    }
+
+
+@pytest.mark.parametrize("job", ["bisect-star3", "bisect-cycle",
+                                 "frontier-comb6", "bisect-short-arm",
+                                 "frontier-short-arm"])
+def test_board_answers_equal_a_fresh_grid_per_probe(job, tmp_path):
+    # a bracket or frontier builds one grid, and a reach plan only when a
+    # probe's radius leaves the last plan's interval or band cap; its
+    # answer is the one that a fresh grid and plan per probe give
+    plans, run = _frontier_bisect_jobs(tmp_path)[job]
+    with mock.patch.object(verifier, "discretize",
+                           wraps=verifier.discretize) as grids, \
+            mock.patch.object(verifier, "build_reach",
+                              wraps=verifier.build_reach) as reaches:
+        got = run()
+    assert (grids.call_count, reaches.call_count) == (1, plans)
+
+    calls = []
+
+    def fresh(path, want_witness=True, *, board):
+        calls.append(path)
+        return verify(path, board.h, board.eps, want_witness)
+
+    with mock.patch.object(critical, "verify", fresh), \
+            mock.patch.object(verifier, "discretize",
+                              wraps=verifier.discretize) as grids:
+        want = run()
+    assert grids.call_count == len(calls) > 2
+    assert repr(got) == repr(want)

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
-                        PathValidationError,
-                        TimedPath, build_graph, check_lipschitz, cycle_loop,
-                        load_graph, load_path, min_clearance, path_from_dict,
+                        PathValidationError, TimedPath, build_graph,
+                        check_lipschitz, critical, cycle_loop, load_graph,
+                        load_path, min_clearance, path_from_dict,
                         path_pieces, path_to_dict,
                         reparameterize_max_speed, save_graph, save_path,
                         sweep_strategy, total_variation, transfer_scale,
@@ -25,11 +25,15 @@ from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
 from graphchase.randgen import random_cop_path, random_graph
 from graphchase.trajectory import (JSON_CHUNK, SPEED_TOL, PieceTable,
                                    clip_pieces, path_chunks)
+from graphchase.verifier import _step_grid, resolution, swept_block
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_path)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_builder_basics():
@@ -1023,3 +1027,33 @@ def test_rendered_text_nests_as_its_value():
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+def _benchmark_paths(tmp_path):
+    """Paths of the benchmark's seed 0 whose swept pieces leave an edge:
+    witness-survival's comb6 sweep, and the frontier-bisect comb and star
+    paths at s = 3.25 and 3.03125, each with its verification's spacing."""
+    comb6 = workloads.make_inputs("witness-survival", 0,
+                                  str(tmp_path))["comb6"]
+    bisect = workloads.make_inputs("frontier-bisect", 0, str(tmp_path))
+    for g, path, h, eps in [
+            (comb6, sweep_strategy(comb6, 3.5), 5e-3, None),
+            (bisect["comb6"], critical.build_family(
+                bisect["comb6"], "comb", 3.25, 0.06), 0.02, 0.06),
+            (bisect["star3"], critical.build_family(
+                bisect["star3"], "star", 3.03125, 0.02), 2e-3, 0.02)]:
+        yield path, resolution(g, h, eps)[2]
+
+
+def test_piece_ends_leave_their_edge_by_at_most_one_ulp(tmp_path):
+    # clip_pieces and path_pieces interpolate a piece's ends inside its
+    # run; rounded, an end may fall one ulp of the edge length outside
+    # [0, length], which distances_to_intervals' contract allows
+    for path, spacing in _benchmark_paths(tmp_path):
+        n_steps, tau = _step_grid(path.duration, spacing)
+        _, edge, lo, hi = swept_block(path.table, tau, 0, n_steps)
+        length = path.graph.edge_table[2][edge]
+        ulp = np.array([math.ulp(x) for x in length.tolist()])
+        out = np.maximum(-lo, hi - length)
+        assert (out > 0).any()
+        assert (out <= ulp).all(), (out / ulp).max()

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import trajectory, verifier
-from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
-                        ParameterError, PathBuilder, SizeLimitError,
+from graphchase import (Board, GameMismatchError, GraphPoint,
+                        GraphValidationError, ParameterError, PathBuilder,
+                        SizeLimitError,
                         TimedPath, brute_force_oracle, build_graph,
                         check_lipschitz, continuous_clearance, cycle_loop,
                         cycle_strategy, discretize, min_clearance,
@@ -19,10 +20,10 @@ from graphchase import (GameMismatchError, GraphPoint, GraphValidationError,
                         truncate_path, upper_bound_bisect, verify)
 from graphchase.randgen import oracle_instance, random_graph
 from graphchase.trajectory import clip_pieces
-from graphchase.verifier import (REACH_SLACK, _clearance_rows, _play,
-                                 _resolve_params, _step_grid, _witness_runs,
+from graphchase.verifier import (REACH_SLACK, _band_cap, _clearance_rows,
+                                 _play, _step_grid, _witness_runs,
                                  build_reach, propagate_step, swept_block,
-                                 swept_intervals)
+                                 swept_intervals, vertex_cells)
 
 from common import (comb, path_graph, star, sweeps, to_slots, triangle,
                     unit_cycle, unit_path)
@@ -30,6 +31,13 @@ from common import (comb, path_graph, star, sweeps, to_slots, triangle,
 
 def stand(g, v, duration, speed=1.0):
     return PathBuilder(g, v, speed).wait(duration).build()
+
+
+def _game_params(cop, h=None, eps=None):
+    """The grid, h, eps, step count and step length of verifying cop."""
+    board = Board(cop.graph, h, eps)
+    return (board.grid, board.h, board.eps,
+            *_step_grid(cop.duration, board.spacing))
 
 
 def predecessors(reach, q):
@@ -571,6 +579,70 @@ def _multigraph(rng, hs):
     return g, discretize(g, h)
 
 
+def _assert_same_plan(reach, other):
+    """Everything that the games and the witness read of two reach plans
+    is equal."""
+    for a, b in zip((*reach.runs, reach.slot, reach.n_slots, reach.width,
+                     reach.junction_src, reach.junction_dst),
+                    (*other.runs, other.slot, other.n_slots, other.width,
+                     other.junction_src, other.junction_dst)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_reach_plan_is_the_same_over_its_radius_interval():
+    # on 300 random multigraphs at radii of 1-4 spacings, whole numbers of
+    # spacings included, build_reach notes an interval [radius_in,
+    # radius_out) holding its own radius; at radius_in, at the float just
+    # below radius_out and at random radii between them, each with the
+    # same band cap, it builds the same plan, which a board keeping the
+    # plan at radius hands out; with another cap, as near a whole number
+    # of spacings, where no comparison may change, the board builds that
+    # radius's own plan
+    rng = random.Random(41)
+    kept = {True: 0, False: 0}
+    for _ in range(300):
+        g, grid = _multigraph(rng, [0.1, 0.2, 0.35])
+        board = Board(g, grid.h)
+        radius = grid.max_spacing * rng.choice([rng.uniform(1.0, 4.0),
+                                                rng.randint(1, 4)])
+        bounds = [-math.inf, math.inf]
+        want = build_reach(grid, radius, bounds)
+        lo, hi = bounds
+        assert 0 <= lo <= radius < hi
+        top = math.nextafter(hi, -math.inf) if hi < math.inf else 2 * radius
+        for r in [lo, top] + [rng.uniform(lo, top) for _ in range(3)]:
+            got = build_reach(grid, r)
+            same = _band_cap(grid, r) == _band_cap(grid, radius)
+            plan = board.reach(radius)
+            assert (board.reach(r) is plan) == same
+            kept[same] += 1
+            _assert_same_plan(board.reach(r), got)
+            if same:
+                _assert_same_plan(got, want)
+    assert kept[True] >= 900 and kept[False] > 0
+
+
+def test_plain_verify_computes_no_radius_interval():
+    # a one-use board never narrows an interval: only a kept plan needs one
+    with mock.patch.object(verifier, "_narrow",
+                           side_effect=AssertionError("interval")):
+        assert verify(sweep_strategy(comb(3), 0.5), h=0.1).witness
+        assert verify(sweep_strategy(comb(3), 20.0), h=0.1).captured
+        with pytest.raises(AssertionError, match="interval"):
+            Board(comb(3), 0.1).reach(0.1)
+
+
+def test_board_refuses_h_eps_and_other_graphs():
+    g = comb(3)
+    board, cop = Board(g, 0.1), sweep_strategy(g, 4.0)
+    assert repr(verify(cop, board=board)) == repr(verify(cop, h=0.1))
+    for h, eps in [(0.1, None), (None, 0.2)]:
+        with pytest.raises(ParameterError, match="a board fixes h and eps"):
+            verify(cop, h, eps, board=board)
+    with pytest.raises(ParameterError, match="not the board's graph"):
+        verify(sweep_strategy(comb(3), 4.0), board=board)
+
+
 @st.composite
 def swept_cases(draw):
     """A random graph with loops, parallel edges and one edge shorter than
@@ -790,7 +862,7 @@ def _chunk_floats(kind, n):
 def _witness_at_chunk_size(cop, h, eps, kind):
     """`verify`'s result at the `_chunk_floats` kind, and the oracle's
     result and tie count; the two results agree exactly."""
-    n = _resolve_params(cop, h, eps)[0].n
+    n = Board(cop.graph, h, eps).grid.n
     with mock.patch.object(verifier, "CHUNK_FLOATS", _chunk_floats(kind, n)):
         r = verify(cop, h=h, eps=eps)
     want, ties = _oracle_ties(cop, h, eps)
@@ -824,7 +896,7 @@ def test_witness_matches_full_backpointer_reference():
     for duration in (2.9, 5.8):
         pb = PathBuilder(RING, "v0", 1.0).move_to("v1")
         cop = pb.wait(duration - 1.0).build()
-        grid, h, eps, n_steps, tau = _resolve_params(cop, 1.0, 1.05)
+        grid, h, eps, n_steps, tau = _game_params(cop, 1.0, 1.05)
         reach = build_reach(grid, tau + REACH_SLACK)
         assert (reach.width, len(reach.junction_src)) == (2, 74)
         for kind in CHUNK_KINDS:
@@ -856,7 +928,7 @@ def test_verdicts_match_per_step_reference_at_every_chunk_size():
     @given(sweep_cases(), st.sampled_from(CHUNK_KINDS))
     def check(case, kind):
         cop, h, eps = case
-        n = _resolve_params(cop, h, eps)[0].n
+        n = Board(cop.graph, h, eps).grid.n
         want = brute_force_oracle(cop, h=h, eps=eps)
         # the maximin game with a witness, the boolean game without
         with mock.patch.object(verifier, "CHUNK_FLOATS",
@@ -884,7 +956,7 @@ def test_capture_step_at_chunk_boundaries(rows, where):
     cop = sweep_strategy(unit_path(), 1.0)
     if where == "final":
         cop = truncate_path(cop, 0.98)
-    grid, _, eps, n_steps, tau = _resolve_params(cop, h, None)
+    grid, _, eps, n_steps, tau = _game_params(cop, h)
     want = brute_force_oracle(cop, h=h)
     assert want.verdict == "capture"
     k = round(want.time_bound / tau) - 1
@@ -1038,21 +1110,22 @@ def _check_alive_game(cop, h, eps, stretch, sweep):
     ends at, or one step next to, an end of its first two or last two
     blocks.  Returns the reach plan, the alive junction sources of each
     step and the number of steps that swept several intervals."""
-    grid, h, eps, n_steps, tau = _resolve_params(cop, h, eps)
+    grid, h, eps, n_steps, tau = _game_params(cop, h, eps)
     if stretch > 1:
         n_steps, tau = _step_grid(cop.duration, tau * stretch)
     reach = build_reach(grid, tau + REACH_SLACK)
+    cells = vertex_cells(grid, eps)
     start = to_slots(reach, grid.distances_to_point(cop.points[0]))
-    played = [_play(grid, reach, cop.table, tau, j, eps, start)
+    played = [_play(cells, reach, cop.table, tau, j, start)
               for j in range(n_steps + 1)]
     patch, calls = _recording_blocks(sweep)
     with patch:
-        end, mask = _play(grid, reach, cop.table, tau, n_steps, eps, start)
+        end, mask = _play(cells, reach, cop.table, tau, n_steps, start)
         blocks = [b for b in _game_blocks(n_steps, sweep) if b[0] < end]
         assert calls == blocks
         for j0, j1 in blocks[:2] + blocks[2:][-2:]:
             for j in (j0 + 1, j1 - 1, j1):
-                assert _play(grid, reach, cop.table, tau, j, eps,
+                assert _play(cells, reach, cop.table, tau, j,
                              start) == played[j], j
     assert (end, mask) == played[-1]
     assert end == next((j for j, (_, m) in enumerate(played) if not m),
