@@ -11,11 +11,12 @@ from .graph import (GEOM_TOL, DiscretizedGraph, Edge, GraphPoint,
                     discretize, double_tree_walk, graph_from_dict,
                     graph_to_dict, load_graph, save_graph, walk_covers,
                     walk_length)
-from .trajectory import (PathBuilder, PathValidationError, TimedPath,
-                         check_lipschitz, load_path, min_clearance,
-                         path_from_dict, path_pieces, path_to_dict,
-                         reparameterize_max_speed, save_path, total_variation,
-                         transfer_scale, transfer_shorten, truncate_path)
+from .trajectory import (PathBuilder, PathColumns, PathValidationError,
+                         TimedPath, check_lipschitz, load_path, min_clearance,
+                         path_columns, path_from_dict, path_pieces,
+                         path_to_dict, reparameterize_max_speed, save_path,
+                         total_variation, transfer_scale, transfer_shorten,
+                         truncate_path)
 from .strategies import (StarSchedule, StrategyError, build_star_schedule,
                          cascade_truncation, comb_strategy, cycle_loop,
                          cycle_strategy, finiteness_strategy, lambda_root,

@@ -134,7 +134,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
         sys.stdout.write("\n")
     # the summary leaves stdout to the trajectory when that is written there
     print(f"kind {path.metadata.get('kind', cfg.kind)}  "
-          f"duration {path.duration:.6g}  breakpoints {len(path.times)}",
+          f"duration {path.duration:.6g}  breakpoints {len(path.columns.t)}",
           file=sys.stdout if cfg.out else sys.stderr)
     return EXIT_OK
 

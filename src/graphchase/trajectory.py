@@ -1,15 +1,15 @@
 """Time-parameterized Lipschitz paths on a metric graph.
 
 A path is a finite sequence of timed breakpoints joined by constant-speed
-motion along explicitly recorded edge runs.  The module provides evaluation,
-speed checking, total variation, maximal-speed reparameterization, the two
+motion along explicitly recorded edge runs, held as `PathColumns`, which
+`path_columns` reads from tuples.  The module provides evaluation, speed
+checking, total variation, maximal-speed reparameterization, the two
 structure-preserving transfer maps (uniform scaling and leaf-edge
-shortening), and a JSON serialization.
+shortening), each from columns to columns, and a JSON serialization.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from functools import cached_property
@@ -93,13 +93,36 @@ class PieceTable(NamedTuple):
     seg_len: np.ndarray
 
 
-def _piece_table(p: "TimedPath", given) -> PieceTable:
+def path_columns(graph: MetricGraph, times, points, routes) -> PathColumns:
+    """Tuples of breakpoint times and GraphPoints, and for each segment
+    its (edge id, start offset, end offset) runs, as `PathColumns`.
+    Refuses counts that do not match and a value that is no number by
+    `as_number`'s rule with PathValidationError, and an edge id that names
+    no edge as `graph.edge` does, the points' before the runs'."""
+    if len(points) != len(times):
+        raise PathValidationError("breakpoint times and positions differ in count")
+    if len(routes) != max(len(times) - 1, 0):
+        raise PathValidationError("need exactly one route per breakpoint gap")
+    runs = [run for seg in routes for run in seg]
+    ids, x0, x1 = zip(*runs) if runs else ((), (), ())
+    names = [q.edge for q in points]
+    columns = PathColumns(
+        _reals(times, "times"), graph.edge_indices(names),
+        _reals([q.offset for q in points], "offsets"),
+        np.array([len(seg) for seg in routes], dtype=np.int64),
+        graph.edge_indices(ids), _reals(x0, "offsets"), _reals(x1, "offsets"))
+    for named, edge in ((names, columns.edge), (ids, columns.run_edge)):
+        if (edge < 0).any():
+            graph.edge(named[int(np.argmax(edge < 0))])     # raises
+    return columns
+
+
+def _piece_table(p: "TimedPath") -> PieceTable:
     """Check p's columns against its graph and speed bound, and time its
     runs, in one array pass: the only walk over a path's routes that
     evaluation, truncation, the length checks, the pieces and
-    `min_clearance` use.  `given` holds the breakpoints and the runs, all
-    segments' in one list, as a caller passed them, or is None for
-    columns built in place; a refusal names a point or run as given.
+    `min_clearance` use.  A refusal names a point or run as the columns
+    hold it, with float offsets.
 
     The order of the failures is a walk over the points (`clamp_point`),
     then segment by segment over each run (`clamp_point` on both offsets,
@@ -129,13 +152,10 @@ def _piece_table(p: "TimedPath", given) -> PieceTable:
         return np.where((va >= 0) | (vb >= 0), va == vb,
                         (ea == eb) & (np.abs(xa - xb) <= GEOM_TOL))
 
-    def as_given():     # the points and the runs of all segments
-        return given or (p.points, [run for seg in p.routes for run in seg])
-
     pe, px, t, count = c.edge, c.offset, c.t, c.count
     bad = _off_edge(g, pe, px)
     if bad.any():
-        g.clamp_point(as_given()[0][int(np.argmax(bad))])    # raises
+        g.clamp_point(p.point(int(np.argmax(bad))))    # raises
     re, r0, r1 = c.run_edge, c.x0, c.x1
     end = np.cumsum(count)
     head = end - count                  # each segment's first run
@@ -171,12 +191,10 @@ def _piece_table(p: "TimedPath", given) -> PieceTable:
     i = np.flatnonzero(missed | too_fast)
     if len(k) and (not len(i) or seg[k[0]] <= i[0]):
         k, i = int(k[0]), int(seg[k[0]])
-        points, runs = as_given()
-        eid, o0, o1 = runs[k]
-        if run_bad[k]:
-            g.clamp_point(GraphPoint(eid, o0))
-            g.clamp_point(GraphPoint(eid, o1))
-        here = points[i] if first[k] else GraphPoint(*runs[k - 1][::2])
+        for x in (r0[k], r1[k]) if run_bad[k] else ():
+            g.clamp_point(GraphPoint(g.edge_ids[re[k]], float(x)))
+        here = p.point(i) if first[k] else GraphPoint(
+            g.edge_ids[re[k - 1]], float(r1[k - 1]))
         raise PathValidationError(
             f"route of segment {i} breaks continuity at {here}")
     if len(i):
@@ -209,49 +227,22 @@ def _piece_table(p: "TimedPath", given) -> PieceTable:
 class TimedPath:
     """An s-Lipschitz trajectory given by timed breakpoints and edge runs.
 
-    `times` is strictly increasing and starts at 0.  `routes[i]` records the
-    sub-path walked between breakpoints i and i+1 as contiguous
-    (edge id, start offset, end offset) runs; an empty tuple is a wait.
-    A path is kept as `columns`; `times`, `points` and `routes` are tuple
+    The times strictly increase from 0.  Segment i, from breakpoint i to
+    i+1, walks its runs contiguously; a segment of no runs is a wait.  A
+    path is kept as `columns`; `times`, `points` and `routes` are tuple
     views of them built on first use.  `table` holds the runs as the piece
     table that validation times.  Instances are not to be changed, and are
     safe to evaluate concurrently.
     """
 
-    def __init__(self, graph: MetricGraph, times, points, routes,
+    def __init__(self, graph: MetricGraph, columns: PathColumns,
                  speed_bound: float, metadata: dict | None = None):
-        """A path of tuples of times, GraphPoints and runs, read into
-        columns once and validated as `from_columns` validates them."""
-        if len(times) == 0:
-            raise PathValidationError("a path needs at least one breakpoint")
-        if len(points) != len(times):
-            raise PathValidationError("breakpoint times and positions differ in count")
-        if len(routes) != len(times) - 1:
-            raise PathValidationError("need exactly one route per breakpoint gap")
-        runs = [(eid, x0, x1) for seg in routes for eid, x0, x1 in seg]
-        ids, x0, x1 = zip(*runs) if runs else ((), (), ())
-        columns = PathColumns(
-            _reals(times, "times"),
-            graph.edge_indices([q.edge for q in points]),
-            _reals([q.offset for q in points], "offsets"),
-            np.array([len(seg) for seg in routes], dtype=np.int64),
-            graph.edge_indices(ids), _reals(x0, "offsets"),
-            _reals(x1, "offsets"))
-        self._init(graph, columns, speed_bound, metadata, (points, runs))
-
-    @classmethod
-    def from_columns(cls, graph: MetricGraph, columns: PathColumns,
-                     speed_bound: float,
-                     metadata: dict | None = None) -> "TimedPath":
-        """A path of columns whose edge indices all name edges of graph."""
-        p = cls.__new__(cls)
-        p._init(graph, columns, speed_bound, metadata, None)
-        return p
-
-    def _init(self, graph, columns, speed_bound, metadata, given):
-        """Check the times and the speed bound, then keep the columns
-        and time them into `table`, which checks the rest."""
+        """Check the times and the speed bound, then keep the columns and
+        time them into `table`, which checks the rest.  Every edge index
+        of the columns must name an edge of graph."""
         t = columns.t
+        if len(t) == 0:
+            raise PathValidationError("a path needs at least one breakpoint")
         if not abs(t[0]) <= 1e-12:
             raise PathValidationError(
                 f"paths start at time 0, got {float(t[0])}")
@@ -268,9 +259,9 @@ class TimedPath:
         self.graph, self.columns = graph, columns
         self.speed_bound = speed_bound
         self.metadata = {} if metadata is None else metadata
-        self.duration = float(columns.t[-1])
+        self.duration = float(t[-1])
         with np.errstate(all="ignore"):     # values after a failure may be nan
-            self.table = _piece_table(self, given)
+            self.table = _piece_table(self)
 
     @cached_property
     def times(self) -> tuple[float, ...]:
@@ -302,25 +293,25 @@ class TimedPath:
         c = self.columns
         return GraphPoint(self.graph.edge_ids[c.edge[i]], float(c.offset[i]))
 
-    def _row(self, t: float) -> int:
-        """The row of `table` that holds time t: the last one starting
-        before t, or the first at t = 0."""
-        return max(int(np.searchsorted(self.table.start, t)) - 1, 0)
+    def _at(self, t: float) -> tuple[int, float]:
+        """The row of `table` that holds time t, the last one starting
+        before t or the first at t = 0, and the offset there: interpolated
+        at t as `clip_pieces` does, with t clamped to the row's span."""
+        tab = self.table
+        k = max(int(np.searchsorted(tab.start, t)) - 1, 0)
+        t = min(max(t, tab.start[k]), tab.stop[k])
+        ra, rb, x0, x1 = (tab.run_start[k], tab.run_end[k], tab.x0[k],
+                          tab.x1[k])
+        return k, float(x0 + (x1 - x0) * (t - ra) / (rb - ra))
 
     def evaluate(self, t: float) -> GraphPoint:
-        """Position at time t: the row of `table` that holds t,
-        interpolated at t as `clip_pieces` does, with t clamped to the
-        row's span."""
+        """Position at time t, as `_at` finds it."""
         if not -1e-9 <= t <= self.duration + 1e-9:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
         if len(self.columns.t) == 1:
             return self.point(0)
-        tab, k = self.table, self._row(t)
-        t = min(max(t, tab.start[k]), tab.stop[k])
-        ra, rb, x0, x1 = (tab.run_start[k], tab.run_end[k], tab.x0[k],
-                          tab.x1[k])
-        return GraphPoint(self.graph.edge_ids[tab.edge[k]],
-                          float(x0 + (x1 - x0) * (t - ra) / (rb - ra)))
+        k, x = self._at(t)
+        return GraphPoint(self.graph.edge_ids[self.table.edge[k]], x)
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +429,8 @@ class PathBuilder:
         # clamp_point's snap, where its test passes
         x = np.where(_off_edge(g, edge, x), x,
                      np.minimum(np.maximum(x, 0.0), g.edge_table[2][edge]))
-        return TimedPath.from_columns(
-            g, PathColumns(np.array(self.times), edge, x, *runs),
-            self.speed_bound, dict(metadata or {}))
+        return TimedPath(g, PathColumns(np.array(self.times), edge, x, *runs),
+                         self.speed_bound, dict(metadata or {}))
 
 
 # ----------------------------------------------------------------------
@@ -470,30 +460,29 @@ def reparameterize_max_speed(p: TimedPath, s: float) -> TimedPath:
     total variation yields the single-instant path at the start position.
     """
     s = as_positive(s, "target speed", PathValidationError)
-    times = [0.0]
-    points = [p.points[0]]
-    routes = []
-    for i, ln in enumerate(p.table.seg_len.tolist()):
-        if ln == 0:
-            continue
-        times.append(times[-1] + ln / s)
-        points.append(p.points[i + 1])
-        routes.append(p.routes[i])
-    return TimedPath(p.graph, tuple(times), tuple(points), tuple(routes), s,
-                     dict(p.metadata))
+    c, ln = p.columns, p.table.seg_len
+    moved = ln > 0
+    at = np.concatenate([[True], moved])    # the start and each move's end
+    runs = np.repeat(moved, c.count)
+    # each move's time added to the last, one by one
+    times = np.concatenate([[0.0], np.cumsum(ln[moved] / s)])
+    return TimedPath(p.graph, PathColumns(
+        times, c.edge[at], c.offset[at], c.count[moved], c.run_edge[runs],
+        c.x0[runs], c.x1[runs]), s, dict(p.metadata))
 
 
 def _transfer(p: TimedPath, target: MetricGraph, times, move) -> TimedPath:
-    """p's motion on target at the given times: `move(edge id, offset)`
-    moves every point and run offset, and runs that stop moving go."""
-    points = tuple(GraphPoint(q.edge, move(q.edge, q.offset))
-                   for q in p.points)
-    routes = tuple(tuple(run for run in ((eid, move(eid, x0), move(eid, x1))
-                                         for eid, x0, x1 in runs)
-                         if run[1] != run[2])
-                   for runs in p.routes)
-    return TimedPath(target, tuple(times), points, routes, p.speed_bound,
-                     dict(p.metadata))
+    """p's motion at the given times on target, whose edges are p's
+    graph's in the same order: `move(edge index, offset)` moves the point
+    and run offsets as arrays, and runs that stop moving go."""
+    c = p.columns
+    x0, x1 = move(c.run_edge, c.x0), move(c.run_edge, c.x1)
+    kept = x0 != x1
+    seg = np.repeat(np.arange(len(c.count)), c.count)
+    return TimedPath(target, PathColumns(
+        times, c.edge, move(c.edge, c.offset),
+        np.bincount(seg[kept], minlength=len(c.count)), c.run_edge[kept],
+        x0[kept], x1[kept]), p.speed_bound, dict(p.metadata))
 
 
 def transfer_scale(p: TimedPath, c: float) -> TimedPath:
@@ -502,8 +491,8 @@ def transfer_scale(p: TimedPath, c: float) -> TimedPath:
     Positions scale coordinatewise and times scale by c, so the speed bound
     carries over unchanged.
     """
-    return _transfer(p, p.graph.scale(c), (t * c for t in p.times),
-                     lambda eid, x: x * c)
+    return _transfer(p, p.graph.scale(c), p.columns.t * c,
+                     lambda e, x: x * c)
 
 
 def transfer_shorten(p: TimedPath, edge_id: str,
@@ -517,14 +506,14 @@ def transfer_shorten(p: TimedPath, edge_id: str,
     target = p.graph.shorten_leaf_edge(edge_id, new_length)  # refuses non-leaf
     e = p.graph.edge(edge_id)
     leaf_v, removed = p.graph.leaf_end(edge_id) == e.v, e.length - new_length
+    k = p.graph.edge_index(edge_id)
 
-    def move(eid: str, x: float) -> float:
+    def move(edge: np.ndarray, x: np.ndarray) -> np.ndarray:
         # keep distances from the anchor (non-leaf) end, clamp at the leaf
-        if eid != edge_id:
-            return x
-        return min(x, new_length) if leaf_v else max(0.0, x - removed)
+        return np.where(edge != k, x, np.minimum(x, new_length) if leaf_v
+                        else np.maximum(x - removed, 0.0))
 
-    return _transfer(p, target, p.times, move)
+    return _transfer(p, target, p.columns.t, move)
 
 
 def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
@@ -534,20 +523,25 @@ def truncate_path(p: TimedPath, t_end: float) -> TimedPath:
     if not t_end >= 0:
         raise ValueError(f"cannot truncate to time {t_end}: it must be a "
                          f"non-negative number")
-    if t_end == 0:
-        return TimedPath(p.graph, (0.0,), (p.points[0],), (), p.speed_bound,
-                         dict(p.metadata))
-    i = bisect.bisect_left(p.times, t_end)      # breakpoints before t_end
-    tab, end = p.table, p.evaluate(t_end)
+    c, tab = p.columns, p.table
+    if t_end <= c.t[0]:     # also a cut before a start up to 1e-12 after 0
+        return TimedPath(p.graph, PathColumns(
+            np.zeros(1), c.edge[:1], c.offset[:1],
+            *(col[:0] for col in c[3:])), p.speed_bound, dict(p.metadata))
+    i = int(np.searchsorted(c.t, t_end))        # breakpoints before t_end
+    k, x = p._at(t_end)
     # the runs of segment i - 1 up to the one holding t_end, cut there; a
     # cut that walks nothing, such as a wait's, is left out
-    k0, k = int(np.searchsorted(tab.start, p.times[i - 1])), p._row(t_end)
-    x1 = tab.x1[k0:k].tolist() + [end.offset]
-    part = tuple((p.graph.edges[e].id, a, b) for e, a, b in zip(
-        tab.edge[k0:k + 1].tolist(), tab.x0[k0:k + 1].tolist(), x1) if a != b)
-    return TimedPath(p.graph, (*p.times[:i], t_end), (*p.points[:i], end),
-                     (*p.routes[:i - 1], part), p.speed_bound,
-                     dict(p.metadata))
+    part = slice(int(np.searchsorted(tab.start, c.t[i - 1])), k + 1)
+    x1 = np.append(tab.x1[part][:-1], x)
+    cut = tab.x0[part] != x1
+    n = int(c.count[:i - 1].sum())              # the runs before it
+    return TimedPath(p.graph, PathColumns(
+        np.append(c.t[:i], t_end), np.append(c.edge[:i], tab.edge[k]),
+        np.append(c.offset[:i], x), np.append(c.count[:i - 1], cut.sum()),
+        np.append(c.run_edge[:n], tab.edge[part][cut]),
+        np.append(c.x0[:n], tab.x0[part][cut]),
+        np.append(c.x1[:n], x1[cut])), p.speed_bound, dict(p.metadata))
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +749,8 @@ def path_from_dict(g: MetricGraph, doc: dict) -> TimedPath:
             else:
                 runs = _rebuild_runs(g, points[i], points[i + 1], ids)
             routes.append(runs)
-        return TimedPath(g, times, points, tuple(routes), speed, metadata)
+        return TimedPath(g, path_columns(g, times, points, routes), speed,
+                         metadata)
     except GraphValidationError as exc:
         # positions or routes that do not exist on this graph
         raise PathValidationError(f"malformed trajectory document: {exc}") from None

@@ -40,8 +40,8 @@ import numpy as np
 from .graph import (GEOM_TOL, DiscretizedGraph, GraphPoint, MetricGraph,
                     as_positive, discretize, interval_count)
 from .trajectory import (PathColumns, PieceTable, TimedPath, clip_pieces,
-                         min_clearance, path_chunks, path_pieces,
-                         path_to_dict)
+                         min_clearance, path_chunks, path_columns,
+                         path_pieces, path_to_dict)
 
 REACH_SLACK = 1e-12
 MAX_SAMPLES = 10 ** 6   # grid size limit: about 240 bytes per sample
@@ -791,7 +791,7 @@ def _backtrack_witness(cop: TimedPath, grid: DiscretizedGraph,
             idx.append(q)
     idx.reverse()
     times = np.append(np.arange(n_steps) * tau, cop.duration)
-    return TimedPath.from_columns(grid.graph, PathColumns(
+    return TimedPath(grid.graph, PathColumns(
         times, grid.sample_edge[idx], grid.sample_offset[idx],
         *_witness_runs(grid, idx)), 1.0,
         {"kind": "witness", "grid_clearance": float(final[idx[-1]])})
@@ -879,7 +879,7 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     sizes = [len(p) for p in preds]
     src, dst = np.concatenate(preds), np.repeat(np.arange(grid.n), sizes)
     heads = np.cumsum([0] + sizes[:-1])
-    score, backs = grid.distances_to_point(cop.points[0]), []
+    score, backs = grid.distances_to_point(cop.point(0)), []
     while score.max() > eps and len(backs) < n_steps:
         j = len(backs)
         clr = grid.distances_to_intervals(
@@ -902,5 +902,5 @@ def brute_force_oracle(cop: TimedPath, h: float | None = None,
     times = tuple(j * tau for j in range(n_steps)) + (cop.duration,)
     routes = tuple(g.route(a, b)[1] for a, b in zip(points, points[1:]))
     return result("survival", None, TimedPath(
-        g, times, points, routes, 1.0,
+        g, path_columns(g, times, points, routes), 1.0,
         {"kind": "witness", "grid_clearance": float(score[idx[0]])}))

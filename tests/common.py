@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from graphchase import (GraphPoint, PathBuilder, TimedPath, build_graph,
-                        double_tree_walk)
+                        double_tree_walk, path_columns)
 
 
 def to_slots(reach, values):
@@ -27,6 +27,13 @@ def sweeps(g, s, rounds):
         for run in back if r % 2 else runs:
             pb.move_runs([run], abs(run[2] - run[1]) / s)
     return pb.build()
+
+
+def tuple_path(g, times, points, routes, speed_bound, metadata=None):
+    """A TimedPath of tuples of times, GraphPoints and per-segment runs,
+    read into columns by `path_columns`."""
+    return TimedPath(g, path_columns(g, times, points, routes), speed_bound,
+                     metadata)
 
 
 def unit_path():
@@ -83,6 +90,7 @@ def hand_built_path(g):
     """A path on odd_graph() with int-valued times, offsets and speed
     bound, and metadata of every JSON type."""
     e0, e1, _ = (e.id for e in g.edges)
-    return TimedPath(g, (0, 1, 3),
-                     (GraphPoint(e0, 0), GraphPoint(e0, 1), GraphPoint(e1, 0.5)),
-                     (((e0, 0, 1),), ((e1, 0, 0.5),)), 1, dict(ALL_JSON_TYPES))
+    return tuple_path(g, (0, 1, 3), (GraphPoint(e0, 0), GraphPoint(e0, 1),
+                                     GraphPoint(e1, 0.5)),
+                      (((e0, 0, 1),), ((e1, 0, 0.5),)), 1,
+                      dict(ALL_JSON_TYPES))

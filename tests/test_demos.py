@@ -1,6 +1,7 @@
 """Every demo script runs to completion from a copy in a scratch directory,
-so the files it writes land there and not next to the originals, and the
-README's "Library surface" names exactly the package root's exports."""
+so the files it writes land there and not next to the originals; the
+README's code runs and gives the values its text states, and its
+"Library surface" names exactly the package root's exports."""
 
 import inspect
 import os
@@ -48,3 +49,21 @@ def test_readme_library_surface_lists_the_package_root():
     public = {name for name, value in vars(graphchase).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert listed == public
+
+
+def test_readme_code_runs_and_states_its_values():
+    # the ```python blocks in order, in one namespace, as a reader would
+    # paste them; after each, the values its comments and text state
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 3
+    ns = {}
+    exec(blocks[0], ns)
+    res = ns["res"]
+    assert res.verdict == "capture" and round(res.time_bound, 4) == 0.9667
+    exec(blocks[1], ns)
+    res = ns["res"]
+    assert res.verdict == "survival" and res.witness is not None
+    assert round(res.min_clearance, 2) == 0.49
+    exec(blocks[2], ns)
+    assert ns["walk"].evaluate(1.0) == graphchase.GraphPoint("e0", 0.5)

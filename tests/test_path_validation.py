@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchase import (GraphPoint, PathValidationError, TimedPath,
-                        build_graph, cycle_loop, star_strategy,
-                        sweep_strategy, verify)
+from graphchase import (GraphPoint, PathValidationError, build_graph,
+                        cycle_loop, star_strategy, sweep_strategy, verify)
 from graphchase.graph import GEOM_TOL, walk_length
 from graphchase.randgen import random_graph
 from graphchase.trajectory import SPEED_TOL
 
-from common import comb, path_graph, star, unit_cycle
+from common import comb, path_graph, star, tuple_path, unit_cycle
 
 
 def scalar_validate(g, times, points, routes, speed_bound):
@@ -74,7 +73,7 @@ def assert_same_decision(g, times, points, routes, speed):
     args = (g, tuple(times), tuple(points),
             tuple(tuple(runs) for runs in routes), speed)
     ref = outcome(scalar_validate, *args)
-    assert outcome(TimedPath, *args) == ref
+    assert outcome(tuple_path, *args) == ref
     return ref
 
 

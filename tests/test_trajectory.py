@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import os
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchase import (GraphPoint, GraphValidationError, PathBuilder,
-                        PathValidationError, TimedPath, build_graph,
+                        PathValidationError, build_graph,
                         check_lipschitz, critical, cycle_loop, load_graph,
-                        load_path, min_clearance, path_from_dict,
-                        path_pieces, path_to_dict,
+                        load_path, min_clearance, path_columns,
+                        path_from_dict, path_pieces, path_to_dict,
                         reparameterize_max_speed, save_graph, save_path,
                         sweep_strategy, total_variation, transfer_scale,
                         transfer_shorten, truncate_path, verify, walk_length)
@@ -28,7 +29,7 @@ from graphchase.trajectory import (JSON_CHUNK, SPEED_TOL, PieceTable,
 from graphchase.verifier import _step_grid, resolution, swept_block
 
 from common import (hand_built_path, odd_graph, path_graph, star, triangle,
-                    unit_path)
+                    tuple_path, unit_path)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -234,9 +235,9 @@ def test_builder_matches_paths_built_from_tuples():
     def check(case):
         g, start, speed, steps, (times, points, routes) = case
         got = _outcome(lambda: run(g, start, speed, steps))
-        want = _outcome(lambda: TimedPath(g, tuple(times), tuple(points),
-                                          tuple(routes), float(speed),
-                                          {"kind": "program"}))
+        want = _outcome(lambda: tuple_path(g, tuple(times), tuple(points),
+                                           tuple(routes), float(speed),
+                                           {"kind": "program"}))
         if isinstance(want, tuple):
             assert got == want
             seen["refused"] += 1
@@ -245,10 +246,7 @@ def test_builder_matches_paths_built_from_tuples():
             (want.times, want.points, want.routes)
         assert repr((got.times, got.points, got.routes)) == \
             repr((want.times, want.points, want.routes))
-        for name in PieceTable._fields:
-            a, b = getattr(got.table, name), getattr(want.table, name)
-            assert repr(a) == repr(b) if name == "duration" else \
-                a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        _assert_same_columns(got.table, want.table)
         assert "".join(path_chunks(got)) == "".join(path_chunks(want))
         seen["ok"] += 1
         seen["wait"] += () in got.routes
@@ -261,27 +259,27 @@ def test_builder_matches_paths_built_from_tuples():
 def test_speed_validation():
     g = unit_path()
     with pytest.raises(PathValidationError):
-        TimedPath(g, (0.0, 0.1), (g.vertex_point("a"), g.vertex_point("b")),
-                  ((("e0", 0.0, 1.0),),), 1.0, {})
+        tuple_path(g, (0.0, 0.1), (g.vertex_point("a"), g.vertex_point("b")),
+                   ((("e0", 0.0, 1.0),),), 1.0, {})
     # exactly at the bound passes
-    TimedPath(g, (0.0, 1.0), (g.vertex_point("a"), g.vertex_point("b")),
-              ((("e0", 0.0, 1.0),),), 1.0, {})
+    tuple_path(g, (0.0, 1.0), (g.vertex_point("a"), g.vertex_point("b")),
+               ((("e0", 0.0, 1.0),),), 1.0, {})
 
 
 def test_time_and_continuity_validation():
     g = unit_path()
     pa, pb_ = g.vertex_point("a"), g.vertex_point("b")
     with pytest.raises(PathValidationError):
-        TimedPath(g, (0.0, 0.0), (pa, pb_), ((("e0", 0.0, 1.0),),), 5.0, {})
+        tuple_path(g, (0.0, 0.0), (pa, pb_), ((("e0", 0.0, 1.0),),), 5.0, {})
     with pytest.raises(PathValidationError):
-        TimedPath(g, (0.5, 1.0), (pa, pa), ((),), 1.0, {})
+        tuple_path(g, (0.5, 1.0), (pa, pa), ((),), 1.0, {})
     with pytest.raises(PathValidationError):
         # route does not end at the declared breakpoint
-        TimedPath(g, (0.0, 1.0), (pa, pa), ((("e0", 0.0, 1.0),),), 5.0, {})
+        tuple_path(g, (0.0, 1.0), (pa, pa), ((("e0", 0.0, 1.0),),), 5.0, {})
     with pytest.raises(PathValidationError, match="times: None is not a number"):
-        TimedPath(g, (0.0, None), (pa, pa), ((),), 1.0, {})
+        tuple_path(g, (0.0, None), (pa, pa), ((),), 1.0, {})
     with pytest.raises(PathValidationError, match="times: '0' is not a number"):
-        TimedPath(g, ("0", 1.0), (pa, pa), ((),), 1.0, {})
+        tuple_path(g, ("0", 1.0), (pa, pa), ((),), 1.0, {})
 
 
 @pytest.mark.parametrize("times, n_points, n_routes, speed, message", [
@@ -296,8 +294,8 @@ def test_breakpoint_counts_and_speed_bound_checked(times, n_points, n_routes,
                                                    speed, message):
     g = unit_path()
     with pytest.raises(PathValidationError, match=message):
-        TimedPath(g, times, (g.vertex_point("a"),) * n_points,
-                  ((),) * n_routes, speed, {})
+        tuple_path(g, times, (g.vertex_point("a"),) * n_points,
+                   ((),) * n_routes, speed, {})
 
 
 def test_evaluate_range_and_single_point():
@@ -309,7 +307,7 @@ def test_evaluate_range_and_single_point():
         p.evaluate(-0.5)
     with pytest.raises(ValueError):
         p.evaluate(math.nan)
-    single = TimedPath(g, (0.0,), (g.vertex_point("a"),), (), 1.0, {})
+    single = tuple_path(g, (0.0,), (g.vertex_point("a"),), (), 1.0, {})
     assert single.duration == 0.0
     assert g.points_equal(single.evaluate(0.0), g.vertex_point("a"))
 
@@ -380,12 +378,24 @@ def test_truncate():
 def test_truncate_inside_a_segment_of_several_runs():
     g = path_graph(3)
     runs = (("e0", 0.0, 1.0), ("e1", 0.0, 1.0), ("e2", 0.0, 1.0))
-    p = TimedPath(g, (0.0, 3.0), (GraphPoint("e0", 0.0),
-                                  GraphPoint("e2", 1.0)), (runs,), 1.0, {})
+    p = tuple_path(g, (0.0, 3.0), (GraphPoint("e0", 0.0),
+                                   GraphPoint("e2", 1.0)), (runs,), 1.0, {})
     t = truncate_path(p, 1.5)
     assert t.times == (0.0, 1.5)
     assert t.routes == ((("e0", 0.0, 1.0), ("e1", 0.0, 0.5)),)
     assert t.points[-1] == GraphPoint("e1", 0.5)
+
+
+def test_truncate_at_or_before_a_late_start_keeps_the_start():
+    # a path may start up to 1e-12 after 0; a cut before its first
+    # breakpoint leaves the start, at time 0
+    g = unit_path()
+    p = tuple_path(g, (1e-13, 1.0), (g.vertex_point("a"),
+                                     g.vertex_point("b")),
+                   ((("e0", 0.0, 1.0),),), 1.0)
+    for t in (5e-14, 1e-13):
+        q = truncate_path(p, t)
+        assert (q.times, q.points, q.routes) == ((0.0,), p.points[:1], ())
 
 
 def test_transfer_scale_geometry():
@@ -564,7 +574,7 @@ def clearance_pairs(draw):
 
     def path():
         if rng.random() < 0.1:
-            return TimedPath(g, (0.0,), (point(),), (), 1.0)
+            return tuple_path(g, (0.0,), (point(),), (), 1.0)
         pb = PathBuilder(g, point(), 3.0)
         for _ in range(rng.randint(1, 6)):
             if rng.random() < 0.3:
@@ -655,14 +665,17 @@ def scalar_piece_table(p):
                       p.duration, np.array(lengths, dtype=float))
 
 
-def _assert_same_table(p):
-    got, want = p.table, scalar_piece_table(p)
-    for name in PieceTable._fields:
+def _assert_same_columns(got, want):
+    """Two piece tables, or two `PathColumns`, equal bit for bit."""
+    for name in got._fields:
         a, b = getattr(got, name), getattr(want, name)
-        if name == "duration":
-            assert repr(a) == repr(b)
-        else:
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert repr(a) == repr(b) if name == "duration" else \
+            a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_table(p):
+    want = scalar_piece_table(p)
+    _assert_same_columns(p.table, want)
     return want
 
 
@@ -694,7 +707,7 @@ def table_paths(draw):
         times.append(times[-1] + rng.choice([1.0, rng.uniform(0.01, 3.0)]))
         points.append(there)
         routes.append(runs)
-    return TimedPath(g, tuple(times), tuple(points), tuple(routes), 1e6)
+    return tuple_path(g, tuple(times), tuple(points), tuple(routes), 1e6)
 
 
 def test_piece_table_matches_scalar_reference():
@@ -729,8 +742,8 @@ def test_piece_table_matches_scalar_reference():
                      ("v3", "v4", 1.0)])
     runs = (("e0", 0.0, 0.1), ("e1", 0.0, 0.2), ("e2", 0.0, 0.3),
             ("e3", 0.0, 1e-17))
-    p = TimedPath(g, (0.0, 1.0), (GraphPoint("e0", 0.0),
-                                  GraphPoint("e3", 1e-17)), (runs,), 1.0)
+    p = tuple_path(g, (0.0, 1.0), (GraphPoint("e0", 0.0),
+                                   GraphPoint("e3", 1e-17)), (runs,), 1.0)
     assert len(_assert_same_table(p).start) == 3
 
 
@@ -792,6 +805,130 @@ def test_evaluate_truncate_and_lengths_read_the_table():
     assert min(seen.values()) > 0, seen
 
 
+def _tuple_reparameterize(p, s):
+    """The tuple-building body `reparameterize_max_speed` replaced, kept
+    as its reference."""
+    times, points, routes = [0.0], [p.points[0]], []
+    for i, ln in enumerate(p.table.seg_len.tolist()):
+        if ln == 0:
+            continue
+        times.append(times[-1] + ln / s)
+        points.append(p.points[i + 1])
+        routes.append(p.routes[i])
+    return tuple_path(p.graph, tuple(times), tuple(points), tuple(routes), s,
+                      dict(p.metadata))
+
+
+def _tuple_transfer(p, target, times, move):
+    """The tuple-building body of the transfer maps, kept as their
+    reference: `move(edge id, offset)` moves one offset."""
+    points = tuple(GraphPoint(q.edge, move(q.edge, q.offset))
+                   for q in p.points)
+    routes = tuple(tuple(run for run in ((eid, move(eid, x0), move(eid, x1))
+                                         for eid, x0, x1 in runs)
+                         if run[1] != run[2])
+                   for runs in p.routes)
+    return tuple_path(target, tuple(times), points, routes, p.speed_bound,
+                      dict(p.metadata))
+
+
+def _tuple_scale(p, c):
+    return _tuple_transfer(p, p.graph.scale(c), (t * c for t in p.times),
+                           lambda eid, x: x * c)
+
+
+def _tuple_shorten(p, edge_id, new_length):
+    target = p.graph.shorten_leaf_edge(edge_id, new_length)
+    e = p.graph.edge(edge_id)
+    leaf_v, removed = p.graph.leaf_end(edge_id) == e.v, e.length - new_length
+
+    def move(eid, x):
+        if eid != edge_id:
+            return x
+        return min(x, new_length) if leaf_v else max(0.0, x - removed)
+
+    return _tuple_transfer(p, target, p.times, move)
+
+
+def _tuple_truncate(p, t_end):
+    """The tuple-building body `truncate_path` replaced, kept as its
+    reference; the row holding t_end is the last one starting before it,
+    or the first at t_end = 0."""
+    if t_end >= p.duration - 1e-12:
+        return p
+    if t_end == 0:
+        return tuple_path(p.graph, (0.0,), (p.points[0],), (), p.speed_bound,
+                          dict(p.metadata))
+    i = bisect.bisect_left(p.times, t_end)
+    tab, end = p.table, p.evaluate(t_end)
+    k0 = int(np.searchsorted(tab.start, p.times[i - 1]))
+    k = max(int(np.searchsorted(tab.start, t_end)) - 1, 0)
+    x1 = tab.x1[k0:k].tolist() + [end.offset]
+    part = tuple((p.graph.edges[e].id, a, b) for e, a, b in zip(
+        tab.edge[k0:k + 1].tolist(), tab.x0[k0:k + 1].tolist(), x1) if a != b)
+    return tuple_path(p.graph, (*p.times[:i], t_end), (*p.points[:i], end),
+                      (*p.routes[:i - 1], part), p.speed_bound,
+                      dict(p.metadata))
+
+
+def _assert_same_path(got, want):
+    assert repr(got) == repr(want)
+    _assert_same_columns(got.columns, want.columns)
+    _assert_same_columns(got.table, want.table)
+    assert "".join(path_chunks(got)) == "".join(path_chunks(want))
+
+
+def test_column_transforms_match_their_tuple_references():
+    # reparameterization, both transfers and truncation map columns to
+    # columns; each gives its tuple-building reference's path exactly,
+    # in repr, piece table and file text
+    seen = {"trunc0": 0, "breakpoint": 0, "wait": 0, "run": 0,
+            "u-leaf": 0, "v-leaf": 0, "stopped": 0, "padded": 0}
+
+    def compare(p, c, fractions):
+        g, tab = p.graph, p.table
+        _assert_same_path(reparameterize_max_speed(p, c),
+                          _tuple_reparameterize(p, c))
+        scaled = transfer_scale(p, c)
+        _assert_same_path(scaled, _tuple_scale(p, c))
+        seen["padded"] += any(x0 == x1 for runs in p.routes
+                              for _, x0, x1 in runs)
+        for e in g.edges:
+            leaf = g.leaf_end(e.id)
+            if leaf is None:
+                continue
+            for f in fractions:
+                got = transfer_shorten(p, e.id, e.length * f)
+                _assert_same_path(got, _tuple_shorten(p, e.id, e.length * f))
+                seen["u-leaf" if leaf == e.u else "v-leaf"] += 1
+                # a run beyond the new leaf stops moving and goes
+                seen["stopped"] += len(got.columns.x0) < len(
+                    scaled.columns.x0)
+        # inside each row of the table, a wait's or a run's, at the
+        # breakpoints and at the fractions of the duration
+        inside = ((tab.start + tab.stop) / 2).tolist()
+        ends = [p.duration * f for f in fractions]
+        for t in [0.0] + list(p.times) + inside + ends:
+            _assert_same_path(truncate_path(p, t), _tuple_truncate(p, t))
+        if p.duration > 0:
+            seen["trunc0"] += 1
+            seen["breakpoint"] += len(p.times) > 2
+            still = tab.x0 == tab.x1
+            seen["wait"] += bool(still.any())
+            seen["run"] += bool((~still).any())
+
+    settings(max_examples=150, deadline=None)(given(
+        table_paths(), st.floats(0.25, 4.0),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3))(compare))()
+    # runs within the u-leaf edge e0 and the v-leaf edge e1 that a
+    # shortening to half their length stops
+    g = path_graph(2)
+    compare(PathBuilder(g, "v0", 1.0).move_runs([("e0", 0.0, 0.25)], 0.25)
+            .move_to("v2").move_runs([("e1", 1.0, 0.75)], 0.25).wait(0.5)
+            .build(), 2.0, [0.5])
+    assert min(seen.values()) > 0, seen
+
+
 def test_path_pieces_cover():
     g = path_graph(2)
     p = PathBuilder(g, "v0", 1.0).move_to("v2", speed=1.0).wait(0.5).build()
@@ -837,8 +974,8 @@ def test_serialization_geodesic_routes():
 def test_serialization_multi_edge_routes():
     g = path_graph(3)
     runs = (("e0", 0.25, 1.0), ("e1", 0.0, 1.0), ("e2", 0.0, 0.5))
-    p = TimedPath(g, (0.0, 2.25), (GraphPoint("e0", 0.25),
-                                   GraphPoint("e2", 0.5)), (runs,), 1.0, {})
+    p = tuple_path(g, (0.0, 2.25), (GraphPoint("e0", 0.25),
+                                    GraphPoint("e2", 0.5)), (runs,), 1.0, {})
     doc = path_to_dict(p)
     assert doc["routes"] == [["e0", "e1", "e2"]]
     assert path_from_dict(g, doc).routes == (runs,)
@@ -864,6 +1001,38 @@ def test_serialization_malformed(tmp_path):
     f.write_text("{", encoding="utf-8")
     with pytest.raises(PathValidationError):
         load_path(g, f)
+
+
+@pytest.mark.parametrize("breakpoints, routes, refusal", [
+    ([("nope", 0)], None, "unknown edge id 'nope'"),
+    ([("e0", 0), ("nope", 0)], [[]], "unknown edge id 'nope'"),
+    ([("e0", 0), ("e0", 1)], [["nope"]], "unknown edge id 'nope'"),
+    ([("e0", 0), ("e0", 2)], None,
+     "offset 2.0 outside [0, 1.0] on edge 'e0'"),
+], ids=["point", "wait-end", "route", "end-offset"])
+def test_path_file_refusals_name_the_value_as_written(breakpoints, routes,
+                                                      refusal):
+    # the file names an edge by its id and an offset by its number, and
+    # the refusal names them so, wherever the fault is found
+    doc = {"speed": 1, "routes": routes, "breakpoints": [
+        {"t": t, "edge": eid, "offset": x}
+        for t, (eid, x) in enumerate(breakpoints)]}
+    with pytest.raises(PathValidationError) as exc:
+        path_from_dict(unit_path(), doc)
+    assert str(exc.value) == f"malformed trajectory document: {refusal}"
+
+
+@pytest.mark.parametrize("where", ["point", "run"])
+def test_path_columns_refuses_an_unhashable_id_as_graph_edge_does(where):
+    g = unit_path()
+    bad, a = ["x"], GraphPoint("e0", 0.0)
+    points = (GraphPoint(bad, 0.0), a) if where == "point" else (a, a)
+    routes = (((bad, 0.0, 0.5), ("e0", 0.5, 0.0)),)
+    with pytest.raises(TypeError) as want:
+        g.edge(bad)
+    with pytest.raises(TypeError) as got:
+        path_columns(g, (0.0, 1.0), points, routes)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -912,7 +1081,7 @@ def test_path_numbers_in_python_are_no_bools(field, value):
     a, b = g.vertex_point("a"), g.vertex_point("b")
     args = {"times": (0.0, 1.0), "points": (a, b),
             "routes": ((("e0", 0.0, 1.0),),), "speed_bound": 1.0}
-    TimedPath(g, **args)
+    tuple_path(g, **args)
     PathBuilder(g, "a", 1.0)
     named = re.escape(f"{value!r} is not a number")
     if field == "time":
@@ -926,7 +1095,7 @@ def test_path_numbers_in_python_are_no_bools(field, value):
         with pytest.raises(PathValidationError, match=named):
             PathBuilder(g, "a", value)
     with pytest.raises(PathValidationError, match=named):
-        TimedPath(g, **args)
+        tuple_path(g, **args)
 
 
 def test_path_files_equal_json_dumps_byte_for_byte(tmp_path):
@@ -973,9 +1142,9 @@ def written_paths(draw):
         k, x = k1, x1
     metadata = draw(st.dictionaries(st.text(max_size=3), JSON_VALUES,
                                     max_size=3))
-    return TimedPath(path_graph(3), tuple(times), tuple(points),
-                     tuple(routes), draw(st.integers(6, 9) | st.floats(6, 99)),
-                     metadata)
+    return tuple_path(path_graph(3), tuple(times), tuple(points),
+                      tuple(routes),
+                      draw(st.integers(6, 9) | st.floats(6, 99)), metadata)
 
 
 def test_write_json_is_json_dumps():

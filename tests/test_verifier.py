@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from graphchase import trajectory, verifier
 from graphchase import (Board, GameMismatchError, GraphPoint,
                         GraphValidationError, ParameterError, PathBuilder,
-                        SizeLimitError,
-                        TimedPath, brute_force_oracle, build_graph,
+                        SizeLimitError, brute_force_oracle, build_graph,
                         check_lipschitz, continuous_clearance, cycle_loop,
                         cycle_strategy, discretize, min_clearance,
                         path_from_dict, path_pieces, result_to_dict,
@@ -26,7 +25,7 @@ from graphchase.verifier import (REACH_SLACK, _band_cap, _clearance_rows,
                                  swept_intervals, vertex_cells)
 
 from common import (comb, path_graph, star, sweeps, to_slots, triangle,
-                    unit_cycle, unit_path)
+                    tuple_path, unit_cycle, unit_path)
 
 
 def stand(g, v, duration, speed=1.0):
@@ -675,7 +674,7 @@ def swept_cases(draw):
         times.append(times[-1] + dur)
         points.append(there)
         routes.append(runs)
-    cop = TimedPath(g, tuple(times), tuple(points), tuple(routes), 1e6)
+    cop = tuple_path(g, tuple(times), tuple(points), tuple(routes), 1e6)
     if rng.random() < 0.5:   # a whole number of steps of exactly dt
         dt = cop.duration / math.ceil(cop.duration / dt)
     block_steps = rng.choice([1, 2, 3, 5, 256])
@@ -711,8 +710,8 @@ def test_step_left_without_pieces_stays_infinite():
     # and the step [1 - 2**-53, 1] gets no piece: its row is all +inf.
     g = path_graph(10, 0.1)
     a, b = g.vertex_point("v0"), g.vertex_point("v10")
-    cop = TimedPath(g, (0.0, 1.0, 1.5), (a, b, b), (g.route(a, b)[1], ()),
-                    1.0)
+    cop = tuple_path(g, (0.0, 1.0, 1.5), (a, b, b), (g.route(a, b)[1], ()),
+                     1.0)
     grid = discretize(g, 0.05)
     reach = build_reach(grid, grid.max_spacing + REACH_SLACK)
     tau, j0 = 2.0 ** -53, 2 ** 53 - 4
@@ -1328,9 +1327,9 @@ def test_each_path_is_parsed_once(monkeypatch):
     parsed = []
     real = trajectory._piece_table
 
-    def counting(p, t):
+    def counting(p):
         parsed.append(p)
-        return real(p, t)
+        return real(p)
 
     monkeypatch.setattr(trajectory, "_piece_table", counting)
     cop = cycle_loop(unit_cycle(), 1.0, 2.0)
