@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .graph import MetricGraph, as_number, as_positive
 from .strategies import (StrategyError, cascade_truncation, comb_strategy,
@@ -62,8 +62,7 @@ def build_family(g: MetricGraph, family: str, s: float,
                             f"{exc}") from None
 
 
-@dataclass(frozen=True)
-class SpeedBracket:
+class SpeedBracket(NamedTuple):
     """A verified speed interval around a family's capture threshold.
 
     `lower` failed to produce a verified capture (constructor rejection or a
@@ -77,7 +76,7 @@ class SpeedBracket:
     tol: float
     upper_evidence: VerifierResult
     lower_evidence: VerifierResult | str
-    probes: tuple[tuple[float, str], ...] = field(default=())
+    probes: tuple[tuple[float, str], ...] = ()
 
 
 def _probe(g, family, s, board):
@@ -151,8 +150,7 @@ def upper_bound_bisect(g: MetricGraph, family: str, s_low: float,
 # frontier tables
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrontierRow:
+class FrontierRow(NamedTuple):
     s: float
     verdict: str                 # "capture" or "survival"
     time_bound: float | None     # capture rows
@@ -202,12 +200,12 @@ def frontier_table(g: MetricGraph, family: str, speeds,
         if prev is not None:
             pi, pt = prev
             if row.time_bound > pt + 3 * (row.h + row.dt):
-                rows[i] = replace(row, note=(row.note + "; " if row.note
+                rows[i] = row._replace(note=(row.note + "; " if row.note
                                              else "") +
-                                  f"capture time above slower row at "
-                                  f"s={rows[pi].s}, whose trajectory, "
-                                  f"re-declared at this speed, captures by "
-                                  f"{pt:.6g}")
+                                       f"capture time above slower row at "
+                                       f"s={rows[pi].s}, whose trajectory, "
+                                       f"re-declared at this speed, "
+                                       f"captures by {pt:.6g}")
         if prev is None or row.time_bound < prev[1]:
             prev = (i, row.time_bound)
     return rows

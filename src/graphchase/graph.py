@@ -12,8 +12,8 @@ import heapq
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ class GraphValidationError(ValueError):
     """Raised when a graph (or a point on it) fails validation."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     u: str
     v: str
@@ -40,8 +39,7 @@ class Edge:
             (self.id, self.length, 0.0)
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(NamedTuple):
     """A location on an edge: offset in length units from the edge's `u` end."""
 
     edge: str

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,19 +55,21 @@ def lambda_root(k: int, s: float) -> float:
     lo, hi = 1.0, target + 1.0
 
     def poly(x: float) -> float:
-        return math.fsum(x ** i for i in range(1, k - 1)) - target
+        try:
+            return math.fsum(x ** i for i in range(1, k - 1)) - target
+        except OverflowError:       # past float range: above the target
+            return math.inf
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:  # each halving shrinks the bracket
         if poly(mid) < 0:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     # poly increases from below 0 at 1 to above 0 at target + 1, so the
     # bracket holds the root wherever the bisection stops
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def cascade_truncation(g: MetricGraph, eps: float | None = None) -> float:
@@ -198,8 +200,7 @@ def _probes(pb: PathBuilder, hub: str, arms, starts, durations,
 # star clearing
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StarSchedule:
+class StarSchedule(NamedTuple):
     """The excursion plan of a star clearing run.
 
     `excursions` lists (arm edge id, absolute start time, duration); probe

@@ -526,7 +526,7 @@ def _clearance_rows(grid: DiscretizedGraph, reach: ReachStructure,
 # results
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class VerifierResult:
     verdict: str                      # "capture" or "survival"
     time_bound: float | None          # capture: all evaders within eps by here
@@ -649,7 +649,8 @@ class Board:
     refusal comes before any grid, the grid and its eps kill table, built
     on first use, and the last reach plan with the interval of radii that
     `build_reach` noted for it.  A radius in that interval, with the same
-    `_band_cap`, gets that plan; any other builds and keeps a new one.
+    `_band_cap`, gets that plan; any other builds and keeps a new one.  A
+    plain `verify` makes a board without keeping its plan.
     """
 
     def __init__(self, g: MetricGraph, h=None, eps=None):
@@ -666,7 +667,9 @@ class Board:
         return vertex_cells(self.grid, self.eps)
 
     def reach(self, radius: float) -> ReachStructure:
-        """The plan of `build_reach(self.grid, radius)`."""
+        """The plan of `build_reach(self.grid, radius)`; a radius that is
+        not finite and positive is a ParameterError."""
+        radius = as_positive(radius, "reach radius", ParameterError)
         cap, last = _band_cap(self.grid, radius), self._last
         if last and last[1] <= radius < last[2] and cap == last[3]:
             return last[0]
@@ -674,14 +677,6 @@ class Board:
         plan = build_reach(self.grid, radius, bounds)
         self._last = plan, *bounds, cap
         return plan
-
-
-class _OneUse(Board):
-    """A plain `verify`'s board: its one plan needs no interval, which
-    costs 1-2% of a star-ladder verification."""
-
-    def reach(self, radius: float) -> ReachStructure:
-        return build_reach(self.grid, radius)
 
 
 def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
@@ -693,9 +688,11 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     speed at most 1 (on the grid) has come within eps of the cop.  Survival
     returns a witness trajectory together with its recomputed continuous
     clearance.  A `board` of the cop's graph, given without h or eps,
-    supplies them, the grid, the kill table and the plan (a plain call
-    makes a one-use board); `_step_grid` of the duration and its spacing
-    gives the step tau, refused before any grid is built.
+    supplies them, the grid, the kill table and the plan; a plain call
+    makes its own board and calls `build_reach` itself, since its one plan
+    needs no interval of radii (which costs 1-2% of a star-ladder
+    verification).  `_step_grid` of the duration and its spacing gives
+    the step tau, refused before any grid is built.
 
     The boolean game `_play` decides every verdict: an alive mask that
     empties after j steps is a capture at j * tau, returned whatever
@@ -710,8 +707,9 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
     final scores show a capture after all, the games disagree and
     GameMismatchError is raised.
     """
-    if board is None:
-        board = _OneUse(cop.graph, h, eps)
+    one_use = board is None
+    if one_use:
+        board = Board(cop.graph, h, eps)
     elif h is not None or eps is not None:
         raise ParameterError("a board fixes h and eps: pass neither with it")
     elif cop.graph is not board.graph:
@@ -723,7 +721,8 @@ def verify(cop: TimedPath, h: float | None = None, eps: float | None = None,
         return VerifierResult(verdict, time_bound, witness, clearance, h,
                               eps, grid.max_spacing, tau, n_steps, grid.n)
 
-    reach = board.reach(tau + REACH_SLACK)
+    reach = (build_reach(grid, tau + REACH_SLACK) if one_use
+             else board.reach(tau + REACH_SLACK))
     score = np.full(reach.n_slots, -np.inf)
     score[reach.slot] = grid.distances_to_point(cop.point(0))
     j, alive = _play(board.cells, reach, cop.table, tau, n_steps, score)

@@ -9,6 +9,8 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphchase import strategies
 from graphchase import (GraphValidationError, StrategyError, build_graph,
@@ -72,6 +74,33 @@ def test_lambda_root_accepts_large_speeds():
 
     assert poly(math.nextafter(lam, 0)) <= 0 <= poly(math.nextafter(lam,
                                                                    math.inf))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(4, 8), st.floats(0, 298, exclude_min=True))
+def test_lambda_root_converges_up_to_huge_speeds(k, e):
+    # from the bracket [1, (s+1)/2] a fixed number of halvings once ended
+    # far from the root above s = 1e52, and a power past float range
+    # raised; near the root the sum is about the target, so in range
+    s = (2 * k - 3) * 10 ** e
+    if not s > 2 * k - 3:
+        return
+    lam, target = lambda_root(k, s), (s - 1) / 2
+
+    def poly(x):
+        return math.fsum(x ** i for i in range(1, k - 1)) - target
+
+    assert abs(poly(lam)) <= 4e-15 * target
+    assert poly(math.nextafter(lam, 0)) <= 0 <= poly(math.nextafter(lam,
+                                                                   math.inf))
+
+
+def test_cascades_at_absurd_speeds_build_and_capture():
+    # each once was refused as unsafe or raised a bare OverflowError
+    for path in (star_strategy(star(4, 0.5), 1e150),
+                 star_strategy(star(6, 0.5), 1e90),
+                 finiteness_strategy(star(3), 1e300)):
+        assert verify(path).captured
 
 
 def test_star_at_a_large_speed_builds_and_captures():

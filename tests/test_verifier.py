@@ -631,6 +631,13 @@ def test_plain_verify_computes_no_radius_interval():
             Board(comb(3), 0.1).reach(0.1)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_board_refuses_a_radius_not_finite_and_positive(radius):
+    with pytest.raises(ParameterError,
+                       match="reach radius must be finite and positive"):
+        Board(comb(3), 0.1).reach(radius)
+
+
 def test_board_refuses_h_eps_and_other_graphs():
     g = comb(3)
     board, cop = Board(g, 0.1), sweep_strategy(g, 4.0)
