@@ -50,18 +50,21 @@ class MetricGraph:
     """A connected, simple metric graph with string vertex and edge ids.
 
     Ids must be distinct, edge endpoints declared vertices, every edge
-    length positive, the total length finite, and the edges at least one,
-    free of loops and parallel pairs, and connected; the constructor
-    refuses anything else with GraphValidationError, so no transform can
-    make a zero-length edge.  Instances are immutable after construction
-    and safe to share across threads; distance queries lazily cache
-    per-source shortest-path trees.  Use :func:`build_graph` to normalize
-    raw (possibly loopy or parallel) edge data into one.
+    length a number by `as_number`'s rule, kept as a float, and positive,
+    the total length finite, and the edges at least one, free of loops and
+    parallel pairs, and connected; the constructor refuses anything else
+    with GraphValidationError, so no transform can make a zero-length
+    edge.  Instances are immutable after construction and safe to share
+    across threads; distance queries lazily cache per-source shortest-path
+    trees.  Use :func:`build_graph` to normalize raw (possibly loopy or
+    parallel) edge data into one.
     """
 
     def __init__(self, vertices, edges):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.edges: tuple[Edge, ...] = tuple(
+            e if type(e.length) is float else
+            e._replace(length=_length(e.id, e.length)) for e in edges)
         self.edge_ids: tuple[str, ...] = tuple(e.id for e in self.edges)
         self._edge_index = {eid: k for k, eid in enumerate(self.edge_ids)}
         adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -158,9 +161,10 @@ class MetricGraph:
     # ------------------------------------------------------------------
 
     def clamp_point(self, p: GraphPoint) -> GraphPoint:
-        """Validate a point and snap offsets within GEOM_TOL onto [0, length]."""
+        """Validate a point and snap offsets within GEOM_TOL onto [0, length];
+        the offset must be a number by `as_number`'s rule."""
         e = self.edge(p.edge)
-        x = p.offset
+        x = as_real(p.offset, f"offset on edge {e.id!r}", GraphValidationError)
         if not -GEOM_TOL <= x <= e.length + GEOM_TOL:   # also rejects nan
             raise GraphValidationError(
                 f"offset {x} outside [0, {e.length}] on edge {e.id!r}")
@@ -319,14 +323,18 @@ class MetricGraph:
     # ------------------------------------------------------------------
 
     def scale(self, c: float) -> "MetricGraph":
-        """Uniformly rescale all edge lengths by c; a factor that leaves a
-        length nonpositive or the total infinite is refused."""
+        """Uniformly rescale all edge lengths by c; a factor that is no
+        number, or leaves a length nonpositive or the total infinite, is
+        refused."""
+        c = as_real(c, "scale factor", GraphValidationError)
         return MetricGraph(self.vertices,
                            [Edge(e.id, e.u, e.v, e.length * c) for e in self.edges])
 
     def shorten_leaf_edge(self, edge_id: str, new_length: float) -> "MetricGraph":
-        """Shorten an edge incident to a leaf vertex; structure is otherwise kept."""
+        """Shorten an edge incident to a leaf vertex to a number in (0,
+        its length); structure is otherwise kept."""
         e = self.edge(edge_id)
+        new_length = as_real(new_length, "new length", GraphValidationError)
         if self.leaf_end(edge_id) is None:
             raise GraphValidationError(
                 f"edge {edge_id!r} is not incident to a leaf; only leaf edges "
@@ -352,6 +360,23 @@ def as_number(x) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise TypeError(f"{x!r} is not a number")
     return float(x)
+
+
+def as_real(x, what: str, error: type[Exception]) -> float:
+    """`as_number(x)`, or an `error` naming x where it is no number."""
+    try:
+        return as_number(x)
+    except (TypeError, OverflowError):
+        raise error(f"{what}: {x!r} is not a number") from None
+
+
+def _length(eid: str, x) -> float:
+    """An edge's length as a float by `as_number`'s rule."""
+    try:
+        return as_number(x)
+    except (TypeError, OverflowError):
+        raise GraphValidationError(
+            f"edge {eid!r} has non-numeric length {x!r}") from None
 
 
 def as_positive(x, what: str, error: type[Exception]) -> float:
@@ -393,12 +418,7 @@ def build_graph(vertices, edges) -> MetricGraph:
         if eid in used_ids:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
         used_ids.add(eid)
-        try:
-            length = as_number(length)
-        except (TypeError, OverflowError):
-            raise GraphValidationError(
-                f"edge {eid!r} has non-numeric length {length!r}") from None
-        raw.append(Edge(eid, u, v, length))
+        raw.append(Edge(eid, u, v, _length(eid, length)))
 
     used_names = set(vertices) | used_ids
 

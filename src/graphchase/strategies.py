@@ -150,12 +150,12 @@ def _probe_depth(s: float, duration: float, limit: float) -> float:
 
 def _probes(pb: PathBuilder, hub: str, arms, starts, durations,
             limits) -> None:
-    """The excursions of a cascade from the hub, appended as columns: for
-    each arm, start, duration and limit, wait at the hub until the start,
-    then walk along the arm to `_probe_depth` and back at the speed bound.
-    The times are those of one `wait_until` and two `move_runs` each, and
-    a probe too short to leave the hub's offset is a wait, as `move_runs`
-    makes it."""
+    """The excursions of a cascade from the hub, handed to `pb.extend` as
+    its four columns: for each arm, start, duration and limit, wait at the
+    hub until the start, then walk along the arm to `_probe_depth` and
+    back at the speed bound.  The times are those of one `wait_until` and
+    two `move_runs` each, and a probe too short to leave the hub's offset
+    has x0 == x1, so it is a wait, as `move_runs` makes it."""
     g, s, now = pb.graph, pb.speed_bound, pb.now
     depart = []         # the builder's clock, one probe after the other
     for start, duration, limit in zip(starts, durations, limits):
@@ -176,7 +176,10 @@ def _probes(pb: PathBuilder, hub: str, arms, starts, durations,
     near, far = np.where(out, 0.0, ln), np.where(out, depth, ln - depth)
     turn = depart + depth / s
     back = turn + depth / s
-    moves, here = far != near, pb.position
+    here = pb.position
+    # each probe's wait from where the last one ended, walk out and back
+    e = np.concatenate(([g.edge_index(here.edge)], arm[:-1]))
+    x = np.concatenate(([here.offset], near[:-1]))
 
     def rows(*cols, dtype=float):   # each probe's rows, one after the other
         out = np.empty((len(depart), len(cols)), dtype)
@@ -185,15 +188,9 @@ def _probes(pb: PathBuilder, hub: str, arms, starts, durations,
         return out.ravel()
     waits = rows(depart > np.concatenate(([pb.now], back[:-1])), True, True,
                  dtype=bool)
-    runs = rows(moves, moves, dtype=bool)
     pb.extend(*(col[waits] for col in (
-        rows(depart, turn, back),
-        rows(np.concatenate(([g.edge_index(here.edge)], arm[:-1])), arm, arm,
-             dtype=np.int64),
-        rows(np.concatenate(([here.offset], near[:-1])), far, near),
-        rows(0, moves, moves, dtype=np.int64))), *(col[runs] for col in (
-            rows(arm, arm, dtype=np.int64), rows(near, far),
-            rows(far, near))))
+        rows(depart, turn, back), rows(e, arm, arm, dtype=np.int64),
+        rows(x, near, far), rows(x, far, near))))
 
 
 # ----------------------------------------------------------------------
@@ -486,8 +483,7 @@ def cycle_loop(g: MetricGraph, s: float, duration: float,
         return pb.wait(duration).build(metadata)
     # move_runs' running sum, one by one, times every run from 0
     acc = np.cumsum(np.abs(x1 - x0))
-    return pb.extend(duration * (acc / acc[-1]), e, x1, np.ones_like(e), e,
-                     x0, x1).build(metadata)
+    return pb.extend(duration * (acc / acc[-1]), e, x0, x1).build(metadata)
 
 
 def _run_columns(g: MetricGraph, runs):

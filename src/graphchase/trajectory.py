@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import (GEOM_TOL, GraphPoint, GraphValidationError, MetricGraph,
-                    as_number, as_positive)
+                    as_number, as_positive, as_real)
 
 SPEED_TOL = 1e-9
 
@@ -30,10 +30,7 @@ class PathValidationError(ValueError):
 
 def _real(x, what: str) -> float:
     """x as a float by `as_number`'s rule, or PathValidationError naming it."""
-    try:
-        return as_number(x)
-    except (TypeError, OverflowError):
-        raise PathValidationError(f"{what}: {x!r} is not a number") from None
+    return as_real(x, what, PathValidationError)
 
 
 def _reals(values, what: str) -> np.ndarray:
@@ -246,7 +243,8 @@ class TimedPath:
         if not abs(t[0]) <= 1e-12:
             raise PathValidationError(
                 f"paths start at time 0, got {float(t[0])}")
-        if not _reals([speed_bound], "speed bound")[0] >= 0:
+        speed_bound = _real(speed_bound, "speed bound")
+        if not speed_bound >= 0:
             raise PathValidationError("speed bound must be nonnegative")
         late = ~(t[1:] > t[:-1])
         if late.any():
@@ -322,29 +320,29 @@ class PathBuilder:
     """Incrementally assemble a TimedPath starting at time 0.  The speed
     bound may be inf, a bound that every motion meets.
 
-    The path grows as plain columns: the list `times`, and the other
-    columns of `PathColumns` as lists that single moves append to and
-    arrays that `extend` adds whole.  An edge id that names no edge, or an
-    offset that is no number by `as_number`'s rule, is refused where it is
-    passed in.  `build` snaps every breakpoint within GEOM_TOL of its edge
-    onto it, as `clamp_point` does, and leaves the rest for TimedPath to
-    refuse.
+    The path grows as four columns of breakpoints: the list `times`, and
+    arrays of edge indices and of start and end offsets.  Breakpoint i is
+    reached by the run from x0[i] to x1[i] on its edge, or by a wait where
+    x0[i] == x1[i], so each segment walks one run or waits.  An edge id
+    that names no edge, or an offset that is no number by `as_number`'s
+    rule, is refused where it is passed in.  `build` derives the runs and
+    snaps every breakpoint within GEOM_TOL of its edge onto it, as
+    `clamp_point` does, and leaves the rest for TimedPath to refuse.
     """
 
     def __init__(self, graph: MetricGraph, start, speed_bound: float):
         if isinstance(start, str):
             start = graph.vertex_point(start)
         self.graph = graph
-        self.speed_bound = float(_reals([speed_bound], "speed bound")[0])
+        self.speed_bound = _real(speed_bound, "speed bound")
         if not self.speed_bound >= 0:
             raise PathValidationError(
                 f"speed bound must be nonnegative, got {speed_bound}")
         self.times = [0.0]
         self._here = (graph.edge_index(start.edge),
                       _real(start.offset, "offsets"))
-        # the columns after `times`: lists of single moves, then arrays
-        self._rows = ([self._here[0]], [self._here[1]], [], [], [], [])
-        self._chunks = []
+        e, x = self._here
+        self._chunks = [tuple(map(np.array, ([e], [x], [x])))]
 
     @property
     def now(self) -> float:
@@ -358,10 +356,9 @@ class PathBuilder:
 
     def wait(self, duration: float) -> "PathBuilder":
         duration = as_positive(duration, "wait duration", PathValidationError)
-        self.times.append(self.now + duration)
-        for column, value in zip(self._rows, (*self._here, 0)):
-            column.append(value)
-        return self
+        e, x = self._here
+        return self.extend(*map(np.array, ([self.now + duration], [e], [x],
+                                           [x])))
 
     def wait_until(self, t: float) -> "PathBuilder":
         if t <= self.now + 1e-15:
@@ -384,32 +381,22 @@ class PathBuilder:
         duration = as_positive(duration, "duration", PathValidationError)
         if not runs:
             return self.wait(duration)
-        t_start = self.now
-        # one plain running sum times every run, so the last quotient is
-        # exactly 1 and the last run ends at t_start + duration
-        acc = list(accumulate(abs(x1 - x0) for _, x0, x1 in runs))
-        self.times += [t_start + duration * (a / acc[-1]) for a in acc]
         e, x0, x1 = zip(*runs)
-        for column, values in zip(self._rows, (e, x1, [1] * len(e), e, x0,
-                                               x1)):
-            column.extend(values)
-        self._here = (e[-1], x1[-1])
-        return self
+        # one plain running sum times every run, so the last quotient is
+        # exactly 1 and the last run ends at the start plus the duration
+        acc = list(accumulate(abs(b - a) for a, b in zip(x0, x1)))
+        times = [self.now + duration * (a / acc[-1]) for a in acc]
+        return self.extend(*map(np.array, (times, e, x0, x1)))
 
-    def extend(self, times, *columns) -> "PathBuilder":
-        """Append breakpoints, each with the segment that reaches it, as
-        arrays: times, then the other columns of `PathColumns`."""
+    def extend(self, times, edge, x0, x1) -> "PathBuilder":
+        """Append breakpoints as four arrays: breakpoint i is reached at
+        times[i] by the run from x0[i] to x1[i] on edge index edge[i], or
+        by a wait at the position before it where x0[i] == x1[i]."""
         if len(times):
             self.times += times.tolist()
-            self._chunks += self._arrays(), columns
-            self._here = (int(columns[0][-1]), float(columns[1][-1]))
+            self._chunks.append((edge, x0, x1))
+            self._here = (int(edge[-1]), float(x1[-1]))
         return self
-
-    def _arrays(self) -> tuple:
-        """The single moves not yet in `_chunks`, as arrays."""
-        rows, self._rows = self._rows, ([], [], [], [], [], [])
-        return tuple(np.array(r, dtype=np.int64 if i in (0, 2, 3) else float)
-                     for i, r in enumerate(rows))
 
     def move_to(self, target, *, speed: float | None = None) -> "PathBuilder":
         """Move along a shortest path to `target` (vertex id or point) at
@@ -423,13 +410,15 @@ class PathBuilder:
 
     def build(self, metadata: dict | None = None) -> TimedPath:
         g = self.graph
-        edge, x, *runs = map(np.concatenate,
-                             zip(*self._chunks, self._arrays()))
-        self._chunks = [(edge, x, *runs)]
+        edge, x0, x = map(np.concatenate, zip(*self._chunks))
+        self._chunks = [(edge, x0, x)]
+        moved = x0[1:] != x[1:]
+        runs = (col[1:][moved] for col in (edge, x0, x))
         # clamp_point's snap, where its test passes
         x = np.where(_off_edge(g, edge, x), x,
                      np.minimum(np.maximum(x, 0.0), g.edge_table[2][edge]))
-        return TimedPath(g, PathColumns(np.array(self.times), edge, x, *runs),
+        return TimedPath(g, PathColumns(np.array(self.times), edge, x,
+                                        moved.astype(np.int64), *runs),
                          self.speed_bound, dict(metadata or {}))
 
 
@@ -504,7 +493,7 @@ def transfer_shorten(p: TimedPath, edge_id: str,
     distance-nonincreasing, so the declared speed bound still holds.
     """
     target = p.graph.shorten_leaf_edge(edge_id, new_length)  # refuses non-leaf
-    e = p.graph.edge(edge_id)
+    e, new_length = p.graph.edge(edge_id), target.edge(edge_id).length
     leaf_v, removed = p.graph.leaf_end(edge_id) == e.v, e.length - new_length
     k = p.graph.edge_index(edge_id)
 

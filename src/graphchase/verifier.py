@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -565,8 +566,13 @@ def save_report(r: VerifierResult, path: str,
     `path_chunks` without building its document.  With witness_path, each
     piece also goes to that file as is, so it holds the witness byte for
     byte as `save_path` writes it.  A capture has no witness and writes no
-    witness file.
+    witness file.  Two paths to one file are refused with ValueError
+    before either is opened.
     """
+    if witness_path is not None and \
+            os.path.realpath(path) == os.path.realpath(witness_path):
+        raise ValueError(f"the report and the witness name the same file "
+                         f"{witness_path}")
     head = json.dumps(result_to_dict(replace(r, witness=None)), indent=2,
                       sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from graphchase import (EvidenceError, build_family, build_graph,
 from graphchase import cli, trajectory, verifier
 from graphchase.cli import main
 
-from common import (hand_built_path, odd_graph, path_graph, star,
+from common import (hand_built_path, odd_graph, path_graph, star, triangle,
                     unit_cycle, unit_path)
 
 
@@ -546,6 +546,21 @@ def test_verify_refuses_one_file_for_report_and_witness(tmp_path, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_save_report_refuses_one_file_for_report_and_witness(tmp_path,
+                                                             monkeypatch):
+    # a survival's report and witness interleaved in one file, which
+    # json.load could not read; the refusal opens neither file
+    monkeypatch.chdir(tmp_path)
+    res = verify(sweep_strategy(triangle(), 0.5), h=0.05)
+    assert res.witness is not None
+    (tmp_path / "sub").mkdir()
+    for report, witness in (("a.json", "a.json"), ("a.json", "./a.json"),
+                            (tmp_path / "a.json", "sub/../a.json")):
+        with pytest.raises(ValueError, match="name the same file"):
+            save_report(res, report, witness)
+        assert not (tmp_path / "a.json").exists()
 
 
 def test_report_and_witness_render_the_witness_once(tmp_path):

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from graphchase import (Edge, GraphPoint, GraphValidationError, MetricGraph,
                         ParameterError, PathBuilder, PathValidationError,
-                        StrategyError, build_graph, cascade_truncation,
-                        discretize, double_tree_walk, frontier_table,
-                        frontier_to_json, graph_from_dict, graph_to_dict,
-                        load_graph, min_clearance, path_to_dict,
-                        reparameterize_max_speed, resolution, result_to_dict,
-                        save_graph, sufficient_speed, sweep_strategy, verify,
-                        walk_covers, walk_length)
+                        StrategyError, TimedPath, build_graph,
+                        cascade_truncation, discretize, double_tree_walk,
+                        frontier_table, frontier_to_json, graph_from_dict,
+                        graph_to_dict, load_graph, load_path, min_clearance,
+                        path_columns, path_to_dict, reparameterize_max_speed,
+                        resolution, result_to_dict, save_graph, save_path,
+                        sufficient_speed, sweep_strategy, transfer_scale,
+                        verify, walk_covers, walk_length)
 from graphchase.graph import GEOM_TOL, as_positive
 from graphchase.randgen import random_graph
 from graphchase.verifier import runs_within, vertex_cells
@@ -702,3 +703,53 @@ def test_as_positive_returns_a_python_float():
     with pytest.raises(GraphValidationError, match="x must be finite"):
         as_positive(10 ** 400, "x", GraphValidationError)
 
+
+
+# every graph entry point that reads a number: the number read from the
+# result of a call on x
+GRAPH_NUMBER_SITES = {
+    "MetricGraph": lambda x: MetricGraph(
+        ["a", "b"], [Edge("e", "a", "b", x)]).edges[0].length,
+    "scale": lambda x: G2.scale(x).edges[0].length,
+    "shorten_leaf_edge": lambda x: path_graph(2, 4.0).shorten_leaf_edge(
+        "e1", x).edge("e1").length,
+    "clamp_point": lambda x: path_graph(2, 4.0).clamp_point(
+        GraphPoint("e0", x)).offset,
+    "transfer_scale": lambda x: transfer_scale(
+        sweep_strategy(G2, 1.0), x).graph.edges[0].length,
+}
+
+
+@pytest.mark.parametrize("x", [True, "1"], ids=repr)
+@pytest.mark.parametrize("site", GRAPH_NUMBER_SITES)
+def test_graph_number_sites_refuse_bools_and_strings(site, x):
+    # a bool was once read as 1, and a string raised a bare TypeError or
+    # was kept until save_graph wrote it
+    with pytest.raises(GraphValidationError) as exc:
+        GRAPH_NUMBER_SITES[site](x)
+    assert repr(x) in str(exc.value)
+
+
+@pytest.mark.parametrize("x", [np.float32(2.0), np.int64(2)], ids=repr)
+@pytest.mark.parametrize("site", GRAPH_NUMBER_SITES)
+def test_graph_number_sites_store_floats(site, x):
+    v = GRAPH_NUMBER_SITES[site](x)
+    assert type(v) is float and v == GRAPH_NUMBER_SITES[site](2.0)
+
+
+@pytest.mark.parametrize("x", [np.float32(0.5), np.int64(2), 2], ids=repr)
+def test_numpy_and_int_numbers_round_trip_through_files(tmp_path, x):
+    # save_graph once raised a bare TypeError on a float32 length, and
+    # save_path on a float32 speed; an int speed saved as 2, then as 2.0
+    g = MetricGraph(["a", "b"], [Edge("e", "a", "b", x)]).scale(x)
+    cols = path_columns(g, (0.0, 1.0), (GraphPoint("e", 0.0),) * 2, ((),))
+    p = TimedPath(g, cols, x)
+    assert type(p.speed_bound) is float
+    save_graph(g, tmp_path / "g.json")
+    save_path(p, tmp_path / "p.json")
+    h = load_graph(tmp_path / "g.json")
+    save_graph(h, tmp_path / "g2.json")
+    save_path(load_path(h, tmp_path / "p.json"), tmp_path / "p2.json")
+    for a, b in (("g", "g2"), ("p", "p2")):
+        assert (tmp_path / f"{a}.json").read_bytes() == \
+            (tmp_path / f"{b}.json").read_bytes()

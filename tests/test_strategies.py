@@ -8,6 +8,7 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,10 @@ from graphchase import (GraphValidationError, StrategyError, build_graph,
                         sufficient_speed, sweep_strategy, total_variation,
                         verify)
 from graphchase.graph import walk_covers
+from graphchase.randgen import random_cop_path, random_graph
 from graphchase.strategies import (STATION_PROBES, _cascade_update,
                                    _detect_comb, _ladder_init)
+from graphchase.trajectory import path_chunks
 
 from common import comb, path_graph, star, triangle, unit_cycle, unit_path
 
@@ -628,29 +631,86 @@ def test_finiteness_strategy_captures():
 
 # ------------------------------------------------------------ cascade pins
 
-@pytest.mark.parametrize("build, breakpoints, duration, digest", [
+@pytest.mark.parametrize("build, breakpoints, duration, digest, routes", [
     (lambda: finiteness_strategy(star(3), sufficient_speed(star(3))), 32,
      0.30562500000000004,
-     "bf22bb73db0e738fe132250a35981320bca34bf456892b30163fda40a71dfa5d"),
+     "bf22bb73db0e738fe132250a35981320bca34bf456892b30163fda40a71dfa5d",
+     "33b5d18cffc70a1c0ae588858445a2991fb9877c2fb10e1a70fecf4b0e72aef1"),
     (lambda: secure_vertex(star(3), "O", 8.0)[0], 21, 0.6412551229723319,
-     "ef3d7dad81ea8f8198adc74dd2db4f544b048e35d21c13c38a424da8dd4fb47e"),
+     "ef3d7dad81ea8f8198adc74dd2db4f544b048e35d21c13c38a424da8dd4fb47e",
+     "c7b3f9f7a1a44d0633c4106bd896c934562df465e5309431ad2bd990671ba431"),
     (lambda: comb_strategy(comb(3), 3.5), 49, 5.372304094810756,
-     "56a333c16c6f0dc36aa8bf24e70a6e7812585f5708f3472abffd2a9389a81ce2"),
+     "56a333c16c6f0dc36aa8bf24e70a6e7812585f5708f3472abffd2a9389a81ce2",
+     "151b35da2131b1034e0b2af2dbf21b9acb66c23ad3281d9740edac09a23e7271"),
     # its station's spine reaches its extent before the tooth clears
     (lambda: comb_strategy(comb(3), 4.0), 34, 4.043284505208334,
-     "5c9905cd1c3e8f5b34e351a9e941febac177be591825fa2d48073202eadb8ab1"),
+     "5c9905cd1c3e8f5b34e351a9e941febac177be591825fa2d48073202eadb8ab1",
+     "0b0f592ba4c5601bb32e467b775265c279f80bb16c99614d1485e30816b0211b"),
     (lambda: star_strategy(star(3), 3.2, 1e-3), 154, 10.653409090909083,
-     "656cd0c2390a949ab398d17d81c96ff13cfdebcee5a6b718a9e4ce05ba910788"),
+     "656cd0c2390a949ab398d17d81c96ff13cfdebcee5a6b718a9e4ce05ba910788",
+     "7a363f86d1e202c697150db2b349da64cad4644973c2bc2db3fbfd1a679ee3f5"),
     (lambda: cycle_strategy(unit_cycle(), 1.5), 10, 2.0,
-     "cafdb463fee883b6795a36de722cd20ab03d671eaed19d6cb9bb9ecceffc6c96"),
+     "cafdb463fee883b6795a36de722cd20ab03d671eaed19d6cb9bb9ecceffc6c96",
+     "abc9caa14872ccf684169d5e93ff22bd2d0d85e5a6c0c2510c9c9fbce2351013"),
     (lambda: cycle_loop(unit_cycle(), 1.0, 6.0), 19, 6.0,
-     "237db169d12a0d230586e9635a66a1ead12b542976a534f981ca0dca1e90c9d2"),
+     "237db169d12a0d230586e9635a66a1ead12b542976a534f981ca0dca1e90c9d2",
+     "6856383d793b31825425840a9a056757dd4e896fe79b039c0db6535e3d3cfd82"),
+    (lambda: sweep_strategy(comb(3), 3.5), 8, 1.9999999999999996,
+     "076492f713c253fb931e2c2211cd0ec478a7f812067203558ed83b0778e3307e",
+     "af6c083f3c891e6d4672e993b859a92bcc3d5fdb565bcf50b87ca3b9034f620e"),
 ], ids=["finiteness", "secure", "comb", "comb-spine-at-extent", "star",
-        "cycle", "cycle_loop"])
-def test_cascade_paths_are_pinned(build, breakpoints, duration, digest):
+        "cycle", "cycle_loop", "sweep"])
+def test_cascade_paths_are_pinned(build, breakpoints, duration, digest,
+                                  routes):
     # exact breakpoint times and points of paths the benchmark does not
-    # build (it runs stars at other speeds, jittered combs and other loops)
+    # build (it runs stars at other speeds, jittered combs and other loops),
+    # and their file text, which also holds each segment's route
     p = build()
     assert len(p.times) == breakpoints and p.duration == duration
     assert hashlib.sha256(repr((p.times, p.points)).encode()).hexdigest() \
         == digest
+    assert hashlib.sha256("".join(path_chunks(p)).encode()).hexdigest() \
+        == routes
+
+
+def test_random_cop_paths_are_pinned():
+    # the file text of 50 walks of single moves and waits, one after the
+    # other, each on its own graph with loops and parallel edges
+    rng = random.Random(5)
+    text = "".join("".join(path_chunks(random_cop_path(
+        random_graph(rng, allow_multi=True), rng))) for _ in range(50))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "37c3ebd8ab95fa3b34aa41414b38d9fd02e6a87fdbcf9a1e4f65914c7ac18a1b"
+
+
+def _built_paths():
+    """Paths of every kind the builder assembles: random walks, sweeps and
+    finiteness paths on random graphs, star and comb cascades at several
+    speeds and truncations, and cycle loops, some cut mid-run."""
+    rng = random.Random(8)
+    for _ in range(30):
+        g = random_graph(rng, allow_multi=True)
+        yield random_cop_path(g, rng, moves=6)
+        yield sweep_strategy(g, rng.uniform(0.5, 3.0))
+        yield finiteness_strategy(g, sufficient_speed(g))
+    for k in (3, 4, 5):
+        for s in (2 * k - 2.5, 2 * k, 2 * k + 6):
+            for truncation in (None, 1e-3):
+                yield star_strategy(star(k, 0.5), s, truncation)
+    for k in (2, 3, 4):
+        for s in (3.5, 4.0, 7.0):
+            yield comb_strategy(comb(k), s)
+    for s, duration in ((1.0, 6.0), (0.7, 2.3), (2.5, 0.4), (0.0, 1.0)):
+        yield cycle_loop(unit_cycle(), s, duration)
+        yield cycle_loop(triangle(0.5, 1.0, 1.5), s, duration)
+
+
+def test_a_built_segment_is_one_run_or_a_wait():
+    # the builder's one form: each breakpoint is reached by one run or by
+    # a wait, which stays at the breakpoint before it
+    for p in _built_paths():
+        c = p.columns
+        assert c.count.max(initial=0) <= 1
+        still = np.flatnonzero(c.count == 0)
+        assert (c.edge[still + 1] == c.edge[still]).all()
+        assert (c.offset[still + 1] == c.offset[still]).all()
